@@ -8,23 +8,17 @@ Performance notes
 -----------------
 One-choice allocation is a single ``bincount`` — effectively free.  The
 d-choice (least-loaded) process is inherently sequential: ball ``t``'s
-placement depends on the loads left by balls ``0 .. t-1``.  Two exact
-implementations coexist:
-
-- a plain-Python reference loop (~1e6 balls/second), and
-- a batched numpy kernel that processes windows of balls in rounds of
-  conflict-free argmin updates (several times faster at paper scale;
-  see :func:`d_choice_allocate`'s ``method`` parameter).
-
-Both produce byte-identical occupancy vectors for the same candidate
-matrix — the batched kernel only applies a ball's placement once no
-earlier unplaced ball shares any of its candidate bins, deferring the
-rest to the next round, so the greedy order semantics (including
-first-candidate tie-breaking) are preserved exactly.
+placement depends on the loads left by balls ``0 .. t-1``.  It has one
+exact implementation, :func:`greedy_loads`, a plain-Python scan over
+column lists that every load-vector placement in the package shares
+(unit-weight balls here, rate-weighted keys in
+:mod:`repro.cluster.selection` and :mod:`repro.cluster.failures`).
 """
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -35,6 +29,7 @@ from ..rng import as_generator
 __all__ = [
     "one_choice_allocate",
     "d_choice_allocate",
+    "greedy_loads",
     "sample_replica_groups",
     "replica_group_allocate",
 ]
@@ -98,124 +93,68 @@ def sample_replica_groups(
         return np.zeros((0, d), dtype=np.int64)
     choices = gen.integers(0, bins, size=(balls, d))
     if distinct and d > 1:
+        # Each round re-checks only the rows it just redrew: a clean row
+        # never changes again, so the draws match checking every row.
+        pending, sample = np.arange(balls), choices
         for _ in range(64):
-            sorted_rows = np.sort(choices, axis=1)
-            dup_mask = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
-            n_dup = int(dup_mask.sum())
-            if n_dup == 0:
+            pending = pending[_has_duplicate(sample)]
+            if pending.size == 0:
                 break
-            choices[dup_mask] = gen.integers(0, bins, size=(n_dup, d))
-        else:  # pragma: no cover - 64 rounds suffice for any d <= bins/2
-            for row in np.nonzero(dup_mask)[0]:
+            sample = gen.integers(0, bins, size=(pending.size, d))
+            choices[pending] = sample
+        else:
+            # Only reachable with d close to bins, where a random row is
+            # rarely distinct: draw the stragglers without replacement.
+            for row in pending.tolist():
                 choices[row] = gen.choice(bins, size=d, replace=False)
-    return choices.astype(np.int64)
+    return choices
 
 
-#: Below this many balls the numpy round overhead dominates and the
-#: plain loop wins; above it the batched kernel is strictly faster.
-_BATCH_MIN_BALLS = 4096
+def _has_duplicate(rows: np.ndarray) -> np.ndarray:
+    """Per row of a ``(k, d)`` matrix: whether any two entries are equal."""
+    d = rows.shape[1]
+    dup = np.zeros(rows.shape[0], dtype=bool)
+    for i in range(d - 1):
+        for j in range(i + 1, d):
+            dup |= rows[:, i] == rows[:, j]
+    return dup
 
 
-def _d_choice_sequential(choices: np.ndarray, bins: int) -> np.ndarray:
-    """Reference greedy loop: exact, simple, ~1e6 balls/second."""
-    loads = [0] * bins
-    for row in choices.tolist():
-        best = row[0]
-        best_load = loads[best]
-        for cand in row[1:]:
-            cand_load = loads[cand]
-            if cand_load < best_load:
-                best = cand
-                best_load = cand_load
-        loads[best] = best_load + 1
-    return np.asarray(loads, dtype=np.int64)
+def greedy_loads(groups: np.ndarray, weights, n: int) -> np.ndarray:
+    """Exact greedy d-choice: every load-vector placement runs through here.
 
+    Row ``i`` of the ``(keys, d)`` matrix ``groups`` lists key ``i``'s
+    candidate nodes; keys are placed in row order, each on the candidate
+    with the smallest accumulated weight (the first such candidate on
+    ties, via a strict ``<``), which then gains ``weights[i]``.  Returns
+    the length-``n`` float load vector.
 
-#: Once a round shrinks below this many balls, numpy call overhead per
-#: round exceeds the cost of just finishing the window with the plain
-#: loop — the long tail of tiny rounds is where windows spend most of
-#: their round budget.
-_BATCH_TAIL = 48
+    The loads live in a plain list of ``n + 1`` slots.  Slot ``n`` is a
+    sentinel holding ``+inf``: entries that index it (``n``, or ``-1``
+    under Python's negative indexing) stand for dead replicas.  With
+    finite weights every live load is finite, so the sentinel never beats
+    a live candidate, and a row with no live candidate adds its weight to
+    the sentinel, which stays ``+inf`` and is dropped from the result.
+    Callers validate node ids; only they know which entries are dead.
 
-
-def _d_choice_batched(
-    choices: np.ndarray, bins: int, window: Optional[int] = None, metrics=None
-) -> np.ndarray:
-    """Vectorized greedy d-choice, byte-identical to the sequential loop.
-
-    Balls are consumed in windows.  Within a window, each round places
-    every ball none of whose candidate bins appear in an *earlier*
-    still-unplaced ball of the window: those balls cannot influence each
-    other (their candidate sets are pairwise disjoint — if two shared a
-    bin the later one would be blocked), so a single gather + row-wise
-    ``argmin`` + fancy-index increment applies all of them at once with
-    the exact loads the sequential process would have seen.  Blocked
-    balls carry over to the next round, after the conflicting earlier
-    placements have landed.  The first remaining ball is never blocked,
-    so every round makes progress; once a round shrinks below
-    :data:`_BATCH_TAIL` balls the window is finished with the plain loop
-    (same semantics, cheaper than more near-empty rounds).
-
-    Conflict detection is a first-claim scatter: writing ball indices
-    into ``first_claim[bin]`` in *reverse* ball order leaves, for every
-    bin, the earliest remaining ball that lists it (last write wins, and
-    the last reverse-order write is the first ball).  A ball is blocked
-    iff any of its bins was claimed by a strictly earlier ball; a ball
-    listing the same bin twice in its own row is *not* blocked by
-    itself, because its own claim compares equal, not smaller.
+    The matrix is read as ``d`` column lists and the weights as one list,
+    converted once; the scan body is the same for every ``d``.
     """
-    balls, d = choices.shape
-    loads = np.zeros(bins, dtype=np.int64)
-    if window is None:
-        # Collision frequency scales with window * d / bins; about one
-        # bin's worth of candidates per window minimises total rounds
-        # (fewer windows) without degrading per-round yield too far
-        # (measured optimum for the paper-scale n, d).
-        window = max(32, bins // d)
-    ball_ids = np.repeat(np.arange(window), d)
-    row_ids = np.arange(window)
-    first_claim = np.empty(bins, dtype=np.int64)
-    rounds = 0
-    tail_balls = 0
-    start = 0
-    while start < balls:
-        sub = choices[start : start + window]
-        start += sub.shape[0]
-        while sub.shape[0] > _BATCH_TAIL:
-            rounds += 1
-            r = sub.shape[0]
-            flat = sub.ravel()
-            ball_of = ball_ids[: r * d]
-            first_claim[flat[::-1]] = ball_of[::-1]
-            g = first_claim[flat]
-            if d == 2:
-                # Specialised reduction: min over the two slots of each
-                # ball via strided views, no reshape round-trip.
-                np.minimum(g[::2], g[1::2], out=g[::2])
-                clean_mask = g[::2] >= row_ids[:r]
-            else:
-                clean_mask = (g >= ball_of).reshape(r, d).all(axis=1)
-            clean = sub[clean_mask]
-            pos = loads[clean].argmin(axis=1)
-            chosen = clean[row_ids[: clean.shape[0]], pos]
-            # Clean balls occupy pairwise-disjoint candidate sets, so
-            # plain fancy indexing (no ``np.add.at``) is safe here.
-            loads[chosen] += 1
-            sub = sub[~clean_mask]
-        tail_balls += sub.shape[0]
-        for row in sub.tolist():
-            best = row[0]
-            best_load = loads[best]
-            for cand in row[1:]:
-                cand_load = loads[cand]
-                if cand_load < best_load:
-                    best = cand
-                    best_load = cand_load
-            loads[best] = best_load + 1
-    if metrics is not None:
-        metrics.counter("alloc_batched_rounds_total").inc(rounds)
-        metrics.counter("alloc_batched_tail_balls_total").inc(tail_balls)
-    return loads
+    loads = [0.0] * n
+    loads.append(math.inf)
+    first, *others = groups.T.tolist()
+    # A row is its first candidate plus a tuple of the others; zip() over
+    # no columns would yield no rows at all, hence repeat(()) for d == 1.
+    rests = zip(*others) if others else repeat(())
+    for weight, best, rest in zip(np.asarray(weights).tolist(), first, rests):
+        best_load = loads[best]
+        for cand in rest:
+            if loads[cand] < best_load:
+                best = cand
+                best_load = loads[cand]
+        loads[best] = best_load + weight
+    loads.pop()
+    return np.asarray(loads, dtype=float)
 
 
 def d_choice_allocate(
@@ -225,7 +164,6 @@ def d_choice_allocate(
     rng: RngLike = None,
     distinct: bool = True,
     choices: Optional[np.ndarray] = None,
-    method: str = "auto",
     metrics=None,
 ) -> np.ndarray:
     """Greedy d-choice (least-loaded) allocation — the theory model.
@@ -233,25 +171,15 @@ def d_choice_allocate(
     Each ball inspects ``d`` candidate bins and joins the least loaded
     (first of the candidates on ties, matching the usual analysis).  Pass
     ``choices`` to reuse a pre-sampled candidate matrix, e.g. to compare
-    selection rules on identical randomness.
-
-    ``method`` selects the implementation — all produce byte-identical
-    occupancy vectors:
-
-    - ``"auto"`` (default): the batched kernel for large, low-collision
-      configurations, the reference loop otherwise;
-    - ``"sequential"``: the plain-Python reference loop;
-    - ``"batched"``: the vectorized round-based kernel.
+    selection rules on identical randomness; its entries must be bin ids
+    in ``[0, bins)``.  Placement is :func:`greedy_loads` with unit
+    weights.
 
     ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) counts
-    calls, balls and — for the batched kernel — conflict-resolution
-    rounds, per resolved kernel; it never influences the allocation.
+    calls and balls per kernel (``one-choice`` for ``d == 1``,
+    ``greedy`` otherwise); it never influences the allocation.
     """
     _check(balls, bins, d)
-    if method not in ("auto", "sequential", "batched"):
-        raise ConfigurationError(
-            f"method must be 'auto', 'sequential' or 'batched', got {method!r}"
-        )
     if choices is None:
         choices = sample_replica_groups(balls, bins, d, rng=rng, distinct=distinct)
     else:
@@ -260,27 +188,17 @@ def d_choice_allocate(
             raise ConfigurationError(
                 f"choices must have shape ({balls}, {d}), got {choices.shape}"
             )
+        if choices.size and (choices.min() < 0 or choices.max() >= bins):
+            raise ConfigurationError(f"choices must be bin ids in [0, {bins})")
     if balls == 0:
         return np.zeros(bins, dtype=np.int64)
-    if d == 1:
-        if metrics is not None:
-            metrics.counter("alloc_calls_total", kernel="one-choice").inc()
-            metrics.counter("alloc_balls_total", kernel="one-choice").inc(balls)
-        return np.bincount(choices[:, 0], minlength=bins).astype(np.int64)
-    if method == "auto":
-        # Dense candidate sets (d within a small factor of bins) make
-        # nearly every ball conflict with an earlier one, degenerating
-        # the rounds to one ball each — the loop is faster there.
-        if balls >= _BATCH_MIN_BALLS and bins >= 8 * d:
-            method = "batched"
-        else:
-            method = "sequential"
+    kernel = "one-choice" if d == 1 else "greedy"
     if metrics is not None:
-        metrics.counter("alloc_calls_total", kernel=method).inc()
-        metrics.counter("alloc_balls_total", kernel=method).inc(balls)
-    if method == "batched":
-        return _d_choice_batched(np.ascontiguousarray(choices), bins, metrics=metrics)
-    return _d_choice_sequential(choices, bins)
+        metrics.counter("alloc_calls_total", kernel=kernel).inc()
+        metrics.counter("alloc_balls_total", kernel=kernel).inc(balls)
+    if d == 1:
+        return np.bincount(choices[:, 0], minlength=bins).astype(np.int64)
+    return greedy_loads(choices, np.ones(balls), bins).astype(np.int64)
 
 
 def replica_group_allocate(

@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..ballsbins.allocation import greedy_loads
 from ..exceptions import ConfigurationError
 from ..rng import as_generator
 
@@ -41,25 +42,23 @@ class DegradedGroups:
 
     Attributes
     ----------
-    survivors:
-        Ragged structure flattened as two arrays: ``flat_nodes`` holds
-        surviving replica ids key-by-key; ``offsets[i]:offsets[i+1]``
-        slices key ``i``'s survivors.
+    groups:
+        The ``(keys, d)`` replica-group matrix with every failed replica
+        replaced by ``-1``; survivors keep their slots.
     unavailable:
         Indices of keys that lost *all* replicas.
     failed:
         The injected failure set.
     """
 
-    flat_nodes: np.ndarray
-    offsets: np.ndarray
+    groups: np.ndarray
     unavailable: np.ndarray
     failed: Tuple[int, ...]
 
     @property
     def n_keys(self) -> int:
         """Number of keys covered (available or not)."""
-        return int(self.offsets.size - 1)
+        return int(self.groups.shape[0])
 
     @property
     def unavailable_fraction(self) -> float:
@@ -74,36 +73,30 @@ class DegradedGroups:
             raise ConfigurationError(
                 f"key_index must be in [0, {self.n_keys}), got {key_index}"
             )
-        return self.flat_nodes[self.offsets[key_index] : self.offsets[key_index + 1]]
+        row = self.groups[key_index]
+        return row[row >= 0]
 
     def least_loaded_loads(self, rates: np.ndarray, n: int) -> np.ndarray:
         """Greedy least-loaded placement over the *surviving* replicas.
 
         Unavailable keys contribute no load (their queries fail
         upstream); the returned vector covers all ``n`` nodes, failed
-        ones included (always 0 there).
+        ones included (always 0 there).  The matrix goes to
+        :func:`~repro.ballsbins.allocation.greedy_loads` as is: its
+        ``-1`` entries index the kernel's ``+inf`` sentinel slot, which
+        never beats a surviving replica and absorbs unavailable keys.
+        That needs finite rates, so they are checked.
         """
         rates = np.asarray(rates, dtype=float)
         if rates.shape != (self.n_keys,):
             raise ConfigurationError(
                 f"rates must have one entry per key ({self.n_keys}), got {rates.shape}"
             )
-        loads = [0.0] * n
-        flat = self.flat_nodes.tolist()
-        offsets = self.offsets.tolist()
-        for i, rate in enumerate(rates.tolist()):
-            lo, hi = offsets[i], offsets[i + 1]
-            if lo == hi:
-                continue  # unavailable key: no back-end load
-            best = flat[lo]
-            best_load = loads[best]
-            for j in range(lo + 1, hi):
-                cand = flat[j]
-                if loads[cand] < best_load:
-                    best = cand
-                    best_load = loads[cand]
-            loads[best] = best_load + rate
-        return np.asarray(loads, dtype=float)
+        if not np.isfinite(rates).all():
+            raise ConfigurationError("rates must be finite")
+        if self.n_keys and self.groups.max() >= n:
+            raise ConfigurationError(f"replica ids must be node ids in [0, {n})")
+        return greedy_loads(self.groups, rates, n)
 
 
 def sample_failures(
@@ -136,21 +129,22 @@ def degrade_groups(
         Cluster size, for validating the failure set (optional).
     """
     groups = np.asarray(groups, dtype=np.int64)
-    if groups.ndim != 2:
-        raise ConfigurationError("groups must be a (keys, d) matrix")
+    if groups.ndim != 2 or groups.shape[1] == 0:
+        raise ConfigurationError("groups must be a (keys, d) matrix with d >= 1")
+    if groups.size and groups.min() < 0:
+        raise ConfigurationError("group entries must be node ids >= 0")
     failed_set: Set[int] = set(int(x) for x in failed)
     if n is not None and any(not 0 <= x < n for x in failed_set):
         raise ConfigurationError("failure set contains node ids outside [0, n)")
-    alive_mask = ~np.isin(groups, list(failed_set) or [-1])
-    counts = alive_mask.sum(axis=1)
-    offsets = np.zeros(groups.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat_nodes = groups[alive_mask]
-    unavailable = np.nonzero(counts == 0)[0].astype(np.int64)
+    is_down = np.zeros(groups.max(initial=-1) + 1, dtype=bool)
+    is_down[[x for x in failed_set if 0 <= x < is_down.size]] = True
+    dead = is_down[groups]
+    all_dead = np.ones(groups.shape[0], dtype=bool)
+    for column in dead.T:
+        all_dead &= column
     return DegradedGroups(
-        flat_nodes=flat_nodes.astype(np.int64),
-        offsets=offsets,
-        unavailable=unavailable,
+        groups=np.where(dead, -1, groups),
+        unavailable=np.flatnonzero(all_dead),
         failed=tuple(sorted(failed_set)),
     )
 

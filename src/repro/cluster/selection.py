@@ -21,6 +21,7 @@ from typing import Union
 
 import numpy as np
 
+from ..ballsbins.allocation import greedy_loads
 from ..exceptions import ConfigurationError
 from ..rng import as_generator
 from ..scenario.registry import register_component
@@ -42,8 +43,8 @@ RngLike = Union[None, int, np.random.Generator]
 def _validate(groups: np.ndarray, rates: np.ndarray, n: int) -> tuple:
     groups = np.asarray(groups, dtype=np.int64)
     rates = np.asarray(rates, dtype=float)
-    if groups.ndim != 2:
-        raise ConfigurationError("groups must be a (keys, d) matrix")
+    if groups.ndim != 2 or groups.shape[1] == 0:
+        raise ConfigurationError("groups must be a (keys, d) matrix with d >= 1")
     if rates.shape != (groups.shape[0],):
         raise ConfigurationError(
             f"rates must have one entry per key, got {rates.shape} for {groups.shape[0]} keys"
@@ -100,17 +101,7 @@ class LeastLoadedKeyPinning(SelectionPolicy):
     def node_loads(self, groups, rates, n, rng=None):
         """Greedy rate-weighted d-choice placement (deterministic)."""
         groups, rates = _validate(groups, rates, n)
-        loads = [0.0] * n
-        for row, rate in zip(groups.tolist(), rates.tolist()):
-            best = row[0]
-            best_load = loads[best]
-            for cand in row[1:]:
-                cand_load = loads[cand]
-                if cand_load < best_load:
-                    best = cand
-                    best_load = cand_load
-            loads[best] = best_load + rate
-        return np.asarray(loads, dtype=float)
+        return greedy_loads(groups, rates, n)
 
 
 @register_component("selection", "random-pin")

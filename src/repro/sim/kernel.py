@@ -102,23 +102,30 @@ def _route_batch(
         miss_keys, return_index=True, return_inverse=True
     )
     pins = sim._pins
-    pin_counts = sim._pin_counts
-    unseen = [
-        (int(first_idx[i]), int(unique[i]))
-        for i in range(unique.size)
-        if int(unique[i]) not in pins
-    ]
+    unique_keys = unique.tolist()
+    unseen = sorted(
+        (first, key)
+        for first, key in zip(first_idx.tolist(), unique_keys)
+        if key not in pins
+    )
     if unseen:
-        unseen.sort()
         new_keys = np.array([key for _, key in unseen], dtype=np.int64)
         groups = cluster.partitioner.replica_groups(new_keys)
-        for key, group in zip(new_keys.tolist(), groups):
-            counts = pin_counts[group]
-            pinned = int(group[int(np.argmin(counts))])
-            pins[key] = pinned
-            pin_counts[pinned] += 1
+        # The legacy ``argmin`` over the group's pin counts, as a strict
+        # ``<`` scan (first minimum wins) over plain lists.
+        counts = sim._pin_counts.tolist()
+        for key, row in zip(new_keys.tolist(), zip(*groups.T.tolist())):
+            best = row[0]
+            best_count = counts[best]
+            for cand in row:
+                if counts[cand] < best_count:
+                    best = cand
+                    best_count = counts[cand]
+            pins[key] = best
+            counts[best] = best_count + 1
+        sim._pin_counts[:] = counts
     assigned = np.fromiter(
-        (pins[int(key)] for key in unique), dtype=np.int64, count=unique.size
+        (pins[key] for key in unique_keys), dtype=np.int64, count=unique.size
     )
     return assigned[inverse]
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placement_oracles import d_choice_sequential
+
 from repro.ballsbins.allocation import (
-    _d_choice_batched,
-    _d_choice_sequential,
     d_choice_allocate,
     one_choice_allocate,
     replica_group_allocate,
@@ -114,7 +114,7 @@ class TestDChoice:
 
 
 class TestBatchedKernel:
-    """The vectorized kernel must be byte-identical to the reference loop."""
+    """The greedy kernel must be byte-identical to the reference loop."""
 
     @given(
         bins=st.integers(min_value=1, max_value=40),
@@ -127,40 +127,33 @@ class TestBatchedKernel:
         """Identity over the whole (bins, d, balls) space, d=1..bins."""
         d = 1 + round(d_frac * (bins - 1))  # hits both d=1 and d=bins
         choices = np.random.default_rng(seed).integers(0, bins, size=(balls, d))
-        sequential = _d_choice_sequential(choices, bins)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), bins)
-        assert (sequential == batched).all()
+        sequential = d_choice_sequential(choices, bins)
+        kernel = d_choice_allocate(balls, bins, d, choices=choices)
+        assert kernel.tobytes() == sequential.tobytes()
         assert sequential.sum() == balls
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_identity_at_batch_scale(self, d):
-        """Above the auto threshold, where the batched path actually runs."""
+        """Thousands of balls on a small bin space."""
         choices = sample_replica_groups(6000, 64, d, rng=7)
-        sequential = d_choice_allocate(6000, 64, d, choices=choices, method="sequential")
-        batched = d_choice_allocate(6000, 64, d, choices=choices, method="batched")
-        auto = d_choice_allocate(6000, 64, d, choices=choices, method="auto")
-        assert (sequential == batched).all()
-        assert (sequential == auto).all()
-
-    def test_tiny_window_forces_multiple_rounds(self):
-        """window=2 exercises the round carry-over and tail-finish paths."""
-        choices = np.random.default_rng(3).integers(0, 6, size=(300, 3))
-        sequential = _d_choice_sequential(choices, 6)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), 6, window=2)
-        assert (sequential == batched).all()
+        sequential = d_choice_sequential(choices, 64)
+        kernel = d_choice_allocate(6000, 64, d, choices=choices)
+        assert kernel.tobytes() == sequential.tobytes()
 
     def test_duplicate_bins_within_row_not_self_blocking(self):
-        """A ball listing one bin twice must still place (with replacement)."""
+        """A ball listing one bin twice still places there (with replacement)."""
         targets = np.arange(5000) % 197
         choices = np.stack([targets, targets], axis=1)  # both slots same bin
-        sequential = _d_choice_sequential(choices, 197)
-        batched = _d_choice_batched(np.ascontiguousarray(choices), 197)
-        assert (sequential == batched).all()
-        assert (sequential == np.bincount(targets, minlength=197)).all()
+        kernel = d_choice_allocate(5000, 197, 2, choices=choices)
+        assert (kernel == d_choice_sequential(choices, 197)).all()
+        assert (kernel == np.bincount(targets, minlength=197)).all()
 
-    def test_method_validation(self):
-        with pytest.raises(ConfigurationError):
-            d_choice_allocate(10, 5, 2, method="vectorised")
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_choices_outside_bins_rejected(self, bad):
+        """Out-of-range ids would wrap or hit the kernel's sentinel slot."""
+        choices = np.array([[bad, 0], [bad, 1], [0, 1]])
+        with pytest.raises(ConfigurationError, match="bin ids"):
+            d_choice_allocate(3, 3, 2, choices=choices)
 
 
 class TestReplicaGroupAllocate:

@@ -64,12 +64,9 @@ def test_bench_invariants_hold(smoke_payload):
         assert all(
             row["identical_to_serial"] for row in payload["campaign"]["results"]
         )
-        assert payload["kernel"]["identical_occupancy"] is True
         for row in payload["campaign"]["results"]:
             assert row["wall_seconds"] > 0
             assert row["trials_per_second"] > 0
-        assert payload["kernel"]["sequential_seconds"] > 0
-        assert payload["kernel"]["batched_seconds"] > 0
     elif script == "bench_eventsim":
         assert payload["engines_agree"] is True
         assert payload["wall_seconds"] > 0

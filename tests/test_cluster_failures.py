@@ -32,8 +32,9 @@ class TestDegradeGroups:
         groups = _groups()
         degraded = degrade_groups(groups, [3, 7], n=20)
         assert degraded.failed == (3, 7)
-        assert 3 not in degraded.flat_nodes
-        assert 7 not in degraded.flat_nodes
+        survivors = degraded.groups[degraded.groups >= 0]
+        assert 3 not in survivors
+        assert 7 not in survivors
 
     def test_unavailable_keys_detected(self):
         groups = np.array([[0, 1], [2, 3], [0, 2]])
@@ -45,7 +46,7 @@ class TestDegradeGroups:
         groups = _groups()
         degraded = degrade_groups(groups, [0, 1, 2, 3, 4])
         total = sum(degraded.survivors_of(i).size for i in range(degraded.n_keys))
-        assert total == degraded.flat_nodes.size
+        assert total == int((degraded.groups >= 0).sum())
 
     def test_out_of_range_failures_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -55,6 +56,16 @@ class TestDegradeGroups:
         degraded = degrade_groups(_groups(), [])
         with pytest.raises(ConfigurationError):
             degraded.survivors_of(200)
+
+    def test_negative_group_ids_rejected(self):
+        # -1 marks a failed replica in the degraded matrix.
+        with pytest.raises(ConfigurationError):
+            degrade_groups(np.array([[0, -1]]), [])
+
+    def test_failed_replicas_marked_in_place(self):
+        groups = np.array([[0, 1, 2], [3, 1, 0]])
+        degraded = degrade_groups(groups, [0, 1])
+        assert degraded.groups.tolist() == [[-1, -1, 2], [3, -1, -1]]
 
 
 class TestDegradedLoads:
@@ -84,6 +95,19 @@ class TestDegradedLoads:
         degraded = degrade_groups(_groups(), [])
         with pytest.raises(ConfigurationError):
             degraded.least_loaded_loads(np.ones(5), n=20)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rates_must_be_finite(self, bad):
+        degraded = degrade_groups(_groups(), [])
+        rates = np.ones(200)
+        rates[7] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            degraded.least_loaded_loads(rates, n=20)
+
+    def test_node_ids_beyond_n_rejected(self):
+        degraded = degrade_groups(_groups(), [])
+        with pytest.raises(ConfigurationError):
+            degraded.least_loaded_loads(np.ones(200), n=10)
 
 
 class TestSampleFailures:

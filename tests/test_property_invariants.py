@@ -135,7 +135,7 @@ class TestFailureInvariants:
             assert not set(survivors.tolist()) & set(failed)
             if survivors.size == 0:
                 assert i in degraded.unavailable
-        assert total_survivors == degraded.flat_nodes.size
+        assert total_survivors == int((degraded.groups >= 0).sum())
 
     @given(
         n=st.integers(min_value=2, max_value=50),
