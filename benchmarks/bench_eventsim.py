@@ -7,12 +7,10 @@ two engines agree on the normalized max load, and that the capacity
 corollary (capacity > E[L_max] bound => no drops) holds in the queueing
 world.
 
-The replay runs twice, once per event engine: the ``legacy`` per-event
-scheduler and the ``fast`` batched kernel (``repro.sim.kernel``).  The
-payload's ``engines`` block records per-engine throughput, the check
-asserts the two engines produced *identical* results, and — at full
-scale — that the fast kernel beats legacy by >= 5x (the committed
-``BENCH_eventsim.json`` trajectory tracks the measured ratio).
+The replay runs through the event kernel (``repro.sim.kernel``); the
+payload records its throughput as ``events_per_second``.  The kernel's
+bit-identity against the per-event reference scheduler is pinned by the
+differential suites (``tests/test_kernel_differential.py``), not here.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the replay to a seconds-scale run and
 writes ``eventsim_smoke.json`` so the committed full-scale artifact
@@ -20,7 +18,7 @@ survives test runs.
 """
 
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 from _util import active_profiler, register, smoke_mode, timed
@@ -32,11 +30,6 @@ from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
 SEED = 65
-
-#: Full-scale gate: the batched kernel must beat the legacy scheduler
-#: by at least this factor (the ISSUE 6 floor; measured ratios run
-#: higher, see ``BENCH_eventsim.json``).
-MIN_SPEEDUP = 5.0
 
 FULL = {
     "params": dict(n=50, m=5000, c=25, d=3, rate=10_000.0),
@@ -56,13 +49,11 @@ SMOKE = {
 
 @contextmanager
 def _memory_tracing_paused():
-    """Suspend ``tracemalloc`` around the throughput-timed sections.
+    """Suspend ``tracemalloc`` around the throughput-timed replay.
 
     The perf harness traces allocations for the manifest's memory
-    column; that tracing costs a large constant factor per allocation
-    and taxes the two engines unevenly (the legacy scheduler allocates
-    an order of magnitude more objects per event), which would distort
-    the engine-vs-engine timing this bench exists to record.  Restarting
+    column; that tracing costs a large constant factor per allocation,
+    which would distort the throughput this bench records.  Restarting
     resets the traced peak, so the manifest's ``tracemalloc`` number
     covers only the untimed phases — the RSS high-water mark remains the
     whole-process figure.
@@ -77,37 +68,24 @@ def _memory_tracing_paused():
         tracemalloc.start()
 
 
-def _replay(spec: dict, engine: str, metrics) -> dict:
-    """Run the full x-sweep under one event engine.
-
-    Returns the per-(x, trial) outcomes in a form strict enough for the
-    cross-engine identity check (normalized max, drop rate, latency
-    stats, the whole served vector) plus the aggregated columns.
-    """
+def _replay(spec: dict, metrics) -> dict:
+    """Run the full x-sweep through the event engine; the mean columns."""
     params = SystemParameters(**spec["params"])
-    outcomes = []
     columns = {"x": [], "eventsim_mean": [], "drop_rate": []}
     for x in spec["x_values"]:
         gains, drops = [], []
         for trial in range(spec["event_trials"]):
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(params.m, x), seed=SEED,
-                metrics=metrics, engine=engine,
+                metrics=metrics,
             )
             outcome = sim.run(spec["n_queries"], trial=trial)
-            assert sim.last_engine == ("fast" if engine == "fast" else "legacy")
-            outcomes.append((
-                x, trial,
-                outcome.normalized_max, outcome.drop_rate,
-                outcome.latency_mean, outcome.latency_p99,
-                outcome.served.tolist(), outcome.dropped.tolist(),
-            ))
             gains.append(outcome.normalized_max)
             drops.append(outcome.drop_rate)
         columns["x"].append(x)
         columns["eventsim_mean"].append(float(np.mean(gains)))
         columns["drop_rate"].append(float(np.mean(drops)))
-    return {"outcomes": outcomes, "columns": columns}
+    return columns
 
 
 def _sweep():
@@ -115,50 +93,28 @@ def _sweep():
     params = SystemParameters(**spec["params"])
     profiler = active_profiler()
     metrics = profiler.metrics if profiler is not None else None
-    events_per_engine = (
-        spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
-    )
+    events = spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
     analytic_mean = [
         simulate_uniform_attack(
             params, x, trials=spec["analytic_trials"], seed=SEED
         ).mean
         for x in spec["x_values"]
     ]
-    engines = {}
-    replays = {}
-    for engine in ("legacy", "fast"):
-        span = (
-            profiler.span(f"engine-{engine}")
-            if profiler is not None
-            else nullcontext()
-        )
-        with span, _memory_tracing_paused():
-            replays[engine], seconds = timed(_replay, spec, engine, metrics)
-        engines[engine] = {
-            "events": events_per_engine,
-            "seconds": seconds,
-            "events_per_second": events_per_engine / seconds,
-        }
-    speedup = (
-        engines["fast"]["events_per_second"]
-        / engines["legacy"]["events_per_second"]
-    )
+    with _memory_tracing_paused():
+        replay, seconds = timed(_replay, spec, metrics)
     columns = {
-        "x": replays["legacy"]["columns"]["x"],
+        "x": replay["x"],
         "analytic_mean": analytic_mean,
-        "eventsim_mean": replays["legacy"]["columns"]["eventsim_mean"],
-        "drop_rate": replays["legacy"]["columns"]["drop_rate"],
+        "eventsim_mean": replay["eventsim_mean"],
+        "drop_rate": replay["drop_rate"],
     }
     return {
         "smoke": smoke_mode(),
         "config": {**spec["params"], "queries": spec["n_queries"],
                    "event_trials": spec["event_trials"]},
         "columns": columns,
-        "engines": engines,
-        "speedup": speedup,
-        "results_identical": (
-            replays["legacy"]["outcomes"] == replays["fast"]["outcomes"]
-        ),
+        "events": events,
+        "events_per_second": events / seconds,
         "engines_agree": _agreement(columns),
     }
 
@@ -188,17 +144,9 @@ def _render(payload: dict) -> str:
         columns=payload["columns"],
         config=payload["config"],
     ).render()
-    lines = [table, "", "event engines (same replay, both engines):"]
-    for name, stats in payload["engines"].items():
-        lines.append(
-            f"  {name:>6}: {stats['seconds']:8.3f}s  "
-            f"{stats['events_per_second']:>12,.0f} events/s"
-        )
-    lines.append(
-        f"  speedup {payload['speedup']:.1f}x, results identical: "
-        f"{payload['results_identical']}"
+    return (
+        f"{table}\n\nevent engine: {payload['events_per_second']:,.0f} events/s"
     )
-    return "\n".join(lines)
 
 
 def _check(payload: dict) -> None:
@@ -206,16 +154,10 @@ def _check(payload: dict) -> None:
     for analytic, event in zip(columns["analytic_mean"], columns["eventsim_mean"]):
         assert abs(event - analytic) <= 0.3 * abs(analytic), (analytic, event)
     assert payload["engines_agree"]
-    # The batched kernel must replay the legacy engine bit-for-bit.
-    assert payload["results_identical"]
-    if not payload["smoke"]:
-        # Full-scale perf gate (smoke configs are too small to time).
-        assert payload["speedup"] >= MIN_SPEEDUP, payload["speedup"]
 
 
 def _workload(payload: dict):
-    events = sum(stats["events"] for stats in payload["engines"].values())
-    return {"events": events}
+    return {"events": payload["events"]}
 
 
 SPEC = register(

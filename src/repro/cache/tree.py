@@ -22,10 +22,10 @@ A **degenerate** tree (one layer, one shard) performs exactly one
 metrics export to the shard — bit-identical to running the shard cache
 flat, which ``tests/test_tree_differential.py`` pins.
 
-Trees never take the batched fast path: residency moves *between*
-layers on every miss, so the kernel's static-residency precomputation
-would only see the edge layer.  :func:`repro.sim.kernel.supports`
-rejects any cache with ``HIERARCHICAL = True``.
+A tree never declares ``STATIC_RESIDENCY``, even when every shard is
+static: its probe accounting and hit attribution are per layer, so the
+event kernel replays it with one sequential ``access`` pass, recording
+``last_hit`` per hit.
 """
 
 from __future__ import annotations
@@ -138,10 +138,8 @@ class CacheTree(Cache):
 
     POLICY = "tree"
 
-    #: Residency moves between layers per access; the batched kernel's
-    #: single-resident-set precomputation cannot express that, so
-    #: :func:`repro.sim.kernel.supports` must reject trees even when
-    #: every shard is itself statically resident.
+    #: Marks a cache tree: the event kernel attributes each hit to the
+    #: (layer, shard) in :attr:`last_hit`.
     HIERARCHICAL = True
 
     def __init__(
@@ -217,21 +215,6 @@ class CacheTree(Cache):
     def layers(self) -> Tuple[Tuple[Cache, ...], ...]:
         """The shard caches, ``layers[layer][shard]``."""
         return self._layers
-
-    @property
-    def STATIC_RESIDENCY(self) -> bool:  # noqa: N802 - mirrors class attr
-        """True iff every shard is statically resident.
-
-        A tree of perfect caches is *per-shard* static, which is exactly
-        the trap the ``HIERARCHICAL`` kernel gate exists for: the fast
-        kernel would precompute hit/miss against the union resident set
-        and miss the per-layer probe accounting entirely.
-        """
-        return all(
-            getattr(shard, "STATIC_RESIDENCY", False)
-            for layer in self._layers
-            for shard in layer
-        )
 
     # ------------------------------------------------------------------
     # telemetry

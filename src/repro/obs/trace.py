@@ -25,8 +25,9 @@ Determinism contract (mirrors the monitor's): ``trace=None`` is
 byte-identical to an untraced run; with tracing on, per-trial recorders
 run inside workers, snapshot, and merge in trial order
 (:meth:`FlightRecorder.merge_trial`), so the trace JSONL and every
-suspects block are bit-identical across worker counts *and* across the
-legacy/fast engines (``tests/test_obs_trace.py`` pins both).
+suspects block are bit-identical across worker counts *and* equal to
+the per-event reference scheduler's (``tests/test_obs_trace.py`` pins
+both).
 """
 
 from __future__ import annotations
@@ -110,19 +111,17 @@ class HashSampler:
             return np.ones(len(keys), dtype=bool)
         if self._cut <= 0:
             return np.zeros(len(keys), dtype=bool)
-        mac, pack, cut = self._key, _PACK, self._cut
-        return np.fromiter(
-            (
-                int.from_bytes(
-                    blake2b(pack(i, int(k)), digest_size=8, key=mac).digest(),
-                    "little",
-                )
-                < cut
-                for i, k in enumerate(keys.tolist(), start)
-            ),
-            dtype=bool,
-            count=len(keys),
-        )
+        # Key the hash once and copy its state per request; compare all
+        # the little-endian digests against the cut in one pass.
+        keyed = blake2b(digest_size=8, key=self._key)
+        pack = _PACK
+        digests = []
+        append = digests.append
+        for i, k in enumerate(np.asarray(keys).tolist(), start):
+            h = keyed.copy()
+            h.update(pack(i, k))
+            append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8") < np.uint64(self._cut)
 
 
 class StrideSampler:
@@ -380,8 +379,7 @@ class FlightRecorder:
         truth client id, from the workload) tags records, ``group_of``
         (the cluster's ``replica_group``) resolves replica groups for
         traced records.  ``chaos=True`` adds an ``attempts`` field to
-        every record of the run — chaos-free records stay identical to
-        the fast kernel's, the differential contract.
+        every record of the run; chaos-free records carry none.
         """
         if self._run_open:
             raise ConfigurationError(
@@ -474,8 +472,7 @@ class FlightRecorder:
     ) -> dict:
         """Trace one back-end dispatch; the queue layer fills the rest.
 
-        Returns the live record: :class:`~repro.sim.queueing.NodeServer`
-        (legacy) or the batched drain (fast kernel) completes it with
+        Returns the live record: the event kernel completes it with
         ``wait`` / ``service`` or flips ``status`` to ``dropped`` /
         ``lost``.
         """

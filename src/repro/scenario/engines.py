@@ -145,7 +145,6 @@ def run_event_driven(
     ctx: BuildContext,
     workers: int,
     routing: str = "pin",
-    kernel: str = "fast",
     queue_limit: int = 64,
     service: str = "deterministic",
 ) -> Tuple[dict, object]:
@@ -184,7 +183,6 @@ def run_event_driven(
             service=service,
             chaos=_build_chaos(spec, ctx),
             trace=recorder,
-            engine=kernel,
         )
     except ScenarioValidationError:
         raise

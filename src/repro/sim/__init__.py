@@ -21,8 +21,6 @@ from .analytic import (
 )
 from .parallel import ParallelExecutor, resolve_workers
 from .runner import run_trials
-from .engine import EventScheduler
-from .queueing import NodeServer
 from .eventsim import EventDrivenSimulator, EventSimResult
 from .crossval import CrossValidation, cross_validate
 from .batch import EventCampaign, run_event_campaign
@@ -38,8 +36,6 @@ __all__ = [
     "ParallelExecutor",
     "resolve_workers",
     "run_trials",
-    "EventScheduler",
-    "NodeServer",
     "EventDrivenSimulator",
     "EventSimResult",
     "CrossValidation",

@@ -123,12 +123,13 @@ def _event_campaign_trial(
     serial loop — so the executor-provided ``gen`` goes unused and the
     campaign stays bit-identical across worker counts.
 
-    Stateful inputs are deep-copied per trial for the same reason: a
-    scan distribution's cursor or a selection policy's counters would
-    otherwise advance across trials in whatever order the executor
-    happens to run them (all of them serially, a worker's share when
-    parallel), making results depend on the worker count.  Every trial
-    therefore starts from the caller's initial state.
+    The distribution is deep-copied per trial for the same reason: a
+    scan distribution's cursor would otherwise advance across trials in
+    whatever order the executor happens to run them (all of them
+    serially, a worker's share when parallel), making results depend on
+    the worker count.  Every trial therefore starts from the caller's
+    initial state.  The cluster is shared, not copied: the event engine
+    only reads its size, replication and replica groups.
 
     ``metrics`` / ``monitor`` / ``trace`` are the per-trial registry,
     monitor and flight recorder the executor provides when the campaign
@@ -137,9 +138,6 @@ def _event_campaign_trial(
     """
     del gen
     distribution = copy.deepcopy(distribution)
-    if simulator_kwargs.get("cluster") is not None:
-        simulator_kwargs = dict(simulator_kwargs)
-        simulator_kwargs["cluster"] = copy.deepcopy(simulator_kwargs["cluster"])
     cache = cache_factory() if cache_factory is not None else None
     sim = EventDrivenSimulator(
         params, distribution, cache=cache, seed=seed, metrics=metrics,

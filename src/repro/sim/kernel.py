@@ -1,73 +1,94 @@
-"""Batched struct-of-arrays event kernel (``engine="fast"``).
+"""Batched struct-of-arrays event kernel: the event engine.
 
-The legacy scheduler pays interpreter overhead per event: one closure
-allocation and one heap operation per arrival and per completion, plus a
-Python cache lookup and routing call per request.  For the common
-measurement configuration — a static front-end cache, stateless-enough
-routing and no fault injection — every one of those decisions is known
-before the first event fires, so this kernel resolves them in bulk:
+A per-event scheduler pays interpreter overhead per event: one closure
+and one heap operation per arrival, completion, retry and failure.  This
+kernel instead resolves each decision layer for the whole run in bulk,
+and replays every configuration — any cache policy, cache trees, pin or
+random routing, chaos schedules with retries, monitor, metrics and
+trace — **bit-identically** to that scheduler, which survives as the
+test oracle ``tests/event_oracle.py``.  Identity holds for results,
+metrics exports, monitor telemetry, trace records and RNG stream
+consumption.  The replay rules that make it exact:
 
-- **hit/miss** — one vectorized membership test of the sampled key
-  stream against the cache's fixed resident set;
-- **routing** — replica groups gathered per unique key, pin assignments
-  resolved in first-appearance order (mutating the simulator's sticky
-  pin state exactly like the legacy path), random picks drawn as one
-  ``integers(0, d, size=n_miss)`` batch;
-- **service times** — one ``standard_exponential`` batch per node
-  (scaled by ``1/rate``), consumed in service-start order;
-- **queueing** — per node, a tight loop over primitive floats applying
-  the single-server FIFO recurrence ``start = max(t, dep_prev)``,
-  ``dep = start + s`` with drop-on-full admission.
-
-The per-node loop stays in Python on purpose: the departure recurrence
-is sequential, and evaluating it with the same scalar float operations
-as :class:`~repro.sim.queueing.NodeServer` is what keeps the kernel
-**bit-identical** to the legacy engine — the vectorized closed form
-(``np.maximum.accumulate``) is algebraically equal but not IEEE-754
-identical.  Identity holds for results, metrics exports, monitor
-telemetry and RNG stream consumption; ``tests/test_kernel_differential.py``
-pins it per configuration and the golden eventsim fixture pins it
-against history.
-
-Configurations the batch transform cannot express fall back to the
-legacy scheduler (see :func:`supports`): caches whose residency mutates
-per access (LRU family), least-outstanding routing (depends on live
-queue depths), and chaos schedules (node state changes mid-run).
+- **Cache.**  The front end is accessed synchronously at arrival and
+  nothing else touches it, so the hit mask is one ``cache.access`` pass
+  over the key stream in arrival order.  Non-degenerate cache trees also
+  record ``cache.last_hit`` (layer, shard) per hit for the monitor and
+  the trace.  Caches declaring ``STATIC_RESIDENCY`` skip the pass: their
+  hit mask is one vectorized membership test (:func:`_static_hits`).
+- **Node state.**  The chaos schedule is replayed once through
+  :class:`~repro.chaos.schedule.NodeStateTracker` to get per-node change
+  times.  ``is_up(node, t)`` is the state after every event with
+  ``time <= t``: failure events are enqueued first, so they precede
+  same-time arrivals, retries and completions.  ``failure_events``
+  counts the events that changed state.
+- **Dispatch.**  Attempt 1 is :func:`_route_batch`: pins and random
+  draws happen in miss arrival order, even when the chosen node is
+  down.  A request whose node is down fails over at
+  ``t + retry.delay(1)`` to the first member of its replica group, in
+  group order, that was not tried and is up then; if there is none it
+  is unavailable with ``attempts=2``.  With ``max_attempts == 1`` or
+  ``d == 1`` it is unavailable at ``t``.  A retry always lands on an up
+  node, so a request retries at most once.
+- **Queues.**  Per node, :func:`_fifo_drain` applies the single-server
+  FIFO recurrence ``start = max(t, dep_prev)``, ``dep = start + s`` with
+  drop-on-full admission, as scalar float math (the vectorized closed
+  form is algebraically equal but not IEEE-754 identical).  At a crash
+  at ``tc`` every admitted request with ``dep >= tc`` is lost; the lost
+  ones with ``start >= tc`` never started and consume no service draw
+  (per-node, per-run generators make over-drawing harmless).  The slow
+  factor is the one in force at service start.  Latency is
+  ``dep - t0`` and trace ``wait`` is ``start - t0``, where ``t0`` is the
+  original arrival time.
+- **Event order.**  Monitor, trace and stale-hit decisions follow
+  ``(time, class, index)``: class 0 is node events, class 1 events at
+  arrival time, class 2 retry outcomes.  ``serve_stale`` counts a stale
+  hit iff a successful dispatch of the same key precedes the
+  unavailable event in this order.  ``events_fired_total`` is the
+  arrivals plus services started plus schedule events plus retries.
+- **Ties.**  An arrival at exactly a departure time still finds the
+  departing request in the system (arrivals precede completions).  A
+  retry at exactly a departure time on its node would be ordered by
+  heap insertion; the kernel detects that tie and raises
+  :class:`~repro.exceptions.SimulationError` instead of guessing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..chaos.schedule import NodeStateTracker
+from ..exceptions import SimulationError
 from ..obs.tracer import as_tracer
 from ..types import LoadVector
-from .queueing import DEFAULT_LATENCY_SAMPLE_LIMIT
 
-__all__ = ["supports", "run_fast"]
+__all__ = ["DEFAULT_LATENCY_SAMPLE_LIMIT", "run_fast"]
+
+#: Cap on retained latency samples per node (uniform head sample), so
+#: long runs stay memory-bounded.
+DEFAULT_LATENCY_SAMPLE_LIMIT = 100_000
+
+#: Class-1 outcomes of an arrival besides a node id: retried after its
+#: node was found down, unavailable, or a front-end hit.
+_RETRIED = -1
+_UNAVAILABLE = -2
+_HIT = -3
 
 
-def supports(sim) -> bool:
-    """Whether the batched kernel can replay ``sim`` exactly.
+class _Retry(NamedTuple):
+    """A retry outcome: a failover dispatch, or ``node == -1`` when no
+    replica was up.  Sorts in event order, ``(time, class, index)``."""
 
-    Requires a statically-resident cache (hit/miss precomputable), pin
-    or random routing (resolvable without live queue state) and no
-    chaos schedule (no mid-run node state changes).
-
-    Hierarchical caches are rejected outright, *before* the residency
-    check: a :class:`~repro.cache.tree.CacheTree` of perfect caches
-    reports ``STATIC_RESIDENCY`` per shard, but residency migrates
-    between layers on every miss and hits must be attributed to a
-    (layer, shard) pair — the single-resident-set precomputation would
-    silently honor only the edge layer.
-    """
-    return (
-        sim._chaos is None
-        and sim._routing in ("pin", "random")
-        and not getattr(sim._cache, "HIERARCHICAL", False)
-        and getattr(sim._cache, "STATIC_RESIDENCY", False)
-    )
+    time: float
+    cls: int  # always 2
+    index: int
+    node: int
+    origin: float  # the original arrival time
+    key: int
 
 
 def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
@@ -78,18 +99,42 @@ def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
     return np.isin(keys, resident)
 
 
+def _cache_pass(cache, keys: np.ndarray, layered: bool):
+    """``(hit_mask, paths)``: front-end outcome per arrival, in order.
+
+    ``paths[i]`` is the (layer, shard) that served hit ``i`` of a
+    non-degenerate tree (``None`` on a miss); ``paths`` is ``None`` for
+    flat caches.
+    """
+    if getattr(cache, "STATIC_RESIDENCY", False):
+        hit_mask = _static_hits(cache, keys)
+        hits = int(hit_mask.sum())
+        cache.stats.hits += hits
+        cache.stats.misses += keys.size - hits
+        return hit_mask, None
+    access = cache.access
+    if not layered:
+        return np.fromiter(map(access, keys.tolist()), dtype=bool, count=keys.size), None
+    paths: List[Optional[Tuple[int, int]]] = []
+    hits = []
+    for key in keys.tolist():
+        hits.append(access(key))
+        paths.append(cache.last_hit)
+    return np.array(hits, dtype=bool), paths
+
+
 def _route_batch(
     sim, miss_keys: np.ndarray, routing_gen: np.random.Generator
 ) -> np.ndarray:
-    """Target node per backend miss, consuming RNG like the legacy path.
+    """Attempt-1 target node per backend miss, in miss arrival order.
 
     Both modes resolve replica groups once per *unique* key.  Random
     routing draws its uniform picks as one batch — element-for-element
     the same stream a per-request ``integers(0, d)`` loop consumes.
-    Pin routing replays the legacy first-sight rule (least-pinned group
-    member wins, lowest index on ties) over unique keys in order of
-    first appearance, mutating the simulator's persistent pin state so
-    later runs on the same instance see identical stickiness.
+    Pin routing applies the first-sight rule (least-pinned group member
+    wins, lowest index on ties) over unique keys in order of first
+    appearance, mutating the simulator's persistent pin state so later
+    runs on the same instance see identical stickiness.
     """
     cluster = sim._cluster
     if sim._routing == "random":
@@ -111,8 +156,8 @@ def _route_batch(
     if unseen:
         new_keys = np.array([key for _, key in unseen], dtype=np.int64)
         groups = cluster.partitioner.replica_groups(new_keys)
-        # The legacy ``argmin`` over the group's pin counts, as a strict
-        # ``<`` scan (first minimum wins) over plain lists.
+        # ``argmin`` over the group's pin counts, as a strict ``<`` scan
+        # (first minimum wins) over plain lists.
         counts = sim._pin_counts.tolist()
         for key, row in zip(new_keys.tolist(), zip(*groups.T.tolist())):
             best = row[0]
@@ -130,73 +175,236 @@ def _route_batch(
     return assigned[inverse]
 
 
+class _NodeStates:
+    """A failure schedule replayed once: per-node change times.
+
+    ``events`` keeps the state-changing events in schedule order (what
+    the monitor and ``failure_events`` see); ``crashes`` and ``slow``
+    are the per-node inputs of :func:`_fifo_drain`.
+    """
+
+    def __init__(self, schedule, n: int) -> None:
+        tracker = NodeStateTracker(n)
+        self.events = [event for event in schedule if tracker.apply(event)]
+        self._flips: Dict[int, Tuple[List[float], List[bool]]] = {}
+        self.crashes: Dict[int, List[float]] = {}
+        self.slow: Dict[int, Tuple[List[float], List[float]]] = {}
+        for event in self.events:
+            if event.kind in ("crash", "recover"):
+                times, ups = self._flips.setdefault(event.node, ([], []))
+                times.append(event.time)
+                ups.append(event.kind == "recover")
+                if event.kind == "crash":
+                    self.crashes.setdefault(event.node, []).append(event.time)
+            else:
+                times, factors = self.slow.setdefault(event.node, ([], []))
+                times.append(event.time)
+                factors.append(event.factor if event.kind == "slow" else 1.0)
+
+    @property
+    def flapping(self) -> List[int]:
+        """Nodes that are down at some point of the run."""
+        return list(self._flips)
+
+    def is_up(self, node: int, t: float) -> bool:
+        """State of ``node`` after every event with ``time <= t``."""
+        flips = self._flips.get(node)
+        if flips is None:
+            return True
+        k = bisect_right(flips[0], t)
+        return k == 0 or flips[1][k - 1]
+
+
+def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
+    """Resolve attempt 1 against node state, and the single retry.
+
+    Returns ``(first, second)``: ``first[j]`` is miss ``j``'s attempt-1
+    node, or ``_RETRIED`` / ``_UNAVAILABLE``; ``second`` lists the
+    :class:`_Retry` outcomes in arrival order.
+    """
+    cluster = sim._cluster
+    policy = sim._chaos.retry
+    retry = policy.max_attempts > 1 and cluster.d > 1
+    delay = policy.delay(1)
+    first = nodes.copy()
+    second = []
+    for j in np.flatnonzero(np.isin(nodes, states.flapping)).tolist():
+        node = int(nodes[j])
+        t = float(miss_times[j])
+        if states.is_up(node, t):
+            continue
+        if not retry:
+            first[j] = _UNAVAILABLE
+            continue
+        first[j] = _RETRIED
+        key = int(miss_keys[j])
+        t2 = t + delay
+        target = next(
+            (
+                cand
+                for cand in cluster.replica_group(key).tolist()
+                if cand != node and states.is_up(cand, t2)
+            ),
+            -1,
+        )
+        second.append(_Retry(t2, 2, int(miss_idx[j]), target, t, key))
+    return first, second
+
+
 def _fifo_drain(
     arrival_times: List[float],
-    service_times,
+    service,
     queue_limit: int,
-    sample_limit: int = DEFAULT_LATENCY_SAMPLE_LIMIT,
-    trace_out: Optional[List[Optional[Tuple[float, float]]]] = None,
-) -> Tuple[int, int, List[float]]:
-    """Single-server FIFO with a bounded queue, as scalar float math.
+    crashes: Sequence[float] = (),
+    scale_at: Optional[Callable[[float], float]] = None,
+):
+    """One node's single-server FIFO with a bounded queue and crashes.
 
-    ``service_times`` is either a float (deterministic service) or a
-    list indexed by admission order (pre-drawn exponential samples).
-    Returns ``(served, dropped, latency_samples)``.  The recurrence and
-    the drop rule mirror :class:`~repro.sim.queueing.NodeServer` under
-    the legacy scheduler, including the tie semantics: an arrival at
-    exactly a departure time still finds the request in the system,
-    because the scheduler fires arrivals (scheduled first) before
-    completions at equal timestamps — hence the strict ``<`` when
-    advancing the departed pointer.
+    ``arrival_times`` are the node's dispatch times in event order.
+    ``service`` is a float (deterministic service time) or a list
+    indexed by service-start order (exponential times).  A node with
+    slow periods passes ``scale_at(start)``, the mean service time in
+    force at ``start``; ``service`` is then the raw standard-exponential
+    draws, or ``None`` for deterministic service.  ``crashes`` are the
+    node's crash instants: everything admitted with ``dep >= tc`` is
+    lost, and the node restarts empty.
 
-    ``trace_out`` (flight-recorder runs only) collects one entry per
-    arrival in order: ``(service_start, departure)`` for admitted
-    requests, ``None`` for drops.  ``start`` and ``dep`` here are the
-    same scalar float expressions :class:`~repro.sim.queueing.NodeServer`
-    evaluates, so traced ``wait``/``service`` match the legacy engine
-    bit-for-bit.
+    The recurrence has the per-event scheduler's tie semantics: an
+    arrival at exactly a departure time still finds the request in the
+    system (arrivals fire before same-time completions) — hence the
+    strict ``<`` when advancing the departed pointer.
+
+    Returns ``(departures, dropped, lost, started)``: the served
+    requests' departure times in order, the positions in
+    ``arrival_times`` of queue-full drops and of crash losses, and the
+    number of services started.  A served request's start is
+    ``max(t, previous departure)`` (see :func:`_service_detail`).
     """
-    constant = isinstance(service_times, float)
+    constant = isinstance(service, float)
     departures: List[float] = []
-    latencies: List[float] = []
-    record = latencies.append
     depart = departures.append
-    admitted = 0
-    departed = 0
-    dropped = 0
+    dropped: List[int] = []
+    lost: List[int] = []
+    admitted = departed = in_service_lost = 0
     in_system_cap = queue_limit + 1
-    for t in arrival_times:
-        while departed < admitted and departures[departed] < t:
+    pos = 0
+    for tc in chain(crashes, (None,)):
+        end = len(arrival_times) if tc is None else bisect_left(arrival_times, tc, pos)
+        for t in arrival_times[pos:end]:
+            while departed < admitted and departures[departed] < t:
+                departed += 1
+            if admitted - departed >= in_system_cap:
+                dropped.append(admitted + len(dropped) + len(lost))
+                continue
+            start = departures[admitted - 1] if admitted > departed else t
+            if scale_at is None:
+                dep = start + (service if constant else service[admitted])
+            else:
+                scale = scale_at(start)
+                dep = start + (scale if service is None else scale * service[admitted])
+            depart(dep)
+            admitted += 1
+        if tc is None:
+            break
+        pos = end
+        while departed < admitted and departures[departed] < tc:
             departed += 1
-        if admitted - departed >= in_system_cap:
-            dropped += 1
-            if trace_out is not None:
-                trace_out.append(None)
+        gone = admitted - departed
+        if not gone:
             continue
-        start = departures[admitted - 1] if admitted > departed else t
-        service = service_times if constant else service_times[admitted]
-        dep = start + service
-        depart(dep)
-        admitted += 1
-        if len(latencies) < sample_limit:
-            record(dep - t)
-        if trace_out is not None:
-            trace_out.append((start, dep))
-    return admitted, dropped, latencies
+        # The lost requests are the last ``gone`` admitted ones: walk back
+        # over the positions, skipping drops.
+        p, k = end, len(dropped)
+        for _ in range(gone):
+            p -= 1
+            while k and dropped[k - 1] == p:
+                k -= 1
+                p -= 1
+            lost.append(p)
+        del departures[departed:]
+        admitted = departed
+        # The first lost request was in service and consumed its draw;
+        # the rest never started, so their draws go to later requests.
+        in_service_lost += 1
+        if isinstance(service, list):
+            del service[departed]
+    lost.sort()
+    return departures, dropped, lost, len(departures) + in_service_lost
+
+
+def _slow_scale(capacity: float, slow) -> Callable[[float], float]:
+    """Mean service time under the slow factor in force at ``start``."""
+    change_times, factors = slow
+    scales = [1.0 / (capacity * f) for f in chain((1.0,), factors)]
+    return lambda start: scales[bisect_right(change_times, start)]
+
+
+def _service_detail(arrival_times, departures, dropped, lost, p):
+    """``(start, dep)`` of the request at position ``p`` of a drain, or
+    its status: ``"dropped"`` (queue full) or ``"lost"`` (crash)."""
+    d = bisect_left(dropped, p)
+    if d < len(dropped) and dropped[d] == p:
+        return "dropped"
+    k = bisect_left(lost, p)
+    if k < len(lost) and lost[k] == p:
+        return "lost"
+    j = p - d - k
+    t = float(arrival_times[p])
+    start = t if j == 0 else max(t, float(departures[j - 1]))
+    return start, float(departures[j])
+
+
+def _interleave(stream_times: List[float], extras: List[tuple]) -> Iterator[tuple]:
+    """Merge class-1 stream events with class-0/2 extras in event order.
+
+    ``extras`` are ``(time, class, index, ...)`` tuples sorted by their
+    first three fields.  Yields ``(position, None)`` for the stream event
+    at ``position`` and ``(None, extra)`` for each extra: a node event
+    (class 0) fires before a same-time arrival, a retry (class 2) after.
+    """
+    k = 0
+    for pos, t in enumerate(stream_times):
+        while k < len(extras) and (
+            extras[k][0] < t or (extras[k][0] == t and extras[k][1] == 0)
+        ):
+            yield None, extras[k]
+            k += 1
+        yield pos, None
+    for extra in extras[k:]:
+        yield None, extra
+
+
+def _stale_hits(unavailable, dispatched) -> int:
+    """Unavailable events preceded by a dispatch of the same key.
+
+    Both arguments are ``(time, class, index, key)`` events; the
+    dispatch list need only cover keys that went unavailable.
+    """
+    first: Dict[int, tuple] = {}
+    for event in dispatched:
+        key = event[3]
+        if key not in first or event[:3] < first[key]:
+            first[key] = event[:3]
+    return sum(
+        1 for event in unavailable
+        if event[3] in first and first[event[3]] < event[:3]
+    )
 
 
 def run_fast(sim, n_queries: int, trial: int):
-    """One batched run; drop-in replacement for the legacy event loop.
+    """One run of ``sim``'s configuration; returns its EventSimResult.
 
-    Consumes the same RNG streams in the same order as the legacy
-    scheduler and returns a bit-identical
-    :class:`~repro.sim.eventsim.EventSimResult`.  Callers must have
-    checked :func:`supports` first.
+    Consumes the simulator's RNG streams (arrivals, routing, per-node
+    service, chaos schedule) and publishes into its metrics registry,
+    monitor and flight recorder exactly as the per-event reference
+    scheduler does.
     """
     from .eventsim import EventSimResult, _latency_stats
 
     params = sim._params
     n = params.n
+    cache = sim._cache
+    chaos = sim._chaos
     tracer = as_tracer(sim._tracer)
     arrivals_gen = sim._factory.generator("eventsim-arrivals", trial=trial)
     routing_gen = sim._factory.generator("eventsim-routing", trial=trial)
@@ -206,16 +414,27 @@ def run_fast(sim, n_queries: int, trial: int):
         times = np.cumsum(gaps)
         duration = float(times[-1])
 
+    schedule = ()
+    if chaos is not None:
+        schedule = chaos.schedule_for(
+            n, duration, rng=sim._factory.generator("chaos-schedule", trial=trial)
+        )
+    # A degenerate (1-layer/1-shard) tree declares no layers, so its
+    # telemetry stays byte-identical to the flat cache it wraps.
+    layered = getattr(cache, "HIERARCHICAL", False) and not cache.degenerate
     monitor = sim._monitor
     if monitor is not None:
-        monitor.begin_run(trial=trial, n=n, rate=params.rate, chaos=False)
+        monitor.begin_run(
+            trial=trial, n=n, rate=params.rate, chaos=chaos is not None,
+            layers=cache.widths if layered else None,
+        )
     # Trace sampling is keyed-hash based: no RNG draws, so the arrival /
     # routing / service streams above stay byte-identical with it on.
     recorder = sim._trace
     trace_mask = None
     if recorder is not None:
         recorder.begin_run(
-            trial=trial, m=params.m, chaos=False,
+            trial=trial, m=params.m, chaos=chaos is not None,
             client_map=sim._distribution.client_map(),
             group_of=sim._cluster.replica_group,
         )
@@ -223,117 +442,232 @@ def run_fast(sim, n_queries: int, trial: int):
 
     with tracer.span("event-loop"):
         with tracer.span("kernel-resolve"):
-            hit_mask = _static_hits(sim._cache, keys)
-            frontend_hits = int(hit_mask.sum())
-            backend = n_queries - frontend_hits
-            stats = sim._cache.stats
-            stats.hits += frontend_hits
-            stats.misses += backend
-            if backend:
-                miss_mask = ~hit_mask
-                nodes = _route_batch(sim, keys[miss_mask], routing_gen)
-                miss_times = times[miss_mask]
-                node_arrivals = np.bincount(nodes, minlength=n).astype(np.int64)
+            hit_mask, paths = _cache_pass(cache, keys, layered)
+            miss_idx = np.flatnonzero(~hit_mask)
+            backend = int(miss_idx.size)
+            frontend_hits = n_queries - backend
+            miss_keys = keys[miss_idx]
+            miss_times = times[miss_idx]
+            first = (
+                _route_batch(sim, miss_keys, routing_gen)
+                if backend else np.empty(0, dtype=np.int64)
+            )
+            states = _NodeStates(schedule, n)
+            second: List[_Retry] = []
+            if states.flapping and backend:
+                first, second = _failover(
+                    sim, states, miss_keys, miss_times, miss_idx, first
+                )
+            # Successful dispatches: attempt-1 ones in miss order, then
+            # failovers in arrival order — that is, (class, index) order.
+            ok = first >= 0
+            failovers = [retry for retry in second if retry.node >= 0]
+            d_node = np.concatenate(
+                [first[ok], np.array([e.node for e in failovers], dtype=np.int64)]
+            )
+            d_time = np.concatenate([miss_times[ok], [e.time for e in failovers]])
+            if failovers:
+                order = np.lexsort((np.arange(d_node.size), d_time, d_node))
             else:
-                nodes = np.empty(0, dtype=np.int64)
-                miss_times = np.empty(0)
-                node_arrivals = np.zeros(n, dtype=np.int64)
-        if monitor is not None:
-            with tracer.span("kernel-monitor"):
-                node_iter = iter(nodes.tolist())
-                record = monitor.record_request
-                for t, key, hit in zip(
-                    times.tolist(), keys.tolist(), hit_mask.tolist()
-                ):
-                    if hit:
-                        record(t, key)
-                    else:
-                        record(t, key, next(node_iter))
+                order = np.argsort(d_node, kind="stable")
+            bounds = np.searchsorted(d_node[order], np.arange(n + 1))
+            node_arrivals = np.bincount(d_node, minlength=n).astype(np.int64)
         with tracer.span("kernel-queues"):
             served = np.zeros(n, dtype=np.int64)
             dropped = np.zeros(n, dtype=np.int64)
-            per_node_latencies: List[List[float]] = []
-            node_details: List[Optional[List]] = [None] * n
-            if backend:
-                order = np.argsort(nodes, kind="stable")
-                sorted_times = miss_times[order]
-                bounds = np.searchsorted(nodes[order], np.arange(n + 1))
-                exponential = sim._service == "exponential"
-                mean_service = 1.0 / sim._capacity
-                for node in range(n):
-                    lo, hi = int(bounds[node]), int(bounds[node + 1])
-                    if lo == hi:
-                        continue
-                    if exponential:
-                        service_gen = sim._factory.generator(
-                            "eventsim-service", trial=trial * n + node
-                        )
-                        service = (
-                            mean_service
-                            * service_gen.standard_exponential(hi - lo)
-                        ).tolist()
+            crash_lost = 0
+            started = 0
+            sorted_times = d_time[order]
+            # Served departures in node-then-service order, and per node
+            # its offset there plus its dropped and lost positions.
+            departures_all = np.empty(order.size)
+            drained: Dict[int, tuple] = {}
+            unserved: List[int] = []
+            failover_times: Dict[int, List[float]] = {}
+            for e in failovers:
+                failover_times.setdefault(e.node, []).append(e.time)
+            exponential = sim._service == "exponential"
+            mean_service = 1.0 / sim._capacity
+            for node in np.flatnonzero(np.diff(bounds)).tolist():
+                lo, hi = int(bounds[node]), int(bounds[node + 1])
+                draws = None
+                if exponential:
+                    draws = sim._factory.generator(
+                        "eventsim-service", trial=trial * n + node
+                    ).standard_exponential(hi - lo)
+                scale_at = None
+                if node in states.slow:
+                    scale_at = _slow_scale(sim._capacity, states.slow[node])
+                    service = None if draws is None else draws.tolist()
+                else:
+                    service = (
+                        mean_service if draws is None
+                        else (mean_service * draws).tolist()
+                    )
+                departures, node_dropped, node_lost, node_started = _fifo_drain(
+                    sorted_times[lo:hi].tolist(), service, sim._queue_limit,
+                    states.crashes.get(node, ()), scale_at,
+                )
+                if not set(failover_times.get(node, ())).isdisjoint(departures):
+                    raise SimulationError(
+                        f"node {node}: a retry arrives at exactly a departure "
+                        "time, a tie the replay cannot order"
+                    )
+                offset = lo - len(unserved)
+                departures_all[offset:offset + len(departures)] = departures
+                drained[node] = (offset, node_dropped, node_lost)
+                unserved.extend(lo + p for p in chain(node_dropped, node_lost))
+                served[node] = len(departures)
+                dropped[node] = len(node_dropped) + len(node_lost)
+                crash_lost += len(node_lost)
+                started += node_started
+            # Latency is departure minus original arrival, per node in
+            # service order, the first DEFAULT_LATENCY_SAMPLE_LIMIT each.
+            total_served = int(served.sum())
+            served_mask = np.ones(order.size, dtype=bool)
+            served_mask[unserved] = False
+            sorted_origins = sorted_times
+            if failovers:
+                sorted_origins = np.concatenate(
+                    [miss_times[ok], [e.origin for e in failovers]]
+                )[order]
+            latencies_arr = (
+                departures_all[:total_served] - sorted_origins[served_mask]
+            )
+            if total_served and served.max() > DEFAULT_LATENCY_SAMPLE_LIMIT:
+                rank = np.arange(total_served) - np.repeat(
+                    np.cumsum(served) - served, served
+                )
+                latencies_arr = latencies_arr[rank < DEFAULT_LATENCY_SAMPLE_LIMIT]
+
+        if monitor is not None or recorder is not None:
+            times_list = times.tolist()
+            keys_list = keys.tolist()
+            outcome = np.full(n_queries, _HIT, dtype=np.int64)
+            outcome[miss_idx] = first
+            outcome = outcome.tolist()
+        if monitor is not None:
+            with tracer.span("kernel-monitor"):
+                node_events = [
+                    (e.time, 0, k, e.node, e.kind == "recover")
+                    for k, e in enumerate(states.events)
+                    if e.kind in ("crash", "recover")
+                ]
+                record = monitor.record_request
+                for i, extra in _interleave(times_list, sorted(node_events + second)):
+                    if extra is None:
+                        t, key, o = times_list[i], keys_list[i], outcome[i]
+                        if o >= 0:
+                            record(t, key, o)
+                        elif o == _HIT:
+                            layer, shard = paths[i] if paths else (None, None)
+                            record(t, key, layer=layer, shard=shard)
+                        elif o == _UNAVAILABLE:
+                            monitor.record_unavailable(t, key)
+                    elif extra[1] == 0:  # (time, 0, k, node, up)
+                        monitor.record_node_event(extra[0], extra[3], up=extra[4])
+                    elif extra.node >= 0:
+                        record(extra.time, extra.key, extra.node)
                     else:
-                        service = mean_service
-                    detail: Optional[List] = (
-                        [] if recorder is not None else None
-                    )
-                    node_served, node_dropped, latencies = _fifo_drain(
-                        sorted_times[lo:hi].tolist(), service,
-                        sim._queue_limit, trace_out=detail,
-                    )
-                    node_details[node] = detail
-                    served[node] = node_served
-                    dropped[node] = node_dropped
-                    if latencies:
-                        per_node_latencies.append(latencies)
+                        monitor.record_unavailable(extra.time, extra.key)
         if recorder is not None:
             with tracer.span("kernel-trace"):
-                # Replay only the sampled stream positions, in global
-                # arrival order — the same emission order the legacy
-                # scheduler produces.
-                if backend:
-                    miss_index = np.cumsum(miss_mask) - 1
-                    ranks = np.empty(backend, dtype=np.int64)
-                    ranks[order] = np.arange(backend, dtype=np.int64)
-                    local_ranks = ranks - bounds[nodes]
-                for i in np.flatnonzero(trace_mask).tolist():
-                    t = float(times[i])
-                    key = int(keys[i])
-                    if hit_mask[i]:
-                        recorder.record_hit(t, key, i)
-                        continue
-                    pos = int(miss_index[i])
-                    node = int(nodes[pos])
-                    rec = recorder.record_backend(t, key, i, node)
-                    detail = node_details[node][int(local_ranks[pos])]
-                    if detail is None:
-                        rec["status"] = "dropped"
+                # Dispatch q sits at sorted position rank[q], in the drain
+                # of node d_node[q].
+                rank = np.empty(order.size, dtype=np.int64)
+                rank[order] = np.arange(order.size, dtype=np.int64)
+                rank = rank.tolist()
+                d_nodes = d_node.tolist()
+                n_first = int(ok.sum())
+                dispatch_of = np.full(n_queries, -1, dtype=np.int64)
+                dispatch_of[miss_idx[ok]] = np.arange(n_first)
+                dispatch_of = dispatch_of.tolist()
+                for k, e in enumerate(failovers):
+                    dispatch_of[e.index] = n_first + k
+
+                def backend_record(t, key, i, node, attempts, t0):
+                    rec = recorder.record_backend(t, key, i, node, attempts=attempts)
+                    q = dispatch_of[i]
+                    node = d_nodes[q]
+                    lo, hi = int(bounds[node]), int(bounds[node + 1])
+                    offset, node_dropped, node_lost = drained[node]
+                    detail = _service_detail(
+                        sorted_times[lo:hi], departures_all[offset:],
+                        node_dropped, node_lost, rank[q] - lo,
+                    )
+                    if isinstance(detail, str):
+                        rec["status"] = detail
                     else:
                         start, dep = detail
-                        rec["wait"] = start - t
+                        rec["wait"] = start - t0
                         rec["service"] = dep - start
 
+                sampled = np.flatnonzero(trace_mask).tolist()
+                extras = [e for e in second if trace_mask[e.index]]
+                for s, extra in _interleave([times_list[i] for i in sampled], extras):
+                    if extra is None:
+                        i = sampled[s]
+                        t, key, o = times_list[i], keys_list[i], outcome[i]
+                        if o >= 0:
+                            backend_record(t, key, i, o, 1, t)
+                        elif o == _HIT:
+                            layer, shard = paths[i] if paths else (None, None)
+                            recorder.record_hit(t, key, i, layer=layer, shard=shard)
+                        elif o == _UNAVAILABLE:
+                            recorder.record_unavailable(t, key, i, attempts=1)
+                    elif extra.node >= 0:
+                        backend_record(
+                            extra.time, extra.key, extra.index, extra.node, 2,
+                            extra.origin,
+                        )
+                    else:
+                        recorder.record_unavailable(
+                            extra.time, extra.key, extra.index, attempts=2
+                        )
+
     with tracer.span("report"):
-        total_served = int(served.sum())
-        latencies_arr = (
-            np.concatenate([np.asarray(lat) for lat in per_node_latencies])
-            if total_served
-            else np.empty(0)
-        )
         arrival_loads = LoadVector(
             loads=node_arrivals.astype(float) / duration, total_rate=params.rate
         )
+        unavailable = [
+            (float(times[i]), 1, i, int(keys[i]))
+            for i in miss_idx[first == _UNAVAILABLE].tolist()
+        ] + [(e.time, 2, e.index, e.key) for e in second if e.node < 0]
+        stale_hits = 0
+        if unavailable and chaos.serve_stale:
+            lost_keys = {event[3] for event in unavailable}
+            dispatched = [
+                (float(times[i]), 1, i, int(keys[i]))
+                for i in miss_idx[ok & np.isin(miss_keys, list(lost_keys))].tolist()
+            ] + [(e.time, 2, e.index, e.key) for e in failovers if e.key in lost_keys]
+            stale_hits = _stale_hits(unavailable, dispatched)
+        chaos_counts = {
+            "failure_events": len(states.events),
+            "retries": len(second),
+            "failovers": len(failovers),
+            "unavailable": len(unavailable),
+            "stale_hits": stale_hits,
+            "crash_lost": crash_lost,
+        }
         metrics = sim._metrics
         if metrics is not None:
-            # The legacy scheduler flushes its event counters once per
-            # run: every arrival plus one completion per served request
+            # The per-event scheduler flushes its counters once per run:
+            # every arrival, service start, schedule event and retry
             # fired, and the queue drained.
-            metrics.counter("events_fired_total").inc(n_queries + total_served)
+            metrics.counter("events_fired_total").inc(
+                n_queries + started + len(schedule) + len(second)
+            )
             metrics.gauge("events_pending").set(0)
             sim._publish_run_metrics(
                 n_queries, frontend_hits, backend,
                 node_arrivals, served, dropped, latencies_arr,
             )
+            if chaos is not None:
+                for name in (
+                    "failure_events", "retries", "failovers",
+                    "unavailable", "stale_hits", "crash_lost",
+                ):
+                    metrics.counter(f"chaos_{name}_total").inc(chaos_counts[name])
         suspects = None
         attribution_alerts = None
         if recorder is not None:
@@ -365,4 +699,5 @@ def run_fast(sim, n_queries: int, trial: int):
         latency_p95=latency_p95,
         latency_p99=latency_p99,
         cache_hit_rate=frontend_hits / n_queries,
+        **chaos_counts,
     )

@@ -1,14 +1,12 @@
-"""Differential suite: ``engine="fast"`` must equal ``engine="legacy"``.
+"""Differential suite: the event kernel must equal the per-event oracle.
 
-The batched kernel (:mod:`repro.sim.kernel`) promises *bit-identical*
-``EventSimResult`` objects — same floats, same arrays, same RNG stream
-consumption — plus identical metrics exports and monitor telemetry, for
-every configuration.  Configurations the batch transform cannot express
-(LRU-family caches, least-outstanding routing, chaos schedules) must
-fall back to the legacy loop, which makes them trivially identical; the
-tests below also pin *which* path ran via ``sim.last_engine``, so the
-fast-path cases cannot silently degrade into vacuous fallback-vs-legacy
-comparisons.
+:func:`repro.sim.kernel.run_fast` is the simulator's only engine.  It
+promises *bit-identical* ``EventSimResult`` objects — same floats, same
+arrays, same RNG stream consumption — plus identical metrics exports,
+monitor telemetry and trace records, against the per-event heap
+scheduler kept as the reference in ``tests/event_oracle.py``, for every
+configuration: any cache policy or tree, pin or random routing, and
+chaos schedules with crashes, slowdowns, retries and stale serving.
 """
 
 import numpy as np
@@ -16,12 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_oracle import run_oracle
 from repro.cache.lru import LRUCache
 from repro.chaos.config import ChaosConfig
+from repro.chaos.retry import RetryPolicy
+from repro.chaos.schedule import FailureEvent, FailureSchedule
 from repro.core.notation import SystemParameters
+from repro.exceptions import SimulationError
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
 from repro.obs.export import export_json
-from repro.sim import kernel
+from repro.obs.trace import FlightRecorder, TraceConfig
+from repro.scenario.build import BuildContext, build_component
+from repro.scenario.registry import REGISTRY
+from repro.scenario.spec import ComponentSpec
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
@@ -50,202 +55,368 @@ def assert_results_identical(a, b):
             assert left == right, name
 
 
-def _pair(dist_factory, engine_expected, trials=(0, 1), n_queries=3000, **kwargs):
-    """Run legacy and fast simulators over ``trials``; compare each run.
+def _pair(dist_factory, trials=(0, 1), n_queries=3000, params=None, **kwargs):
+    """Run the kernel and the oracle over ``trials``; compare each run.
 
     Builds a fresh distribution per simulator so stateful distributions
     cannot leak between the two, and runs several trials on the *same*
     simulator instance so persistent state (pin stickiness) is covered.
     """
-    legacy = EventDrivenSimulator(
-        _params(), dist_factory(), seed=11, engine="legacy", **kwargs
+    params = params or _params()
+    cache = kwargs.pop("cache_factory", None)
+    kernel = EventDrivenSimulator(
+        params, dist_factory(), seed=11,
+        cache=cache() if cache else None, **kwargs
     )
-    fast = EventDrivenSimulator(
-        _params(), dist_factory(), seed=11, engine="fast", **kwargs
+    oracle = EventDrivenSimulator(
+        params, dist_factory(), seed=11,
+        cache=cache() if cache else None, **kwargs
     )
+    results = []
     for trial in trials:
-        a = legacy.run(n_queries, trial=trial)
-        b = fast.run(n_queries, trial=trial)
-        assert fast.last_engine == engine_expected
+        a = kernel.run(n_queries, trial=trial)
+        b = run_oracle(oracle, n_queries, trial=trial)
         assert_results_identical(a, b)
-    return legacy, fast
+        results.append(a)
+    return kernel, oracle, results
+
+
+def _instrumented(params, x, **kwargs):
+    """A simulator with metrics, monitor and trace all attached."""
+    registry = MetricsRegistry()
+    monitor = LoadMonitor(MonitorConfig.from_params(params, x=x, window=0.05))
+    recorder = FlightRecorder(TraceConfig(sample=0.5), seed=3)
+    sim = EventDrivenSimulator(
+        params, AdversarialDistribution(params.m, x),
+        metrics=registry, monitor=monitor, trace=recorder, **kwargs
+    )
+    return sim, registry, monitor, recorder
+
+
+def _assert_instruments_identical(a, b):
+    _, reg_a, mon_a, rec_a = a
+    _, reg_b, mon_b, rec_b = b
+    assert export_json(metrics=reg_a) == export_json(metrics=reg_b)
+    assert mon_a.windows == mon_b.windows
+    assert mon_a.alerts == mon_b.alerts
+    assert mon_a.summaries == mon_b.summaries
+    assert mon_a.events.records == mon_b.events.records
+    assert rec_a.records == rec_b.records
+    assert rec_a.summaries == rec_b.summaries
+    assert rec_a.alerts == rec_b.alerts
 
 
 class TestFastPathIdentity:
-    """Configurations the batched kernel handles natively."""
+    """Static caches, no chaos: the configurations the kernel began with."""
 
     @pytest.mark.parametrize("routing", ["pin", "random"])
     @pytest.mark.parametrize("service", ["deterministic", "exponential"])
     def test_routing_service_grid(self, routing, service):
         _pair(
-            lambda: AdversarialDistribution(500, 11), "fast",
+            lambda: AdversarialDistribution(500, 11),
             routing=routing, service=service,
         )
 
     def test_zipf_workload(self):
-        _pair(lambda: ZipfDistribution(500, 1.01), "fast")
+        _pair(lambda: ZipfDistribution(500, 1.01))
 
     def test_uniform_all_miss_heavy(self):
-        _pair(lambda: UniformDistribution(500), "fast")
+        _pair(lambda: UniformDistribution(500))
 
     def test_saturating_config_with_drops(self):
         params = _params()
-        legacy = EventDrivenSimulator(
-            params, AdversarialDistribution(500, 11), seed=3,
-            node_capacity=1.1 * params.even_split, queue_limit=4,
+        _, _, results = _pair(
+            lambda: AdversarialDistribution(500, 11), trials=(0,),
+            n_queries=8000, node_capacity=1.1 * params.even_split,
+            queue_limit=4,
         )
-        fast = EventDrivenSimulator(
-            params, AdversarialDistribution(500, 11), seed=3,
-            node_capacity=1.1 * params.even_split, queue_limit=4,
-            engine="fast",
-        )
-        a, b = legacy.run(8000), fast.run(8000)
-        assert a.drop_rate > 0  # the comparison must exercise drops
-        assert fast.last_engine == "fast"
-        assert_results_identical(a, b)
+        assert results[0].drop_rate > 0  # the comparison must exercise drops
 
     def test_pin_state_persists_identically_across_runs(self):
-        legacy, fast = _pair(
-            lambda: AdversarialDistribution(500, 40), "fast", trials=(0, 1, 2)
+        kernel, oracle, _ = _pair(
+            lambda: AdversarialDistribution(500, 40), trials=(0, 1, 2)
         )
-        assert legacy._pins == fast._pins
-        assert (legacy._pin_counts == fast._pin_counts).all()
+        assert kernel._pins == oracle._pins
+        assert (kernel._pin_counts == oracle._pin_counts).all()
 
     def test_monitor_telemetry_identical(self):
         params = _params()
 
-        def run(engine):
+        def build():
             monitor = LoadMonitor(
                 MonitorConfig.from_params(params, x=11, window=0.05)
             )
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(500, 11), seed=7,
-                monitor=monitor, engine=engine,
+                monitor=monitor,
             )
-            result = sim.run(4000, trial=0)
-            return sim, result, monitor
+            return sim, monitor
 
-        sim_a, a, mon_a = run("legacy")
-        sim_b, b, mon_b = run("fast")
-        assert sim_b.last_engine == "fast"
-        assert_results_identical(a, b)
+        sim_a, mon_a = build()
+        sim_b, mon_b = build()
+        assert_results_identical(sim_a.run(4000), run_oracle(sim_b, 4000))
         assert mon_a.windows == mon_b.windows
         assert mon_a.alerts == mon_b.alerts
         assert mon_a.summaries == mon_b.summaries
 
     def test_metrics_export_identical(self):
-        def run(engine):
+        def build():
             registry = MetricsRegistry()
             sim = EventDrivenSimulator(
                 _params(), AdversarialDistribution(500, 11), seed=5,
-                metrics=registry, engine=engine,
+                metrics=registry,
             )
-            result = sim.run(3000)
-            return sim, result, export_json(metrics=registry)
+            return sim, registry
 
-        sim_a, a, export_a = run("legacy")
-        sim_b, b, export_b = run("fast")
-        assert sim_b.last_engine == "fast"
-        assert_results_identical(a, b)
-        assert export_a == export_b
+        sim_a, reg_a = build()
+        sim_b, reg_b = build()
+        assert_results_identical(sim_a.run(3000), run_oracle(sim_b, 3000))
+        assert export_json(metrics=reg_a) == export_json(metrics=reg_b)
 
 
 class TestFallbackIdentity:
-    """Configurations that must take the legacy path under engine="fast"."""
+    """Configurations that once fell back to the per-event scheduler.
 
-    def test_least_outstanding_falls_back(self):
-        _pair(
-            lambda: AdversarialDistribution(500, 11), "legacy",
-            routing="least-outstanding",
-        )
+    The kernel now replays them itself; they must still equal the
+    oracle bit for bit.
+    """
 
     def test_lru_cache_falls_back(self):
-        legacy = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=LRUCache(10), seed=9,
+        _pair(
+            lambda: AdversarialDistribution(500, 100),
+            cache_factory=lambda: LRUCache(10),
         )
-        fast = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=LRUCache(10), seed=9, engine="fast",
-        )
-        a, b = legacy.run(3000), fast.run(3000)
-        assert fast.last_engine == "legacy"
-        assert_results_identical(a, b)
 
     def test_chaos_falls_back(self):
-        def run(engine):
-            sim = EventDrivenSimulator(
-                _params(), UniformDistribution(500), seed=13,
-                chaos=ChaosConfig(failure_rate=2.0, mttr=0.2),
-                engine=engine,
-            )
-            return sim, sim.run(4000)
+        _, _, results = _pair(
+            lambda: UniformDistribution(500), trials=(0,), n_queries=4000,
+            chaos=ChaosConfig(failure_rate=2.0, mttr=0.2),
+        )
+        assert results[0].failure_events > 0  # chaos actually happened
+        assert results[0].retries > 0
 
-        sim_a, a = run("legacy")
-        sim_b, b = run("fast")
-        assert sim_b.last_engine == "legacy"
-        assert a.failure_events > 0  # chaos actually happened
-        assert_results_identical(a, b)
+    def test_supports_gate(self, monkeypatch):
+        """The kernel's one remaining gate: static caches skip the access
+        pass (a vectorized membership test), every other cache takes it
+        once per request."""
+        from repro.cache.perfect import PerfectCache
 
-    def test_supports_gate(self):
+        def refuse(self, key):
+            raise AssertionError("static caches take the vectorized path")
+
+        monkeypatch.setattr(PerfectCache, "access", refuse)
         sim = EventDrivenSimulator(_params(), UniformDistribution(500), seed=1)
-        assert kernel.supports(sim)
-        assert not kernel.supports(
-            EventDrivenSimulator(
-                _params(), UniformDistribution(500),
-                routing="least-outstanding", seed=1,
-            )
+        result = sim.run(500)
+        assert sim.cache.stats.accesses == 500
+        assert sim.cache.stats.hits == result.frontend_hits
+
+        calls = []
+
+        class Counting(LRUCache):
+            def access(self, key):
+                calls.append(key)
+                return super().access(key)
+
+        EventDrivenSimulator(
+            _params(), UniformDistribution(500), cache=Counting(10), seed=1
+        ).run(700)
+        assert len(calls) == 700
+
+
+def _arrivals(sim, n_queries, trial=0):
+    """The key stream and arrival times a run of ``sim`` will replay."""
+    gen = sim._factory.generator("eventsim-arrivals", trial=trial)
+    keys = sim._distribution.sample(n_queries, rng=gen)
+    times = np.cumsum(gen.exponential(1.0 / sim._params.rate, size=n_queries))
+    return keys.tolist(), times.tolist()
+
+
+class TestChaosTies:
+    """Constructed schedules that put node events on exact event times."""
+
+    N_QUERIES = 400
+
+    def _sim(self, params, schedule=(), retry=None):
+        recorder = FlightRecorder(TraceConfig(sample=1.0), seed=1)
+        sim = EventDrivenSimulator(
+            params, UniformDistribution(params.m), seed=21, trace=recorder,
+            chaos=ChaosConfig(
+                schedule=FailureSchedule(tuple(schedule)),
+                retry=retry or RetryPolicy(),
+            ),
         )
-        assert not kernel.supports(
-            EventDrivenSimulator(
-                _params(), UniformDistribution(500), cache=LRUCache(10), seed=1
-            )
+        return sim, recorder
+
+    def _compare(self, params, schedule):
+        kernel, rec_k = self._sim(params, schedule)
+        oracle, rec_o = self._sim(params, schedule)
+        a = kernel.run(self.N_QUERIES)
+        b = run_oracle(oracle, self.N_QUERIES)
+        assert_results_identical(a, b)
+        assert rec_k.records == rec_o.records
+        return a, {rec["i"]: rec for rec in rec_k.records}
+
+    def _quiet_run(self, params):
+        """Arrival times and per-request trace records of a failure-free run."""
+        sim, recorder = self._sim(params)
+        _, times = _arrivals(sim, self.N_QUERIES)
+        sim.run(self.N_QUERIES)
+        return times, {rec["i"]: rec for rec in recorder.records}
+
+    @staticmethod
+    def _idle(records, start, node=None):
+        """First request from ``start`` on that began service on arrival."""
+        return next(
+            i for i in range(start, len(records))
+            if records[i].get("wait") == 0.0
+            and (node is None or records[i]["node"] == node)
         )
-        assert not kernel.supports(
-            EventDrivenSimulator(
-                _params(), UniformDistribution(500), seed=1,
-                chaos=ChaosConfig(failure_rate=0.5, mttr=0.1),
-            )
+
+    def test_crash_at_exactly_an_arrival_time(self):
+        params = _params(c=0, d=1)
+        times, quiet = self._quiet_run(params)
+        node = quiet[100]["node"]
+        result, records = self._compare(params, (
+            FailureEvent(times[100], node, "crash"),
+            FailureEvent(times[100] + 0.01, node, "recover"),
+        ))
+        # The crash fires first: the arrival finds its only replica down.
+        assert records[100]["status"] == "unavailable"
+        assert result.unavailable >= 1
+
+    def test_crash_at_exactly_a_departure_time(self):
+        params = _params(c=0, d=2)
+        times, quiet = self._quiet_run(params)
+        i = self._idle(quiet, 100)
+        node = quiet[i]["node"]
+        departure = times[i] + 1.0 / (4.0 * params.rate / params.n)
+        result, records = self._compare(params, (
+            FailureEvent(departure, node, "crash"),
+            FailureEvent(departure + 0.01, node, "recover"),
+        ))
+        # The crash fires before the same-time completion: the request
+        # in service is lost, not served.
+        assert records[i]["status"] == "lost"
+        assert result.crash_lost >= 1
+
+    def test_slow_factor_applies_at_service_start(self):
+        params = _params(c=0)
+        times, quiet = self._quiet_run(params)
+        node = quiet[100]["node"]
+        _, records = self._compare(params, (
+            FailureEvent(times[100], node, "slow", factor=0.25),
+            FailureEvent(times[150], node, "restore"),
+        ))
+        # Four times the healthy service time 1 / (4 R / n).
+        assert records[100]["service"] == pytest.approx(params.n / params.rate)
+
+    def test_retry_at_exactly_a_departure_time_is_refused(self):
+        params = _params(n=2, c=0, d=2, rate=200.0)
+        times, quiet = self._quiet_run(params)
+        node = quiet[50]["node"]
+        later = self._idle(quiet, 51, node=1 - node)
+        # A timeout that lands request 50's failover on the other node at
+        # exactly the departure of request ``later`` there.
+        target = times[later] + 1.0 / (4.0 * params.rate / params.n)
+        timeout = target - times[50]
+        for _ in range(64):
+            if times[50] + timeout == target:
+                break
+            step = np.inf if times[50] + timeout < target else -np.inf
+            timeout = float(np.nextafter(timeout, step))
+        assert times[50] + timeout == target
+        sim, _ = self._sim(
+            params, (FailureEvent(times[50], node, "crash"),),
+            retry=RetryPolicy(max_attempts=2, timeout=timeout, backoff=0.0),
         )
+        with pytest.raises(SimulationError, match="retry arrives at exactly"):
+            sim.run(self.N_QUERIES)
+
+
+def _cache_spec(policy):
+    if policy.startswith("tree-"):
+        return {
+            "kind": "tree",
+            "layers": [
+                {"shards": 2, "cache": "lru"},
+                {"shards": 1, "cache": "fifo"},
+            ],
+            "selection": policy[len("tree-"):],
+        }
+    return policy
+
+
+#: Every registered cache policy, plus a cascade and a two-choice tree.
+POLICIES = tuple(
+    name for name in REGISTRY.names("cache") if name != "tree"
+) + ("tree-cascade", "tree-two-choice")
 
 
 @st.composite
-def _configs(draw):
-    n = draw(st.integers(min_value=2, max_value=40))
-    m = draw(st.integers(min_value=50, max_value=800))
-    c = draw(st.integers(min_value=0, max_value=min(m, 50)))
-    d = draw(st.integers(min_value=1, max_value=min(4, n)))
+def _configs(draw, chaos_on=None):
+    n = draw(st.integers(min_value=2, max_value=12))
+    m = draw(st.integers(min_value=50, max_value=400))
+    c = draw(st.integers(min_value=0, max_value=min(m, 20)))
+    d = draw(st.integers(min_value=1, max_value=min(3, n)))
     x = draw(st.integers(min_value=1, max_value=m))
-    routing = draw(st.sampled_from(["pin", "random"]))
-    service = draw(st.sampled_from(["deterministic", "exponential"]))
-    queue_limit = draw(st.integers(min_value=0, max_value=16))
-    headroom = draw(st.floats(min_value=0.5, max_value=6.0))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    n_queries = draw(st.integers(min_value=1, max_value=1500))
-    return (n, m, c, d, x, routing, service, queue_limit, headroom, seed,
-            n_queries)
+    chaos = None
+    if draw(st.booleans()) if chaos_on is None else chaos_on:
+        chaos = ChaosConfig(
+            failure_rate=draw(st.floats(min_value=0.2, max_value=5.0)),
+            mttr=draw(st.floats(min_value=0.05, max_value=1.0)),
+            slow_rate=draw(st.sampled_from([0.0, 5.0])),
+            slow_factor=draw(st.floats(min_value=0.1, max_value=1.0)),
+            retry=RetryPolicy(
+                max_attempts=draw(st.integers(min_value=1, max_value=3)),
+                timeout=draw(st.floats(min_value=0.0, max_value=0.05)),
+            ),
+            serve_stale=draw(st.booleans()),
+        )
+    return dict(
+        params=SystemParameters(n=n, m=m, c=c, d=d, rate=200.0),
+        x=x,
+        policy=draw(st.sampled_from(POLICIES)),
+        routing=draw(st.sampled_from(["pin", "random"])),
+        service=draw(st.sampled_from(["deterministic", "exponential"])),
+        queue_limit=draw(st.integers(min_value=0, max_value=2)),
+        headroom=draw(st.floats(min_value=0.5, max_value=6.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        n_queries=draw(st.integers(min_value=1, max_value=600)),
+        chaos=chaos,
+    )
+
+
+def _check_against_oracle(config):
+    """Kernel vs oracle on one drawn configuration, all instruments on."""
+    params = config["params"]
+    ctx = BuildContext(params=params, seed=config["seed"])
+    spec = ComponentSpec.from_data(_cache_spec(config["policy"]), "cache")
+    runs = [
+        _instrumented(
+            params, config["x"],
+            cache=build_component("cache", spec, ctx),
+            routing=config["routing"], service=config["service"],
+            queue_limit=config["queue_limit"],
+            node_capacity=config["headroom"] * params.even_split,
+            seed=config["seed"], chaos=config["chaos"],
+        )
+        for _ in range(2)
+    ]
+    for trial in (0, 1):
+        a = runs[0][0].run(config["n_queries"], trial=trial)
+        b = run_oracle(runs[1][0], config["n_queries"], trial=trial)
+        assert_results_identical(a, b)
+    _assert_instruments_identical(runs[0], runs[1])
 
 
 @pytest.mark.slow
 class TestHypothesisDifferential:
     @given(_configs())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_random_configurations(self, config):
-        (n, m, c, d, x, routing, service, queue_limit, headroom, seed,
-         n_queries) = config
-        params = SystemParameters(n=n, m=m, c=c, d=d, rate=1000.0)
-        kwargs = dict(
-            routing=routing, service=service, queue_limit=queue_limit,
-            node_capacity=headroom * params.even_split, seed=seed,
-        )
-        legacy = EventDrivenSimulator(
-            params, AdversarialDistribution(m, x), **kwargs
-        )
-        fast = EventDrivenSimulator(
-            params, AdversarialDistribution(m, x), engine="fast", **kwargs
-        )
-        for trial in (0, 1):
-            a = legacy.run(n_queries, trial=trial)
-            b = fast.run(n_queries, trial=trial)
-            assert fast.last_engine == "fast"
-            assert_results_identical(a, b)
+        _check_against_oracle(config)
+
+    @given(_configs(chaos_on=True))
+    @settings(max_examples=60, deadline=None)
+    def test_random_chaos_configurations(self, config):
+        _check_against_oracle(config)

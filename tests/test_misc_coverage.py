@@ -64,23 +64,6 @@ class TestEventsimRouting:
         # single node each; with random routing each key spreads over 3.
         assert (result.arrival_loads.loads > 0).sum() <= 10
 
-    def test_least_outstanding_balances_better_than_random(self):
-        hot_params = SystemParameters(n=6, m=100, c=0, d=3, rate=4000.0)
-
-        def max_gain(routing):
-            gains = []
-            for trial in range(3):
-                sim = EventDrivenSimulator(
-                    hot_params,
-                    AdversarialDistribution(100, 12),
-                    routing=routing,
-                    seed=11,
-                )
-                gains.append(sim.run(8000, trial=trial).normalized_max)
-            return float(np.mean(gains))
-
-        assert max_gain("least-outstanding") <= max_gain("random") + 0.05
-
     def test_cache_stats_accessible_after_run(self):
         sim = self._sim("pin")
         sim.run(2000)

@@ -258,7 +258,7 @@ class TestSubstrateInstrumentation:
         ).all()
 
     def test_event_scheduler_counters(self):
-        from repro.sim.engine import EventScheduler
+        from event_oracle import EventScheduler
 
         registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)

@@ -7,9 +7,10 @@ Four contracts, each pinned here:
    results, and the hash sampler's admit rate converges to the
    configured fraction (hypothesis) as a pure function of
    ``(seed, trial, key, index)``.
-2. **Engine equality** — the legacy scheduler and the fast batched
-   kernel emit *identical* trace records for the same seeded run (the
-   queueing differential contract, extended to the trace layer).
+2. **Engine equality** — the per-event reference scheduler
+   (``tests/event_oracle.py``) and the batched event kernel emit
+   *identical* trace records for the same seeded run (the queueing
+   differential contract, extended to the trace layer).
 3. **Worker-count invariance** — a traced scenario's exported JSONL and
    suspects block are byte-identical serial vs ``workers=4``.
 4. **Offline == online** — rebuilding a recorder from the exported
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_oracle import run_oracle
 from repro.core.notation import SystemParameters
 from repro.exceptions import ScenarioValidationError
 from repro.obs import recompute
@@ -90,6 +92,22 @@ class TestHashSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        sample=st.sampled_from([0.0, 1e-6, 0.05, 0.5, 0.999999]),
+        keys=st.lists(st.integers(min_value=0, max_value=2**40), max_size=60),
+        start=st.sampled_from([0, 1, 12345]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_matches_admit(self, seed, sample, keys, start):
+        """The vectorised mask makes exactly the per-request decisions."""
+        sampler = HashSampler(seed, sample, trial=3)
+        mask = sampler.mask(np.array(keys, dtype=np.int64), start=start)
+        assert mask.dtype == bool
+        assert mask.tolist() == [
+            sampler.admit(k, i) for i, k in enumerate(keys, start)
+        ]
+
     def test_edge_rates(self):
         keys = np.arange(100, dtype=np.int64)
         assert HashSampler(1, 1.0).mask(keys).all()
@@ -113,36 +131,42 @@ class TestHashSampler:
 
 
 class TestEngineEquality:
+    """The event kernel ("fast") against the per-event oracle ("legacy")."""
+
+    @staticmethod
+    def _run(runner, seed, trials, n_queries, dist, **kwargs):
+        recorder = FlightRecorder(TraceConfig(sample=kwargs.pop("sample")), seed=seed)
+        sim = EventDrivenSimulator(PARAMS, dist, seed=seed, trace=recorder, **kwargs)
+        for trial in trials:
+            runner(sim, n_queries, trial)
+        return recorder
+
     @pytest.mark.parametrize("service", ["deterministic", "exponential"])
     @pytest.mark.parametrize("sample", [1.0, 0.2])
     def test_legacy_and_fast_records_identical(self, service, sample):
         dist = AdversarialDistribution(PARAMS.m, PARAMS.c + 1)
-        recorders = {}
-        for engine in ("legacy", "fast"):
-            recorder = FlightRecorder(TraceConfig(sample=sample), seed=5)
-            sim = EventDrivenSimulator(
-                PARAMS, dist, seed=5, engine=engine,
-                routing="pin", service=service, trace=recorder,
+        recorders = {
+            engine: self._run(
+                runner, 5, (0,), 4000, dist,
+                routing="pin", service=service, sample=sample,
             )
-            sim.run(4000)
-            assert sim.last_engine == engine
-            recorders[engine] = recorder
+            for engine, runner in (
+                ("legacy", run_oracle),
+                ("fast", lambda sim, q, t: sim.run(q, trial=t)),
+            )
+        }
         assert recorders["legacy"].records == recorders["fast"].records
         assert recorders["legacy"].suspects() == recorders["fast"].suspects()
         assert recorders["legacy"].alerts == recorders["fast"].alerts
 
     def test_multi_trial_summaries_match(self):
         dist = ZipfDistribution(PARAMS.m, 1.2)
-        recorders = {}
-        for engine in ("legacy", "fast"):
-            recorder = FlightRecorder(TraceConfig(sample=0.5), seed=9)
-            sim = EventDrivenSimulator(
-                PARAMS, dist, seed=9, engine=engine, trace=recorder
-            )
-            for trial in range(3):
-                sim.run(1500, trial=trial)
-            recorders[engine] = recorder
-        assert recorders["legacy"].summaries == recorders["fast"].summaries
+        legacy = self._run(run_oracle, 9, range(3), 1500, dist, sample=0.5)
+        fast = self._run(
+            lambda sim, q, t: sim.run(q, trial=t), 9, range(3), 1500, dist,
+            sample=0.5,
+        )
+        assert legacy.summaries == fast.summaries
 
 
 def _traced_spec(workers: int = 1, **overrides) -> ScenarioSpec:

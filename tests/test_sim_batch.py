@@ -102,3 +102,21 @@ class TestRunEventCampaign:
             run_event_campaign(
                 _params(), UniformDistribution(200), trials=0, n_queries=100
             )
+
+    def test_campaign_leaves_shared_cluster_untouched(self):
+        import pickle
+
+        from repro.chaos.config import ChaosConfig
+        from repro.cluster.cluster import Cluster
+
+        params = _params()
+        cluster = Cluster(params.n, params.d, m=params.m, seed=8)
+        before = pickle.dumps(cluster)
+        for routing in ("pin", "random"):
+            run_event_campaign(
+                params, AdversarialDistribution(200, 40), trials=3,
+                n_queries=2000, seed=6, cluster=cluster, routing=routing,
+                cache_factory=lambda: LRUCache(10),
+                chaos=ChaosConfig(failure_rate=2.0, mttr=0.2),
+            )
+        assert pickle.dumps(cluster) == before

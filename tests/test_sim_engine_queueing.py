@@ -1,11 +1,13 @@
-"""Tests for the discrete-event scheduler and the node queue model."""
+"""Tests for the reference scheduler and node queue model.
+
+They are the per-event oracle (``tests/event_oracle.py``) the event
+kernel is compared against, so their own semantics stay pinned here.
+"""
 
 import pytest
 
+from event_oracle import EventScheduler, NodeServer, Request
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.sim.engine import EventScheduler
-from repro.sim.queueing import NodeServer
-from repro.sim.requests import Request
 
 
 class TestEventScheduler:

@@ -38,17 +38,27 @@ class TestConstruction:
         assert 0 in sim.cache  # rank 0 is the Zipf head
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # There is one engine, so there is no engine to choose.
+        with pytest.raises(TypeError):
             EventDrivenSimulator(
-                _params(), UniformDistribution(500), engine="warp"
+                _params(), UniformDistribution(500), engine="fast"
             )
 
-    def test_engine_defaults_to_legacy(self):
-        sim = EventDrivenSimulator(_params(), UniformDistribution(500), seed=1)
-        assert sim.engine == "legacy"
-        assert sim.last_engine is None
-        sim.run(500)
-        assert sim.last_engine == "legacy"
+    def test_removed_routing_named_in_error(self):
+        with pytest.raises(ConfigurationError, match="'pin' or 'random'"):
+            EventDrivenSimulator(
+                _params(), UniformDistribution(500),
+                routing="least-outstanding",
+            )
+
+    def test_invalid_queue_settings_rejected(self):
+        for kwargs in (
+            {"queue_limit": -1}, {"service": "weird"}, {"node_capacity": 0.0}
+        ):
+            with pytest.raises(ConfigurationError):
+                EventDrivenSimulator(
+                    _params(), UniformDistribution(500), **kwargs
+                )
 
     def test_mismatched_cluster_rejected(self):
         from repro.cluster.cluster import Cluster
@@ -124,7 +134,7 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run(0)
 
-    @pytest.mark.parametrize("routing", ["pin", "random", "least-outstanding"])
+    @pytest.mark.parametrize("routing", ["pin", "random"])
     def test_all_routings_work(self, routing):
         sim = EventDrivenSimulator(
             _params(), UniformDistribution(500), routing=routing, seed=8
@@ -148,21 +158,14 @@ class TestRun:
 
     def test_fast_engine_reproducible(self):
         params = _params()
-        a = EventDrivenSimulator(
-            params, UniformDistribution(500), seed=7, engine="fast"
-        ).run(2000)
-        b = EventDrivenSimulator(
-            params, UniformDistribution(500), seed=7, engine="fast"
-        ).run(2000)
+        a = EventDrivenSimulator(params, UniformDistribution(500), seed=7).run(2000)
+        b = EventDrivenSimulator(params, UniformDistribution(500), seed=7).run(2000)
         assert a.normalized_max == b.normalized_max
         assert (a.served == b.served).all()
 
     def test_fast_engine_accounting_adds_up(self):
-        sim = EventDrivenSimulator(
-            _params(), UniformDistribution(500), seed=2, engine="fast"
-        )
+        sim = EventDrivenSimulator(_params(), UniformDistribution(500), seed=2)
         result = sim.run(5000)
-        assert sim.last_engine == "fast"
         assert result.frontend_hits + result.backend_queries == 5000
         assert result.served.sum() + result.dropped.sum() == result.backend_queries
 

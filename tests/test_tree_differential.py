@@ -1,18 +1,21 @@
-"""Differential suite: the degenerate cache tree must equal the flat path.
+"""Differential suite: cache trees in the event kernel vs the oracle.
 
 A one-layer, one-shard :class:`~repro.cache.tree.CacheTree` wraps a
 single cache instance; it promises to be a *bit-identical* stand-in for
 running that cache flat — same :class:`EventSimResult` floats and
 arrays, same RNG stream consumption, same metrics export, same monitor
-telemetry — across the routing x cache-policy grid the kernel
-differential suite uses.  That contract is what lets tree scenarios
-reuse every flat-path golden and bound without a tolerance.
+telemetry — across the routing x cache-policy grid.  Here the tree runs
+through the event kernel and the flat cache through the per-event
+reference scheduler (``tests/event_oracle.py``), so one comparison pins
+both the degeneracy contract and the kernel's exactness.  That contract
+is what lets tree scenarios reuse every flat-path golden and bound
+without a tolerance.
 
-The suite also pins the fallback seam ISSUE 9 calls out: a tree of
-perfect caches is per-shard statically resident, and the batched kernel
-would happily precompute hit/miss against the edge layer's resident set
-alone — :func:`repro.sim.kernel.supports` must reject ``HIERARCHICAL``
-caches *before* it looks at ``STATIC_RESIDENCY``.
+Layered trees run through the kernel against the oracle too.  The suite
+also pins the static-residency seam: a tree of perfect caches is
+per-shard static, but its probe accounting and hit attribution are per
+layer, so it must not declare ``STATIC_RESIDENCY`` — the kernel would
+otherwise precompute hits against the union resident set.
 """
 
 import functools
@@ -20,6 +23,7 @@ import functools
 import numpy as np
 import pytest
 
+from event_oracle import run_oracle
 from repro.cache import CacheTree, PerfectCache, make_cache
 from repro.cluster.hierarchy import (
     LayeredPartitioner,
@@ -28,14 +32,12 @@ from repro.cluster.hierarchy import (
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
 from repro.obs.export import export_json
-from repro.sim import kernel
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
-#: The cache-policy grid: every simple registry policy exercised by the
-#: kernel fallback tests, spanning recency, frequency and adaptive
-#: families (perfect is covered separately by the supports-gate tests).
+#: The cache-policy grid, spanning recency, frequency and adaptive
+#: families (perfect is covered separately by the static-residency tests).
 POLICIES = ("lru", "fifo", "clock", "lfu", "arc", "sieve")
 
 ROUTINGS = ("pin", "random")
@@ -61,6 +63,10 @@ def assert_results_identical(a, b):
             assert np.isnan(right), name
         else:
             assert left == right, name
+
+
+def _kernel(sim, n_queries, trial):
+    return sim.run(n_queries, trial=trial)
 
 
 def _flat_cache(policy, capacity=10):
@@ -108,26 +114,25 @@ class TestDegenerateIdentity:
         )
         for trial in (0, 1):
             assert_results_identical(
-                flat.run(3000, trial=trial), tree.run(3000, trial=trial)
+                run_oracle(flat, 3000, trial=trial), tree.run(3000, trial=trial)
             )
 
     def test_fast_engine_falls_back_and_matches(self):
-        flat = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=_flat_cache("lru"), seed=9,
-        )
-        tree = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 100),
-            cache=_degenerate_tree("lru"), seed=9, engine="fast",
-        )
-        a, b = flat.run(3000), tree.run(3000)
-        assert tree.last_engine == "legacy"
-        assert_results_identical(a, b)
+        """The degenerate tree in the kernel equals the flat cache in the
+        kernel and in the oracle (the tree once fell back to it)."""
+        def sim(cache):
+            return EventDrivenSimulator(
+                _params(), AdversarialDistribution(500, 100), cache=cache, seed=9,
+            )
+
+        tree = sim(_degenerate_tree("lru")).run(3000)
+        assert_results_identical(sim(_flat_cache("lru")).run(3000), tree)
+        assert_results_identical(run_oracle(sim(_flat_cache("lru")), 3000), tree)
 
     def test_monitor_telemetry_identical(self):
         params = _params()
 
-        def run(cache):
+        def run(cache, runner):
             monitor = LoadMonitor(
                 MonitorConfig.from_params(params, x=11, window=0.05)
             )
@@ -135,11 +140,10 @@ class TestDegenerateIdentity:
                 params, AdversarialDistribution(500, 11), seed=7,
                 cache=cache, monitor=monitor,
             )
-            result = sim.run(4000, trial=0)
-            return result, monitor
+            return runner(sim, 4000, 0), monitor
 
-        a, mon_a = run(_flat_cache("lru"))
-        b, mon_b = run(_degenerate_tree("lru"))
+        a, mon_a = run(_flat_cache("lru"), run_oracle)
+        b, mon_b = run(_degenerate_tree("lru"), _kernel)
         assert_results_identical(a, b)
         assert mon_a.windows == mon_b.windows
         assert mon_a.alerts == mon_b.alerts
@@ -150,17 +154,16 @@ class TestDegenerateIdentity:
         assert all("layers" not in s for s in mon_b.summaries)
 
     def test_metrics_export_identical(self):
-        def run(cache):
+        def run(cache, runner):
             registry = MetricsRegistry()
             sim = EventDrivenSimulator(
                 _params(), AdversarialDistribution(500, 100), seed=5,
                 cache=cache, metrics=registry,
             )
-            result = sim.run(3000)
-            return result, export_json(metrics=registry)
+            return runner(sim, 3000, 0), export_json(metrics=registry)
 
-        a, export_a = run(_flat_cache("lru"))
-        b, export_b = run(_degenerate_tree("lru"))
+        a, export_a = run(_flat_cache("lru"), run_oracle)
+        b, export_b = run(_degenerate_tree("lru"), _kernel)
         assert_results_identical(a, b)
         assert export_a == export_b
 
@@ -239,46 +242,78 @@ class TestCampaignIdentity:
         )
 
 
+class TestLayeredIdentity:
+    """Non-degenerate trees: the kernel against the oracle."""
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    def test_two_choice_tree_matches_oracle(self, routing):
+        params = _params()
+
+        def run(runner):
+            monitor = LoadMonitor(
+                MonitorConfig.from_params(params, x=11, window=0.05)
+            )
+            registry = MetricsRegistry()
+            sim = EventDrivenSimulator(
+                params, AdversarialDistribution(500, 30), seed=4,
+                cache=_two_layer_tree("lru"), routing=routing,
+                monitor=monitor, metrics=registry,
+            )
+            results = [runner(sim, 3000, trial) for trial in (0, 1)]
+            return results, monitor, export_json(metrics=registry)
+
+        kernel, mon_k, export_k = run(_kernel)
+        oracle, mon_o, export_o = run(run_oracle)
+        for a, b in zip(kernel, oracle):
+            assert_results_identical(a, b)
+        assert mon_k.windows == mon_o.windows
+        assert mon_k.summaries == mon_o.summaries
+        assert export_k == export_o
+        assert any(any(w.get("layer_hits", {}).values()) for w in mon_k.windows)
+
+
 class TestSupportsGate:
-    """ISSUE 9's latent seam: HIERARCHICAL must veto STATIC_RESIDENCY."""
+    """The static-residency gate: which caches skip the access pass.
+
+    A tree of perfect caches is per-shard static, but it must take the
+    kernel's sequential access pass, because its probe accounting and
+    hit attribution are per layer.
+    """
 
     def test_perfect_tree_is_static_but_unsupported(self):
         tree = _perfect_tree()
-        # The trap: every shard is statically resident, so the tree as a
-        # whole reports STATIC_RESIDENCY=True...
-        assert tree.STATIC_RESIDENCY is True
+        assert all(shard.STATIC_RESIDENCY for layer in tree.layers for shard in layer)
         assert tree.HIERARCHICAL is True
-        sim = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 11), cache=tree, seed=1,
-        )
-        # ...and only the HIERARCHICAL gate keeps it off the fast path.
-        assert not kernel.supports(sim)
+        assert tree.STATIC_RESIDENCY is False
 
     def test_flat_perfect_cache_still_supported(self):
         sim = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11), seed=1,
         )
-        assert kernel.supports(sim)
+        assert sim.cache.STATIC_RESIDENCY is True
 
     def test_fast_engine_runs_legacy_for_perfect_tree(self):
-        sim = EventDrivenSimulator(
-            _params(), AdversarialDistribution(500, 11),
-            cache=_perfect_tree(), seed=1, engine="fast",
-        )
-        sim.run(1000)
-        assert sim.last_engine == "legacy"
+        """A perfect tree in the kernel equals the oracle, per layer too."""
+        def build():
+            tree = _perfect_tree()
+            sim = EventDrivenSimulator(
+                _params(), AdversarialDistribution(500, 11), cache=tree, seed=1,
+            )
+            return sim, tree
+
+        (kernel, tree_k), (oracle, tree_o) = build(), build()
+        assert_results_identical(kernel.run(1000), run_oracle(oracle, 1000))
+        assert tree_k.entered == tree_o.entered
+        assert tree_k.shard_served == tree_o.shard_served
 
     def test_degenerate_perfect_tree_matches_flat_legacy(self):
         # Degeneracy holds for static shards too: a 1x1 tree of the
-        # default perfect cache equals the flat default, via legacy.
+        # default perfect cache equals the flat default in the oracle.
         flat = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11), seed=2,
-            engine="legacy",
         )
         tree = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11),
-            cache=CacheTree([[PerfectCache(10)]]), seed=2, engine="fast",
+            cache=CacheTree([[PerfectCache(10)]]), seed=2,
         )
-        a, b = flat.run(2000), tree.run(2000)
-        assert tree.last_engine == "legacy"
-        assert_results_identical(a, b)
+        assert_results_identical(run_oracle(flat, 2000), tree.run(2000))
