@@ -16,6 +16,7 @@ configuration whose artifacts land under ``*_smoke`` names.
 """
 
 from repro.perf.harness import (  # noqa: F401
+    active_context,
     active_profiler,
     emit,
     emit_json,

@@ -9,7 +9,7 @@ exactly when the cluster is already degraded.
 """
 
 import numpy as np
-from _util import active_profiler, register
+from _util import active_context, register
 
 from repro.ballsbins.allocation import sample_replica_groups
 from repro.cluster.failures import (
@@ -31,8 +31,7 @@ FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.5)
 
 
 def _run():
-    profiler = active_profiler()
-    metrics = profiler.metrics if profiler is not None else None
+    metrics = active_context().metrics
     x = M
     rates = np.full(x - C, RATE / x)
     factory = RngFactory(SEED)

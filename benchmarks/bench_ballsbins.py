@@ -6,7 +6,7 @@ the ``log log n / log d + k'`` gap the cache-size theorem rests on —
 and, unlike the one-choice gap, it must not grow with the load.
 """
 
-from _util import active_profiler, register
+from _util import active_context, register
 
 from repro.ballsbins import (
     d_choice_allocate,
@@ -30,8 +30,7 @@ def _gap(allocate, balls):
 
 
 def _run():
-    profiler = active_profiler()
-    metrics = profiler.metrics if profiler is not None else None
+    metrics = active_context().metrics
     columns = {"balls": [], "gap_1choice": [], "gap_3choice": [], "bound_3choice_gap": []}
     for balls in LOADS:
         columns["balls"].append(balls)

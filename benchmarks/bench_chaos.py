@@ -19,7 +19,7 @@ from _util import register, smoke_mode, timed
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -68,7 +68,8 @@ def _sweep():
         start_seconds = 0.0
         for trial in range(spec["trials"]):
             sim = EventDrivenSimulator(
-                params, distribution, seed=SEED, monitor=monitor, chaos=chaos
+                params, distribution, seed=SEED, chaos=chaos,
+                context=RunContext(monitor=monitor),
             )
             result, seconds = timed(sim.run, spec["n_queries"], trial=trial)
             start_seconds += seconds

@@ -17,11 +17,8 @@ writes ``eventsim_smoke.json`` so the committed full-scale artifact
 survives test runs.
 """
 
-import tracemalloc
-from contextlib import contextmanager
-
 import numpy as np
-from _util import active_profiler, register, smoke_mode, timed
+from _util import active_context, register, smoke_mode, timed
 
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
@@ -47,28 +44,7 @@ SMOKE = {
 }
 
 
-@contextmanager
-def _memory_tracing_paused():
-    """Suspend ``tracemalloc`` around the throughput-timed replay.
-
-    The perf harness traces allocations for the manifest's memory
-    column; that tracing costs a large constant factor per allocation,
-    which would distort the throughput this bench records.  Restarting
-    resets the traced peak, so the manifest's ``tracemalloc`` number
-    covers only the untimed phases — the RSS high-water mark remains the
-    whole-process figure.
-    """
-    if not tracemalloc.is_tracing():
-        yield
-        return
-    tracemalloc.stop()
-    try:
-        yield
-    finally:
-        tracemalloc.start()
-
-
-def _replay(spec: dict, metrics) -> dict:
+def _replay(spec: dict, context) -> dict:
     """Run the full x-sweep through the event engine; the mean columns."""
     params = SystemParameters(**spec["params"])
     columns = {"x": [], "eventsim_mean": [], "drop_rate": []}
@@ -77,7 +53,7 @@ def _replay(spec: dict, metrics) -> dict:
         for trial in range(spec["event_trials"]):
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(params.m, x), seed=SEED,
-                metrics=metrics,
+                context=context,
             )
             outcome = sim.run(spec["n_queries"], trial=trial)
             gains.append(outcome.normalized_max)
@@ -91,8 +67,6 @@ def _replay(spec: dict, metrics) -> dict:
 def _sweep():
     spec = SMOKE if smoke_mode() else FULL
     params = SystemParameters(**spec["params"])
-    profiler = active_profiler()
-    metrics = profiler.metrics if profiler is not None else None
     events = spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
     analytic_mean = [
         simulate_uniform_attack(
@@ -100,8 +74,7 @@ def _sweep():
         ).mean
         for x in spec["x_values"]
     ]
-    with _memory_tracing_paused():
-        replay, seconds = timed(_replay, spec, metrics)
+    replay, seconds = timed(_replay, spec, active_context())
     columns = {
         "x": replay["x"],
         "analytic_mean": analytic_mean,

@@ -5,9 +5,9 @@ default-off configuration costs nothing measurable and that attaching a
 registry never changes a result.  This bench quantifies both claims on
 the two engines:
 
-- **monte-carlo**: the uniform-attack campaign with (a) ``metrics=None``
-  (the default), (b) the shared null registry, (c) a live
-  ``MetricsRegistry`` plus ``Tracer``.
+- **monte-carlo**: the uniform-attack campaign with (a) no instruments
+  in its run context (the default), (b) the shared null registry, (c) a
+  live ``MetricsRegistry`` plus ``Tracer``.
 - **eventsim**: one request-level replay under the same three modes.
 - **monitor**: the same replay with the *online monitor* off / null /
   live — the per-request path is the hottest hook in the repository, so
@@ -43,6 +43,7 @@ from repro.obs import (
     LoadMonitor,
     MetricsRegistry,
     MonitorConfig,
+    RunContext,
     TraceConfig,
     Tracer,
 )
@@ -107,10 +108,8 @@ def run_monte_carlo_bench(spec) -> dict:
 
         def campaign():
             sim = MonteCarloSimulator(
-                SimulationConfig(
-                    params=params, trials=spec["trials"], seed=SEED,
-                    metrics=metrics_factory(), tracer=tracer_factory(),
-                )
+                SimulationConfig(params=params, trials=spec["trials"], seed=SEED),
+                RunContext(metrics=metrics_factory(), spans=tracer_factory()),
             )
             return sim.uniform_attack(spec["x"])
 
@@ -143,8 +142,9 @@ def run_eventsim_bench(spec) -> dict:
                 UniformDistribution(params.m),
                 cache=LRUCache(params.c),
                 seed=SEED,
-                metrics=metrics_factory(),
-                tracer=tracer_factory(),
+                context=RunContext(
+                    metrics=metrics_factory(), spans=tracer_factory()
+                ),
             )
             return sim.run(spec["n_queries"])
 
@@ -180,7 +180,7 @@ def run_monitor_bench(spec) -> dict:
                 UniformDistribution(params.m),
                 cache=LRUCache(params.c),
                 seed=SEED,
-                monitor=monitor_factory(),
+                context=RunContext(monitor=monitor_factory()),
             )
             return sim.run(spec["n_queries"])
 
@@ -219,7 +219,7 @@ def run_trace_bench(spec) -> dict:
                 UniformDistribution(params.m),
                 cache=LRUCache(params.c),
                 seed=SEED,
-                trace=recorder,
+                context=RunContext(trace=recorder),
             )
             outcome = sim.run(spec["n_queries"])
             if recorder is not None:

@@ -15,8 +15,9 @@ determinism, just not multi-process scaling.
 """
 
 import os
+from dataclasses import replace
 
-from _util import active_profiler, register, smoke_mode, timed
+from _util import active_context, register, smoke_mode, timed
 
 from repro.core.notation import SystemParameters
 from repro.sim.analytic import simulate_uniform_attack
@@ -38,24 +39,20 @@ SMOKE_CAMPAIGN = {
     "workers": (1, 2),
 }
 
-def _profiler_metrics():
-    profiler = active_profiler()
-    return profiler.metrics if profiler is not None else None
-
 
 def run_campaign_bench() -> dict:
     spec = SMOKE_CAMPAIGN if smoke_mode() else FULL_CAMPAIGN
     params = SystemParameters(**spec["params"])
     trials, x = spec["trials"], spec["x"]
-    metrics = _profiler_metrics()
+    context = active_context()
     rows = []
     serial_seconds = None
     serial_series = None
     for workers in spec["workers"]:
         report, seconds = timed(
             simulate_uniform_attack,
-            params, x, trials=trials, seed=SEED, workers=workers,
-            metrics=metrics,
+            params, x, trials=trials, seed=SEED,
+            context=replace(context, workers=workers),
         )
         if serial_seconds is None:
             serial_seconds, serial_series = seconds, report.normalized_max_per_trial

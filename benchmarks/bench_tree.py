@@ -37,7 +37,7 @@ from repro.cache import make_cache
 from repro.cache.tree import _build_tree
 from repro.core.bounds import DEFAULT_CALIBRATED_K_PRIME
 from repro.core.notation import SystemParameters
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.scenario.build import BuildContext
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
@@ -92,7 +92,8 @@ def _replay(spec: dict, name: str, cache_factory, distribution, x: int):
         monitor = LoadMonitor(config)
         cache = cache_factory()
         sim = EventDrivenSimulator(
-            params, distribution, seed=SEED, cache=cache, monitor=monitor
+            params, distribution, seed=SEED, cache=cache,
+            context=RunContext(monitor=monitor),
         )
         outcome = sim.run(spec["n_queries"], trial=trial)
         events += spec["n_queries"]

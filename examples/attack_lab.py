@@ -23,7 +23,7 @@ Run:  python examples/attack_lab.py        (~25 s)
 from repro import SystemParameters, simulate_distribution
 from repro.adversary import OptimalAdversary
 from repro.experiments.report import render_table
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.scenario import (
     BuildContext,
     ComponentSpec,
@@ -117,7 +117,8 @@ def live_monitor_demo(system: SystemParameters) -> None:
         f"LIVE MONITOR: optimal attack (x={adversary.x}) vs {system.describe()}"
     )
     sim = EventDrivenSimulator(
-        system, adversary.distribution(), seed=SEED, monitor=monitor
+        system, adversary.distribution(), seed=SEED,
+        context=RunContext(monitor=monitor),
     )
     sim.run(25_000)
     summary = monitor.summaries[-1]

@@ -19,7 +19,7 @@ Run:  python examples/failover_lab.py        (~15 s)
 
 from repro import SystemParameters
 from repro.chaos import ChaosConfig, FailureEvent, FailureSchedule, RetryPolicy
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -51,7 +51,7 @@ def replay(label: str, chaos, verbose_windows: bool = False):
     )
     sim = EventDrivenSimulator(
         SYSTEM, AdversarialDistribution(SYSTEM.m, X), seed=SEED,
-        monitor=monitor, chaos=chaos,
+        chaos=chaos, context=RunContext(monitor=monitor),
     )
     result = sim.run(QUERIES)
     print(f"{label}:")

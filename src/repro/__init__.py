@@ -51,7 +51,7 @@ from .sim import (
     simulate_distribution,
     simulate_uniform_attack,
 )
-from .obs import MetricsRegistry, Tracer
+from .obs import MetricsRegistry, RunContext, Tracer
 from .chaos import ChaosConfig, FailureSchedule, RetryPolicy
 from .types import LoadReport, LoadVector
 from .exceptions import ReproError
@@ -77,6 +77,7 @@ __all__ = [
     "simulate_uniform_attack",
     "simulate_distribution",
     "best_achievable_gain",
+    "RunContext",
     "MetricsRegistry",
     "Tracer",
     "ChaosConfig",

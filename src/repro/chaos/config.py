@@ -6,7 +6,7 @@ A :class:`ChaosConfig` bundles the failure model (an explicit
 :class:`~repro.chaos.retry.RetryPolicy`, and the graceful-degradation
 switch (``serve_stale``).  Passing ``chaos=None`` anywhere keeps every
 code path byte-identical to the pre-chaos behaviour — the same contract
-the observability layer keeps with ``metrics=None`` / ``monitor=None``.
+the observability layer keeps with its null run context.
 
 Both engines consume it:
 

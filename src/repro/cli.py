@@ -6,6 +6,10 @@ Commands
     Regenerate the corresponding figure's data as an ASCII table.
     ``--full`` uses the paper's 200-trial configuration; the default is
     a fast reduced-trial run with the same qualitative shape.
+``all``
+    Every figure in one run and one report (``--output`` also writes
+    it to a file) — the artifact to diff against EXPERIMENTS.md after
+    changing anything load-bearing.
 ``provision``
     Cache-provisioning report for an ``(n, m, d, R)`` system.
 ``plan``
@@ -67,6 +71,7 @@ from .experiments import (
     run_fig3a,
     run_fig3b,
     run_fig4,
+    run_fig5,
     run_fig5a,
     run_fig5b,
 )
@@ -81,6 +86,13 @@ _FIGURES = {
     "fig4": run_fig4,
     "fig5a": run_fig5a,
     "fig5b": run_fig5b,
+}
+
+#: What ``repro all`` runs, in order: the figure table with the two
+#: fig5 panel views served by one joint sweep (a single fig5 block).
+_CAMPAIGN = {
+    **{name: run for name, run in _FIGURES.items() if not name.startswith("fig5")},
+    "fig5": run_fig5,
 }
 
 
@@ -160,42 +172,6 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _trace_sink(args: argparse.Namespace, seed=None):
-    """Build the FlightRecorder if any trace flag was given."""
-    wanted = (
-        getattr(args, "trace", None) is not None
-        or getattr(args, "trace_out", None)
-        or getattr(args, "forensics_out", None)
-    )
-    if not wanted:
-        return None
-    from .obs import FlightRecorder, TraceConfig
-
-    sample = 1.0 if args.trace is None else args.trace
-    window = getattr(args, "window", None)
-    config = (
-        TraceConfig(sample=sample)
-        if window is None
-        else TraceConfig(sample=sample, window=window)
-    )
-    return FlightRecorder(config, seed=seed)
-
-
-def _write_trace(args: argparse.Namespace, recorder, monitor=None) -> None:
-    if recorder is None:
-        return
-    from .obs import render_forensics_text, write_forensics_html
-
-    print()
-    print(render_forensics_text(recorder))
-    if args.trace_out:
-        recorder.write(args.trace_out)
-        print(f"trace written to {args.trace_out}")
-    if args.forensics_out:
-        write_forensics_html(recorder, args.forensics_out, monitor=monitor)
-        print(f"forensics dashboard written to {args.forensics_out}")
-
-
 def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chaos",
@@ -255,62 +231,99 @@ def _chaos_config(args: argparse.Namespace):
     )
 
 
-def _monitor_sink(args: argparse.Namespace, **config_kwargs):
-    """Build the LoadMonitor if any monitor flag was given."""
-    wanted = (
+def _run_context(args: argparse.Namespace, monitor_config=None, seed=None):
+    """The run's :class:`~repro.obs.RunContext`, built from its flags.
+
+    ``--metrics-out`` / ``--metrics-prom`` attach a registry and a span
+    tracer; any monitor flag attaches a monitor (``monitor_config``
+    attaches one unconditionally: ``replay`` and ``tree`` always
+    monitor); any trace flag attaches a flight recorder keyed on
+    ``seed``.  ``--workers`` sets the worker count.
+    """
+    from .obs import (
+        FlightRecorder,
+        LoadMonitor,
+        MetricsRegistry,
+        MonitorConfig,
+        RunContext,
+        TraceConfig,
+        Tracer,
+    )
+
+    metrics = spans = monitor = recorder = None
+    if getattr(args, "metrics_out", None) or getattr(args, "metrics_prom", None):
+        metrics, spans = MetricsRegistry(), Tracer()
+    if monitor_config is not None or (
         getattr(args, "monitor", False)
         or getattr(args, "events_out", None)
         or getattr(args, "alerts", False)
+    ):
+        on_alert = None
+        if args.alerts:
+            def on_alert(alert):
+                print(
+                    f"ALERT [{alert['rule']}] trial={alert.get('trial')} "
+                    f"window={alert.get('window')} value={alert.get('value'):.4g} "
+                    f"threshold={alert.get('threshold'):.4g}"
+                )
+        if monitor_config is None:
+            monitor_config = MonitorConfig(window=args.window)
+        monitor = LoadMonitor(monitor_config, on_alert=on_alert)
+    if (
+        getattr(args, "trace", None) is not None
+        or getattr(args, "trace_out", None)
+        or getattr(args, "forensics_out", None)
+    ):
+        sample = 1.0 if args.trace is None else args.trace
+        window = getattr(args, "window", None)
+        config = (
+            TraceConfig(sample=sample)
+            if window is None
+            else TraceConfig(sample=sample, window=window)
+        )
+        recorder = FlightRecorder(config, seed=seed)
+    return RunContext(
+        metrics=metrics, spans=spans, monitor=monitor, trace=recorder,
+        workers=getattr(args, "workers", 1),
     )
-    if not wanted:
-        return None
-    from .obs import LoadMonitor, MonitorConfig
-
-    config = MonitorConfig(window=args.window, **config_kwargs)
-    on_alert = None
-    if args.alerts:
-        def on_alert(alert):
-            print(
-                f"ALERT [{alert['rule']}] trial={alert.get('trial')} "
-                f"window={alert.get('window')} value={alert.get('value'):.4g} "
-                f"threshold={alert.get('threshold'):.4g}"
-            )
-    return LoadMonitor(config, on_alert=on_alert)
 
 
-def _write_monitor(args: argparse.Namespace, monitor) -> None:
-    if monitor is None:
-        return
-    from .obs import render_text
+def _write_outputs(args: argparse.Namespace, context) -> None:
+    """Print and write whatever the context's instruments collected."""
+    from .obs import (
+        render_forensics_text,
+        render_text,
+        to_prometheus,
+        write_forensics_html,
+        write_json,
+    )
 
-    print()
-    print(render_text(monitor))
-    if args.events_out:
-        monitor.events.write(args.events_out)
-        print(f"event log written to {args.events_out}")
-
-
-def _metrics_sinks(args: argparse.Namespace):
-    """Build (metrics, tracer) sinks if any metrics flag was given."""
-    if not (getattr(args, "metrics_out", None) or getattr(args, "metrics_prom", None)):
-        return None, None
-    from .obs import MetricsRegistry, Tracer
-
-    return MetricsRegistry(), Tracer()
-
-
-def _write_metrics(args: argparse.Namespace, metrics, tracer) -> None:
-    if metrics is None:
-        return
-    from .obs import to_prometheus, write_json
-
-    if args.metrics_out:
-        write_json(args.metrics_out, metrics, tracer=tracer)
-        print(f"metrics written to {args.metrics_out}")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(to_prometheus(metrics, tracer=tracer))
-        print(f"prometheus metrics written to {args.metrics_prom}")
+    metrics, spans = context.metrics, context.spans
+    if metrics.enabled:
+        if args.metrics_out:
+            write_json(args.metrics_out, metrics, tracer=spans)
+            print(f"metrics written to {args.metrics_out}")
+        if args.metrics_prom:
+            with open(args.metrics_prom, "w", encoding="utf-8") as fh:
+                fh.write(to_prometheus(metrics, tracer=spans))
+            print(f"prometheus metrics written to {args.metrics_prom}")
+    monitor = context.monitor
+    if monitor.enabled:
+        print()
+        print(render_text(monitor))
+        if args.events_out:
+            monitor.events.write(args.events_out)
+            print(f"event log written to {args.events_out}")
+    recorder = context.trace
+    if recorder.enabled:
+        print()
+        print(render_forensics_text(recorder))
+        if args.trace_out:
+            recorder.write(args.trace_out)
+            print(f"trace written to {args.trace_out}")
+        if args.forensics_out:
+            write_forensics_html(recorder, args.forensics_out, monitor=monitor)
+            print(f"forensics dashboard written to {args.forensics_out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,18 +672,15 @@ def _run_figure(args: argparse.Namespace) -> int:
     trials = args.trials
     if trials is None:
         trials = PAPER.trials if args.full else _QUICK_TRIALS
-    metrics, tracer = _metrics_sinks(args)
-    monitor = _monitor_sink(args)
+    context = _run_context(args)
     chaos = _chaos_config(args)
     if chaos is not None:
         print(chaos.describe())
     result = _FIGURES[args.command](
-        trials=trials, seed=args.seed, workers=args.workers,
-        metrics=metrics, tracer=tracer, monitor=monitor, chaos=chaos,
+        trials=trials, seed=args.seed, chaos=chaos, context=context,
     )
     print(result.render())
-    _write_metrics(args, metrics, tracer)
-    _write_monitor(args, monitor)
+    _write_outputs(args, context)
     if args.plot:
         from .experiments.plot import ascii_plot
 
@@ -696,28 +706,37 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
-    from .experiments.campaign import run_campaign
+    import time
 
     trials = args.trials
     if trials is None:
         trials = PAPER.trials if args.full else _QUICK_TRIALS
-    metrics, tracer = _metrics_sinks(args)
-    monitor = _monitor_sink(args)
+    context = _run_context(args)
     chaos = _chaos_config(args)
     if chaos is not None:
         print(chaos.describe())
-    campaign = run_campaign(
-        trials=trials, seed=args.seed, progress=print, workers=args.workers,
-        metrics=metrics, tracer=tracer, monitor=monitor, chaos=chaos,
-    )
-    report = campaign.render()
+    results = []
+    started = time.monotonic()
+    for figure, driver in _CAMPAIGN.items():
+        print(f"running {figure} ({trials} trials per point)...")
+        results.append(
+            driver(trials=trials, seed=args.seed, chaos=chaos, context=context)
+        )
+    parts = [
+        "# Secure Cache Provision — full evaluation run",
+        f"(trials per sweep point: {trials}; "
+        f"wall clock: {time.monotonic() - started:.1f}s)",
+        "",
+    ]
+    for result in results:
+        parts += [result.render(), ""]
+    report = "\n".join(parts)
     print(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report + "\n")
         print(f"report written to {args.output}")
-    _write_metrics(args, metrics, tracer)
-    _write_monitor(args, monitor)
+    _write_outputs(args, context)
     return 0
 
 
@@ -789,7 +808,7 @@ def _run_forensics(args: argparse.Namespace) -> int:
 def _run_replay(args: argparse.Namespace) -> int:
     from .adversary.strategies import OptimalAdversary, UniformFlood, ZipfClient
     from .core.bounds import DEFAULT_CALIBRATED_K_PRIME
-    from .obs import LoadMonitor, MonitorConfig
+    from .obs import MonitorConfig
     from .sim.batch import run_event_campaign
 
     if args.attribution:
@@ -811,41 +830,33 @@ def _run_replay(args: argparse.Namespace) -> int:
         x = params.m
     else:
         distribution = ZipfClient(params, s=PAPER.zipf_s).distribution()
-    metrics, tracer = _metrics_sinks(args)
     # The replay always monitors (that is its point); flags only add
     # outputs on top.
-    config = MonitorConfig.from_params(params, x=x, window=args.window,
-                                       k_prime=k_prime)
-    base = _monitor_sink(args, **{
-        k: getattr(config, k)
-        for k in ("n", "rate", "c", "d", "x", "k_prime")
-    })
-    monitor = base if base is not None else LoadMonitor(config)
+    context = _run_context(
+        args,
+        monitor_config=MonitorConfig.from_params(
+            params, x=x, window=args.window, k_prime=k_prime
+        ),
+        seed=args.seed,
+    )
     chaos = _chaos_config(args)
     if chaos is not None:
         print(chaos.describe())
-    recorder = _trace_sink(args, seed=args.seed)
     campaign = run_event_campaign(
         params,
         distribution,
         trials=args.trials,
         n_queries=args.queries,
         seed=args.seed,
-        workers=args.workers,
-        metrics=metrics,
-        tracer=tracer,
-        monitor=monitor,
         chaos=chaos,
-        trace=recorder,
+        context=context,
     )
     print(campaign.describe())
-    _write_metrics(args, metrics, tracer)
-    _write_monitor(args, monitor)
-    _write_trace(args, recorder, monitor=monitor)
+    _write_outputs(args, context)
     if args.dashboard:
         from .obs import write_html
 
-        write_html(monitor, args.dashboard,
+        write_html(context.monitor, args.dashboard,
                    title=f"replay: {args.pattern} attack on n={params.n}")
         print(f"dashboard written to {args.dashboard}")
     return 0
@@ -867,13 +878,14 @@ def _tree_cache_factory(ctx, layers, selection: str):
 
 def _run_tree(args: argparse.Namespace) -> int:
     import functools
+    from dataclasses import replace
 
     from .adversary.strategies import ShardTargetingAdversary
     from .core.bounds import (
         DEFAULT_CALIBRATED_K_PRIME,
         normalized_max_load_bound,
     )
-    from .obs import LoadMonitor, MonitorConfig
+    from .obs import MonitorConfig
     from .scenario.build import BuildContext
     from .sim.batch import run_event_campaign
 
@@ -901,27 +913,28 @@ def _run_tree(args: argparse.Namespace) -> int:
                               args.layer_selection),
         ),
     ]
-    metrics, tracer = _metrics_sinks(args)
+    shared = _run_context(args)
     theorem2 = normalized_max_load_bound(params, x, k_prime=k_prime)
     print(
         f"shard-flood: x={x} keys on edge shard {args.target}/{args.edges} "
         f"(n={params.n}, m={params.m}, c={params.c}, d={params.d})"
     )
     print(f"Theorem-2 bound at x={x}: {theorem2:.3f}")
-    last_monitor = None
-    last_recorder = None
     for name, cache_factory in defenses:
-        config = MonitorConfig.from_params(
-            params, x=x, window=args.window, k_prime=k_prime,
+        # Fresh monitor and recorder per defense, shared metrics and
+        # spans: the tree run's (the last one's) monitor and trace are
+        # the export — they carry the (layer, shard) hit paths.
+        context = replace(
+            _run_context(
+                args,
+                monitor_config=MonitorConfig.from_params(
+                    params, x=x, window=args.window, k_prime=k_prime,
+                ),
+                seed=seed,
+            ),
+            metrics=shared.metrics,
+            spans=shared.spans,
         )
-        base = _monitor_sink(args, **{
-            k: getattr(config, k)
-            for k in ("n", "rate", "c", "d", "x", "k_prime")
-        })
-        monitor = base if base is not None else LoadMonitor(config)
-        # Fresh recorder per defense: the tree run's trace (the last
-        # one) is the export — it carries the (layer, shard) hit paths.
-        recorder = _trace_sink(args, seed=seed)
         campaign = run_event_campaign(
             params,
             adversary.distribution(),
@@ -929,17 +942,13 @@ def _run_tree(args: argparse.Namespace) -> int:
             n_queries=args.queries,
             seed=args.seed,
             cache_factory=cache_factory,
-            workers=args.workers,
-            metrics=metrics,
-            tracer=tracer,
-            monitor=monitor,
-            trace=recorder,
+            context=context,
         )
         print(f"\n== defense: {name} ==")
         print(campaign.describe())
         layer_rows = [
             row
-            for summary in monitor.summaries
+            for summary in context.monitor.summaries
             for row in summary.get("layers", ())
         ]
         if layer_rows:
@@ -952,11 +961,7 @@ def _run_tree(args: argparse.Namespace) -> int:
                     f"{row['shard_max']}/{row['hits']} hits, "
                     f"bound {row['distcache_bound']:.1f} [{status}]"
                 )
-        last_monitor = monitor
-        last_recorder = recorder
-    _write_metrics(args, metrics, tracer)
-    _write_monitor(args, last_monitor)
-    _write_trace(args, last_recorder, monitor=last_monitor)
+    _write_outputs(args, context)
     return 0
 
 

@@ -15,13 +15,10 @@ from .report import ExperimentResult, render_table
 from .fig3 import run_fig3a, run_fig3b, run_fig3
 from .fig4 import run_fig4
 from .fig5 import run_fig5a, run_fig5b, run_fig5
-from .campaign import CampaignResult, run_campaign
 from .stealth import run_stealth_sweep
 from .plot import ascii_plot
 
 __all__ = [
-    "CampaignResult",
-    "run_campaign",
     "run_stealth_sweep",
     "ascii_plot",
     "PaperParams",

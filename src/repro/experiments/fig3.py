@@ -21,7 +21,7 @@ import numpy as np
 
 from ..analysis.tightness import bound_tightness
 from ..core.bounds import DEFAULT_CALIBRATED_K_PRIME, normalized_max_load_bound
-from ..obs.tracer import as_tracer
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..sim.analytic import MonteCarloSimulator
 from ..sim.config import SimulationConfig
 from .params import PAPER, PaperParams
@@ -48,11 +48,8 @@ def run_fig3(
     seed: Optional[int] = None,
     selection: str = "least-loaded",
     name: str = "fig3",
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
     chaos=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> ExperimentResult:
     """Run one Figure-3 panel at the given cache size.
 
@@ -64,6 +61,9 @@ def run_fig3(
     ``chaos`` (a :class:`repro.chaos.ChaosConfig`) degrades every trial
     at the failure process's steady state; the bound columns stay the
     healthy-system curves, so the gap shows what failures cost.
+    ``context`` (a :class:`repro.obs.RunContext`) carries the worker
+    count and the instruments; the panel runs inside a span named
+    ``name``.
     """
     params = paper.system(c=cache_size)
     trials = paper.trials if trials is None else trials
@@ -72,13 +72,12 @@ def run_fig3(
     sim = MonteCarloSimulator(
         SimulationConfig(
             params=params, trials=trials, seed=seed, selection=selection,
-            workers=workers, metrics=metrics, tracer=tracer, monitor=monitor,
             chaos=chaos,
-        )
+        ),
+        context,
     )
-    span_tracer = as_tracer(tracer)
     xs, sim_max, sim_mean, bounds_paper, bounds_calib = [], [], [], [], []
-    with span_tracer.span(name):
+    with context.spans.span(name):
         for x in x_values:
             report = sim.uniform_attack(int(x))
             xs.append(int(x))
@@ -131,17 +130,13 @@ def run_fig3a(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     x_values: Optional[Sequence[int]] = None,
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
     chaos=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> ExperimentResult:
     """Figure 3(a): the small-cache panel (c = 200)."""
     return run_fig3(
         paper.c_small, paper=paper, trials=trials, seed=seed,
-        x_values=x_values, name="fig3a", workers=workers,
-        metrics=metrics, tracer=tracer, monitor=monitor, chaos=chaos,
+        x_values=x_values, name="fig3a", chaos=chaos, context=context,
     )
 
 
@@ -150,15 +145,11 @@ def run_fig3b(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     x_values: Optional[Sequence[int]] = None,
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
     chaos=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> ExperimentResult:
     """Figure 3(b): the large-cache panel (c = 2000)."""
     return run_fig3(
         paper.c_large, paper=paper, trials=trials, seed=seed,
-        x_values=x_values, name="fig3b", workers=workers,
-        metrics=metrics, tracer=tracer, monitor=monitor, chaos=chaos,
+        x_values=x_values, name="fig3b", chaos=chaos, context=context,
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..adversary.strategies import OptimalAdversary, UniformFlood, ZipfClient
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..sim.analytic import MonteCarloSimulator
 from ..sim.config import SimulationConfig
 from .params import PAPER, PaperParams
@@ -43,11 +44,8 @@ def run_fig4(
     seed: Optional[int] = None,
     m: Optional[int] = None,
     selection: str = "least-loaded",
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
     chaos=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> ExperimentResult:
     """Run the Figure-4 sweep.
 
@@ -55,7 +53,9 @@ def run_fig4(
     each the max-over-trials normalized maximum load.  ``m`` can shrink
     the key space for quick runs (the uniform/Zipf points scale with m).
     ``chaos`` degrades every trial at the failure process's steady state
-    (see :class:`repro.chaos.ChaosConfig`).
+    (see :class:`repro.chaos.ChaosConfig`); ``context`` (a
+    :class:`repro.obs.RunContext`) carries the worker count and the
+    instruments.
     """
     c = paper.c_fig4 if cache_size is None else cache_size
     trials = paper.trials if trials is None else trials
@@ -70,9 +70,9 @@ def run_fig4(
         sim = MonteCarloSimulator(
             SimulationConfig(
                 params=params, trials=trials, seed=seed, selection=selection,
-                workers=workers, metrics=metrics, tracer=tracer, monitor=monitor,
                 chaos=chaos,
-            )
+            ),
+            context,
         )
         patterns = {
             "uniform": UniformFlood(params).distribution(),

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.bounds import DEFAULT_CALIBRATED_K_PRIME
 from ..core.cases import critical_cache_size
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..sim.analytic import MonteCarloSimulator
 from ..sim.config import SimulationConfig
 from .params import PAPER, PaperParams
@@ -46,11 +47,8 @@ def run_fig5(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     selection: str = "least-loaded",
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
     chaos=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> ExperimentResult:
     """The joint Figure-5 sweep.
 
@@ -59,7 +57,9 @@ def run_fig5(
     empirical crossing are recorded in the notes.  ``chaos`` degrades
     every trial at the failure process's steady state (see
     :class:`repro.chaos.ChaosConfig`), shifting the empirical critical
-    point upward relative to the healthy analytic one.
+    point upward relative to the healthy analytic one.  ``context`` (a
+    :class:`repro.obs.RunContext`) carries the worker count and the
+    instruments.
     """
     trials = paper.trials if trials is None else trials
     if cache_values is None:
@@ -70,9 +70,9 @@ def run_fig5(
         sim = MonteCarloSimulator(
             SimulationConfig(
                 params=params, trials=trials, seed=seed, selection=selection,
-                workers=workers, metrics=metrics, tracer=tracer, monitor=monitor,
                 chaos=chaos,
-            )
+            ),
+            context,
         )
         gain, x, _ = sim.best_achievable()
         columns["c"].append(int(c))

@@ -1,13 +1,18 @@
-"""Observability: deterministic metrics, phase tracing, exporters.
+"""Observability: deterministic metrics, phase spans, monitoring, tracing.
 
 The instrumentation surface every layer of the reproduction reports
 through (see ``docs/OBSERVABILITY.md``):
 
+- :class:`RunContext` — **the one handle**: engines, campaign runners
+  and figure drivers take a single ``context=`` holding the four
+  instruments below plus the worker count; per-trial collection and the
+  trial-order merge live on it (:mod:`repro.obs.context`);
 - :class:`MetricsRegistry` — counters, gauges and fixed-bucket log-scale
   histograms; values are deterministic (identical across worker counts)
   and registries merge exactly;
 - :class:`Tracer` — nestable wall-clock spans for the simulation phases
-  (workload gen -> cache -> partition -> allocation -> report);
+  (workload gen -> cache -> partition -> allocation -> report;
+  :mod:`repro.obs.spans`);
 - :func:`export_json` / :func:`write_json` / :func:`to_prometheus` —
   one source of truth, two export formats;
 - :class:`LoadMonitor` — **online** attack monitoring: simulated-clock
@@ -23,9 +28,11 @@ through (see ``docs/OBSERVABILITY.md``):
   suspects, the ``attribution-concentration`` alert and the forensic
   timeline dashboards (:mod:`repro.obs.forensics`).
 
-Everything defaults off: code paths accept ``metrics=None`` /
-``tracer=None`` / ``monitor=None`` and normalise onto the shared no-op
-singletons, which record nothing and allocate nothing.
+Everything defaults off: :data:`NULL_CONTEXT` holds the shared no-op
+singletons (``NULL_REGISTRY``, ``NULL_TRACER``, ``NULL_MONITOR``,
+``NULL_RECORDER``), which record nothing and allocate nothing.  Attach
+an instrument by building ``RunContext(metrics=MetricsRegistry(), ...)``
+with only the ones wanted.
 """
 
 from .metrics import (
@@ -38,7 +45,7 @@ from .metrics import (
     NullRegistry,
     as_registry,
 )
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, as_tracer
+from .spans import NULL_TRACER, NullTracer, Span, Tracer, as_tracer
 from .export import export_json, to_prometheus, write_json
 from .windows import StreamingEntropy, WindowAccumulator
 from .sketch import P2Quantile, QuantileBank, SpaceSaving
@@ -62,6 +69,7 @@ from .trace import (
     TraceConfig,
     as_trace,
 )
+from .context import NULL_CONTEXT, RunContext
 from .dashboard import render_html, render_text, write_html
 from .forensics import (
     path_breakdown,
@@ -72,6 +80,8 @@ from .forensics import (
 )
 
 __all__ = [
+    "RunContext",
+    "NULL_CONTEXT",
     "Counter",
     "Gauge",
     "Histogram",

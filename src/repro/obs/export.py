@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .metrics import MetricsRegistry
-from .tracer import Tracer
+from .spans import Tracer
 
 __all__ = ["export_json", "write_json", "to_prometheus"]
 

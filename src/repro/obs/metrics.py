@@ -4,7 +4,7 @@ Design constraints (the contract tests pin all of these down):
 
 - **Deterministic**: metric values never depend on wall-clock time,
   scheduling or worker count.  Anything time-based belongs in
-  :mod:`repro.obs.tracer`, which is explicitly excluded from the
+  :mod:`repro.obs.spans`, which is explicitly excluded from the
   cross-worker determinism guarantee.
 - **Mergeable**: per-trial registries produced inside worker processes
   merge into a campaign registry.  Counter and histogram merges are
@@ -16,7 +16,7 @@ Design constraints (the contract tests pin all of these down):
   instrumented code path with the null registry behaves (and allocates)
   exactly like an uninstrumented one.
 - **Picklable**: registries are plain-data objects (no locks, no file
-  handles) so they can ride along in simulator configs across process
+  handles) so they can ride along in a run context across process
   boundaries.
 
 Histogram buckets are fixed log-scale (powers of two), so two

@@ -4,7 +4,7 @@ The layer ISSUE 5 adds on top of :mod:`repro.obs`:
 
 - :mod:`repro.perf.profiler` — deterministic op-counters (merge-in-
   trial-order, bit-identical across worker counts) + wall-clock spans
-  + ``tracemalloc`` peak capture, one attachable handle.
+  + the RSS high-water mark, one attachable handle.
 - :mod:`repro.perf.harness` — the registry every ``benchmarks/bench_*``
   script registers into; runs each bench with the engine phase in its
   own span (throughput excludes export/serialization time) and emits a
@@ -29,6 +29,7 @@ from .compare import (
 from .harness import (
     BenchResult,
     BenchSpec,
+    active_context,
     active_profiler,
     discover,
     get_spec,
@@ -66,6 +67,7 @@ __all__ = [
     "discover",
     "run_suite",
     "active_profiler",
+    "active_context",
     "smoke_mode",
     "RunManifest",
     "SCHEMA_VERSION",

@@ -15,7 +15,8 @@ everything the scripts used to copy-paste:
   survive test runs);
 - profiling: the engine phase runs inside its own span, **separate**
   from the export span, so recorded throughput never includes JSON
-  serialization or table rendering time;
+  serialization or table rendering time, and never under
+  ``tracemalloc`` (a caller's tracing is paused around it);
 - the schema-versioned :class:`~repro.perf.schema.RunManifest` and its
   append into ``benchmarks/results/history.jsonl`` plus the top-level
   ``BENCH_<name>.json`` trajectories (``repro perf run`` only — plain
@@ -40,6 +41,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +50,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..exceptions import ReproError
+from ..obs.context import NULL_CONTEXT, RunContext
 from .profiler import Profiler
 from .schema import RunManifest, git_sha, peak_rss_bytes
 
@@ -60,6 +63,7 @@ __all__ = [
     "discover",
     "run_suite",
     "active_profiler",
+    "active_context",
     "bench_dir",
     "results_dir",
     "smoke_mode",
@@ -149,11 +153,40 @@ def emit_json(name: str, payload: dict, directory: Optional[Path] = None) -> Pat
 def active_profiler() -> Optional[Profiler]:
     """The executing bench's profiler (``None`` outside a harness run).
 
-    Bench ``run()`` bodies use this to attach op-counting to engine
-    calls (``metrics=active_profiler().metrics``) without the harness
-    having to thread the profiler through every signature.
+    Most bench bodies want :func:`active_context` instead.
     """
     return _ACTIVE_PROFILER
+
+
+def active_context() -> RunContext:
+    """The run context a bench hands its engine calls.
+
+    Inside :meth:`BenchSpec.execute` it records op-counters into the
+    executing bench's profiler; outside a harness run it is the null
+    context.  Benches pass it as
+    ``context=`` (or its ``metrics`` to an allocation kernel) without
+    the harness threading the profiler through any signature.
+    """
+    profiler = _ACTIVE_PROFILER
+    return NULL_CONTEXT if profiler is None else RunContext(metrics=profiler.metrics)
+
+
+@contextmanager
+def _untraced() -> Iterator[None]:
+    """Pause a caller's ``tracemalloc`` session around a timed region.
+
+    Memory tracing costs a large constant factor per allocation, so a
+    timing taken under it is not the program's.  Restarting resets the
+    traced peak; manifests report only the RSS high-water mark.
+    """
+    if not tracemalloc.is_tracing():
+        yield
+        return
+    tracemalloc.stop()
+    try:
+        yield
+    finally:
+        tracemalloc.start()
 
 
 @contextmanager
@@ -292,8 +325,9 @@ class BenchSpec:
         """Run the bench once under the profiler and build its manifest.
 
         The engine phase (``run()``) executes inside the
-        ``<name>/engine`` span; rendering and artifact serialization
-        execute inside the sibling ``<name>/export`` span.  Manifest
+        ``<name>/engine`` span, with ``tracemalloc`` off; rendering and
+        artifact serialization execute inside the sibling
+        ``<name>/export`` span.  Manifest
         throughput divides workload units by the *engine* span only —
         export time is structurally excluded, and
         ``tests/test_perf_harness.py`` pins that with an injected clock.
@@ -305,7 +339,7 @@ class BenchSpec:
         previous_profiler = _ACTIVE_PROFILER
         _ACTIVE_PROFILER = profiler
         try:
-            with _smoke_env(smoke), profiler.capture():
+            with _smoke_env(smoke), _untraced():
                 with profiler.span(self.name) as outer:
                     with profiler.span("engine") as engine:
                         payload = self.run()
@@ -356,7 +390,6 @@ class BenchSpec:
             engines=_manifest_engines(payload_dict),
             ops=snapshot["ops"],
             spans=snapshot["spans"],
-            tracemalloc_peak_bytes=profiler.tracemalloc_peak_bytes,
             rss_peak_bytes=peak_rss_bytes(),
             error=error,
         )

@@ -1,11 +1,11 @@
 """Deterministic profiler: op-counters, span timing, peak memory.
 
-The profiler is a thin bundle over the two existing observability seams
-plus a ``tracemalloc`` window:
+The profiler is a thin bundle over two observability seams plus the
+process RSS high-water mark:
 
 - **op-counters** live in a private :class:`~repro.obs.MetricsRegistry`.
-  Attach ``profiler.metrics`` anywhere a ``metrics=`` argument is
-  accepted (both engines, the allocation kernels, the caches) and every
+  Run an engine under ``RunContext(metrics=profiler.metrics)`` (or hand
+  ``profiler.metrics`` to an allocation kernel or cache hook) and every
   operation count — requests simulated, balls thrown, cache ops, heap
   events — lands here.  Counter values are *deterministic*: the engines
   record per-trial registries that merge in trial order, so
@@ -14,9 +14,9 @@ plus a ``tracemalloc`` window:
 - **spans** live in a private :class:`~repro.obs.Tracer`; wall-clock,
   explicitly excluded from the determinism guarantee, injectable clock
   for tests.
-- **memory**: :meth:`Profiler.capture` brackets a region with
-  ``tracemalloc`` and records the peak traced allocation alongside the
-  process RSS high-water mark.
+- **memory**: the snapshot reports the process RSS high-water mark.
+  Nothing runs under ``tracemalloc``: it inflates allocation-heavy code
+  several-fold, and the harness times what the profiler observes.
 
 The profiler is an *observer*: attaching it never changes an engine
 result (the golden-fixture test pins the disabled path byte-for-byte,
@@ -26,12 +26,10 @@ and the determinism tests pin the attached path value-for-value).
 from __future__ import annotations
 
 import time
-import tracemalloc
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.spans import NULL_TRACER, Tracer
 from .schema import peak_rss_bytes
 
 __all__ = ["Profiler", "NullProfiler", "NULL_PROFILER", "as_profiler"]
@@ -45,7 +43,7 @@ def _format_key(name: str, labels) -> str:
 
 
 class Profiler:
-    """Op-counters + wall-clock spans + peak-memory capture, one handle.
+    """Op-counters + wall-clock spans + peak memory, one handle.
 
     Parameters
     ----------
@@ -55,10 +53,6 @@ class Profiler:
         :func:`time.perf_counter`.
     max_spans:
         Raw-span retention cap forwarded to the tracer.
-    trace_memory:
-        Whether :meth:`capture` runs ``tracemalloc`` (it costs a
-        constant factor on allocation-heavy code; benches keep it on,
-        hot loops that only want counters can turn it off).
     """
 
     enabled = True
@@ -67,15 +61,12 @@ class Profiler:
         self,
         clock: Optional[Callable[[], float]] = None,
         max_spans: int = 10_000,
-        trace_memory: bool = True,
     ) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(
             clock=clock if clock is not None else time.perf_counter,
             max_spans=max_spans,
         )
-        self._trace_memory = trace_memory
-        self.tracemalloc_peak_bytes: Optional[int] = None
 
     # -- spans -------------------------------------------------------------
 
@@ -104,42 +95,19 @@ class Profiler:
             _format_key(c.name, c.labels): c.value for c in self.metrics.counters()
         }
 
-    # -- memory ------------------------------------------------------------
-
-    @contextmanager
-    def capture(self) -> Iterator["Profiler"]:
-        """Bracket a region with ``tracemalloc`` peak tracking.
-
-        Nest-safe: if tracing is already on (an outer capture or the
-        caller's own tracemalloc session), the window only resets the
-        peak counter and leaves tracing running on exit.
-        """
-        if not self._trace_memory:
-            yield self
-            return
-        started_here = not tracemalloc.is_tracing()
-        if started_here:
-            tracemalloc.start()
-        else:
-            tracemalloc.reset_peak()
-        try:
-            yield self
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            previous = self.tracemalloc_peak_bytes or 0
-            self.tracemalloc_peak_bytes = max(previous, int(peak))
-            if started_here:
-                tracemalloc.stop()
-
     # -- snapshot ----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Plain-data dump: ops, span aggregates, memory peaks."""
+        """Plain-data dump: ops, span aggregates, memory peak.
+
+        ``tracemalloc_peak_bytes`` is always ``None``; the key stays so
+        the block keeps the manifest schema's shape.
+        """
         return {
             "ops": self.op_counts(),
             "spans": self.span_aggregates(),
             "memory": {
-                "tracemalloc_peak_bytes": self.tracemalloc_peak_bytes,
+                "tracemalloc_peak_bytes": None,
                 "rss_peak_bytes": peak_rss_bytes(),
             },
         }
@@ -156,7 +124,7 @@ class NullProfiler(Profiler):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(trace_memory=False, max_spans=0)
+        super().__init__(max_spans=0)
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
 

@@ -49,7 +49,7 @@ def _summary_section(groups: Dict[str, List[RunManifest]]) -> List[str]:
         spark = svg_sparkline(
             [m.engine_seconds for m in runs], width=180, height=28
         )
-        peak = latest.tracemalloc_peak_bytes
+        peak = latest.rss_peak_bytes
         peak_mib = peak / (1024 * 1024) if peak is not None else None
         cells = [
             html.escape(bench),

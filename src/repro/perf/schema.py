@@ -6,7 +6,9 @@ phase took (JSON serialization and table rendering are timed separately
 — see ``docs/PERFORMANCE.md``), what it processed (events and balls, so
 throughput is events/sec and balls/sec over engine time only), the
 profiler's deterministic op-counters and wall-clock span aggregates,
-and peak memory (``tracemalloc`` peak plus process RSS high-water mark).
+and peak memory (the process RSS high-water mark; the
+``tracemalloc_peak_bytes`` field is ``null`` in new manifests — timings
+are never taken under memory tracing — and is still read from old rows).
 
 Manifests append to ``benchmarks/results/history.jsonl`` (one JSON
 object per line) and roll up into the top-level ``BENCH_<name>.json``

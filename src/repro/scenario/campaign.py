@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from .build import BuildContext
+from ..obs.context import RunContext
+from ..obs.trace import FlightRecorder
+from .build import BuildContext, build_component
 from .manifest import campaign_manifest, write_manifest
 from .registry import REGISTRY, discover
 from .report import write_campaign_html
@@ -76,29 +78,41 @@ class ScenarioOutcome:
     trace: object = None
 
 
+def _build_trace(spec: ScenarioSpec, ctx: BuildContext):
+    """The spec's ``trace:`` section as an enabled flight recorder.
+
+    The section resolves through the ``sampler`` namespace (its builder
+    returns a :class:`~repro.obs.trace.TraceConfig`); the recorder is
+    seeded with the spec seed so per-trial hash samplers are
+    reproducible across engines and worker counts.
+    """
+    if spec.trace is None:
+        return None
+    config = build_component("sampler", spec.trace, ctx, path="trace")
+    return FlightRecorder(config, seed=spec.seed)
+
+
 def run_scenario(
     spec: ScenarioSpec,
     workers: Optional[int] = None,
 ) -> ScenarioOutcome:
     """Run one scenario through its engine.
 
-    ``workers`` overrides the spec's worker count (the CLI flag); the
-    results are identical either way, only wall-clock changes.
+    Builds the run's :class:`repro.obs.RunContext` from the spec — its
+    worker count (``workers`` overrides it: the CLI flag; the results
+    are identical either way, only wall-clock changes) and the flight
+    recorder of its ``trace:`` section — and hands it to the engine.
     """
     discover()
     spec = _apply_smoke(spec)
     entry = REGISTRY.get("engine", spec.engine.kind, path="engine.kind")
     ctx = BuildContext(params=spec.system, seed=spec.seed)
-    out = entry.factory(
-        spec,
-        ctx,
-        spec.workers if workers is None else workers,
-        **spec.engine.params,
+    context = RunContext(
+        trace=_build_trace(spec, ctx),
+        workers=spec.workers if workers is None else workers,
     )
-    # Engines return (stats, result) — plus the merged flight recorder
-    # as an optional third element when the spec enables tracing.
-    stats, result = out[0], out[1]
-    trace = out[2] if len(out) > 2 else None
+    stats, result = entry.factory(spec, ctx, context, **spec.engine.params)
+    trace = context.trace if context.trace.enabled else None
     return ScenarioOutcome(spec=spec, stats=stats, result=result, trace=trace)
 
 

@@ -1,16 +1,17 @@
 """The execution engines, as registry entries.
 
-An engine is a function ``run(spec, ctx, workers, **engine_params)``
+An engine is a function ``run(spec, ctx, context, **engine_params)``
 returning ``(stats, result)``: ``stats`` is a plain-data (JSON-safe,
 NaN-free) summary that lands in campaign manifests and golden fixtures,
 ``result`` the engine's native aggregate (a
 :class:`~repro.types.LoadReport` or
 :class:`~repro.sim.batch.EventCampaign`) for callers that want more
-than the summary.  A spec with a ``trace:`` section makes the
-event-driven engine return a third element — the merged
-:class:`~repro.obs.trace.FlightRecorder` — which
-:func:`~repro.scenario.campaign.run_scenario` surfaces as
-``ScenarioOutcome.trace``.  Both engines execute their trials through
+than the summary.  ``ctx`` is the component
+:class:`~repro.scenario.build.BuildContext`; ``context`` the
+:class:`repro.obs.RunContext` that
+:func:`~repro.scenario.campaign.run_scenario` builds from the spec (its
+worker count, plus the flight recorder when the spec has a ``trace:``
+section).  Both engines execute their trials through
 :class:`repro.sim.parallel.ParallelExecutor` and are bit-identical
 across worker counts given the spec's explicit seed.
 
@@ -31,6 +32,7 @@ from typing import Optional, Tuple
 
 from ..core.notation import SystemParameters
 from ..exceptions import ReproError, ScenarioValidationError
+from ..obs.context import RunContext
 from .build import BuildContext, build_component, build_distribution
 from .registry import register_component
 from .spec import ComponentSpec, ScenarioSpec
@@ -48,22 +50,6 @@ def _build_chaos(spec: ScenarioSpec, ctx: BuildContext):
     if spec.chaos is None:
         return None
     return build_component("chaos", spec.chaos, ctx, path="chaos")
-
-
-def _build_trace(spec: ScenarioSpec, ctx: BuildContext):
-    """The spec's ``trace:`` section as an enabled flight recorder.
-
-    The section resolves through the ``sampler`` namespace (its builder
-    returns a :class:`~repro.obs.trace.TraceConfig`); the recorder is
-    seeded with the spec seed so per-trial hash samplers are
-    reproducible across engines and worker counts.
-    """
-    if spec.trace is None:
-        return None
-    from ..obs.trace import FlightRecorder
-
-    config = build_component("sampler", spec.trace, ctx, path="trace")
-    return FlightRecorder(config, seed=spec.seed)
 
 
 def _require_model_component(
@@ -84,7 +70,7 @@ def _require_model_component(
 def run_monte_carlo(
     spec: ScenarioSpec,
     ctx: BuildContext,
-    workers: int,
+    context: RunContext,
     exact_rates: bool = True,
 ) -> Tuple[dict, object]:
     """The paper's placement simulator over the spec's distribution."""
@@ -115,10 +101,11 @@ def run_monte_carlo(
             selection=spec.selection.kind,
             exact_rates=exact_rates,
             queries_per_trial=spec.queries,
-            workers=workers,
             chaos=_build_chaos(spec, ctx),
         )
-        report = MonteCarloSimulator(config).distribution_attack(distribution)
+        report = MonteCarloSimulator(config, context).distribution_attack(
+            distribution
+        )
     except ScenarioValidationError:
         raise
     except ReproError as exc:
@@ -143,7 +130,7 @@ def _spec_cache(cache_spec: ComponentSpec, ctx: BuildContext):
 def run_event_driven(
     spec: ScenarioSpec,
     ctx: BuildContext,
-    workers: int,
+    context: RunContext,
     routing: str = "pin",
     queue_limit: int = 64,
     service: str = "deterministic",
@@ -160,7 +147,6 @@ def run_event_driven(
     selection = build_component(
         "selection", spec.selection, ctx, path="selection"
     )
-    recorder = _build_trace(spec, ctx)
     try:
         cluster = Cluster(
             params.n,
@@ -176,13 +162,12 @@ def run_event_driven(
             n_queries=spec.queries,
             seed=spec.seed,
             cache_factory=partial(_spec_cache, spec.cache, ctx),
-            workers=workers,
+            context=context,
             cluster=cluster,
             routing=routing,
             queue_limit=queue_limit,
             service=service,
             chaos=_build_chaos(spec, ctx),
-            trace=recorder,
         )
     except ScenarioValidationError:
         raise
@@ -200,7 +185,8 @@ def run_event_driven(
         "failure_events": campaign.total_failure_events,
         "unavailable": campaign.total_unavailable,
     }
-    if recorder is not None:
+    recorder = context.trace
+    if recorder.enabled:
         # Conditional block: trace-less specs keep their stats (and the
         # golden fixtures pinning them) byte-identical.
         stats["trace"] = {
@@ -210,5 +196,4 @@ def run_event_driven(
             "alerts": len(recorder.alerts),
             "suspects": recorder.suspects(),
         }
-        return stats, campaign, recorder
     return stats, campaign

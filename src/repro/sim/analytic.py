@@ -24,7 +24,7 @@ from ..cluster.failures import degrade_groups, sample_failures
 from ..cluster.selection import make_selection_policy
 from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError, SimulationError
-from ..obs.tracer import as_tracer
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
 from ..workload.distributions import KeyDistribution
 from .config import SimulationConfig
@@ -41,13 +41,18 @@ __all__ = [
 class MonteCarloSimulator:
     """Reusable facade over the placement simulator.
 
-    Holds a :class:`~repro.sim.config.SimulationConfig` and exposes the
-    per-experiment entry points; the module-level functions are
-    single-shot conveniences over the same code.
+    Holds a :class:`~repro.sim.config.SimulationConfig` plus the
+    :class:`repro.obs.RunContext` its campaigns run under (instruments
+    and worker count) and exposes the per-experiment entry points; the
+    module-level functions are single-shot conveniences over the same
+    code.
     """
 
-    def __init__(self, config: SimulationConfig) -> None:
+    def __init__(
+        self, config: SimulationConfig, context: RunContext = NULL_CONTEXT
+    ) -> None:
         self._config = config
+        self._context = context
         self._selection = make_selection_policy(config.selection)
         if config.chaos is not None and config.selection != "least-loaded":
             raise ConfigurationError(
@@ -70,20 +75,20 @@ class MonteCarloSimulator:
         params = self._config.params
         if not 1 <= x <= params.m:
             raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
-        tracer = as_tracer(self._config.tracer)
+        spans = self._context.spans
         balls = x - params.c
         if balls <= 0:
             # Every queried key is cached: the back end sees nothing.
             return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
         # Phase spans are wall-clock and process-local: they record in
-        # serial runs; with workers > 1 the worker's tracer copy is
-        # discarded (metric determinism is unaffected — spans never
-        # touch the registry).
-        with tracer.span("workload"):
+        # serial runs; with workers > 1 the worker's copy is discarded
+        # (metric determinism is unaffected — spans never touch the
+        # registry).
+        with spans.span("workload"):
             rates = self._uncached_rates(x, balls, gen)
-        with tracer.span("partition"):
+        with spans.span("partition"):
             groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
-        with tracer.span("allocation"):
+        with spans.span("allocation"):
             loads = self._node_loads(groups, rates, gen)
         return LoadVector(loads=loads, total_rate=params.rate)
 
@@ -125,10 +130,7 @@ class MonteCarloSimulator:
                 "x": x, "selection": cfg.selection,
                 **_param_meta(cfg.params), **_chaos_meta(cfg),
             },
-            workers=cfg.workers,
-            metrics=cfg.metrics,
-            tracer=cfg.tracer,
-            monitor=cfg.monitor,
+            context=self._context,
         )
 
     def _uncached_rates(
@@ -160,8 +162,8 @@ class MonteCarloSimulator:
             raise SimulationError(
                 f"distribution covers {distribution.m} keys, system serves {params.m}"
             )
-        tracer = as_tracer(self._config.tracer)
-        with tracer.span("workload"):
+        spans = self._context.spans
+        with spans.span("workload"):
             probs = distribution.probabilities()
             cached = distribution.top_keys(params.c)
             uncached_mask = probs > 0
@@ -170,9 +172,9 @@ class MonteCarloSimulator:
         balls = int(rates.size)
         if balls == 0:
             return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
-        with tracer.span("partition"):
+        with spans.span("partition"):
             groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
-        with tracer.span("allocation"):
+        with spans.span("allocation"):
             loads = self._node_loads(groups, rates, gen)
         return LoadVector(loads=loads, total_rate=params.rate)
 
@@ -190,10 +192,7 @@ class MonteCarloSimulator:
                 **_param_meta(cfg.params),
                 **_chaos_meta(cfg),
             },
-            workers=cfg.workers,
-            metrics=cfg.metrics,
-            tracer=cfg.tracer,
-            monitor=cfg.monitor,
+            context=self._context,
         )
 
     # -- the adversary's endpoint choice (Figure 5) -------------------------
@@ -262,15 +261,14 @@ def simulate_uniform_attack(
     seed: Optional[int] = None,
     selection: str = "least-loaded",
     exact_rates: bool = True,
-    workers: int = 1,
-    metrics=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
     """One-call version of the paper's x-key attack experiment.
 
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) is
-    forwarded to the campaign runner, which records its deterministic
-    aggregates in the parent — attaching a registry (e.g. a perf
-    profiler's) never changes the report.
+    ``context`` (a :class:`repro.obs.RunContext`) carries the worker
+    count and the instruments; the campaign runner records its
+    deterministic aggregates in the parent, so attaching a registry
+    (e.g. a perf profiler's) never changes the report.
     """
     sim = MonteCarloSimulator(
         SimulationConfig(
@@ -279,9 +277,8 @@ def simulate_uniform_attack(
             seed=seed,
             selection=selection,
             exact_rates=exact_rates,
-            workers=workers,
-            metrics=metrics,
-        )
+        ),
+        context,
     )
     return sim.uniform_attack(x)
 
@@ -292,14 +289,14 @@ def simulate_distribution(
     trials: int = 200,
     seed: Optional[int] = None,
     selection: str = "least-loaded",
-    workers: int = 1,
+    context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
     """One-call version of the arbitrary-pattern experiment (Figure 4)."""
     sim = MonteCarloSimulator(
         SimulationConfig(
             params=params, trials=trials, seed=seed, selection=selection,
-            workers=workers,
-        )
+        ),
+        context,
     )
     return sim.distribution_attack(distribution)
 
@@ -309,14 +306,14 @@ def best_achievable_gain(
     trials: int = 200,
     seed: Optional[int] = None,
     selection: str = "least-loaded",
-    workers: int = 1,
+    context: RunContext = NULL_CONTEXT,
 ) -> Tuple[float, int]:
     """Best worst-case gain and the ``x`` achieving it (Figure 5 unit)."""
     sim = MonteCarloSimulator(
         SimulationConfig(
             params=params, trials=trials, seed=seed, selection=selection,
-            workers=workers,
-        )
+        ),
+        context,
     )
     gain, x, _ = sim.best_achievable()
     return gain, x

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.notation import SystemParameters
 from ..exceptions import SimulationError
-from ..obs.tracer import as_tracer
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport
 from ..workload.distributions import KeyDistribution
 from .eventsim import EventDrivenSimulator, EventSimResult
@@ -112,9 +112,7 @@ def _event_campaign_trial(
     seed: Optional[int],
     cache_factory: Optional[Callable[[], object]],
     simulator_kwargs: dict,
-    metrics=None,
-    monitor=None,
-    trace=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> EventSimResult:
     """One campaign trial (top-level, so process pools can pickle it).
 
@@ -131,17 +129,17 @@ def _event_campaign_trial(
     initial state.  The cluster is shared, not copied: the event engine
     only reads its size, replication and replica groups.
 
-    ``metrics`` / ``monitor`` / ``trace`` are the per-trial registry,
-    monitor and flight recorder the executor provides when the campaign
-    is instrumented; the simulator publishes into them and the executor
-    merges the snapshots in trial order.
+    ``context`` is the per-trial :class:`repro.obs.RunContext` the
+    executor provides when the campaign is instrumented; the simulator
+    publishes into it and the executor merges its snapshot in trial
+    order.
     """
     del gen
     distribution = copy.deepcopy(distribution)
     cache = cache_factory() if cache_factory is not None else None
     sim = EventDrivenSimulator(
-        params, distribution, cache=cache, seed=seed, metrics=metrics,
-        monitor=monitor, trace=trace, **simulator_kwargs
+        params, distribution, cache=cache, seed=seed, context=context,
+        **simulator_kwargs
     )
     return sim.run(n_queries, trial=trial)
 
@@ -153,11 +151,7 @@ def run_event_campaign(
     n_queries: int = 20_000,
     seed: Optional[int] = None,
     cache_factory: Optional[Callable[[], object]] = None,
-    workers: int = 1,
-    metrics=None,
-    tracer=None,
-    monitor=None,
-    trace=None,
+    context: RunContext = NULL_CONTEXT,
     **simulator_kwargs,
 ) -> EventCampaign:
     """Run ``trials`` independent event-driven replays and aggregate.
@@ -173,42 +167,30 @@ def run_event_campaign(
         Builds a *fresh* cache per trial (stateful policies must not
         leak warmth between trials).  ``None`` uses the per-simulator
         default (the perfect cache).  Must be picklable when
-        ``workers > 1``.
-    workers:
-        Worker processes (``0`` = one per CPU, default ``1`` = serial);
-        with an explicit ``seed`` the results are identical for every
-        value — see :mod:`repro.sim.parallel`.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  Each trial records
-        into a fresh per-trial registry (inside the worker when
-        parallel) and the snapshots are merged here in trial order, so
-        the aggregate values are identical for every ``workers`` value.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; records campaign-level
-        wall-clock spans (``trials`` -> ``aggregate``) in this process.
-    monitor:
-        Optional :class:`repro.obs.LoadMonitor`.  Each trial runs under
-        a fresh per-trial monitor built from ``monitor.config`` (inside
-        the worker when parallel); window, alert and run-summary records
-        merge back here strictly in trial order, so the event log is
-        identical for every ``workers`` value.  The campaign emits the
-        single manifest record up front.
-    trace:
-        Optional :class:`repro.obs.FlightRecorder`.  Each trial runs
-        under a fresh per-trial recorder built from ``trace.config`` and
-        the campaign seed (inside the worker when parallel); trace
-        records, suspects and attribution alerts merge back here
-        strictly in trial order, so the exported trace JSONL is
-        bit-identical for every ``workers`` value.
+        ``context.workers > 1``.
+    context:
+        The campaign's :class:`repro.obs.RunContext`.
+        ``context.workers`` fans trials out (``0`` = one per CPU,
+        default ``1`` = serial); with an explicit ``seed`` the results
+        are identical for every value — see :mod:`repro.sim.parallel`.
+        Its ``spans`` record the campaign-level wall-clock spans
+        (``trials`` -> ``aggregate``) in this process.  Its ``metrics``,
+        ``monitor`` and ``trace`` collect per trial: each trial runs
+        under a fresh :meth:`~repro.obs.RunContext.for_trial` context
+        (inside the worker when parallel) whose snapshot merges back
+        here strictly in trial order, so aggregate metrics, the event
+        log and the exported trace JSONL are identical for every worker
+        count.  The monitor gets the campaign's single manifest record
+        up front.
     simulator_kwargs:
         Forwarded to every :class:`EventDrivenSimulator` (routing,
         node_capacity, queue_limit, service, cluster...).
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
-    tracer = as_tracer(tracer)
-    if monitor is not None and monitor.enabled:
-        monitor.emit_manifest(
+    spans, metrics = context.spans, context.metrics
+    if context.monitor.enabled:
+        context.monitor.emit_manifest(
             engine="event-driven",
             trials=trials,
             n_queries=n_queries,
@@ -217,9 +199,9 @@ def run_event_campaign(
             n=params.n,
             rate=params.rate,
         )
-    with tracer.span("event-campaign"):
-        with tracer.span("trials"):
-            with ParallelExecutor(workers=workers) as executor:
+    with spans.span("event-campaign"):
+        with spans.span("trials"):
+            with ParallelExecutor(workers=context.workers) as executor:
                 results = executor.map_trials(
                     _event_campaign_trial,
                     trials,
@@ -230,11 +212,9 @@ def run_event_campaign(
                         simulator_kwargs,
                     ),
                     pass_trial=True,
-                    metrics=metrics,
-                    monitor=monitor,
-                    trace=trace,
+                    context=context,
                 )
-        with tracer.span("aggregate"):
+        with spans.span("aggregate"):
             gains = np.array(
                 [outcome.normalized_max for outcome in results], dtype=float
             )
@@ -248,7 +228,7 @@ def run_event_campaign(
                     "distribution": distribution.name,
                 },
             )
-            if metrics is not None:
+            if metrics.enabled:
                 metrics.counter("event_campaign_trials_total").inc(trials)
                 metrics.histogram("trial_normalized_max").observe_many(gains.tolist())
     return EventCampaign(load_report=report, results=tuple(results))

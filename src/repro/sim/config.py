@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..chaos.config import ChaosConfig
@@ -34,32 +34,17 @@ class SimulationConfig:
         finite multinomial batch instead, adding client-side noise.
     queries_per_trial:
         Batch size when ``exact_rates=False``.
-    workers:
-        Worker processes for trial execution: ``1`` (default) runs
-        serially, ``0`` uses every CPU, ``n > 1`` uses exactly ``n``.
-        Results are bit-identical for every value (see
-        :mod:`repro.sim.parallel`).
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry` the campaigns record
-        into (``None`` = observability off, zero overhead).  Excluded
-        from equality/repr: it is a sink, not part of the configuration
-        identity.
-    tracer:
-        Optional :class:`repro.obs.Tracer` for wall-clock phase spans;
-        same exclusions as ``metrics``.
-    monitor:
-        Optional :class:`repro.obs.LoadMonitor` the campaigns feed
-        per-trial gain records into (``None`` = online monitoring off);
-        same exclusions as ``metrics``.
     chaos:
         Optional :class:`repro.chaos.ChaosConfig`.  The Monte-Carlo
         engine has no clock, so it applies the process's *steady-state*
         down fraction per trial: a failure set is sampled from the
         trial's own stream, replica groups are degraded, and the
-        placement re-runs over the survivors.  Unlike the observability
-        sinks this IS part of the configuration identity (it changes
-        results), so it participates in equality.  ``None`` keeps every
+        placement re-runs over the survivors.  It changes results, so it
+        is part of the configuration identity.  ``None`` keeps every
         trial byte-identical to the pre-chaos engine.
+
+    Instruments and the worker count are not configuration: they ride
+    in the :class:`repro.obs.RunContext` the simulator takes beside it.
     """
 
     params: SystemParameters
@@ -68,10 +53,6 @@ class SimulationConfig:
     selection: str = "least-loaded"
     exact_rates: bool = True
     queries_per_trial: int = 100_000
-    workers: int = 1
-    metrics: Optional[object] = field(default=None, compare=False, repr=False)
-    tracer: Optional[object] = field(default=None, compare=False, repr=False)
-    monitor: Optional[object] = field(default=None, compare=False, repr=False)
     chaos: Optional[ChaosConfig] = None
 
     def __post_init__(self) -> None:
@@ -81,18 +62,10 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"queries_per_trial must be positive, got {self.queries_per_trial}"
             )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0 (0 = all CPUs), got {self.workers}"
-            )
         if self.chaos is not None and not isinstance(self.chaos, ChaosConfig):
             raise ConfigurationError(
                 f"chaos must be a ChaosConfig or None, got {type(self.chaos).__name__}"
             )
-
-    def with_workers(self, workers: int) -> "SimulationConfig":
-        """Copy with a different worker count (used by the CLI)."""
-        return replace(self, workers=workers)
 
     def with_params(self, params: SystemParameters) -> "SimulationConfig":
         """Copy with a different system (used by sweeps)."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..workload.adversarial import AdversarialDistribution
 from .analytic import simulate_uniform_attack
 from .batch import run_event_campaign
@@ -60,20 +61,20 @@ def cross_validate(
     event_trials: int = 4,
     queries_per_trial: int = 40_000,
     seed: Optional[int] = None,
-    workers: int = 1,
+    context: RunContext = NULL_CONTEXT,
 ) -> CrossValidation:
     """Run the x-key uniform attack through both engines and compare.
 
     Keeps the event-engine inputs modest by default; raise
     ``queries_per_trial`` when per-node rates need tighter confidence
     (roughly ``20 * rate / n`` queries per node is a good floor).
-    ``workers`` parallelises the trials of both engines (``0`` = one
-    process per CPU) without changing any result.
+    ``context.workers`` parallelises the trials of both engines
+    (``0`` = one process per CPU) without changing any result.
     """
     if not 1 <= x <= params.m:
         raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
     analytic = simulate_uniform_attack(
-        params, x, trials=analytic_trials, seed=seed, workers=workers
+        params, x, trials=analytic_trials, seed=seed, context=context
     ).mean
     campaign = run_event_campaign(
         params,
@@ -81,7 +82,7 @@ def cross_validate(
         trials=event_trials,
         n_queries=queries_per_trial,
         seed=seed,
-        workers=workers,
+        context=context,
     )
     gains = campaign.load_report.normalized_max_per_trial
     drops = [result.drop_rate for result in campaign.results]

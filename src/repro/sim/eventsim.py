@@ -22,6 +22,7 @@ from ..chaos.config import ChaosConfig
 from ..cluster.cluster import Cluster
 from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError, SimulationError
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..rng import RngFactory
 from ..types import LoadVector
 from ..workload.distributions import KeyDistribution
@@ -150,32 +151,6 @@ class EventDrivenSimulator:
         ``"exponential"`` (M/M/1).
     seed:
         Root seed for arrivals, routing and the cluster secret.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`; each :meth:`run`
-        publishes deterministic counters (per-node forwarded / served /
-        shed, cache hits/misses per policy, event counts) and simulated
-        latency histograms.  The default ``None`` records nothing and
-        leaves the run byte-identical to an uninstrumented one.
-    tracer:
-        Optional :class:`repro.obs.Tracer` recording wall-clock phase
-        spans (``workload-gen`` -> ``event-loop`` -> ``report``).
-    monitor:
-        Optional :class:`repro.obs.LoadMonitor`; each :meth:`run` feeds
-        it every request on the simulated clock (``begin_run`` ->
-        ``record_request`` per arrival -> ``finalize``), producing
-        sliding-window telemetry, the streaming gain estimate and
-        alerts.  Like ``metrics``, ``None`` records nothing and leaves
-        the run byte-identical to an unmonitored one.
-    trace:
-        Optional :class:`repro.obs.FlightRecorder`; each :meth:`run`
-        captures a causal trace record per hash-sampled request (key,
-        prefix bucket, client, replica group, node, cache-tree path,
-        queue wait, service time, chaos annotations) into the
-        recorder's bounded ring and feeds its streaming attack
-        attribution engine.  The sampler is keyed-hash based and draws
-        nothing from the engine RNG streams, so ``None`` (the default)
-        and tracing-on runs produce bit-identical results, metrics and
-        monitor telemetry.
     chaos:
         Optional :class:`repro.chaos.ChaosConfig`.  When set, each run
         replays a failure schedule (explicit, or synthesised per trial
@@ -185,7 +160,24 @@ class EventDrivenSimulator:
         :class:`~repro.chaos.RetryPolicy`, and requests with no
         surviving replica are counted unavailable (optionally served
         stale).  ``None`` keeps the run byte-identical to the pre-chaos
-        engine — the default-off contract the observability sinks keep.
+        engine.
+
+    context:
+        The :class:`repro.obs.RunContext` each :meth:`run` reports
+        through.  ``metrics`` gets deterministic counters (per-node
+        forwarded / served / shed, cache hits/misses per policy, event
+        counts) and simulated latency histograms; ``spans`` the
+        wall-clock phases (``workload-gen`` -> ``event-loop`` ->
+        ``report``); ``monitor`` every request on the simulated clock
+        (``begin_run`` -> ``record_request`` per arrival ->
+        ``finalize``: sliding-window telemetry, the streaming gain
+        estimate, alerts); ``trace`` a causal record per hash-sampled
+        request (key, prefix bucket, client, replica group, node,
+        cache-tree path, queue wait, service time, chaos annotations)
+        plus streaming attack attribution.  No instrument draws from
+        the engine RNG streams, so the default null context and any
+        instrumented one produce bit-identical results.  ``workers`` is
+        unused (a single run is one process).
 
     Every run is replayed by the batched kernel
     (:mod:`repro.sim.kernel`), whose docstring states the exact-replay
@@ -203,11 +195,8 @@ class EventDrivenSimulator:
         service: str = "deterministic",
         node_capacity: Optional[float] = None,
         seed: Optional[int] = None,
-        metrics=None,
-        tracer=None,
-        monitor=None,
-        trace=None,
         chaos: Optional[ChaosConfig] = None,
+        context: RunContext = NULL_CONTEXT,
     ) -> None:
         if distribution.m != params.m:
             raise ConfigurationError(
@@ -256,10 +245,7 @@ class EventDrivenSimulator:
         self._service = service
         self._pins: Dict[int, int] = {}
         self._pin_counts = np.zeros(params.n, dtype=np.int64)
-        self._metrics = metrics
-        self._tracer = tracer
-        self._monitor = monitor if monitor is not None and monitor.enabled else None
-        self._trace = trace if trace is not None and trace.enabled else None
+        self._context = context
         if chaos is not None and not isinstance(chaos, ChaosConfig):
             raise ConfigurationError(
                 f"chaos must be a ChaosConfig or None, got {type(chaos).__name__}"
@@ -292,7 +278,7 @@ class EventDrivenSimulator:
         counts and simulated clock latencies), so the values are
         identical regardless of wall-clock, host or worker count.
         """
-        metrics = self._metrics
+        metrics = self._context.metrics
         metrics.counter("requests_total").inc(n_queries)
         metrics.counter("frontend_hits_total").inc(frontend_hits)
         metrics.counter("backend_queries_total").inc(backend)

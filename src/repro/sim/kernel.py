@@ -63,7 +63,6 @@ import numpy as np
 
 from ..chaos.schedule import NodeStateTracker
 from ..exceptions import SimulationError
-from ..obs.tracer import as_tracer
 from ..types import LoadVector
 
 __all__ = ["DEFAULT_LATENCY_SAMPLE_LIMIT", "run_fast"]
@@ -405,7 +404,8 @@ def run_fast(sim, n_queries: int, trial: int):
     n = params.n
     cache = sim._cache
     chaos = sim._chaos
-    tracer = as_tracer(sim._tracer)
+    context = sim._context
+    tracer = context.spans
     arrivals_gen = sim._factory.generator("eventsim-arrivals", trial=trial)
     routing_gen = sim._factory.generator("eventsim-routing", trial=trial)
     with tracer.span("workload-gen"):
@@ -422,7 +422,7 @@ def run_fast(sim, n_queries: int, trial: int):
     # A degenerate (1-layer/1-shard) tree declares no layers, so its
     # telemetry stays byte-identical to the flat cache it wraps.
     layered = getattr(cache, "HIERARCHICAL", False) and not cache.degenerate
-    monitor = sim._monitor
+    monitor = context.monitor if context.monitor.enabled else None
     if monitor is not None:
         monitor.begin_run(
             trial=trial, n=n, rate=params.rate, chaos=chaos is not None,
@@ -430,7 +430,7 @@ def run_fast(sim, n_queries: int, trial: int):
         )
     # Trace sampling is keyed-hash based: no RNG draws, so the arrival /
     # routing / service streams above stay byte-identical with it on.
-    recorder = sim._trace
+    recorder = context.trace if context.trace.enabled else None
     trace_mask = None
     if recorder is not None:
         recorder.begin_run(
@@ -649,8 +649,8 @@ def run_fast(sim, n_queries: int, trial: int):
             "stale_hits": stale_hits,
             "crash_lost": crash_lost,
         }
-        metrics = sim._metrics
-        if metrics is not None:
+        metrics = context.metrics
+        if metrics.enabled:
             # The per-event scheduler flushes its counters once per run:
             # every arrival, service start, schedule event and retry
             # fired, and the queue drained.

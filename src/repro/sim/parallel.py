@@ -38,9 +38,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..obs.metrics import MetricsRegistry
-from ..obs.monitor import LoadMonitor, MonitorConfig
-from ..obs.trace import FlightRecorder, TraceConfig
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..rng import RngFactory
 
 __all__ = ["ParallelExecutor", "resolve_workers", "resolve_seed"]
@@ -82,9 +80,7 @@ def _run_chunk(
     pass_trial: bool,
     args: Tuple[Any, ...],
     kwargs: Mapping[str, Any],
-    collect_metrics: bool = False,
-    monitor_config: Optional[MonitorConfig] = None,
-    trace_config: Optional[TraceConfig] = None,
+    context: Optional[RunContext] = None,
 ) -> List[Any]:
     """Run a contiguous block of trials (top-level: spawn-picklable).
 
@@ -92,54 +88,29 @@ def _run_chunk(
     worker, so each trial's generator is exactly the one the serial loop
     would have produced for the same ``(seed, label, trial)`` triple.
 
-    With ``collect_metrics`` the task receives a *fresh*
-    :class:`~repro.obs.metrics.MetricsRegistry` per trial as a
-    ``metrics=`` keyword; with ``monitor_config`` it likewise receives a
-    fresh :class:`~repro.obs.monitor.LoadMonitor` (publishing into that
-    same per-trial registry) as a ``monitor=`` keyword; with
-    ``trace_config`` it receives a fresh
-    :class:`~repro.obs.trace.FlightRecorder` (seeded with the campaign
-    seed, so its per-trial hash samplers match the serial loop's) as a
-    ``trace=`` keyword.  When any collection is active, each entry of
-    the returned list becomes ``(result, registry_snapshot_or_None,
-    monitor_snapshot_or_None, trace_snapshot_or_None)``; the caller
-    merges snapshots in trial order, which is what makes aggregate
-    metrics, monitor output *and* trace output identical across worker
-    counts.
+    ``context`` is the campaign context's :meth:`RunContext.for_trial`
+    template (fresh instruments, so it pickles without the caller's
+    callbacks).  With it, the task receives a fresh ``for_trial``
+    context per trial as a ``context=`` keyword, and each entry of the returned list becomes
+    ``(result, snapshot)``; the caller merges the snapshots in trial
+    order, which is what makes metrics, monitor output *and* trace
+    output identical across worker counts.
     """
     factory = RngFactory(seed)
-    collect = (
-        collect_metrics or monitor_config is not None or trace_config is not None
-    )
     results = []
     for t in trial_indices:
         gen = factory.generator(label, trial=t)
-        call_kwargs = dict(kwargs)
-        registry = None
-        monitor = None
-        recorder = None
-        if collect_metrics:
-            registry = MetricsRegistry()
-            call_kwargs["metrics"] = registry
-        if monitor_config is not None:
-            monitor = LoadMonitor(monitor_config, metrics=registry)
-            call_kwargs["monitor"] = monitor
-        if trace_config is not None:
-            recorder = FlightRecorder(trace_config, seed=seed)
-            call_kwargs["trace"] = recorder
+        call_kwargs = kwargs
+        trial_context = None
+        if context is not None:
+            trial_context = context.for_trial(seed)
+            call_kwargs = {**kwargs, "context": trial_context}
         if pass_trial:
             outcome = task(gen, t, *args, **call_kwargs)
         else:
             outcome = task(gen, *args, **call_kwargs)
-        if collect:
-            results.append(
-                (
-                    outcome,
-                    registry.snapshot() if registry is not None else None,
-                    monitor.snapshot() if monitor is not None else None,
-                    recorder.snapshot() if recorder is not None else None,
-                )
-            )
+        if trial_context is not None:
+            results.append((outcome, trial_context.snapshot()))
         else:
             results.append(outcome)
     return results
@@ -232,9 +203,7 @@ class ParallelExecutor:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Mapping[str, Any]] = None,
         pass_trial: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-        monitor: Optional[LoadMonitor] = None,
-        trace: Optional[FlightRecorder] = None,
+        context: RunContext = NULL_CONTEXT,
     ) -> List[Any]:
         """Run ``task`` once per trial; results come back in trial order.
 
@@ -244,53 +213,33 @@ class ParallelExecutor:
         loop would have used.  The task must consume only ``gen`` for
         randomness; that is what makes the fan-out order-invariant.
 
-        With ``metrics`` set, the task must additionally accept a
-        ``metrics=`` keyword: every trial records into a *fresh*
-        per-trial registry (built inside the worker), and the snapshots
-        are merged into ``metrics`` in trial order once all trials are
-        in.  Because the merge order is the trial order — never the
-        completion order — the aggregate metric values are identical
-        for every worker count.
-
-        With ``monitor`` set (an enabled
-        :class:`~repro.obs.monitor.LoadMonitor`), the task must accept a
-        ``monitor=`` keyword: each trial feeds a fresh per-trial monitor
-        built from ``monitor.config`` inside the worker, and the monitor
-        snapshots merge back via :meth:`LoadMonitor.merge_trial` — again
-        strictly in trial order, so event logs and alert streams are
-        identical for every worker count.
-
-        With ``trace`` set (an enabled
-        :class:`~repro.obs.trace.FlightRecorder`), the task must accept
-        a ``trace=`` keyword: each trial feeds a fresh per-trial
-        recorder built from ``trace.config`` and the campaign seed
-        inside the worker (hash samplers are keyed on ``(seed, trial)``,
-        so they admit exactly the requests the serial loop would), and
-        recorder snapshots merge back via
-        :meth:`FlightRecorder.merge_trial` in trial order — the trace
-        JSONL and suspects blocks are bit-identical for every worker
-        count.
+        With a ``context`` that collects (any of its metrics, monitor or
+        flight recorder enabled), the task must additionally accept a
+        ``context=`` keyword: every trial records into a fresh
+        :meth:`RunContext.for_trial` context built inside the worker,
+        and the trials' snapshots merge back via
+        :meth:`RunContext.merge_trial` once all trials are in — in trial
+        order, never completion order, so aggregate metrics, event logs,
+        alert streams, trace JSONL and suspects blocks are identical for
+        every worker count.  The recorder is keyed on the resolved
+        campaign seed, so its hash samplers admit exactly the requests
+        the serial loop would.  The executor's own worker count governs
+        the fan-out; ``context.workers`` is for callers that build one.
         """
         if trials < 1:
             raise SimulationError(f"need at least one trial, got {trials}")
         kwargs = dict(kwargs or {})
         seed = resolve_seed(seed)
-        # A disabled (null) registry/monitor records nothing, so skip
-        # the whole per-trial collection machinery for it as well.
-        collect_metrics = metrics is not None and metrics.enabled
-        collect_monitor = monitor is not None and monitor.enabled
-        monitor_config = monitor.config if collect_monitor else None
-        collect_trace = trace is not None and trace.enabled
-        trace_config = trace.config if collect_trace else None
-        collect = collect_metrics or collect_monitor or collect_trace
+        # A context that records nothing skips per-trial collection.
+        template = context.for_trial(seed) if context.collecting else None
         if self._workers == 1 or trials == 1:
             results = _run_chunk(
                 task, seed, label, range(trials), pass_trial, args, kwargs,
-                collect_metrics, monitor_config, trace_config,
+                template,
             )
         else:
             try:
-                pickle.dumps((task, args, kwargs, monitor_config, trace_config))
+                pickle.dumps((task, args, kwargs, template))
             except Exception as exc:
                 raise SimulationError(
                     "parallel execution requires the task and its arguments to be "
@@ -301,22 +250,17 @@ class ParallelExecutor:
             futures = [
                 pool.submit(
                     _run_chunk, task, seed, label, list(chunk), pass_trial,
-                    args, kwargs, collect_metrics, monitor_config, trace_config,
+                    args, kwargs, template,
                 )
                 for chunk in self._chunks(trials)
             ]
             results = []
             for future in futures:
                 results.extend(future.result())
-        if not collect:
+        if template is None:
             return results
         unwrapped: List[Any] = []
-        for outcome, metrics_snapshot, monitor_snapshot, trace_snapshot in results:
-            if metrics_snapshot is not None:
-                metrics.merge_snapshot(metrics_snapshot)
-            if monitor_snapshot is not None:
-                monitor.merge_trial(monitor_snapshot)
-            if trace_snapshot is not None:
-                trace.merge_trial(trace_snapshot)
+        for outcome, snapshot in results:
+            context.merge_trial(snapshot)
             unwrapped.append(outcome)
         return unwrapped

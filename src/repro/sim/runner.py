@@ -7,7 +7,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..obs.tracer import as_tracer
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
 from .parallel import ParallelExecutor, resolve_seed
 
@@ -20,11 +20,8 @@ def run_trials(
     seed: Optional[int] = None,
     label: str = "trial",
     metadata: Optional[Mapping[str, object]] = None,
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
-    metrics=None,
-    tracer=None,
-    monitor=None,
+    context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
     """Run ``trial_fn`` under ``trials`` independent RNG streams.
 
@@ -46,47 +43,38 @@ def run_trials(
         the same seed are independent.
     metadata:
         Attached to the returned report (plus a ``seed`` key).
-    workers:
-        Worker processes: ``1`` (default) is the serial path, ``0``
-        means one per CPU, ``n > 1`` fans trials out over ``n``
-        processes.  The results are bit-identical for every value.
     executor:
         Pre-built :class:`~repro.sim.parallel.ParallelExecutor` to
         reuse (e.g. to keep one warm pool across many sweep points);
-        overrides ``workers``.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  The campaign
-        records per-trial normalized-max histograms and per-node load
-        counters from the trial results, which come back in trial order
-        regardless of worker count — so the recorded values are
-        identical for every ``workers`` value.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; wall-clock spans for the
-        trial fan-out and the aggregation step (this process only).
-    monitor:
-        Optional :class:`repro.obs.LoadMonitor`.  Each trial's load
-        vector becomes one trial-clock window record
+        overrides ``context.workers``.
+    context:
+        The run's :class:`repro.obs.RunContext`.  ``context.workers``
+        fans trials out (``1`` serial, ``0`` one per CPU); results are
+        bit-identical for every value.  Its ``spans`` time the fan-out
+        and the aggregation (this process only).  Its ``metrics`` get
+        per-trial normalized-max histograms and per-node load counters,
+        and each trial's load vector becomes one trial-clock window
+        record of its ``monitor``
         (:meth:`~repro.obs.LoadMonitor.record_trial`) evaluated against
-        the alert rules; when the campaign metadata carries an ``x``
-        (the attack sweeps do), the Theorem-2 bound is refreshed per
-        call.  Recording happens in the parent over the trial-ordered
-        results, so monitor output is identical for every ``workers``
-        value.
+        the alert rules, with the Theorem-2 bound refreshed per call
+        when the metadata carries an ``x`` (the attack sweeps do).  Both
+        record in the parent over the trial-ordered results, so they
+        are identical for every worker count.
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
     seed = resolve_seed(seed)
-    tracer = as_tracer(tracer)
+    spans, monitor = context.spans, context.monitor
     owns_executor = executor is None
     if executor is None:
-        executor = ParallelExecutor(workers=workers)
+        executor = ParallelExecutor(workers=context.workers)
     try:
-        with tracer.span("trials"):
+        with spans.span("trials"):
             vectors = executor.map_trials(trial_fn, trials, seed=seed, label=label)
     finally:
         if owns_executor:
             executor.close()
-    with tracer.span("report"):
+    with spans.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.
         reference = vectors[0]
@@ -100,9 +88,11 @@ def run_trials(
             normalized[t] = vector.normalized_max
         meta = dict(metadata or {})
         meta.setdefault("seed", seed)
-        if metrics is not None and metrics.enabled:
-            _record_campaign_metrics(metrics, label, vectors, normalized, meta)
-        if monitor is not None and monitor.enabled:
+        if context.metrics.enabled:
+            _record_campaign_metrics(
+                context.metrics, label, vectors, normalized, meta
+            )
+        if monitor.enabled:
             def _as_int(value):
                 return int(value) if isinstance(value, (int, np.integer)) else None
 
@@ -123,7 +113,7 @@ def run_trials(
 
 
 def _record_campaign_metrics(
-    metrics,
+    registry,
     label: str,
     vectors,
     normalized: np.ndarray,
@@ -139,18 +129,18 @@ def _record_campaign_metrics(
     balls thrown (``trials * x * c``) lands in a counter so the perf
     profiler can report balls/sec without re-deriving the workload.
     """
-    metrics.counter("campaign_trials_total", campaign=label).inc(len(vectors))
+    registry.counter("campaign_trials_total", campaign=label).inc(len(vectors))
     meta = metadata or {}
     x, c = meta.get("x"), meta.get("c")
     if isinstance(x, (int, np.integer)) and isinstance(c, (int, np.integer)):
-        metrics.counter("campaign_balls_total", campaign=label).inc(
+        registry.counter("campaign_balls_total", campaign=label).inc(
             len(vectors) * int(x) * int(c)
         )
-    histogram = metrics.histogram("trial_normalized_max", campaign=label)
+    histogram = registry.histogram("trial_normalized_max", campaign=label)
     histogram.observe_many(normalized.tolist())
     node_totals = np.zeros_like(vectors[0].loads, dtype=float)
     for vector in vectors:
         node_totals += vector.loads
     for node, total in enumerate(node_totals.tolist()):
         if total:
-            metrics.counter("node_load_sum", node=str(node)).inc(total)
+            registry.counter("node_load_sum", node=str(node)).inc(total)

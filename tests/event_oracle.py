@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.chaos.schedule import NodeStateTracker
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.obs.tracer import as_tracer
 from repro.rng import as_generator
 from repro.sim.eventsim import EventSimResult, _latency_stats
 from repro.sim.kernel import DEFAULT_LATENCY_SAMPLE_LIMIT
@@ -325,7 +324,8 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
     if n_queries < 1:
         raise SimulationError(f"need at least one query, got {n_queries}")
     params = sim._params
-    tracer = as_tracer(sim._tracer)
+    context = sim._context
+    tracer = context.spans
     arrivals_gen = sim._factory.generator("eventsim-arrivals", trial=trial)
     routing_gen = sim._factory.generator("eventsim-routing", trial=trial)
     with tracer.span("workload-gen"):
@@ -334,7 +334,9 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         times = np.cumsum(gaps)
         duration = float(times[-1])
 
-    scheduler = EventScheduler(metrics=sim._metrics)
+    scheduler = EventScheduler(
+        metrics=context.metrics if context.metrics.enabled else None
+    )
     servers = [
         NodeServer(
             node_id=i,
@@ -349,7 +351,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
     frontend_hits = 0
     backend = 0
     node_arrivals = np.zeros(params.n, dtype=np.int64)
-    monitor = sim._monitor
+    monitor = context.monitor if context.monitor.enabled else None
     chaos = sim._chaos
     tracker: Optional[NodeStateTracker] = None
     schedule = None
@@ -373,7 +375,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
             chaos=chaos is not None,
             layers=tree.widths if layered else None,
         )
-    recorder = sim._trace
+    recorder = context.trace if context.trace.enabled else None
     trace_mask = None
     if recorder is not None:
         recorder.begin_run(
@@ -511,7 +513,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
             loads=node_arrivals.astype(float) / duration, total_rate=params.rate
         )
         crash_lost = int(sum(s.crash_lost for s in servers))
-        metrics = sim._metrics
+        metrics = context.metrics if context.metrics.enabled else None
         if metrics is not None:
             sim._publish_run_metrics(
                 n_queries, frontend_hits, backend,

@@ -140,14 +140,15 @@ def fig3_small_sim() -> dict:
 
 def eventsim_baseline() -> dict:
     from repro.core.notation import SystemParameters
-    from repro.obs import LoadMonitor, MonitorConfig
+    from repro.obs import LoadMonitor, MonitorConfig, RunContext
     from repro.sim.eventsim import EventDrivenSimulator
     from repro.workload.adversarial import AdversarialDistribution
 
     params = SystemParameters(n=20, m=500, c=10, d=3, rate=2000.0)
     monitor = LoadMonitor(MonitorConfig.from_params(params, x=11, window=0.05))
     sim = EventDrivenSimulator(
-        params, AdversarialDistribution(500, 11), seed=7, monitor=monitor
+        params, AdversarialDistribution(500, 11), seed=7,
+        context=RunContext(monitor=monitor),
     )
     result = sim.run(4000, trial=0)
 

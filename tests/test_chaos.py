@@ -16,7 +16,7 @@ from repro.chaos import (
 )
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
@@ -256,7 +256,7 @@ class TestEventEngineChaos:
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)
         sim = EventDrivenSimulator(
             params, AdversarialDistribution(500, 11), seed=7,
-            monitor=monitor, chaos=chaos,
+            chaos=chaos, context=RunContext(monitor=monitor),
         )
         result = sim.run(4000, trial=0)
         return params, monitor, result
@@ -398,10 +398,8 @@ class TestMonteCarloChaos:
         params = _params()
         monitor = LoadMonitor(MonitorConfig.from_params(params, x=11))
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)
-        cfg = SimulationConfig(
-            params=params, trials=3, seed=5, chaos=chaos, monitor=monitor,
-        )
-        MonteCarloSimulator(cfg).uniform_attack(11)
+        cfg = SimulationConfig(params=params, trials=3, seed=5, chaos=chaos)
+        MonteCarloSimulator(cfg, RunContext(monitor=monitor)).uniform_attack(11)
         windows = [w for w in monitor.windows if "effective_d" in w]
         assert windows
         for w in windows:

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.notation import SystemParameters
-from repro.obs import LoadMonitor, MonitorConfig
+from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.batch import run_event_campaign
 from repro.sim.config import SimulationConfig
@@ -43,9 +43,8 @@ def _event_campaign(workers: int):
         trials=4,
         n_queries=1500,
         seed=13,
-        workers=workers,
-        monitor=monitor,
         chaos=_chaos(),
+        context=RunContext(monitor=monitor, workers=workers),
     )
     return campaign, monitor
 
@@ -98,10 +97,8 @@ class TestEventCampaignDeterminism:
 
 class TestMonteCarloDeterminism:
     def _report(self, workers: int):
-        cfg = SimulationConfig(
-            params=_params(), trials=8, seed=21, workers=workers, chaos=_chaos(),
-        )
-        return MonteCarloSimulator(cfg).uniform_attack(11)
+        cfg = SimulationConfig(params=_params(), trials=8, seed=21, chaos=_chaos())
+        return MonteCarloSimulator(cfg, RunContext(workers=workers)).uniform_attack(11)
 
     def test_serial_matches_workers_4(self):
         serial = self._report(workers=1)

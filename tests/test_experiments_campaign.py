@@ -1,51 +1,48 @@
-"""Tests for the full-evaluation campaign runner."""
+"""Tests for the full-evaluation campaign (``repro all``)."""
+
+import contextlib
+import io
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.experiments.campaign import FIGURE_DRIVERS, run_campaign
+from repro.cli import main
 
 
-class TestRunCampaign:
-    def test_subset_run(self):
-        campaign = run_campaign(trials=2, seed=1, figures=["fig5"])
-        assert [r.name for r in campaign.results] == ["fig5"]
-        assert campaign.trials == 2
-        assert campaign.elapsed_seconds > 0
-
-    def test_by_name(self):
-        campaign = run_campaign(trials=2, seed=1, figures=["fig5"])
-        assert campaign.by_name("fig5").name == "fig5"
-        with pytest.raises(ConfigurationError):
-            campaign.by_name("fig9")
-
-    def test_unknown_figure_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(trials=1, figures=["fig9"])
-
-    def test_progress_callback(self):
-        lines = []
-        run_campaign(trials=2, seed=1, figures=["fig5"], progress=lines.append)
-        assert lines and "fig5" in lines[0]
-
-    def test_render_contains_each_figure(self):
-        campaign = run_campaign(trials=2, seed=1, figures=["fig5"])
-        text = campaign.render()
-        assert "full evaluation run" in text
-        assert "== fig5" in text
-
-    def test_all_drivers_registered(self):
-        assert set(FIGURE_DRIVERS) == {"fig3a", "fig3b", "fig4", "fig5"}
-
-    def test_cli_all_command(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out_file = tmp_path / "report.md"
+@pytest.fixture(scope="module")
+def all_run(tmp_path_factory):
+    """One tiny ``repro all`` run shared by the tests: (stdout, report file)."""
+    out_file = tmp_path_factory.mktemp("campaign") / "report.md"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         # Tiny trial count keeps this a smoke test; full runs are the
         # benchmarks' job.
         code = main(["all", "--trials", "2", "--seed", "1", "--output", str(out_file)])
-        assert code == 0
-        out = capsys.readouterr().out
+    assert code == 0
+    return stdout.getvalue(), out_file
+
+
+class TestRunCampaign:
+    def test_progress_callback(self, all_run):
+        out, _ = all_run
+        assert "running fig5 (2 trials per point)..." in out
+
+    def test_render_contains_each_figure(self, all_run):
+        out, _ = all_run
+        assert "full evaluation run" in out
+        assert "(trials per sweep point: 2;" in out
+        assert "== fig5" in out
+
+    def test_all_drivers_registered(self, all_run):
+        out, _ = all_run
+        blocks = [
+            line.split()[1].rstrip(":") for line in out.splitlines()
+            if line.startswith("== ")
+        ]
+        # The two fig5 panels come from one joint sweep: a single block.
+        assert blocks == ["fig3a", "fig3b", "fig4", "fig5"]
+
+    def test_cli_all_command(self, all_run):
+        out, out_file = all_run
         assert "== fig3a" in out and "== fig5" in out
         assert out_file.exists()
         assert "== fig4" in out_file.read_text()

@@ -21,7 +21,7 @@ from repro.chaos.retry import RetryPolicy
 from repro.chaos.schedule import FailureEvent, FailureSchedule
 from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
-from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
+from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext
 from repro.obs.export import export_json
 from repro.obs.trace import FlightRecorder, TraceConfig
 from repro.scenario.build import BuildContext, build_component
@@ -88,7 +88,8 @@ def _instrumented(params, x, **kwargs):
     recorder = FlightRecorder(TraceConfig(sample=0.5), seed=3)
     sim = EventDrivenSimulator(
         params, AdversarialDistribution(params.m, x),
-        metrics=registry, monitor=monitor, trace=recorder, **kwargs
+        context=RunContext(metrics=registry, monitor=monitor, trace=recorder),
+        **kwargs
     )
     return sim, registry, monitor, recorder
 
@@ -148,7 +149,7 @@ class TestFastPathIdentity:
             )
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(500, 11), seed=7,
-                monitor=monitor,
+                context=RunContext(monitor=monitor),
             )
             return sim, monitor
 
@@ -164,7 +165,7 @@ class TestFastPathIdentity:
             registry = MetricsRegistry()
             sim = EventDrivenSimulator(
                 _params(), AdversarialDistribution(500, 11), seed=5,
-                metrics=registry,
+                context=RunContext(metrics=registry),
             )
             return sim, registry
 
@@ -239,7 +240,8 @@ class TestChaosTies:
     def _sim(self, params, schedule=(), retry=None):
         recorder = FlightRecorder(TraceConfig(sample=1.0), seed=1)
         sim = EventDrivenSimulator(
-            params, UniformDistribution(params.m), seed=21, trace=recorder,
+            params, UniformDistribution(params.m), seed=21,
+            context=RunContext(trace=recorder),
             chaos=ChaosConfig(
                 schedule=FailureSchedule(tuple(schedule)),
                 retry=retry or RetryPolicy(),

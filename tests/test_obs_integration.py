@@ -21,7 +21,13 @@ from repro.cli import main as cli_main
 from repro.core.notation import SystemParameters
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.params import PaperParams
-from repro.obs import MetricsRegistry, Tracer, export_json, to_prometheus
+from repro.obs import (
+    MetricsRegistry,
+    RunContext,
+    Tracer,
+    export_json,
+    to_prometheus,
+)
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.batch import run_event_campaign
 from repro.sim.config import SimulationConfig
@@ -42,10 +48,8 @@ def _lru_factory():
 
 def _mc_report(x=50, seed=11, workers=1, metrics=None, tracer=None):
     sim = MonteCarloSimulator(
-        SimulationConfig(
-            params=_params(), trials=6, seed=seed, workers=workers,
-            metrics=metrics, tracer=tracer,
-        )
+        SimulationConfig(params=_params(), trials=6, seed=seed),
+        RunContext(metrics=metrics, spans=tracer, workers=workers),
     )
     return sim.uniform_attack(x)
 
@@ -63,7 +67,7 @@ class TestZeroInterference:
         def run(metrics=None, tracer=None):
             sim = EventDrivenSimulator(
                 _params(), UniformDistribution(400), cache=LRUCache(20),
-                seed=3, metrics=metrics, tracer=tracer,
+                seed=3, context=RunContext(metrics=metrics, spans=tracer),
             )
             return sim.run(3000)
 
@@ -78,7 +82,7 @@ class TestZeroInterference:
         def run(metrics=None):
             return run_event_campaign(
                 _params(), UniformDistribution(400), trials=3, n_queries=2000,
-                seed=7, metrics=metrics,
+                seed=7, context=RunContext(metrics=metrics),
             )
 
         plain = run()
@@ -106,8 +110,8 @@ class TestWorkerInvariance:
             registry = MetricsRegistry()
             run_event_campaign(
                 _params(), UniformDistribution(400), trials=4, n_queries=2000,
-                seed=9, workers=workers, cache_factory=_lru_factory,
-                metrics=registry,
+                seed=9, cache_factory=_lru_factory,
+                context=RunContext(metrics=registry, workers=workers),
             )
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
@@ -116,8 +120,8 @@ class TestWorkerInvariance:
         registry = MetricsRegistry()
         run_event_campaign(
             _params(), UniformDistribution(400), trials=2, n_queries=1500,
-            seed=5, workers=2, cache_factory=_lru_factory,
-            metrics=registry,
+            seed=5, cache_factory=_lru_factory,
+            context=RunContext(metrics=registry, workers=2),
         )
         by_name = {
             (c.name, c.labels): c.value for c in registry.counters()
@@ -139,8 +143,7 @@ class TestFigureExportSurface:
             paper=PaperParams(n=10, m=400, trials=4),
             x_values=[30, 400],
             seed=2,
-            metrics=metrics,
-            tracer=tracer,
+            context=RunContext(metrics=metrics, spans=tracer),
         )
         # Fold an event-driven campaign into the same registry: the
         # Monte-Carlo engine has no real cache, so hit/miss counters
@@ -148,7 +151,7 @@ class TestFigureExportSurface:
         run_event_campaign(
             _params(), UniformDistribution(400), trials=2, n_queries=1500,
             seed=5, cache_factory=_lru_factory,
-            metrics=metrics, tracer=tracer,
+            context=RunContext(metrics=metrics, spans=tracer),
         )
         return export_json(metrics, tracer=tracer), to_prometheus(metrics, tracer)
 

@@ -32,6 +32,7 @@ from repro.obs import (
     MonitorConfig,
     P2Quantile,
     QuantileBank,
+    RunContext,
     render_html,
     render_text,
 )
@@ -51,7 +52,7 @@ SEED = 11
 def _run_monitored(distribution, x=500, window=0.05, n_queries=15_000, seed=SEED):
     monitor = LoadMonitor(MonitorConfig.from_params(PARAMS, x=x, window=window))
     result = EventDrivenSimulator(
-        PARAMS, distribution, seed=seed, monitor=monitor
+        PARAMS, distribution, seed=seed, context=RunContext(monitor=monitor)
     ).run(n_queries)
     return monitor, result
 
@@ -152,8 +153,7 @@ class TestWorkerDeterminism:
             trials=4,
             n_queries=6_000,
             seed=SEED,
-            workers=workers,
-            monitor=monitor,
+            context=RunContext(monitor=monitor, workers=workers),
         )
         return monitor
 
@@ -215,7 +215,8 @@ class TestEntropyAlertSeparatesRegimes:
             MonitorConfig.from_params(PARAMS, x=500, window=0.05), metrics=registry
         )
         EventDrivenSimulator(
-            PARAMS, AdversarialDistribution(PARAMS.m, 500), seed=SEED, monitor=monitor
+            PARAMS, AdversarialDistribution(PARAMS.m, 500), seed=SEED,
+            context=RunContext(monitor=monitor),
         ).run(15_000)
         fired = registry.counter("monitor_alerts_total", rule="entropy-flat").value
         assert fired == sum(
@@ -355,13 +356,13 @@ class TestNullMonitor:
         dist = AdversarialDistribution(PARAMS.m, 500)
         bare = EventDrivenSimulator(PARAMS, dist, seed=SEED).run(6_000)
         nulled = EventDrivenSimulator(
-            PARAMS, dist, seed=SEED, monitor=NULL_MONITOR
+            PARAMS, dist, seed=SEED, context=RunContext(monitor=NULL_MONITOR)
         ).run(6_000)
         live = EventDrivenSimulator(
             PARAMS,
             dist,
             seed=SEED,
-            monitor=LoadMonitor(MonitorConfig(window=0.05)),
+            context=RunContext(monitor=LoadMonitor(MonitorConfig(window=0.05))),
         ).run(6_000)
         for other in (nulled, live):
             assert other.normalized_max == bare.normalized_max

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from event_oracle import run_oracle
 from repro.core.notation import SystemParameters
 from repro.exceptions import ScenarioValidationError
-from repro.obs import recompute
+from repro.obs import RunContext, recompute
 from repro.obs.forensics import (
     path_breakdown,
     render_forensics_html,
@@ -124,7 +124,7 @@ class TestHashSampler:
         base = EventDrivenSimulator(PARAMS, dist, seed=11).run(3000)
         recorder = FlightRecorder(TraceConfig(sample=0.3), seed=11)
         traced = EventDrivenSimulator(
-            PARAMS, dist, seed=11, trace=recorder
+            PARAMS, dist, seed=11, context=RunContext(trace=recorder)
         ).run(3000)
         assert _result_fingerprint(base) == _result_fingerprint(traced)
         assert recorder.sampled > 0
@@ -136,7 +136,9 @@ class TestEngineEquality:
     @staticmethod
     def _run(runner, seed, trials, n_queries, dist, **kwargs):
         recorder = FlightRecorder(TraceConfig(sample=kwargs.pop("sample")), seed=seed)
-        sim = EventDrivenSimulator(PARAMS, dist, seed=seed, trace=recorder, **kwargs)
+        sim = EventDrivenSimulator(
+            PARAMS, dist, seed=seed, context=RunContext(trace=recorder), **kwargs
+        )
         for trial in trials:
             runner(sim, n_queries, trial)
         return recorder
@@ -243,7 +245,8 @@ class TestRingBound:
     def test_capacity_evicts_oldest(self):
         recorder = FlightRecorder(TraceConfig(sample=1.0, capacity=100), seed=3)
         EventDrivenSimulator(
-            PARAMS, ZipfDistribution(PARAMS.m, 1.1), seed=3, trace=recorder
+            PARAMS, ZipfDistribution(PARAMS.m, 1.1), seed=3,
+            context=RunContext(trace=recorder),
         ).run(1000)
         assert len(recorder.records) == 100
         assert recorder.evicted == 900
@@ -278,7 +281,7 @@ class TestOfflineRecompute:
             PARAMS,
             AdversarialDistribution(PARAMS.m, PARAMS.c + 1),
             seed=2,
-            trace=recorder,
+            context=RunContext(trace=recorder),
         ).run(2000)
         out = recompute(
             recorder.records, recorder.config, trial=0,
@@ -343,7 +346,7 @@ class TestForensicsRenderers:
             PARAMS,
             AdversarialDistribution(PARAMS.m, PARAMS.c + 1, client_id=2),
             seed=4,
-            trace=recorder,
+            context=RunContext(trace=recorder),
         ).run(2000)
         return recorder
 
@@ -387,7 +390,8 @@ class TestJsonlExport:
     def test_manifest_and_records_round_trip(self, tmp_path):
         recorder = FlightRecorder(TraceConfig(sample=0.5), seed=6)
         EventDrivenSimulator(
-            PARAMS, ZipfDistribution(PARAMS.m, 1.1), seed=6, trace=recorder
+            PARAMS, ZipfDistribution(PARAMS.m, 1.1), seed=6,
+            context=RunContext(trace=recorder),
         ).run(1500)
         path = tmp_path / "trace.jsonl"
         recorder.write(path)

@@ -1,4 +1,4 @@
-"""Contract tests for the phase tracer (repro.obs.tracer)."""
+"""Contract tests for the phase span tracer (repro.obs.spans)."""
 
 import pytest
 

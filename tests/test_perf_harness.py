@@ -8,14 +8,17 @@ engine time — export cost can never inflate reported throughput.
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from repro.exceptions import ReproError
+from repro.obs import NULL_CONTEXT
 from repro.perf import Profiler
 from repro.perf.harness import (
     SMOKE_ENV,
     BenchSpec,
+    active_context,
     active_profiler,
     get_spec,
     register,
@@ -62,7 +65,7 @@ class TestSpanSeparation:
         """With a +1.0-per-call clock the span arithmetic is exact:
         outer open (0), engine open (1) / close (2), export open (3) /
         close (4), outer close (5)."""
-        profiler = Profiler(clock=TickClock(), trace_memory=False)
+        profiler = Profiler(clock=TickClock())
         result = make_spec().execute(
             smoke=True, profiler=profiler, directory=tmp_path, quiet=True
         )
@@ -83,7 +86,7 @@ class TestSpanSeparation:
             clock()
             return "table"
 
-        profiler = Profiler(clock=clock, trace_memory=False)
+        profiler = Profiler(clock=clock)
         result = make_spec(render=slow_render).execute(
             smoke=True, profiler=profiler, directory=tmp_path, quiet=True
         )
@@ -92,7 +95,7 @@ class TestSpanSeparation:
         assert result.manifest.events_per_second == 100.0
 
     def test_span_paths_recorded(self, tmp_path):
-        profiler = Profiler(clock=TickClock(), trace_memory=False)
+        profiler = Profiler(clock=TickClock())
         result = make_spec(name="paths").execute(
             smoke=True, profiler=profiler, directory=tmp_path, quiet=True
         )
@@ -145,12 +148,27 @@ class TestExecute:
             seen["profiler"] = active_profiler()
             return {"config": {}}
 
-        profiler = Profiler(trace_memory=False)
+        profiler = Profiler()
         make_spec(run=run, workload=None).execute(
             smoke=True, profiler=profiler, directory=tmp_path, quiet=True
         )
         assert seen["profiler"] is profiler
         assert active_profiler() is None
+
+    def test_active_context_records_into_the_profiler(self, tmp_path):
+        seen = {}
+
+        def run():
+            seen["context"] = active_context()
+            return {"config": {}}
+
+        profiler = Profiler()
+        make_spec(run=run, workload=None).execute(
+            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
+        )
+        assert seen["context"].metrics is profiler.metrics
+        assert not seen["context"].monitor.enabled
+        assert active_context() is NULL_CONTEXT
 
     def test_check_failure_marks_not_ok_without_raising(self, tmp_path):
         def check(payload):
@@ -293,3 +311,30 @@ class TestRunSuite:
         manifests = load_history(tmp_path / "h.jsonl")
         assert manifests[0].ok is False
         assert "broken claim" in manifests[0].error
+
+
+class TestUntracedTiming:
+    """Timings are never taken under tracemalloc."""
+
+    @staticmethod
+    def _untraced_run():
+        assert not tracemalloc.is_tracing(), "run() timed under tracemalloc"
+        return {"config": {}}
+
+    def test_run_executes_with_tracemalloc_off(self, tmp_path):
+        result = make_spec(run=self._untraced_run, workload=None).execute(
+            smoke=True, directory=tmp_path, quiet=True
+        )
+        assert result.ok
+        assert result.manifest.tracemalloc_peak_bytes is None
+        assert result.manifest.to_dict()["memory"]["tracemalloc_peak_bytes"] is None
+
+    def test_callers_tracing_is_paused_and_restored(self, tmp_path):
+        tracemalloc.start()
+        try:
+            make_spec(run=self._untraced_run, workload=None).execute(
+                smoke=True, directory=tmp_path, quiet=True
+            )
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()

@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.notation import SystemParameters
-from repro.obs import NULL_REGISTRY, NULL_TRACER, LoadMonitor, MonitorConfig
+from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACER,
+    LoadMonitor,
+    MonitorConfig,
+    RunContext,
+)
 from repro.perf import NULL_PROFILER, NullProfiler, Profiler, as_profiler
 from repro.sim.analytic import simulate_uniform_attack
 from repro.sim.eventsim import EventDrivenSimulator
@@ -40,7 +46,7 @@ class TickClock:
 
 class TestOpCounters:
     def test_count_and_flat_keys(self):
-        p = Profiler(trace_memory=False)
+        p = Profiler()
         p.count("requests_total")
         p.count("requests_total", 4)
         p.count("cache_ops_total", 2, kind="get")
@@ -49,14 +55,14 @@ class TestOpCounters:
         assert counts["cache_ops_total{kind=get}"] == 2
 
     def test_metrics_seam_is_the_registry(self):
-        p = Profiler(trace_memory=False)
+        p = Profiler()
         p.metrics.counter("balls_total").inc(7)
         assert p.op_counts()["balls_total"] == 7
 
 
 class TestSpans:
     def test_span_arithmetic_with_injected_clock(self):
-        p = Profiler(clock=TickClock(), trace_memory=False)
+        p = Profiler(clock=TickClock())
         with p.span("outer"):
             with p.span("inner"):
                 pass
@@ -68,30 +74,8 @@ class TestSpans:
 
 
 class TestMemoryCapture:
-    def test_capture_records_peak(self):
-        p = Profiler()
-        with p.capture():
-            _ = np.zeros(200_000)
-        assert p.tracemalloc_peak_bytes is not None
-        assert p.tracemalloc_peak_bytes >= 200_000 * 8
-
-    def test_capture_keeps_maximum_across_windows(self):
-        p = Profiler()
-        with p.capture():
-            _ = np.zeros(200_000)
-        first = p.tracemalloc_peak_bytes
-        with p.capture():
-            pass
-        assert p.tracemalloc_peak_bytes == first
-
-    def test_capture_disabled(self):
-        p = Profiler(trace_memory=False)
-        with p.capture():
-            _ = np.zeros(10_000)
-        assert p.tracemalloc_peak_bytes is None
-
     def test_snapshot_shape(self):
-        p = Profiler(trace_memory=False)
+        p = Profiler()
         p.count("x")
         with p.span("s"):
             pass
@@ -115,13 +99,11 @@ class TestNullProfiler:
         NULL_PROFILER.count("ignored", 5)
         with NULL_PROFILER.span("ignored"):
             pass
-        with NULL_PROFILER.capture():
-            pass
         assert NULL_PROFILER.snapshot()["ops"] == {}
 
     def test_as_profiler(self):
         assert as_profiler(None) is NULL_PROFILER
-        p = Profiler(trace_memory=False)
+        p = Profiler()
         assert as_profiler(p) is p
 
 
@@ -129,10 +111,10 @@ class TestDeterminismAcrossWorkers:
     """ISSUE 5 acceptance: op-counters bit-identical serial vs workers=4."""
 
     def _campaign_counts(self, workers: int) -> dict:
-        profiler = Profiler(trace_memory=False)
+        profiler = Profiler()
         simulate_uniform_attack(
-            PARAMS, 60, trials=8, seed=42, workers=workers,
-            metrics=profiler.metrics,
+            PARAMS, 60, trials=8, seed=42,
+            context=RunContext(metrics=profiler.metrics, workers=workers),
         )
         return profiler.op_counts()
 
@@ -147,10 +129,10 @@ class TestDeterminismAcrossWorkers:
 
     def test_eventsim_counters_identical_across_runs(self):
         def run_once() -> dict:
-            profiler = Profiler(trace_memory=False)
+            profiler = Profiler()
             sim = EventDrivenSimulator(
                 PARAMS, AdversarialDistribution(PARAMS.m, 60), seed=9,
-                metrics=profiler.metrics,
+                context=RunContext(metrics=profiler.metrics),
             )
             sim.run(2000, trial=0)
             return profiler.op_counts()
@@ -165,9 +147,10 @@ class TestNonInterference:
 
     def test_monte_carlo_result_unchanged_by_profiler(self):
         bare = simulate_uniform_attack(PARAMS, 60, trials=6, seed=7)
-        profiler = Profiler(trace_memory=False)
+        profiler = Profiler()
         observed = simulate_uniform_attack(
-            PARAMS, 60, trials=6, seed=7, metrics=profiler.metrics
+            PARAMS, 60, trials=6, seed=7,
+            context=RunContext(metrics=profiler.metrics),
         )
         assert (
             observed.normalized_max_per_trial == bare.normalized_max_per_trial
@@ -185,8 +168,10 @@ class TestNonInterference:
         )
         null = NullProfiler()
         sim = EventDrivenSimulator(
-            params, AdversarialDistribution(500, 11), seed=7, monitor=monitor,
-            metrics=null.metrics, tracer=null.tracer,
+            params, AdversarialDistribution(500, 11), seed=7,
+            context=RunContext(
+                metrics=null.metrics, spans=null.tracer, monitor=monitor
+            ),
         )
         result = sim.run(4000, trial=0)
 

@@ -93,3 +93,11 @@ class TestPerfReport:
         path = write_report([make_manifest()], out, title="T")
         assert path == out
         assert out.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+
+    def test_peak_column_reads_rss(self):
+        # New manifests carry no tracemalloc peak; the column is the RSS mark.
+        manifest = make_manifest(
+            tracemalloc_peak_bytes=None, rss_peak_bytes=int(77.25 * 1024 * 1024)
+        )
+        page = render_report([manifest])
+        assert "<td>77.2</td>" in page

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
+from repro.obs import RunContext
 from repro.sim.analytic import simulate_uniform_attack
 from repro.sim.batch import run_event_campaign
 from repro.sim.parallel import ParallelExecutor, resolve_seed, resolve_workers
@@ -113,10 +114,14 @@ class TestParallelExecutor:
 class TestRunTrialsWorkers:
     def test_consistency_check_names_offending_trial(self):
         with pytest.raises(SimulationError, match="trial 1 .*relative to trial 0"):
-            run_trials(_drifting_vector, trials=3, seed=1, workers=1)
+            run_trials(
+                _drifting_vector, trials=3, seed=1, context=RunContext(workers=1)
+            )
         # Same contract on the parallel path.
         with pytest.raises(SimulationError, match="relative to trial 0"):
-            run_trials(_drifting_vector, trials=3, seed=1, workers=2)
+            run_trials(
+                _drifting_vector, trials=3, seed=1, context=RunContext(workers=2)
+            )
 
     def test_seed_recorded_in_metadata(self):
         report = run_trials(_uniform_vector, trials=2, seed=99)
@@ -127,7 +132,9 @@ class TestRunTrialsWorkers:
     def test_reused_executor_overrides_workers(self):
         with ParallelExecutor(workers=2) as executor:
             a = run_trials(_uniform_vector, trials=4, seed=5, executor=executor)
-            b = run_trials(_uniform_vector, trials=4, seed=5, workers=1)
+            b = run_trials(
+                _uniform_vector, trials=4, seed=5, context=RunContext(workers=1)
+            )
         assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
 
@@ -135,9 +142,11 @@ class TestEngineDeterminism:
     """workers=1 vs workers=4 bit-identical, for both engines (ISSUE 1)."""
 
     def test_monte_carlo_engine(self):
-        serial = simulate_uniform_attack(_params(), x=500, trials=8, seed=42, workers=1)
+        serial = simulate_uniform_attack(
+            _params(), x=500, trials=8, seed=42, context=RunContext(workers=1)
+        )
         parallel = simulate_uniform_attack(
-            _params(), x=500, trials=8, seed=42, workers=4
+            _params(), x=500, trials=8, seed=42, context=RunContext(workers=4)
         )
         assert (
             serial.normalized_max_per_trial == parallel.normalized_max_per_trial
@@ -151,8 +160,8 @@ class TestEngineDeterminism:
             n_queries=2000,
             seed=42,
         )
-        serial = run_event_campaign(workers=1, **kwargs)
-        parallel = run_event_campaign(workers=4, **kwargs)
+        serial = run_event_campaign(context=RunContext(workers=1), **kwargs)
+        parallel = run_event_campaign(context=RunContext(workers=4), **kwargs)
         assert (
             serial.load_report.normalized_max_per_trial
             == parallel.load_report.normalized_max_per_trial

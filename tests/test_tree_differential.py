@@ -30,7 +30,7 @@ from repro.cluster.hierarchy import (
     TwoChoiceLayerSelection,
 )
 from repro.core.notation import SystemParameters
-from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig
+from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext
 from repro.obs.export import export_json
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
@@ -138,7 +138,7 @@ class TestDegenerateIdentity:
             )
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(500, 11), seed=7,
-                cache=cache, monitor=monitor,
+                cache=cache, context=RunContext(monitor=monitor),
             )
             return runner(sim, 4000, 0), monitor
 
@@ -158,7 +158,7 @@ class TestDegenerateIdentity:
             registry = MetricsRegistry()
             sim = EventDrivenSimulator(
                 _params(), AdversarialDistribution(500, 100), seed=5,
-                cache=cache, metrics=registry,
+                cache=cache, context=RunContext(metrics=registry),
             )
             return runner(sim, 3000, 0), export_json(metrics=registry)
 
@@ -198,8 +198,7 @@ class TestCampaignIdentity:
             n_queries=2000,
             seed=17,
             cache_factory=factory,
-            workers=workers,
-            monitor=monitor,
+            context=RunContext(monitor=monitor, workers=workers),
         )
         assert (
             any("layers" in s for s in monitor.summaries) is layered
@@ -257,7 +256,7 @@ class TestLayeredIdentity:
             sim = EventDrivenSimulator(
                 params, AdversarialDistribution(500, 30), seed=4,
                 cache=_two_layer_tree("lru"), routing=routing,
-                monitor=monitor, metrics=registry,
+                context=RunContext(metrics=registry, monitor=monitor),
             )
             results = [runner(sim, 3000, trial) for trial in (0, 1)]
             return results, monitor, export_json(metrics=registry)
