@@ -7,7 +7,9 @@ verdict is deliberately conservative — a run only counts as a
 regression when it is **both** relatively slower than
 ``1 + tolerance`` **and** absolutely slower than ``noise_floor``
 seconds, so micro-benchmarks jittering by milliseconds cannot page
-anyone.  Comparisons never mix smoke and full-scale runs.
+anyone.  Comparisons never mix smoke and full-scale runs, nor runs timed
+under tracemalloc (old rows with a non-null ``tracemalloc_peak_bytes``)
+with untraced ones: memory tracing inflated those timings several-fold.
 
 Schema violations surface as :class:`~repro.perf.schema.PerfSchemaError`
 from the history loader before any verdict is computed; the CLI maps
@@ -45,10 +47,12 @@ _METRICS = ("engine_seconds", "export_seconds", "wall_seconds")
 
 @dataclass
 class Verdict:
-    """Comparison outcome for one (bench, smoke-mode) series."""
+    """Comparison outcome for one (bench, smoke-mode, traced) series."""
 
     bench: str
     smoke: bool
+    #: The series was timed under tracemalloc (pre-fix history rows).
+    traced: bool
     status: str  # "new" | "regression" | "improvement" | "within-noise"
     metric: str
     current: float
@@ -62,14 +66,15 @@ class Verdict:
         return self.status == "regression"
 
     def describe(self) -> str:
+        mode = _mode(self.smoke) + (", tracemalloc" if self.traced else "")
         if self.baseline is None:
             return (
-                f"{self.bench} [{_mode(self.smoke)}]: new "
+                f"{self.bench} [{mode}]: new "
                 f"({self.metric}={self.current:.4f}s, no baseline yet)"
             )
         sign = "+" if self.delta_seconds >= 0 else ""
         return (
-            f"{self.bench} [{_mode(self.smoke)}]: {self.status} "
+            f"{self.bench} [{mode}]: {self.status} "
             f"({self.metric}={self.current:.4f}s vs baseline "
             f"{self.baseline:.4f}s over {self.baseline_runs} runs, "
             f"{self.ratio:.2f}x, {sign}{self.delta_seconds:.4f}s)"
@@ -82,11 +87,15 @@ def _mode(smoke: bool) -> str:
 
 def _series(
     manifests: Sequence[RunManifest],
-) -> Dict[Tuple[str, bool], List[RunManifest]]:
-    """Split history into per-(bench, smoke) series, order preserved."""
-    series: Dict[Tuple[str, bool], List[RunManifest]] = {}
+) -> Dict[Tuple[str, bool, bool], List[RunManifest]]:
+    """Split history into per-(bench, smoke, traced) series, order
+    preserved; ``traced`` marks rows timed under tracemalloc."""
+    series: Dict[Tuple[str, bool, bool], List[RunManifest]] = {}
     for manifest in manifests:
-        series.setdefault((manifest.bench, manifest.smoke), []).append(manifest)
+        traced = manifest.tracemalloc_peak_bytes is not None
+        series.setdefault(
+            (manifest.bench, manifest.smoke, traced), []
+        ).append(manifest)
     return series
 
 
@@ -102,7 +111,7 @@ def compare_history(
     noise_floor: float = DEFAULT_NOISE_FLOOR,
     metric: str = "engine_seconds",
 ) -> List[Verdict]:
-    """Produce one verdict per (bench, smoke) series in ``manifests``.
+    """Produce one verdict per (bench, smoke, traced) series in ``manifests``.
 
     With ``baseline_manifests`` (e.g. the committed CI baseline), the
     baseline for each series is the median of the *last* ``k`` matching
@@ -121,7 +130,7 @@ def compare_history(
     )
     verdicts: List[Verdict] = []
     for key, runs in sorted(_series(manifests).items()):
-        bench, smoke = key
+        bench, smoke, traced = key
         current = _metric_value(runs[-1], metric)
         if baseline_series is not None:
             window = baseline_series.get(key, [])[-k:]
@@ -132,6 +141,7 @@ def compare_history(
                 Verdict(
                     bench=bench,
                     smoke=smoke,
+                    traced=traced,
                     status="new",
                     metric=metric,
                     current=current,
@@ -157,6 +167,7 @@ def compare_history(
             Verdict(
                 bench=bench,
                 smoke=smoke,
+                traced=traced,
                 status=status,
                 metric=metric,
                 current=current,
@@ -175,7 +186,8 @@ def render_verdicts(verdicts: Sequence[Verdict]) -> str:
         return "perf compare: history is empty (run `repro perf run` first)"
     order = {"regression": 0, "improvement": 1, "within-noise": 2, "new": 3}
     ordered = sorted(
-        verdicts, key=lambda v: (order.get(v.status, 9), v.bench, v.smoke)
+        verdicts,
+        key=lambda v: (order.get(v.status, 9), v.bench, v.smoke, v.traced),
     )
     lines = [v.describe() for v in ordered]
     regressions = sum(v.is_regression for v in verdicts)

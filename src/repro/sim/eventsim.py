@@ -167,8 +167,19 @@ class EventDrivenSimulator:
         through.  ``metrics`` gets deterministic counters (per-node
         forwarded / served / shed, cache hits/misses per policy, event
         counts) and simulated latency histograms; ``spans`` the
-        wall-clock phases (``workload-gen`` -> ``event-loop`` ->
-        ``report``); ``monitor`` every request on the simulated clock
+        wall-clock phases of the kernel, as this tree of span paths::
+
+            workload-gen                key stream and arrival times
+            event-loop
+              kernel-resolve            node state replay, miss masks
+                kernel-cache            front-end cache pass
+                kernel-route            routing, failover, grouping by node
+              kernel-queues             per-node FIFO drains, latencies
+              kernel-monitor            only with a monitor attached
+              kernel-trace              only with a flight recorder
+            report                      metrics, monitor and trace finalize
+
+        ``monitor`` every request on the simulated clock
         (``begin_run`` -> ``record_request`` per arrival ->
         ``finalize``: sliding-window telemetry, the streaming gain
         estimate, alerts); ``trace`` a causal record per hash-sampled

@@ -29,7 +29,13 @@ consumption.  The replay rules that make it exact:
   group order, that was not tried and is up then; if there is none it
   is unavailable with ``attempts=2``.  With ``max_attempts == 1`` or
   ``d == 1`` it is unavailable at ``t``.  A retry always lands on an up
-  node, so a request retries at most once.
+  node, so a request retries at most once.  Replica groups are resolved
+  once per unique key, found without sorting from a presence bitmap
+  over the ``m`` keys (:func:`_dense_ids`).  Successful dispatches are
+  grouped per node in ``(node, time, index)`` order by two stable
+  sorts: by time (already sorted apart from appended failovers), then
+  by node id cast to the narrowest unsigned type, which NumPy radix
+  sorts.
 - **Queues.**  Per node, :func:`_fifo_drain` applies the single-server
   FIFO recurrence ``start = max(t, dep_prev)``, ``dep = start + s`` with
   drop-on-full admission, as scalar float math (the vectorized closed
@@ -122,6 +128,26 @@ def _cache_pass(cache, keys: np.ndarray, layered: bool):
     return np.array(hits, dtype=bool), paths
 
 
+def _dense_ids(keys: np.ndarray, size: int):
+    """NumPy's ``unique(keys, return_index=True, return_inverse=True)``
+    for keys from ``[0, size)``, without sorting.
+
+    A presence bitmap over the key space gives the sorted unique keys,
+    its running count the inverse, and a scatter-minimum of positions
+    the first appearances — O(len(keys) + size).  The running count is
+    kept in the narrowest unsigned type that holds ``size``, so the two
+    key-space tables cost at most 5 bytes per key below 2**32 keys.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    unique = np.flatnonzero(present).astype(keys.dtype, copy=False)
+    inverse = np.cumsum(present, dtype=np.min_scalar_type(size))[keys].astype(np.intp)
+    inverse -= 1
+    first = np.full(unique.size, keys.size, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(keys.size))
+    return unique, first, inverse
+
+
 def _route_batch(
     sim, miss_keys: np.ndarray, routing_gen: np.random.Generator
 ) -> np.ndarray:
@@ -136,15 +162,12 @@ def _route_batch(
     runs on the same instance see identical stickiness.
     """
     cluster = sim._cluster
+    unique, first_idx, inverse = _dense_ids(miss_keys, sim._params.m)
     if sim._routing == "random":
-        unique, inverse = np.unique(miss_keys, return_inverse=True)
         groups = cluster.partitioner.replica_groups(unique)
         draws = routing_gen.integers(0, cluster.d, size=miss_keys.size)
         return np.asarray(groups[inverse, draws], dtype=np.int64)
     # "pin"
-    unique, first_idx, inverse = np.unique(
-        miss_keys, return_index=True, return_inverse=True
-    )
     pins = sim._pins
     unique_keys = unique.tolist()
     unseen = sorted(
@@ -442,36 +465,41 @@ def run_fast(sim, n_queries: int, trial: int):
 
     with tracer.span("event-loop"):
         with tracer.span("kernel-resolve"):
-            hit_mask, paths = _cache_pass(cache, keys, layered)
+            with tracer.span("kernel-cache"):
+                hit_mask, paths = _cache_pass(cache, keys, layered)
             miss_idx = np.flatnonzero(~hit_mask)
             backend = int(miss_idx.size)
             frontend_hits = n_queries - backend
             miss_keys = keys[miss_idx]
             miss_times = times[miss_idx]
-            first = (
-                _route_batch(sim, miss_keys, routing_gen)
-                if backend else np.empty(0, dtype=np.int64)
-            )
             states = _NodeStates(schedule, n)
-            second: List[_Retry] = []
-            if states.flapping and backend:
-                first, second = _failover(
-                    sim, states, miss_keys, miss_times, miss_idx, first
+            with tracer.span("kernel-route"):
+                first = (
+                    _route_batch(sim, miss_keys, routing_gen)
+                    if backend else np.empty(0, dtype=np.int64)
                 )
-            # Successful dispatches: attempt-1 ones in miss order, then
-            # failovers in arrival order — that is, (class, index) order.
-            ok = first >= 0
-            failovers = [retry for retry in second if retry.node >= 0]
-            d_node = np.concatenate(
-                [first[ok], np.array([e.node for e in failovers], dtype=np.int64)]
-            )
-            d_time = np.concatenate([miss_times[ok], [e.time for e in failovers]])
-            if failovers:
-                order = np.lexsort((np.arange(d_node.size), d_time, d_node))
-            else:
-                order = np.argsort(d_node, kind="stable")
-            bounds = np.searchsorted(d_node[order], np.arange(n + 1))
-            node_arrivals = np.bincount(d_node, minlength=n).astype(np.int64)
+                second: List[_Retry] = []
+                if states.flapping and backend:
+                    first, second = _failover(
+                        sim, states, miss_keys, miss_times, miss_idx, first
+                    )
+                # Successful dispatches: attempt-1 ones in miss order, then
+                # failovers in arrival order — that is, (class, index) order.
+                ok = first >= 0
+                failovers = [retry for retry in second if retry.node >= 0]
+                d_node = np.concatenate(
+                    [first[ok], np.array([e.node for e in failovers], dtype=np.int64)]
+                )
+                d_time = np.concatenate([miss_times[ok], [e.time for e in failovers]])
+                # Group by node in event order, lexsort((index, time, node)):
+                # a stable sort by time (already sorted apart from appended
+                # failovers), then a stable radix sort by narrow node ids.
+                order = np.argsort(d_time, kind="stable")
+                order = order[np.argsort(
+                    d_node[order].astype(np.min_scalar_type(n)), kind="stable"
+                )]
+                node_arrivals = np.bincount(d_node, minlength=n).astype(np.int64)
+                bounds = np.concatenate(([0], np.cumsum(node_arrivals)))
         with tracer.span("kernel-queues"):
             served = np.zeros(n, dtype=np.int64)
             dropped = np.zeros(n, dtype=np.int64)
@@ -488,7 +516,7 @@ def run_fast(sim, n_queries: int, trial: int):
                 failover_times.setdefault(e.node, []).append(e.time)
             exponential = sim._service == "exponential"
             mean_service = 1.0 / sim._capacity
-            for node in np.flatnonzero(np.diff(bounds)).tolist():
+            for node in np.flatnonzero(node_arrivals).tolist():
                 lo, hi = int(bounds[node]), int(bounds[node + 1])
                 draws = None
                 if exponential:
@@ -508,7 +536,8 @@ def run_fast(sim, n_queries: int, trial: int):
                     sorted_times[lo:hi].tolist(), service, sim._queue_limit,
                     states.crashes.get(node, ()), scale_at,
                 )
-                if not set(failover_times.get(node, ())).isdisjoint(departures):
+                retry_times = failover_times.get(node)
+                if retry_times and not set(retry_times).isdisjoint(departures):
                     raise SimulationError(
                         f"node {node}: a retry arrives at exactly a departure "
                         "time, a tie the replay cannot order"

@@ -28,6 +28,7 @@ from repro.scenario.build import BuildContext, build_component
 from repro.scenario.registry import REGISTRY
 from repro.scenario.spec import ComponentSpec
 from repro.sim.eventsim import EventDrivenSimulator
+from repro.sim.kernel import _dense_ids
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -222,6 +223,70 @@ class TestFallbackIdentity:
             _params(), UniformDistribution(500), cache=Counting(10), seed=1
         ).run(700)
         assert len(calls) == 700
+
+
+class TestWideCluster:
+    """``n >= 256``: node ids group through the ``uint16`` radix sort
+    (every other case here has ``n = 20``, which sorts as ``uint8``)."""
+
+    N = 300
+
+    @pytest.mark.parametrize("routing", ["pin", "random"])
+    @pytest.mark.parametrize("chaotic", [False, True], ids=["calm", "chaos"])
+    def test_matches_oracle(self, routing, chaotic):
+        assert np.min_scalar_type(self.N) == np.uint16
+        params = _params(n=self.N, m=3000, c=20, rate=30_000.0)
+        chaos = ChaosConfig(failure_rate=2.0, mttr=0.02) if chaotic else None
+        _, _, results = _pair(
+            lambda: UniformDistribution(3000), params=params, n_queries=4000,
+            routing=routing, service="exponential", queue_limit=2,
+            chaos=chaos,
+        )
+        for result in results:
+            assert (result.served > 0).sum() > 255  # ids past uint8 range
+            if chaotic:
+                assert result.failovers > 0
+
+
+#: Keys from a space of ``m`` keys (``uint8`` and ``uint16`` running
+#: counts), with key ``0`` and key ``m - 1`` drawn explicitly.
+@st.composite
+def _key_arrays(draw):
+    m = draw(st.integers(min_value=1, max_value=300))
+    keys = draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=200))
+    extra = draw(st.sampled_from([[], [0], [m - 1], [0, m - 1]]))
+    return m, np.array(keys + extra, dtype=np.int64)
+
+
+class TestDenseIds:
+    """The kernel's sort-free ``unique`` equals NumPy's, element for element."""
+
+    @staticmethod
+    def _check(keys, m):
+        expected = np.unique(keys, return_index=True, return_inverse=True)
+        for got, want in zip(_dense_ids(keys, m), expected):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert (got == want).all()
+
+    @given(_key_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_unique(self, drawn):
+        m, keys = drawn
+        self._check(keys, m)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [0], [9], [0, 9], [9, 0, 9, 0], [4] * 7],
+        ids=["empty", "zero", "last", "both-ends", "repeats", "all-duplicate"],
+    )
+    def test_edge_cases(self, keys):
+        self._check(np.array(keys, dtype=np.int64), 10)
+
+    def test_key_space_past_uint16(self):
+        # The running count takes uint32 beyond 65,535 keys.
+        keys = np.array([69_999, 0, 65_536, 69_999, 1], dtype=np.int64)
+        self._check(keys, 70_000)
 
 
 def _arrivals(sim, n_queries, trial=0):

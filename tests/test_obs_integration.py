@@ -93,6 +93,24 @@ class TestZeroInterference:
         ).all()
 
 
+class TestEventSpans:
+    def test_kernel_resolve_splits_into_cache_and_route(self):
+        tracer = Tracer()
+        EventDrivenSimulator(
+            _params(), UniformDistribution(400), cache=LRUCache(20),
+            seed=3, context=RunContext(spans=tracer),
+        ).run(2000)
+        assert {
+            "workload-gen",
+            "event-loop",
+            "event-loop/kernel-resolve",
+            "event-loop/kernel-resolve/kernel-cache",
+            "event-loop/kernel-resolve/kernel-route",
+            "event-loop/kernel-queues",
+            "report",
+        } == set(tracer.aggregates())
+
+
 class TestWorkerInvariance:
     def test_monte_carlo_metrics_identical_serial_vs_parallel(self):
         serial, parallel = MetricsRegistry(), MetricsRegistry()

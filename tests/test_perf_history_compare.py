@@ -165,6 +165,27 @@ class TestComparator:
         assert len(verdicts) == 2
         assert all(v.status == "within-noise" for v in verdicts)
 
+    def test_tracemalloc_timed_rows_form_their_own_series(self):
+        # A row timed under tracemalloc (non-null peak) is several times
+        # slower than an untraced one; it must never be its baseline.
+        baseline = [
+            make_manifest(engine=7.0, tracemalloc_peak_bytes=1 << 20)
+            for _ in range(3)
+        ]
+        (verdict,) = compare_history(
+            [make_manifest(engine=1.0)], baseline_manifests=baseline
+        )
+        assert verdict.status == "new"
+        assert not verdict.traced
+
+        history = baseline + [make_manifest(engine=1.0) for _ in range(2)]
+        verdicts = {v.traced: v for v in compare_history(history)}
+        assert verdicts[False].status == "within-noise"
+        assert verdicts[False].baseline == 1.0
+        assert verdicts[True].baseline == 7.0
+        assert "tracemalloc" in verdicts[True].describe()
+        assert "tracemalloc" not in verdicts[False].describe()
+
     def test_separate_baseline_file(self):
         baseline = [make_manifest(engine=1.0) for _ in range(3)]
         current = [make_manifest(engine=2.0)]
