@@ -22,7 +22,6 @@ implemented policy and reports hit rates:
 """
 
 import numpy as np
-from _util import register
 
 from repro.cache import (
     ARCCache,
@@ -39,6 +38,7 @@ from repro.cache import (
     TwoQCache,
 )
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.zipf import ZipfDistribution
 

@@ -9,7 +9,6 @@ exactly when the cluster is already degraded.
 """
 
 import numpy as np
-from _util import active_context, register
 
 from repro.ballsbins.allocation import sample_replica_groups
 from repro.cluster.failures import (
@@ -18,6 +17,7 @@ from repro.cluster.failures import (
     sample_failures,
 )
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import active_context, register
 from repro.rng import RngFactory
 
 N = 200

@@ -10,13 +10,13 @@ both policies on a mixed cluster and checks the
 """
 
 import numpy as np
-from _util import register
 
 from repro.ballsbins.allocation import sample_replica_groups
 from repro.cluster.selection import LeastLoadedKeyPinning, LeastUtilizedKeyPinning
 from repro.core.heterogeneous import utilization_equalizing_bound
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.rng import RngFactory
 
 N = 100

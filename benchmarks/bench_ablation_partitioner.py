@@ -8,11 +8,11 @@ back.
 """
 
 import numpy as np
-from _util import register
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.partitioner import ConsistentHashPartitioner, RandomTablePartitioner
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 
 N = 100
 D = 3

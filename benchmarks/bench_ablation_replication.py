@@ -6,12 +6,11 @@ world, d >= 2 is this paper's.  Expected: a large drop from d = 1 to
 d = 2 (sqrt excess -> log log excess) and mild further gains after.
 """
 
-from _util import register
-
 from repro.core import baseline_socc11
 from repro.core.bounds import normalized_max_load_bound
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.sim.analytic import simulate_uniform_attack
 
 TRIALS = 10

@@ -9,10 +9,9 @@ close behind, random/primary pinning clearly worse (they degenerate to
 one-choice placement).
 """
 
-from _util import register
-
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.sim.analytic import simulate_uniform_attack
 
 TRIALS = 10

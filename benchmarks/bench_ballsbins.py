@@ -6,14 +6,13 @@ the ``log log n / log d + k'`` gap the cache-size theorem rests on —
 and, unlike the one-choice gap, it must not grow with the load.
 """
 
-from _util import active_context, register
-
 from repro.ballsbins import (
     d_choice_allocate,
     max_load_bound,
     one_choice_allocate,
 )
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import active_context, register
 
 BINS = 500
 SEED = 64

@@ -11,11 +11,11 @@ case structure.
 """
 
 import numpy as np
-from _util import register
 
 from repro.core import baseline_socc11
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.sim.analytic import simulate_uniform_attack
 
 N = 200

@@ -14,12 +14,12 @@ survives test runs.
 """
 
 import numpy as np
-from _util import register, smoke_mode, timed
 
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
 from repro.obs import LoadMonitor, MonitorConfig, RunContext
+from repro.perf.harness import register, smoke_mode, timed
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 

@@ -18,10 +18,10 @@ survives test runs.
 """
 
 import numpy as np
-from _util import active_context, register, smoke_mode, timed
 
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import active_context, register, smoke_mode, timed
 from repro.sim.analytic import simulate_uniform_attack
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution

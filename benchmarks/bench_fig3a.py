@@ -5,9 +5,8 @@ queried keys, exceeds 1.0 (effective attack) near ``x = c + 1``, and the
 Eq. (10) bound sits above the measurements.
 """
 
-from _util import register
-
 from repro.experiments import run_fig3a
+from repro.perf.harness import register
 
 TRIALS = 30  # paper: 200; shape is stable well before that
 SEED = 31

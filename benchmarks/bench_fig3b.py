@@ -6,9 +6,8 @@ adversary's best play (query everything) is no better than benign
 uniform traffic.
 """
 
-from _util import register
-
 from repro.experiments import run_fig3b
+from repro.perf.harness import register
 
 TRIALS = 30
 SEED = 32

@@ -5,9 +5,8 @@ Paper shape to reproduce: Zipf(1.01) is the cheapest for the back end
 the adversarial pattern grows ~linearly with n (as n / (c + 1)).
 """
 
-from _util import register
-
 from repro.experiments import run_fig4
+from repro.perf.harness import register
 
 TRIALS = 10
 SEED = 41

@@ -5,10 +5,9 @@ and crosses 1.0 at a critical point that is Theta(n) and independent of
 the number of stored items; the analytic bound lands near the crossing.
 """
 
-from _util import register
-
 from repro.core.cases import critical_cache_size
 from repro.experiments import PAPER, run_fig5a
+from repro.perf.harness import register
 
 TRIALS = 10
 SEED = 51

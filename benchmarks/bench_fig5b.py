@@ -4,9 +4,8 @@ Paper shape to reproduce: a step function — ``x = c + 1`` below the
 critical point, jumping to the entire key space ``m`` above it.
 """
 
-from _util import register
-
 from repro.experiments import PAPER, run_fig5b
+from repro.perf.harness import register
 
 TRIALS = 10
 SEED = 52

@@ -31,8 +31,6 @@ noisy (the committed full-scale artifact is the honest measurement).
 ``obs_smoke.json`` so the full-scale artifact survives test runs.
 """
 
-from _util import register, smoke_mode, timed
-
 from repro.cache.lru import LRUCache
 from repro.core.notation import SystemParameters
 from repro.obs import (
@@ -47,6 +45,7 @@ from repro.obs import (
     TraceConfig,
     Tracer,
 )
+from repro.perf.harness import register, smoke_mode, timed
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator

@@ -17,9 +17,8 @@ determinism, just not multi-process scaling.
 import os
 from dataclasses import replace
 
-from _util import active_context, register, smoke_mode, timed
-
 from repro.core.notation import SystemParameters
+from repro.perf.harness import active_context, register, smoke_mode, timed
 from repro.sim.analytic import simulate_uniform_attack
 
 SEED = 20130708

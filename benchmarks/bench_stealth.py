@@ -10,9 +10,8 @@ is benign Zipf) against an under-provisioned cache.  Asserted findings:
   substitute for provisioning.
 """
 
-from _util import register
-
 from repro.experiments.stealth import run_stealth_sweep
+from repro.perf.harness import register
 
 TRIALS = 10
 SEED = 71

@@ -30,14 +30,13 @@ monitor's per-layer summaries.  The check asserts:
 ``tree_smoke.json`` so the committed artifact survives test runs.
 """
 
-from _util import register, smoke_mode, timed
-
 from repro.adversary.strategies import ShardTargetingAdversary
 from repro.cache import make_cache
 from repro.cache.tree import _build_tree
 from repro.core.bounds import DEFAULT_CALIBRATED_K_PRIME
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MonitorConfig, RunContext
+from repro.perf.harness import register, smoke_mode, timed
 from repro.scenario.build import BuildContext
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution

@@ -7,8 +7,6 @@ per policy, the steady-state hit rate and the queries (and seconds at
 the paper's offered rate) needed to reach 90% of it under Zipf(1.01).
 """
 
-from _util import register
-
 from repro.analysis.warmup import queries_to_warm
 from repro.cache import (
     ARCCache,
@@ -20,6 +18,7 @@ from repro.cache import (
     TwoQCache,
 )
 from repro.experiments.report import ExperimentResult
+from repro.perf.harness import register
 from repro.workload.zipf import ZipfDistribution
 
 M = 20_000

@@ -1,22 +1,7 @@
 """Measurement and statistics over simulation outcomes."""
 
-from .metrics import (
-    gini_coefficient,
-    jain_fairness,
-    load_percentiles,
-    normalized_loads,
-)
-from .stats import bootstrap_ci, mean_confidence_interval
-from .critical_point import CriticalPointResult, find_critical_cache_size
 from .tightness import TightnessReport, bound_tightness
-from .sweep import sweep
 from .warmup import WarmupReport, attack_window, queries_to_warm, warmup_curve
-from .validation import (
-    GoodnessOfFit,
-    chi_square_uniform,
-    partitioner_uniformity,
-    sampler_fidelity,
-)
 from .detection import TrafficProfile, profile_counts, profile_keys
 
 __all__ = [
@@ -24,22 +9,9 @@ __all__ = [
     "warmup_curve",
     "queries_to_warm",
     "attack_window",
-    "GoodnessOfFit",
-    "chi_square_uniform",
-    "partitioner_uniformity",
-    "sampler_fidelity",
     "TrafficProfile",
     "profile_counts",
     "profile_keys",
-    "jain_fairness",
-    "gini_coefficient",
-    "load_percentiles",
-    "normalized_loads",
-    "mean_confidence_interval",
-    "bootstrap_ci",
-    "CriticalPointResult",
-    "find_critical_cache_size",
     "TightnessReport",
     "bound_tightness",
-    "sweep",
 ]

@@ -32,8 +32,6 @@ from .hierarchy import (
     make_layer_selection,
 )
 from .cluster import Cluster
-from .health import ClusterHealth, assess_health
-from .rebalance import MigrationPlan, grow_ring, migration_plan
 from .failures import (
     DegradedGroups,
     degrade_groups,
@@ -62,11 +60,6 @@ __all__ = [
     "TwoChoiceLayerSelection",
     "make_layer_selection",
     "Cluster",
-    "ClusterHealth",
-    "assess_health",
-    "MigrationPlan",
-    "migration_plan",
-    "grow_ring",
     "DegradedGroups",
     "degrade_groups",
     "sample_failures",

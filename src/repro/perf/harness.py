@@ -32,6 +32,18 @@ A ported bench script is three declarations and two thin wrappers::
 
     if __name__ == "__main__":
         raise SystemExit(SPEC.main())
+
+Scripts import :func:`register`, :func:`smoke_mode`, :func:`timed`,
+:func:`active_context` and the ``emit*`` helpers from this module
+directly.
+
+Scale note: the paper runs 200 trials per sweep point; the benches
+default to fewer (the per-bench ``TRIALS`` constants) because the
+qualitative shape — who wins, where the crossover sits — stabilises far
+earlier than the worst-case tail.  ``python -m repro <fig> --full``
+reruns any figure at full paper scale, and ``REPRO_BENCH_SMOKE=1`` (or
+``repro perf run --smoke``) shrinks the perf benches to a seconds-scale
+configuration whose artifacts land under ``*_smoke`` names.
 """
 
 from __future__ import annotations
@@ -482,9 +494,8 @@ def get_spec(name: str) -> BenchSpec:
 def discover(directory: Optional[Path] = None) -> List[BenchSpec]:
     """Import every ``bench_*.py`` under ``benchmarks/`` to register it.
 
-    Scripts self-register at import; this just makes the imports happen.
-    The directory is prepended to ``sys.path`` so the scripts' local
-    ``from _util import ...`` keeps working unchanged.
+    Scripts self-register at import; this just makes the imports happen,
+    with the directory prepended to ``sys.path`` for the duration.
     """
     directory = Path(directory) if directory else bench_dir()
     if not directory.is_dir():

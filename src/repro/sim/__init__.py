@@ -22,7 +22,6 @@ from .analytic import (
 from .parallel import ParallelExecutor, resolve_workers
 from .runner import run_trials
 from .eventsim import EventDrivenSimulator, EventSimResult
-from .crossval import CrossValidation, cross_validate
 from .batch import EventCampaign, run_event_campaign
 
 __all__ = [
@@ -38,6 +37,4 @@ __all__ = [
     "run_trials",
     "EventDrivenSimulator",
     "EventSimResult",
-    "CrossValidation",
-    "cross_validate",
 ]

@@ -1,4 +1,4 @@
-"""Workload substrate: key-popularity distributions, query streams, traces.
+"""Workload substrate: key-popularity distributions and operation mixes.
 
 Keys are integers ``0 .. m-1``.  Every distribution exposes an exact
 probability vector (for analytic/expected-value work) and fast sampling
@@ -19,16 +19,12 @@ from .adversarial import AdversarialDistribution
 from .keyset import KeySetDistribution
 from .scan import CyclicScanDistribution
 from .mixture import MixtureDistribution
-from .costs import CostModel, OperationMix, WeightedWorkload
-from .generator import QueryStream
-from .trace import load_trace, save_trace
+from .costs import OperationMix
 
 __all__ = [
     "CyclicScanDistribution",
     "MixtureDistribution",
     "OperationMix",
-    "CostModel",
-    "WeightedWorkload",
     "KeyDistribution",
     "UniformDistribution",
     "PointMassDistribution",
@@ -37,7 +33,4 @@ __all__ = [
     "ZipfDistribution",
     "AdversarialDistribution",
     "KeySetDistribution",
-    "QueryStream",
-    "save_trace",
-    "load_trace",
 ]

@@ -2,18 +2,15 @@
 
 The paper assumes every query costs the back end the same (assumption
 4) and points at Fan et al. [18] for handling mixes of reads, writes and
-updates with different costs.  The standard reduction, implemented here:
-measure load in *cost units* instead of queries.  If key ``i`` is
-queried at rate ``q_i`` and each of its queries costs ``w_i`` units,
-the back-end load it generates is ``q_i * w_i`` — and every theorem
-goes through with ``R`` replaced by the offered *cost rate*
-``sum_i q_i w_i``, because the balls-into-bins argument never used the
-fact that ball weights were equal rates (see
+updates with different costs.  The standard reduction: measure load in
+*cost units* instead of queries.  Every theorem goes through with ``R``
+replaced by the offered *cost rate*, because the balls-into-bins
+argument never used the fact that ball weights were equal rates (see
 :class:`repro.cluster.selection.LeastLoadedKeyPinning`, which already
 places by accumulated weight).
 
-The adversary-side consequence is also exposed:
-:meth:`CostModel.worst_case_inflation` — an attacker who can choose
+:class:`OperationMix` exposes the adversary-side consequence:
+:meth:`OperationMix.worst_case_inflation` — an attacker who can choose
 expensive operations multiplies their effective rate by at most
 ``max_cost / mean_cost`` of the benign mix, which is how an operator
 should derate capacity.
@@ -28,9 +25,8 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..rng import as_generator
-from .distributions import KeyDistribution
 
-__all__ = ["OperationMix", "CostModel", "WeightedWorkload"]
+__all__ = ["OperationMix"]
 
 RngLike = Union[None, int, np.random.Generator]
 
@@ -97,92 +93,3 @@ class OperationMix:
         costs = np.array([self.classes[n][1] for n in names])
         picks = gen.choice(len(names), size=size, p=fractions)
         return costs[picks]
-
-
-class CostModel:
-    """Per-key query costs (cost units per query for each key).
-
-    Keys may have intrinsically different costs (a large blob vs a tiny
-    counter); this is orthogonal to the *operation* mix and composes
-    with it multiplicatively.
-    """
-
-    def __init__(self, key_costs: np.ndarray) -> None:
-        key_costs = np.asarray(key_costs, dtype=float)
-        if key_costs.ndim != 1 or key_costs.size == 0:
-            raise ConfigurationError("key_costs must be a non-empty 1-D vector")
-        if np.any(key_costs <= 0):
-            raise ConfigurationError("every key cost must be positive")
-        self._costs = key_costs
-
-    @classmethod
-    def uniform(cls, m: int, cost: float = 1.0) -> "CostModel":
-        """The paper's assumption 4: every key costs the same."""
-        if m < 1:
-            raise ConfigurationError(f"need at least one key, got {m}")
-        return cls(np.full(m, cost))
-
-    @property
-    def m(self) -> int:
-        """Number of keys covered."""
-        return int(self._costs.size)
-
-    def cost_of(self, key: int) -> float:
-        """Cost units per query for ``key``."""
-        return float(self._costs[key])
-
-    def costs(self) -> np.ndarray:
-        """The full per-key cost vector (copy)."""
-        return self._costs.copy()
-
-    @property
-    def max_cost(self) -> float:
-        """Most expensive key's per-query cost."""
-        return float(self._costs.max())
-
-
-class WeightedWorkload:
-    """A popularity law combined with per-key costs.
-
-    Produces the *cost-rate* vector the cluster actually feels:
-    ``rate_i = R * p_i * w_i``.  Feed :meth:`effective_rates` to
-    :meth:`repro.cluster.cluster.Cluster.apply_rates` (whose selection
-    policies are already weight-aware) and normalize gains by
-    :meth:`even_split`.
-    """
-
-    def __init__(self, distribution: KeyDistribution, cost_model: CostModel) -> None:
-        if distribution.m != cost_model.m:
-            raise ConfigurationError(
-                f"distribution covers {distribution.m} keys, "
-                f"cost model covers {cost_model.m}"
-            )
-        self._distribution = distribution
-        self._cost_model = cost_model
-
-    @property
-    def distribution(self) -> KeyDistribution:
-        """The underlying popularity law."""
-        return self._distribution
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The per-key cost model."""
-        return self._cost_model
-
-    def effective_rates(self, total_rate: float) -> np.ndarray:
-        """Per-key back-end cost rates at offered query rate ``R``."""
-        if total_rate < 0:
-            raise ConfigurationError("total_rate must be non-negative")
-        return self._distribution.probabilities() * total_rate * self._cost_model.costs()
-
-    def total_cost_rate(self, total_rate: float) -> float:
-        """Aggregate cost units/second the workload offers — the ``R``
-        that replaces the query rate in every bound."""
-        return float(self.effective_rates(total_rate).sum())
-
-    def even_split(self, total_rate: float, n: int) -> float:
-        """Cost-rate analogue of ``R/n`` for gain normalization."""
-        if n < 1:
-            raise ConfigurationError(f"need at least one node, got {n}")
-        return self.total_cost_rate(total_rate) / n

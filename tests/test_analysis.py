@@ -1,118 +1,10 @@
-"""Tests for the repro.analysis subpackage."""
+"""Tests for repro.analysis.tightness and the critical-point helper."""
 
-import numpy as np
 import pytest
+from critical_point import find_critical_cache_size
 
-from repro.analysis.critical_point import find_critical_cache_size
-from repro.analysis.metrics import (
-    gini_coefficient,
-    jain_fairness,
-    load_percentiles,
-    normalized_loads,
-)
-from repro.analysis.stats import bootstrap_ci, mean_confidence_interval
-from repro.analysis.sweep import sweep
 from repro.analysis.tightness import bound_tightness
 from repro.exceptions import AnalysisError
-from repro.types import LoadVector
-
-
-class TestJainFairness:
-    def test_even_is_one(self):
-        assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_single_hotspot_is_one_over_n(self):
-        assert jain_fairness([10.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_all_zero_vacuously_fair(self):
-        assert jain_fairness([0.0, 0.0]) == 1.0
-
-    def test_accepts_load_vector(self):
-        v = LoadVector(loads=np.array([1.0, 1.0]), total_rate=2.0)
-        assert jain_fairness(v) == pytest.approx(1.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(AnalysisError):
-            jain_fairness([-1.0, 1.0])
-
-
-class TestGini:
-    def test_even_is_zero(self):
-        assert gini_coefficient([3.0, 3.0, 3.0]) == pytest.approx(0.0)
-
-    def test_hotspot_close_to_one(self):
-        g = gini_coefficient([100.0] + [0.0] * 99)
-        assert g > 0.95
-
-    def test_zero_loads(self):
-        assert gini_coefficient([0.0, 0.0]) == 0.0
-
-    def test_between_zero_and_one(self, rng):
-        g = gini_coefficient(rng.random(50))
-        assert 0.0 <= g <= 1.0
-
-
-class TestPercentilesAndNormalized:
-    def test_percentiles(self):
-        p = load_percentiles(np.linspace(0, 100, 101), percentiles=(50, 100))
-        assert p[50.0] == pytest.approx(50.0)
-        assert p[100.0] == pytest.approx(100.0)
-
-    def test_normalized_loads(self):
-        v = LoadVector(loads=np.array([10.0, 30.0]), total_rate=40.0)
-        assert np.allclose(normalized_loads(v), [0.5, 1.5])
-
-    def test_normalized_needs_load_vector(self):
-        with pytest.raises(AnalysisError):
-            normalized_loads(np.array([1.0]))
-
-
-class TestMeanCI:
-    def test_interval_contains_mean(self):
-        mean, lo, hi = mean_confidence_interval(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert lo <= mean <= hi
-        assert mean == pytest.approx(2.5)
-
-    def test_single_sample_degenerate(self):
-        mean, lo, hi = mean_confidence_interval(np.array([7.0]))
-        assert mean == lo == hi == 7.0
-
-    def test_wider_at_higher_confidence(self):
-        data = np.random.default_rng(1).random(30)
-        _, lo95, hi95 = mean_confidence_interval(data, confidence=0.95)
-        _, lo99, hi99 = mean_confidence_interval(data, confidence=0.99)
-        assert (hi99 - lo99) > (hi95 - lo95)
-
-    def test_rejects_unknown_confidence(self):
-        with pytest.raises(AnalysisError):
-            mean_confidence_interval(np.array([1.0, 2.0]), confidence=0.5)
-
-
-class TestBootstrap:
-    def test_reproducible(self):
-        data = np.random.default_rng(2).random(40)
-        a = bootstrap_ci(data, rng=3)
-        b = bootstrap_ci(data, rng=3)
-        assert a == b
-
-    def test_interval_brackets_point_for_mean(self):
-        data = np.random.default_rng(2).random(100)
-        point, lo, hi = bootstrap_ci(data, rng=3)
-        assert lo <= point <= hi
-
-    def test_max_statistic(self):
-        data = np.array([1.0, 5.0, 3.0])
-        point, lo, hi = bootstrap_ci(data, statistic=np.max, rng=1)
-        assert point == 5.0
-        assert hi == 5.0  # resampled max never exceeds the sample max
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci(np.array([]))
-        with pytest.raises(AnalysisError):
-            bootstrap_ci(np.array([1.0]), confidence=1.5)
-        with pytest.raises(AnalysisError):
-            bootstrap_ci(np.array([1.0]), resamples=0)
 
 
 class TestCriticalPoint:
@@ -172,26 +64,3 @@ class TestTightness:
     def test_describe(self):
         assert "holds" in bound_tightness([1.0], [2.0]).describe()
         assert "VIOLATED" in bound_tightness([3.0], [2.0]).describe()
-
-
-class TestSweep:
-    def test_columns_assembled(self):
-        table = sweep([1, 2, 3], lambda v: {"double": 2 * v, "square": v * v})
-        assert table["value"] == [1, 2, 3]
-        assert table["double"] == [2, 4, 6]
-        assert table["square"] == [1, 4, 9]
-
-    def test_rejects_empty(self):
-        with pytest.raises(AnalysisError):
-            sweep([], lambda v: {"x": 1})
-
-    def test_rejects_column_drift(self):
-        def measure(v):
-            return {"a": 1} if v == 1 else {"b": 2}
-
-        with pytest.raises(AnalysisError):
-            sweep([1, 2], measure)
-
-    def test_rejects_name_collision(self):
-        with pytest.raises(AnalysisError):
-            sweep([1], lambda v: {"value": 1})

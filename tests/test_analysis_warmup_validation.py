@@ -1,13 +1,9 @@
-"""Tests for repro.analysis.warmup and repro.analysis.validation."""
+"""Tests for repro.analysis.warmup and the goodness-of-fit helpers."""
 
 import numpy as np
 import pytest
+from goodness_of_fit import chi_square_uniform, partitioner_uniformity, sampler_fidelity
 
-from repro.analysis.validation import (
-    chi_square_uniform,
-    partitioner_uniformity,
-    sampler_fidelity,
-)
 from repro.analysis.warmup import attack_window, queries_to_warm, warmup_curve
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache

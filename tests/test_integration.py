@@ -8,6 +8,7 @@ suite stays fast.
 
 import numpy as np
 import pytest
+from critical_point import find_critical_cache_size
 
 from repro.adversary.strategies import OptimalAdversary
 from repro.cluster.cluster import Cluster
@@ -21,7 +22,6 @@ from repro.sim.analytic import (
     simulate_uniform_attack,
 )
 from repro.sim.eventsim import EventDrivenSimulator
-from repro.analysis.critical_point import find_critical_cache_size
 
 
 class TestEndToEndPipeline:

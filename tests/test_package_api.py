@@ -28,9 +28,7 @@ DOCTEST_MODULES = [
     "repro.cluster.selection",
     "repro.cache",
     "repro.workload.zipf",
-    "repro.workload.trace",
     "repro.workload.costs",
-    "repro.analysis.sweep",
 ]
 
 

@@ -15,7 +15,6 @@ from repro.ballsbins.allocation import sample_replica_groups
 from repro.cache.sketch import CountMinSketch
 from repro.cluster.failures import degrade_groups, expected_unavailable_fraction
 from repro.cluster.partitioner import RandomTablePartitioner
-from repro.cluster.rebalance import migration_plan
 from repro.workload.distributions import GeometricDistribution, UniformDistribution
 from repro.workload.mixture import MixtureDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -84,31 +83,6 @@ class TestMixtureInvariants:
         assert (probs >= 0).all()
         keys = mix.sample(200, rng=seed)
         assert keys.min() >= 0 and keys.max() < m
-
-
-class TestMigrationInvariants:
-    @given(
-        n=st.integers(min_value=3, max_value=25),
-        d=st.integers(min_value=1, max_value=3),
-        seeds=st.tuples(
-            st.integers(min_value=0, max_value=200),
-            st.integers(min_value=0, max_value=200),
-        ),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_moved_counts_bounded(self, n, d, seeds):
-        """0 <= replicas_moved <= keys * d and keys_affected <= keys,
-        with equality to zero iff the partitioners agree."""
-        d = min(d, n)
-        m = 150
-        before = RandomTablePartitioner(n, d, m=m, seed=seeds[0])
-        after = RandomTablePartitioner(n, d, m=m, seed=seeds[1])
-        plan = migration_plan(before, after, np.arange(m))
-        assert 0 <= plan.replicas_moved <= m * d
-        assert 0 <= plan.keys_affected <= m
-        if seeds[0] == seeds[1]:
-            assert plan.replicas_moved == 0
-        assert 0.0 <= plan.moved_fraction <= 1.0
 
 
 class TestFailureInvariants:

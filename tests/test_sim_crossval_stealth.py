@@ -1,51 +1,8 @@
-"""Tests for repro.sim.crossval and the stealth experiment driver."""
+"""Tests for the stealth experiment driver."""
 
 import pytest
 
-from repro.core.notation import SystemParameters
-from repro.exceptions import ConfigurationError
 from repro.experiments.stealth import run_stealth_sweep
-from repro.sim.crossval import CrossValidation, cross_validate
-
-
-class TestCrossValidate:
-    def test_engines_agree_on_small_system(self):
-        params = SystemParameters(n=20, m=500, c=10, d=3, rate=5000.0)
-        report = cross_validate(
-            params, x=100, analytic_trials=15, event_trials=3,
-            queries_per_trial=20_000, seed=4,
-        )
-        assert report.agrees(tolerance=0.3), report.describe()
-        assert report.x == 100
-
-    def test_relative_gap_computation(self):
-        report = CrossValidation(
-            x=5, analytic_mean=2.0, eventsim_mean=2.2, eventsim_std=0.1, drop_rate=0.0
-        )
-        assert report.relative_gap == pytest.approx(0.1)
-        assert report.agrees(tolerance=0.15)
-        assert not report.agrees(tolerance=0.05)
-
-    def test_zero_analytic_edge(self):
-        both_zero = CrossValidation(
-            x=5, analytic_mean=0.0, eventsim_mean=0.0, eventsim_std=0.0, drop_rate=0.0
-        )
-        assert both_zero.relative_gap == 0.0
-        mismatch = CrossValidation(
-            x=5, analytic_mean=0.0, eventsim_mean=1.0, eventsim_std=0.0, drop_rate=0.0
-        )
-        assert mismatch.relative_gap == float("inf")
-
-    def test_describe(self):
-        report = CrossValidation(
-            x=5, analytic_mean=2.0, eventsim_mean=2.1, eventsim_std=0.1, drop_rate=0.01
-        )
-        assert "x=5" in report.describe()
-
-    def test_validates_x(self):
-        params = SystemParameters(n=10, m=100, c=5, d=2, rate=100.0)
-        with pytest.raises(ConfigurationError):
-            cross_validate(params, x=101)
 
 
 class TestStealthSweep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DistributionError
-from repro.workload.costs import CostModel, OperationMix, WeightedWorkload
+from repro.workload.costs import OperationMix
 from repro.workload.distributions import UniformDistribution
 from repro.workload.scan import CyclicScanDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -40,71 +40,6 @@ class TestOperationMix:
             OperationMix({"a": (1.0, 0.0)})  # zero cost
         with pytest.raises(ConfigurationError):
             OperationMix({"a": (-0.5, 1.0), "b": (1.5, 1.0)})
-
-
-class TestCostModel:
-    def test_uniform_matches_paper_assumption(self):
-        model = CostModel.uniform(10)
-        assert model.m == 10
-        assert model.cost_of(3) == 1.0
-        assert model.max_cost == 1.0
-
-    def test_per_key_costs(self):
-        model = CostModel(np.array([1.0, 4.0]))
-        assert model.cost_of(1) == 4.0
-        assert model.max_cost == 4.0
-
-    def test_costs_returns_copy(self):
-        model = CostModel(np.array([1.0, 2.0]))
-        model.costs()[0] = 99.0
-        assert model.cost_of(0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CostModel(np.array([]))
-        with pytest.raises(ConfigurationError):
-            CostModel(np.array([1.0, 0.0]))
-        with pytest.raises(ConfigurationError):
-            CostModel.uniform(0)
-
-
-class TestWeightedWorkload:
-    def test_effective_rates(self):
-        workload = WeightedWorkload(
-            UniformDistribution(4), CostModel(np.array([1.0, 1.0, 2.0, 4.0]))
-        )
-        rates = workload.effective_rates(total_rate=100.0)
-        assert rates.tolist() == [25.0, 25.0, 50.0, 100.0]
-        assert workload.total_cost_rate(100.0) == pytest.approx(200.0)
-
-    def test_uniform_costs_recover_plain_rates(self):
-        dist = ZipfDistribution(50, 1.01)
-        workload = WeightedWorkload(dist, CostModel.uniform(50))
-        assert np.allclose(workload.effective_rates(10.0), dist.expected_rates(10.0))
-
-    def test_even_split(self):
-        workload = WeightedWorkload(UniformDistribution(4), CostModel.uniform(4, 2.0))
-        assert workload.even_split(total_rate=100.0, n=10) == pytest.approx(20.0)
-
-    def test_cluster_integration(self):
-        """Weighted rates flow through the cluster: the hot expensive
-        key dominates the max load."""
-        from repro.cluster.cluster import Cluster
-
-        costs = np.ones(100)
-        costs[7] = 50.0
-        workload = WeightedWorkload(UniformDistribution(100), CostModel(costs))
-        rates = workload.effective_rates(100.0)
-        cluster = Cluster(n=10, d=2, m=100, seed=3)
-        loads = cluster.apply_rates(
-            (np.arange(100), rates), total_rate=workload.total_cost_rate(100.0)
-        )
-        # Key 7 alone carries 50 cost units/s; max load is at least that.
-        assert loads.max_load >= 50.0
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WeightedWorkload(UniformDistribution(5), CostModel.uniform(6))
 
 
 class TestCyclicScan:

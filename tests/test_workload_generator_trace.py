@@ -1,13 +1,9 @@
-"""Tests for repro.workload.generator and trace persistence."""
+"""Tests for repro.workload.adversarial."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.workload.adversarial import AdversarialDistribution
-from repro.workload.distributions import UniformDistribution
-from repro.workload.generator import QueryStream
-from repro.workload.trace import load_trace, save_trace
 
 
 class TestAdversarialDistribution:
@@ -44,106 +40,3 @@ class TestAdversarialDistribution:
             AdversarialDistribution(m=10, x=11)
         with pytest.raises(DistributionError):
             AdversarialDistribution(m=10, x=0)
-
-
-class TestQueryStream:
-    def _stream(self, n=1000, rate=100.0, rng=7):
-        return QueryStream(UniformDistribution(50), n_queries=n, rate=rate, rng=rng)
-
-    def test_counts_sum_to_n(self):
-        assert self._stream().counts().sum() == 1000
-
-    def test_rates_sum_to_rate(self):
-        assert self._stream().rates().sum() == pytest.approx(100.0)
-
-    def test_keys_length_and_range(self):
-        keys = self._stream().keys()
-        assert keys.shape == (1000,)
-        assert keys.max() < 50
-
-    def test_chunks_cover_stream(self):
-        chunks = list(self._stream(n=1000).chunks(chunk_size=300))
-        assert [len(c) for c in chunks] == [300, 300, 300, 100]
-
-    def test_iter_yields_ints(self):
-        stream = self._stream(n=10)
-        keys = list(stream)
-        assert len(keys) == 10
-        assert all(isinstance(k, int) for k in keys)
-
-    def test_arrival_times_increasing_at_rate(self):
-        stream = self._stream(n=5000, rate=100.0)
-        times = stream.arrival_times()
-        assert (np.diff(times) > 0).all()
-        # Mean inter-arrival ~ 1/rate.
-        assert times[-1] / 5000 == pytest.approx(0.01, rel=0.2)
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ConfigurationError):
-            QueryStream(UniformDistribution(10), n_queries=-1)
-        with pytest.raises(ConfigurationError):
-            QueryStream(UniformDistribution(10), n_queries=5, rate=0.0)
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            list(self._stream().chunks(chunk_size=0))
-
-
-class TestTrace:
-    def test_round_trip(self, tmp_path):
-        keys = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
-        path = tmp_path / "trace.jsonl"
-        save_trace(path, keys, rate=123.0, metadata={"source": "unit-test"})
-        loaded, header = load_trace(path)
-        assert (loaded == keys).all()
-        assert header["rate"] == 123.0
-        assert header["metadata"]["source"] == "unit-test"
-
-    def test_empty_trace(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        save_trace(path, np.empty(0, dtype=np.int64))
-        loaded, header = load_trace(path)
-        assert loaded.size == 0
-        assert header["n_queries"] == 0
-
-    def test_long_trace_chunked(self, tmp_path):
-        keys = np.arange(100_000, dtype=np.int64) % 97
-        path = tmp_path / "long.jsonl"
-        save_trace(path, keys)
-        loaded, _ = load_trace(path)
-        assert (loaded == keys).all()
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "keys", "keys": [1, 2]}\n')
-        with pytest.raises(ConfigurationError):
-            load_trace(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "short.jsonl"
-        path.write_text(
-            '{"type": "header", "version": 1, "n_queries": 5, "rate": 1.0}\n'
-            '{"type": "keys", "keys": [1, 2]}\n'
-        )
-        with pytest.raises(ConfigurationError):
-            load_trace(path)
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "garbage.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ConfigurationError):
-            load_trace(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "future.jsonl"
-        path.write_text('{"type": "header", "version": 99, "n_queries": 0, "rate": 1.0}\n')
-        with pytest.raises(ConfigurationError):
-            load_trace(path)
-
-    def test_roundtrip_of_generated_stream(self, tmp_path):
-        stream = QueryStream(UniformDistribution(100), n_queries=500, rng=5)
-        keys = stream.keys()
-        path = tmp_path / "stream.jsonl"
-        save_trace(path, keys)
-        loaded, _ = load_trace(path)
-        assert (loaded == keys).all()
