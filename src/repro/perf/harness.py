@@ -173,14 +173,19 @@ def active_profiler() -> Optional[Profiler]:
 def active_context() -> RunContext:
     """The run context a bench hands its engine calls.
 
-    Inside :meth:`BenchSpec.execute` it records op-counters into the
-    executing bench's profiler; outside a harness run it is the null
-    context.  Benches pass it as
+    Inside :meth:`BenchSpec.execute` it records op-counters and layer
+    spans into the executing bench's profiler; outside a harness run it
+    is the null context.  Benches pass it as
     ``context=`` (or its ``metrics`` to an allocation kernel) without
-    the harness threading the profiler through any signature.
+    the harness threading the profiler through any signature.  A span
+    opened by an engine nests under the bench's ``<name>/engine`` span,
+    so the manifest carries paths such as
+    ``eventsim/engine/event-loop/kernel-queues/kernel-drain``.
     """
     profiler = _ACTIVE_PROFILER
-    return NULL_CONTEXT if profiler is None else RunContext(metrics=profiler.metrics)
+    if profiler is None:
+        return NULL_CONTEXT
+    return RunContext(metrics=profiler.metrics, spans=profiler.tracer)
 
 
 @contextmanager

@@ -174,7 +174,9 @@ class EventDrivenSimulator:
               kernel-resolve            node state replay, miss masks
                 kernel-cache            front-end cache pass
                 kernel-route            routing, failover, grouping by node
-              kernel-queues             per-node FIFO drains, latencies
+              kernel-queues             service draws, latencies
+                kernel-drain            busy-period pass over all nodes
+                kernel-drain-scalar     only when a node falls back
               kernel-monitor            only with a monitor attached
               kernel-trace              only with a flight recorder
             report                      metrics, monitor and trace finalize

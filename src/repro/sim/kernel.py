@@ -36,16 +36,31 @@ consumption.  The replay rules that make it exact:
   sorts: by time (already sorted apart from appended failovers), then
   by node id cast to the narrowest unsigned type, which NumPy radix
   sorts.
-- **Queues.**  Per node, :func:`_fifo_drain` applies the single-server
-  FIFO recurrence ``start = max(t, dep_prev)``, ``dep = start + s`` with
-  drop-on-full admission, as scalar float math (the vectorized closed
-  form is algebraically equal but not IEEE-754 identical).  At a crash
-  at ``tc`` every admitted request with ``dep >= tc`` is lost; the lost
-  ones with ``start >= tc`` never started and consume no service draw
-  (per-node, per-run generators make over-drawing harmless).  The slow
-  factor is the one in force at service start.  Latency is
-  ``dep - t0`` and trace ``wait`` is ``start - t0``, where ``t0`` is the
-  original arrival time.
+- **Queues.**  Each node is a single-server FIFO: ``start =
+  max(t, dep_prev)``, ``dep = start + s``, with drop-on-full admission.
+  :func:`_busy_period_pass` settles every node at once, in
+  ``(node, time)`` order.  The Lindley closed form (node-local prefix
+  sums of ``s`` and a segmented ``maximum.accumulate``) only *guesses*
+  where each busy period starts; it is algebraically equal to the
+  recurrence but not IEEE-754 identical.  The departures are then
+  computed by stepping over position within the busy periods,
+  ``dep[i] = (t[i] if i starts a period else dep[i-1]) + s[i]`` — the
+  scalar recurrence's own adds, in its order — and every guessed start
+  is checked exactly against them (``t[i] > dep[i-1]``).  When every
+  check holds, the guess was the true partition, so the departures are
+  bit-identical to the scalar ones.  A period of at most
+  ``queue_limit + 1`` requests cannot fill the queue, so no drop is
+  possible.  A node goes to the scalar :func:`_fifo_drain` instead if it
+  has crashes or slow periods, fails a check, or has a busy period
+  longer than ``queue_limit + 1``.  There, at a crash at ``tc`` every
+  admitted request with ``dep >= tc`` is lost; the lost ones with
+  ``start >= tc`` never started and consume no service draw (per-node,
+  per-run generators make over-drawing harmless), and the slow factor
+  is the one in force at service start.  The per-node service streams
+  are drawn into one array up front, so each is consumed exactly as a
+  per-node drain consumes it.  Latency is ``dep - t0`` and trace
+  ``wait`` is ``start - t0``, where ``t0`` is the original arrival
+  time.
 - **Event order.**  Monitor, trace and stale-hit decisions follow
   ``(time, class, index)``: class 0 is node events, class 1 events at
   arrival time, class 2 retry outcomes.  ``serve_stale`` counts a stale
@@ -55,8 +70,8 @@ consumption.  The replay rules that make it exact:
 - **Ties.**  An arrival at exactly a departure time still finds the
   departing request in the system (arrivals precede completions).  A
   retry at exactly a departure time on its node would be ordered by
-  heap insertion; the kernel detects that tie and raises
-  :class:`~repro.exceptions.SimulationError` instead of guessing.
+  heap insertion; the kernel detects that tie on either queue path and
+  raises :class:`~repro.exceptions.SimulationError` instead of guessing.
 """
 
 from __future__ import annotations
@@ -82,6 +97,10 @@ DEFAULT_LATENCY_SAMPLE_LIMIT = 100_000
 _RETRIED = -1
 _UNAVAILABLE = -2
 _HIT = -3
+
+#: Dispatches per node-aligned block of :func:`_busy_period_pass`; it
+#: bounds the pass's temporaries and the magnitude of its segment offsets.
+_DRAIN_BLOCK = 1 << 15
 
 
 class _Retry(NamedTuple):
@@ -354,6 +373,97 @@ def _fifo_drain(
     return departures, dropped, lost, len(departures) + in_service_lost
 
 
+def _lindley_starts(t, s, first, counts) -> np.ndarray:
+    """Guessed busy-period starts of one block, from the closed form.
+
+    ``t`` and ``s`` are the block's arrival and service times, grouped by
+    node; node ``r`` of the block holds ``counts[r]`` positions from
+    ``first[r]`` on.  Arrival ``i`` starts a busy period iff
+    ``t[i] > dep[i-1]``.  By Lindley, ``dep[i-1] = max_{j<i}(t[j] -
+    S[j-1]) + S[i-1]``, where ``S`` is the node-local prefix sum of
+    ``s``.  So ``i`` starts one iff its lead ``t[i] - S[i-1]`` exceeds
+    every earlier lead of its node.  Rounding can flip a near tie, so
+    the result is only a guess.
+    """
+    lead = np.cumsum(s)
+    lead -= s
+    lead -= np.repeat(lead[first], counts)
+    np.subtract(t, lead, out=lead)
+    lead -= lead.min()
+    # Lift each node's leads above all earlier nodes' leads, so that one
+    # running maximum never crosses a node boundary.
+    lead += np.repeat(np.arange(counts.size) * (lead.max() + 1.0), counts)
+    starts = np.empty(t.size, dtype=bool)
+    np.greater(lead[1:], np.maximum.accumulate(lead)[:-1], out=starts[1:])
+    starts[first] = True
+    return starts
+
+
+def _busy_period_pass(times, service, bounds, queue_limit: int, scalar):
+    """Every node's FIFO departures in one vectorized pass.
+
+    ``times`` are the dispatch times grouped by node, each node's in
+    event order, and ``bounds`` the node offsets into them.  ``service``
+    holds the service times in the same order, or is one float
+    (deterministic service).  ``scalar`` marks the nodes to skip: those
+    with crashes or slow periods.
+
+    Returns ``(departures, scalar)``.  ``departures`` holds a departure
+    time per position, and ``scalar`` marks the nodes that
+    :func:`_fifo_drain` must drain instead: the skipped ones, those
+    where a guessed busy-period start fails its exact check, and those
+    with a busy period longer than ``queue_limit + 1``, where a drop is
+    possible.  At those nodes' positions ``departures`` is unspecified.
+    Everywhere else it equals the scalar drain's output bit for bit: the
+    same adds run in the same order.
+    """
+    service = np.broadcast_to(service, times.shape)
+    departures = np.add(times, service)  # every period's first departure
+    scalar = scalar.copy()
+    cap = queue_limit + 1
+    heads = np.searchsorted(
+        bounds, np.arange(0, times.size, _DRAIN_BLOCK), side="right"
+    ) - 1
+    edges = np.append(np.unique(heads), bounds.size - 1).tolist()
+    for a, b in zip(edges, edges[1:]):
+        lo, hi = int(bounds[a]), int(bounds[b])
+        counts = np.diff(bounds[a:b + 1])
+        nodes = np.flatnonzero(counts)
+        counts = counts[nodes]
+        nodes += a
+        first = bounds[nodes] - lo
+        t, s, dep = times[lo:hi], service[lo:hi], departures[lo:hi]
+        starts = _lindley_starts(t, s, first, counts)
+        period = np.flatnonzero(starts)
+        length = np.diff(period, append=t.size)
+        bad = scalar[nodes]
+        bad[np.searchsorted(first, period[length > cap], side="right") - 1] = True
+        if bad.any():
+            keep = ~bad[np.searchsorted(first, period, side="right") - 1]
+            period, length = period[keep], length[keep]
+        # One-request periods are settled.  Order the rest longest first:
+        # step k sets the k-th departure after the start of every period
+        # longer than k, a prefix of this order.
+        queued = length > 1
+        period, length = period[queued], length[queued]
+        longest = np.argsort(
+            length.astype(np.min_scalar_type(cap)), kind="stable"
+        )[::-1]
+        period, length = period[longest], length[longest]
+        widths = np.searchsorted(-length, -np.arange(1, length[:1].sum()))
+        for k, width in enumerate(widths.tolist(), 1):
+            i = period[:width] + k
+            dep[i] = dep[i - 1] + s[i]
+        # Check every guess exactly: a node's later arrival starts a
+        # period iff it comes strictly after the previous departure.
+        wrong = t[1:] > dep[:-1]
+        wrong ^= starts[1:]
+        wrong[first[1:] - 1] = False
+        bad[np.searchsorted(first, np.flatnonzero(wrong) + 1, side="right") - 1] = True
+        scalar[nodes[bad]] = True
+    return departures, scalar
+
+
 def _slow_scale(capacity: float, slow) -> Callable[[float], float]:
     """Mean service time under the slow factor in force at ``start``."""
     change_times, factors = slow
@@ -501,68 +611,92 @@ def run_fast(sim, n_queries: int, trial: int):
                 node_arrivals = np.bincount(d_node, minlength=n).astype(np.int64)
                 bounds = np.concatenate(([0], np.cumsum(node_arrivals)))
         with tracer.span("kernel-queues"):
-            served = np.zeros(n, dtype=np.int64)
+            sorted_times = d_time[order]
+            edges = bounds.tolist()
+            mean_service = 1.0 / sim._capacity
+            service = mean_service
+            raw_draws: Dict[int, List[float]] = {}
+            if sim._service == "exponential":
+                # Each node's stream, drawn into its slice of one array.
+                service = np.empty(order.size)
+                for node in np.flatnonzero(node_arrivals).tolist():
+                    lo, hi = edges[node], edges[node + 1]
+                    sim._factory.generator(
+                        "eventsim-service", trial=trial * n + node
+                    ).standard_exponential(out=service[lo:hi])
+                    if node in states.slow:
+                        raw_draws[node] = service[lo:hi].tolist()
+                service *= mean_service
+            skip = np.zeros(n, dtype=bool)
+            skip[list(chain(states.crashes, states.slow))] = True
+            with tracer.span("kernel-drain"):
+                departures, scalar = _busy_period_pass(
+                    sorted_times, service, bounds, sim._queue_limit, skip
+                )
+            served = node_arrivals.copy()
             dropped = np.zeros(n, dtype=np.int64)
             crash_lost = 0
-            started = 0
-            sorted_times = d_time[order]
-            # Served departures in node-then-service order, and per node
-            # its offset there plus its dropped and lost positions.
-            departures_all = np.empty(order.size)
+            started = order.size
+            # Per scalar-drained node, its dropped and lost positions.
             drained: Dict[int, tuple] = {}
             unserved: List[int] = []
+            fallback = np.flatnonzero(scalar & (node_arrivals > 0)).tolist()
+            if fallback:
+                with tracer.span("kernel-drain-scalar"):
+                    for node in fallback:
+                        lo, hi = edges[node], edges[node + 1]
+                        scale_at = None
+                        if node in states.slow:
+                            scale_at = _slow_scale(sim._capacity, states.slow[node])
+                            node_service = raw_draws.get(node)
+                        else:
+                            node_service = (
+                                service if isinstance(service, float)
+                                else service[lo:hi].tolist()
+                            )
+                        node_departures, node_dropped, node_lost, node_started = (
+                            _fifo_drain(
+                                sorted_times[lo:hi].tolist(), node_service,
+                                sim._queue_limit, states.crashes.get(node, ()),
+                                scale_at,
+                            )
+                        )
+                        # Served requests keep their positions.
+                        gone = sorted(node_dropped + node_lost)
+                        departures[np.delete(np.arange(lo, hi), gone)] = (
+                            node_departures
+                        )
+                        drained[node] = (node_dropped, node_lost)
+                        unserved.extend(lo + p for p in gone)
+                        served[node] = len(node_departures)
+                        dropped[node] = len(gone)
+                        crash_lost += len(node_lost)
+                        started += node_started - (hi - lo)
+            del service, raw_draws
+            served_mask = np.ones(order.size, dtype=bool)
+            served_mask[unserved] = False
             failover_times: Dict[int, List[float]] = {}
             for e in failovers:
                 failover_times.setdefault(e.node, []).append(e.time)
-            exponential = sim._service == "exponential"
-            mean_service = 1.0 / sim._capacity
-            for node in np.flatnonzero(node_arrivals).tolist():
-                lo, hi = int(bounds[node]), int(bounds[node + 1])
-                draws = None
-                if exponential:
-                    draws = sim._factory.generator(
-                        "eventsim-service", trial=trial * n + node
-                    ).standard_exponential(hi - lo)
-                scale_at = None
-                if node in states.slow:
-                    scale_at = _slow_scale(sim._capacity, states.slow[node])
-                    service = None if draws is None else draws.tolist()
-                else:
-                    service = (
-                        mean_service if draws is None
-                        else (mean_service * draws).tolist()
-                    )
-                departures, node_dropped, node_lost, node_started = _fifo_drain(
-                    sorted_times[lo:hi].tolist(), service, sim._queue_limit,
-                    states.crashes.get(node, ()), scale_at,
-                )
-                retry_times = failover_times.get(node)
-                if retry_times and not set(retry_times).isdisjoint(departures):
+            for node in sorted(failover_times):
+                lo, hi = edges[node], edges[node + 1]
+                node_departures = departures[lo:hi][served_mask[lo:hi]].tolist()
+                if not set(failover_times[node]).isdisjoint(node_departures):
                     raise SimulationError(
                         f"node {node}: a retry arrives at exactly a departure "
                         "time, a tie the replay cannot order"
                     )
-                offset = lo - len(unserved)
-                departures_all[offset:offset + len(departures)] = departures
-                drained[node] = (offset, node_dropped, node_lost)
-                unserved.extend(lo + p for p in chain(node_dropped, node_lost))
-                served[node] = len(departures)
-                dropped[node] = len(node_dropped) + len(node_lost)
-                crash_lost += len(node_lost)
-                started += node_started
             # Latency is departure minus original arrival, per node in
             # service order, the first DEFAULT_LATENCY_SAMPLE_LIMIT each.
-            total_served = int(served.sum())
-            served_mask = np.ones(order.size, dtype=bool)
-            served_mask[unserved] = False
+            total_served = order.size - len(unserved)
             sorted_origins = sorted_times
             if failovers:
                 sorted_origins = np.concatenate(
                     [miss_times[ok], [e.origin for e in failovers]]
                 )[order]
-            latencies_arr = (
-                departures_all[:total_served] - sorted_origins[served_mask]
-            )
+            latencies_arr = departures - sorted_origins
+            if unserved:
+                latencies_arr = latencies_arr[served_mask]
             if total_served and served.max() > DEFAULT_LATENCY_SAMPLE_LIMIT:
                 rank = np.arange(total_served) - np.repeat(
                     np.cumsum(served) - served, served
@@ -613,15 +747,19 @@ def run_fast(sim, n_queries: int, trial: int):
                 dispatch_of = dispatch_of.tolist()
                 for k, e in enumerate(failovers):
                     dispatch_of[e.index] = n_first + k
+                # Served departures in node-then-service order, and each
+                # node's offset there.
+                served_departures = departures[served_mask]
+                offsets = (bounds[:-1] - (np.cumsum(dropped) - dropped)).tolist()
 
                 def backend_record(t, key, i, node, attempts, t0):
                     rec = recorder.record_backend(t, key, i, node, attempts=attempts)
                     q = dispatch_of[i]
                     node = d_nodes[q]
-                    lo, hi = int(bounds[node]), int(bounds[node + 1])
-                    offset, node_dropped, node_lost = drained[node]
+                    lo, hi = edges[node], edges[node + 1]
+                    node_dropped, node_lost = drained.get(node, ((), ()))
                     detail = _service_detail(
-                        sorted_times[lo:hi], departures_all[offset:],
+                        sorted_times[lo:hi], served_departures[offsets[node]:],
                         node_dropped, node_lost, rank[q] - lo,
                     )
                     if isinstance(detail, str):

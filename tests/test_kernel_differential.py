@@ -28,7 +28,8 @@ from repro.scenario.build import BuildContext, build_component
 from repro.scenario.registry import REGISTRY
 from repro.scenario.spec import ComponentSpec
 from repro.sim.eventsim import EventDrivenSimulator
-from repro.sim.kernel import _dense_ids
+from repro.sim import kernel
+from repro.sim.kernel import _busy_period_pass, _dense_ids
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -196,6 +197,17 @@ class TestFallbackIdentity:
         )
         assert results[0].failure_events > 0  # chaos actually happened
         assert results[0].retries > 0
+
+    def test_slow_periods_with_exponential_service(self):
+        # Slow nodes take the scalar drain with the raw exponential draws.
+        _, _, results = _pair(
+            lambda: UniformDistribution(500), trials=(0,), n_queries=4000,
+            service="exponential",
+            chaos=ChaosConfig(
+                failure_rate=0.5, mttr=0.2, slow_rate=5.0, slow_factor=0.3
+            ),
+        )
+        assert results[0].failure_events > 0
 
     def test_supports_gate(self, monkeypatch):
         """The kernel's one remaining gate: static caches skip the access
@@ -377,7 +389,9 @@ class TestChaosTies:
         # Four times the healthy service time 1 / (4 R / n).
         assert records[100]["service"] == pytest.approx(params.n / params.rate)
 
-    def test_retry_at_exactly_a_departure_time_is_refused(self):
+    def _refuse_tied_retry(self, monkeypatch, scalar_target):
+        """Land request 50's failover at exactly a departure on the other
+        node; returns whether that node took the scalar drain."""
         params = _params(n=2, c=0, d=2, rate=200.0)
         times, quiet = self._quiet_run(params)
         node = quiet[50]["node"]
@@ -392,12 +406,33 @@ class TestChaosTies:
             step = np.inf if times[50] + timeout < target else -np.inf
             timeout = float(np.nextafter(timeout, step))
         assert times[50] + timeout == target
+        schedule = [FailureEvent(times[50], node, "crash")]
+        if scalar_target:
+            # A slow period after the last arrival moves no departure, but
+            # sends the node to the scalar drain.
+            schedule.append(FailureEvent(times[-1] + 1.0, 1 - node, "slow", factor=0.5))
         sim, _ = self._sim(
-            params, (FailureEvent(times[50], node, "crash"),),
+            params, schedule,
             retry=RetryPolicy(max_attempts=2, timeout=timeout, backoff=0.0),
         )
+        drained = {}
+
+        def spy(*args):
+            departures, scalar = _busy_period_pass(*args)
+            drained["scalar"] = scalar
+            return departures, scalar
+
+        monkeypatch.setattr(kernel, "_busy_period_pass", spy)
         with pytest.raises(SimulationError, match="retry arrives at exactly"):
             sim.run(self.N_QUERIES)
+        return bool(drained["scalar"][1 - node])
+
+    def test_retry_at_exactly_a_departure_time_is_refused(self, monkeypatch):
+        # The failover's node is chaos-free: the vector drain settles it.
+        assert not self._refuse_tied_retry(monkeypatch, scalar_target=False)
+
+    def test_retry_tie_is_refused_on_the_scalar_drain_too(self, monkeypatch):
+        assert self._refuse_tied_retry(monkeypatch, scalar_target=True)
 
 
 def _cache_spec(policy):
@@ -445,7 +480,8 @@ def _configs(draw, chaos_on=None):
         policy=draw(st.sampled_from(POLICIES)),
         routing=draw(st.sampled_from(["pin", "random"])),
         service=draw(st.sampled_from(["deterministic", "exponential"])),
-        queue_limit=draw(st.integers(min_value=0, max_value=2)),
+        # 64 is the default: queueing nodes then reach the vector drain.
+        queue_limit=draw(st.sampled_from([0, 1, 2, 64])),
         headroom=draw(st.floats(min_value=0.5, max_value=6.0)),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         n_queries=draw(st.integers(min_value=1, max_value=600)),

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.cache.lru import LRUCache
+from repro.chaos.config import ChaosConfig
 from repro.cli import main as cli_main
 from repro.core.notation import SystemParameters
 from repro.experiments.fig3 import run_fig3
@@ -32,6 +33,7 @@ from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.batch import run_event_campaign
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
+from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 
 
@@ -107,8 +109,31 @@ class TestEventSpans:
             "event-loop/kernel-resolve/kernel-cache",
             "event-loop/kernel-resolve/kernel-route",
             "event-loop/kernel-queues",
+            "event-loop/kernel-queues/kernel-drain",
             "report",
         } == set(tracer.aggregates())
+
+    @staticmethod
+    def _drain_spans(**kwargs):
+        tracer = Tracer()
+        result = EventDrivenSimulator(
+            _params(), AdversarialDistribution(400, 100), seed=3,
+            context=RunContext(spans=tracer), **kwargs
+        ).run(4000)
+        paths = set(tracer.aggregates())
+        assert "event-loop/kernel-queues/kernel-drain" in paths
+        return result, "event-loop/kernel-queues/kernel-drain-scalar" in paths
+
+    def test_chaos_free_flood_takes_only_the_vector_drain(self):
+        _, scalar = self._drain_spans()
+        assert not scalar
+
+    def test_crash_chaos_opens_the_scalar_drain_span(self):
+        result, scalar = self._drain_spans(
+            chaos=ChaosConfig(failure_rate=2.0, mttr=0.2)
+        )
+        assert result.failure_events > 0
+        assert scalar
 
 
 class TestWorkerInvariance:

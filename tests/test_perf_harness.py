@@ -6,6 +6,7 @@ rendering + JSON serialization, and manifest throughput divides by
 engine time — export cost can never inflate reported throughput.
 """
 
+import importlib.util
 import json
 import os
 import tracemalloc
@@ -167,6 +168,7 @@ class TestExecute:
             smoke=True, profiler=profiler, directory=tmp_path, quiet=True
         )
         assert seen["context"].metrics is profiler.metrics
+        assert seen["context"].spans is profiler.tracer
         assert not seen["context"].monitor.enabled
         assert active_context() is NULL_CONTEXT
 
@@ -338,3 +340,22 @@ class TestUntracedTiming:
             assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
+
+
+class TestBenchLayerSpans:
+    def test_eventsim_smoke_manifest_carries_kernel_spans(
+        self, clean_registry, tmp_path
+    ):
+        # A fresh module object, so the bench registers into the clean
+        # registry whatever imported it before.
+        path = harness.bench_dir() / "bench_eventsim.py"
+        module_spec = importlib.util.spec_from_file_location(
+            "bench_eventsim_layer_spans", path
+        )
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        result = module.SPEC.execute(smoke=True, directory=tmp_path, quiet=True)
+        assert result.ok
+        spans = result.manifest.spans
+        assert "eventsim/engine/event-loop/kernel-queues/kernel-drain" in spans
+        assert "eventsim/engine/event-loop/kernel-resolve/kernel-route" in spans
