@@ -12,7 +12,7 @@ load) within sampling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -256,7 +256,8 @@ class EventDrivenSimulator:
         self._capacity = capacity
         self._queue_limit = queue_limit
         self._service = service
-        self._pins: Dict[int, int] = {}
+        # Pinned node per key, -1 while unpinned (pin routing only).
+        self._pins = np.full(params.m, -1, dtype=np.min_scalar_type(-params.n))
         self._pin_counts = np.zeros(params.n, dtype=np.int64)
         self._context = context
         if chaos is not None and not isinstance(chaos, ChaosConfig):

@@ -31,11 +31,14 @@ consumption.  The replay rules that make it exact:
   ``d == 1`` it is unavailable at ``t``.  A retry always lands on an up
   node, so a request retries at most once.  Replica groups are resolved
   once per unique key, found without sorting from a presence bitmap
-  over the ``m`` keys (:func:`_dense_ids`).  Successful dispatches are
-  grouped per node in ``(node, time, index)`` order by two stable
-  sorts: by time (already sorted apart from appended failovers), then
-  by node id cast to the narrowest unsigned type, which NumPy radix
-  sorts.
+  over the ``m`` keys (:func:`_dense_ids`).  Pin state is a dense
+  length-``m`` table of node ids, ``-1`` while a key is unpinned: one
+  gather finds the unseen keys, only their groups are looked up, one
+  scatter stores their picks, and attempt 1 is one gather from the
+  table.  Successful dispatches are grouped per node in ``(node, time,
+  index)`` order by two stable sorts: by time (already sorted apart
+  from appended failovers), then by node id cast to the narrowest
+  unsigned type, which NumPy radix sorts.
 - **Queues.**  Each node is a single-server FIFO: ``start =
   max(t, dep_prev)``, ``dep = start + s``, with drop-on-full admission.
   :func:`_busy_period_pass` settles every node at once, in
@@ -176,9 +179,11 @@ def _route_batch(
     routing draws its uniform picks as one batch — element-for-element
     the same stream a per-request ``integers(0, d)`` loop consumes.
     Pin routing applies the first-sight rule (least-pinned group member
-    wins, lowest index on ties) over unique keys in order of first
-    appearance, mutating the simulator's persistent pin state so later
-    runs on the same instance see identical stickiness.
+    wins, lowest index on ties) to the keys the simulator's persistent
+    pin table does not hold yet (``-1``), in order of first appearance,
+    and scatters the picks into the table, so later runs on the same
+    instance see identical stickiness.  Attempt 1 is then one gather
+    from the table.
     """
     cluster = sim._cluster
     unique, first_idx, inverse = _dense_ids(miss_keys, sim._params.m)
@@ -188,32 +193,26 @@ def _route_batch(
         return np.asarray(groups[inverse, draws], dtype=np.int64)
     # "pin"
     pins = sim._pins
-    unique_keys = unique.tolist()
-    unseen = sorted(
-        (first, key)
-        for first, key in zip(first_idx.tolist(), unique_keys)
-        if key not in pins
-    )
-    if unseen:
-        new_keys = np.array([key for _, key in unseen], dtype=np.int64)
+    unseen = pins[unique] < 0
+    if unseen.any():
+        new_keys = unique[unseen][np.argsort(first_idx[unseen])]
         groups = cluster.partitioner.replica_groups(new_keys)
         # ``argmin`` over the group's pin counts, as a strict ``<`` scan
         # (first minimum wins) over plain lists.
         counts = sim._pin_counts.tolist()
-        for key, row in zip(new_keys.tolist(), zip(*groups.T.tolist())):
+        picks = []
+        for row in zip(*groups.T.tolist()):
             best = row[0]
             best_count = counts[best]
             for cand in row:
                 if counts[cand] < best_count:
                     best = cand
                     best_count = counts[cand]
-            pins[key] = best
+            picks.append(best)
             counts[best] = best_count + 1
+        pins[new_keys] = picks
         sim._pin_counts[:] = counts
-    assigned = np.fromiter(
-        (pins[key] for key in unique_keys), dtype=np.int64, count=unique.size
-    )
-    return assigned[inverse]
+    return pins[miss_keys].astype(np.int64)
 
 
 class _NodeStates:

@@ -305,8 +305,8 @@ def _route(sim, key: int, gen: np.random.Generator) -> int:
     group = sim._cluster.replica_group(key)
     if sim._routing == "random":
         return int(group[int(gen.integers(0, group.size))])
-    pinned = sim._pins.get(key)
-    if pinned is None:
+    pinned = int(sim._pins[key])
+    if pinned < 0:
         counts = sim._pin_counts[group]
         pinned = int(group[int(np.argmin(counts))])
         sim._pins[key] = pinned

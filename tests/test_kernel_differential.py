@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_oracle import run_oracle
+from event_oracle import _route, run_oracle
 from repro.cache.lru import LRUCache
 from repro.chaos.config import ChaosConfig
 from repro.chaos.retry import RetryPolicy
@@ -29,7 +29,7 @@ from repro.scenario.registry import REGISTRY
 from repro.scenario.spec import ComponentSpec
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.sim import kernel
-from repro.sim.kernel import _busy_period_pass, _dense_ids
+from repro.sim.kernel import _busy_period_pass, _dense_ids, _route_batch
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -139,8 +139,18 @@ class TestFastPathIdentity:
         kernel, oracle, _ = _pair(
             lambda: AdversarialDistribution(500, 40), trials=(0, 1, 2)
         )
-        assert kernel._pins == oracle._pins
-        assert (kernel._pin_counts == oracle._pin_counts).all()
+        assert np.array_equal(kernel._pins, oracle._pins)
+        assert np.array_equal(kernel._pin_counts, oracle._pin_counts)
+        # Every pinned key is counted once on its node.
+        assert (kernel._pins >= 0).sum() == kernel._pin_counts.sum()
+
+    def test_random_routing_never_writes_the_pin_table(self):
+        kernel, oracle, _ = _pair(
+            lambda: AdversarialDistribution(500, 40), routing="random"
+        )
+        for sim in (kernel, oracle):
+            assert (sim._pins == -1).all()
+            assert not sim._pin_counts.any()
 
     def test_monitor_telemetry_identical(self):
         params = _params()
@@ -299,6 +309,68 @@ class TestDenseIds:
         # The running count takes uint32 beyond 65,535 keys.
         keys = np.array([69_999, 0, 65_536, 69_999, 1], dtype=np.int64)
         self._check(keys, 70_000)
+
+
+@st.composite
+def _pin_cases(draw):
+    """A small cluster, a pre-seeded partial pin table and a miss stream.
+
+    A key space of at most 40 keys makes repeated keys common, and at
+    most 8 nodes with few pins make tied pin counts common.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=d, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=40))
+    keys = st.integers(min_value=0, max_value=m - 1)
+    return dict(
+        params=SystemParameters(n=n, m=m, c=0, d=d, rate=100.0),
+        preset=draw(
+            st.dictionaries(keys, st.integers(min_value=0, max_value=n - 1))
+        ),
+        misses=draw(st.lists(keys, min_size=1, max_size=120)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
+def _pin_sim(params, seed, preset=()):
+    """A pin-routing simulator whose table already holds ``preset``."""
+    sim = EventDrivenSimulator(params, UniformDistribution(params.m), seed=seed)
+    for key, node in dict(preset).items():
+        sim._pins[key] = node
+        sim._pin_counts[node] += 1
+    return sim
+
+
+class TestPinRouting:
+    """Batched pin routing equals the oracle's per-key ``_route`` loop."""
+
+    @staticmethod
+    def _check(batch, loop, misses):
+        got = _route_batch(batch, np.array(misses, dtype=np.int64), None)
+        want = [_route(loop, key, None) for key in misses]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert np.array_equal(batch._pins, loop._pins)
+        assert np.array_equal(batch._pin_counts, loop._pin_counts)
+        return want
+
+    @given(_pin_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_loop(self, case):
+        batch, loop = (
+            _pin_sim(case["params"], case["seed"], case["preset"]) for _ in range(2)
+        )
+        self._check(batch, loop, case["misses"])
+
+    def test_tie_goes_to_the_lowest_group_index(self):
+        params = SystemParameters(n=6, m=10, c=0, d=3, rate=100.0)
+        batch, loop = (_pin_sim(params, seed=5) for _ in range(2))
+        group = batch._cluster.replica_group(0)
+        for sim in (batch, loop):
+            # Members 1 and 2 tie below member 0.
+            sim._pin_counts[group] = [2, 1, 1]
+        assert self._check(batch, loop, [0, 0]) == [group[1]] * 2
+        assert batch._pin_counts[group].tolist() == [2, 2, 1]
 
 
 def _arrivals(sim, n_queries, trial=0):
