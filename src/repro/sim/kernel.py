@@ -36,9 +36,11 @@ consumption.  The replay rules that make it exact:
   gather finds the unseen keys, only their groups are looked up, one
   scatter stores their picks, and attempt 1 is one gather from the
   table.  Successful dispatches are grouped per node in ``(node, time,
-  index)`` order by two stable sorts: by time (already sorted apart
-  from appended failovers), then by node id cast to the narrowest
-  unsigned type, which NumPy radix sorts.
+  index)`` order by a stable sort by node id cast to the narrowest
+  unsigned type, which NumPy radix sorts.  Attempt-1 dispatches are
+  already in time order, so only appended failovers add a stable time
+  sort before it; when every attempt 1 succeeded, the miss arrays are
+  grouped in place of masked copies.
 - **Queues.**  Each node is a single-server FIFO: ``start =
   max(t, dep_prev)``, ``dep = start + s``, with drop-on-full admission.
   :func:`_busy_period_pass` settles every node at once, in
@@ -57,11 +59,15 @@ consumption.  The replay rules that make it exact:
   has crashes or slow periods, fails a check, or has a busy period
   longer than ``queue_limit + 1``.  There, at a crash at ``tc`` every
   admitted request with ``dep >= tc`` is lost; the lost ones with
-  ``start >= tc`` never started and consume no service draw (per-node,
-  per-run generators make over-drawing harmless), and the slow factor
-  is the one in force at service start.  The per-node service streams
-  are drawn into one array up front, so each is consumed exactly as a
-  per-node drain consumes it.  Latency is ``dep - t0`` and trace
+  ``start >= tc`` never started and consume no service draw (each node
+  has its own per-run stream, so over-drawing is harmless), and the slow
+  factor is the one in force at service start.  The per-node service
+  streams are drawn into one array up front, so each is consumed
+  exactly as a per-node drain consumes it.  No per-node generator is
+  built: :meth:`~repro.rng.RngFactory.pcg64_states` derives every busy
+  node's ``(seed, "eventsim-service", trial * n + node)`` PCG64 state in
+  one bulk pass, and one reused generator draws each stream after its
+  state is assigned.  Latency is ``dep - t0`` and trace
   ``wait`` is ``start - t0``, where ``t0`` is the original arrival
   time.
 - **Event order.**  Monitor, trace and stale-hit decisions follow
@@ -596,17 +602,23 @@ def run_fast(sim, n_queries: int, trial: int):
                 # failovers in arrival order — that is, (class, index) order.
                 ok = first >= 0
                 failovers = [retry for retry in second if retry.node >= 0]
-                d_node = np.concatenate(
-                    [first[ok], np.array([e.node for e in failovers], dtype=np.int64)]
-                )
-                d_time = np.concatenate([miss_times[ok], [e.time for e in failovers]])
+                d_node, d_time = first, miss_times
+                if not ok.all():
+                    d_node, d_time = first[ok], miss_times[ok]
                 # Group by node in event order, lexsort((index, time, node)):
-                # a stable sort by time (already sorted apart from appended
-                # failovers), then a stable radix sort by narrow node ids.
-                order = np.argsort(d_time, kind="stable")
-                order = order[np.argsort(
-                    d_node[order].astype(np.min_scalar_type(n)), kind="stable"
-                )]
+                # a stable sort by time, then a stable radix sort by narrow
+                # node ids.  Without appended failovers the times are
+                # already non-decreasing, so the time sort is the identity.
+                narrow = np.min_scalar_type(n)
+                if failovers:
+                    d_node = np.concatenate(
+                        [d_node, np.array([e.node for e in failovers], dtype=np.int64)]
+                    )
+                    d_time = np.concatenate([d_time, [e.time for e in failovers]])
+                    order = np.argsort(d_time, kind="stable")
+                    order = order[np.argsort(d_node[order].astype(narrow), kind="stable")]
+                else:
+                    order = np.argsort(d_node.astype(narrow), kind="stable")
                 node_arrivals = np.bincount(d_node, minlength=n).astype(np.int64)
                 bounds = np.concatenate(([0], np.cumsum(node_arrivals)))
         with tracer.span("kernel-queues"):
@@ -616,13 +628,18 @@ def run_fast(sim, n_queries: int, trial: int):
             service = mean_service
             raw_draws: Dict[int, List[float]] = {}
             if sim._service == "exponential":
-                # Each node's stream, drawn into its slice of one array.
+                # Each node's stream, drawn into its slice of one array by
+                # one generator re-seeded with the node's bulk-derived state.
                 service = np.empty(order.size)
-                for node in np.flatnonzero(node_arrivals).tolist():
+                busy = np.flatnonzero(node_arrivals).tolist()
+                seeded = sim._factory.pcg64_states(
+                    "eventsim-service", [trial * n + node for node in busy]
+                )
+                stream = np.random.Generator(np.random.PCG64(0))
+                for node, state in zip(busy, seeded):
                     lo, hi = edges[node], edges[node + 1]
-                    sim._factory.generator(
-                        "eventsim-service", trial=trial * n + node
-                    ).standard_exponential(out=service[lo:hi])
+                    stream.bit_generator.state = state
+                    stream.standard_exponential(out=service[lo:hi])
                     if node in states.slow:
                         raw_draws[node] = service[lo:hi].tolist()
                 service *= mean_service

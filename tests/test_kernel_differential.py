@@ -24,6 +24,7 @@ from repro.exceptions import SimulationError
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext
 from repro.obs.export import export_json
 from repro.obs.trace import FlightRecorder, TraceConfig
+from repro.rng import RngFactory
 from repro.scenario.build import BuildContext, build_component
 from repro.scenario.registry import REGISTRY
 from repro.scenario.spec import ComponentSpec
@@ -268,6 +269,80 @@ class TestWideCluster:
             assert (result.served > 0).sum() > 255  # ids past uint8 range
             if chaotic:
                 assert result.failovers > 0
+
+
+class TestServiceStreams:
+    """The kernel draws every node's service stream from one generator
+    re-seeded with :meth:`RngFactory.pcg64_states`; the oracle builds a
+    real generator per node, so equality proves the two derivations."""
+
+    def test_no_per_node_generators(self, monkeypatch):
+        labels = []
+        generator = RngFactory.generator
+
+        def spy(self, label, trial=0):
+            labels.append(label)
+            return generator(self, label, trial)
+
+        kernel_sim = EventDrivenSimulator(
+            _params(), AdversarialDistribution(500, 11), seed=11,
+            service="exponential",
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(RngFactory, "generator", spy)
+            a = kernel_sim.run(3000)
+        assert "eventsim-arrivals" in labels
+        assert "eventsim-service" not in labels
+        oracle_sim = EventDrivenSimulator(
+            _params(), AdversarialDistribution(500, 11), seed=11,
+            service="exponential",
+        )
+        assert_results_identical(a, run_oracle(oracle_sim, 3000))
+
+    def test_counters_crossing_2_32(self):
+        # trial * n + node runs from 2**32 - 16 to 2**32 + 3: the nodes
+        # past 2**32 take the two-word fallback, the rest the bulk path.
+        trial = 2**32 // 20
+        assert trial * 20 < 2**32 <= trial * 20 + 19
+        _, _, results = _pair(
+            lambda: UniformDistribution(500), trials=(trial,),
+            service="exponential",
+        )
+        assert (results[0].served[2**32 - trial * 20:] > 0).all()
+
+
+class TestGrouping:
+    """The three ways dispatches are grouped per node: attempt 1 alone
+    (no time sort), with appended failovers (time sort, then node sort),
+    and with unavailable requests dropped from attempt 1 but nothing
+    appended (max_attempts=1)."""
+
+    SCHEDULE = FailureSchedule((
+        FailureEvent(0.2, 3, "crash"), FailureEvent(0.6, 3, "recover"),
+        FailureEvent(0.3, 7, "crash"), FailureEvent(0.9, 7, "recover"),
+    ))
+
+    def _run(self, **kwargs):
+        _, _, results = _pair(
+            lambda: UniformDistribution(500), trials=(0,), n_queries=4000,
+            service="exponential", **kwargs
+        )
+        return results[0]
+
+    def test_no_retries(self):
+        result = self._run()
+        assert result.retries == 0 and result.unavailable == 0
+
+    def test_failovers(self):
+        result = self._run(chaos=ChaosConfig(schedule=self.SCHEDULE))
+        assert result.failovers > 0
+
+    def test_unavailable_without_failover(self):
+        result = self._run(chaos=ChaosConfig(
+            schedule=self.SCHEDULE, retry=RetryPolicy(max_attempts=1)
+        ))
+        assert result.unavailable > 0
+        assert result.retries == 0 and result.failovers == 0
 
 
 #: Keys from a space of ``m`` keys (``uint8`` and ``uint16`` running

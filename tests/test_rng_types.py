@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import rng as rng_module
 from repro.exceptions import ConfigurationError
 from repro.rng import DEFAULT_SEED, RngFactory, as_generator
 from repro.types import LoadReport, LoadVector
@@ -43,6 +44,57 @@ class TestRngFactory:
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError):
             RngFactory(1).generator("x", trial=-1)
+
+
+_FACTORIES = {
+    "seed0": lambda: RngFactory(0),
+    "seed2013": lambda: RngFactory(2013),
+    "two-entropy-words": lambda: RngFactory(2**40),
+    "five-entropy-words": lambda: RngFactory(2**130),
+    "default": lambda: RngFactory(),
+    "spawned": lambda: RngFactory(2013).spawn("sub"),
+}
+
+_COUNTERS = {
+    "zero": [0],
+    "one": [1],
+    "last-one-word": [2**32 - 1],
+    "random-batch": np.random.default_rng(5).integers(0, 2**32, size=300).tolist(),
+    "crosses-2**32": list(range(2**32 - 3, 2**32 + 3)) + [7, 2**40],
+}
+
+
+class TestPcg64States:
+    """The bulk derivation must reproduce ``generator``'s streams exactly,
+    on whatever NumPy the suite runs against."""
+
+    @pytest.mark.parametrize("factory", _FACTORIES.values(), ids=_FACTORIES)
+    @pytest.mark.parametrize("counters", _COUNTERS.values(), ids=_COUNTERS)
+    def test_equals_generator(self, factory, counters):
+        f = factory()
+        states = f.pcg64_states("eventsim-service", counters)
+        assert len(states) == len(counters)
+        stream = np.random.Generator(np.random.PCG64(0))
+        for counter, state in zip(counters, states):
+            reference = f.generator("eventsim-service", trial=counter)
+            assert state == reference.bit_generator.state, counter
+            stream.bit_generator.state = state
+            assert np.array_equal(
+                stream.standard_exponential(64),
+                reference.standard_exponential(64),
+            ), counter
+
+    def test_empty(self):
+        assert RngFactory(1).pcg64_states("x", []) == []
+
+    def test_negative_counter_rejected(self):
+        with pytest.raises(ValueError):
+            RngFactory(1).pcg64_states("x", [3, -1])
+
+    def test_disagreement_with_numpy_is_loud(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_INIT_B", rng_module._INIT_B ^ 1)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            RngFactory(1).pcg64_states("x", [0, 1])
 
 
 class TestAsGenerator:
