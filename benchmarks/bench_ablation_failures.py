@@ -94,13 +94,3 @@ def _workload(result):
 SPEC = register(
     "ablation_failures", run=_run, check=_check, workload=_workload, seed=SEED
 )
-
-
-def bench_ablation_failures(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

@@ -62,13 +62,3 @@ def _workload(result):
 SPEC = register(
     "ablation_partitioner", run=_run, check=_check, workload=_workload, seed=SEED
 )
-
-
-def bench_ablation_partitioner(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

@@ -79,13 +79,3 @@ def _workload(result):
 
 
 SPEC = register("ballsbins", run=_run, check=_check, workload=_workload, seed=SEED)
-
-
-def bench_ballsbins(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

@@ -91,13 +91,3 @@ def _workload(result):
 SPEC = register(
     "baseline_socc11", run=_run, check=_check, workload=_workload, seed=SEED
 )
-
-
-def bench_baseline_socc11(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

@@ -160,13 +160,3 @@ def _workload(payload: dict):
 SPEC = register(
     "chaos", run=_run, render=_render, check=_check, workload=_workload, seed=SEED
 )
-
-
-def bench_chaos(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

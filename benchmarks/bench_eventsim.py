@@ -137,13 +137,3 @@ SPEC = register(
     "eventsim", run=_run, render=_render, check=_check, workload=_workload,
     seed=SEED,
 )
-
-
-def bench_eventsim(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

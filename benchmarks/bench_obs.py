@@ -315,13 +315,3 @@ def _workload(payload: dict):
 SPEC = register(
     "obs", run=_run, render=_render, check=_check, workload=_workload, seed=SEED
 )
-
-
-def bench_obs(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

@@ -121,13 +121,3 @@ SPEC = register(
     "parallel", run=_run, render=_render, check=_check, workload=_workload,
     seed=SEED,
 )
-
-
-def bench_parallel(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

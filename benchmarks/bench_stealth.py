@@ -43,13 +43,3 @@ def _check(result) -> None:
 
 
 SPEC = register("stealth", run=_run, check=_check, seed=SEED)
-
-
-def bench_stealth(benchmark):
-    benchmark.pedantic(
-        lambda: SPEC.execute(raise_on_check=True), rounds=1, iterations=1
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(SPEC.main())

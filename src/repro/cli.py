@@ -526,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     perf_run = perf_sub.add_parser(
-        "run", help="run registered benchmarks and append manifests to history"
+        "run",
+        help="run registered benchmarks and append manifests to history; "
+        "exits 1 when any bench's check fails",
     )
     perf_run.add_argument(
         "--smoke", action="store_true",
@@ -1039,9 +1041,9 @@ def _run_perf(args: argparse.Namespace) -> int:
             f"perf run: {len(results)} bench(es) [{mode}]"
             + (f", {len(failed)} check failure(s): {', '.join(failed)}" if failed else "")
         )
-        # Check failures are recorded in the manifests (ok=false) and
-        # surfaced by `perf compare`/the report; the run itself succeeded.
-        return 0
+        # Manifests of failed checks are still appended (ok=false), so
+        # `perf compare` and the report show them too.
+        return 1 if failed else 0
 
     if args.perf_command == "compare":
         try:

@@ -19,19 +19,13 @@ everything the scripts used to copy-paste:
   ``tracemalloc`` (a caller's tracing is paused around it);
 - the schema-versioned :class:`~repro.perf.schema.RunManifest` and its
   append into ``benchmarks/results/history.jsonl`` plus the top-level
-  ``BENCH_<name>.json`` trajectories (``repro perf run`` only — plain
-  script runs and pytest wrappers leave history untouched).
+  ``BENCH_<name>.json`` trajectories.
 
-A ported bench script is three declarations and two thin wrappers::
+A bench script defines its callables and registers them once;
+``repro perf run`` is its only entry point, and exits non-zero when any
+bench's check fails::
 
-    SPEC = register("fig3a", run=_run, check=_check)
-
-    def bench_fig3a(benchmark):
-        benchmark.pedantic(lambda: SPEC.execute(raise_on_check=True),
-                           rounds=1, iterations=1)
-
-    if __name__ == "__main__":
-        raise SystemExit(SPEC.main())
+    SPEC = register("eventsim", run=_run, check=_check, workload=_workload)
 
 Scripts import :func:`register`, :func:`smoke_mode`, :func:`timed`,
 :func:`active_context` and the ``emit*`` helpers from this module
@@ -316,8 +310,6 @@ class BenchSpec:
         units the *engine* phase processed, for throughput reporting.
     seed:
         Root seed recorded in the manifest.
-    emit_text / emit_payload:
-        Whether to write the ``.txt`` / ``.json`` artifacts.
     """
 
     name: str
@@ -326,8 +318,6 @@ class BenchSpec:
     check: Optional[Callable[[Any], None]] = None
     workload: Optional[Callable[[Any], Dict[str, Optional[int]]]] = None
     seed: Optional[int] = None
-    emit_text: bool = True
-    emit_payload: bool = True
     module: Optional[str] = field(default=None, repr=False)
 
     def execute(
@@ -335,8 +325,6 @@ class BenchSpec:
         smoke: Optional[bool] = None,
         profiler: Optional[Profiler] = None,
         directory: Optional[Path] = None,
-        emit_artifacts: bool = True,
-        raise_on_check: bool = False,
         quiet: bool = False,
     ) -> BenchResult:
         """Run the bench once under the profiler and build its manifest.
@@ -364,8 +352,6 @@ class BenchSpec:
                         try:
                             self.check(payload)
                         except AssertionError as exc:
-                            if raise_on_check:
-                                raise
                             ok, error = False, str(exc) or "check failed"
                     payload_dict = _payload_dict(payload, smoke)
                     with profiler.span("export") as export:
@@ -374,19 +360,16 @@ class BenchSpec:
                             if self.render is not None
                             else _default_render(payload, payload_dict)
                         )
-                        if emit_artifacts:
-                            stem = f"{self.name}_smoke" if smoke else self.name
-                            if self.emit_text:
-                                if quiet:
-                                    target = Path(directory) if directory else results_dir()
-                                    target.mkdir(parents=True, exist_ok=True)
-                                    (target / f"{stem}.txt").write_text(
-                                        rendered + "\n", encoding="utf-8"
-                                    )
-                                else:
-                                    emit(stem, rendered, directory=directory)
-                            if self.emit_payload:
-                                emit_json(stem, payload_dict, directory=directory)
+                        stem = f"{self.name}_smoke" if smoke else self.name
+                        if quiet:
+                            target = Path(directory) if directory else results_dir()
+                            target.mkdir(parents=True, exist_ok=True)
+                            (target / f"{stem}.txt").write_text(
+                                rendered + "\n", encoding="utf-8"
+                            )
+                        else:
+                            emit(stem, rendered, directory=directory)
+                        emit_json(stem, payload_dict, directory=directory)
         finally:
             _ACTIVE_PROFILER = previous_profiler
         workload = self.workload(payload) if self.workload is not None else {}
@@ -420,28 +403,6 @@ class BenchSpec:
             error=error,
         )
 
-    def main(self, argv: Optional[Sequence[str]] = None) -> int:
-        """Standalone-script entry point: run once, exit non-zero on a
-        failed check.  Plain script runs do not touch the history store
-        (that is ``repro perf run``'s job)."""
-        import argparse
-
-        parser = argparse.ArgumentParser(
-            prog=f"bench_{self.name}",
-            description=f"run the {self.name!r} benchmark once",
-        )
-        parser.add_argument(
-            "--smoke",
-            action="store_true",
-            help=f"seconds-scale run (equivalent to {SMOKE_ENV}=1)",
-        )
-        args = parser.parse_args(argv)
-        smoke = args.smoke or smoke_mode()
-        result = self.execute(smoke=smoke)
-        if result.error:
-            print(f"check failed: {result.error}", file=sys.stderr)
-        return 0 if result.ok else 1
-
 
 def register(
     name: str,
@@ -450,8 +411,6 @@ def register(
     check: Optional[Callable[[Any], None]] = None,
     workload: Optional[Callable[[Any], Dict[str, Optional[int]]]] = None,
     seed: Optional[int] = None,
-    emit_text: bool = True,
-    emit_payload: bool = True,
 ) -> BenchSpec:
     """Register (or replace) one benchmark in the global registry.
 
@@ -461,12 +420,11 @@ def register(
     """
     module = getattr(run, "__module__", None)
     existing = _REGISTRY.get(name)
-    if existing is not None and existing.module not in (None, module, "__main__"):
-        if module not in (None, "__main__"):
-            raise ReproError(
-                f"bench {name!r} is already registered by module "
-                f"{existing.module!r} (attempted re-registration from {module!r})"
-            )
+    if existing is not None and module is not None and existing.module not in (None, module):
+        raise ReproError(
+            f"bench {name!r} is already registered by module "
+            f"{existing.module!r} (attempted re-registration from {module!r})"
+        )
     spec = BenchSpec(
         name=name,
         run=run,
@@ -474,8 +432,6 @@ def register(
         check=check,
         workload=workload,
         seed=seed,
-        emit_text=emit_text,
-        emit_payload=emit_payload,
         module=module,
     )
     _REGISTRY[name] = spec
@@ -529,14 +485,13 @@ def run_suite(
     trajectory_dir: Optional[Path] = None,
     update_history: bool = True,
     quiet: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> List[BenchResult]:
     """Run a set of registered benches, append history, write trajectories.
 
     Each bench gets a fresh :class:`Profiler` so its manifest carries
     only its own ops/spans.  History and the top-level
     ``BENCH_<name>.json`` trajectory files update once at the end (and
-    only when ``update_history`` — plain script runs never touch them).
+    only when ``update_history``; ``perf run --no-history`` skips them).
     """
     from .history import append_manifests, default_history_path, load_history
     from .history import write_trajectories
@@ -546,13 +501,10 @@ def run_suite(
     specs = (
         [get_spec(name) for name in names] if names else registered()
     )
-    results: List[BenchResult] = []
-    for spec in specs:
-        if progress is not None:
-            progress(f"perf: running {spec.name} ({'smoke' if smoke else 'full'})")
-        results.append(
-            spec.execute(smoke=smoke, directory=directory, quiet=quiet)
-        )
+    results = [
+        spec.execute(smoke=smoke, directory=directory, quiet=quiet)
+        for spec in specs
+    ]
     if update_history and results:
         history_path = (
             Path(history_path) if history_path else default_history_path()

@@ -34,6 +34,7 @@ __all__ = [
     "build_component",
     "build_distribution",
     "check_spec",
+    "engine_entry",
 ]
 
 
@@ -127,6 +128,28 @@ def check_spec(spec) -> None:
         for section, component in scenario.components().items():
             if component is not None:
                 REGISTRY.get(section, component.kind, path=f"{section}.kind")
+        engine_entry(scenario)
+
+
+def engine_entry(spec) -> RegistryEntry:
+    """The scenario's engine, with its params bound to the engine's signature.
+
+    An engine runs as ``factory(spec, ctx, context, **params)``; a param
+    it does not take fails here, at ``engine.<param>``, instead of as a
+    ``TypeError`` once the run has started.
+    """
+    discover()
+    engine = spec.engine
+    entry = REGISTRY.get("engine", engine.kind, path="engine.kind")
+    accepted = tuple(inspect.signature(entry.factory).parameters)[3:]
+    for name in engine.params:
+        if name not in accepted:
+            raise ScenarioValidationError(
+                f"engine.{name}: engine {engine.kind!r} takes no param "
+                f"{name!r}; accepted: {', '.join(accepted) or '(none)'}",
+                path=f"engine.{name}",
+            )
+    return entry
 
 
 def build_distribution(

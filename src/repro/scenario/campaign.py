@@ -26,9 +26,8 @@ from typing import List, Optional, Tuple, Union
 
 from ..obs.context import RunContext
 from ..obs.trace import FlightRecorder
-from .build import BuildContext, build_component
+from .build import BuildContext, build_component, engine_entry
 from .manifest import campaign_manifest, write_manifest
-from .registry import REGISTRY, discover
 from .report import write_campaign_html
 from .spec import CampaignSpec, ScenarioSpec
 
@@ -103,9 +102,8 @@ def run_scenario(
     are identical either way, only wall-clock changes) and the flight
     recorder of its ``trace:`` section — and hands it to the engine.
     """
-    discover()
     spec = _apply_smoke(spec)
-    entry = REGISTRY.get("engine", spec.engine.kind, path="engine.kind")
+    entry = engine_entry(spec)
     ctx = BuildContext(params=spec.system, seed=spec.seed)
     context = RunContext(
         trace=_build_trace(spec, ctx),

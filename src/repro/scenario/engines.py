@@ -71,7 +71,6 @@ def run_monte_carlo(
     spec: ScenarioSpec,
     ctx: BuildContext,
     context: RunContext,
-    exact_rates: bool = True,
 ) -> Tuple[dict, object]:
     """The paper's placement simulator over the spec's distribution."""
     from ..sim.analytic import MonteCarloSimulator
@@ -99,8 +98,6 @@ def run_monte_carlo(
             trials=spec.trials,
             seed=spec.seed,
             selection=spec.selection.kind,
-            exact_rates=exact_rates,
-            queries_per_trial=spec.queries,
             chaos=_build_chaos(spec, ctx),
         )
         report = MonteCarloSimulator(config, context).distribution_attack(

@@ -85,7 +85,9 @@ class MonteCarloSimulator:
         # (metric determinism is unaffected — spans never touch the
         # registry).
         with spans.span("workload"):
-            rates = self._uncached_rates(x, balls, gen)
+            # The paper's "queried at the same rate": every uncached key
+            # carries exactly R/x.
+            rates = np.full(balls, params.rate / x)
         with spans.span("partition"):
             groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
         with spans.span("allocation"):
@@ -132,19 +134,6 @@ class MonteCarloSimulator:
             },
             context=self._context,
         )
-
-    def _uncached_rates(
-        self, x: int, balls: int, gen: np.random.Generator
-    ) -> np.ndarray:
-        params = self._config.params
-        per_key = params.rate / x
-        if self._config.exact_rates:
-            return np.full(balls, per_key)
-        # Finite-batch mode: sample how many of the batch's queries hit
-        # each uncached key, then convert counts back to rates.
-        batch = self._config.queries_per_trial
-        counts = gen.multinomial(batch, np.full(x, 1.0 / x))[params.c :]
-        return counts.astype(float) * (params.rate / batch)
 
     # -- arbitrary popularity laws (Figure 4) ------------------------------
 
@@ -260,7 +249,6 @@ def simulate_uniform_attack(
     trials: int = 200,
     seed: Optional[int] = None,
     selection: str = "least-loaded",
-    exact_rates: bool = True,
     context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
     """One-call version of the paper's x-key attack experiment.
@@ -276,7 +264,6 @@ def simulate_uniform_attack(
             trials=trials,
             seed=seed,
             selection=selection,
-            exact_rates=exact_rates,
         ),
         context,
     )

@@ -28,12 +28,6 @@ class SimulationConfig:
         Replica-selection policy name (see
         :func:`repro.cluster.selection.make_selection_policy`).  The
         theory model — and default — is ``"least-loaded"``.
-    exact_rates:
-        ``True`` (default) gives every queried key exactly rate ``R/x``
-        (the paper's "queried at the same rate"); ``False`` samples a
-        finite multinomial batch instead, adding client-side noise.
-    queries_per_trial:
-        Batch size when ``exact_rates=False``.
     chaos:
         Optional :class:`repro.chaos.ChaosConfig`.  The Monte-Carlo
         engine has no clock, so it applies the process's *steady-state*
@@ -51,17 +45,11 @@ class SimulationConfig:
     trials: int = 200
     seed: Optional[int] = None
     selection: str = "least-loaded"
-    exact_rates: bool = True
-    queries_per_trial: int = 100_000
     chaos: Optional[ChaosConfig] = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigurationError(f"need at least one trial, got {self.trials}")
-        if self.queries_per_trial < 1:
-            raise ConfigurationError(
-                f"queries_per_trial must be positive, got {self.queries_per_trial}"
-            )
         if self.chaos is not None and not isinstance(self.chaos, ChaosConfig):
             raise ConfigurationError(
                 f"chaos must be a ChaosConfig or None, got {type(self.chaos).__name__}"

@@ -1,12 +1,13 @@
-"""Smoke-run every perf/ablation benchmark inside the tier-1 budget.
+"""Smoke-run the perf benches with hard invariants inside the tier-1 budget.
 
-``REPRO_BENCH_SMOKE=1`` shrinks each bench to a seconds-scale
+``repro perf run --smoke`` shrinks each bench to a seconds-scale
 configuration and redirects its JSON to ``*_smoke.json``, so these tests
-never clobber committed full-scale artifacts.  The point here is not
-performance numbers — it is that every bench runs end to end as a
-script, exits zero, and that its hard invariants (determinism,
-engine agreement, observability non-interference) hold on whatever
-machine executes the suite.
+never clobber committed full-scale artifacts (``--no-history`` leaves
+the committed history alone too).  The point here is not performance
+numbers — it is that every bench runs end to end through its one entry
+point, exits zero, and that its hard invariants (determinism, engine
+agreement, observability non-interference) hold on whatever machine
+executes the suite.
 """
 
 import json
@@ -18,19 +19,20 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-BENCH_DIR = REPO / "benchmarks"
-RESULTS = BENCH_DIR / "results"
+RESULTS = REPO / "benchmarks" / "results"
 
 BENCHES = ["bench_parallel", "bench_eventsim", "bench_obs"]
 
 
-def _run_smoke(script: str) -> subprocess.CompletedProcess:
+def _run_smoke(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["REPRO_BENCH_SMOKE"] = "1"
     env["PYTHONPATH"] = str(REPO / "src")
     return subprocess.run(
-        [sys.executable, str(BENCH_DIR / f"{script}.py")],
-        cwd=str(BENCH_DIR),
+        [
+            sys.executable, "-m", "repro", "perf", "run",
+            "--smoke", "--no-history", "--only", name,
+        ],
+        cwd=str(REPO),
         env=env,
         capture_output=True,
         text=True,
@@ -42,9 +44,9 @@ def _run_smoke(script: str) -> subprocess.CompletedProcess:
 def smoke_payload(request):
     """Run one bench in smoke mode (once per module) and load its JSON."""
     script = request.param
-    proc = _run_smoke(script)
-    assert proc.returncode == 0, f"{script} failed:\n{proc.stdout}\n{proc.stderr}"
     name = script[len("bench_"):]
+    proc = _run_smoke(name)
+    assert proc.returncode == 0, f"{script} failed:\n{proc.stdout}\n{proc.stderr}"
     payload = json.loads(
         (RESULTS / f"{name}_smoke.json").read_text(encoding="utf-8")
     )

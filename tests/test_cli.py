@@ -161,6 +161,18 @@ class TestScenarioCLI:
         captured = capsys.readouterr()
         assert "OK" in captured.out  # the good spec was still reported
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_engine_param_names_its_path(
+        self, tmp_path, capsys, command
+    ):
+        path = self._scenario(
+            tmp_path, engine={"kind": "monte-carlo", "exact_rate": False}
+        )
+        assert main(["scenario", command, path]) == 2
+        err = capsys.readouterr().err
+        assert "engine.exact_rate" in err
+        assert "Traceback" not in err
+
     def test_run_prints_stats(self, tmp_path, capsys):
         assert main(["scenario", "run", self._scenario(tmp_path)]) == 0
         out = capsys.readouterr().out

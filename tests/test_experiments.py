@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.cases import critical_cache_size
 from repro.exceptions import AnalysisError
 from repro.experiments.params import PAPER, PaperParams
 from repro.experiments.report import ExperimentResult, format_number, render_table
-from repro.experiments.fig3 import default_x_grid, run_fig3
+from repro.experiments.fig3 import default_x_grid, run_fig3, run_fig3a, run_fig3b
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5, run_fig5a, run_fig5b
 
@@ -167,3 +168,75 @@ class TestFig5:
         result = run_fig5(paper=SMALL, cache_values=(20, 600), seed=1)
         joined = " ".join(result.notes)
         assert "critical point" in joined
+
+
+@pytest.mark.slow
+class TestPaperScaleShapes:
+    """The paper's claims on the figure drivers' own defaults (the
+    paper's system, fewer trials than its 200: the shapes stabilise far
+    earlier than the worst-case tail)."""
+
+    def test_fig3a(self):
+        result = run_fig3a(trials=30, seed=31)
+        gains = result.column("sim_max")
+        xs = result.column("x")
+        assert xs[0] == 201
+        assert gains[0] > 1.0, "attack near x = c + 1 must be effective"
+        assert gains[0] > gains[-1], "curve must decrease in x"
+        calibrated = result.column("bound_calib")
+        assert all(g <= b + 1e-9 for g, b in zip(gains, calibrated)), (
+            "calibrated Eq. (10) bound must cover the simulation"
+        )
+
+    def test_fig3b(self):
+        result = run_fig3b(trials=30, seed=32)
+        gains = result.column("sim_max")
+        assert gains[-1] >= gains[0], "curve must increase in x"
+        assert max(gains) <= 1.1, "no strongly effective attack with c = 2000"
+        calibrated = result.column("bound_calib")
+        assert all(g <= b + 1e-9 for g, b in zip(gains, calibrated))
+
+    def test_fig4(self):
+        result = run_fig4(trials=10, seed=41)
+        uniform = result.column("uniform")
+        zipf = result.column("zipf")
+        adversarial = result.column("adversarial")
+        n_values = result.column("n")
+        # Zipf stays below uniform across the paper's n range.
+        assert all(z <= u + 0.1 for z, u in zip(zipf, uniform))
+        # Uniform stays near 1 while adversarial grows with n.
+        assert all(0.8 < u < 1.6 for u in uniform)
+        assert adversarial[-1] > 3 * adversarial[0]
+        # Adversarial growth is ~ n / (c + 1).
+        c = result.config["c"]
+        expected = n_values[-1] / (c + 1)
+        assert abs(adversarial[-1] - expected) / expected < 0.1
+
+    def test_fig5a(self):
+        result = run_fig5a(trials=10, seed=51)
+        cs = result.column("c")
+        gains = result.column("best_gain")
+        assert gains[0] > 1.0, "small caches must admit effective attacks"
+        assert gains[-1] <= 1.05, "large caches must prevent them"
+        # Weak monotonicity (Monte-Carlo wiggle tolerated).
+        assert all(a >= b - 0.25 for a, b in zip(gains, gains[1:]))
+        # The empirical crossing sits between the two analytic estimates
+        # (paper's folded k = 1.2 and the substrate-calibrated k), up to the
+        # sweep granularity.
+        crossing = next(c for c, g in zip(cs, gains) if g <= 1.0)
+        lo = critical_cache_size(PAPER.n, PAPER.d, k=PAPER.k)
+        hi = critical_cache_size(PAPER.n, PAPER.d, k_prime=0.75)
+        assert 0.5 * lo <= crossing <= 1.5 * hi
+
+    def test_fig5b(self):
+        result = run_fig5b(trials=10, seed=52)
+        cs = result.column("c")
+        xs = result.column("x_queried")
+        # Every point is one of the two endpoints of the case analysis.
+        assert all(x == c + 1 or x == PAPER.m for c, x in zip(cs, xs))
+        # Both regimes are represented and the step is monotone (once the
+        # adversary switches to the full sweep it never switches back).
+        switched = [x == PAPER.m for x in xs]
+        assert any(switched) and not all(switched)
+        first_switch = switched.index(True)
+        assert all(switched[first_switch:])

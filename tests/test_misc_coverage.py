@@ -24,7 +24,6 @@ class TestSimulationConfig:
     def test_defaults(self):
         config = self._config()
         assert config.selection == "least-loaded"
-        assert config.exact_rates
 
     def test_with_params_copies(self):
         config = self._config()
@@ -41,8 +40,6 @@ class TestSimulationConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             self._config(trials=0)
-        with pytest.raises(ConfigurationError):
-            self._config(queries_per_trial=0)
 
 
 class TestEventsimRouting:

@@ -80,6 +80,20 @@ class TestPerfRun:
         assert main(["perf", "run", "--smoke", "--no-history"]) == 0
         assert not (bench_dir / "results" / "history.jsonl").exists()
 
+    def test_run_fails_on_check_failure_and_still_records(
+        self, bench_dir, capsys
+    ):
+        script = bench_dir / "bench_tinyperf.py"
+        script.write_text(script.read_text().replace(
+            'payload["value"] == 3', 'payload["value"] == 4'
+        ))
+        assert main(["perf", "run", "--smoke"]) == 1
+        assert "1 check failure(s): tinyperf" in capsys.readouterr().out
+        history = bench_dir / "results" / "history.jsonl"
+        record = json.loads(history.read_text().splitlines()[0])
+        assert record["bench"] == "tinyperf"
+        assert record["ok"] is False
+
     def test_run_then_compare_then_report_end_to_end(self, bench_dir, capsys):
         """The ISSUE 5 acceptance flow, on the disposable bench dir."""
         assert main(["perf", "run", "--smoke"]) == 0

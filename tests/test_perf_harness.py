@@ -183,16 +183,6 @@ class TestExecute:
         assert not result.manifest.ok
         assert "value drifted" in result.error
 
-    def test_raise_on_check_propagates(self, tmp_path):
-        def check(payload):
-            raise AssertionError("boom")
-
-        with pytest.raises(AssertionError, match="boom"):
-            make_spec(check=check).execute(
-                smoke=True, directory=tmp_path, quiet=True,
-                raise_on_check=True,
-            )
-
     def test_manifest_provenance_fields(self, tmp_path):
         result = make_spec().execute(
             smoke=True, directory=tmp_path, quiet=True

@@ -6,12 +6,10 @@ import pytest
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim.analytic import (
-    MonteCarloSimulator,
     best_achievable_gain,
     simulate_distribution,
     simulate_uniform_attack,
 )
-from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_trials
 from repro.types import LoadVector
 from repro.workload.distributions import UniformDistribution
@@ -105,17 +103,6 @@ class TestUniformAttack:
             SystemParameters(d=3, **base), x, trials=10, seed=4
         ).worst_case
         assert g3 < g1
-
-    def test_finite_batch_mode_close_to_exact(self):
-        params = self._params()
-        exact = simulate_uniform_attack(params, 500, trials=10, seed=5).worst_case
-        noisy = MonteCarloSimulator(
-            SimulationConfig(
-                params=params, trials=10, seed=5, exact_rates=False,
-                queries_per_trial=200_000,
-            )
-        ).uniform_attack(500).worst_case
-        assert noisy == pytest.approx(exact, rel=0.25)
 
     def test_rejects_bad_x(self):
         params = self._params()
