@@ -6,14 +6,11 @@ the least loaded of ``d`` random bins).  This subpackage provides:
 
 - :mod:`repro.ballsbins.allocation` — exact simulators of the one-choice
   and d-choice processes (vectorised where the process allows),
-- :mod:`repro.ballsbins.bounds` — the published maximum-load bounds
-  (Raab-Steger for one choice, Berenbrink et al. for d choices),
 - :mod:`repro.ballsbins.occupancy` — occupancy statistics and the
   empirical calibration of the Theta(1) constant ``k'``.
 """
 
 from .allocation import d_choice_allocate, one_choice_allocate, replica_group_allocate
-from .bounds import d_choice_max_load_bound, max_load_bound, one_choice_max_load_bound
 from .occupancy import (
     OccupancyStats,
     calibrate_k_prime,
@@ -25,9 +22,6 @@ __all__ = [
     "one_choice_allocate",
     "d_choice_allocate",
     "replica_group_allocate",
-    "one_choice_max_load_bound",
-    "d_choice_max_load_bound",
-    "max_load_bound",
     "OccupancyStats",
     "occupancy_stats",
     "max_occupancy_trials",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 

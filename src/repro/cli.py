@@ -1018,8 +1018,8 @@ def _run_perf(args: argparse.Namespace) -> int:
     if args.perf_command == "run":
         harness.discover()
         if args.list:
-            for name in harness.registered():
-                print(name)
+            for spec in harness.registered():
+                print(spec.name)
             return 0
         trajectory_dir = (
             Path(args.trajectory_dir) if args.trajectory_dir else None

@@ -1,12 +1,12 @@
 """Experiment drivers: one callable per figure of the paper.
 
 Every driver returns an :class:`~repro.experiments.report.ExperimentResult`
-whose ``columns`` hold the same series the paper plots, so the
-benchmarks, the CLI and the tests all consume one representation.
+whose ``columns`` hold the same series the paper plots, so the CLI
+and the tests consume one representation.
 
 Scale knobs: each driver takes ``trials`` (paper: 200) and, where it
-matters, the key-space size, so benches can run a faithful-shape
-reduced version quickly while ``python -m repro <fig> --full`` runs the
+matters, the key-space size, so the slow shape tests can run a
+faithful-shape reduced version quickly while ``python -m repro <fig> --full`` runs the
 paper-scale configuration.
 """
 
@@ -15,11 +15,9 @@ from .report import ExperimentResult, render_table
 from .fig3 import run_fig3a, run_fig3b, run_fig3
 from .fig4 import run_fig4
 from .fig5 import run_fig5a, run_fig5b, run_fig5
-from .stealth import run_stealth_sweep
 from .plot import ascii_plot
 
 __all__ = [
-    "run_stealth_sweep",
     "ascii_plot",
     "PaperParams",
     "PAPER",

@@ -10,7 +10,7 @@ checkable online:
   outside the theorem (or the bound's constant is mis-calibrated).
 - ``entropy-flat`` — the window's normalised key-frequency entropy is
   above the flatness threshold over non-trivial support: the Theorem-1
-  uniform-prefix fingerprint (see :mod:`repro.analysis.detection`).
+  uniform-prefix fingerprint (see ``tests/detection_oracle.py``).
 - ``node-overload`` — one node's offered rate within the window
   exceeded ``overload_factor * R/n``.  The default factor 4.0 matches
   the event engine's default per-node capacity headroom, so a firing

@@ -5,7 +5,7 @@ End-of-run observability (PR 2) answers "what happened"; the
 
 - **simulated-clock sliding windows** (:mod:`repro.obs.windows`) of
   per-node load, cache hit ratio and key-frequency entropy — a
-  streaming port of :mod:`repro.analysis.detection`'s flatness score;
+  streaming port of the batch flatness score (``tests/detection_oracle.py``);
 - a **live attack-gain estimator**: the running
   ``L_max / (R/n)`` against the Theorem-2 bound
   ``1 + (1 - c + n k)/(x - 1)`` for the configured ``(n, d, c, x)``,
@@ -64,9 +64,9 @@ __all__ = [
     "as_monitor",
 ]
 
-#: Entropy-flatness threshold; kept numerically equal to
-#: ``repro.analysis.detection.FLATNESS_THRESHOLD`` (contract-tested)
-#: without importing the analysis package into the hot path.
+#: Entropy-flatness threshold; kept numerically equal to the batch
+#: oracle's ``FLATNESS_THRESHOLD`` in ``tests/detection_oracle.py``
+#: (contract-tested).
 FLATNESS_THRESHOLD = 0.95
 
 

@@ -6,7 +6,7 @@ wall clock — so every window-derived statistic is bit-identical across
 hosts, runs and worker counts.  Two pieces live here:
 
 - :class:`StreamingEntropy` — an O(1)-per-update port of the batch
-  flatness score in :mod:`repro.analysis.detection`.  It maintains the
+  flatness score in ``tests/detection_oracle.py``.  It maintains the
   identity ``H = ln(total) - (1/total) * sum_i c_i ln c_i``
   incrementally, so the streamed normalised entropy equals the batch
   ``profile_counts`` value exactly (up to float associativity) — the
@@ -32,7 +32,7 @@ __all__ = ["StreamingEntropy", "WindowAccumulator"]
 class StreamingEntropy:
     """Streaming normalised key-frequency entropy (the flatness score).
 
-    Mirrors :func:`repro.analysis.detection.profile_counts`:
+    Mirrors the batch oracle's ``profile_counts``:
 
     - ``normalized_entropy`` is ``H / ln(distinct)`` (0 when fewer than
       two distinct keys);

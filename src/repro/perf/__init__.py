@@ -30,7 +30,6 @@ from .harness import (
     BenchResult,
     BenchSpec,
     active_context,
-    active_profiler,
     discover,
     get_spec,
     register,
@@ -44,7 +43,7 @@ from .history import (
     load_history,
     write_trajectories,
 )
-from .profiler import NULL_PROFILER, NullProfiler, Profiler, as_profiler
+from .profiler import Profiler
 from .report import render_report, write_report
 from .schema import (
     SCHEMA_VERSION,
@@ -56,9 +55,6 @@ from .schema import (
 
 __all__ = [
     "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "as_profiler",
     "BenchSpec",
     "BenchResult",
     "register",
@@ -66,7 +62,6 @@ __all__ = [
     "get_spec",
     "discover",
     "run_suite",
-    "active_profiler",
     "active_context",
     "smoke_mode",
     "RunManifest",

@@ -1,11 +1,11 @@
 """Unified benchmark harness: one registry, one manifest per run.
 
 Every script under ``benchmarks/`` declares itself with
-:func:`register` — a name, a ``run()`` callable producing the payload,
-an optional ``render(payload)`` for the human table, an optional
-``check(payload)`` asserting the paper's qualitative claims, and an
-optional ``workload(payload)`` reporting how many events/balls the
-engine phase processed (for throughput).  The harness then owns
+:func:`register` — a name, a ``run()`` callable producing the payload
+dict, a ``render(payload)`` for the human table, an optional
+``check(payload)`` asserting the bench's invariants, and an optional
+``workload(payload)`` reporting how many events/balls the engine phase
+processed (for throughput).  The harness then owns
 everything the scripts used to copy-paste:
 
 - smoke-mode resolution (``REPRO_BENCH_SMOKE=1`` or ``--smoke``);
@@ -25,19 +25,19 @@ A bench script defines its callables and registers them once;
 ``repro perf run`` is its only entry point, and exits non-zero when any
 bench's check fails::
 
-    SPEC = register("eventsim", run=_run, check=_check, workload=_workload)
+    SPEC = register("eventsim", run=_run, render=_render, check=_check)
 
-Scripts import :func:`register`, :func:`smoke_mode`, :func:`timed`,
-:func:`active_context` and the ``emit*`` helpers from this module
-directly.
+Scripts import :func:`register`, :func:`smoke_mode`, :func:`timed` and
+:func:`active_context` from this module directly.
 
-Scale note: the paper runs 200 trials per sweep point; the benches
-default to fewer (the per-bench ``TRIALS`` constants) because the
-qualitative shape — who wins, where the crossover sits — stabilises far
-earlier than the worst-case tail.  ``python -m repro <fig> --full``
-reruns any figure at full paper scale, and ``REPRO_BENCH_SMOKE=1`` (or
-``repro perf run --smoke``) shrinks the perf benches to a seconds-scale
-configuration whose artifacts land under ``*_smoke`` names.
+The suite times the engines: ``eventsim``, ``parallel`` and ``obs``.
+Result tables are not benches.  The paper's figures are the slow tests
+in ``tests/test_experiments.py``, and each ablation or extension table
+is one slow test in ``tests/test_table_<name>.py`` that prints its table
+(``pytest -m slow -s tests/test_table_<name>.py``).
+``REPRO_BENCH_SMOKE=1`` (or ``repro perf run --smoke``) shrinks the
+benches to a seconds-scale configuration whose artifacts land under
+``*_smoke`` names.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "get_spec",
     "discover",
     "run_suite",
-    "active_profiler",
     "active_context",
     "bench_dir",
     "results_dir",
@@ -88,7 +87,7 @@ BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 _REGISTRY: Dict[str, "BenchSpec"] = {}
 
 #: The profiler of the currently executing bench (see
-#: :func:`active_profiler`); ``None`` outside :meth:`BenchSpec.execute`.
+#: :func:`active_context`); ``None`` outside :meth:`BenchSpec.execute`.
 _ACTIVE_PROFILER: Optional[Profiler] = None
 
 
@@ -156,14 +155,6 @@ def emit_json(name: str, payload: dict, directory: Optional[Path] = None) -> Pat
     return path
 
 
-def active_profiler() -> Optional[Profiler]:
-    """The executing bench's profiler (``None`` outside a harness run).
-
-    Most bench bodies want :func:`active_context` instead.
-    """
-    return _ACTIVE_PROFILER
-
-
 def active_context() -> RunContext:
     """The run context a bench hands its engine calls.
 
@@ -216,22 +207,11 @@ def _smoke_env(smoke: bool) -> Iterator[None]:
 
 def _payload_dict(payload: Any, smoke: bool) -> dict:
     """Normalise a bench payload to the JSON artifact shape."""
-    if hasattr(payload, "columns") and hasattr(payload, "render"):
-        # ExperimentResult (duck-typed to avoid an import cycle).
-        record = {
-            "name": payload.name,
-            "description": payload.description,
-            "columns": dict(payload.columns),
-            "config": dict(payload.config),
-            "notes": list(payload.notes),
-        }
-    elif isinstance(payload, dict):
-        record = dict(payload)
-    else:
+    if not isinstance(payload, dict):
         raise ReproError(
-            f"bench payload must be a dict or ExperimentResult, "
-            f"got {type(payload).__name__}"
+            f"bench payload must be a dict, got {type(payload).__name__}"
         )
+    record = dict(payload)
     record.setdefault("smoke", smoke)
     return record
 
@@ -266,12 +246,6 @@ def _manifest_engines(payload_dict: dict) -> Optional[Dict[str, dict]]:
     return None
 
 
-def _default_render(payload: Any, payload_dict: dict) -> str:
-    if hasattr(payload, "render"):
-        return payload.render()
-    return json.dumps(payload_dict, indent=2, sort_keys=True, default=_json_default)
-
-
 @dataclass
 class BenchResult:
     """Outcome of one harness execution."""
@@ -295,14 +269,12 @@ class BenchSpec:
         Artifact stem: writes ``results/<name>.txt`` (and ``.json``),
         appears as ``bench`` in manifests and as ``BENCH_<name>.json``.
     run:
-        Zero-argument callable producing the payload (a dict or an
-        :class:`~repro.experiments.report.ExperimentResult`).  Reads
+        Zero-argument callable producing the payload dict.  Reads
         :func:`smoke_mode` itself where a seconds-scale variant exists.
     render:
-        ``payload -> str`` table renderer; defaults to
-        ``payload.render()`` or pretty-printed JSON.
+        ``payload -> str`` table renderer.
     check:
-        ``payload -> None`` asserting the bench's qualitative claims
+        ``payload -> None`` asserting the bench's invariants
         (plain ``assert`` statements); a failure marks the manifest
         ``ok=False`` instead of crashing the suite.
     workload:
@@ -314,7 +286,7 @@ class BenchSpec:
 
     name: str
     run: Callable[[], Any]
-    render: Optional[Callable[[Any], str]] = None
+    render: Callable[[Any], str]
     check: Optional[Callable[[Any], None]] = None
     workload: Optional[Callable[[Any], Dict[str, Optional[int]]]] = None
     seed: Optional[int] = None
@@ -355,11 +327,7 @@ class BenchSpec:
                             ok, error = False, str(exc) or "check failed"
                     payload_dict = _payload_dict(payload, smoke)
                     with profiler.span("export") as export:
-                        rendered = (
-                            self.render(payload)
-                            if self.render is not None
-                            else _default_render(payload, payload_dict)
-                        )
+                        rendered = self.render(payload)
                         stem = f"{self.name}_smoke" if smoke else self.name
                         if quiet:
                             target = Path(directory) if directory else results_dir()
@@ -407,7 +375,7 @@ class BenchSpec:
 def register(
     name: str,
     run: Callable[[], Any],
-    render: Optional[Callable[[Any], str]] = None,
+    render: Callable[[Any], str],
     check: Optional[Callable[[Any], None]] = None,
     workload: Optional[Callable[[Any], Dict[str, Optional[int]]]] = None,
     seed: Optional[int] = None,

@@ -28,11 +28,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
-from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.metrics import MetricsRegistry
+from ..obs.spans import Tracer
 from .schema import peak_rss_bytes
 
-__all__ = ["Profiler", "NullProfiler", "NULL_PROFILER", "as_profiler"]
+__all__ = ["Profiler"]
 
 
 def _format_key(name: str, labels) -> str:
@@ -54,8 +54,6 @@ class Profiler:
     max_spans:
         Raw-span retention cap forwarded to the tracer.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -112,34 +110,3 @@ class Profiler:
             },
         }
 
-
-class NullProfiler(Profiler):
-    """The disabled profiler: shared no-op sinks, no clock reads.
-
-    Hands out the process-wide null registry and null tracer, so code
-    written against ``profiler.metrics`` / ``profiler.span(...)``
-    behaves exactly like the uninstrumented path.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(max_spans=0)
-        self.metrics = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-
-    def snapshot(self) -> dict:
-        return {
-            "ops": {},
-            "spans": {},
-            "memory": {"tracemalloc_peak_bytes": None, "rss_peak_bytes": None},
-        }
-
-
-#: Process-wide shared no-op profiler.
-NULL_PROFILER = NullProfiler()
-
-
-def as_profiler(profiler: Optional[Profiler]) -> Profiler:
-    """Normalise an optional ``profiler=`` argument: ``None`` -> no-op."""
-    return NULL_PROFILER if profiler is None else profiler

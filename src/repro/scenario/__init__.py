@@ -41,7 +41,6 @@ _EXPORTS = {
     "CampaignSpec": "spec",
     "load_spec": "spec",
     "loads_spec": "spec",
-    "dump_spec": "spec",
     "dumps_spec": "spec",
     "BuildContext": "build",
     "build_component": "build",

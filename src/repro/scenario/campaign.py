@@ -19,13 +19,13 @@ seconds regardless of what a spec asks for.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..obs.context import RunContext
 from ..obs.trace import FlightRecorder
+from ..perf.harness import smoke_mode
 from .build import BuildContext, build_component, engine_entry
 from .manifest import campaign_manifest, write_manifest
 from .report import write_campaign_html
@@ -38,17 +38,13 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Smoke-mode caps (trials, queries) under ``REPRO_BENCH_SMOKE``.
+#: Smoke-mode caps (trials, queries) under ``REPRO_BENCH_SMOKE=1``.
 _SMOKE_TRIALS = 3
 _SMOKE_QUERIES = 2_000
 
 
-def _smoke() -> bool:
-    return os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
-
-
 def _apply_smoke(spec: ScenarioSpec) -> ScenarioSpec:
-    if not _smoke():
+    if not smoke_mode():
         return spec
     return replace(
         spec,

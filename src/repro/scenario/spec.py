@@ -42,7 +42,6 @@ __all__ = [
     "CampaignSpec",
     "load_spec",
     "loads_spec",
-    "dump_spec",
     "dumps_spec",
 ]
 
@@ -607,11 +606,3 @@ def dumps_spec(
         f"unknown spec format {fmt!r}; use 'yaml' or 'json'", path="<dump>"
     )
 
-
-def dump_spec(
-    spec: Union[ScenarioSpec, CampaignSpec], path: Union[str, Path]
-) -> Path:
-    """Write a spec file next to :func:`load_spec`'s format rules."""
-    path = Path(path)
-    path.write_text(dumps_spec(spec, fmt=_format_for(path)))
-    return path

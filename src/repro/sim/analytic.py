@@ -66,30 +66,28 @@ class MonteCarloSimulator:
         """The campaign configuration."""
         return self._config
 
-    # -- the paper's experiment -------------------------------------------
+    # -- one trial -----------------------------------------------------------
 
-    def uniform_attack_trial(
-        self, x: int, gen: np.random.Generator
+    def distribution_trial(
+        self, rates: np.ndarray, gen: np.random.Generator
     ) -> LoadVector:
-        """One trial of the x-key uniform attack (Section IV, one run)."""
+        """One trial (Section IV, one run): one ball per uncached key.
+
+        ``rates`` holds each uncached key's query rate.  Every key gets
+        a random replica group and is placed on one member by the
+        selection policy (or by the chaos path's degraded greedy).
+        """
         params = self._config.params
-        if not 1 <= x <= params.m:
-            raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
-        spans = self._context.spans
-        balls = x - params.c
-        if balls <= 0:
+        if rates.size == 0:
             # Every queried key is cached: the back end sees nothing.
             return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
         # Phase spans are wall-clock and process-local: they record in
         # serial runs; with workers > 1 the worker's copy is discarded
         # (metric determinism is unaffected — spans never touch the
         # registry).
-        with spans.span("workload"):
-            # The paper's "queried at the same rate": every uncached key
-            # carries exactly R/x.
-            rates = np.full(balls, params.rate / x)
+        spans = self._context.spans
         with spans.span("partition"):
-            groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
+            groups = sample_replica_groups(rates.size, params.n, params.d, rng=gen)
         with spans.span("allocation"):
             loads = self._node_loads(groups, rates, gen)
         return LoadVector(loads=loads, total_rate=params.rate)
@@ -116,31 +114,42 @@ class MonteCarloSimulator:
         degraded = degrade_groups(groups, failed, params.n)
         return degraded.least_loaded_loads(rates, params.n)
 
-    def uniform_attack(self, x: int) -> LoadReport:
-        """Multi-trial x-key uniform attack; the unit of Figs. 3 and 5.
+    def _campaign(self, rates: np.ndarray, label: str, metadata: dict) -> LoadReport:
+        """Run :meth:`distribution_trial` over ``rates`` for every trial.
 
-        The trial callable is a ``partial`` over a bound method (not a
-        lambda) so ``workers > 1`` can ship it to worker processes.
+        The trial callable is a ``partial`` over a module-level function
+        (not a lambda) so ``workers > 1`` can ship it to worker processes.
         """
         cfg = self._config
         return run_trials(
-            partial(_uniform_attack_trial_task, self, x),
+            partial(_trial_task, self, rates),
             trials=cfg.trials,
             seed=cfg.seed,
-            label=f"uniform-attack-x{x}",
+            label=label,
             metadata={
-                "x": x, "selection": cfg.selection,
+                **metadata, "selection": cfg.selection,
                 **_param_meta(cfg.params), **_chaos_meta(cfg),
             },
             context=self._context,
         )
 
+    # -- the paper's experiment -------------------------------------------
+
+    def uniform_attack(self, x: int) -> LoadReport:
+        """Multi-trial x-key uniform attack; the unit of Figs. 3 and 5."""
+        params = self._config.params
+        if not 1 <= x <= params.m:
+            raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
+        with self._context.spans.span("workload"):
+            # The paper's "queried at the same rate": every uncached key
+            # carries exactly R/x.
+            rates = np.full(max(x - params.c, 0), params.rate / x)
+        return self._campaign(rates, f"uniform-attack-x{x}", {"x": x})
+
     # -- arbitrary popularity laws (Figure 4) ------------------------------
 
-    def distribution_trial(
-        self, distribution: KeyDistribution, gen: np.random.Generator
-    ) -> LoadVector:
-        """One trial under an arbitrary popularity law.
+    def distribution_attack(self, distribution: KeyDistribution) -> LoadReport:
+        """Multi-trial run of an arbitrary access pattern.
 
         The perfect front end absorbs the distribution's true top-``c``
         keys; every other positive-rate key becomes a ball with its
@@ -151,37 +160,16 @@ class MonteCarloSimulator:
             raise SimulationError(
                 f"distribution covers {distribution.m} keys, system serves {params.m}"
             )
-        spans = self._context.spans
-        with spans.span("workload"):
+        with self._context.spans.span("workload"):
             probs = distribution.probabilities()
             cached = distribution.top_keys(params.c)
             uncached_mask = probs > 0
             uncached_mask[cached] = False
             rates = probs[uncached_mask] * params.rate
-        balls = int(rates.size)
-        if balls == 0:
-            return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
-        with spans.span("partition"):
-            groups = sample_replica_groups(balls, params.n, params.d, rng=gen)
-        with spans.span("allocation"):
-            loads = self._node_loads(groups, rates, gen)
-        return LoadVector(loads=loads, total_rate=params.rate)
-
-    def distribution_attack(self, distribution: KeyDistribution) -> LoadReport:
-        """Multi-trial run of an arbitrary access pattern."""
-        cfg = self._config
-        return run_trials(
-            partial(_distribution_trial_task, self, distribution),
-            trials=cfg.trials,
-            seed=cfg.seed,
-            label=f"distribution-{distribution.name}",
-            metadata={
-                "distribution": distribution.name,
-                "selection": cfg.selection,
-                **_param_meta(cfg.params),
-                **_chaos_meta(cfg),
-            },
-            context=self._context,
+        return self._campaign(
+            rates,
+            f"distribution-{distribution.name}",
+            {"distribution": distribution.name},
         )
 
     # -- the adversary's endpoint choice (Figure 5) -------------------------
@@ -229,18 +217,11 @@ def _chaos_meta(cfg: SimulationConfig) -> dict:
     }
 
 
-def _uniform_attack_trial_task(
-    sim: "MonteCarloSimulator", x: int, gen: np.random.Generator
+def _trial_task(
+    sim: "MonteCarloSimulator", rates: np.ndarray, gen: np.random.Generator
 ) -> LoadVector:
-    """Spawn-safe top-level wrapper for the uniform-attack trial."""
-    return sim.uniform_attack_trial(x, gen)
-
-
-def _distribution_trial_task(
-    sim: "MonteCarloSimulator", distribution: KeyDistribution, gen: np.random.Generator
-) -> LoadVector:
-    """Spawn-safe top-level wrapper for the distribution trial."""
-    return sim.distribution_trial(distribution, gen)
+    """Spawn-safe top-level wrapper for one trial."""
+    return sim.distribution_trial(rates, gen)
 
 
 def simulate_uniform_attack(

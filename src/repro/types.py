@@ -3,32 +3,25 @@
 These are deliberately small, immutable, numpy-friendly containers: the
 heavy lifting lives in the subsystem modules, while these types define
 the vocabulary the subsystems use to talk to each other.
+
+Keys are dense integer ids ``0 .. m-1``; the most popular key is 0 by
+convention (the paper lists keys in decreasing popularity order).
+Back-end nodes are dense integer ids ``0 .. n-1``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .exceptions import ConfigurationError
 
 __all__ = [
-    "KeyId",
-    "NodeId",
     "LoadVector",
     "LoadReport",
-    "CacheDecision",
 ]
-
-#: Keys are dense integer ids ``0 .. m-1``; the most popular key is 0 by
-#: convention (the paper lists keys in decreasing popularity order).
-KeyId = int
-
-#: Back-end nodes are dense integer ids ``0 .. n-1``.
-NodeId = int
 
 
 @dataclass(frozen=True)
@@ -157,16 +150,3 @@ class LoadReport:
         """The :meth:`describe` summary (dataclass field dump is noise)."""
         return self.describe()
 
-
-@dataclass(frozen=True)
-class CacheDecision:
-    """Outcome of offering one request to the front-end cache."""
-
-    key: KeyId
-    hit: bool
-    evicted: Optional[KeyId] = None
-
-
-def frozen_copy(obj):
-    """Return ``dataclasses.replace(obj)`` — a defensive shallow copy."""
-    return dataclasses.replace(obj)

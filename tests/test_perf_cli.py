@@ -27,7 +27,7 @@ def bench_dir(tmp_path, monkeypatch):
         def _check(payload):
             assert payload["value"] == 3
 
-        register("tinyperf", run=_run, check=_check,
+        register("tinyperf", run=_run, render=repr, check=_check,
                  workload=lambda p: {"events": 30}, seed=5)
         """
     ))
@@ -70,7 +70,7 @@ class TestPerfRun:
 
     def test_run_list(self, bench_dir, capsys):
         assert main(["perf", "run", "--list"]) == 0
-        assert "tinyperf" in capsys.readouterr().out
+        assert capsys.readouterr().out == "tinyperf\n"
 
     def test_run_unknown_bench_fails(self, bench_dir, capsys):
         assert main(["perf", "run", "--smoke", "--only", "nope"]) == 1

@@ -20,7 +20,6 @@ from repro.perf.harness import (
     SMOKE_ENV,
     BenchSpec,
     active_context,
-    active_profiler,
     get_spec,
     register,
     run_suite,
@@ -54,6 +53,7 @@ def clean_registry():
 def make_spec(name="demo", **kwargs) -> BenchSpec:
     defaults = dict(
         run=lambda: {"config": {"n": 5}, "value": 1},
+        render=repr,
         workload=lambda payload: {"events": 100},
         seed=11,
     )
@@ -142,20 +142,6 @@ class TestExecute:
         assert seen == {"env": "1", "mode": True}
         assert os.environ.get(SMOKE_ENV) == previous
 
-    def test_active_profiler_available_inside_run_only(self, tmp_path):
-        seen = {}
-
-        def run():
-            seen["profiler"] = active_profiler()
-            return {"config": {}}
-
-        profiler = Profiler()
-        make_spec(run=run, workload=None).execute(
-            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
-        )
-        assert seen["profiler"] is profiler
-        assert active_profiler() is None
-
     def test_active_context_records_into_the_profiler(self, tmp_path):
         seen = {}
 
@@ -207,12 +193,12 @@ class TestExecute:
 
 class TestRegistry:
     def test_register_and_get(self, clean_registry):
-        spec = register("alpha", run=lambda: {"config": {}})
+        spec = register("alpha", run=lambda: {"config": {}}, render=repr)
         assert get_spec("alpha") is spec
 
     def test_reregistration_same_module_replaces(self, clean_registry):
-        register("alpha", run=lambda: {"a": 1})
-        replacement = register("alpha", run=lambda: {"a": 2})
+        register("alpha", run=lambda: {"a": 1}, render=repr)
+        replacement = register("alpha", run=lambda: {"a": 2}, render=repr)
         assert get_spec("alpha") is replacement
 
     def test_cross_module_clash_rejected(self, clean_registry):
@@ -224,12 +210,12 @@ class TestRegistry:
 
         first.__module__ = "bench_one"
         second.__module__ = "bench_two"
-        register("alpha", run=first)
+        register("alpha", run=first, render=repr)
         with pytest.raises(ReproError, match="already registered"):
-            register("alpha", run=second)
+            register("alpha", run=second, render=repr)
 
     def test_missing_name_lists_known(self, clean_registry):
-        register("alpha", run=lambda: {})
+        register("alpha", run=lambda: {}, render=repr)
         with pytest.raises(ReproError, match="alpha"):
             get_spec("missing")
 
@@ -239,10 +225,10 @@ class TestRunSuite:
         self, clean_registry, tmp_path
     ):
         register(
-            "one", run=lambda: {"config": {}},
+            "one", run=lambda: {"config": {}}, render=repr,
             workload=lambda p: {"events": 10}, seed=1,
         )
-        register("two", run=lambda: {"config": {}}, seed=2)
+        register("two", run=lambda: {"config": {}}, render=repr, seed=2)
         history_path = tmp_path / "history.jsonl"
         results = run_suite(
             smoke=True, directory=tmp_path, history_path=history_path,
@@ -256,7 +242,7 @@ class TestRunSuite:
         assert trajectory["latest"]["ok"] is True
 
     def test_second_run_extends_trajectory(self, clean_registry, tmp_path):
-        register("one", run=lambda: {"config": {}})
+        register("one", run=lambda: {"config": {}}, render=repr)
         history_path = tmp_path / "history.jsonl"
         for _ in range(2):
             run_suite(
@@ -270,7 +256,7 @@ class TestRunSuite:
     def test_no_history_mode_leaves_store_untouched(
         self, clean_registry, tmp_path
     ):
-        register("one", run=lambda: {"config": {}})
+        register("one", run=lambda: {"config": {}}, render=repr)
         history_path = tmp_path / "history.jsonl"
         run_suite(
             smoke=True, directory=tmp_path, history_path=history_path,
@@ -280,8 +266,8 @@ class TestRunSuite:
         assert not (tmp_path / "BENCH_one.json").exists()
 
     def test_named_subset(self, clean_registry, tmp_path):
-        register("one", run=lambda: {"config": {}})
-        register("two", run=lambda: {"config": {}})
+        register("one", run=lambda: {"config": {}}, render=repr)
+        register("two", run=lambda: {"config": {}}, render=repr)
         results = run_suite(
             names=["two"], smoke=True, directory=tmp_path,
             history_path=tmp_path / "h.jsonl", trajectory_dir=tmp_path,
@@ -293,7 +279,7 @@ class TestRunSuite:
         def check(payload):
             raise AssertionError("broken claim")
 
-        register("flaky", run=lambda: {"config": {}}, check=check)
+        register("flaky", run=lambda: {"config": {}}, render=repr, check=check)
         results = run_suite(
             smoke=True, directory=tmp_path,
             history_path=tmp_path / "h.jsonl", trajectory_dir=tmp_path,

@@ -23,7 +23,7 @@ from repro.obs import (
     MonitorConfig,
     RunContext,
 )
-from repro.perf import NULL_PROFILER, NullProfiler, Profiler, as_profiler
+from repro.perf import Profiler
 from repro.sim.analytic import simulate_uniform_attack
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
@@ -85,28 +85,6 @@ class TestMemoryCapture:
         assert "tracemalloc_peak_bytes" in snap["memory"]
 
 
-class TestNullProfiler:
-    def test_shared_noop_sinks(self):
-        null = NullProfiler()
-        assert null.metrics is NULL_REGISTRY
-        assert null.tracer is NULL_TRACER
-        assert not null.enabled
-
-    def test_snapshot_empty(self):
-        assert NULL_PROFILER.snapshot()["ops"] == {}
-
-    def test_null_swallows_everything(self):
-        NULL_PROFILER.count("ignored", 5)
-        with NULL_PROFILER.span("ignored"):
-            pass
-        assert NULL_PROFILER.snapshot()["ops"] == {}
-
-    def test_as_profiler(self):
-        assert as_profiler(None) is NULL_PROFILER
-        p = Profiler()
-        assert as_profiler(p) is p
-
-
 class TestDeterminismAcrossWorkers:
     """ISSUE 5 acceptance: op-counters bit-identical serial vs workers=4."""
 
@@ -157,8 +135,8 @@ class TestNonInterference:
         ).all()
 
     def test_disabled_path_matches_committed_golden_fixture(self):
-        """Replays the golden eventsim run with the *null* profiler
-        attached; every pinned field must stay byte-identical."""
+        """Replays the golden eventsim run with the null metrics and
+        span sinks attached; every pinned field must stay byte-identical."""
         pinned = json.loads(
             (GOLDEN_DIR / "eventsim_baseline.json").read_text(encoding="utf-8")
         )
@@ -166,11 +144,10 @@ class TestNonInterference:
         monitor = LoadMonitor(
             MonitorConfig.from_params(params, x=11, window=0.05)
         )
-        null = NullProfiler()
         sim = EventDrivenSimulator(
             params, AdversarialDistribution(500, 11), seed=7,
             context=RunContext(
-                metrics=null.metrics, spans=null.tracer, monitor=monitor
+                metrics=NULL_REGISTRY, spans=NULL_TRACER, monitor=monitor
             ),
         )
         result = sim.run(4000, trial=0)

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.detection import profile_counts
+from detection_oracle import profile_counts
 from repro.ballsbins.allocation import sample_replica_groups
 from repro.cache.sketch import CountMinSketch
 from repro.cluster.failures import degrade_groups, expected_unavailable_fraction
-from repro.cluster.partitioner import RandomTablePartitioner
 from repro.workload.distributions import GeometricDistribution, UniformDistribution
 from repro.workload.mixture import MixtureDistribution
 from repro.workload.zipf import ZipfDistribution

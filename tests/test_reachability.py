@@ -1,4 +1,4 @@
-"""Reachability guard: every module under ``src/repro`` has a user.
+"""Reachability guard: every module and exported name under ``src/repro`` has a user.
 
 A module counts as reached when an import chain leads to it from one of
 the package's entry points:
@@ -15,6 +15,16 @@ module that defines ``name``: re-exports through a package
 ``_EXPORTS`` table of name -> submodule) are followed to their source.
 A package ``__init__`` adds no edges of its own, so a module imported
 only by its ``__init__`` and its tests is unreached.
+
+The symbol guard goes one level down: every name in a non-``__init__``
+module's ``__all__`` must be read somewhere under ``src``, ``examples``,
+``benchmarks`` or ``tests``.  A read is a loaded identifier or an
+attribute name, its own module included: a result type counts as used
+when its module's functions construct it.  Re-export lists never count,
+because ``__all__`` and ``_EXPORTS`` entries are strings and
+``from .mod import name`` binds a name without reading it.  A function
+or class decorated with ``@register_component`` counts as used: the
+scenario registry reaches it by name.
 """
 
 import ast
@@ -143,6 +153,59 @@ def repo_unreached():
     return graph.unreached(roots, scripts)
 
 
+def _exported(tree):
+    """The names a module lists in ``__all__`` (none when it has no list)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def _registered(tree):
+    """Top-level definitions decorated with ``@register_component(...)``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                func = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "register_component":
+                    out.add(node.name)
+    return out
+
+
+def _reads(tree):
+    """Every identifier a file loads and every attribute name it uses."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unused_exports(graph, scripts=()):
+    """``module.name`` for every ``__all__`` entry that no file reads."""
+    reads = set()
+    for path in list(graph.modules.values()) + list(scripts):
+        reads |= _reads(graph.tree(path))
+    unused = []
+    for module, path in sorted(graph.modules.items()):
+        if module in graph.packages:
+            continue
+        tree = graph.tree(path)
+        registered = _registered(tree)
+        unused += [
+            f"{module}.{name}"
+            for name in _exported(tree)
+            if name not in reads and name not in registered
+        ]
+    return unused
+
+
 def test_every_module_is_reached_from_an_entry_point():
     unreached = [m for m in repo_unreached() if m not in ALLOWLIST]
     assert unreached == [], (
@@ -153,6 +216,19 @@ def test_every_module_is_reached_from_an_entry_point():
 
 def test_allowlist_has_no_stale_entries():
     assert ALLOWLIST <= set(repo_unreached())
+
+
+def test_every_exported_name_is_read_somewhere():
+    scripts = [
+        path
+        for directory in ("examples", "benchmarks", "tests")
+        for path in sorted((REPO / directory).rglob("*.py"))
+    ]
+    unused = unused_exports(ImportGraph(SRC), scripts)
+    assert unused == [], (
+        "names in __all__ that nothing under src, examples, benchmarks or "
+        f"tests reads; use them or delete them: {unused}"
+    )
 
 
 def _write(root, files):
@@ -211,3 +287,20 @@ class TestScanner:
         })
         graph = ImportGraph(tmp_path / "pkg")
         assert graph.edges(tmp_path / "pkg/a.py", "pkg.a") == {"pkg.b", "pkg.c"}
+
+    def test_export_read_only_by_a_reexport_list_is_unused(self, tmp_path):
+        _write(tmp_path, {
+            "pkg/__init__.py": "from .mod import dead, live, Made\n__all__ = ['dead']\n",
+            "pkg/mod.py": (
+                "__all__ = ['dead', 'live', 'Made', 'built']\n"
+                "def dead(): pass\n"
+                "def live(): pass\n"
+                "class Made: pass\n"
+                "def make(): return Made()\n"
+                "@register_component('cache', 'x')\n"
+                "def built(): pass\n"
+            ),
+            "script.py": "import pkg\npkg.live()\n",
+        })
+        graph = ImportGraph(tmp_path / "pkg")
+        assert unused_exports(graph, [tmp_path / "script.py"]) == ["pkg.mod.dead"]

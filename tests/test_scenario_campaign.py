@@ -22,7 +22,9 @@ import pytest
 pytest.importorskip("yaml", reason="golden scenario fixtures are YAML")
 
 from repro.exceptions import ScenarioValidationError
+from repro.perf.harness import smoke_mode
 from repro.scenario import load_spec, run_campaign, run_scenario
+from repro.scenario.campaign import _apply_smoke
 from repro.scenario.manifest import (
     deterministic_view,
     validate_campaign_manifest,
@@ -147,3 +149,15 @@ class TestManifestContract:
         outcome = run_scenario(spec)
         assert outcome.stats["trials"] == 3  # capped from the spec's 4
         assert outcome.spec.queries == 2000  # already at the cap
+
+    @pytest.mark.parametrize(
+        "value, smoke", [("1", True), ("true", False), ("0", False), (None, False)]
+    )
+    def test_smoke_flag_is_exactly_one_for_sweeps_and_benches(
+        self, monkeypatch, value, smoke
+    ):
+        if value is not None:
+            monkeypatch.setenv("REPRO_BENCH_SMOKE", value)
+        spec = load_spec(SCENARIO_DIR / "paper-default.yaml")
+        assert smoke_mode() is smoke
+        assert (_apply_smoke(spec).trials == 3) is smoke  # the spec asks for 4

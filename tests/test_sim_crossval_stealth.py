@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.stealth import run_stealth_sweep
+from stealth import run_stealth_sweep
 
 
 class TestStealthSweep:

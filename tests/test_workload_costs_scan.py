@@ -5,9 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, DistributionError
 from repro.workload.costs import OperationMix
-from repro.workload.distributions import UniformDistribution
 from repro.workload.scan import CyclicScanDistribution
-from repro.workload.zipf import ZipfDistribution
 
 
 class TestOperationMix:

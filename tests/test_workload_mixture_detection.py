@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.detection import profile_counts, profile_keys
+from detection_oracle import profile_counts, profile_keys
 from repro.exceptions import AnalysisError, DistributionError
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import PointMassDistribution, UniformDistribution
