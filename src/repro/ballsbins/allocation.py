@@ -46,20 +46,13 @@ def _check(balls: int, bins: int, d: int = 1) -> None:
         raise ConfigurationError(f"need 1 <= d <= bins, got d={d}, bins={bins}")
 
 
-def one_choice_allocate(
-    balls: int, bins: int, rng: RngLike = None, metrics=None
-) -> np.ndarray:
+def one_choice_allocate(balls: int, bins: int, rng: RngLike = None) -> np.ndarray:
     """Throw ``balls`` balls into ``bins`` bins uniformly at random.
 
     The classic one-choice process underlying the SoCC'11 baseline.
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) counts
-    calls and balls; it never influences the allocation.
     """
     _check(balls, bins)
     gen = as_generator(rng, "one-choice")
-    if metrics is not None:
-        metrics.counter("alloc_calls_total", kernel="one-choice").inc()
-        metrics.counter("alloc_balls_total", kernel="one-choice").inc(balls)
     if balls == 0:
         return np.zeros(bins, dtype=np.int64)
     targets = gen.integers(0, bins, size=balls)
@@ -72,7 +65,6 @@ def sample_replica_groups(
     d: int,
     rng: RngLike = None,
     distinct: bool = True,
-    metrics=None,
 ) -> np.ndarray:
     """Sample a ``(balls, d)`` matrix of candidate bins per ball.
 
@@ -81,14 +73,9 @@ def sample_replica_groups(
     duplicates; for ``d << bins`` this converges in a couple of rounds.
     ``distinct=False`` gives the textbook with-replacement d-choice
     process — the bounds are the same up to the folded constant.
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) counts
-    sampled groups and candidate slots; it never influences sampling.
     """
     _check(balls, bins, d)
     gen = as_generator(rng, "replica-groups")
-    if metrics is not None:
-        metrics.counter("replica_groups_total").inc(balls)
-        metrics.counter("replica_slots_total").inc(balls * d)
     if balls == 0:
         return np.zeros((0, d), dtype=np.int64)
     choices = gen.integers(0, bins, size=(balls, d))
@@ -164,7 +151,6 @@ def d_choice_allocate(
     rng: RngLike = None,
     distinct: bool = True,
     choices: Optional[np.ndarray] = None,
-    metrics=None,
 ) -> np.ndarray:
     """Greedy d-choice (least-loaded) allocation — the theory model.
 
@@ -174,10 +160,6 @@ def d_choice_allocate(
     selection rules on identical randomness; its entries must be bin ids
     in ``[0, bins)``.  Placement is :func:`greedy_loads` with unit
     weights.
-
-    ``metrics`` (an optional :class:`repro.obs.MetricsRegistry`) counts
-    calls and balls per kernel (``one-choice`` for ``d == 1``,
-    ``greedy`` otherwise); it never influences the allocation.
     """
     _check(balls, bins, d)
     if choices is None:
@@ -192,10 +174,6 @@ def d_choice_allocate(
             raise ConfigurationError(f"choices must be bin ids in [0, {bins})")
     if balls == 0:
         return np.zeros(bins, dtype=np.int64)
-    kernel = "one-choice" if d == 1 else "greedy"
-    if metrics is not None:
-        metrics.counter("alloc_calls_total", kernel=kernel).inc()
-        metrics.counter("alloc_balls_total", kernel=kernel).inc(balls)
     if d == 1:
         return np.bincount(choices[:, 0], minlength=bins).astype(np.int64)
     return greedy_loads(choices, np.ones(balls), bins).astype(np.int64)

@@ -158,7 +158,7 @@ class FailureSchedule:
         Parameters
         ----------
         n, duration:
-            Cluster size and the simulated horizon to cover; crashes
+            Node count and the simulated horizon to cover; crashes
             beyond ``duration`` are not generated (their repairs may
             land past it, which is harmless).
         failure_rate:

@@ -26,20 +26,21 @@ Commands
     Event-driven replay of an attack (or benign) stream with the online
     monitor attached: sliding-window telemetry, the streaming gain
     estimate against the Theorem-2 bound, alerts, and optional JSONL
-    event-log / HTML dashboard outputs.  ``--attribution TRACE`` skips
-    the simulation and recomputes suspect rankings offline from an
-    exported trace file (plus ``--events-log`` for the run summaries).
+    event-log / HTML dashboard outputs.
 ``forensics``
     Offline attack forensics over an exported trace JSONL: the ranked
     suspects tables, the per-layer causal path breakdown and the
     alert-aligned traced-request timeline (``--html`` writes the
-    standalone dashboard).  See docs/OBSERVABILITY.md.
+    standalone dashboard; ``--events-log`` aligns the windows on the
+    run's event log and checks the recomputed suspects against its live
+    run summaries).  See docs/OBSERVABILITY.md.
 
-Monitoring flags (figures, ``all`` and ``replay``): ``--monitor``
-attaches the online :class:`~repro.obs.LoadMonitor`, ``--window`` sets
-the simulated-time window width, ``--events-out`` writes the structured
-JSONL event log, and ``--alerts`` prints alert records live as rules
-fire.
+Monitoring flags (figures, ``all``, ``replay`` and ``tree``):
+``--monitor`` attaches the online :class:`~repro.obs.LoadMonitor`,
+``--events-out`` writes the structured JSONL event log, and ``--alerts``
+prints alert records live as rules fire.  ``replay`` and ``tree`` also
+take ``--window``, the simulated-time window width; figure campaigns
+record one window per trial.
 
 Tracing flags (``replay`` and ``tree``): ``--trace RATE`` attaches the
 :class:`~repro.obs.FlightRecorder` at that sampling rate (hash-based,
@@ -47,11 +48,13 @@ RNG-free — results stay byte-identical to untraced runs),
 ``--trace-out`` exports the trace JSONL, ``--forensics-out`` writes the
 forensic HTML dashboard.
 
-Chaos flags (same commands): ``--chaos`` enables fault injection
-(``--failure-rate`` crashes/s per node, ``--mttr`` mean repair time,
-``--retry`` front-end failover attempts); ``--chaos-schedule PATH``
-replays an explicit JSON failure schedule instead of synthesising one
-per trial.  See docs/ROBUSTNESS.md.
+Chaos flags (figures, ``all`` and ``replay``): ``--chaos`` enables
+fault injection (``--failure-rate`` crashes/s per node, ``--mttr`` mean
+repair time).  ``replay`` also takes ``--retry`` (front-end failover
+attempts) and ``--chaos-schedule PATH`` (replay an explicit JSON
+failure schedule instead of synthesising one per trial); the figures'
+Monte-Carlo trials have no clock to replay either on.  See
+docs/ROBUSTNESS.md.
 """
 
 from __future__ import annotations
@@ -114,21 +117,22 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_monitor_flags(parser: argparse.ArgumentParser) -> None:
+def _add_monitor_flags(parser: argparse.ArgumentParser, window: bool) -> None:
+    """Monitor flags; ``window`` adds ``--window`` (event-driven runs only)."""
     parser.add_argument(
         "--monitor",
         action="store_true",
         help="attach the online attack monitor (windows, streaming gain "
         "vs the Theorem-2 bound, alerts; see docs/OBSERVABILITY.md)",
     )
-    parser.add_argument(
-        "--window",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="monitor window width on the simulated clock (default 0.1s; "
-        "event-driven replay only — trial campaigns use one window per trial)",
-    )
+    if window:
+        parser.add_argument(
+            "--window",
+            type=float,
+            default=0.1,
+            metavar="SECONDS",
+            help="monitor window width on the simulated clock (default 0.1s)",
+        )
     parser.add_argument(
         "--events-out",
         type=str,
@@ -172,7 +176,9 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
+def _add_chaos_flags(parser: argparse.ArgumentParser, live: bool) -> None:
+    """Chaos flags; ``live`` adds ``--retry`` and ``--chaos-schedule``,
+    which only an event-driven replay can honour."""
     parser.add_argument(
         "--chaos",
         action="store_true",
@@ -186,8 +192,7 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
         default=0.02,
         metavar="RATE",
         help="per-node crash intensity in crashes per simulated second "
-        "(default 0.02; implies --chaos semantics only when --chaos or "
-        "--chaos-schedule is given)",
+        "(default 0.02; used only with --chaos)",
     )
     parser.add_argument(
         "--mttr",
@@ -196,13 +201,15 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="mean time to repair a crashed node (default 0.25s)",
     )
+    if not live:
+        return
     parser.add_argument(
         "--retry",
         type=int,
         default=3,
         metavar="N",
         help="front-end dispatch attempts per request before a key is "
-        "declared unavailable (default 3; event-driven replay only)",
+        "declared unavailable (default 3)",
     )
     parser.add_argument(
         "--chaos-schedule",
@@ -215,11 +222,17 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _chaos_config(args: argparse.Namespace):
-    """Build the ChaosConfig if any chaos flag was given."""
+    """Build the ChaosConfig if any chaos flag was given.
+
+    Commands without ``--retry`` (the figures) get the default retry
+    policy and never an explicit schedule.
+    """
     if not (getattr(args, "chaos", False) or getattr(args, "chaos_schedule", None)):
         return None
     from .chaos import ChaosConfig, FailureSchedule, RetryPolicy
 
+    if "retry" not in args:
+        return ChaosConfig(failure_rate=args.failure_rate, mttr=args.mttr)
     schedule = None
     if args.chaos_schedule:
         schedule = FailureSchedule.from_json(args.chaos_schedule)
@@ -267,7 +280,7 @@ def _run_context(args: argparse.Namespace, monitor_config=None, seed=None):
                     f"threshold={alert.get('threshold'):.4g}"
                 )
         if monitor_config is None:
-            monitor_config = MonitorConfig(window=args.window)
+            monitor_config = MonitorConfig()
         monitor = LoadMonitor(monitor_config, on_alert=on_alert)
     if (
         getattr(args, "trace", None) is not None
@@ -357,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--plot", action="store_true", help="append an ASCII plot of the series"
         )
         _add_metrics_flags(p)
-        _add_monitor_flags(p)
-        _add_chaos_flags(p)
+        _add_monitor_flags(p, window=False)
+        _add_chaos_flags(p, live=False)
 
     prov = sub.add_parser("provision", help="cache-provisioning report")
     prov.add_argument("--nodes", "-n", type=int, required=True, help="back-end nodes n")
@@ -389,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", type=str, default=None, help="also write the report to this file"
     )
     _add_metrics_flags(campaign)
-    _add_monitor_flags(campaign)
-    _add_chaos_flags(campaign)
+    _add_monitor_flags(campaign, window=False)
+    _add_chaos_flags(campaign, live=False)
 
     replay = sub.add_parser(
         "replay",
@@ -424,21 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dashboard", type=str, default=None, metavar="PATH",
         help="write a standalone HTML dashboard (gain vs bound chart) to PATH",
     )
-    replay.add_argument(
-        "--attribution", type=str, default=None, metavar="TRACE",
-        help="offline mode: skip the simulation, recompute suspect "
-        "rankings from this exported trace JSONL (pair with "
-        "--events-log to align windows and check against the live "
-        "run summaries)",
-    )
-    replay.add_argument(
-        "--events-log", type=str, default=None, metavar="PATH",
-        help="with --attribution: the JSONL event log from the same run "
-        "(its run-summary records carry durations and live suspects)",
-    )
     _add_metrics_flags(replay)
-    _add_monitor_flags(replay)
-    _add_chaos_flags(replay)
+    _add_monitor_flags(replay, window=True)
+    _add_chaos_flags(replay, live=True)
     _add_trace_flags(replay)
 
     tree = sub.add_parser(
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "substrate-calibrated)",
     )
     _add_metrics_flags(tree)
-    _add_monitor_flags(tree)
+    _add_monitor_flags(tree, window=True)
     _add_trace_flags(tree)
 
     forensics = sub.add_parser(
@@ -760,23 +761,17 @@ def _read_run_summaries(events_path: str):
     return durations, live
 
 
-def _offline_attribution(
-    trace_path: str,
-    events_path: Optional[str],
-    html_path: Optional[str],
-    last: int = 8,
-) -> int:
-    """Shared ``forensics`` / ``replay --attribution`` implementation."""
+def _run_forensics(args: argparse.Namespace) -> int:
     from .obs import FlightRecorder
     from .obs.forensics import render_forensics_text, write_forensics_html
 
     durations, live = ({}, {})
-    if events_path:
-        durations, live = _read_run_summaries(events_path)
+    if args.events_log:
+        durations, live = _read_run_summaries(args.events_log)
     recorder = FlightRecorder.from_export(
-        trace_path, durations=durations or None
+        args.trace, durations=durations or None
     )
-    print(render_forensics_text(recorder, last=last))
+    print(render_forensics_text(recorder, last=args.last))
     if live:
         print()
         if recorder.evicted:
@@ -795,16 +790,10 @@ def _offline_attribution(
                 f"trial {trial}: recomputed suspects {verdict} the live "
                 "run-summary block"
             )
-    if html_path:
-        write_forensics_html(recorder, html_path)
-        print(f"forensics dashboard written to {html_path}")
+    if args.html:
+        write_forensics_html(recorder, args.html)
+        print(f"forensics dashboard written to {args.html}")
     return 0
-
-
-def _run_forensics(args: argparse.Namespace) -> int:
-    return _offline_attribution(
-        args.trace, args.events_log, args.html, last=args.last
-    )
 
 
 def _run_replay(args: argparse.Namespace) -> int:
@@ -813,10 +802,6 @@ def _run_replay(args: argparse.Namespace) -> int:
     from .obs import MonitorConfig
     from .sim.batch import run_event_campaign
 
-    if args.attribution:
-        return _offline_attribution(
-            args.attribution, args.events_log, args.forensics_out
-        )
     params = SystemParameters(
         n=args.nodes, m=args.items, c=args.cache, d=args.replication,
         rate=args.rate,

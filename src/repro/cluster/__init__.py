@@ -1,13 +1,12 @@
-"""The back-end cluster substrate: nodes, partitioning, replica selection.
+"""The back-end cluster substrate: partitioning and replica selection.
 
 Models the lower half of the paper's Figure 1: ``n`` back-end nodes over
 which ``m`` items are randomly partitioned with replication factor
-``d``.  The partitioning seed is private to the cluster object — the
+``d``.  The partitioning seed is private to the partitioner — the
 adversary-facing API never exposes key -> node mappings, mirroring the
 paper's "opaque to the clients" assumption.
 """
 
-from .node import BackendNode, NodeLoad
 from .partitioner import (
     ConsistentHashPartitioner,
     HashPartitioner,
@@ -31,7 +30,6 @@ from .hierarchy import (
     TwoChoiceLayerSelection,
     make_layer_selection,
 )
-from .cluster import Cluster
 from .failures import (
     DegradedGroups,
     degrade_groups,
@@ -40,8 +38,6 @@ from .failures import (
 )
 
 __all__ = [
-    "BackendNode",
-    "NodeLoad",
     "Partitioner",
     "HashPartitioner",
     "ConsistentHashPartitioner",
@@ -59,7 +55,6 @@ __all__ = [
     "CascadeLayerSelection",
     "TwoChoiceLayerSelection",
     "make_layer_selection",
-    "Cluster",
     "DegradedGroups",
     "degrade_groups",
     "sample_failures",

@@ -126,7 +126,7 @@ def degrade_groups(
     failed:
         Node ids that are down.
     n:
-        Cluster size, for validating the failure set (optional).
+        Node count, for validating the failure set (optional).
     """
     groups = np.asarray(groups, dtype=np.int64)
     if groups.ndim != 2 or groups.shape[1] == 0:

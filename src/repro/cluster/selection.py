@@ -8,7 +8,7 @@ This module implements that rule plus the alternatives, all behind one
 interface, so the ablation benches can quantify how much the rule
 matters (answer: least-loaded pinning balances best in the heavy-load
 regime, per-query spreading is close behind, random/primary pinning are
-markedly worse — see ``benchmarks/bench_ablation_selection.py``).
+markedly worse — see ``tests/test_table_ablation_selection.py``).
 
 A policy converts a ``(keys x d)`` replica-group matrix plus per-key
 steady-state rates into a per-node load vector.

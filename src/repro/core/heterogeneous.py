@@ -62,7 +62,7 @@ class NodeMargin:
 
 @dataclass(frozen=True)
 class CapacityAudit:
-    """Cluster-wide capacity audit under the best adversarial plan."""
+    """Fleet-wide capacity audit under the best adversarial plan."""
 
     margins: Tuple[NodeMargin, ...]
     worst_load_bound: float

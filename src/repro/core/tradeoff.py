@@ -104,7 +104,7 @@ def plan_defense(
     Parameters
     ----------
     n, m:
-        Cluster size and item count.
+        Node count and item count.
     costs:
         Unit costs; the tradeoff's slope.
     d_candidates:

@@ -29,7 +29,7 @@ from .report import ExperimentResult
 
 __all__ = ["run_fig4", "DEFAULT_N_VALUES"]
 
-#: Cluster sizes swept by default.  The paper's axis spans hundreds of
+#: Node counts n swept by default.  The paper's axis spans hundreds of
 #: nodes up to ~1000; beyond that (with c = 100 and m = 1e5) the Zipf
 #: tail's hottest uncached key alone exceeds the even split and the
 #: zipf < uniform ordering inverts — a regime the paper does not plot.

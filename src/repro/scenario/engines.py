@@ -21,7 +21,12 @@ across worker counts given the spec's explicit seed.
   random-table`` (the engine validates this instead of silently
   ignoring the spec);
 - ``event-driven`` replays a queued request stream, so every cache
-  policy, partitioner and parameterised selection rule applies.
+  policy and partitioner applies.  Its routing is the spec's
+  ``selection``: ``least-loaded`` pins each key to its least-pinned
+  replica at first sight and ``per-query-random`` picks a uniform
+  replica per request — the rules the Monte-Carlo policies of those
+  names model.  Any other rule, or selection params, is rejected at
+  ``selection`` instead of being silently ignored.
 """
 
 from __future__ import annotations
@@ -123,35 +128,42 @@ def _spec_cache(cache_spec: ComponentSpec, ctx: BuildContext):
     return build_component("cache", cache_spec, ctx, path="cache")
 
 
+#: The event engine's routing per selection rule it can replay.
+_EVENT_ROUTING = {"least-loaded": "pin", "per-query-random": "random"}
+
+
+def _event_routing(selection: ComponentSpec) -> str:
+    """The kernel routing that replays the spec's selection rule."""
+    routing = _EVENT_ROUTING.get(selection.kind)
+    if routing is None or selection.params:
+        raise ScenarioValidationError(
+            "selection: the event-driven engine routes requests by "
+            f"{' or '.join(repr(kind) for kind in _EVENT_ROUTING)} (no "
+            f"params); got kind {selection.kind!r} with params "
+            f"{dict(selection.params)!r}",
+            path="selection",
+        )
+    return routing
+
+
 @register_component("engine", "event-driven")
 def run_event_driven(
     spec: ScenarioSpec,
     ctx: BuildContext,
     context: RunContext,
-    routing: str = "pin",
     queue_limit: int = 64,
     service: str = "deterministic",
 ) -> Tuple[dict, object]:
-    """The queueing engine: every component dimension applies."""
-    from ..cluster.cluster import Cluster
+    """The queueing engine: every cache and partitioner applies."""
     from ..sim.batch import run_event_campaign
 
     params: SystemParameters = spec.system
+    routing = _event_routing(spec.selection)
     distribution = build_distribution(spec.workload, spec.adversary, ctx)
     partitioner = build_component(
         "partitioner", spec.partitioner, ctx, path="partitioner"
     )
-    selection = build_component(
-        "selection", spec.selection, ctx, path="selection"
-    )
     try:
-        cluster = Cluster(
-            params.n,
-            params.d,
-            partitioner=partitioner,
-            selection=selection,
-            node_capacity=params.node_capacity,
-        )
         campaign = run_event_campaign(
             params,
             distribution,
@@ -160,7 +172,7 @@ def run_event_driven(
             seed=spec.seed,
             cache_factory=partial(_spec_cache, spec.cache, ctx),
             context=context,
-            cluster=cluster,
+            partitioner=partitioner,
             routing=routing,
             queue_limit=queue_limit,
             service=service,

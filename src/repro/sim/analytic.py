@@ -60,6 +60,13 @@ class MonteCarloSimulator:
                 "replicas with the least-loaded rule; "
                 f"selection={config.selection!r} is not supported with chaos"
             )
+        if config.chaos is not None and config.chaos.schedule is not None:
+            raise ConfigurationError(
+                "Monte-Carlo trials have no clock to replay an explicit "
+                "failure schedule on; they sample the renewal process's "
+                "steady-state failed fraction — give failure_rate/mttr, or "
+                "replay the schedule with the event-driven engine"
+            )
 
     @property
     def config(self) -> SimulationConfig:

@@ -3,7 +3,7 @@
 The Monte-Carlo engine has :func:`repro.sim.runner.run_trials`; this is
 the queueing-engine counterpart.  Each trial replays an independent
 arrival stream through a *fresh* cache and the same (secretly seeded)
-cluster topology, then the campaign aggregates the operational metrics
+partitioner, then the campaign aggregates the operational metrics
 the paper's analytic model cannot produce: drop rates, latency tails and
 hit-rate distributions, alongside the usual normalized-max-load report.
 """
@@ -126,8 +126,8 @@ def _event_campaign_trial(
     whatever order the executor happens to run them (all of them
     serially, a worker's share when parallel), making results depend on
     the worker count.  Every trial therefore starts from the caller's
-    initial state.  The cluster is shared, not copied: the event engine
-    only reads its size, replication and replica groups.
+    initial state.  The partitioner is shared, not copied: the event
+    engine only reads its size, replication and replica groups.
 
     ``context`` is the per-trial :class:`repro.obs.RunContext` the
     executor provides when the campaign is instrumented; the simulator
@@ -184,7 +184,7 @@ def run_event_campaign(
         up front.
     simulator_kwargs:
         Forwarded to every :class:`EventDrivenSimulator` (routing,
-        node_capacity, queue_limit, service, cluster...).
+        node_capacity, queue_limit, service, partitioner...).
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")

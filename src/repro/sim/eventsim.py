@@ -19,7 +19,7 @@ import numpy as np
 from ..cache.base import Cache
 from ..cache.perfect import PerfectCache
 from ..chaos.config import ChaosConfig
-from ..cluster.cluster import Cluster
+from ..cluster.partitioner import Partitioner, RandomTablePartitioner
 from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
@@ -137,9 +137,10 @@ class EventDrivenSimulator:
     cache:
         Front-end policy; defaults to the paper's perfect cache pinned
         to the distribution's true top-``c``.
-    cluster:
-        Back-end; defaults to a random-table-partitioned cluster with a
-        private seed.
+    partitioner:
+        Key -> replica-group mapping of the back end; defaults to a
+        :class:`~repro.cluster.partitioner.RandomTablePartitioner` with
+        a private seed.
     routing:
         How a replica is picked per request: ``"pin"`` (each key is
         pinned to the group member with fewest pinned keys at first
@@ -150,7 +151,7 @@ class EventDrivenSimulator:
         model — ``"deterministic"`` (exactly ``1/capacity``, M/D/1) or
         ``"exponential"`` (M/M/1).
     seed:
-        Root seed for arrivals, routing and the cluster secret.
+        Root seed for arrivals, routing and the partitioning secret.
     chaos:
         Optional :class:`repro.chaos.ChaosConfig`.  When set, each run
         replays a failure schedule (explicit, or synthesised per trial
@@ -202,7 +203,7 @@ class EventDrivenSimulator:
         params: SystemParameters,
         distribution: KeyDistribution,
         cache: Optional[Cache] = None,
-        cluster: Optional[Cluster] = None,
+        partitioner: Optional[Partitioner] = None,
         routing: str = "pin",
         queue_limit: int = 64,
         service: str = "deterministic",
@@ -238,14 +239,17 @@ class EventDrivenSimulator:
                 distribution.probabilities(), params.c
             )
         self._cache = cache
-        if cluster is None:
-            cluster = Cluster(
-                n=params.n, d=params.d, m=params.m,
+        if partitioner is None:
+            partitioner = RandomTablePartitioner(
+                params.n, params.d, params.m,
                 seed=None if seed is None else seed + 1,
             )
-        if cluster.n != params.n or cluster.d != params.d:
-            raise ConfigurationError("cluster does not match params (n or d differ)")
-        self._cluster = cluster
+        if partitioner.n != params.n or partitioner.d != params.d:
+            raise ConfigurationError(
+                f"partitioner built for n={partitioner.n}, d={partitioner.d}; "
+                f"params ask for n={params.n}, d={params.d}"
+            )
+        self._partitioner = partitioner
         capacity = node_capacity
         if capacity is None:
             capacity = params.node_capacity
@@ -270,11 +274,6 @@ class EventDrivenSimulator:
     def cache(self) -> Cache:
         """The front-end cache instance (inspect stats after a run)."""
         return self._cache
-
-    @property
-    def cluster(self) -> Cluster:
-        """The back-end cluster."""
-        return self._cluster
 
     def _publish_run_metrics(
         self,

@@ -191,18 +191,18 @@ def _route_batch(
     instance see identical stickiness.  Attempt 1 is then one gather
     from the table.
     """
-    cluster = sim._cluster
+    partitioner = sim._partitioner
     unique, first_idx, inverse = _dense_ids(miss_keys, sim._params.m)
     if sim._routing == "random":
-        groups = cluster.partitioner.replica_groups(unique)
-        draws = routing_gen.integers(0, cluster.d, size=miss_keys.size)
+        groups = partitioner.replica_groups(unique)
+        draws = routing_gen.integers(0, partitioner.d, size=miss_keys.size)
         return np.asarray(groups[inverse, draws], dtype=np.int64)
     # "pin"
     pins = sim._pins
     unseen = pins[unique] < 0
     if unseen.any():
         new_keys = unique[unseen][np.argsort(first_idx[unseen])]
-        groups = cluster.partitioner.replica_groups(new_keys)
+        groups = partitioner.replica_groups(new_keys)
         # ``argmin`` over the group's pin counts, as a strict ``<`` scan
         # (first minimum wins) over plain lists.
         counts = sim._pin_counts.tolist()
@@ -268,9 +268,9 @@ def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
     node, or ``_RETRIED`` / ``_UNAVAILABLE``; ``second`` lists the
     :class:`_Retry` outcomes in arrival order.
     """
-    cluster = sim._cluster
+    partitioner = sim._partitioner
     policy = sim._chaos.retry
-    retry = policy.max_attempts > 1 and cluster.d > 1
+    retry = policy.max_attempts > 1 and partitioner.d > 1
     delay = policy.delay(1)
     first = nodes.copy()
     second = []
@@ -288,7 +288,7 @@ def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
         target = next(
             (
                 cand
-                for cand in cluster.replica_group(key).tolist()
+                for cand in partitioner.replica_group(key).tolist()
                 if cand != node and states.is_up(cand, t2)
             ),
             -1,
@@ -574,7 +574,7 @@ def run_fast(sim, n_queries: int, trial: int):
         recorder.begin_run(
             trial=trial, m=params.m, chaos=chaos is not None,
             client_map=sim._distribution.client_map(),
-            group_of=sim._cluster.replica_group,
+            group_of=sim._partitioner.replica_group,
         )
         trace_mask = recorder.sample_mask(keys)
 

@@ -20,7 +20,6 @@ def run_trials(
     seed: Optional[int] = None,
     label: str = "trial",
     metadata: Optional[Mapping[str, object]] = None,
-    executor: Optional[ParallelExecutor] = None,
     context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
     """Run ``trial_fn`` under ``trials`` independent RNG streams.
@@ -43,10 +42,6 @@ def run_trials(
         the same seed are independent.
     metadata:
         Attached to the returned report (plus a ``seed`` key).
-    executor:
-        Pre-built :class:`~repro.sim.parallel.ParallelExecutor` to
-        reuse (e.g. to keep one warm pool across many sweep points);
-        overrides ``context.workers``.
     context:
         The run's :class:`repro.obs.RunContext`.  ``context.workers``
         fans trials out (``1`` serial, ``0`` one per CPU); results are
@@ -65,15 +60,9 @@ def run_trials(
         raise SimulationError(f"need at least one trial, got {trials}")
     seed = resolve_seed(seed)
     spans, monitor = context.spans, context.monitor
-    owns_executor = executor is None
-    if executor is None:
-        executor = ParallelExecutor(workers=context.workers)
-    try:
-        with spans.span("trials"):
+    with spans.span("trials"):
+        with ParallelExecutor(workers=context.workers) as executor:
             vectors = executor.map_trials(trial_fn, trials, seed=seed, label=label)
-    finally:
-        if owns_executor:
-            executor.close()
     with spans.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.

@@ -302,7 +302,7 @@ class NodeServer:
 
 def _route(sim, key: int, gen: np.random.Generator) -> int:
     """Replica choice for attempt 1: uniform pick, or the sticky pin."""
-    group = sim._cluster.replica_group(key)
+    group = sim._partitioner.replica_group(key)
     if sim._routing == "random":
         return int(group[int(gen.integers(0, group.size))])
     pinned = int(sim._pins[key])
@@ -381,7 +381,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         recorder.begin_run(
             trial=trial, m=params.m, chaos=chaos is not None,
             client_map=sim._distribution.client_map(),
-            group_of=sim._cluster.replica_group,
+            group_of=sim._partitioner.replica_group,
         )
         trace_mask = recorder.sample_mask(keys)
 
@@ -417,7 +417,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         else:
             # Failover: the first untried, currently-up group member.
             node = None
-            for cand in sim._cluster.replica_group(key):
+            for cand in sim._partitioner.replica_group(key):
                 cand = int(cand)
                 if cand not in tried and tracker.is_up(cand):
                     node = cand
@@ -440,7 +440,7 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         exhausted = attempt >= policy.max_attempts
         if node is not None:
             tried = tried + (node,)
-            exhausted = exhausted or len(tried) >= sim._cluster.d
+            exhausted = exhausted or len(tried) >= sim._partitioner.d
         if node is None or exhausted:
             chaos_stats["unavailable"] += 1
             if chaos.serve_stale and key in fetched_keys:

@@ -374,6 +374,17 @@ class TestMonteCarloChaos:
         with pytest.raises(ConfigurationError):
             MonteCarloSimulator(cfg)
 
+    def test_explicit_schedule_rejected(self):
+        # Trials sample the steady-state failed fraction; replaying an
+        # explicit schedule would need a clock they do not have.
+        schedule = FailureSchedule([FailureEvent(0.1, 3, "crash")])
+        cfg = SimulationConfig(
+            params=_params(), trials=2, seed=1,
+            chaos=ChaosConfig(schedule=schedule),
+        )
+        with pytest.raises(ConfigurationError, match="explicit failure schedule"):
+            MonteCarloSimulator(cfg)
+
     def test_metadata_carries_effective_d(self):
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)  # f = 0.2
         cfg = SimulationConfig(params=_params(), trials=3, seed=5, chaos=chaos)

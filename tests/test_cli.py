@@ -16,6 +16,33 @@ class TestParser:
         assert args.trials == 5
         assert args.seed == 1
 
+    @pytest.mark.parametrize("command", ["fig3a", "fig3b", "fig4", "fig5a", "fig5b", "all"])
+    @pytest.mark.parametrize(
+        "flag", [["--chaos-schedule", "s.json"], ["--retry", "2"], ["--window", "7.5"]]
+    )
+    def test_figures_reject_event_driven_only_flags(self, command, flag, capsys):
+        # Monte-Carlo trials have no clock: a schedule, a retry policy or
+        # a window width would be printed but never simulated.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command] + flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_replay_keeps_event_driven_flags(self):
+        args = build_parser().parse_args(
+            ["replay", "--chaos-schedule", "s.json", "--retry", "2",
+             "--window", "7.5"]
+        )
+        assert (args.chaos_schedule, args.retry, args.window) == ("s.json", 2, 7.5)
+        assert build_parser().parse_args(["tree", "--window", "0.5"]).window == 0.5
+
+    def test_replay_has_no_offline_attribution_mode(self, capsys):
+        for flag in (["--attribution", "t.jsonl"], ["--events-log", "e.jsonl"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["replay"] + flag)
+        capsys.readouterr()
+        args = build_parser().parse_args(["forensics", "t.jsonl", "--events-log", "e.jsonl"])
+        assert (args.trace, args.events_log) == ("t.jsonl", "e.jsonl")
+
     def test_provision_flags(self):
         args = build_parser().parse_args(
             ["provision", "-n", "100", "-m", "5000", "-d", "3", "-c", "50"]
@@ -171,6 +198,31 @@ class TestScenarioCLI:
         assert main(["scenario", command, path]) == 2
         err = capsys.readouterr().err
         assert "engine.exact_rate" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "selection",
+        ["random-pin", "primary", "round-robin", "least-utilized",
+         {"kind": "least-loaded", "bogus": 1}],
+    )
+    def test_event_driven_rejects_unreplayable_selection(
+        self, tmp_path, capsys, selection
+    ):
+        path = self._scenario(
+            tmp_path, engine="event-driven", selection=selection
+        )
+        assert main(["scenario", "run", path]) == 2
+        err = capsys.readouterr().err
+        assert "scenario run: selection:" in err
+        assert "Traceback" not in err
+
+    def test_event_driven_has_no_routing_param(self, tmp_path, capsys):
+        path = self._scenario(
+            tmp_path, engine={"kind": "event-driven", "routing": "random"}
+        )
+        assert main(["scenario", "run", path]) == 2
+        err = capsys.readouterr().err
+        assert "engine.routing" in err
         assert "Traceback" not in err
 
     def test_run_prints_stats(self, tmp_path, capsys):

@@ -11,7 +11,8 @@ import pytest
 from critical_point import find_critical_cache_size
 
 from repro.adversary.strategies import OptimalAdversary
-from repro.cluster.cluster import Cluster
+from repro.cluster.partitioner import RandomTablePartitioner
+from repro.cluster.selection import LeastLoadedKeyPinning
 from repro.core.bounds import normalized_max_load_bound
 from repro.core.cases import critical_cache_size, plan_best_attack
 from repro.core.notation import SystemParameters
@@ -51,8 +52,8 @@ class TestEndToEndPipeline:
         assert not plan_best_attack(protected, k_prime=0.75).effective
         assert outcome.worst_case <= 1.05  # ineffective up to MC wiggle
 
-    def test_cluster_object_path_matches_analytic_path(self):
-        """Routing rates through a real Cluster (hash partitioner +
+    def test_partitioner_path_matches_analytic_path(self):
+        """Routing rates through a real partitioner (random table +
         least-loaded selection) produces gains statistically matching
         the abstract placement simulator."""
         params = SystemParameters(n=50, m=2000, c=10, d=3, rate=1000.0)
@@ -61,11 +62,11 @@ class TestEndToEndPipeline:
 
         gains = []
         for seed in range(30):
-            cluster = Cluster(n=50, d=3, m=2000, seed=seed)
-            keys = np.arange(params.c, x)
-            rates = np.full(keys.size, params.rate / x)
-            loads = cluster.apply_rates((keys, rates), total_rate=params.rate)
-            gains.append(loads.normalized_max)
+            partitioner = RandomTablePartitioner(50, 3, 2000, seed=seed)
+            groups = partitioner.replica_groups(np.arange(params.c, x))
+            rates = np.full(groups.shape[0], params.rate / x)
+            loads = LeastLoadedKeyPinning().node_loads(groups, rates, params.n)
+            gains.append(loads.max() / params.even_split)
         assert np.mean(gains) == pytest.approx(analytic, rel=0.1)
 
 

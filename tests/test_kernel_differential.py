@@ -440,7 +440,7 @@ class TestPinRouting:
     def test_tie_goes_to_the_lowest_group_index(self):
         params = SystemParameters(n=6, m=10, c=0, d=3, rate=100.0)
         batch, loop = (_pin_sim(params, seed=5) for _ in range(2))
-        group = batch._cluster.replica_group(0)
+        group = batch._partitioner.replica_group(0)
         for sim in (batch, loop):
             # Members 1 and 2 tie below member 0.
             sim._pin_counts[group] = [2, 1, 1]

@@ -66,27 +66,20 @@ class TestEventsimRouting:
         sim.run(2000)
         assert sim.cache.stats.accesses == 2000
 
-    def test_cluster_property(self):
-        sim = self._sim("pin")
-        assert sim.cluster.n == 10
 
-
-class TestClusterWithCapacityAwareSelection:
+class TestCapacityAwareSelection:
     def test_integration(self):
-        from repro.cluster.cluster import Cluster
+        from repro.cluster.partitioner import RandomTablePartitioner
         from repro.cluster.selection import LeastUtilizedKeyPinning
 
         capacities = np.array([10.0, 10.0, 10.0, 10.0, 40.0])
-        cluster = Cluster(
-            n=5, d=2, m=200,
-            selection=LeastUtilizedKeyPinning(capacities),
-            seed=4,
+        groups = RandomTablePartitioner(5, 2, 200, seed=4).replica_groups(
+            np.arange(200)
         )
-        keys = np.arange(200)
         rates = np.full(200, 0.5)
-        loads = cluster.apply_rates((keys, rates))
+        loads = LeastUtilizedKeyPinning(capacities).node_loads(groups, rates, 5)
         # The 4x node absorbs a clearly larger share.
-        assert loads.loads[4] > loads.loads[:4].mean() * 1.5
+        assert loads[4] > loads[:4].mean() * 1.5
 
 
 class TestMainModule:

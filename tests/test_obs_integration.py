@@ -282,27 +282,6 @@ class TestNullSinkEquivalence:
 class TestSubstrateInstrumentation:
     """The lower layers expose the same optional-registry surface."""
 
-    def test_allocation_kernel_counters(self):
-        from repro.ballsbins.allocation import d_choice_allocate, one_choice_allocate
-
-        registry = MetricsRegistry()
-        one_choice_allocate(500, 20, rng=1, metrics=registry)
-        d_choice_allocate(500, 20, d=2, rng=1, metrics=registry)
-        values = {(c.name, c.labels): c.value for c in registry.counters()}
-        assert values[("alloc_balls_total", (("kernel", "one-choice"),))] == 500
-        kernels = {
-            labels[0][1]
-            for (name, labels) in values
-            if name == "alloc_calls_total"
-        }
-        assert "one-choice" in kernels
-        assert kernels == {"one-choice", "greedy"}
-        # Same seed with and without a registry allocates identically.
-        assert (
-            d_choice_allocate(500, 20, d=2, rng=1)
-            == d_choice_allocate(500, 20, d=2, rng=1, metrics=MetricsRegistry())
-        ).all()
-
     def test_event_scheduler_counters(self):
         from event_oracle import EventScheduler
 
@@ -315,13 +294,3 @@ class TestSubstrateInstrumentation:
         values = {c.name: c.value for c in registry.counters()}
         assert values["events_fired_total"] == 2 == len(fired)
         assert {g.name: g.value for g in registry.gauges()}["events_pending"] == 0
-
-    def test_cluster_publishes_per_node_gauges(self):
-        from repro.cluster.cluster import Cluster
-
-        cluster = Cluster(n=5, d=2, m=100, seed=3)
-        registry = MetricsRegistry()
-        cluster.publish_metrics(registry)
-        gauges = {g.name for g in registry.gauges()}
-        assert {"cluster_nodes", "cluster_replication", "node_keys_assigned"} <= gauges
-        cluster.publish_metrics(None)  # optional sink stays optional

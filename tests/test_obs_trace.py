@@ -14,7 +14,7 @@ Four contracts, each pinned here:
 3. **Worker-count invariance** — a traced scenario's exported JSONL and
    suspects block are byte-identical serial vs ``workers=4``.
 4. **Offline == online** — rebuilding a recorder from the exported
-   trace (``repro forensics`` / ``replay --attribution``) reproduces
+   trace (``repro forensics``) reproduces
    the live suspects, alerts and per-trial summaries exactly.
 
 Plus the ISSUE's acceptance scenario: under a ``shard-flood`` the top

@@ -24,7 +24,6 @@ DOCTEST_MODULES = [
     "repro.rng",
     "repro.core.notation",
     "repro.core.provisioning",
-    "repro.cluster.cluster",
     "repro.cluster.selection",
     "repro.cache",
     "repro.workload.zipf",

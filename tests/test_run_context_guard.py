@@ -24,14 +24,9 @@ EXEMPT_PACKAGES = ("obs", "perf")
 
 #: Leaf recorders: (module path under src/repro, function name).
 LEAF_RECORDERS = {
-    ("ballsbins/allocation.py", "one_choice_allocate"),
-    ("ballsbins/allocation.py", "sample_replica_groups"),
-    ("ballsbins/allocation.py", "d_choice_allocate"),
     ("cache/admission.py", "publish_metrics"),
     ("cache/base.py", "publish_metrics"),
     ("cache/tree.py", "publish_metrics"),
-    ("cluster/cluster.py", "publish_metrics"),
-    ("cluster/node.py", "publish_metrics"),
 }
 
 

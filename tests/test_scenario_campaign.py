@@ -104,6 +104,47 @@ class TestGoldenCampaign:
             assert outcome.spec.name in html
 
 
+class TestEventSelection:
+    """The event engine replays a spec's ``selection`` as kernel routing."""
+
+    @pytest.mark.parametrize(
+        "selection, routing", [("least-loaded", "pin"), ("per-query-random", "random")]
+    )
+    def test_sweep_grid_cells_equal_direct_campaigns(self, selection, routing):
+        from functools import partial
+
+        from repro.cache import make_cache
+        from repro.cluster.partitioner import RandomTablePartitioner
+        from repro.sim.batch import run_event_campaign
+        from repro.workload.scan import CyclicScanDistribution
+
+        cells = [
+            cell
+            for cell in EXPECTED["campaigns"]["sweep-grid.yaml"]["scenarios"]
+            if cell["spec"]["selection"] == selection
+        ]
+        assert len(cells) == 4
+        for cell in cells:
+            spec = ScenarioSpec.from_dict(cell["spec"])
+            params = spec.system
+            campaign = run_event_campaign(
+                params,
+                CyclicScanDistribution(params.m, spec.workload.params["x"]),
+                trials=spec.trials,
+                n_queries=spec.queries,
+                seed=spec.seed,
+                cache_factory=partial(make_cache, spec.cache.kind, params.c),
+                partitioner=RandomTablePartitioner(
+                    params.n, params.d, params.m, seed=spec.seed
+                ),
+                routing=routing,
+            )
+            stats = cell["stats"]
+            assert campaign.load_report.worst_case == stats["worst_case"]
+            assert campaign.load_report.mean == stats["mean"]
+            assert campaign.worst_p99_latency == stats["worst_p99_latency"]
+
+
 class TestManifestContract:
     def _manifest(self):
         campaign = load_spec(SCENARIO_DIR / CAMPAIGN_FILES[0])

@@ -62,7 +62,7 @@ _adversaries = st.one_of(
     st.fixed_dictionaries({"kind": st.just("subset-flood"), "x": st.integers(1, 20)}),
 )
 _caches = st.sampled_from(["perfect", "lru", {"kind": "tinylfu", "inner": "lru"}])
-_engines = st.sampled_from(["monte-carlo", {"kind": "event-driven", "routing": "random"}])
+_engines = st.sampled_from(["monte-carlo", {"kind": "event-driven", "service": "exponential"}])
 
 
 @st.composite

@@ -103,20 +103,20 @@ class TestRunEventCampaign:
                 _params(), UniformDistribution(200), trials=0, n_queries=100
             )
 
-    def test_campaign_leaves_shared_cluster_untouched(self):
+    def test_campaign_leaves_shared_partitioner_untouched(self):
         import pickle
 
         from repro.chaos.config import ChaosConfig
-        from repro.cluster.cluster import Cluster
+        from repro.cluster.partitioner import RandomTablePartitioner
 
         params = _params()
-        cluster = Cluster(params.n, params.d, m=params.m, seed=8)
-        before = pickle.dumps(cluster)
+        partitioner = RandomTablePartitioner(params.n, params.d, params.m, seed=8)
+        before = pickle.dumps(partitioner)
         for routing in ("pin", "random"):
             run_event_campaign(
                 params, AdversarialDistribution(200, 40), trials=3,
-                n_queries=2000, seed=6, cluster=cluster, routing=routing,
+                n_queries=2000, seed=6, partitioner=partitioner, routing=routing,
                 cache_factory=lambda: LRUCache(10),
                 chaos=ChaosConfig(failure_rate=2.0, mttr=0.2),
             )
-        assert pickle.dumps(cluster) == before
+        assert pickle.dumps(partitioner) == before

@@ -60,13 +60,13 @@ class TestConstruction:
                     _params(), UniformDistribution(500), **kwargs
                 )
 
-    def test_mismatched_cluster_rejected(self):
-        from repro.cluster.cluster import Cluster
+    def test_mismatched_partitioner_rejected(self):
+        from repro.cluster.partitioner import RandomTablePartitioner
 
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="partitioner built for"):
             EventDrivenSimulator(
                 _params(), UniformDistribution(500),
-                cluster=Cluster(n=5, d=2, m=500, seed=1),
+                partitioner=RandomTablePartitioner(5, 2, 500, seed=1),
             )
 
 

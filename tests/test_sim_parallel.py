@@ -129,14 +129,6 @@ class TestRunTrialsWorkers:
         report = run_trials(_uniform_vector, trials=2, seed=None)
         assert isinstance(report.metadata["seed"], int)
 
-    def test_reused_executor_overrides_workers(self):
-        with ParallelExecutor(workers=2) as executor:
-            a = run_trials(_uniform_vector, trials=4, seed=5, executor=executor)
-            b = run_trials(
-                _uniform_vector, trials=4, seed=5, context=RunContext(workers=1)
-            )
-        assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
-
 
 class TestEngineDeterminism:
     """workers=1 vs workers=4 bit-identical, for both engines (ISSUE 1)."""

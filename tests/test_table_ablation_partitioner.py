@@ -10,9 +10,10 @@ back.
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.partitioner import ConsistentHashPartitioner, RandomTablePartitioner
+from repro.cluster.selection import LeastLoadedKeyPinning
 from repro.experiments.report import ExperimentResult
+from repro.types import LoadVector
 
 N = 100
 D = 3
@@ -21,11 +22,10 @@ SEED = 66
 
 
 def _gain(partitioner):
-    cluster = Cluster(n=N, d=D, partitioner=partitioner)
-    keys = np.arange(M)
+    groups = partitioner.replica_groups(np.arange(M))
     rates = np.full(M, 1.0 / M)
-    loads = cluster.apply_rates((keys, rates), total_rate=1.0)
-    return loads.normalized_max
+    loads = LeastLoadedKeyPinning().node_loads(groups, rates, N)
+    return LoadVector(loads=loads, total_rate=1.0).normalized_max
 
 
 def _run():
