@@ -39,16 +39,20 @@ __all__ = ["ChaosConfig"]
 RngLike = Union[None, int, np.random.Generator]
 
 
-def _build_chaos(ctx, retry=None, **params):
+def _build_chaos(ctx, retry=None, schedule=None, **params):
     """Spec builder: ``{kind: renewal, failure_rate: ..., retry: {...}}``.
 
-    Spec-side chaos carries the renewal-process parameters (an explicit
-    :class:`~repro.chaos.schedule.FailureSchedule` is not plain data, so
-    file specs cannot express it — synthesise per trial instead).
+    ``retry`` is the :class:`~repro.chaos.retry.RetryPolicy` fields as a
+    mapping.  ``schedule`` is the path of a JSON
+    :class:`~repro.chaos.schedule.FailureSchedule` to replay in every
+    trial instead of synthesising one per trial (the event-driven engine
+    only: Monte-Carlo trials have no clock to replay it on).
     """
     kwargs = dict(params)
     if retry is not None:
         kwargs["retry"] = RetryPolicy(**retry)
+    if schedule is not None:
+        kwargs["schedule"] = FailureSchedule.from_json(schedule)
     return ChaosConfig(**kwargs)
 
 
@@ -129,16 +133,14 @@ class ChaosConfig:
         )
 
     def describe(self) -> str:
-        """One-line human summary for reports and CLIs."""
-        if self.schedule is not None:
-            source = f"explicit schedule ({len(self.schedule)} events)"
-        else:
-            source = (
-                f"failure_rate={self.failure_rate}/s, mttr={self.mttr}s "
-                f"(steady-state down fraction "
-                f"{self.steady_state_failed_fraction:.3f})"
-            )
+        """One-line summary of what a Monte-Carlo trial simulates.
+
+        The figures print it.  Their trials sample the renewal process's
+        steady state only, so the retry policy and ``serve_stale`` (which
+        only the event engine replays) are left out.
+        """
         return (
-            f"chaos: {source}; retry max_attempts={self.retry.max_attempts}, "
-            f"timeout={self.retry.timeout}s; serve_stale={self.serve_stale}"
+            f"chaos: failure_rate={self.failure_rate}/s, mttr={self.mttr}s "
+            f"(steady-state down fraction "
+            f"{self.steady_state_failed_fraction:.3f})"
         )

@@ -1,19 +1,24 @@
-"""Front-end failover: timeout, capped exponential backoff, retries.
+"""Front-end failover: detection timeout, backoff, one redispatch.
 
 When a replica crashes, the front end in Figure 1 does not learn about
 it instantly — it dispatches, waits out a detection timeout, and only
 then fails over to another member of the key's replica group.  The
-:class:`RetryPolicy` captures that loop as plain data:
+:class:`RetryPolicy` captures that loop as plain data.  What the event
+engine (:mod:`repro.sim.kernel`) does with it:
 
 - attempt 1 routes normally (whatever routing policy is configured);
-- a dead attempt costs ``timeout`` seconds, then the request is
-  redispatched to the first *untried, currently-up* member of the
-  replica group after a backoff delay of
-  ``min(backoff * multiplier**(attempt-1), max_backoff)``;
-- after ``max_attempts`` total tries (or when no untried replica is
-  up) the request is **unavailable** — counted, and optionally served
-  stale by the front-end cache (see
-  :class:`repro.chaos.config.ChaosConfig`).
+- a request whose node is down fails over after ``delay(1)`` — the
+  timeout plus ``min(backoff, max_backoff)`` — to the first member of
+  its replica group, in group order, that was not tried and is up at
+  that time;
+- when no such member is up, the request is **unavailable** — counted,
+  and optionally served stale by the front-end cache (see
+  :class:`repro.chaos.config.ChaosConfig`).  With ``max_attempts == 1``
+  (or ``d == 1``) it is unavailable at once.
+
+A failover always lands on an up node, so a request fails over at most
+once: ``max_attempts`` above 2 and the backoff growth of later attempts
+(``multiplier``; ``delay(a)`` for ``a > 1``) never come into play.
 
 The policy is a frozen dataclass, so it is hashable, picklable and
 participates in configuration equality — chaos campaigns stay
@@ -36,9 +41,9 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Total dispatch attempts per request, the first included.  With
-        replication ``d`` there is no point exceeding ``d``; the engine
-        also stops early when every replica has been tried.
+        Total dispatch attempts per request, the first included.  ``1``
+        disables failover; any larger value allows the one failover the
+        engine makes (see the module docs).
     timeout:
         Simulated seconds a dead dispatch costs before the front end
         declares it failed (the failure-detection delay).
@@ -78,7 +83,3 @@ class RetryPolicy:
         return self.timeout + min(
             self.backoff * self.multiplier ** (attempt - 1), self.max_backoff
         )
-
-    def total_budget(self) -> float:
-        """Worst-case simulated seconds a request can spend retrying."""
-        return sum(self.delay(a) for a in range(1, self.max_attempts))

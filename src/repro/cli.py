@@ -21,12 +21,11 @@ Commands
     Declarative scenario specs (``run`` / ``list`` / ``validate`` /
     ``sweep``): typed YAML/JSON specs resolved through the component
     registry, campaign grids with manifest-tracked provenance and a
-    comparative HTML report.  See docs/SCENARIOS.md.
-``replay``
-    Event-driven replay of an attack (or benign) stream with the online
-    monitor attached: sliding-window telemetry, the streaming gain
-    estimate against the Theorem-2 bound, alerts, and optional JSONL
-    event-log / HTML dashboard outputs.
+    comparative HTML report.  Event-driven attack replays are specs
+    too: ``examples/specs/replay.yaml`` (the paper's adversary, traced),
+    ``examples/specs/tree.yaml`` (a DistCache cache tree under a
+    shard flood) and ``examples/specs/tree-vs-flat.yaml`` (that tree
+    against a flat LRU).  See docs/SCENARIOS.md.
 ``forensics``
     Offline attack forensics over an exported trace JSONL: the ranked
     suspects tables, the per-layer causal path breakdown and the
@@ -35,32 +34,32 @@ Commands
     run's event log and checks the recomputed suspects against its live
     run summaries).  See docs/OBSERVABILITY.md.
 
-Monitoring flags (figures, ``all``, ``replay`` and ``tree``):
-``--monitor`` attaches the online :class:`~repro.obs.LoadMonitor`,
-``--events-out`` writes the structured JSONL event log, and ``--alerts``
-prints alert records live as rules fire.  ``replay`` and ``tree`` also
-take ``--window``, the simulated-time window width; figure campaigns
-record one window per trial.
+Monitoring flags (figures, ``all`` and ``scenario run``): ``--monitor``
+attaches the online :class:`~repro.obs.LoadMonitor`, ``--events-out``
+writes the structured JSONL event log, and ``--alerts`` prints alert
+records live as rules fire.  ``scenario run`` also takes ``--window``,
+the simulated-time window width (figure campaigns record one window per
+trial), and ``--dashboard``, a standalone HTML page of the running gain
+against the Theorem-2 bound.  Its monitor evaluates the bound at the
+spec distribution's attack width ``x`` where the distribution has one.
 
-Tracing flags (``replay`` and ``tree``): ``--trace RATE`` attaches the
-:class:`~repro.obs.FlightRecorder` at that sampling rate (hash-based,
-RNG-free — results stay byte-identical to untraced runs),
-``--trace-out`` exports the trace JSONL, ``--forensics-out`` writes the
-forensic HTML dashboard.
+Tracing (``scenario run``): a spec's ``trace:`` section attaches the
+:class:`~repro.obs.FlightRecorder` (hash-sampled, RNG-free — results
+stay byte-identical to untraced runs); ``--trace-out`` exports the trace
+JSONL and ``--forensics-out`` writes the forensic HTML dashboard.
 
-Chaos flags (figures, ``all`` and ``replay``): ``--chaos`` enables
-fault injection (``--failure-rate`` crashes/s per node, ``--mttr`` mean
-repair time).  ``replay`` also takes ``--retry`` (front-end failover
-attempts) and ``--chaos-schedule PATH`` (replay an explicit JSON
-failure schedule instead of synthesising one per trial); the figures'
-Monte-Carlo trials have no clock to replay either on.  See
-docs/ROBUSTNESS.md.
+Chaos flags (figures and ``all``): ``--chaos`` enables fault injection
+(``--failure-rate`` crashes/s per node, ``--mttr`` mean repair time);
+the figures' Monte-Carlo trials sample its steady-state down fraction.
+Live failures with failover and explicit schedules are an event-driven
+spec's ``chaos:`` section.  See docs/ROBUSTNESS.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -148,43 +147,13 @@ def _add_monitor_flags(parser: argparse.ArgumentParser, window: bool) -> None:
     )
 
 
-def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="attach the flight recorder, tracing RATE of requests "
-        "(hash-sampled without consuming RNG: results are byte-identical "
-        "to an untraced run; see docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the causal trace JSONL to PATH (implies --trace 1.0 "
-        "unless a rate is given)",
-    )
-    parser.add_argument(
-        "--forensics-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the forensic HTML dashboard (suspects, causal paths, "
-        "alert-aligned timeline) to PATH (implies --trace)",
-    )
-
-
-def _add_chaos_flags(parser: argparse.ArgumentParser, live: bool) -> None:
-    """Chaos flags; ``live`` adds ``--retry`` and ``--chaos-schedule``,
-    which only an event-driven replay can honour."""
+def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chaos",
         action="store_true",
-        help="inject node failures: crash/repair processes per node, "
-        "front-end retry/failover, degraded-bound tracking "
-        "(see docs/ROBUSTNESS.md)",
+        help="inject node failures: each trial places over replica groups "
+        "degraded by the crash/repair process's steady-state down "
+        "fraction (see docs/ROBUSTNESS.md)",
     )
     parser.add_argument(
         "--failure-rate",
@@ -201,76 +170,39 @@ def _add_chaos_flags(parser: argparse.ArgumentParser, live: bool) -> None:
         metavar="SECONDS",
         help="mean time to repair a crashed node (default 0.25s)",
     )
-    if not live:
-        return
-    parser.add_argument(
-        "--retry",
-        type=int,
-        default=3,
-        metavar="N",
-        help="front-end dispatch attempts per request before a key is "
-        "declared unavailable (default 3)",
-    )
-    parser.add_argument(
-        "--chaos-schedule",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="replay an explicit JSON failure schedule (implies --chaos; "
-        "overrides --failure-rate/--mttr)",
-    )
 
 
 def _chaos_config(args: argparse.Namespace):
-    """Build the ChaosConfig if any chaos flag was given.
-
-    Commands without ``--retry`` (the figures) get the default retry
-    policy and never an explicit schedule.
-    """
-    if not (getattr(args, "chaos", False) or getattr(args, "chaos_schedule", None)):
+    """The figures' ChaosConfig, or ``None`` without ``--chaos``."""
+    if not args.chaos:
         return None
-    from .chaos import ChaosConfig, FailureSchedule, RetryPolicy
+    from .chaos import ChaosConfig
 
-    if "retry" not in args:
-        return ChaosConfig(failure_rate=args.failure_rate, mttr=args.mttr)
-    schedule = None
-    if args.chaos_schedule:
-        schedule = FailureSchedule.from_json(args.chaos_schedule)
-    return ChaosConfig(
-        schedule=schedule,
-        failure_rate=args.failure_rate,
-        mttr=args.mttr,
-        retry=RetryPolicy(max_attempts=args.retry),
+    return ChaosConfig(failure_rate=args.failure_rate, mttr=args.mttr)
+
+
+def _wants_monitor(args: argparse.Namespace) -> bool:
+    """Whether any flag asks for the online monitor."""
+    return bool(
+        args.monitor or args.events_out or args.alerts
+        or getattr(args, "dashboard", None)
     )
 
 
-def _run_context(args: argparse.Namespace, monitor_config=None, seed=None):
+def _run_context(args: argparse.Namespace, monitor_config=None):
     """The run's :class:`~repro.obs.RunContext`, built from its flags.
 
     ``--metrics-out`` / ``--metrics-prom`` attach a registry and a span
-    tracer; any monitor flag attaches a monitor (``monitor_config``
-    attaches one unconditionally: ``replay`` and ``tree`` always
-    monitor); any trace flag attaches a flight recorder keyed on
-    ``seed``.  ``--workers`` sets the worker count.
+    tracer; any monitor flag attaches a monitor with ``monitor_config``
+    (default :class:`~repro.obs.MonitorConfig`).  ``--workers`` sets the
+    worker count.
     """
-    from .obs import (
-        FlightRecorder,
-        LoadMonitor,
-        MetricsRegistry,
-        MonitorConfig,
-        RunContext,
-        TraceConfig,
-        Tracer,
-    )
+    from .obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext, Tracer
 
-    metrics = spans = monitor = recorder = None
-    if getattr(args, "metrics_out", None) or getattr(args, "metrics_prom", None):
+    metrics = spans = monitor = None
+    if args.metrics_out or args.metrics_prom:
         metrics, spans = MetricsRegistry(), Tracer()
-    if monitor_config is not None or (
-        getattr(args, "monitor", False)
-        or getattr(args, "events_out", None)
-        or getattr(args, "alerts", False)
-    ):
+    if _wants_monitor(args):
         on_alert = None
         if args.alerts:
             def on_alert(alert):
@@ -279,25 +211,25 @@ def _run_context(args: argparse.Namespace, monitor_config=None, seed=None):
                     f"window={alert.get('window')} value={alert.get('value'):.4g} "
                     f"threshold={alert.get('threshold'):.4g}"
                 )
-        if monitor_config is None:
-            monitor_config = MonitorConfig()
-        monitor = LoadMonitor(monitor_config, on_alert=on_alert)
-    if (
-        getattr(args, "trace", None) is not None
-        or getattr(args, "trace_out", None)
-        or getattr(args, "forensics_out", None)
-    ):
-        sample = 1.0 if args.trace is None else args.trace
-        window = getattr(args, "window", None)
-        config = (
-            TraceConfig(sample=sample)
-            if window is None
-            else TraceConfig(sample=sample, window=window)
-        )
-        recorder = FlightRecorder(config, seed=seed)
+        monitor = LoadMonitor(monitor_config or MonitorConfig(), on_alert=on_alert)
     return RunContext(
-        metrics=metrics, spans=spans, monitor=monitor, trace=recorder,
-        workers=getattr(args, "workers", 1),
+        metrics=metrics, spans=spans, monitor=monitor,
+        workers=1 if args.workers is None else args.workers,
+    )
+
+
+def _scenario_monitor_config(spec, window: float):
+    """A scenario run's monitor config: the Theorem-2 bound is judged at
+    the spec distribution's attack width ``x``, where it has one."""
+    from .obs import MonitorConfig
+    from .scenario.build import BuildContext, build_distribution
+
+    distribution = build_distribution(
+        spec.workload, spec.adversary,
+        BuildContext(params=spec.system, seed=spec.seed),
+    )
+    return MonitorConfig.from_params(
+        spec.system, x=getattr(distribution, "x", None), window=window
     )
 
 
@@ -371,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_metrics_flags(p)
         _add_monitor_flags(p, window=False)
-        _add_chaos_flags(p, live=False)
+        _add_chaos_flags(p)
 
     prov = sub.add_parser("provision", help="cache-provisioning report")
     prov.add_argument("--nodes", "-n", type=int, required=True, help="back-end nodes n")
@@ -403,92 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_flags(campaign)
     _add_monitor_flags(campaign, window=False)
-    _add_chaos_flags(campaign, live=False)
-
-    replay = sub.add_parser(
-        "replay",
-        help="event-driven replay of an attack with the online monitor",
-    )
-    replay.add_argument("--nodes", "-n", type=int, default=200, help="back-end nodes n")
-    replay.add_argument("--items", "-m", type=int, default=50_000, help="stored items m")
-    replay.add_argument("--cache", "-c", type=int, default=60, help="cache size c")
-    replay.add_argument("--replication", "-d", type=int, default=3, help="replication d")
-    replay.add_argument("--rate", "-R", type=float, default=50_000.0, help="offered rate R (qps)")
-    replay.add_argument(
-        "--pattern",
-        choices=("adversarial", "uniform", "zipf"),
-        default="adversarial",
-        help="access pattern to replay (default: the paper's optimal adversary)",
-    )
-    replay.add_argument("--queries", type=int, default=50_000, help="queries per trial")
-    replay.add_argument("--trials", type=int, default=1, help="independent replays")
-    replay.add_argument("--seed", type=int, default=None, help="root RNG seed")
-    replay.add_argument(
-        "--workers", type=int, default=1,
-        help="trial-execution processes (0 = all CPUs); monitor output is "
-        "identical for any value",
-    )
-    replay.add_argument(
-        "--k-prime", type=float, default=None,
-        help="Theta(1) remainder k' for the Theorem-2 bound (default: "
-        "substrate-calibrated)",
-    )
-    replay.add_argument(
-        "--dashboard", type=str, default=None, metavar="PATH",
-        help="write a standalone HTML dashboard (gain vs bound chart) to PATH",
-    )
-    _add_metrics_flags(replay)
-    _add_monitor_flags(replay, window=True)
-    _add_chaos_flags(replay, live=True)
-    _add_trace_flags(replay)
-
-    tree = sub.add_parser(
-        "tree",
-        help="cache-hierarchy (DistCache) comparison: shard-targeting "
-        "attack vs flat and tree defenses",
-    )
-    tree.add_argument("--nodes", "-n", type=int, default=50, help="back-end nodes n")
-    tree.add_argument("--items", "-m", type=int, default=5_000, help="stored items m")
-    tree.add_argument("--cache", "-c", type=int, default=40, help="per-cache capacity c")
-    tree.add_argument("--replication", "-d", type=int, default=3, help="replication d")
-    tree.add_argument("--rate", "-R", type=float, default=20_000.0, help="offered rate R (qps)")
-    tree.add_argument("--edges", type=int, default=2, help="edge-layer cache shards")
-    tree.add_argument(
-        "--aggregates", type=int, default=1, help="aggregate-layer cache shards"
-    )
-    tree.add_argument(
-        "--policy", type=str, default="lru",
-        help="replacement policy for every cache shard (registry name)",
-    )
-    tree.add_argument(
-        "--layer-selection",
-        choices=("cascade", "two-choice"),
-        default="two-choice",
-        help="inter-layer routing (default: DistCache's two-choice)",
-    )
-    tree.add_argument(
-        "--x", type=int, default=None,
-        help="attack width: keys flooded onto one edge shard (default c + 1)",
-    )
-    tree.add_argument(
-        "--target", type=int, default=0, help="edge shard the adversary floods"
-    )
-    tree.add_argument("--queries", type=int, default=20_000, help="queries per trial")
-    tree.add_argument("--trials", type=int, default=2, help="independent replays")
-    tree.add_argument("--seed", type=int, default=None, help="root RNG seed")
-    tree.add_argument(
-        "--workers", type=int, default=1,
-        help="trial-execution processes (0 = all CPUs); results are "
-        "identical for any value",
-    )
-    tree.add_argument(
-        "--k-prime", type=float, default=None,
-        help="Theta(1) remainder k' for both bounds (default: "
-        "substrate-calibrated)",
-    )
-    _add_metrics_flags(tree)
-    _add_monitor_flags(tree, window=True)
-    _add_trace_flags(tree)
+    _add_chaos_flags(campaign)
 
     forensics = sub.add_parser(
         "forensics",
@@ -633,6 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the forensic HTML dashboard to PATH (needs a "
         "'trace:' section in the spec)",
     )
+    scen_run.add_argument(
+        "--dashboard", type=str, default=None, metavar="PATH",
+        help="write a standalone HTML dashboard (gain vs bound chart) to "
+        "PATH (implies --monitor)",
+    )
+    _add_metrics_flags(scen_run)
+    _add_monitor_flags(scen_run, window=True)
 
     scen_list = scen_sub.add_parser(
         "list", help="list every registered component by namespace"
@@ -793,162 +647,6 @@ def _run_forensics(args: argparse.Namespace) -> int:
     if args.html:
         write_forensics_html(recorder, args.html)
         print(f"forensics dashboard written to {args.html}")
-    return 0
-
-
-def _run_replay(args: argparse.Namespace) -> int:
-    from .adversary.strategies import OptimalAdversary, UniformFlood, ZipfClient
-    from .core.bounds import DEFAULT_CALIBRATED_K_PRIME
-    from .obs import MonitorConfig
-    from .sim.batch import run_event_campaign
-
-    params = SystemParameters(
-        n=args.nodes, m=args.items, c=args.cache, d=args.replication,
-        rate=args.rate,
-    )
-    k_prime = DEFAULT_CALIBRATED_K_PRIME if args.k_prime is None else args.k_prime
-    x = None
-    if args.pattern == "adversarial":
-        adversary = OptimalAdversary(params, k_prime=k_prime)
-        distribution = adversary.distribution()
-        x = adversary.x
-    elif args.pattern == "uniform":
-        distribution = UniformFlood(params).distribution()
-        x = params.m
-    else:
-        distribution = ZipfClient(params, s=PAPER.zipf_s).distribution()
-    # The replay always monitors (that is its point); flags only add
-    # outputs on top.
-    context = _run_context(
-        args,
-        monitor_config=MonitorConfig.from_params(
-            params, x=x, window=args.window, k_prime=k_prime
-        ),
-        seed=args.seed,
-    )
-    chaos = _chaos_config(args)
-    if chaos is not None:
-        print(chaos.describe())
-    campaign = run_event_campaign(
-        params,
-        distribution,
-        trials=args.trials,
-        n_queries=args.queries,
-        seed=args.seed,
-        chaos=chaos,
-        context=context,
-    )
-    print(campaign.describe())
-    _write_outputs(args, context)
-    if args.dashboard:
-        from .obs import write_html
-
-        write_html(context.monitor, args.dashboard,
-                   title=f"replay: {args.pattern} attack on n={params.n}")
-        print(f"dashboard written to {args.dashboard}")
-    return 0
-
-
-def _flat_cache_factory(policy: str, capacity: int):
-    """Top-level (picklable) flat-cache factory for parallel campaigns."""
-    from .cache import make_cache
-
-    return make_cache(policy, capacity)
-
-
-def _tree_cache_factory(ctx, layers, selection: str):
-    """Top-level (picklable) cache-tree factory for parallel campaigns."""
-    from .cache.tree import _build_tree
-
-    return _build_tree(ctx, layers=layers, selection=selection)
-
-
-def _run_tree(args: argparse.Namespace) -> int:
-    import functools
-    from dataclasses import replace
-
-    from .adversary.strategies import ShardTargetingAdversary
-    from .core.bounds import (
-        DEFAULT_CALIBRATED_K_PRIME,
-        normalized_max_load_bound,
-    )
-    from .obs import MonitorConfig
-    from .scenario.build import BuildContext
-    from .sim.batch import run_event_campaign
-
-    params = SystemParameters(
-        n=args.nodes, m=args.items, c=args.cache, d=args.replication,
-        rate=args.rate,
-    )
-    k_prime = DEFAULT_CALIBRATED_K_PRIME if args.k_prime is None else args.k_prime
-    seed = 0 if args.seed is None else args.seed
-    x = args.cache + 1 if args.x is None else args.x
-    adversary = ShardTargetingAdversary(
-        params, x=x, shards=args.edges, target=args.target, seed=seed,
-    )
-    x = adversary.x  # clamped to the target shard's key count
-    ctx = BuildContext(params=params, seed=seed)
-    layers = [
-        {"shards": args.edges, "cache": args.policy},
-        {"shards": args.aggregates, "cache": args.policy},
-    ]
-    defenses = [
-        ("flat", functools.partial(_flat_cache_factory, args.policy, args.cache)),
-        (
-            f"tree[{args.edges}x{args.aggregates} {args.layer_selection}]",
-            functools.partial(_tree_cache_factory, ctx, layers,
-                              args.layer_selection),
-        ),
-    ]
-    shared = _run_context(args)
-    theorem2 = normalized_max_load_bound(params, x, k_prime=k_prime)
-    print(
-        f"shard-flood: x={x} keys on edge shard {args.target}/{args.edges} "
-        f"(n={params.n}, m={params.m}, c={params.c}, d={params.d})"
-    )
-    print(f"Theorem-2 bound at x={x}: {theorem2:.3f}")
-    for name, cache_factory in defenses:
-        # Fresh monitor and recorder per defense, shared metrics and
-        # spans: the tree run's (the last one's) monitor and trace are
-        # the export — they carry the (layer, shard) hit paths.
-        context = replace(
-            _run_context(
-                args,
-                monitor_config=MonitorConfig.from_params(
-                    params, x=x, window=args.window, k_prime=k_prime,
-                ),
-                seed=seed,
-            ),
-            metrics=shared.metrics,
-            spans=shared.spans,
-        )
-        campaign = run_event_campaign(
-            params,
-            adversary.distribution(),
-            trials=args.trials,
-            n_queries=args.queries,
-            seed=args.seed,
-            cache_factory=cache_factory,
-            context=context,
-        )
-        print(f"\n== defense: {name} ==")
-        print(campaign.describe())
-        layer_rows = [
-            row
-            for summary in context.monitor.summaries
-            for row in summary.get("layers", ())
-        ]
-        if layer_rows:
-            print("per-layer shard load vs the DistCache two-choice bound:")
-            for row in layer_rows:
-                status = "ok" if row["within_bound"] else "VIOLATED"
-                print(
-                    f"  trial layer {row['layer']} ({row['shards']} shard(s), "
-                    f"{row['keys']} keys): busiest shard served "
-                    f"{row['shard_max']}/{row['hits']} hits, "
-                    f"bound {row['distcache_bound']:.1f} [{status}]"
-                )
-    _write_outputs(args, context)
     return 0
 
 
@@ -1152,7 +850,14 @@ def _run_scenario(args: argparse.Namespace) -> int:
                     f"{args.spec} is a campaign spec; use 'scenario sweep'",
                     path="campaign",
                 )
-            outcome = run_scenario(spec, workers=args.workers)
+            context = _run_context(
+                args,
+                monitor_config=(
+                    _scenario_monitor_config(spec, args.window)
+                    if _wants_monitor(args) else None
+                ),
+            )
+            outcome = run_scenario(spec, workers=args.workers, context=context)
         except ScenarioValidationError as exc:
             print(f"scenario run: {exc}", file=sys.stderr)
             return 2
@@ -1167,21 +872,19 @@ def _run_scenario(args: argparse.Namespace) -> int:
             print(f"scenario {spec.name!r} [{spec.engine.kind}]")
             for key, value in outcome.stats.items():
                 print(f"  {key}: {value}")
-        if outcome.trace is not None:
-            if args.trace_out:
-                outcome.trace.write(args.trace_out)
-                print(f"trace written to {args.trace_out}")
-            if args.forensics_out:
-                from .obs.forensics import write_forensics_html
-
-                write_forensics_html(outcome.trace, args.forensics_out)
-                print(f"forensics dashboard written to {args.forensics_out}")
-        elif args.trace_out or args.forensics_out:
+        if outcome.trace is None and (args.trace_out or args.forensics_out):
             print(
                 "scenario run: spec has no 'trace:' section; "
                 "--trace-out/--forensics-out ignored",
                 file=sys.stderr,
             )
+        _write_outputs(args, replace(context, trace=outcome.trace))
+        if args.dashboard:
+            from .obs import write_html
+
+            write_html(context.monitor, args.dashboard,
+                       title=f"scenario {spec.name}")
+            print(f"dashboard written to {args.dashboard}")
         return 0
 
     if args.scenario_command == "sweep":
@@ -1231,10 +934,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_plan(args)
     if args.command == "calibrate":
         return _run_calibrate(args)
-    if args.command == "replay":
-        return _run_replay(args)
-    if args.command == "tree":
-        return _run_tree(args)
     if args.command == "forensics":
         return _run_forensics(args)
     if args.command == "perf":

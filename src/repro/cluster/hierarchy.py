@@ -104,10 +104,6 @@ class LayeredPartitioner:
         """Seed the per-layer secrets derive from."""
         return self._seed
 
-    def assign_layer(self, layer: int, key: int) -> int:
-        """Shard id of ``key`` within ``layer``."""
-        return int(self._layers[layer].replica_group(key)[0])
-
     def assign(self, key: int) -> Tuple[int, ...]:
         """Shard id of ``key`` in every layer, edge layer first."""
         return tuple(
@@ -115,7 +111,7 @@ class LayeredPartitioner:
         )
 
     def assign_many(self, layer: int, keys: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`assign_layer` over ``keys``."""
+        """Shard id of each of ``keys`` within ``layer``."""
         return self._layers[layer].replica_groups(keys)[:, 0]
 
 

@@ -106,10 +106,6 @@ class AdversarialPattern:
         """Fraction of queries that reach the back-end nodes."""
         return 1.0 - self.cached_fraction
 
-    def uncached_probs(self) -> np.ndarray:
-        """Probabilities of the keys that miss the cache (may be empty)."""
-        return self.probs[self.cache_size :]
-
 
 def canonical_pattern(m: int, x: int, cache_size: int, h: Optional[float] = None) -> AdversarialPattern:
     """Build the Eq. (4) canonical pattern: ``x - 1`` keys at ``h``, a

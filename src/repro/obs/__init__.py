@@ -58,7 +58,7 @@ from .monitor import (
     NullMonitor,
     as_monitor,
 )
-from .attribution import AttributionEngine, recompute
+from .attribution import AttributionEngine
 from .trace import (
     NULL_RECORDER,
     TRACE_SCHEMA_VERSION,
@@ -122,7 +122,6 @@ __all__ = [
     "NULL_RECORDER",
     "as_trace",
     "AttributionEngine",
-    "recompute",
     "render_text",
     "render_html",
     "write_html",

@@ -19,9 +19,10 @@ monitor's P²/entropy sketches.  Two outputs:
 Everything is a pure function of the traced record sequence: entropy
 sums use :func:`math.fsum` (order-independent rounding) and rankings
 break ties on the smaller identifier, so suspects blocks are
-bit-identical across engines and worker counts.  :func:`recompute`
-replays the same aggregation offline from an exported trace file — the
-``repro replay --attribution`` path.
+bit-identical across engines and worker counts — and an offline replay
+of an exported trace file
+(:meth:`repro.obs.trace.FlightRecorder.from_export`, the ``repro
+forensics`` path) reproduces the live run's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional
 from .alerts import AlertEngine, BUILTIN_RULES
 from .sketch import SpaceSaving
 
-__all__ = ["AttributionEngine", "recompute"]
+__all__ = ["AttributionEngine"]
 
 #: Space-saving counters kept per ``top_k`` reported rows.
 SKETCH_FACTOR = 8
@@ -265,28 +266,3 @@ class AttributionEngine:
             }
         )
 
-
-def recompute(records, config, trial: int = 0, duration: Optional[float] = None) -> dict:
-    """Replay attribution offline from exported trace records.
-
-    ``records`` is the record list from
-    :meth:`repro.obs.trace.FlightRecorder.read`; pass the run's
-    ``duration`` (from the event log's run summary) so the final
-    window's end matches the live run exactly.  The result
-    (``{"suspects": ..., "alerts": [...]}``) matches what the live run
-    produced for the same records — forensics without re-running the
-    simulation.
-    """
-    engine = AttributionEngine(config, trial=trial)
-    last_t = 0.0
-    for record in records:
-        last_t = record["t"]
-        engine.add(
-            last_t,
-            record["prefix"],
-            record["client"],
-            record["key"],
-            backend=not record["hit"],
-        )
-    suspects = engine.finalize(duration if duration is not None else last_t)
-    return {"suspects": suspects, "alerts": list(engine.alerts)}

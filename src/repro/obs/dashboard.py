@@ -5,8 +5,9 @@ records (hence deterministic for a seeded run):
 
 - :func:`render_text` — a fixed-width terminal panel: config header,
   the last windows as a table (time, requests, hit ratio, entropy,
-  running gain vs bound, alert flags), the alert roll, and the P²
-  quantile summaries.
+  running gain vs bound, alert flags), the alert roll, the P²
+  quantile summaries and, for cache-tree runs, each run's per-layer
+  shard load against the DistCache bound.
 - :func:`render_html` — a standalone single-file HTML page with an
   inline SVG chart of running gain against the Theorem-2 bound per
   window plus the same tables; no external assets, opens anywhere.
@@ -191,6 +192,21 @@ def render_text(monitor, last: int = 12) -> str:
             "node-load quantiles: "
             + "  ".join(f"{k}={_fmt(v)}" for k, v in nq.items())
         )
+    layer_rows = [
+        row for run in monitor.summaries for row in run.get("layers", ())
+    ]
+    if layer_rows:
+        # Cache-tree runs only: flat-cache panels end above.
+        lines.append("")
+        lines.append("per-layer shard load vs the DistCache two-choice bound:")
+        for row in layer_rows:
+            status = "ok" if row["within_bound"] else "VIOLATED"
+            lines.append(
+                f"  trial layer {row['layer']} ({row['shards']} shard(s), "
+                f"{row['keys']} keys): busiest shard served "
+                f"{row['shard_max']}/{row['hits']} hits, "
+                f"bound {row['distcache_bound']:.1f} [{status}]"
+            )
     return "\n".join(lines)
 
 

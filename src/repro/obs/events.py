@@ -66,10 +66,6 @@ class EventLog:
         self._records.append(record)
         return record
 
-    def of_type(self, kind: str) -> List[dict]:
-        """All records of one family, in emission order."""
-        return [r for r in self._records if r["type"] == kind]
-
     def write(self, path: Union[str, Path]) -> Path:
         """Write the log as JSONL (one sorted-key JSON object per line)."""
         path = Path(path)

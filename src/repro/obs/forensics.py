@@ -18,10 +18,9 @@ output is deterministic across engines and worker counts:
 - :func:`timeline_bins` — the timeline aggregation itself (exposed for
   tests and the offline ``repro forensics`` path).
 
-Everything here also works on *recomputed* state: feed
-:func:`repro.obs.attribution.recompute` output and the record list from
-:meth:`FlightRecorder.read` through the ``suspects=``/``alerts=``
-overrides and the offline dashboard matches the live one.
+Everything here also works on *recomputed* state: the recorder that
+:meth:`FlightRecorder.from_export` rebuilds from a trace file renders
+the same dashboard as the live one (``repro forensics``).
 """
 
 from __future__ import annotations
@@ -202,21 +201,11 @@ def _suspect_lines(suspects: Optional[dict], last: int) -> List[str]:
     return lines
 
 
-def render_forensics_text(
-    recorder,
-    last: int = 8,
-    suspects: Optional[dict] = None,
-    alerts: Optional[Sequence[dict]] = None,
-) -> str:
-    """Render the recorder's forensic state as a terminal panel.
-
-    ``suspects`` / ``alerts`` override the recorder's own aggregates —
-    the offline path renders :func:`~repro.obs.attribution.recompute`
-    output over the same records.
-    """
+def render_forensics_text(recorder, last: int = 8) -> str:
+    """Render the recorder's forensic state as a terminal panel."""
     config = recorder.config
-    suspects = recorder.suspects() if suspects is None else suspects
-    alerts = list(recorder.alerts) if alerts is None else list(alerts)
+    suspects = recorder.suspects()
+    alerts = list(recorder.alerts)
     records = recorder.records
     lines: List[str] = []
     lines.append("attack forensics (flight recorder)")
@@ -267,8 +256,6 @@ def render_forensics_html(
     recorder,
     title: str = "Attack forensics",
     monitor=None,
-    suspects: Optional[dict] = None,
-    alerts: Optional[Sequence[dict]] = None,
 ) -> str:
     """Render the forensic dashboard as a standalone HTML page.
 
@@ -277,8 +264,8 @@ def render_forensics_html(
     curve it explains.
     """
     config = recorder.config
-    suspects = recorder.suspects() if suspects is None else suspects
-    alerts = list(recorder.alerts) if alerts is None else list(alerts)
+    suspects = recorder.suspects()
+    alerts = list(recorder.alerts)
     records = recorder.records
     bins = timeline_bins(records, alerts, window=config.window)
     body = [

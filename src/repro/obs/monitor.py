@@ -367,14 +367,6 @@ class LoadMonitor:
         """Largest final gain seen across runs/trials."""
         return self._max_gain
 
-    def gain_estimates(self) -> dict:
-        """P² quantiles over per-run/per-trial final gains."""
-        return self._gain_bank.estimates()
-
-    def node_load_estimates(self) -> dict:
-        """P² quantiles over normalised per-window node loads."""
-        return self._node_bank.estimates()
-
     # -- manifest ----------------------------------------------------------
 
     def emit_manifest(self, **extra) -> Optional[dict]:

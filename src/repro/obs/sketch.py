@@ -126,7 +126,7 @@ class SpaceSaving:
     order).
     """
 
-    __slots__ = ("capacity", "_counts", "_errors", "_offered")
+    __slots__ = ("capacity", "_counts", "_errors")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -134,12 +134,6 @@ class SpaceSaving:
         self.capacity = capacity
         self._counts: Dict[int, int] = {}
         self._errors: Dict[int, int] = {}
-        self._offered = 0
-
-    @property
-    def offered(self) -> int:
-        """Total count offered into the sketch."""
-        return self._offered
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -148,7 +142,6 @@ class SpaceSaving:
         """Feed ``count`` observations of ``item`` into the sketch."""
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        self._offered += count
         counts = self._counts
         if item in counts:
             counts[item] += count

@@ -629,8 +629,7 @@ class FlightRecorder:
         (:mod:`repro.obs.attribution` is a pure function of the record
         stream), so the offline recorder's suspects, alerts and
         summaries match the live run's exactly when the ring never
-        evicted — the ``repro replay --attribution`` / ``repro
-        forensics`` path.  ``durations`` maps trial -> run duration
+        evicted — the ``repro forensics`` path.  ``durations`` maps trial -> run duration
         (from the event log's ``run-summary`` records) so each trial's
         final attribution window closes where the live run's did;
         without it the trial's last record time is used, which can only

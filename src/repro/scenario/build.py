@@ -114,21 +114,27 @@ def build_component(
 
 
 def check_spec(spec) -> None:
-    """Resolve every component kind through the registry without building.
+    """Validate a spec statically: resolve every kind, build nothing.
 
     Static validation for ``repro scenario validate``: catches unknown
-    kinds (with the candidate list) before anything is constructed.
-    Accepts a :class:`~repro.scenario.spec.ScenarioSpec` or a
+    kinds (with the candidate list), engine params the engine does not
+    take, and whatever its engine's static checks reject
+    (:func:`repro.scenario.engines.check_engine_spec`) before anything
+    is constructed.  Accepts a
+    :class:`~repro.scenario.spec.ScenarioSpec` or a
     :class:`~repro.scenario.spec.CampaignSpec` (every expanded scenario
     is checked, so sweep overrides cannot smuggle in unknown kinds).
     """
     discover()
+    from .engines import check_engine_spec
+
     scenarios = spec.expand() if hasattr(spec, "expand") else (spec,)
     for scenario in scenarios:
         for section, component in scenario.components().items():
             if component is not None:
                 REGISTRY.get(section, component.kind, path=f"{section}.kind")
         engine_entry(scenario)
+        check_engine_spec(scenario)
 
 
 def engine_entry(spec) -> RegistryEntry:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..obs.context import RunContext
+from ..obs.context import NULL_CONTEXT, RunContext
 from ..obs.trace import FlightRecorder
 from ..perf.harness import smoke_mode
 from .build import BuildContext, build_component, engine_entry
@@ -90,18 +90,22 @@ def _build_trace(spec: ScenarioSpec, ctx: BuildContext):
 def run_scenario(
     spec: ScenarioSpec,
     workers: Optional[int] = None,
+    context: Optional[RunContext] = None,
 ) -> ScenarioOutcome:
     """Run one scenario through its engine.
 
-    Builds the run's :class:`repro.obs.RunContext` from the spec — its
+    ``context`` carries the caller's instruments (metrics, spans,
+    monitor; the CLI's flags).  The spec adds its own on top: its
     worker count (``workers`` overrides it: the CLI flag; the results
     are identical either way, only wall-clock changes) and the flight
-    recorder of its ``trace:`` section — and hands it to the engine.
+    recorder of its ``trace:`` section.  The engine runs under the
+    result.
     """
     spec = _apply_smoke(spec)
     entry = engine_entry(spec)
     ctx = BuildContext(params=spec.system, seed=spec.seed)
-    context = RunContext(
+    context = replace(
+        NULL_CONTEXT if context is None else context,
         trace=_build_trace(spec, ctx),
         workers=spec.workers if workers is None else workers,
     )

@@ -19,7 +19,8 @@ across worker counts given the spec's explicit seed.
   front-end cache and random replica groups are part of the *model*, so
   specs selecting it must keep ``cache: perfect`` and ``partitioner:
   random-table`` (the engine validates this instead of silently
-  ignoring the spec);
+  ignoring the spec), and carry no ``trace:`` section or selection
+  params;
 - ``event-driven`` replays a queued request stream, so every cache
   policy and partitioner applies.  Its routing is the spec's
   ``selection``: ``least-loaded`` pins each key to its least-pinned
@@ -27,6 +28,12 @@ across worker counts given the spec's explicit seed.
   replica per request — the rules the Monte-Carlo policies of those
   names model.  Any other rule, or selection params, is rejected at
   ``selection`` instead of being silently ignored.
+
+Each engine's static checks — the ones that need no built component —
+live in one function per engine (:func:`check_engine_spec` dispatches
+on the spec's engine kind).  The engine runs it first and
+:func:`~repro.scenario.build.check_spec` runs it too, so ``scenario
+validate`` rejects what ``scenario run`` would.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .build import BuildContext, build_component, build_distribution
 from .registry import register_component
 from .spec import ComponentSpec, ScenarioSpec
 
-__all__ = ["run_monte_carlo", "run_event_driven"]
+__all__ = ["run_monte_carlo", "run_event_driven", "check_engine_spec"]
 
 
 def _nan_safe(value: float) -> Optional[float]:
@@ -60,7 +67,7 @@ def _build_chaos(spec: ScenarioSpec, ctx: BuildContext):
 def _require_model_component(
     spec: ComponentSpec, expected: str, path: str
 ) -> None:
-    """Reject spec sections the Monte-Carlo model cannot honour."""
+    """Require the one component choice the Monte-Carlo model assumes."""
     if spec.kind != expected or spec.params:
         raise ScenarioValidationError(
             f"{path}: the monte-carlo engine models "
@@ -71,16 +78,8 @@ def _require_model_component(
         )
 
 
-@register_component("engine", "monte-carlo")
-def run_monte_carlo(
-    spec: ScenarioSpec,
-    ctx: BuildContext,
-    context: RunContext,
-) -> Tuple[dict, object]:
-    """The paper's placement simulator over the spec's distribution."""
-    from ..sim.analytic import MonteCarloSimulator
-    from ..sim.config import SimulationConfig
-
+def _check_monte_carlo(spec: ScenarioSpec) -> None:
+    """Reject spec sections the Monte-Carlo model cannot honour."""
     _require_model_component(spec.cache, "perfect", "cache")
     _require_model_component(spec.partitioner, "random-table", "partitioner")
     if spec.trace is not None:
@@ -96,6 +95,19 @@ def run_monte_carlo(
             "'engine: event-driven'",
             path="selection",
         )
+
+
+@register_component("engine", "monte-carlo")
+def run_monte_carlo(
+    spec: ScenarioSpec,
+    ctx: BuildContext,
+    context: RunContext,
+) -> Tuple[dict, object]:
+    """The paper's placement simulator over the spec's distribution."""
+    from ..sim.analytic import MonteCarloSimulator
+    from ..sim.config import SimulationConfig
+
+    _check_monte_carlo(spec)
     distribution = build_distribution(spec.workload, spec.adversary, ctx)
     try:
         config = SimulationConfig(
@@ -132,10 +144,10 @@ def _spec_cache(cache_spec: ComponentSpec, ctx: BuildContext):
 _EVENT_ROUTING = {"least-loaded": "pin", "per-query-random": "random"}
 
 
-def _event_routing(selection: ComponentSpec) -> str:
-    """The kernel routing that replays the spec's selection rule."""
-    routing = _EVENT_ROUTING.get(selection.kind)
-    if routing is None or selection.params:
+def _check_event_driven(spec: ScenarioSpec) -> None:
+    """Reject selection rules the event kernel cannot replay."""
+    selection = spec.selection
+    if selection.kind not in _EVENT_ROUTING or selection.params:
         raise ScenarioValidationError(
             "selection: the event-driven engine routes requests by "
             f"{' or '.join(repr(kind) for kind in _EVENT_ROUTING)} (no "
@@ -143,7 +155,18 @@ def _event_routing(selection: ComponentSpec) -> str:
             f"{dict(selection.params)!r}",
             path="selection",
         )
-    return routing
+
+
+#: Each built-in engine's static checks, by engine kind.
+_STATIC_CHECKS = {
+    "monte-carlo": _check_monte_carlo,
+    "event-driven": _check_event_driven,
+}
+
+
+def check_engine_spec(spec: ScenarioSpec) -> None:
+    """Run the spec's engine's static checks; build no component."""
+    _STATIC_CHECKS[spec.engine.kind](spec)
 
 
 @register_component("engine", "event-driven")
@@ -158,7 +181,7 @@ def run_event_driven(
     from ..sim.batch import run_event_campaign
 
     params: SystemParameters = spec.system
-    routing = _event_routing(spec.selection)
+    _check_event_driven(spec)
     distribution = build_distribution(spec.workload, spec.adversary, ctx)
     partitioner = build_component(
         "partitioner", spec.partitioner, ctx, path="partitioner"
@@ -173,7 +196,7 @@ def run_event_driven(
             cache_factory=partial(_spec_cache, spec.cache, ctx),
             context=context,
             partitioner=partitioner,
-            routing=routing,
+            routing=_EVENT_ROUTING[spec.selection.kind],
             queue_limit=queue_limit,
             service=service,
             chaos=_build_chaos(spec, ctx),

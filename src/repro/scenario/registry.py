@@ -173,10 +173,6 @@ class ComponentRegistry:
         """All namespaces, in spec order."""
         return NAMESPACES
 
-    def factories(self, namespace: str) -> Tuple[Callable, ...]:
-        """The registered factories of one namespace (contract test)."""
-        return tuple(entry.factory for entry in self.entries(namespace))
-
     def _check_namespace(self, namespace: str, path: str) -> None:
         if namespace not in self._entries:
             raise ScenarioValidationError(

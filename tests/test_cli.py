@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -27,19 +29,26 @@ class TestParser:
             build_parser().parse_args([command] + flag)
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_replay_keeps_event_driven_flags(self):
-        args = build_parser().parse_args(
-            ["replay", "--chaos-schedule", "s.json", "--retry", "2",
-             "--window", "7.5"]
-        )
-        assert (args.chaos_schedule, args.retry, args.window) == ("s.json", 2, 7.5)
-        assert build_parser().parse_args(["tree", "--window", "0.5"]).window == 0.5
+    @pytest.mark.parametrize("command", ["replay", "tree"])
+    def test_event_driven_attacks_are_specs_not_commands(self, command, capsys):
+        # Their defaults ship as examples/specs/*.yaml for `scenario run`.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_replay_has_no_offline_attribution_mode(self, capsys):
-        for flag in (["--attribution", "t.jsonl"], ["--events-log", "e.jsonl"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["replay"] + flag)
-        capsys.readouterr()
+    def test_scenario_run_takes_the_instrument_flags(self):
+        args = build_parser().parse_args(
+            ["scenario", "run", "s.yaml", "--monitor", "--window", "7.5",
+             "--events-out", "e.jsonl", "--alerts", "--dashboard", "d.html",
+             "--metrics-out", "m.json", "--metrics-prom", "m.prom",
+             "--trace-out", "t.jsonl", "--forensics-out", "f.html"]
+        )
+        assert (args.window, args.events_out, args.dashboard) == (
+            7.5, "e.jsonl", "d.html"
+        )
+        assert (args.metrics_out, args.trace_out) == ("m.json", "t.jsonl")
+
+    def test_forensics_takes_the_event_log(self):
         args = build_parser().parse_args(["forensics", "t.jsonl", "--events-log", "e.jsonl"])
         assert (args.trace, args.events_log) == ("t.jsonl", "e.jsonl")
 
@@ -81,6 +90,17 @@ class TestCommands:
         assert code == 0
         assert "measured k'" in out
         assert "folded k" in out
+
+    def test_figure_chaos_reports_only_what_monte_carlo_simulates(self, capsys):
+        assert main(["fig3b", "--chaos", "--trials", "1", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        chaos_lines = [line for line in out.splitlines() if "chaos" in line]
+        # The header line and the result table's config line.
+        assert len(chaos_lines) == 2
+        for line in chaos_lines:
+            assert "failure_rate=0.02/s, mttr=0.25s" in line
+            assert "steady-state down fraction 0.005" in line
+            assert "retry" not in line and "serve_stale" not in line
 
     def test_figure_quick_run(self, capsys):
         code = main(["fig5b", "--trials", "2", "--seed", "1"])
@@ -216,6 +236,24 @@ class TestScenarioCLI:
         assert "scenario run: selection:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "over, path",
+        [
+            ({"engine": "event-driven", "selection": "round-robin"}, "selection"),
+            ({"cache": "lru"}, "cache"),
+        ],
+        ids=["event-driven-round-robin", "monte-carlo-lru"],
+    )
+    def test_validate_rejects_what_run_rejects(
+        self, tmp_path, capsys, command, over, path
+    ):
+        spec = self._scenario(tmp_path, **over)
+        assert main(["scenario", command, spec]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {command}: " in err and f"{path}:" in err
+        assert "Traceback" not in err
+
     def test_event_driven_has_no_routing_param(self, tmp_path, capsys):
         path = self._scenario(
             tmp_path, engine={"kind": "event-driven", "routing": "random"}
@@ -269,34 +307,89 @@ class TestScenarioCLI:
         assert "nope.json" in capsys.readouterr().err
 
 
-class TestTreeCLI:
-    """``repro tree``: the shard-flood vs flat/tree comparison."""
+SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
-    ARGS = [
-        "tree", "-n", "10", "-m", "200", "-c", "8", "-d", "2",
-        "--rate", "1000", "--edges", "2", "--aggregates", "1",
-        "--queries", "300", "--trials", "1", "--seed", "3",
-    ]
 
-    def test_tree_flags(self):
-        args = build_parser().parse_args(self.ARGS)
-        assert args.command == "tree"
-        assert args.edges == 2
-        assert args.aggregates == 1
-        assert args.layer_selection == "two-choice"
+@pytest.fixture
+def yaml_specs():
+    pytest.importorskip("yaml")
+    return SPECS
 
-    def test_tree_compares_defenses(self, capsys):
-        assert main(self.ARGS) == 0
+
+class TestReplaySpec:
+    """``examples/specs/replay.yaml``: the traced forensic run."""
+
+    def test_spec_matches_a_direct_event_campaign(
+        self, yaml_specs, tmp_path, capsys
+    ):
+        from repro.adversary.strategies import OptimalAdversary
+        from repro.core.notation import SystemParameters
+        from repro.obs import FlightRecorder, LoadMonitor, MonitorConfig, RunContext
+        from repro.obs.trace import TraceConfig
+        from repro.sim.batch import run_event_campaign
+
+        events, trace = tmp_path / "e.jsonl", tmp_path / "t.jsonl"
+        assert main(["scenario", "run", str(yaml_specs / "replay.yaml"),
+                     "--events-out", str(events),
+                     "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+
+        params = SystemParameters(n=200, m=50_000, c=60, d=3, rate=50_000.0)
+        adversary = OptimalAdversary(params, k_prime=0.75)
+        context = RunContext(
+            monitor=LoadMonitor(
+                MonitorConfig.from_params(params, x=adversary.x, window=0.1)
+            ),
+            trace=FlightRecorder(TraceConfig(sample=0.5), seed=7),
+        )
+        run_event_campaign(
+            params, adversary.distribution(), trials=2, n_queries=10_000,
+            seed=7, context=context,
+        )
+        context.monitor.events.write(tmp_path / "direct_e.jsonl")
+        context.trace.write(tmp_path / "direct_t.jsonl")
+        assert events.read_bytes() == (tmp_path / "direct_e.jsonl").read_bytes()
+        assert trace.read_bytes() == (tmp_path / "direct_t.jsonl").read_bytes()
+
+        assert main(["forensics", str(trace), "--events-log", str(events)]) == 0
         out = capsys.readouterr().out
-        assert "shard-flood:" in out
-        assert "Theorem-2 bound" in out
-        assert "defense: flat" in out
-        assert "defense: tree[2x1 two-choice]" in out
-        # Only the tree defense reports the per-layer overlay.
-        assert out.count("per-layer shard load") == 1
+        for trial in (0, 1):
+            assert (
+                f"trial {trial}: recomputed suspects MATCH the live "
+                "run-summary block"
+            ) in out
 
-    def test_tree_parallel_matches_serial(self, capsys):
-        assert main(self.ARGS) == 0
+
+class TestTreeCLI:
+    """``examples/specs/tree*.yaml``: the shard flood vs flat and tree."""
+
+    def test_tree_specs_validate(self, yaml_specs, capsys):
+        assert main(["scenario", "validate", str(yaml_specs / "tree.yaml"),
+                     str(yaml_specs / "tree-vs-flat.yaml")]) == 0
+        out = capsys.readouterr().out
+        assert "scenario 'tree'" in out
+        assert "campaign 'tree-vs-flat' (2 scenarios)" in out
+
+    def test_tree_compares_defenses(self, yaml_specs, capsys):
+        assert main(["scenario", "sweep",
+                     str(yaml_specs / "tree-vs-flat.yaml")]) == 0
+        out = capsys.readouterr().out
+        worst = {
+            ("tree" if "'tree'" in line else "flat"): float(
+                line.rsplit("worst_case=", 1)[1]
+            )
+            for line in out.splitlines()
+            if "worst_case=" in line
+        }
+        # The values the flat-vs-tree comparison has always printed.
+        assert worst == {"flat": 0.07773, "tree": 0.007523}
+
+    def test_tree_parallel_matches_serial(self, yaml_specs, capsys):
+        args = ["scenario", "run", str(yaml_specs / "tree.yaml"), "--monitor"]
+        assert main(args) == 0
         serial = capsys.readouterr().out
-        assert main(self.ARGS + ["--workers", "2"]) == 0
+        # Only a cache tree's monitor panel carries the per-layer lines.
+        assert serial.count("per-layer shard load") == 1
+        assert serial.count("  trial layer ") == 4
+        assert main(args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from event_oracle import run_oracle
 from repro.core.notation import SystemParameters
 from repro.exceptions import ScenarioValidationError
-from repro.obs import RunContext, recompute
+from repro.obs import RunContext
 from repro.obs.forensics import (
     path_breakdown,
     render_forensics_html,
@@ -275,7 +275,7 @@ class TestOfflineRecompute:
         assert offline.seen == live.seen
         assert offline.sampled == live.sampled
 
-    def test_recompute_single_run(self):
+    def test_recompute_single_run(self, tmp_path):
         recorder = FlightRecorder(TraceConfig(sample=1.0), seed=2)
         result = EventDrivenSimulator(
             PARAMS,
@@ -283,12 +283,11 @@ class TestOfflineRecompute:
             seed=2,
             context=RunContext(trace=recorder),
         ).run(2000)
-        out = recompute(
-            recorder.records, recorder.config, trial=0,
-            duration=result.duration,
-        )
-        assert out["suspects"] == recorder.summaries[0]["suspects"]
-        assert out["alerts"] == recorder.summaries[0]["alerts"]
+        path = tmp_path / "trace.jsonl"
+        recorder.write(path)
+        offline = FlightRecorder.from_export(path, durations={0: result.duration})
+        assert offline.summaries[0]["suspects"] == recorder.summaries[0]["suspects"]
+        assert offline.alerts == recorder.summaries[0]["alerts"]
 
 
 class TestShardFloodAttribution:
