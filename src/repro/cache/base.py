@@ -8,6 +8,11 @@ enforce):
 
 A zero-capacity cache is legal and simply misses everything — useful as
 the "no cache" baseline in experiments.
+
+The event kernel reaches a flat cache through one seam,
+:meth:`Cache.access_many`, which equals one :meth:`~Cache.access` per key
+in order; ``tests/test_cache_access_many.py`` pins that contract for
+every registered policy.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from ..exceptions import CacheError
 
@@ -61,6 +68,14 @@ class Cache(ABC):
     instrumented directly — counters are published from the
     :class:`CacheStats` totals, which keeps the lookup loop identical
     whether observability is on or off.
+
+    Batching: :meth:`access_many` is the event kernel's one seam into a
+    flat cache.  The base body calls :meth:`access` per key; a policy may
+    override it with a faster body that leaves the same hit mask,
+    :class:`CacheStats` counters and resident order.  A subclass that
+    overrides any step of the per-key path (:data:`_ACCESS_PATH`) but
+    not ``access_many`` gets the per-key body back, so it still sees
+    every request.
     """
 
     #: Short policy label used in metrics (``cache_hits_total{policy=}``)
@@ -68,12 +83,17 @@ class Cache(ABC):
     #: class name.
     POLICY: Optional[str] = None
 
-    #: True only for policies whose resident set never changes, where
-    #: ``access(key)`` is equivalent to membership in that fixed set and
-    #: touches nothing but the hit/miss counters.  The batched event
-    #: kernel relies on this contract to pre-resolve hit/miss decisions
-    #: for a whole run in one vectorized pass.
-    STATIC_RESIDENCY: bool = False
+    #: The per-key path a batched :meth:`access_many` body stands in for.
+    _ACCESS_PATH = (
+        "access", "_contains", "_on_hit", "_admit",
+        "_select_victim", "_remove", "_insert", "__len__",
+    )
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "access_many" not in own and any(name in own for name in cls._ACCESS_PATH):
+            cls.access_many = Cache.access_many
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -141,6 +161,10 @@ class Cache(ABC):
         self.stats.misses += 1
         self._admit(key)
         return False
+
+    def access_many(self, keys: np.ndarray) -> np.ndarray:
+        """Hit mask of :meth:`access` over ``keys``, one key at a time, in order."""
+        return np.fromiter(map(self.access, keys.tolist()), dtype=bool, count=len(keys))
 
     def __contains__(self, key: int) -> bool:
         return self._capacity > 0 and self._contains(key)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
+import numpy as np
+
 from ..scenario.registry import register_component
 from .base import EvictingCache
 
@@ -32,6 +34,41 @@ class LRUCache(EvictingCache):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def access_many(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`access` per key in one loop over the ``OrderedDict``.
+
+        Every miss inserts, and evicts only when the cache is full, so the
+        counters follow from the hit count and the size change.
+        """
+        if self._capacity == 0:
+            return super().access_many(keys)
+        entries = self._entries
+        move, evict = entries.move_to_end, entries.popitem
+        capacity = self._capacity
+        size = start = len(entries)
+        out = []
+        put = out.append
+        for key in keys.tolist():
+            if key in entries:
+                move(key)
+                put(True)
+            else:
+                if size < capacity:
+                    size += 1
+                else:
+                    evict(False)
+                entries[key] = None
+                put(False)
+        mask = np.array(out, dtype=bool)
+        hits = int(mask.sum())
+        misses = len(out) - hits
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.insertions += misses
+        stats.evictions += misses - (size - start)
+        return mask
 
     def keys(self) -> Iterable[int]:
         return iter(self._entries)

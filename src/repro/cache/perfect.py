@@ -31,7 +31,6 @@ class PerfectCache(Cache):
     """
 
     POLICY = "perfect"
-    STATIC_RESIDENCY = True
 
     def __init__(self, capacity: int, pinned: Sequence[int] = None) -> None:
         super().__init__(capacity)
@@ -72,6 +71,15 @@ class PerfectCache(Cache):
 
     def keys(self) -> Iterable[int]:
         return iter(self._pinned)
+
+    def access_many(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`access` per key as one vectorized membership test:
+        the resident set never changes, so only the counters move."""
+        hit_mask = np.isin(keys, np.fromiter(self._pinned, dtype=np.int64))
+        hits = int(hit_mask.sum())
+        self.stats.hits += hits
+        self.stats.misses += keys.size - hits
+        return hit_mask
 
     def _contains(self, key: int) -> bool:
         return key in self._pinned

@@ -22,10 +22,10 @@ A **degenerate** tree (one layer, one shard) performs exactly one
 metrics export to the shard — bit-identical to running the shard cache
 flat, which ``tests/test_tree_differential.py`` pins.
 
-A tree never declares ``STATIC_RESIDENCY``, even when every shard is
+A non-degenerate tree is never batched, even when every shard is
 static: its probe accounting and hit attribution are per layer, so the
-event kernel replays it with one sequential ``access`` pass, recording
-``last_hit`` per hit.
+event kernel replays it with one ``access`` per request, recording
+``last_hit`` per hit, and never calls a shard's ``access_many``.
 """
 
 from __future__ import annotations

@@ -193,16 +193,17 @@ def render_text(monitor, last: int = 12) -> str:
             + "  ".join(f"{k}={_fmt(v)}" for k, v in nq.items())
         )
     layer_rows = [
-        row for run in monitor.summaries for row in run.get("layers", ())
+        (run["trial"], row)
+        for run in monitor.summaries for row in run.get("layers", ())
     ]
     if layer_rows:
         # Cache-tree runs only: flat-cache panels end above.
         lines.append("")
         lines.append("per-layer shard load vs the DistCache two-choice bound:")
-        for row in layer_rows:
+        for trial, row in layer_rows:
             status = "ok" if row["within_bound"] else "VIOLATED"
             lines.append(
-                f"  trial layer {row['layer']} ({row['shards']} shard(s), "
+                f"  trial {trial} layer {row['layer']} ({row['shards']} shard(s), "
                 f"{row['keys']} keys): busiest shard served "
                 f"{row['shard_max']}/{row['hits']} hits, "
                 f"bound {row['distcache_bound']:.1f} [{status}]"

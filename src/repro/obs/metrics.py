@@ -29,6 +29,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -185,9 +187,41 @@ class Histogram:
             self._max = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations (order-independent totals)."""
-        for value in values:
-            self.observe(float(value))
+        """Record a batch of observations: :meth:`observe` per value, in order.
+
+        Vectorized with the same results: buckets from ``searchsorted``
+        (``side="left"`` is ``bisect_left``) and ``bincount``, the sum by a
+        sequential ``add.accumulate`` seeded with the running total, and
+        min/max at the first extreme value, as the strict comparisons of
+        :meth:`observe` keep it.  A batch holding NaN, which bisection and
+        the NumPy reductions order differently, takes the per-value loop.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        batch = np.asarray(values, dtype=float)
+        if batch.size == 0:
+            return
+        if np.isnan(batch).any():
+            for value in batch.tolist():
+                self.observe(value)
+            return
+        added = np.bincount(
+            np.searchsorted(self.bounds, batch, side="left"),
+            minlength=len(self.counts),
+        )
+        counts = self.counts
+        for bucket, n in enumerate(added.tolist()):
+            counts[bucket] += n
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.accumulate(np.concatenate(([self._sum], batch)))
+        self._sum = float(total[-1])
+        self._count += int(batch.size)
+        low = float(batch[batch.argmin()])
+        high = float(batch[batch.argmax()])
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from buckets.

@@ -18,6 +18,7 @@ true order statistic of the buffered values.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -124,9 +125,15 @@ class SpaceSaving:
     arrive in a deterministic order (the attribution engine feeds
     sampled keys in simulated-time order and merges trials in trial
     order).
+
+    The victim, the minimum ``(count, item)``, comes from a heap with one
+    ``(count, item)`` entry per counter, in O(log k).  Counts only grow,
+    so an entry's count may lag behind its counter; a stale top is
+    re-pushed at its current count until the top is fresh, and a fresh
+    top is then the true minimum.
     """
 
-    __slots__ = ("capacity", "_counts", "_errors")
+    __slots__ = ("capacity", "_counts", "_errors", "_heap")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -134,6 +141,7 @@ class SpaceSaving:
         self.capacity = capacity
         self._counts: Dict[int, int] = {}
         self._errors: Dict[int, int] = {}
+        self._heap: List[Tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -146,15 +154,22 @@ class SpaceSaving:
         if item in counts:
             counts[item] += count
             return
+        heap = self._heap
         if len(counts) < self.capacity:
             counts[item] = count
             self._errors[item] = 0
+            heapq.heappush(heap, (count, item))
             return
-        victim = min(counts, key=lambda k: (counts[k], k))
-        floor = counts.pop(victim)
-        del self._errors[victim]
+        while True:
+            stale, victim = heap[0]
+            floor = counts[victim]
+            if stale == floor:
+                break
+            heapq.heapreplace(heap, (floor, victim))
+        del counts[victim], self._errors[victim]
         counts[item] = floor + count
         self._errors[item] = floor
+        heapq.heapreplace(heap, (floor + count, item))
 
     def items(self) -> List[Tuple[int, int, int]]:
         """``(item, count, error)`` triples, largest count first.

@@ -507,21 +507,49 @@ class CampaignSpec:
         return tuple(len(self.sweep[p]) for p in sorted(self.sweep))
 
     def expand(self) -> List[ScenarioSpec]:
-        """The concrete scenarios of the sweep grid, in deterministic order."""
+        """The concrete scenarios of the sweep grid, in deterministic order.
+
+        Each is named ``<campaign>/<path>=<label>/...`` (see
+        :func:`_axis_labels`).
+        """
         if not self.sweep:
             return [replace(self.base, name=self.name)]
         paths = sorted(self.sweep)
+        axes = [
+            list(zip(self.sweep[p], _axis_labels(self.sweep[p]))) for p in paths
+        ]
         scenarios = []
-        for combo in itertools.product(*(self.sweep[p] for p in paths)):
+        for combo in itertools.product(*axes):
             spec = self.base
             label_parts = []
-            for dotted, value in zip(paths, combo):
+            for dotted, (value, label) in zip(paths, combo):
                 spec = spec.with_override(dotted, value)
-                label_parts.append(f"{dotted}={value}")
+                label_parts.append(f"{dotted}={label}")
             scenarios.append(
                 replace(spec, name=f"{self.name}/" + "/".join(label_parts))
             )
         return scenarios
+
+
+def _axis_labels(values: Tuple[object, ...]) -> List[str]:
+    """Name labels for one sweep axis's values.
+
+    A scalar reads as itself.  A component mapping reads as its ``kind``,
+    plus ``@i`` (its position on the axis) when another value on the
+    axis has the same kind.
+    """
+    kinds = [
+        value.get("kind") if isinstance(value, Mapping) else value
+        for value in values
+    ]
+    labels = []
+    for i, value in enumerate(values):
+        if isinstance(value, Mapping) and "kind" in value:
+            kind = value["kind"]
+            labels.append(f"{kind}@{i}" if kinds.count(kind) > 1 else f"{kind}")
+        else:
+            labels.append(f"{value}")
+    return labels
 
 
 def _parse_text(text: str, fmt: str, source: str) -> object:

@@ -230,5 +230,5 @@ def run_event_campaign(
             )
             if metrics.enabled:
                 metrics.counter("event_campaign_trials_total").inc(trials)
-                metrics.histogram("trial_normalized_max").observe_many(gains.tolist())
+                metrics.histogram("trial_normalized_max").observe_many(gains)
     return EventCampaign(load_report=report, results=tuple(results))

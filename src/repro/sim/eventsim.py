@@ -307,7 +307,7 @@ class EventDrivenSimulator:
             if dropped[node]:
                 metrics.counter("node_shed_total", node=label).inc(int(dropped[node]))
         if latencies.size:
-            metrics.histogram("backend_latency_seconds").observe_many(latencies.tolist())
+            metrics.histogram("backend_latency_seconds").observe_many(latencies)
 
     def run(self, n_queries: int, trial: int = 0) -> EventSimResult:
         """Replay ``n_queries`` Poisson arrivals; returns the result.

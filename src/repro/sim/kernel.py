@@ -11,11 +11,13 @@ metrics exports, monitor telemetry, trace records and RNG stream
 consumption.  The replay rules that make it exact:
 
 - **Cache.**  The front end is accessed synchronously at arrival and
-  nothing else touches it, so the hit mask is one ``cache.access`` pass
-  over the key stream in arrival order.  Non-degenerate cache trees also
-  record ``cache.last_hit`` (layer, shard) per hit for the monitor and
-  the trace.  Caches declaring ``STATIC_RESIDENCY`` skip the pass: their
-  hit mask is one vectorized membership test (:func:`_static_hits`).
+  nothing else touches it, so the hit mask of a flat cache is one
+  ``cache.access_many`` call over the key stream in arrival order; it
+  equals one ``cache.access`` per key, and policies batch it (LRU in one
+  loop, the perfect cache as one vectorized membership test).
+  Non-degenerate cache trees keep one ``access`` per request, because
+  they also record ``cache.last_hit`` (layer, shard) per hit for the
+  monitor and the trace.
 - **Node state.**  The chaos schedule is replayed once through
   :class:`~repro.chaos.schedule.NodeStateTracker` to get per-node change
   times.  ``is_up(node, t)`` is the state after every event with
@@ -124,14 +126,6 @@ class _Retry(NamedTuple):
     key: int
 
 
-def _static_hits(cache, keys: np.ndarray) -> np.ndarray:
-    """Vectorized hit mask against a static cache's resident set."""
-    if cache.capacity == 0 or len(cache) == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    resident = np.fromiter(cache.keys(), dtype=np.int64)
-    return np.isin(keys, resident)
-
-
 def _cache_pass(cache, keys: np.ndarray, layered: bool):
     """``(hit_mask, paths)``: front-end outcome per arrival, in order.
 
@@ -139,15 +133,9 @@ def _cache_pass(cache, keys: np.ndarray, layered: bool):
     non-degenerate tree (``None`` on a miss); ``paths`` is ``None`` for
     flat caches.
     """
-    if getattr(cache, "STATIC_RESIDENCY", False):
-        hit_mask = _static_hits(cache, keys)
-        hits = int(hit_mask.sum())
-        cache.stats.hits += hits
-        cache.stats.misses += keys.size - hits
-        return hit_mask, None
-    access = cache.access
     if not layered:
-        return np.fromiter(map(access, keys.tolist()), dtype=bool, count=keys.size), None
+        return cache.access_many(keys), None
+    access = cache.access
     paths: List[Optional[Tuple[int, int]]] = []
     hits = []
     for key in keys.tolist():

@@ -126,7 +126,7 @@ def _record_campaign_metrics(
             len(vectors) * int(x) * int(c)
         )
     histogram = registry.histogram("trial_normalized_max", campaign=label)
-    histogram.observe_many(normalized.tolist())
+    histogram.observe_many(normalized)
     node_totals = np.zeros_like(vectors[0].loads, dtype=float)
     for vector in vectors:
         node_totals += vector.loads

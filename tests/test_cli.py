@@ -375,7 +375,7 @@ class TestTreeCLI:
                      str(yaml_specs / "tree-vs-flat.yaml")]) == 0
         out = capsys.readouterr().out
         worst = {
-            ("tree" if "'tree'" in line else "flat"): float(
+            ("tree" if "cache=tree" in line else "flat"): float(
                 line.rsplit("worst_case=", 1)[1]
             )
             for line in out.splitlines()
@@ -390,6 +390,10 @@ class TestTreeCLI:
         serial = capsys.readouterr().out
         # Only a cache tree's monitor panel carries the per-layer lines.
         assert serial.count("per-layer shard load") == 1
-        assert serial.count("  trial layer ") == 4
+        # One row per trial and layer, labelled with the run's trial.
+        rows = [line.split(" (", 1)[0] for line in serial.splitlines()
+                if line.startswith("  trial ") and " layer " in line]
+        assert rows == ["  trial 0 layer 0", "  trial 0 layer 1",
+                        "  trial 1 layer 0", "  trial 1 layer 1"]
         assert main(args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial

@@ -221,13 +221,13 @@ class TestFallbackIdentity:
         assert results[0].failure_events > 0
 
     def test_supports_gate(self, monkeypatch):
-        """The kernel's one remaining gate: static caches skip the access
-        pass (a vectorized membership test), every other cache takes it
-        once per request."""
+        """The kernel reaches a flat cache through ``access_many`` only:
+        the perfect cache's is one vectorized membership test, and a
+        subclass overriding ``access`` alone still sees every request."""
         from repro.cache.perfect import PerfectCache
 
         def refuse(self, key):
-            raise AssertionError("static caches take the vectorized path")
+            raise AssertionError("a flat perfect cache takes the vectorized path")
 
         monkeypatch.setattr(PerfectCache, "access", refuse)
         sim = EventDrivenSimulator(_params(), UniformDistribution(500), seed=1)

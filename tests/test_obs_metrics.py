@@ -172,6 +172,96 @@ class TestHistogram:
         assert exact / 2 - 1e-12 <= estimate <= exact * 2 + 1e-12
 
 
+def _histogram_state(histogram):
+    """Everything ``observe`` touches; ``repr`` tells ``-0.0`` from ``0.0``
+    and lets NaN equal NaN."""
+    return repr(
+        (histogram.counts, histogram.sum, histogram.count, histogram.min, histogram.max)
+    )
+
+
+def _random_batch(rng):
+    size = int(rng.integers(0, 400))
+    kind = rng.integers(0, 4)
+    if kind == 0:  # latency-like
+        batch = rng.lognormal(-6.0, 3.0, size)
+    elif kind == 1:  # signed, wide
+        batch = rng.normal(0.0, 10.0 ** rng.integers(-3, 6), size)
+    elif kind == 2:  # bucket bounds, their neighbours and signed zeros
+        picks = list(DEFAULT_BUCKETS) + [0.0, -0.0]
+        batch = rng.choice(picks, size) * rng.choice([1.0, 1.0 + 2**-52, 1.0 - 2**-53], size)
+    else:  # integers
+        batch = rng.integers(-5, 5000, size).astype(float)
+    if size and rng.random() < 0.2:
+        batch[rng.integers(0, size, 2)] = rng.choice([np.inf, -np.inf], 2)
+    return batch
+
+
+class TestObserveManyDifferential:
+    """The vectorized ``observe_many`` against ``observe`` per value."""
+
+    @pytest.mark.parametrize("seed", range(210))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        bounds = None if seed % 3 else (0.0, 1.0, 2.5, 10.0, np.inf)
+        batched, looped = Histogram("h", bounds=bounds), Histogram("h", bounds=bounds)
+        for _ in range(int(rng.integers(1, 4))):
+            batch = _random_batch(rng)
+            batched.observe_many(batch if seed % 2 else batch.tolist())
+            for value in batch.tolist():
+                looped.observe(value)
+            assert _histogram_state(batched) == _histogram_state(looped)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.0],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            list(DEFAULT_BUCKETS),
+            [math.inf, -math.inf],
+            [math.inf, 1.0, math.inf, -math.inf],
+            [1e308, 1e308, -1e308],
+            [5, 7, 2],
+        ],
+        ids=[
+            "empty", "single", "neg-zero-first", "pos-zero-first", "on-bounds",
+            "infs", "inf-sum-nan", "overflow", "ints",
+        ],
+    )
+    def test_edge_batches(self, values):
+        batched, looped = Histogram("h"), Histogram("h")
+        batched.observe(1.0)
+        looped.observe(1.0)
+        batched.observe_many(values)
+        for value in values:
+            looped.observe(value)
+        assert _histogram_state(batched) == _histogram_state(looped)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
+    def test_nan_batches_take_the_loop(self, first):
+        values = [math.nan, 0.5, 300.0] if first else [0.5, math.nan, 300.0]
+        for warm in (False, True):
+            batched, looped = Histogram("h"), Histogram("h")
+            if warm:
+                batched.observe(2.0)
+                looped.observe(2.0)
+            batched.observe_many(np.array(values))
+            for value in values:
+                looped.observe(value)
+            assert _histogram_state(batched) == _histogram_state(looped)
+        # bisect_left puts NaN in bucket 0, where searchsorted would not.
+        assert batched.counts[0] == 1
+
+    def test_generator_input(self):
+        batched, looped = Histogram("h"), Histogram("h")
+        batched.observe_many(v / 7 for v in range(50))
+        for v in range(50):
+            looped.observe(v / 7)
+        assert _histogram_state(batched) == _histogram_state(looped)
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()

@@ -293,6 +293,21 @@ class TestCampaignValidation:
         assert kinds == {"uniform"}
         assert [s.workload.params["s"] for s in spec.expand()] == [1.0, 1.2]
 
+    def test_component_values_are_named_by_kind(self):
+        spec = CampaignSpec.from_dict(self._campaign(sweep={"workload": [
+            "uniform",
+            {"kind": "zipf", "s": 1.0},
+            {"kind": "zipf", "s": 1.2},
+            {"kind": "uniform"},
+            {"kind": "subset-flood", "x": 20},
+        ], "system.d": [2, 3]}))
+        # A kind alone when unique on the axis, kind@position when shared
+        # (with a bare string too); scalar labels are unchanged.
+        labels = ["uniform", "zipf@1", "zipf@2", "uniform@3", "subset-flood"]
+        assert [s.name for s in spec.expand()] == [
+            f"camp/system.d={d}/workload={label}" for d in (2, 3) for label in labels
+        ]
+
     def test_loads_spec_dispatches_on_version_key(self):
         scenario = loads_spec(
             '{"scenario": 1, "name": "s", '

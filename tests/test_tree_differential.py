@@ -12,10 +12,11 @@ is what lets tree scenarios reuse every flat-path golden and bound
 without a tolerance.
 
 Layered trees run through the kernel against the oracle too.  The suite
-also pins the static-residency seam: a tree of perfect caches is
-per-shard static, but its probe accounting and hit attribution are per
-layer, so it must not declare ``STATIC_RESIDENCY`` — the kernel would
-otherwise precompute hits against the union resident set.
+also pins the batching seam: a tree of perfect caches is per-shard
+static, but its probe accounting and hit attribution are per layer, so
+the kernel replays it one ``access`` per request and never reaches a
+shard's vectorized ``PerfectCache.access_many`` — that would precompute
+hits against the union resident set.
 """
 
 import functools
@@ -272,24 +273,37 @@ class TestLayeredIdentity:
 
 
 class TestSupportsGate:
-    """The static-residency gate: which caches skip the access pass.
+    """Which caches the kernel batches through ``access_many``.
 
     A tree of perfect caches is per-shard static, but it must take the
-    kernel's sequential access pass, because its probe accounting and
+    kernel's per-request access pass, because its probe accounting and
     hit attribution are per layer.
     """
 
-    def test_perfect_tree_is_static_but_unsupported(self):
-        tree = _perfect_tree()
-        assert all(shard.STATIC_RESIDENCY for layer in tree.layers for shard in layer)
-        assert tree.HIERARCHICAL is True
-        assert tree.STATIC_RESIDENCY is False
+    @staticmethod
+    def _refuse(self, *args):
+        raise AssertionError("this path must not be taken")
 
-    def test_flat_perfect_cache_still_supported(self):
+    def test_perfect_tree_is_static_but_unsupported(self, monkeypatch):
+        monkeypatch.setattr(PerfectCache, "access_many", self._refuse)
+        tree = _perfect_tree()
+        sim = EventDrivenSimulator(
+            _params(), AdversarialDistribution(500, 11), cache=tree, seed=1,
+        )
+        result = sim.run(1000)
+        assert tree.HIERARCHICAL is True
+        assert tree.stats.accesses == 1000
+        assert tree.stats.hits == result.frontend_hits > 0
+
+    def test_flat_perfect_cache_still_supported(self, monkeypatch):
+        monkeypatch.setattr(PerfectCache, "access", self._refuse)
         sim = EventDrivenSimulator(
             _params(), AdversarialDistribution(500, 11), seed=1,
         )
-        assert sim.cache.STATIC_RESIDENCY is True
+        result = sim.run(1000)
+        assert isinstance(sim.cache, PerfectCache)
+        assert sim.cache.stats.accesses == 1000
+        assert sim.cache.stats.hits == result.frontend_hits > 0
 
     def test_fast_engine_runs_legacy_for_perfect_tree(self):
         """A perfect tree in the kernel equals the oracle, per layer too."""
