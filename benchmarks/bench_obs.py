@@ -100,6 +100,14 @@ def _min_of(repeats, fn):
     return best_result, best_seconds
 
 
+def _add_overheads(rows: dict) -> dict:
+    """Each mode's wall time as a percentage over the ``off`` row."""
+    off = rows["off"]["wall_seconds"]
+    for mode in rows:
+        rows[mode]["overhead_pct"] = 100.0 * (rows[mode]["wall_seconds"] / off - 1.0)
+    return rows
+
+
 def run_monte_carlo_bench(spec) -> dict:
     params = SystemParameters(**spec["params"])
     rows, baseline = {}, None
@@ -120,109 +128,38 @@ def run_monte_carlo_bench(spec) -> dict:
             "wall_seconds": seconds,
             "identical_to_off": bool((series == baseline).all()),
         }
-    off = rows["off"]["wall_seconds"]
-    for mode in rows:
-        rows[mode]["overhead_pct"] = 100.0 * (rows[mode]["wall_seconds"] / off - 1.0)
     return {
         "config": {**spec["params"], "x": spec["x"], "trials": spec["trials"],
                    "seed": SEED},
-        "modes": rows,
+        "modes": _add_overheads(rows),
     }
 
 
-def run_eventsim_bench(spec) -> dict:
+def run_replay_bench(spec, modes, context_of, record_sampled=False) -> dict:
+    """One event-driven replay per mode, differing only in its context.
+
+    ``modes`` is one of :data:`MODES`, :data:`MONITOR_MODES` or
+    :data:`TRACE_MODES`; ``context_of(*factories)`` builds the replay's
+    :class:`RunContext` from a row's factories.  ``record_sampled`` adds
+    each mode's flight-recorder sample count (from its last repeat).
+    """
     params = SystemParameters(**spec["params"])
     rows, baseline = {}, None
-    for mode, metrics_factory, tracer_factory in MODES:
-
-        def replay():
-            sim = EventDrivenSimulator(
-                params,
-                UniformDistribution(params.m),
-                cache=LRUCache(params.c),
-                seed=SEED,
-                context=RunContext(
-                    metrics=metrics_factory(), spans=tracer_factory()
-                ),
-            )
-            return sim.run(spec["n_queries"])
-
-        outcome, seconds = _min_of(spec["repeats"], replay)
-        if baseline is None:
-            baseline = outcome
-        rows[mode] = {
-            "wall_seconds": seconds,
-            "identical_to_off": bool(
-                outcome.normalized_max == baseline.normalized_max
-                and (outcome.served == baseline.served).all()
-                and outcome.cache_hit_rate == baseline.cache_hit_rate
-            ),
-        }
-    off = rows["off"]["wall_seconds"]
-    for mode in rows:
-        rows[mode]["overhead_pct"] = 100.0 * (rows[mode]["wall_seconds"] / off - 1.0)
-    return {
-        "config": {**spec["params"], "n_queries": spec["n_queries"], "seed": SEED},
-        "modes": rows,
-    }
-
-
-def run_monitor_bench(spec) -> dict:
-    """Null vs live online monitor on the event-driven request path."""
-    params = SystemParameters(**spec["params"])
-    rows, baseline = {}, None
-    for mode, monitor_factory in MONITOR_MODES:
-
-        def replay():
-            sim = EventDrivenSimulator(
-                params,
-                UniformDistribution(params.m),
-                cache=LRUCache(params.c),
-                seed=SEED,
-                context=RunContext(monitor=monitor_factory()),
-            )
-            return sim.run(spec["n_queries"])
-
-        outcome, seconds = _min_of(spec["repeats"], replay)
-        if baseline is None:
-            baseline = outcome
-        rows[mode] = {
-            "wall_seconds": seconds,
-            "identical_to_off": bool(
-                outcome.normalized_max == baseline.normalized_max
-                and (outcome.served == baseline.served).all()
-                and outcome.cache_hit_rate == baseline.cache_hit_rate
-            ),
-        }
-    off = rows["off"]["wall_seconds"]
-    for mode in rows:
-        rows[mode]["overhead_pct"] = 100.0 * (rows[mode]["wall_seconds"] / off - 1.0)
-    return {
-        "config": {**spec["params"], "n_queries": spec["n_queries"], "seed": SEED},
-        "modes": rows,
-    }
-
-
-def run_trace_bench(spec) -> dict:
-    """Off vs sampled vs full flight recorder on the request path."""
-    params = SystemParameters(**spec["params"])
-    rows, baseline = {}, None
-    for mode, trace_factory in TRACE_MODES:
+    for mode, *factories in modes:
         sampled = 0
 
         def replay():
             nonlocal sampled
-            recorder = trace_factory()
+            context = context_of(*factories)
             sim = EventDrivenSimulator(
                 params,
                 UniformDistribution(params.m),
                 cache=LRUCache(params.c),
                 seed=SEED,
-                context=RunContext(trace=recorder),
+                context=context,
             )
             outcome = sim.run(spec["n_queries"])
-            if recorder is not None:
-                sampled = recorder.sampled
+            sampled = context.trace.sampled
             return outcome
 
         outcome, seconds = _min_of(spec["repeats"], replay)
@@ -230,19 +167,17 @@ def run_trace_bench(spec) -> dict:
             baseline = outcome
         rows[mode] = {
             "wall_seconds": seconds,
-            "sampled": sampled,
             "identical_to_off": bool(
                 outcome.normalized_max == baseline.normalized_max
                 and (outcome.served == baseline.served).all()
                 and outcome.cache_hit_rate == baseline.cache_hit_rate
             ),
         }
-    off = rows["off"]["wall_seconds"]
-    for mode in rows:
-        rows[mode]["overhead_pct"] = 100.0 * (rows[mode]["wall_seconds"] / off - 1.0)
+        if record_sampled:
+            rows[mode]["sampled"] = sampled
     return {
         "config": {**spec["params"], "n_queries": spec["n_queries"], "seed": SEED},
-        "modes": rows,
+        "modes": _add_overheads(rows),
     }
 
 
@@ -252,9 +187,17 @@ def _run() -> dict:
         "smoke": smoke_mode(),
         "repeats": spec["repeats"],
         "monte_carlo": run_monte_carlo_bench(spec),
-        "eventsim": run_eventsim_bench(spec),
-        "monitor": run_monitor_bench(spec),
-        "trace": run_trace_bench(spec),
+        "eventsim": run_replay_bench(
+            spec, MODES,
+            lambda metrics, spans: RunContext(metrics=metrics(), spans=spans()),
+        ),
+        "monitor": run_replay_bench(
+            spec, MONITOR_MODES, lambda monitor: RunContext(monitor=monitor())
+        ),
+        "trace": run_replay_bench(
+            spec, TRACE_MODES, lambda trace: RunContext(trace=trace()),
+            record_sampled=True,
+        ),
     }
 
 
@@ -308,7 +251,8 @@ def _workload(payload: dict):
     modes = len(MODES)
     # eventsim + monitor + trace sections each replay every mode.
     events = 3 * modes * repeats * ev["n_queries"]
-    balls = modes * repeats * mc["trials"] * mc["x"]
+    # One ball per uncached key per Monte-Carlo trial.
+    balls = modes * repeats * mc["trials"] * max(mc["x"] - mc["c"], 0)
     return {"events": events, "balls": balls}
 
 

@@ -113,7 +113,12 @@ def _check(payload: dict) -> None:
 
 def _workload(payload: dict):
     campaign = payload["campaign"]["config"]
-    balls = campaign["x"] * campaign["trials"] * len(payload["campaign"]["results"])
+    # One ball per uncached key per trial, at every worker count.
+    balls = (
+        max(campaign["x"] - campaign["c"], 0)
+        * campaign["trials"]
+        * len(payload["campaign"]["results"])
+    )
     return {"balls": balls}
 
 

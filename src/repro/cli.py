@@ -369,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="performance observability: bench harness, history, regression gate",
+        help="performance observability: the bench harness",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     perf_run = perf_sub.add_parser(
         "run",
-        help="run registered benchmarks and append manifests to history; "
-        "exits 1 when any bench's check fails",
+        help="run registered benchmarks and write one record per bench "
+        "under benchmarks/results/; exits 1 when any bench's check fails",
     )
     perf_run.add_argument(
         "--smoke", action="store_true",
@@ -389,65 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_run.add_argument(
         "--list", action="store_true", help="list registered benches and exit"
-    )
-    perf_run.add_argument(
-        "--history", type=str, default=None, metavar="PATH",
-        help="history JSONL file (default: benchmarks/results/history.jsonl)",
-    )
-    perf_run.add_argument(
-        "--trajectory-dir", type=str, default=None, metavar="DIR",
-        help="where BENCH_<name>.json trajectories go (default: repo root)",
-    )
-    perf_run.add_argument(
-        "--no-history", action="store_true",
-        help="run and emit artifacts without touching history/trajectories",
-    )
-
-    perf_compare = perf_sub.add_parser(
-        "compare", help="regression verdicts over the perf history"
-    )
-    perf_compare.add_argument(
-        "--history", type=str, default=None, metavar="PATH",
-        help="history JSONL file (default: benchmarks/results/history.jsonl)",
-    )
-    perf_compare.add_argument(
-        "--baseline", type=str, default=None, metavar="PATH",
-        help="baseline history file (e.g. the committed one); without it "
-        "the baseline is the preceding runs in --history",
-    )
-    perf_compare.add_argument(
-        "--k", type=int, default=None,
-        help="baseline window: median of up to k runs (default 5)",
-    )
-    perf_compare.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative slowdown threshold (default 0.15 = 15%%)",
-    )
-    perf_compare.add_argument(
-        "--noise-floor", type=float, default=None,
-        help="absolute slowdown threshold in seconds (default 0.05)",
-    )
-    perf_compare.add_argument(
-        "--metric", type=str, default="engine_seconds",
-        choices=("engine_seconds", "export_seconds", "wall_seconds"),
-        help="timing field to compare (default: engine_seconds)",
-    )
-    perf_compare.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit non-zero on regressions (default: warn only; schema "
-        "errors always fail)",
-    )
-
-    perf_report = perf_sub.add_parser(
-        "report", help="render the perf history as a standalone HTML page"
-    )
-    perf_report.add_argument(
-        "--history", type=str, default=None, metavar="PATH",
-        help="history JSONL file (default: benchmarks/results/history.jsonl)",
-    )
-    perf_report.add_argument(
-        "--out", type=str, default="perf_report.html", metavar="PATH",
-        help="output HTML path (default: perf_report.html)",
     )
 
     scen = sub.add_parser(
@@ -691,93 +632,26 @@ def _run_perf(args: argparse.Namespace) -> int:
     # Imported lazily: the perf package pulls in the bench harness and
     # is only needed for this subcommand.
     from .exceptions import ReproError
-    from .perf import compare as perf_compare
-    from .perf import harness, history
-    from .perf.report import write_report
-    from .perf.schema import PerfSchemaError
+    from .perf import harness
 
-    history_path = Path(args.history) if getattr(args, "history", None) else None
-
-    if args.perf_command == "run":
-        harness.discover()
-        if args.list:
-            for spec in harness.registered():
-                print(spec.name)
-            return 0
-        trajectory_dir = (
-            Path(args.trajectory_dir) if args.trajectory_dir else None
-        )
-        try:
-            results = harness.run_suite(
-                names=args.only,
-                smoke=args.smoke,
-                history_path=history_path,
-                trajectory_dir=trajectory_dir,
-                update_history=not args.no_history,
-            )
-        except ReproError as exc:
-            print(f"perf run: {exc}", file=sys.stderr)
-            return 1
-        failed = [r.spec.name for r in results if not r.ok]
-        mode = "smoke" if args.smoke else "full"
-        print(
-            f"perf run: {len(results)} bench(es) [{mode}]"
-            + (f", {len(failed)} check failure(s): {', '.join(failed)}" if failed else "")
-        )
-        # Manifests of failed checks are still appended (ok=false), so
-        # `perf compare` and the report show them too.
-        return 1 if failed else 0
-
-    if args.perf_command == "compare":
-        try:
-            manifests = history.load_history(history_path)
-            baseline = (
-                history.load_history(Path(args.baseline))
-                if args.baseline
-                else None
-            )
-            verdicts = perf_compare.compare_history(
-                manifests,
-                baseline_manifests=baseline,
-                k=args.k if args.k is not None else perf_compare.DEFAULT_K,
-                tolerance=(
-                    args.tolerance
-                    if args.tolerance is not None
-                    else perf_compare.DEFAULT_TOLERANCE
-                ),
-                noise_floor=(
-                    args.noise_floor
-                    if args.noise_floor is not None
-                    else perf_compare.DEFAULT_NOISE_FLOOR
-                ),
-                metric=args.metric,
-            )
-        except PerfSchemaError as exc:
-            print(f"perf compare: schema error: {exc}", file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"perf compare: {exc}", file=sys.stderr)
-            return 2
-        print(perf_compare.render_verdicts(verdicts))
-        regressions = [v for v in verdicts if v.is_regression]
-        if regressions and args.fail_on_regression:
-            return 1
+    harness.discover()
+    if args.list:
+        for spec in harness.registered():
+            print(spec.name)
         return 0
-
-    if args.perf_command == "report":
-        try:
-            manifests = history.load_history(history_path)
-        except PerfSchemaError as exc:
-            print(f"perf report: schema error: {exc}", file=sys.stderr)
-            return 2
-        out = Path(args.out)
-        write_report(manifests, out)
-        print(f"perf report: wrote {out} ({len(manifests)} run(s))")
-        return 0
-
-    raise AssertionError(
-        f"unhandled perf command {args.perf_command!r}"
-    )  # pragma: no cover
+    try:
+        results = harness.run_suite(names=args.only, smoke=args.smoke)
+    except ReproError as exc:
+        print(f"perf run: {exc}", file=sys.stderr)
+        return 1
+    failed = [r.spec.name for r in results if not r.ok]
+    mode = "smoke" if args.smoke else "full"
+    print(
+        f"perf run: {len(results)} bench(es) [{mode}]"
+        + (f", {len(failed)} check failure(s): {', '.join(failed)}" if failed else "")
+    )
+    # A failed check's record is still written, with `run.ok: false`.
+    return 1 if failed else 0
 
 
 def _run_scenario(args: argparse.Namespace) -> int:

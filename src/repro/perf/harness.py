@@ -1,4 +1,4 @@
-"""Unified benchmark harness: one registry, one manifest per run.
+"""Unified benchmark harness: one registry, one result record per bench.
 
 Every script under ``benchmarks/`` declares itself with
 :func:`register` — a name, a ``run()`` callable producing the payload
@@ -13,13 +13,13 @@ everything the scripts used to copy-paste:
   filenames as before* (``<name>.txt`` / ``<name>.json``, with the
   ``_smoke`` suffix in smoke mode so committed full-scale artifacts
   survive test runs);
-- profiling: the engine phase runs inside its own span, **separate**
-  from the export span, so recorded throughput never includes JSON
-  serialization or table rendering time, and never under
-  ``tracemalloc`` (a caller's tracing is paused around it);
-- the schema-versioned :class:`~repro.perf.schema.RunManifest` and its
-  append into ``benchmarks/results/history.jsonl`` plus the top-level
-  ``BENCH_<name>.json`` trajectories.
+- timing: the engine phase runs inside its own span, **separate**
+  from the export span, so recorded throughput never includes table
+  rendering or artifact writing time, and never under ``tracemalloc``
+  (a caller's tracing is paused around it);
+- the ``run`` block of the JSON record: ok/error, engine/export/wall
+  seconds, events/s and balls/s over engine seconds, the RSS peak,
+  span aggregates, op-counters, git SHA and host.
 
 A bench script defines its callables and registers them once;
 ``repro perf run`` is its only entry point, and exits non-zero when any
@@ -57,8 +57,9 @@ import numpy as np
 
 from ..exceptions import ReproError
 from ..obs.context import NULL_CONTEXT, RunContext
-from .profiler import Profiler
-from .schema import RunManifest, git_sha, peak_rss_bytes
+from ..obs.metrics import MetricsRegistry
+from ..obs.spans import Tracer
+from .schema import git_sha, host_info, peak_rss_bytes
 
 __all__ = [
     "BenchSpec",
@@ -86,9 +87,10 @@ BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 #: Global bench registry: name -> spec (insertion-ordered).
 _REGISTRY: Dict[str, "BenchSpec"] = {}
 
-#: The profiler of the currently executing bench (see
-#: :func:`active_context`); ``None`` outside :meth:`BenchSpec.execute`.
-_ACTIVE_PROFILER: Optional[Profiler] = None
+#: The run context of the currently executing bench (see
+#: :func:`active_context`); the null context outside
+#: :meth:`BenchSpec.execute`.
+_ACTIVE_CONTEXT: RunContext = NULL_CONTEXT
 
 
 def bench_dir() -> Path:
@@ -158,19 +160,15 @@ def emit_json(name: str, payload: dict, directory: Optional[Path] = None) -> Pat
 def active_context() -> RunContext:
     """The run context a bench hands its engine calls.
 
-    Inside :meth:`BenchSpec.execute` it records op-counters and layer
-    spans into the executing bench's profiler; outside a harness run it
-    is the null context.  Benches pass it as
-    ``context=`` (or its ``metrics`` to an allocation kernel) without
-    the harness threading the profiler through any signature.  A span
-    opened by an engine nests under the bench's ``<name>/engine`` span,
-    so the manifest carries paths such as
-    ``eventsim/engine/event-loop/kernel-queues/kernel-drain``.
+    Inside :meth:`BenchSpec.execute` it is the executing bench's own
+    context, a fresh registry for op-counters plus a span tracer;
+    outside a harness run it is the null context.  Benches pass it as
+    ``context=`` without the harness threading it through any
+    signature.  A span opened by an engine nests under the bench's
+    ``<name>/engine`` span, so the record's ``run`` block carries paths
+    such as ``eventsim/engine/event-loop/kernel-queues/kernel-drain``.
     """
-    profiler = _ACTIVE_PROFILER
-    if profiler is None:
-        return NULL_CONTEXT
-    return RunContext(metrics=profiler.metrics, spans=profiler.tracer)
+    return _ACTIVE_CONTEXT
 
 
 @contextmanager
@@ -179,7 +177,7 @@ def _untraced() -> Iterator[None]:
 
     Memory tracing costs a large constant factor per allocation, so a
     timing taken under it is not the program's.  Restarting resets the
-    traced peak; manifests report only the RSS high-water mark.
+    traced peak; records report only the RSS high-water mark.
     """
     if not tracemalloc.is_tracing():
         yield
@@ -211,50 +209,45 @@ def _payload_dict(payload: Any, smoke: bool) -> dict:
         raise ReproError(
             f"bench payload must be a dict, got {type(payload).__name__}"
         )
+    if "run" in payload:
+        raise ReproError("bench payload must not carry a 'run' key")
     record = dict(payload)
     record.setdefault("smoke", smoke)
     return record
 
 
-def _manifest_config(payload_dict: dict) -> dict:
-    """The manifest's config block: the payload's ``config`` if present."""
-    config = payload_dict.get("config")
-    return dict(config) if isinstance(config, dict) else {}
+def _op_counts(registry: MetricsRegistry) -> Dict[str, float]:
+    """Every counter as a flat ``{name{k=v,...}: value}`` mapping.
+
+    Deterministic: the engines merge per-trial registries in trial
+    order, so this mapping is identical for any worker count.
+    """
+    counts = {}
+    for counter in registry.counters():
+        labels = ",".join(f"{k}={v}" for k, v in counter.labels)
+        counts[f"{counter.name}{{{labels}}}" if labels else counter.name] = (
+            counter.value
+        )
+    return counts
 
 
-def _manifest_workers(payload_dict: dict) -> Optional[int]:
-    """Worker count from the payload config, when the bench records one."""
-    config = payload_dict.get("config")
-    if isinstance(config, dict):
-        workers = config.get("workers")
-        if isinstance(workers, int) and not isinstance(workers, bool):
-            return workers
-    return None
-
-
-def _manifest_engines(payload_dict: dict) -> Optional[Dict[str, dict]]:
-    """Per-engine breakdown from the payload, when the bench records one."""
-    engines = payload_dict.get("engines")
-    if isinstance(engines, dict):
-        cleaned = {
-            str(name): dict(stats)
-            for name, stats in engines.items()
-            if isinstance(stats, dict)
-        }
-        if cleaned:
-            return cleaned
-    return None
+def _per_second(units: Optional[int], seconds: float) -> Optional[float]:
+    """``units`` over engine seconds (``None`` without a workload)."""
+    if units is None or seconds <= 0:
+        return None
+    return units / seconds
 
 
 @dataclass
 class BenchResult:
-    """Outcome of one harness execution."""
+    """Outcome of one harness execution.
+
+    ``record`` is what ``results/<stem>.json`` holds: the payload with
+    its keys unchanged plus the ``run`` block.
+    """
 
     spec: "BenchSpec"
-    payload: Any
-    payload_dict: dict
-    rendered: str
-    manifest: RunManifest
+    record: dict
     ok: bool
     error: Optional[str] = None
 
@@ -266,8 +259,7 @@ class BenchSpec:
     Parameters
     ----------
     name:
-        Artifact stem: writes ``results/<name>.txt`` (and ``.json``),
-        appears as ``bench`` in manifests and as ``BENCH_<name>.json``.
+        Artifact stem: writes ``results/<name>.txt`` (and ``.json``).
     run:
         Zero-argument callable producing the payload dict.  Reads
         :func:`smoke_mode` itself where a seconds-scale variant exists.
@@ -275,13 +267,13 @@ class BenchSpec:
         ``payload -> str`` table renderer.
     check:
         ``payload -> None`` asserting the bench's invariants
-        (plain ``assert`` statements); a failure marks the manifest
-        ``ok=False`` instead of crashing the suite.
+        (plain ``assert`` statements); a failure marks the record
+        ``ok: false`` instead of crashing the suite.
     workload:
         ``payload -> {"events": int | None, "balls": int | None}`` —
         units the *engine* phase processed, for throughput reporting.
     seed:
-        Root seed recorded in the manifest.
+        Root seed recorded in the ``run`` block.
     """
 
     name: str
@@ -295,40 +287,42 @@ class BenchSpec:
     def execute(
         self,
         smoke: Optional[bool] = None,
-        profiler: Optional[Profiler] = None,
+        clock: Callable[[], float] = time.perf_counter,
         directory: Optional[Path] = None,
         quiet: bool = False,
     ) -> BenchResult:
-        """Run the bench once under the profiler and build its manifest.
+        """Run the bench once and write its table and JSON record.
 
         The engine phase (``run()``) executes inside the
         ``<name>/engine`` span, with ``tracemalloc`` off; rendering and
-        artifact serialization execute inside the sibling
-        ``<name>/export`` span.  Manifest
-        throughput divides workload units by the *engine* span only —
-        export time is structurally excluded, and
-        ``tests/test_perf_harness.py`` pins that with an injected clock.
+        the table write execute inside the sibling ``<name>/export``
+        span.  The JSON record, whose ``run`` block carries those spans'
+        durations, is written once they close.  Throughput divides
+        workload units by the *engine* span only — export time is
+        structurally excluded, and ``tests/test_perf_harness.py`` pins
+        that with an injected ``clock``.
         """
-        global _ACTIVE_PROFILER
+        global _ACTIVE_CONTEXT
         smoke = smoke_mode() if smoke is None else bool(smoke)
-        profiler = profiler if profiler is not None else Profiler()
+        context = RunContext(metrics=MetricsRegistry(), spans=Tracer(clock=clock))
+        spans = context.spans
+        stem = f"{self.name}_smoke" if smoke else self.name
         ok, error = True, None
-        previous_profiler = _ACTIVE_PROFILER
-        _ACTIVE_PROFILER = profiler
+        previous_context = _ACTIVE_CONTEXT
+        _ACTIVE_CONTEXT = context
         try:
             with _smoke_env(smoke), _untraced():
-                with profiler.span(self.name) as outer:
-                    with profiler.span("engine") as engine:
+                with spans.span(self.name) as outer:
+                    with spans.span("engine") as engine:
                         payload = self.run()
                     if self.check is not None:
                         try:
                             self.check(payload)
                         except AssertionError as exc:
                             ok, error = False, str(exc) or "check failed"
-                    payload_dict = _payload_dict(payload, smoke)
-                    with profiler.span("export") as export:
+                    record = _payload_dict(payload, smoke)
+                    with spans.span("export") as export:
                         rendered = self.render(payload)
-                        stem = f"{self.name}_smoke" if smoke else self.name
                         if quiet:
                             target = Path(directory) if directory else results_dir()
                             target.mkdir(parents=True, exist_ok=True)
@@ -337,39 +331,30 @@ class BenchSpec:
                             )
                         else:
                             emit(stem, rendered, directory=directory)
-                        emit_json(stem, payload_dict, directory=directory)
         finally:
-            _ACTIVE_PROFILER = previous_profiler
+            _ACTIVE_CONTEXT = previous_context
         workload = self.workload(payload) if self.workload is not None else {}
-        snapshot = profiler.snapshot()
-        manifest = RunManifest(
-            bench=self.name,
-            smoke=smoke,
-            ok=ok,
-            engine_seconds=float(engine.duration or 0.0),
-            export_seconds=float(export.duration or 0.0),
-            wall_seconds=float(outer.duration or 0.0),
-            config=_manifest_config(payload_dict),
-            seed=self.seed,
-            workers=_manifest_workers(payload_dict),
-            git_sha=git_sha(cwd=bench_dir().parent),
-            events=workload.get("events"),
-            balls=workload.get("balls"),
-            engines=_manifest_engines(payload_dict),
-            ops=snapshot["ops"],
-            spans=snapshot["spans"],
-            rss_peak_bytes=peak_rss_bytes(),
-            error=error,
-        )
-        return BenchResult(
-            spec=self,
-            payload=payload,
-            payload_dict=payload_dict,
-            rendered=rendered,
-            manifest=manifest,
-            ok=ok,
-            error=error,
-        )
+        engine_seconds = float(engine.duration or 0.0)
+        events, balls = workload.get("events"), workload.get("balls")
+        record["run"] = {
+            "ok": ok,
+            "error": error,
+            "seed": self.seed,
+            "engine_seconds": engine_seconds,
+            "export_seconds": float(export.duration or 0.0),
+            "wall_seconds": float(outer.duration or 0.0),
+            "events": events,
+            "balls": balls,
+            "events_per_second": _per_second(events, engine_seconds),
+            "balls_per_second": _per_second(balls, engine_seconds),
+            "rss_peak_bytes": peak_rss_bytes(),
+            "spans": spans.aggregates(),
+            "ops": _op_counts(context.metrics),
+            "git_sha": git_sha(cwd=bench_dir().parent),
+            "host": host_info(),
+        }
+        emit_json(stem, record, directory=directory)
+        return BenchResult(spec=self, record=record, ok=ok, error=error)
 
 
 def register(
@@ -449,34 +434,19 @@ def run_suite(
     names: Optional[Sequence[str]] = None,
     smoke: bool = True,
     directory: Optional[Path] = None,
-    history_path: Optional[Path] = None,
-    trajectory_dir: Optional[Path] = None,
-    update_history: bool = True,
     quiet: bool = False,
 ) -> List[BenchResult]:
-    """Run a set of registered benches, append history, write trajectories.
+    """Run a set of registered benches (all of them by default).
 
-    Each bench gets a fresh :class:`Profiler` so its manifest carries
-    only its own ops/spans.  History and the top-level
-    ``BENCH_<name>.json`` trajectory files update once at the end (and
-    only when ``update_history``; ``perf run --no-history`` skips them).
+    Each bench gets a fresh run context, so its ``run`` block carries
+    only its own op-counters and spans.
     """
-    from .history import append_manifests, default_history_path, load_history
-    from .history import write_trajectories
-
     if not _REGISTRY:
         discover()
     specs = (
         [get_spec(name) for name in names] if names else registered()
     )
-    results = [
+    return [
         spec.execute(smoke=smoke, directory=directory, quiet=quiet)
         for spec in specs
     ]
-    if update_history and results:
-        history_path = (
-            Path(history_path) if history_path else default_history_path()
-        )
-        append_manifests([r.manifest for r in results], history_path)
-        write_trajectories(load_history(history_path), trajectory_dir)
-    return results

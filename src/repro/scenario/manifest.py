@@ -1,10 +1,10 @@
 """Schema-versioned provenance manifests for campaign runs.
 
-Mirrors :mod:`repro.perf.schema`: every campaign execution produces one
-manifest dict — what ran (the campaign spec and each expanded
-scenario), what came out (the engines' plain-data stats), and where
-(git SHA, host, timestamp) — validated by a hard-failing checker so
-downstream tooling never grinds on records it does not understand.
+Every campaign execution produces one manifest dict — what ran (the
+campaign spec and each expanded scenario), what came out (the engines'
+plain-data stats), and where (git SHA, host, timestamp) — validated by
+a hard-failing checker so downstream tooling never grinds on records it
+does not understand.
 
 Provenance fields are genuinely run-specific, so determinism tests and
 the serial-vs-parallel identity gate compare :func:`deterministic_view`
@@ -79,9 +79,7 @@ def validate_campaign_manifest(record: object) -> dict:
     """Check a manifest dict against the schema; returns it on success.
 
     Raises :class:`~repro.exceptions.ScenarioValidationError` on any
-    violation — unknown schema version, missing field, wrong type —
-    exactly like :func:`repro.perf.schema.validate_manifest` does for
-    bench manifests.
+    violation — unknown schema version, missing field, wrong type.
     """
     if not isinstance(record, dict):
         raise ScenarioValidationError(

@@ -8,8 +8,7 @@ a sweep grid — dotted paths mapped to value lists — that expands into
 the cross product of concrete scenarios.
 
 Both formats carry an explicit schema version (``scenario: 1`` /
-``campaign: 1``) and hard-fail on drift, mirroring
-:mod:`repro.perf.schema`.  Every validation error is a
+``campaign: 1``) and hard-fail on drift.  Every validation error is a
 :class:`~repro.exceptions.ScenarioValidationError` whose message starts
 with the dotted path of the offending field, so a typo in a 40-line
 YAML file points at ``sweep.cache.kind[2]``, not a stack trace.

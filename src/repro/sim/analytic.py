@@ -244,7 +244,7 @@ def simulate_uniform_attack(
     ``context`` (a :class:`repro.obs.RunContext`) carries the worker
     count and the instruments; the campaign runner records its
     deterministic aggregates in the parent, so attaching a registry
-    (e.g. a perf profiler's) never changes the report.
+    (e.g. a bench's) never changes the report.
     """
     sim = MonteCarloSimulator(
         SimulationConfig(

@@ -114,16 +114,17 @@ def _record_campaign_metrics(
     count cannot influence any value.  Per-node load counters sum the
     offered load each node saw across trials — the per-node series the
     paper's Theorem 1 bounds.  When the metadata carries the attack
-    shape (``x`` keys replicated ``c`` ways), the campaign's total
-    balls thrown (``trials * x * c``) lands in a counter so the perf
-    profiler can report balls/sec without re-deriving the workload.
+    shape (``x`` attacked keys, ``c`` of them cached), each trial places
+    one ball per uncached key, so the campaign's total balls
+    (``trials * max(x - c, 0)``) lands in a counter and a bench can
+    report balls/sec without re-deriving the workload.
     """
     registry.counter("campaign_trials_total", campaign=label).inc(len(vectors))
     meta = metadata or {}
     x, c = meta.get("x"), meta.get("c")
     if isinstance(x, (int, np.integer)) and isinstance(c, (int, np.integer)):
         registry.counter("campaign_balls_total", campaign=label).inc(
-            len(vectors) * int(x) * int(c)
+            len(vectors) * max(int(x) - int(c), 0)
         )
     histogram = registry.histogram("trial_normalized_max", campaign=label)
     histogram.observe_many(normalized)

@@ -1,13 +1,12 @@
 """Smoke-run the perf benches with hard invariants inside the tier-1 budget.
 
 ``repro perf run --smoke`` shrinks each bench to a seconds-scale
-configuration and redirects its JSON to ``*_smoke.json``, so these tests
-never clobber committed full-scale artifacts (``--no-history`` leaves
-the committed history alone too).  The point here is not performance
-numbers — it is that every bench runs end to end through its one entry
-point, exits zero, and that its hard invariants (determinism, engine
-agreement, observability non-interference) hold on whatever machine
-executes the suite.
+configuration and redirects its record to ``*_smoke.json``, so these
+tests never clobber committed full-scale artifacts.  The point here is
+not performance numbers — it is that every bench runs end to end
+through its one entry point, exits zero, and that its hard invariants
+(determinism, engine agreement, observability non-interference) hold on
+whatever machine executes the suite.
 """
 
 import json
@@ -30,7 +29,7 @@ def _run_smoke(name: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [
             sys.executable, "-m", "repro", "perf", "run",
-            "--smoke", "--no-history", "--only", name,
+            "--smoke", "--only", name,
         ],
         cwd=str(REPO),
         env=env,

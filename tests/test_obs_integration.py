@@ -29,7 +29,7 @@ from repro.obs import (
     export_json,
     to_prometheus,
 )
-from repro.sim.analytic import MonteCarloSimulator
+from repro.sim.analytic import MonteCarloSimulator, simulate_uniform_attack
 from repro.sim.batch import run_event_campaign
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
@@ -173,6 +173,22 @@ class TestWorkerInvariance:
         misses = by_name[("cache_misses_total", (("policy", "lru"),))]
         requests = by_name[("requests_total", ())]
         assert hits + misses == requests == 2 * 1500
+
+
+class TestCampaignBallCounter:
+    """A trial places one ball per uncached attacked key."""
+
+    @pytest.mark.parametrize("x, balls", [(300, 4 * 250), (50, 0), (30, 0)])
+    def test_balls_total_counts_uncached_keys(self, x, balls):
+        registry = MetricsRegistry()
+        simulate_uniform_attack(
+            SystemParameters(n=100, m=5000, c=50, d=3, rate=1e5), x,
+            trials=4, seed=3, context=RunContext(metrics=registry),
+        )
+        by_name = {(c.name, c.labels): c.value for c in registry.counters()}
+        campaign = (("campaign", f"uniform-attack-x{x}"),)
+        assert by_name[("campaign_balls_total", campaign)] == balls
+        assert by_name[("campaign_trials_total", campaign)] == 4
 
 
 class TestFigureExportSurface:

@@ -1,8 +1,8 @@
 """Harness contract: span separation, artifacts, registry, run_suite.
 
-The load-bearing test here pins the ISSUE 5 fix with an injected clock:
+The load-bearing test here pins the span split with an injected clock:
 ``engine_seconds`` covers only ``run()``, the export span covers
-rendering + JSON serialization, and manifest throughput divides by
+rendering and the table write, and the record's throughput divides by
 engine time — export cost can never inflate reported throughput.
 """
 
@@ -14,8 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.exceptions import ReproError
-from repro.obs import NULL_CONTEXT
-from repro.perf import Profiler
+from repro.obs import NULL_CONTEXT, MetricsRegistry, Tracer
 from repro.perf.harness import (
     SMOKE_ENV,
     BenchSpec,
@@ -26,7 +25,6 @@ from repro.perf.harness import (
     smoke_mode,
 )
 from repro.perf import harness
-from repro.perf.history import load_history
 
 
 class TickClock:
@@ -66,16 +64,15 @@ class TestSpanSeparation:
         """With a +1.0-per-call clock the span arithmetic is exact:
         outer open (0), engine open (1) / close (2), export open (3) /
         close (4), outer close (5)."""
-        profiler = Profiler(clock=TickClock())
         result = make_spec().execute(
-            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
+            smoke=True, clock=TickClock(), directory=tmp_path, quiet=True
         )
-        manifest = result.manifest
-        assert manifest.engine_seconds == 1.0
-        assert manifest.export_seconds == 1.0
-        assert manifest.wall_seconds == 5.0
+        run = result.record["run"]
+        assert run["engine_seconds"] == 1.0
+        assert run["export_seconds"] == 1.0
+        assert run["wall_seconds"] == 5.0
         # Throughput divides by engine time only — never wall time.
-        assert manifest.events_per_second == 100.0
+        assert run["events_per_second"] == 100.0
 
     def test_expensive_render_cannot_inflate_throughput(self, tmp_path):
         """A render that burns two extra clock ticks lands entirely in
@@ -87,21 +84,20 @@ class TestSpanSeparation:
             clock()
             return "table"
 
-        profiler = Profiler(clock=clock)
         result = make_spec(render=slow_render).execute(
-            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
+            smoke=True, clock=clock, directory=tmp_path, quiet=True
         )
-        assert result.manifest.engine_seconds == 1.0
-        assert result.manifest.export_seconds == 3.0
-        assert result.manifest.events_per_second == 100.0
+        run = result.record["run"]
+        assert run["engine_seconds"] == 1.0
+        assert run["export_seconds"] == 3.0
+        assert run["events_per_second"] == 100.0
 
     def test_span_paths_recorded(self, tmp_path):
-        profiler = Profiler(clock=TickClock())
         result = make_spec(name="paths").execute(
-            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
+            smoke=True, clock=TickClock(), directory=tmp_path, quiet=True
         )
         assert {"paths", "paths/engine", "paths/export"} <= set(
-            result.manifest.spans
+            result.record["run"]["spans"]
         )
 
 
@@ -142,21 +138,30 @@ class TestExecute:
         assert seen == {"env": "1", "mode": True}
         assert os.environ.get(SMOKE_ENV) == previous
 
-    def test_active_context_records_into_the_profiler(self, tmp_path):
+    def test_active_context_records_into_the_run_block(self, tmp_path):
         seen = {}
 
         def run():
-            seen["context"] = active_context()
+            context = active_context()
+            seen["context"] = context
+            context.metrics.counter("ops_total", kind="get").inc(2)
+            context.metrics.counter("balls_total").inc(7)
+            with context.spans.span("layer"):
+                pass
             return {"config": {}}
 
-        profiler = Profiler()
-        make_spec(run=run, workload=None).execute(
-            smoke=True, profiler=profiler, directory=tmp_path, quiet=True
+        result = make_spec(run=run, workload=None).execute(
+            smoke=True, directory=tmp_path, quiet=True
         )
-        assert seen["context"].metrics is profiler.metrics
-        assert seen["context"].spans is profiler.tracer
-        assert not seen["context"].monitor.enabled
+        context = seen["context"]
+        assert type(context.metrics) is MetricsRegistry
+        assert type(context.spans) is Tracer
+        assert not context.monitor.enabled
+        assert not context.trace.enabled
         assert active_context() is NULL_CONTEXT
+        run_block = result.record["run"]
+        assert run_block["ops"] == {"balls_total": 7, "ops_total{kind=get}": 2}
+        assert "demo/engine/layer" in run_block["spans"]
 
     def test_check_failure_marks_not_ok_without_raising(self, tmp_path):
         def check(payload):
@@ -166,28 +171,35 @@ class TestExecute:
             smoke=True, directory=tmp_path, quiet=True
         )
         assert not result.ok
-        assert not result.manifest.ok
+        assert result.record["run"]["ok"] is False
+        assert "value drifted" in result.record["run"]["error"]
         assert "value drifted" in result.error
 
-    def test_manifest_provenance_fields(self, tmp_path):
+    def test_record_is_the_payload_plus_run_block(self, tmp_path):
         result = make_spec().execute(
             smoke=True, directory=tmp_path, quiet=True
         )
-        manifest = result.manifest
-        assert manifest.bench == "demo"
-        assert manifest.seed == 11
-        assert manifest.config == {"n": 5}
-        assert manifest.events == 100
-        assert manifest.smoke is True
-
-    def test_workers_lifted_from_payload_config(self, tmp_path):
-        spec = make_spec(run=lambda: {"config": {"workers": 8}})
-        result = spec.execute(smoke=True, directory=tmp_path, quiet=True)
-        assert result.manifest.workers == 8
+        written = json.loads((tmp_path / "demo_smoke.json").read_text())
+        assert written == result.record
+        assert set(written) == {"config", "value", "smoke", "run"}
+        assert written["config"] == {"n": 5}
+        run = written["run"]
+        assert run["ok"] is True and run["error"] is None
+        assert run["seed"] == 11
+        assert run["events"] == 100 and run["balls"] is None
+        assert run["balls_per_second"] is None
+        assert run["rss_peak_bytes"] is None or run["rss_peak_bytes"] > 0
+        assert set(run["host"]) == {"cpu_count", "python", "platform"}
+        assert "git_sha" in run
 
     def test_bad_payload_type_rejected(self, tmp_path):
         spec = make_spec(run=lambda: [1, 2], workload=None)
         with pytest.raises(ReproError, match="payload"):
+            spec.execute(smoke=True, directory=tmp_path, quiet=True)
+
+    def test_payload_run_key_rejected(self, tmp_path):
+        spec = make_spec(run=lambda: {"run": 1}, workload=None)
+        with pytest.raises(ReproError, match="'run'"):
             spec.execute(smoke=True, directory=tmp_path, quiet=True)
 
 
@@ -221,57 +233,34 @@ class TestRegistry:
 
 
 class TestRunSuite:
-    def test_suite_appends_history_and_writes_trajectories(
-        self, clean_registry, tmp_path
-    ):
+    def test_suite_writes_one_record_per_bench(self, clean_registry, tmp_path):
         register(
             "one", run=lambda: {"config": {}}, render=repr,
             workload=lambda p: {"events": 10}, seed=1,
         )
         register("two", run=lambda: {"config": {}}, render=repr, seed=2)
-        history_path = tmp_path / "history.jsonl"
-        results = run_suite(
-            smoke=True, directory=tmp_path, history_path=history_path,
-            trajectory_dir=tmp_path, quiet=True,
-        )
+        results = run_suite(smoke=True, directory=tmp_path, quiet=True)
         assert [r.spec.name for r in results] == ["one", "two"]
-        manifests = load_history(history_path)
-        assert [m.bench for m in manifests] == ["one", "two"]
-        trajectory = json.loads((tmp_path / "BENCH_one.json").read_text())
-        assert trajectory["runs"] == 1
-        assert trajectory["latest"]["ok"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "one_smoke.json", "one_smoke.txt", "two_smoke.json", "two_smoke.txt",
+        ]
+        record = json.loads((tmp_path / "one_smoke.json").read_text())
+        assert record["run"]["ok"] is True
+        assert record["run"]["events"] == 10
 
-    def test_second_run_extends_trajectory(self, clean_registry, tmp_path):
-        register("one", run=lambda: {"config": {}}, render=repr)
-        history_path = tmp_path / "history.jsonl"
+    def test_second_run_overwrites_the_record(self, clean_registry, tmp_path):
+        values = iter([1, 2])
+        register("one", run=lambda: {"value": next(values)}, render=repr)
         for _ in range(2):
-            run_suite(
-                smoke=True, directory=tmp_path, history_path=history_path,
-                trajectory_dir=tmp_path, quiet=True,
-            )
-        trajectory = json.loads((tmp_path / "BENCH_one.json").read_text())
-        assert trajectory["runs"] == 2
-        assert len(trajectory["trajectory"]) == 2
-
-    def test_no_history_mode_leaves_store_untouched(
-        self, clean_registry, tmp_path
-    ):
-        register("one", run=lambda: {"config": {}}, render=repr)
-        history_path = tmp_path / "history.jsonl"
-        run_suite(
-            smoke=True, directory=tmp_path, history_path=history_path,
-            trajectory_dir=tmp_path, update_history=False, quiet=True,
-        )
-        assert not history_path.exists()
-        assert not (tmp_path / "BENCH_one.json").exists()
+            run_suite(smoke=True, directory=tmp_path, quiet=True)
+        record = json.loads((tmp_path / "one_smoke.json").read_text())
+        assert record["value"] == 2
 
     def test_named_subset(self, clean_registry, tmp_path):
         register("one", run=lambda: {"config": {}}, render=repr)
         register("two", run=lambda: {"config": {}}, render=repr)
         results = run_suite(
-            names=["two"], smoke=True, directory=tmp_path,
-            history_path=tmp_path / "h.jsonl", trajectory_dir=tmp_path,
-            quiet=True,
+            names=["two"], smoke=True, directory=tmp_path, quiet=True,
         )
         assert [r.spec.name for r in results] == ["two"]
 
@@ -280,15 +269,11 @@ class TestRunSuite:
             raise AssertionError("broken claim")
 
         register("flaky", run=lambda: {"config": {}}, render=repr, check=check)
-        results = run_suite(
-            smoke=True, directory=tmp_path,
-            history_path=tmp_path / "h.jsonl", trajectory_dir=tmp_path,
-            quiet=True,
-        )
+        results = run_suite(smoke=True, directory=tmp_path, quiet=True)
         assert not results[0].ok
-        manifests = load_history(tmp_path / "h.jsonl")
-        assert manifests[0].ok is False
-        assert "broken claim" in manifests[0].error
+        record = json.loads((tmp_path / "flaky_smoke.json").read_text())
+        assert record["run"]["ok"] is False
+        assert "broken claim" in record["run"]["error"]
 
 
 class TestUntracedTiming:
@@ -304,8 +289,6 @@ class TestUntracedTiming:
             smoke=True, directory=tmp_path, quiet=True
         )
         assert result.ok
-        assert result.manifest.tracemalloc_peak_bytes is None
-        assert result.manifest.to_dict()["memory"]["tracemalloc_peak_bytes"] is None
 
     def test_callers_tracing_is_paused_and_restored(self, tmp_path):
         tracemalloc.start()
@@ -319,7 +302,7 @@ class TestUntracedTiming:
 
 
 class TestBenchLayerSpans:
-    def test_eventsim_smoke_manifest_carries_kernel_spans(
+    def test_eventsim_smoke_record_carries_kernel_spans(
         self, clean_registry, tmp_path
     ):
         # A fresh module object, so the bench registers into the clean
@@ -332,6 +315,6 @@ class TestBenchLayerSpans:
         module_spec.loader.exec_module(module)
         result = module.SPEC.execute(smoke=True, directory=tmp_path, quiet=True)
         assert result.ok
-        spans = result.manifest.spans
+        spans = result.record["run"]["spans"]
         assert "eventsim/engine/event-loop/kernel-queues/kernel-drain" in spans
         assert "eventsim/engine/event-loop/kernel-resolve/kernel-route" in spans

@@ -1,143 +1,47 @@
-"""Manifest schema: round-trip, validation, throughput semantics."""
+"""Run provenance and the throughput semantics of a bench record's ``run`` block."""
 
-import json
-
-import pytest
-
-from repro.perf.schema import (
-    SCHEMA_VERSION,
-    PerfSchemaError,
-    RunManifest,
-    git_sha,
-    host_info,
-    peak_rss_bytes,
-    validate_manifest,
-)
+from repro.perf.harness import BenchSpec
+from repro.perf.schema import git_sha, host_info, peak_rss_bytes
 
 
-def make_manifest(**overrides) -> RunManifest:
-    base = dict(
-        bench="demo",
-        smoke=True,
-        ok=True,
-        engine_seconds=2.0,
-        export_seconds=0.5,
-        wall_seconds=2.6,
-        config={"n": 50, "workers": 4},
-        seed=123,
-        workers=4,
-        git_sha="a" * 40,
-        events=1000,
-        balls=4000,
-        ops={"campaign_balls_total{campaign=uniform}": 4000.0},
-        spans={"demo/engine": {"count": 1, "total_seconds": 2.0}},
-        tracemalloc_peak_bytes=1024,
-        rss_peak_bytes=2048,
+def run_block(tmp_path, times, workload):
+    """Execute a bench on a clock reading ``times``; return its ``run`` block.
+
+    The harness reads the clock six times: outer open, engine open and
+    close, export open and close, outer close.
+    """
+    clock = iter(times).__next__
+    spec = BenchSpec(
+        name="demo", run=lambda: {"value": 1}, render=repr, workload=workload
     )
-    base.update(overrides)
-    return RunManifest(**base)
-
-
-class TestRoundTrip:
-    def test_to_dict_passes_validator(self):
-        assert validate_manifest(make_manifest().to_dict())
-
-    def test_from_dict_recovers_every_field(self):
-        original = make_manifest()
-        restored = RunManifest.from_dict(original.to_dict())
-        assert restored == original
-
-    def test_json_line_round_trips(self):
-        original = make_manifest()
-        restored = RunManifest.from_dict(json.loads(original.to_json_line()))
-        assert restored == original
-
-    def test_json_line_rejects_nan(self):
-        with pytest.raises(ValueError):
-            make_manifest(engine_seconds=float("nan")).to_json_line()
-
-    def test_schema_version_stamped(self):
-        assert make_manifest().to_dict()["schema"] == SCHEMA_VERSION
+    return spec.execute(
+        smoke=True, clock=clock, directory=tmp_path, quiet=True
+    ).record["run"]
 
 
 class TestThroughput:
-    def test_divides_by_engine_time_not_wall(self):
-        m = make_manifest(engine_seconds=2.0, wall_seconds=10.0, events=1000)
-        assert m.events_per_second == 500.0
-        assert m.balls_per_second == 2000.0
+    def test_divides_by_engine_time_not_wall(self, tmp_path):
+        run = run_block(
+            tmp_path, [0.0, 0.0, 2.0, 2.0, 10.0, 10.0],
+            lambda p: {"events": 1000, "balls": 4000},
+        )
+        assert run["engine_seconds"] == 2.0
+        assert run["wall_seconds"] == 10.0
+        assert run["events_per_second"] == 500.0
+        assert run["balls_per_second"] == 2000.0
 
-    def test_none_without_workload(self):
-        m = make_manifest(events=None, balls=None)
-        assert m.events_per_second is None
-        assert m.balls_per_second is None
+    def test_none_without_workload(self, tmp_path):
+        run = run_block(tmp_path, [0.0, 0.0, 2.0, 2.0, 3.0, 3.0], None)
+        assert run["events"] is None and run["balls"] is None
+        assert run["events_per_second"] is None
+        assert run["balls_per_second"] is None
 
-    def test_none_with_zero_engine_time(self):
-        m = make_manifest(engine_seconds=0.0)
-        assert m.events_per_second is None
-        assert m.balls_per_second is None
-
-
-class TestValidation:
-    def test_non_dict_rejected(self):
-        with pytest.raises(PerfSchemaError, match="must be a dict"):
-            validate_manifest([1, 2, 3])
-
-    def test_unknown_schema_version_rejected(self):
-        record = make_manifest().to_dict()
-        record["schema"] = SCHEMA_VERSION + 1
-        with pytest.raises(PerfSchemaError, match="unsupported manifest schema"):
-            validate_manifest(record)
-
-    @pytest.mark.parametrize(
-        "missing",
-        ["bench", "smoke", "ok", "timestamp", "timings", "throughput",
-         "ops", "spans", "memory", "host", "config"],
-    )
-    def test_missing_field_rejected(self, missing):
-        record = make_manifest().to_dict()
-        del record[missing]
-        with pytest.raises(PerfSchemaError, match=missing):
-            validate_manifest(record)
-
-    def test_bool_does_not_satisfy_numeric_field(self):
-        record = make_manifest().to_dict()
-        record["timestamp"] = True
-        with pytest.raises(PerfSchemaError, match="timestamp"):
-            validate_manifest(record)
-
-    def test_int_does_not_satisfy_flag_field(self):
-        record = make_manifest().to_dict()
-        record["smoke"] = 1
-        with pytest.raises(PerfSchemaError, match="smoke"):
-            validate_manifest(record)
-
-    def test_empty_bench_rejected(self):
-        record = make_manifest(bench="x").to_dict()
-        record["bench"] = ""
-        with pytest.raises(PerfSchemaError, match="non-empty"):
-            validate_manifest(record)
-
-    def test_negative_timing_rejected(self):
-        record = make_manifest().to_dict()
-        record["timings"]["engine_seconds"] = -1.0
-        with pytest.raises(PerfSchemaError, match="engine_seconds"):
-            validate_manifest(record)
-
-    def test_non_numeric_timing_rejected(self):
-        record = make_manifest().to_dict()
-        record["timings"]["wall_seconds"] = "fast"
-        with pytest.raises(PerfSchemaError, match="wall_seconds"):
-            validate_manifest(record)
-
-    def test_missing_timing_rejected(self):
-        record = make_manifest().to_dict()
-        del record["timings"]["export_seconds"]
-        with pytest.raises(PerfSchemaError, match="export_seconds"):
-            validate_manifest(record)
-
-    def test_from_dict_validates(self):
-        with pytest.raises(PerfSchemaError):
-            RunManifest.from_dict({"schema": SCHEMA_VERSION})
+    def test_none_with_zero_engine_time(self, tmp_path):
+        run = run_block(
+            tmp_path, [0.0] * 6, lambda p: {"events": 1000, "balls": 4000}
+        )
+        assert run["events_per_second"] is None
+        assert run["balls_per_second"] is None
 
 
 class TestProvenance:

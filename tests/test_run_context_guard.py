@@ -1,9 +1,9 @@
 """Regrowth guard: instruments travel in one ``RunContext``, not as kwargs.
 
-Outside ``repro.obs`` (which defines the instruments) and ``repro.perf``
-(which profiles them), no function under ``src/repro`` may declare a
-``metrics``, ``tracer``, ``spans``, ``monitor``, ``trace`` or
-``profiler`` parameter: layers take one ``context=`` instead.  The only
+Outside ``repro.obs``, which defines the instruments, no function under
+``src/repro`` may declare a ``metrics``, ``tracer``, ``spans``,
+``monitor``, ``trace`` or ``profiler`` parameter: layers take one
+``context=`` instead.  The only
 exceptions are the leaf recorders listed below, which publish into a
 registry they are handed and pass it nowhere.
 """
@@ -20,7 +20,7 @@ SRC = Path(repro.__file__).parent
 INSTRUMENT_PARAMS = {"metrics", "tracer", "spans", "monitor", "trace", "profiler"}
 
 #: Packages that own the instruments themselves.
-EXEMPT_PACKAGES = ("obs", "perf")
+EXEMPT_PACKAGES = ("obs",)
 
 #: Leaf recorders: (module path under src/repro, function name).
 LEAF_RECORDERS = {
@@ -44,7 +44,7 @@ def _functions():
                 yield module, node.name, names
 
 
-def test_no_instrument_parameters_outside_obs_and_perf():
+def test_no_instrument_parameters_outside_obs():
     offenders = [
         f"{module}:{name}({', '.join(sorted(INSTRUMENT_PARAMS & set(params)))})"
         for module, name, params in _functions()
@@ -53,7 +53,7 @@ def test_no_instrument_parameters_outside_obs_and_perf():
         and (module, name) not in LEAF_RECORDERS
     ]
     assert offenders == [], (
-        "instrument parameters threaded outside repro.obs/repro.perf; take a "
+        "instrument parameters threaded outside repro.obs; take a "
         f"single context= (repro.obs.RunContext) instead: {offenders}"
     )
 

@@ -4,8 +4,7 @@ Property tests (hypothesis) pin the serialisation contract — a spec
 survives ``to_dict``/``from_dict`` and YAML/JSON text round trips
 unchanged — and the failure contract: unknown keys, bad enum values and
 type errors raise :class:`ScenarioValidationError` whose ``path``
-names the offending field, and schema-version drift hard-fails exactly
-like :mod:`repro.perf.schema`.
+names the offending field, and schema-version drift hard-fails.
 """
 
 import dataclasses
