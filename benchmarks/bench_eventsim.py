@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
 from repro.perf.harness import active_context, register, smoke_mode, timed
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -69,8 +69,9 @@ def _sweep():
     params = SystemParameters(**spec["params"])
     events = spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
     analytic_mean = [
-        simulate_uniform_attack(
-            params, x, trials=spec["analytic_trials"], seed=SEED
+        simulate_distribution(
+            params, AdversarialDistribution(params.m, x),
+            trials=spec["analytic_trials"], seed=SEED,
         ).mean
         for x in spec["x_values"]
     ]

@@ -5,7 +5,7 @@ default-off configuration costs nothing measurable and that attaching a
 registry never changes a result.  This bench quantifies both claims on
 the two engines:
 
-- **monte-carlo**: the uniform-attack campaign with (a) no instruments
+- **monte-carlo**: the x-key attack campaign with (a) no instruments
   in its run context (the default), (b) the shared null registry, (c) a
   live ``MetricsRegistry`` plus ``Tracer``.
 - **eventsim**: one request-level replay under the same three modes.
@@ -49,6 +49,7 @@ from repro.perf.harness import register, smoke_mode, timed
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
+from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 
 SEED = 20130708
@@ -118,7 +119,9 @@ def run_monte_carlo_bench(spec) -> dict:
                 SimulationConfig(params=params, trials=spec["trials"], seed=SEED),
                 RunContext(metrics=metrics_factory(), spans=tracer_factory()),
             )
-            return sim.uniform_attack(spec["x"])
+            return sim.distribution_attack(
+                AdversarialDistribution(params.m, spec["x"])
+            )
 
         report, seconds = _min_of(spec["repeats"], campaign)
         series = report.normalized_max_per_trial

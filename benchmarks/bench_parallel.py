@@ -1,6 +1,6 @@
 """Serial-vs-parallel campaign speedup.
 
-The same Monte-Carlo uniform-attack campaign run at several worker
+The same Monte-Carlo x-key attack campaign run at several worker
 counts, written to ``benchmarks/results/parallel.json``.  Per worker
 count: wall-seconds, trials/s, speedup over the serial run and — the
 part that actually matters — whether the per-trial results are
@@ -19,7 +19,8 @@ from dataclasses import replace
 
 from repro.core.notation import SystemParameters
 from repro.perf.harness import active_context, register, smoke_mode, timed
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
+from repro.workload.adversarial import AdversarialDistribution
 
 SEED = 20130708
 
@@ -49,8 +50,9 @@ def run_campaign_bench() -> dict:
     serial_series = None
     for workers in spec["workers"]:
         report, seconds = timed(
-            simulate_uniform_attack,
-            params, x, trials=trials, seed=SEED,
+            simulate_distribution,
+            params, AdversarialDistribution(params.m, x), trials=trials,
+            seed=SEED,
             context=replace(context, workers=workers),
         )
         if serial_seconds is None:

@@ -47,9 +47,7 @@ from .sim import (
     EventDrivenSimulator,
     MonteCarloSimulator,
     SimulationConfig,
-    best_achievable_gain,
     simulate_distribution,
-    simulate_uniform_attack,
 )
 from .obs import MetricsRegistry, RunContext, Tracer
 from .chaos import ChaosConfig, FailureSchedule, RetryPolicy
@@ -74,9 +72,7 @@ __all__ = [
     "SimulationConfig",
     "MonteCarloSimulator",
     "EventDrivenSimulator",
-    "simulate_uniform_attack",
     "simulate_distribution",
-    "best_achievable_gain",
     "RunContext",
     "MetricsRegistry",
     "Tracer",

@@ -10,7 +10,9 @@ Two panels on the paper's 1000-node, d=3 system:
   best move is to query everything and still lose.
 
 Each sweep point reports the paper's statistic: the max over ``trials``
-runs of the per-run maximum node load, normalized by ``R/n``.
+runs of the per-run maximum node load, normalized by ``R/n``.  Every
+point is its own campaign, at a seed derived from the root seed
+(:mod:`repro.experiments.sweep`).
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 from ..analysis.tightness import bound_tightness
 from ..core.bounds import DEFAULT_CALIBRATED_K_PRIME, normalized_max_load_bound
 from ..obs.context import NULL_CONTEXT, RunContext
-from ..sim.analytic import MonteCarloSimulator
-from ..sim.config import SimulationConfig
+from ..sim.parallel import resolve_seed
 from .params import PAPER, PaperParams
 from .report import ExperimentResult
+from .sweep import attack_point
 
 __all__ = ["run_fig3", "run_fig3a", "run_fig3b", "default_x_grid"]
 
@@ -69,17 +71,13 @@ def run_fig3(
     trials = paper.trials if trials is None else trials
     if x_values is None:
         x_values = default_x_grid(cache_size, paper.m)
-    sim = MonteCarloSimulator(
-        SimulationConfig(
-            params=params, trials=trials, seed=seed, selection=selection,
-            chaos=chaos,
-        ),
-        context,
-    )
+    root = resolve_seed(seed)
     xs, sim_max, sim_mean, bounds_paper, bounds_calib = [], [], [], [], []
     with context.spans.span(name):
         for x in x_values:
-            report = sim.uniform_attack(int(x))
+            report = attack_point(
+                params, int(x), root, trials, selection, chaos, context
+            )
             xs.append(int(x))
             sim_max.append(report.worst_case)
             sim_mean.append(report.mean)

@@ -13,12 +13,7 @@ Two complementary engines drive every experiment:
 """
 
 from .config import SimulationConfig
-from .analytic import (
-    MonteCarloSimulator,
-    best_achievable_gain,
-    simulate_distribution,
-    simulate_uniform_attack,
-)
+from .analytic import MonteCarloSimulator, simulate_distribution
 from .parallel import ParallelExecutor, resolve_workers
 from .runner import run_trials
 from .eventsim import EventDrivenSimulator, EventSimResult
@@ -29,9 +24,7 @@ __all__ = [
     "run_event_campaign",
     "SimulationConfig",
     "MonteCarloSimulator",
-    "simulate_uniform_attack",
     "simulate_distribution",
-    "best_achievable_gain",
     "ParallelExecutor",
     "resolve_workers",
     "run_trials",

@@ -6,16 +6,18 @@ all at the same rate; the ``c`` most popular hit the front-end cache, so
 random nodes and the key is served by one group member; record the load
 of the most loaded node.  Repeat 200 times and report the max.
 
-:func:`simulate_uniform_attack` implements exactly that.
-:func:`simulate_distribution` generalises it to any popularity law
-(needed for the uniform and Zipf(1.01) series of Figure 4), with the
-perfect front-end cache absorbing the distribution's true top-``c``.
+:meth:`MonteCarloSimulator.distribution_attack` runs that campaign
+for any popularity law: the paper's x-key attack is an
+:class:`~repro.workload.adversarial.AdversarialDistribution`, and Figure
+4's uniform and Zipf(1.01) series are the others.  The perfect
+front-end cache absorbs the distribution's true top-``c``.
+:func:`simulate_distribution` is its one-call form.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,16 +28,12 @@ from ..core.notation import SystemParameters
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
+from ..workload.adversarial import AdversarialDistribution
 from ..workload.distributions import KeyDistribution
 from .config import SimulationConfig
 from .runner import run_trials
 
-__all__ = [
-    "MonteCarloSimulator",
-    "simulate_uniform_attack",
-    "simulate_distribution",
-    "best_achievable_gain",
-]
+__all__ = ["MonteCarloSimulator", "simulate_distribution"]
 
 
 class MonteCarloSimulator:
@@ -140,27 +138,17 @@ class MonteCarloSimulator:
             context=self._context,
         )
 
-    # -- the paper's experiment -------------------------------------------
-
-    def uniform_attack(self, x: int) -> LoadReport:
-        """Multi-trial x-key uniform attack; the unit of Figs. 3 and 5."""
-        params = self._config.params
-        if not 1 <= x <= params.m:
-            raise ConfigurationError(f"need 1 <= x <= m={params.m}, got x={x}")
-        with self._context.spans.span("workload"):
-            # The paper's "queried at the same rate": every uncached key
-            # carries exactly R/x.
-            rates = np.full(max(x - params.c, 0), params.rate / x)
-        return self._campaign(rates, f"uniform-attack-x{x}", {"x": x})
-
-    # -- arbitrary popularity laws (Figure 4) ------------------------------
+    # -- the campaign -------------------------------------------------------
 
     def distribution_attack(self, distribution: KeyDistribution) -> LoadReport:
-        """Multi-trial run of an arbitrary access pattern.
+        """Multi-trial run of an access pattern; the unit of Figs. 3–5.
 
         The perfect front end absorbs the distribution's true top-``c``
         keys; every other positive-rate key becomes a ball with its
-        steady-state rate as weight.
+        steady-state rate as weight.  An
+        :class:`~repro.workload.adversarial.AdversarialDistribution`
+        also records its attack width ``x`` in the report metadata, so
+        the monitor tracks the per-``x`` Theorem-2 bound.
         """
         params = self._config.params
         if distribution.m != params.m:
@@ -173,35 +161,12 @@ class MonteCarloSimulator:
             uncached_mask = probs > 0
             uncached_mask[cached] = False
             rates = probs[uncached_mask] * params.rate
+        metadata = {"distribution": distribution.name}
+        if isinstance(distribution, AdversarialDistribution):
+            metadata["x"] = distribution.x
         return self._campaign(
-            rates,
-            f"distribution-{distribution.name}",
-            {"distribution": distribution.name},
+            rates, f"distribution-{distribution.name}", metadata
         )
-
-    # -- the adversary's endpoint choice (Figure 5) -------------------------
-
-    def best_achievable(self) -> Tuple[float, int, LoadReport]:
-        """Best worst-case gain over the two candidate attacks.
-
-        Per the case analysis the optimum is an endpoint: ``x = c + 1``
-        or ``x = m``.  Returns ``(gain, x, report)`` for the better one,
-        mirroring how the paper's Figure 5 search works ("either
-        querying a number of keys that is one more than the cache size
-        or querying all keys").
-        """
-        params = self._config.params
-        candidates = []
-        small = min(params.c + 1, params.m)
-        candidates.append(small)
-        if params.m != small:
-            candidates.append(params.m)
-        best: Optional[Tuple[float, int, LoadReport]] = None
-        for x in candidates:
-            report = self.uniform_attack(x)
-            if best is None or report.worst_case > best[0]:
-                best = (report.worst_case, x, report)
-        return best
 
 
 def _param_meta(params: SystemParameters) -> dict:
@@ -231,33 +196,6 @@ def _trial_task(
     return sim.distribution_trial(rates, gen)
 
 
-def simulate_uniform_attack(
-    params: SystemParameters,
-    x: int,
-    trials: int = 200,
-    seed: Optional[int] = None,
-    selection: str = "least-loaded",
-    context: RunContext = NULL_CONTEXT,
-) -> LoadReport:
-    """One-call version of the paper's x-key attack experiment.
-
-    ``context`` (a :class:`repro.obs.RunContext`) carries the worker
-    count and the instruments; the campaign runner records its
-    deterministic aggregates in the parent, so attaching a registry
-    (e.g. a bench's) never changes the report.
-    """
-    sim = MonteCarloSimulator(
-        SimulationConfig(
-            params=params,
-            trials=trials,
-            seed=seed,
-            selection=selection,
-        ),
-        context,
-    )
-    return sim.uniform_attack(x)
-
-
 def simulate_distribution(
     params: SystemParameters,
     distribution: KeyDistribution,
@@ -266,7 +204,13 @@ def simulate_distribution(
     selection: str = "least-loaded",
     context: RunContext = NULL_CONTEXT,
 ) -> LoadReport:
-    """One-call version of the arbitrary-pattern experiment (Figure 4)."""
+    """One-call version of :meth:`MonteCarloSimulator.distribution_attack`.
+
+    ``context`` (a :class:`repro.obs.RunContext`) carries the worker
+    count and the instruments; the campaign runner records its
+    deterministic aggregates in the parent, so attaching a registry
+    (e.g. a bench's) never changes the report.
+    """
     sim = MonteCarloSimulator(
         SimulationConfig(
             params=params, trials=trials, seed=seed, selection=selection,
@@ -274,21 +218,3 @@ def simulate_distribution(
         context,
     )
     return sim.distribution_attack(distribution)
-
-
-def best_achievable_gain(
-    params: SystemParameters,
-    trials: int = 200,
-    seed: Optional[int] = None,
-    selection: str = "least-loaded",
-    context: RunContext = NULL_CONTEXT,
-) -> Tuple[float, int]:
-    """Best worst-case gain and the ``x`` achieving it (Figure 5 unit)."""
-    sim = MonteCarloSimulator(
-        SimulationConfig(
-            params=params, trials=trials, seed=seed, selection=selection,
-        ),
-        context,
-    )
-    gain, x, _ = sim.best_achievable()
-    return gain, x

@@ -47,14 +47,16 @@ def run_trials(
         fans trials out (``1`` serial, ``0`` one per CPU); results are
         bit-identical for every value.  Its ``spans`` time the fan-out
         and the aggregation (this process only).  Its ``metrics`` get
-        per-trial normalized-max histograms and per-node load counters,
-        and each trial's load vector becomes one trial-clock window
-        record of its ``monitor``
+        the campaign's trial and ball counters and its per-trial
+        normalized-max histogram, and each trial's load vector becomes
+        one trial-clock window record of its ``monitor``
         (:meth:`~repro.obs.LoadMonitor.record_trial`) evaluated against
         the alert rules, with the Theorem-2 bound refreshed per call
         when the metadata carries an ``x`` (the attack sweeps do).  Both
-        record in the parent over the trial-ordered results, so they
-        are identical for every worker count.
+        name their series ``label``, or ``<label>-c<c>-x<x>`` when the
+        metadata carries the attack shape, and record in the parent over
+        the trial-ordered results, so they are identical for every
+        worker count.
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
@@ -77,20 +79,21 @@ def run_trials(
             normalized[t] = vector.normalized_max
         meta = dict(metadata or {})
         meta.setdefault("seed", seed)
+        x, c, d = (_as_int(meta.get(key)) for key in ("x", "c", "d"))
+        # Attack sweeps share one RNG label across their points, so the
+        # attack shape names each campaign's metric and monitor series.
+        if x is None or c is None:
+            series, balls = label, None
+        else:
+            series, balls = f"{label}-c{c}-x{x}", max(x - c, 0)
         if context.metrics.enabled:
-            _record_campaign_metrics(
-                context.metrics, label, vectors, normalized, meta
-            )
+            _record_campaign_metrics(context.metrics, series, normalized, balls)
         if monitor.enabled:
-            def _as_int(value):
-                return int(value) if isinstance(value, (int, np.integer)) else None
-
-            x, c, d = _as_int(meta.get("x")), _as_int(meta.get("c")), _as_int(meta.get("d"))
             eff = meta.get("effective_d")
             effective_d = float(eff) if isinstance(eff, (int, float, np.floating, np.integer)) else None
             for t, vector in enumerate(vectors):
                 monitor.record_trial(
-                    t, vector, campaign=label, x=x, c=c, d=d,
+                    t, vector, campaign=series, x=x, c=c, d=d,
                     effective_d=effective_d,
                 )
     return LoadReport(
@@ -101,36 +104,31 @@ def run_trials(
     )
 
 
+def _as_int(value) -> Optional[int]:
+    return int(value) if isinstance(value, (int, np.integer)) else None
+
+
 def _record_campaign_metrics(
     registry,
-    label: str,
-    vectors,
+    series: str,
     normalized: np.ndarray,
-    metadata: Optional[dict] = None,
+    balls_per_trial: Optional[int] = None,
 ) -> None:
-    """Record one campaign's deterministic aggregates.
+    """Record one campaign's deterministic aggregates under ``series``.
 
-    Runs in the parent over the trial-ordered result list, so worker
-    count cannot influence any value.  Per-node load counters sum the
-    offered load each node saw across trials — the per-node series the
-    paper's Theorem 1 bounds.  When the metadata carries the attack
+    Runs in the parent over the trial-ordered results, so worker count
+    cannot influence any value.  When the campaign knows its attack
     shape (``x`` attacked keys, ``c`` of them cached), each trial places
-    one ball per uncached key, so the campaign's total balls
-    (``trials * max(x - c, 0)``) lands in a counter and a bench can
-    report balls/sec without re-deriving the workload.
+    ``balls_per_trial = max(x - c, 0)`` balls, and the campaign's total
+    lands in a counter so a bench can report balls/sec without
+    re-deriving the workload.
     """
-    registry.counter("campaign_trials_total", campaign=label).inc(len(vectors))
-    meta = metadata or {}
-    x, c = meta.get("x"), meta.get("c")
-    if isinstance(x, (int, np.integer)) and isinstance(c, (int, np.integer)):
-        registry.counter("campaign_balls_total", campaign=label).inc(
-            len(vectors) * max(int(x) - int(c), 0)
+    trials = len(normalized)
+    registry.counter("campaign_trials_total", campaign=series).inc(trials)
+    if balls_per_trial is not None:
+        registry.counter("campaign_balls_total", campaign=series).inc(
+            trials * balls_per_trial
         )
-    histogram = registry.histogram("trial_normalized_max", campaign=label)
-    histogram.observe_many(normalized)
-    node_totals = np.zeros_like(vectors[0].loads, dtype=float)
-    for vector in vectors:
-        node_totals += vector.loads
-    for node, total in enumerate(node_totals.tolist()):
-        if total:
-            registry.counter("node_load_sum", node=str(node)).inc(total)
+    registry.histogram("trial_normalized_max", campaign=series).observe_many(
+        normalized
+    )

@@ -56,8 +56,8 @@ def find_critical_cache_size(
     ----------
     gain_at:
         Callable mapping a cache size to the *best achievable* attack
-        gain (e.g. a wrapper around
-        :func:`repro.sim.analytic.best_achievable_gain`).  Must be
+        gain (e.g. the ``best_gain`` column of a one-point
+        :func:`repro.experiments.fig5.run_fig5` sweep).  Must be
         (statistically) non-increasing in the cache size.
     lo, hi:
         Initial bracket; requires ``gain_at(lo) > 1.0 >= gain_at(hi)``.

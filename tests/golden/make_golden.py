@@ -13,8 +13,9 @@ them silently (tests/test_golden_regression.py compares at 1e-9):
   grids) plus the analytic critical cache sizes;
 - ``failures_expected.json`` — ``expected_unavailable_fraction`` over
   an (n, d, failed) grid;
-- ``fig3_small_sim.json`` — a seeded small-system Figure-3 simulation
-  curve (exercises the full sample -> partition -> allocate pipeline);
+- ``fig3_small_sim.json`` — a seeded small-system Figure-3 curve from
+  the figure driver (exercises the per-point seeds and the full
+  sample -> partition -> allocate pipeline);
 - ``eventsim_baseline.json`` — one seeded event-driven run with the
   online monitor attached and chaos *off*: the byte-level contract that
   fault injection must not perturb when disabled;
@@ -118,23 +119,21 @@ def failures_expected() -> dict:
 
 
 def fig3_small_sim() -> dict:
-    from repro.core.notation import SystemParameters
-    from repro.sim.analytic import simulate_uniform_attack
+    from repro.experiments.fig3 import run_fig3
+    from repro.experiments.params import PaperParams
 
-    params = SystemParameters(n=50, m=2000, c=25, d=3, rate=10_000.0)
     xs = [26, 50, 100, 400, 2000]
-    sim_max, sim_mean = [], []
-    for x in xs:
-        report = simulate_uniform_attack(params, x, trials=5, seed=20130708)
-        sim_max.append(report.worst_case)
-        sim_mean.append(report.mean)
+    result = run_fig3(
+        25, paper=PaperParams(n=50, m=2000, d=3, rate=10_000.0, trials=5),
+        x_values=xs, seed=20130708,
+    )
     return {
         "params": {"n": 50, "m": 2000, "c": 25, "d": 3, "rate": 10_000.0},
         "trials": 5,
         "seed": 20130708,
         "x": xs,
-        "sim_max": sim_max,
-        "sim_mean": sim_mean,
+        "sim_max": result.column("sim_max"),
+        "sim_mean": result.column("sim_mean"),
     }
 
 

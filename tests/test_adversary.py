@@ -99,12 +99,12 @@ class TestAdaptiveProbing:
     def test_matches_planner_against_simulator(self):
         """End to end: empirical probing against the real Monte-Carlo
         simulator agrees with the analytic planner's case choice."""
-        from repro.sim.analytic import simulate_uniform_attack
+        from repro.sim.analytic import simulate_distribution
 
         params = SystemParameters(n=50, m=2000, c=20, d=3, rate=1000.0)
 
         def feedback(dist):
-            return simulate_uniform_attack(params, dist.x, trials=5, seed=2).worst_case
+            return simulate_distribution(params, dist, trials=5, seed=2).worst_case
 
         adversary = AdaptiveProbingAdversary(params, feedback, probes=8)
         best = adversary.probe()

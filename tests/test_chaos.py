@@ -402,7 +402,9 @@ class TestMonteCarloChaos:
     def test_metadata_carries_effective_d(self):
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)  # f = 0.2
         cfg = SimulationConfig(params=_params(), trials=3, seed=5, chaos=chaos)
-        report = MonteCarloSimulator(cfg).uniform_attack(11)
+        report = MonteCarloSimulator(cfg).distribution_attack(
+            AdversarialDistribution(cfg.params.m, 11)
+        )
         assert report.metadata["failed_fraction"] == pytest.approx(0.2)
         assert report.metadata["effective_d"] == pytest.approx(2.4)
 
@@ -410,13 +412,13 @@ class TestMonteCarloChaos:
         params = _params(n=50, m=2000, c=25, rate=10_000.0)
         healthy = MonteCarloSimulator(
             SimulationConfig(params=params, trials=20, seed=9)
-        ).uniform_attack(2000)
+        ).distribution_attack(AdversarialDistribution(params.m, 2000))
         degraded = MonteCarloSimulator(
             SimulationConfig(
                 params=params, trials=20, seed=9,
                 chaos=ChaosConfig(failure_rate=1.0, mttr=1.0),  # f = 0.5
             )
-        ).uniform_attack(2000)
+        ).distribution_attack(AdversarialDistribution(params.m, 2000))
         assert degraded.mean > healthy.mean
 
     def test_monitor_window_gets_degraded_bound(self):
@@ -424,7 +426,9 @@ class TestMonteCarloChaos:
         monitor = LoadMonitor(MonitorConfig.from_params(params, x=11))
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)
         cfg = SimulationConfig(params=params, trials=3, seed=5, chaos=chaos)
-        MonteCarloSimulator(cfg, RunContext(monitor=monitor)).uniform_attack(11)
+        MonteCarloSimulator(cfg, RunContext(monitor=monitor)).distribution_attack(
+            AdversarialDistribution(cfg.params.m, 11)
+        )
         windows = [w for w in monitor.windows if "effective_d" in w]
         assert windows
         for w in windows:

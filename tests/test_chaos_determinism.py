@@ -98,7 +98,9 @@ class TestEventCampaignDeterminism:
 class TestMonteCarloDeterminism:
     def _report(self, workers: int):
         cfg = SimulationConfig(params=_params(), trials=8, seed=21, chaos=_chaos())
-        return MonteCarloSimulator(cfg, RunContext(workers=workers)).uniform_attack(11)
+        return MonteCarloSimulator(cfg, RunContext(workers=workers)).distribution_attack(
+            AdversarialDistribution(cfg.params.m, 11)
+        )
 
     def test_serial_matches_workers_4(self):
         serial = self._report(workers=1)
@@ -113,12 +115,12 @@ class TestMonteCarloDeterminism:
         # single ball on one node either way).
         healthy = MonteCarloSimulator(
             SimulationConfig(params=_params(), trials=8, seed=21)
-        ).uniform_attack(500)
+        ).distribution_attack(AdversarialDistribution(_params().m, 500))
         chaotic = MonteCarloSimulator(
             SimulationConfig(
                 params=_params(), trials=8, seed=21, chaos=_chaos(),
             )
-        ).uniform_attack(500)
+        ).distribution_attack(AdversarialDistribution(_params().m, 500))
         assert not np.array_equal(
             healthy.normalized_max_per_trial, chaotic.normalized_max_per_trial
         )

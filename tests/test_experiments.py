@@ -10,6 +10,11 @@ from repro.experiments.report import ExperimentResult, format_number, render_tab
 from repro.experiments.fig3 import default_x_grid, run_fig3, run_fig3a, run_fig3b
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5, run_fig5a, run_fig5b
+from repro.experiments.sweep import attack_point, point_seed
+from repro.obs import NULL_CONTEXT, RunContext
+from repro.sim import analytic
+from repro.sim.analytic import simulate_distribution
+from repro.workload.adversarial import AdversarialDistribution
 
 # A scaled-down PaperParams: same structure, minutes -> seconds.
 SMALL = PaperParams(
@@ -168,6 +173,59 @@ class TestFig5:
         result = run_fig5(paper=SMALL, cache_values=(20, 600), seed=1)
         joined = " ".join(result.notes)
         assert "critical point" in joined
+
+
+class TestSweepPoints:
+    """Every Fig. 3/5 point is its own campaign, at a seed derived from
+    the root seed, and reruns from the seed its report records."""
+
+    @staticmethod
+    def _rerun(c, x, seed):
+        return simulate_distribution(
+            SMALL.system(c=c), AdversarialDistribution(SMALL.m, x),
+            trials=SMALL.trials, seed=seed,
+        )
+
+    def test_report_records_the_point_seed(self):
+        report = attack_point(
+            SMALL.system(c=20), 300, 7, 2, "least-loaded", None, NULL_CONTEXT
+        )
+        assert report.metadata["seed"] == point_seed(7, 20, 300)
+        assert report.metadata["x"] == 300
+
+    def test_fig3_point_reruns_from_its_seed(self):
+        result = run_fig3a(paper=SMALL, x_values=[21, 300], seed=7)
+        rerun = self._rerun(20, 300, point_seed(7, 20, 300))
+        assert result.column("sim_max")[1] == rerun.worst_case
+        assert result.column("sim_mean")[1] == rerun.mean
+
+    def test_fig5_point_reruns_from_its_seed(self):
+        result = run_fig5(paper=SMALL, cache_values=[600], seed=7)
+        x = result.column("x_queried")[0]
+        rerun = self._rerun(600, x, point_seed(7, 600, x))
+        assert result.column("best_gain")[0] == rerun.worst_case
+
+    def test_fig3_panels_do_not_share_the_full_sweep_stream(self, monkeypatch):
+        # The generator state each campaign's first trial starts from.
+        starts = []
+        sample = analytic.sample_replica_groups
+
+        def spy(count, n, d, rng=None):
+            starts.append(rng.bit_generator.state["state"]["state"])
+            return sample(count, n, d, rng=rng)
+
+        monkeypatch.setattr(analytic, "sample_replica_groups", spy)
+        run_fig3a(paper=SMALL, x_values=[SMALL.m], trials=1, seed=3)
+        run_fig3b(paper=SMALL, x_values=[SMALL.m], trials=1, seed=3)
+        assert len(starts) == 2
+        assert starts[0] != starts[1]
+
+    def test_fig5_serial_matches_two_workers(self):
+        kwargs = dict(paper=SMALL, cache_values=(20, 600), trials=4, seed=9)
+        serial = run_fig5(**kwargs)
+        parallel = run_fig5(**kwargs, context=RunContext(workers=2))
+        assert serial.columns == parallel.columns
+        assert serial.notes == parallel.notes
 
 
 @pytest.mark.slow

@@ -17,12 +17,18 @@ from repro.core.bounds import normalized_max_load_bound
 from repro.core.cases import critical_cache_size, plan_best_attack
 from repro.core.notation import SystemParameters
 from repro.core.provisioning import recommend
-from repro.sim.analytic import (
-    best_achievable_gain,
-    simulate_distribution,
-    simulate_uniform_attack,
-)
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.params import PaperParams
+from repro.sim.analytic import simulate_distribution
 from repro.sim.eventsim import EventDrivenSimulator
+from repro.workload.adversarial import AdversarialDistribution
+
+
+def _best_gain(n: int, m: int, c: int, d: int, seed: int) -> float:
+    """Fig. 5's best achievable gain at one cache size."""
+    paper = PaperParams(n=n, m=m, d=d, rate=1000.0)
+    result = run_fig5(paper=paper, cache_values=[c], trials=10, seed=seed)
+    return result.columns["best_gain"][0]
 
 
 class TestEndToEndPipeline:
@@ -58,7 +64,9 @@ class TestEndToEndPipeline:
         the abstract placement simulator."""
         params = SystemParameters(n=50, m=2000, c=10, d=3, rate=1000.0)
         x = 500
-        analytic = simulate_uniform_attack(params, x, trials=30, seed=3).mean
+        analytic = simulate_distribution(
+            params, AdversarialDistribution(params.m, x), trials=30, seed=3
+        ).mean
 
         gains = []
         for seed in range(30):
@@ -76,9 +84,9 @@ class TestCrossEngineAgreement:
         the paper's headline metric within sampling error."""
         params = SystemParameters(n=20, m=500, c=10, d=3, rate=5000.0)
         x = 100
-        analytic = simulate_uniform_attack(params, x, trials=30, seed=4).mean
-
-        from repro.workload.adversarial import AdversarialDistribution
+        analytic = simulate_distribution(
+            params, AdversarialDistribution(params.m, x), trials=30, seed=4
+        ).mean
 
         event_gains = []
         for trial in range(5):
@@ -94,8 +102,6 @@ class TestCrossEngineAgreement:
         params = SystemParameters(n=20, m=500, c=10, d=3, rate=5000.0)
         plan = plan_best_attack(params, k_prime=0.75)
         bound_rate = plan.gain_bound * params.even_split
-
-        from repro.workload.adversarial import AdversarialDistribution
 
         sim = EventDrivenSimulator(
             params,
@@ -115,8 +121,7 @@ class TestCriticalPointReproduction:
         n, d = 50, 3
 
         def gain_at(c, m):
-            params = SystemParameters(n=n, m=m, c=c, d=d, rate=1000.0)
-            return best_achievable_gain(params, trials=10, seed=7)[0]
+            return _best_gain(n, m, c, d, seed=7)
 
         result = find_critical_cache_size(
             lambda c: gain_at(c, m=4000), lo=5, hi=1000, tolerance=8
@@ -137,8 +142,7 @@ class TestCriticalPointReproduction:
         analytic_calibrated = critical_cache_size(n, d, k_prime=0.75)
 
         def gain_at(c):
-            params = SystemParameters(n=n, m=4000, c=c, d=d, rate=1000.0)
-            return best_achievable_gain(params, trials=10, seed=8)[0]
+            return _best_gain(n, 4000, c, d, seed=8)
 
         empirical = find_critical_cache_size(gain_at, lo=5, hi=1000, tolerance=8)
         lo_ref = min(analytic_paper_k, analytic_calibrated)

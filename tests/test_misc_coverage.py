@@ -132,18 +132,23 @@ class TestReportFormattingEdges:
 
 class TestLoadVectorReportConsistency:
     def test_worst_case_at_least_mean(self):
-        from repro.sim.analytic import simulate_uniform_attack
+        from repro.sim.analytic import simulate_distribution
+        from repro.workload.adversarial import AdversarialDistribution
 
         params = SystemParameters(n=20, m=500, c=10, d=2, rate=1000.0)
-        report = simulate_uniform_attack(params, 100, trials=10, seed=1)
+        report = simulate_distribution(
+            params, AdversarialDistribution(500, 100), trials=10, seed=1
+        )
         assert report.worst_case >= report.mean
         assert report.trials == 10
 
     def test_selection_policy_recorded_in_metadata(self):
-        from repro.sim.analytic import simulate_uniform_attack
+        from repro.sim.analytic import simulate_distribution
+        from repro.workload.adversarial import AdversarialDistribution
 
         params = SystemParameters(n=20, m=500, c=10, d=2, rate=1000.0)
-        report = simulate_uniform_attack(
-            params, 100, trials=3, seed=1, selection="round-robin"
+        report = simulate_distribution(
+            params, AdversarialDistribution(500, 100), trials=3, seed=1,
+            selection="round-robin",
         )
         assert report.metadata["selection"] == "round-robin"

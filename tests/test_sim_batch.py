@@ -87,14 +87,14 @@ class TestRunEventCampaign:
         assert "drop rate" in text
 
     def test_comparable_with_analytic_engine(self):
-        from repro.sim.analytic import simulate_uniform_attack
+        from repro.sim.analytic import simulate_distribution
 
         params = _params()
-        x = 100
+        attack = AdversarialDistribution(200, 100)
         campaign = run_event_campaign(
-            params, AdversarialDistribution(200, x), trials=4, n_queries=20_000, seed=4
+            params, attack, trials=4, n_queries=20_000, seed=4
         )
-        analytic = simulate_uniform_attack(params, x, trials=20, seed=4)
+        analytic = simulate_distribution(params, attack, trials=20, seed=4)
         assert campaign.load_report.mean == pytest.approx(analytic.mean, rel=0.3)
 
     def test_rejects_zero_trials(self):

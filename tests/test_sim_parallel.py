@@ -11,11 +11,12 @@ import pytest
 from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
 from repro.obs import RunContext
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
 from repro.sim.batch import run_event_campaign
 from repro.sim.parallel import ParallelExecutor, resolve_seed, resolve_workers
 from repro.sim.runner import run_trials
 from repro.types import LoadVector
+from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 
 
@@ -134,11 +135,12 @@ class TestEngineDeterminism:
     """workers=1 vs workers=4 bit-identical, for both engines (ISSUE 1)."""
 
     def test_monte_carlo_engine(self):
-        serial = simulate_uniform_attack(
-            _params(), x=500, trials=8, seed=42, context=RunContext(workers=1)
+        attack = AdversarialDistribution(_params().m, 500)
+        serial = simulate_distribution(
+            _params(), attack, trials=8, seed=42, context=RunContext(workers=1)
         )
-        parallel = simulate_uniform_attack(
-            _params(), x=500, trials=8, seed=42, context=RunContext(workers=4)
+        parallel = simulate_distribution(
+            _params(), attack, trials=8, seed=42, context=RunContext(workers=4)
         )
         assert (
             serial.normalized_max_per_trial == parallel.normalized_max_per_trial

@@ -12,7 +12,8 @@ from repro.core import baseline_socc11
 from repro.core.bounds import normalized_max_load_bound
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
+from repro.workload.adversarial import AdversarialDistribution
 
 TRIALS = 10
 SEED = 63
@@ -23,7 +24,10 @@ def _run():
     columns = {"d": [], "sim_gain": [], "bound": []}
     for d in D_VALUES:
         params = SystemParameters(n=200, m=20_000, c=200, d=d, rate=20_000.0)
-        report = simulate_uniform_attack(params, params.m, trials=TRIALS, seed=SEED)
+        report = simulate_distribution(
+            params, AdversarialDistribution(params.m, params.m),
+            trials=TRIALS, seed=SEED,
+        )
         if d == 1:
             bound = baseline_socc11.normalized_max_load_bound(params, params.m)
         else:

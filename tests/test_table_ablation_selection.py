@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
+from repro.workload.adversarial import AdversarialDistribution
 
 TRIALS = 10
 SEED = 61
@@ -25,8 +26,9 @@ def _run():
     x = params.m
     columns = {"policy": [], "worst_gain": [], "mean_gain": []}
     for policy in POLICIES:
-        report = simulate_uniform_attack(
-            params, x, trials=TRIALS, seed=SEED, selection=policy
+        report = simulate_distribution(
+            params, AdversarialDistribution(params.m, x), trials=TRIALS,
+            seed=SEED, selection=policy,
         )
         columns["policy"].append(policy)
         columns["worst_gain"].append(report.worst_case)

@@ -16,7 +16,8 @@ import pytest
 from repro.core import baseline_socc11
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
-from repro.sim.analytic import simulate_uniform_attack
+from repro.sim.analytic import simulate_distribution
+from repro.workload.adversarial import AdversarialDistribution
 
 N = 200
 M = 20_000
@@ -32,7 +33,9 @@ def _sweep(d):
         np.round(np.geomspace(C + 1, M, num=14)).astype(int)
     )
     gains = [
-        simulate_uniform_attack(params, int(x), trials=TRIALS, seed=SEED).worst_case
+        simulate_distribution(
+            params, AdversarialDistribution(M, int(x)), trials=TRIALS, seed=SEED
+        ).worst_case
         for x in xs
     ]
     return params, xs.tolist(), gains
