@@ -9,17 +9,21 @@ Performance notes
 One-choice allocation is a single ``bincount`` — effectively free.  The
 d-choice (least-loaded) process is inherently sequential: ball ``t``'s
 placement depends on the loads left by balls ``0 .. t-1``.  It has one
-exact implementation, :func:`greedy_loads`, a plain-Python scan over
-column lists that every load-vector placement in the package shares
-(unit-weight balls here, rate-weighted keys in
-:mod:`repro.cluster.selection` and :mod:`repro.cluster.failures`).
+exact implementation, a plain-Python scan over column lists that one
+template generates per row width ``d`` (:func:`greedy_scan`).  Every
+least-loaded placement in the package runs on it: through
+:func:`greedy_loads`, unit-weight balls here and rate-weighted keys in
+:mod:`repro.cluster.selection` and :mod:`repro.cluster.failures`; and
+directly, the event kernel's first-sight pin rule
+(:func:`repro.sim.kernel._route_batch`), which also reads the picks.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import repeat
-from typing import Optional, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "one_choice_allocate",
     "d_choice_allocate",
     "greedy_loads",
+    "greedy_scan",
     "sample_replica_groups",
     "replica_group_allocate",
 ]
@@ -124,24 +129,80 @@ def greedy_loads(groups: np.ndarray, weights, n: int) -> np.ndarray:
     the sentinel, which stays ``+inf`` and is dropped from the result.
     Callers validate node ids; only they know which entries are dead.
 
-    The matrix is read as ``d`` column lists and the weights as one list,
-    converted once; the scan body is the same for every ``d``.
+    Placement is :func:`greedy_scan`.  When every weight is equal (unit
+    balls, uniform floods) the scan iterates one repeated value instead
+    of a list of ``keys`` floats; the adds, and so the loads, are the
+    same.
     """
     loads = [0.0] * n
     loads.append(math.inf)
-    first, *others = groups.T.tolist()
-    # A row is its first candidate plus a tuple of the others; zip() over
-    # no columns would yield no rows at all, hence repeat(()) for d == 1.
-    rests = zip(*others) if others else repeat(())
-    for weight, best, rest in zip(np.asarray(weights).tolist(), first, rests):
-        best_load = loads[best]
-        for cand in rest:
-            if loads[cand] < best_load:
-                best = cand
-                best_load = loads[cand]
-        loads[best] = best_load + weight
+    weights = np.asarray(weights)
+    if weights.size and (weights == weights[0]).all():
+        greedy_scan(loads, groups, repeat(weights[0].item(), weights.size))
+    else:
+        greedy_scan(loads, groups, weights.tolist())
     loads.pop()
     return np.asarray(loads, dtype=float)
+
+
+def greedy_scan(
+    loads: list, groups: np.ndarray, weights: Iterable, picks: bool = False
+) -> Optional[List[int]]:
+    """Place the rows of ``groups`` greedily on ``loads``, in place.
+
+    ``loads`` is a plain list that every entry of the ``(keys, d)``
+    matrix ``groups`` indexes; key ``i`` goes to its candidate with the
+    smallest load (the first on ties), which then gains the ``i``-th
+    item of ``weights``, as ``loads[b] = best + w``.  With ``picks`` the
+    chosen slot of every key is returned, in row order.
+
+    The scan is the function :func:`_scan` generates for ``d`` and
+    ``picks``: straight-line code with one comparison per candidate, no
+    inner loop and no per-key branch on ``picks``.
+    """
+    columns = groups.T.tolist()
+    return _scan(len(columns), picks)(loads, weights, *columns)
+
+
+@lru_cache(maxsize=None)
+def _scan(d: int, picks: bool):
+    """Generate, compile and cache the greedy scan for rows of width ``d``.
+
+    The template, for ``d = 3`` without picks::
+
+        def scan(loads, weights, c0, c1, c2):
+            for w, b, k1, k2 in zip(weights, c0, c1, c2):
+                best = loads[b]
+                if loads[k1] < best:
+                    b = k1
+                    best = loads[b]
+                if loads[k2] < best:
+                    b = k2
+                    best = loads[b]
+                loads[b] = best + w
+
+    With ``picks`` it also appends every ``b`` to a list it returns.
+    Generated on first use (as :mod:`dataclasses` builds its methods),
+    so importing the package compiles nothing.
+    """
+    columns = ", ".join(f"c{j}" for j in range(d))
+    targets = ", ".join(["w", "b"] + [f"k{j}" for j in range(1, d)])
+    lines = [f"def scan(loads, weights, {columns}):"]
+    if picks:
+        lines += ["    picks = []", "    pick = picks.append"]
+    lines += [f"    for {targets} in zip(weights, {columns}):", "        best = loads[b]"]
+    for j in range(1, d):
+        lines += [
+            f"        if loads[k{j}] < best:",
+            f"            b = k{j}",
+            "            best = loads[b]",
+        ]
+    lines.append("        loads[b] = best + w")
+    if picks:
+        lines += ["        pick(b)", "    return picks"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<greedy scan d={d}>", "exec"), namespace)
+    return namespace["scan"]
 
 
 def d_choice_allocate(

@@ -37,7 +37,10 @@ consumption.  The replay rules that make it exact:
   length-``m`` table of node ids, ``-1`` while a key is unpinned: one
   gather finds the unseen keys, only their groups are looked up, one
   scatter stores their picks, and attempt 1 is one gather from the
-  table.  Successful dispatches are grouped per node in ``(node, time,
+  table.  The picks come from the package's one greedy d-choice scan,
+  :func:`~repro.ballsbins.allocation.greedy_scan`, run over the
+  persistent pin counts with unit integer weights: the least-pinned
+  group member wins, the first listed on ties.  Successful dispatches are grouped per node in ``(node, time,
   index)`` order by a stable sort by node id cast to the narrowest
   unsigned type, which NumPy radix sorts.  Attempt-1 dispatches are
   already in time order, so only appended failovers add a stable time
@@ -88,11 +91,12 @@ consumption.  The replay rules that make it exact:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..ballsbins.allocation import greedy_scan
 from ..chaos.schedule import NodeStateTracker
 from ..exceptions import SimulationError
 from ..types import LoadVector
@@ -190,20 +194,13 @@ def _route_batch(
     unseen = pins[unique] < 0
     if unseen.any():
         new_keys = unique[unseen][np.argsort(first_idx[unseen])]
-        groups = partitioner.replica_groups(new_keys)
-        # ``argmin`` over the group's pin counts, as a strict ``<`` scan
-        # (first minimum wins) over plain lists.
+        # ``argmin`` over the group's pin counts, first minimum winning:
+        # the greedy d-choice scan with unit integer weights.
         counts = sim._pin_counts.tolist()
-        picks = []
-        for row in zip(*groups.T.tolist()):
-            best = row[0]
-            best_count = counts[best]
-            for cand in row:
-                if counts[cand] < best_count:
-                    best = cand
-                    best_count = counts[cand]
-            picks.append(best)
-            counts[best] = best_count + 1
+        picks = greedy_scan(
+            counts, partitioner.replica_groups(new_keys),
+            repeat(1, new_keys.size), picks=True,
+        )
         pins[new_keys] = picks
         sim._pin_counts[:] = counts
     return pins[miss_keys].astype(np.int64)

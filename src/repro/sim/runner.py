@@ -53,10 +53,10 @@ def run_trials(
         (:meth:`~repro.obs.LoadMonitor.record_trial`) evaluated against
         the alert rules, with the Theorem-2 bound refreshed per call
         when the metadata carries an ``x`` (the attack sweeps do).  Both
-        name their series ``label``, or ``<label>-c<c>-x<x>`` when the
-        metadata carries the attack shape, and record in the parent over
-        the trial-ordered results, so they are identical for every
-        worker count.
+        name their series ``<label>-n<n>-c<c>-x<x>``, each part present
+        only when the metadata carries that key (``label`` alone when it
+        carries none), and record in the parent over the trial-ordered
+        results, so they are identical for every worker count.
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
@@ -79,13 +79,13 @@ def run_trials(
             normalized[t] = vector.normalized_max
         meta = dict(metadata or {})
         meta.setdefault("seed", seed)
-        x, c, d = (_as_int(meta.get(key)) for key in ("x", "c", "d"))
-        # Attack sweeps share one RNG label across their points, so the
-        # attack shape names each campaign's metric and monitor series.
-        if x is None or c is None:
-            series, balls = label, None
-        else:
-            series, balls = f"{label}-c{c}-x{x}", max(x - c, 0)
+        n, c, x, d = (_as_int(meta.get(key)) for key in ("n", "c", "x", "d"))
+        # Sweeps share one RNG label across their points, so the system
+        # size, cache size and attack width name each campaign's metric
+        # and monitor series.
+        parts = [f"{key}{value}" for key, value in zip("ncx", (n, c, x)) if value is not None]
+        series = "-".join([label, *parts])
+        balls = None if x is None or c is None else max(x - c, 0)
         if context.metrics.enabled:
             _record_campaign_metrics(context.metrics, series, normalized, balls)
         if monitor.enabled:

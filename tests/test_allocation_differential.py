@@ -6,10 +6,15 @@ placement loop in the package.  It promises *byte-identical* load
 vectors — including first-candidate tie-breaking — to each loop that
 used to run separately (kept in :mod:`placement_oracles`): unit-weight
 ``d_choice_allocate``, rate-weighted ``LeastLoadedKeyPinning`` and
-failure-degraded ``DegradedGroups.least_loaded_loads``.  The tests draw
-random configurations (plus tie-dense and all-dead ones) and compare
-``tobytes()``; a single off-by-one placement fails loudly.
+failure-degraded ``DegradedGroups.least_loaded_loads``.  The scan under
+it is generated per row width, so the properties draw ``d`` up to 10;
+the event kernel's pin rule, which reads the scan's picks, is checked
+against a per-key ``argmin``.  The tests draw random configurations
+(plus tie-dense and all-dead ones) and compare ``tobytes()``; a single
+off-by-one placement fails loudly.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from placement_oracles import (
 from repro.ballsbins.allocation import (
     d_choice_allocate,
     greedy_loads,
+    greedy_scan,
     sample_replica_groups,
 )
 from repro.cluster.failures import degrade_groups
@@ -105,7 +111,7 @@ class TestGreedyLoadsMatchesOracles:
 
     @given(
         n=st.integers(min_value=1, max_value=60),
-        d=st.integers(min_value=1, max_value=6),
+        d=st.integers(min_value=1, max_value=10),
         keys=st.integers(min_value=0, max_value=600),
         kind=_WEIGHTS,
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -139,7 +145,7 @@ class TestGreedyLoadsMatchesOracles:
 
     @given(
         n=st.integers(min_value=2, max_value=30),
-        d=st.integers(min_value=1, max_value=6),
+        d=st.integers(min_value=1, max_value=10),
         keys=st.integers(min_value=0, max_value=400),
         failed_frac=st.floats(min_value=0.0, max_value=0.9),
         kind=_WEIGHTS,
@@ -173,6 +179,50 @@ class TestGreedyLoadsMatchesOracles:
             degraded.least_loaded_loads(rates, 8).tobytes()
             == ragged_least_loaded(groups, failed, rates, 8).tobytes()
         )
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=10),
+        keys=st.integers(min_value=0, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pin_picks_match_argmin(self, n, d, keys, seed):
+        # The event kernel's pin rule: integer weights over persistent,
+        # non-zero counts, with the picks returned; the oracle is one
+        # ``argmin`` (first minimum) per key, as the per-event scheduler.
+        gen = np.random.default_rng(seed)
+        groups = gen.integers(0, n, size=(keys, d))
+        weights = gen.integers(0, 3, size=keys)
+        start = gen.integers(0, 5, size=n)
+        counts = start.tolist()
+        picks = greedy_scan(counts, groups, weights.tolist(), picks=True)
+        expected, expected_counts = [], start.copy()
+        for row, weight in zip(groups, weights):
+            pick = int(row[np.argmin(expected_counts[row])])
+            expected.append(pick)
+            expected_counts[pick] += weight
+        assert picks == expected
+        assert counts == expected_counts.tolist()
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        d=st.integers(min_value=1, max_value=10),
+        keys=st.integers(min_value=1, max_value=600),
+        weight=st.sampled_from([1.0, 0.0, 1e5 / 3.0, 0.1]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_weights_repeat_matches_list(self, n, d, keys, weight, seed):
+        # Equal weights take the repeated-value path; the same rows (dead
+        # ``-1`` entries included) through the list path give the same bytes.
+        gen = np.random.default_rng(seed)
+        groups = gen.integers(-1, n, size=(keys, d))
+        rates = np.full(keys, weight)
+        loads = [0.0] * n + [math.inf]
+        greedy_scan(loads, groups, rates.tolist())
+        expected = np.asarray(loads[:n], dtype=float).tobytes()
+        assert greedy_loads(groups, rates, n).tobytes() == expected
 
     def test_every_replica_dead(self):
         groups = np.array([[0, 1], [1, 0]])

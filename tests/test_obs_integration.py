@@ -21,6 +21,7 @@ from repro.chaos.config import ChaosConfig
 from repro.cli import main as cli_main
 from repro.core.notation import SystemParameters
 from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import DEFAULT_N_VALUES, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.params import PaperParams
 from repro.obs import (
@@ -188,7 +189,7 @@ class TestCampaignBallCounter:
             trials=4, seed=3, context=RunContext(metrics=registry),
         )
         by_name = {(c.name, c.labels): c.value for c in registry.counters()}
-        campaign = (("campaign", f"distribution-adversarial-c50-x{x}"),)
+        campaign = (("campaign", f"distribution-adversarial-n100-c50-x{x}"),)
         assert by_name[("campaign_balls_total", campaign)] == balls
         assert by_name[("campaign_trials_total", campaign)] == 4
 
@@ -207,10 +208,27 @@ class TestCampaignBallCounter:
             if c.name == "campaign_trials_total"
         }
         expected = {
-            f"distribution-adversarial-c{c}-x{x}"
+            f"distribution-adversarial-n50-c{c}-x{x}"
             for c in (20, 40, 80) for x in (c + 1, 2000)
         }
         assert trials == dict.fromkeys(expected, 3)
+
+    def test_one_series_per_system_size(self):
+        """Fig. 4 sweeps ``n`` at one ``c`` and ``x``; each (pattern, n)
+        point still gets its own series, counting only its own trials."""
+        registry = MetricsRegistry()
+        run_fig4(trials=2, seed=1, m=5000, context=RunContext(metrics=registry))
+        trials = {
+            dict(c.labels)["campaign"]: c.value
+            for c in registry.counters()
+            if c.name == "campaign_trials_total"
+        }
+        expected = {
+            f"distribution-{pattern}-n{n}-c100{attack}"
+            for pattern, attack in (("uniform", ""), ("zipf", ""), ("adversarial", "-x101"))
+            for n in DEFAULT_N_VALUES
+        }
+        assert trials == dict.fromkeys(expected, 2)
 
 
 class TestFigureExportSurface:
