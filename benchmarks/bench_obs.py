@@ -27,9 +27,24 @@ instrumented results must equal uninstrumented bit for bit; the timing
 thresholds stay deliberately lenient because container CI timing is
 noisy (the committed full-scale artifact is the honest measurement).
 
-``REPRO_BENCH_SMOKE=1`` shrinks the configuration and writes
-``obs_smoke.json`` so the full-scale artifact survives test runs.
+Run it as a script from the repository root::
+
+    PYTHONPATH=src python benchmarks/bench_obs.py
+
+It prints the table and writes ``benchmarks/results/obs.json``: the
+payload plus the ``git_sha`` and ``host`` it ran on.  It exits 1 when a
+gate fails, and refuses to time under ``tracemalloc`` (memory tracing
+costs a large constant factor per allocation, so a timing taken under
+it is not the program's).  ``REPRO_BENCH_SMOKE=1`` shrinks the
+configuration and writes ``obs_smoke.json`` instead, so the full-scale
+artifact survives test runs.
 """
+
+import json
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 from repro.cache.lru import LRUCache
 from repro.core.notation import SystemParameters
@@ -45,7 +60,8 @@ from repro.obs import (
     TraceConfig,
     Tracer,
 )
-from repro.perf.harness import register, smoke_mode, timed
+from repro.scenario.campaign import smoke_mode
+from repro.scenario.manifest import git_sha, host_info
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
@@ -53,6 +69,8 @@ from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
 
 SEED = 20130708
+
+RESULTS = Path(__file__).resolve().parent / "results"
 
 FULL = {
     "params": dict(n=1000, m=100_000, c=200, d=3, rate=1e5),
@@ -95,7 +113,9 @@ TRACE_MODES = (
 def _min_of(repeats, fn):
     best_result, best_seconds = None, None
     for _ in range(repeats):
-        result, seconds = timed(fn)
+        start = time.perf_counter()
+        result = fn()
+        seconds = time.perf_counter() - start
         if best_seconds is None or seconds < best_seconds:
             best_result, best_seconds = result, seconds
     return best_result, best_seconds
@@ -247,18 +267,27 @@ def _check(payload: dict) -> None:
         assert trace["full"]["overhead_pct"] < 250.0, "trace"
 
 
-def _workload(payload: dict):
-    mc = payload["monte_carlo"]["config"]
-    ev = payload["eventsim"]["config"]
-    repeats = payload["repeats"]
-    modes = len(MODES)
-    # eventsim + monitor + trace sections each replay every mode.
-    events = 3 * modes * repeats * ev["n_queries"]
-    # One ball per uncached key per Monte-Carlo trial.
-    balls = modes * repeats * mc["trials"] * max(mc["x"] - mc["c"], 0)
-    return {"events": events, "balls": balls}
+def main() -> int:
+    if tracemalloc.is_tracing():
+        print("bench_obs: tracemalloc is tracing; refusing to time under it",
+              file=sys.stderr)
+        return 1
+    payload = _run()
+    print(_render(payload))
+    try:
+        _check(payload)
+        ok = True
+    except AssertionError as exc:
+        print(f"bench_obs: check failed: {exc}", file=sys.stderr)
+        ok = False
+    RESULTS.mkdir(exist_ok=True)
+    stem = "obs_smoke" if payload["smoke"] else "obs"
+    record = {**payload, "git_sha": git_sha(cwd=RESULTS.parent), "host": host_info()}
+    (RESULTS / f"{stem}.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return 0 if ok else 1
 
 
-SPEC = register(
-    "obs", run=_run, render=_render, check=_check, workload=_workload, seed=SEED
-)
+if __name__ == "__main__":
+    sys.exit(main())

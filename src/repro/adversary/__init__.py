@@ -17,7 +17,7 @@ from .strategies import (
     UniformFlood,
     ZipfClient,
 )
-from .planner import compare_with_baseline, plan_attack
+from .planner import compare_with_baseline
 from .multiclient import MirroredBotnet, PartitionedBotnet, aggregate_rates
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "ZipfClient",
     "AdaptiveProbingAdversary",
     "ShardTargetingAdversary",
-    "plan_attack",
     "compare_with_baseline",
 ]

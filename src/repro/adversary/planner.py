@@ -15,18 +15,7 @@ from ..core import baseline_socc11
 from ..core.cases import AttackPlan, plan_best_attack
 from ..core.notation import SystemParameters
 
-__all__ = ["plan_attack", "BaselineComparison", "compare_with_baseline"]
-
-
-def plan_attack(
-    params: SystemParameters, k: Optional[float] = None, k_prime: float = 0.0
-) -> AttackPlan:
-    """The bound-optimal plan against a replicated system.
-
-    Alias of :func:`repro.core.cases.plan_best_attack`, re-exported at
-    the strategy layer for discoverability.
-    """
-    return plan_best_attack(params, k=k, k_prime=k_prime)
+__all__ = ["BaselineComparison", "compare_with_baseline"]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ the least loaded of ``d`` random bins).  This subpackage provides:
   empirical calibration of the Theta(1) constant ``k'``.
 """
 
-from .allocation import d_choice_allocate, one_choice_allocate, replica_group_allocate
+from .allocation import d_choice_allocate, one_choice_allocate
 from .occupancy import (
     OccupancyStats,
     calibrate_k_prime,
@@ -21,7 +21,6 @@ from .occupancy import (
 __all__ = [
     "one_choice_allocate",
     "d_choice_allocate",
-    "replica_group_allocate",
     "OccupancyStats",
     "occupancy_stats",
     "max_occupancy_trials",

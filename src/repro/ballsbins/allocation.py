@@ -36,7 +36,6 @@ __all__ = [
     "greedy_loads",
     "greedy_scan",
     "sample_replica_groups",
-    "replica_group_allocate",
 ]
 
 RngLike = Union[None, int, np.random.Generator]
@@ -238,46 +237,3 @@ def d_choice_allocate(
     if d == 1:
         return np.bincount(choices[:, 0], minlength=bins).astype(np.int64)
     return greedy_loads(choices, np.ones(balls), bins).astype(np.int64)
-
-
-def replica_group_allocate(
-    balls: int,
-    bins: int,
-    d: int,
-    rng: RngLike = None,
-    selection: str = "least-loaded",
-) -> np.ndarray:
-    """Allocate balls whose candidate sets are replica groups, under a
-    named selection rule.
-
-    ``selection``:
-
-    - ``"least-loaded"`` — the theory model (power of d choices);
-    - ``"random"`` — each ball picks one of its ``d`` candidates
-      uniformly (degrades to the one-choice process);
-    - ``"first"`` — deterministic primary replica (also one-choice,
-      since groups are random);
-    - ``"split"`` — the ball is divided evenly across its ``d``
-      candidates (models per-query round-robin in steady state); the
-      returned vector is float-valued fractional occupancy.
-    """
-    _check(balls, bins, d)
-    gen = as_generator(rng, "replica-allocate")
-    groups = sample_replica_groups(balls, bins, d, rng=gen)
-    if selection == "least-loaded":
-        return d_choice_allocate(balls, bins, d, choices=groups)
-    if selection == "random":
-        if balls == 0:
-            return np.zeros(bins, dtype=np.int64)
-        picks = groups[np.arange(balls), gen.integers(0, d, size=balls)]
-        return np.bincount(picks, minlength=bins).astype(np.int64)
-    if selection == "first":
-        if balls == 0:
-            return np.zeros(bins, dtype=np.int64)
-        return np.bincount(groups[:, 0], minlength=bins).astype(np.int64)
-    if selection == "split":
-        occupancy = np.zeros(bins, dtype=float)
-        if balls:
-            np.add.at(occupancy, groups.ravel(), 1.0 / d)
-        return occupancy
-    raise ConfigurationError(f"unknown selection rule {selection!r}")

@@ -367,30 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--trials", type=int, default=30)
     cal.add_argument("--seed", type=int, default=None)
 
-    perf = sub.add_parser(
-        "perf",
-        help="performance observability: the bench harness",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    perf_run = perf_sub.add_parser(
-        "run",
-        help="run registered benchmarks and write one record per bench "
-        "under benchmarks/results/; exits 1 when any bench's check fails",
-    )
-    perf_run.add_argument(
-        "--smoke", action="store_true",
-        help="seconds-scale run (same as REPRO_BENCH_SMOKE=1); artifacts "
-        "land under *_smoke names",
-    )
-    perf_run.add_argument(
-        "--only", nargs="+", default=None, metavar="BENCH",
-        help="run only these benches (default: every registered bench)",
-    )
-    perf_run.add_argument(
-        "--list", action="store_true", help="list registered benches and exit"
-    )
-
     scen = sub.add_parser(
         "scenario",
         help="declarative scenario specs: run, validate, sweep campaigns "
@@ -628,35 +604,9 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    # Imported lazily: the perf package pulls in the bench harness and
-    # is only needed for this subcommand.
-    from .exceptions import ReproError
-    from .perf import harness
-
-    harness.discover()
-    if args.list:
-        for spec in harness.registered():
-            print(spec.name)
-        return 0
-    try:
-        results = harness.run_suite(names=args.only, smoke=args.smoke)
-    except ReproError as exc:
-        print(f"perf run: {exc}", file=sys.stderr)
-        return 1
-    failed = [r.spec.name for r in results if not r.ok]
-    mode = "smoke" if args.smoke else "full"
-    print(
-        f"perf run: {len(results)} bench(es) [{mode}]"
-        + (f", {len(failed)} check failure(s): {', '.join(failed)}" if failed else "")
-    )
-    # A failed check's record is still written, with `run.ok: false`.
-    return 1 if failed else 0
-
-
 def _run_scenario(args: argparse.Namespace) -> int:
     # Imported lazily: the scenario package only loads for this
-    # subcommand (mirrors the perf subcommand's pattern).
+    # subcommand.
     from .exceptions import ReproError, ScenarioValidationError
     from .scenario.build import check_spec
     from .scenario.campaign import run_campaign as run_scenario_campaign
@@ -810,8 +760,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_calibrate(args)
     if args.command == "forensics":
         return _run_forensics(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "scenario":
         return _run_scenario(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -53,10 +53,6 @@ def fmt(value, digits: int = 4) -> str:
     return str(value)
 
 
-# Internal alias kept for callers of the pre-public name.
-_fmt = fmt
-
-
 def html_table(rows: List[dict], columns: List[str]) -> str:
     """Render dict rows as a plain HTML table (escaped, ``-`` for gaps)."""
     if not rows:
@@ -139,16 +135,16 @@ def render_text(monitor, last: int = 12) -> str:
     lines.append("=" * 70)
     bound = summary["bound"]
     lines.append(
-        f"config: window={cfg.window}s  n={_fmt(cfg.n)}  rate={_fmt(cfg.rate)}  "
-        f"c={cfg.c}  d={cfg.d}  x={_fmt(cfg.x)}"
+        f"config: window={cfg.window}s  n={fmt(cfg.n)}  rate={fmt(cfg.rate)}  "
+        f"c={cfg.c}  d={cfg.d}  x={fmt(cfg.x)}"
     )
     lines.append(
-        f"bound:  {_fmt(bound)}   rules: {', '.join(cfg.rules) or '(none)'}"
+        f"bound:  {fmt(bound)}   rules: {', '.join(cfg.rules) or '(none)'}"
     )
     lines.append(
         f"state:  windows={summary['windows']}  alerts={summary['alerts']}  "
-        f"runs={summary['runs']}  final_gain={_fmt(summary['final_gain'])}  "
-        f"max_gain={_fmt(summary['max_gain'])}"
+        f"runs={summary['runs']}  final_gain={fmt(summary['final_gain'])}  "
+        f"max_gain={fmt(summary['max_gain'])}"
     )
     rows = _window_rows(monitor, last)
     if rows:
@@ -163,10 +159,10 @@ def render_text(monitor, last: int = 12) -> str:
             gain = w.get("running_gain", w.get("gain"))
             hit = w.get("hit_ratio")
             lines.append(
-                f"{_fmt(t_end):>10} {_fmt(w.get('requests')):>8} "
-                f"{_fmt(100.0 * hit, 3) if hit is not None else '-':>6} "
-                f"{_fmt(w.get('normalized_entropy')):>8} "
-                f"{_fmt(gain):>8} {_fmt(w.get('bound')):>8}  "
+                f"{fmt(t_end):>10} {fmt(w.get('requests')):>8} "
+                f"{fmt(100.0 * hit, 3) if hit is not None else '-':>6} "
+                f"{fmt(w.get('normalized_entropy')):>8} "
+                f"{fmt(gain):>8} {fmt(w.get('bound')):>8}  "
                 f"{','.join(w.get('alerts', [])) or '-'}"
             )
     alerts = monitor.alerts
@@ -175,22 +171,22 @@ def render_text(monitor, last: int = 12) -> str:
         lines.append(f"alerts ({len(alerts)}):")
         for a in alerts[-last:]:
             lines.append(
-                f"  [{a['rule']}] trial={_fmt(a.get('trial'))} "
-                f"window={_fmt(a.get('window'))} t={_fmt(a.get('t'))} "
-                f"value={_fmt(a.get('value'))} > threshold={_fmt(a.get('threshold'))}"
+                f"  [{a['rule']}] trial={fmt(a.get('trial'))} "
+                f"window={fmt(a.get('window'))} t={fmt(a.get('t'))} "
+                f"value={fmt(a.get('value'))} > threshold={fmt(a.get('threshold'))}"
             )
     gq = summary["gain_quantiles"]
     if gq.get("count"):
         lines.append("")
         lines.append(
             "gain quantiles:      "
-            + "  ".join(f"{k}={_fmt(v)}" for k, v in gq.items())
+            + "  ".join(f"{k}={fmt(v)}" for k, v in gq.items())
         )
     nq = summary["node_load_quantiles"]
     if nq.get("count"):
         lines.append(
             "node-load quantiles: "
-            + "  ".join(f"{k}={_fmt(v)}" for k, v in nq.items())
+            + "  ".join(f"{k}={fmt(v)}" for k, v in nq.items())
         )
     layer_rows = [
         (run["trial"], row)
@@ -304,10 +300,10 @@ def render_html(monitor, title: str = "Online attack monitor") -> str:
         {"series": "node-load", **summary["node_load_quantiles"]},
     ]
     body = [
-        f'<p class="kv">bound={html.escape(_fmt(summary["bound"]))} '
+        f'<p class="kv">bound={html.escape(fmt(summary["bound"]))} '
         f"windows={summary['windows']} alerts={summary['alerts']} "
-        f"runs={summary['runs']} final_gain={html.escape(_fmt(summary['final_gain']))} "
-        f"max_gain={html.escape(_fmt(summary['max_gain']))}</p>",
+        f"runs={summary['runs']} final_gain={html.escape(fmt(summary['final_gain']))} "
+        f"max_gain={html.escape(fmt(summary['max_gain']))}</p>",
         "<h2>Running gain vs Theorem-2 bound</h2>",
         _svg_gain_chart(monitor),
         "<h2>Windows</h2>",

@@ -13,19 +13,19 @@ bit-identical for every worker count, which the golden determinism
 suite pins per fixture.
 
 ``REPRO_BENCH_SMOKE=1`` caps every scenario at 3 trials × 2000 queries,
-the same escape hatch the perf harness uses, so CI smoke jobs finish in
-seconds regardless of what a spec asks for.
+the same switch that shrinks ``benchmarks/bench_obs.py``, so CI smoke
+jobs finish in seconds regardless of what a spec asks for.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..obs.trace import FlightRecorder
-from ..perf.harness import smoke_mode
 from .build import BuildContext, build_component, engine_entry
 from .manifest import campaign_manifest, write_manifest
 from .report import write_campaign_html
@@ -36,11 +36,17 @@ __all__ = [
     "CampaignResult",
     "run_scenario",
     "run_campaign",
+    "smoke_mode",
 ]
 
 #: Smoke-mode caps (trials, queries) under ``REPRO_BENCH_SMOKE=1``.
 _SMOKE_TRIALS = 3
 _SMOKE_QUERIES = 2_000
+
+
+def smoke_mode() -> bool:
+    """Whether ``REPRO_BENCH_SMOKE=1`` asks for a seconds-scale run."""
+    return os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 
 def _apply_smoke(spec: ScenarioSpec) -> ScenarioSpec:

@@ -14,11 +14,14 @@ instead: the manifest minus timestamp/git/host/workers.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Optional, Union
 
-from ..perf.schema import git_sha, host_info
 from .spec import CampaignSpec, ScenarioSpec
 from ..exceptions import ScenarioValidationError
 
@@ -28,6 +31,8 @@ __all__ = [
     "validate_campaign_manifest",
     "deterministic_view",
     "write_manifest",
+    "git_sha",
+    "host_info",
 ]
 
 #: Campaign manifest format version.  Bump on any incompatible change
@@ -50,6 +55,31 @@ _REQUIRED_SCENARIO = {
     "spec": dict,
     "stats": dict,
 }
+
+
+def git_sha(cwd: Optional[Path] = None) -> Optional[str]:
+    """Current commit SHA, or ``None`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=str(cwd) if cwd else None,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and len(sha) == 40 else None
+
+
+def host_info() -> Dict[str, object]:
+    """Machine provenance recorded with every run."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": sys.platform,
+    }
 
 
 def campaign_manifest(

@@ -4,7 +4,7 @@ Where the Monte-Carlo engine computes steady-state placements, this
 engine replays individual requests through a *real* cache policy, a
 partitioned cluster and per-node queues with capacities — so saturation,
 drops and latency become observable rather than inferred.  The
-cross-validation bench (``benchmarks/bench_eventsim.py``) confirms both
+cross-validation test (``tests/test_table_eventsim.py``) confirms both
 engines agree on the paper's headline quantity (the normalized max
 load) within sampling noise.
 """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adversary.planner import compare_with_baseline, plan_attack
+from repro.adversary.planner import compare_with_baseline
 from repro.adversary.strategies import (
     AdaptiveProbingAdversary,
     FixedSubsetFlood,
@@ -12,6 +12,7 @@ from repro.adversary.strategies import (
     ZipfClient,
 )
 from repro.core.bounds import normalized_max_load_bound
+from repro.core.cases import plan_best_attack
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError
 
@@ -108,17 +109,12 @@ class TestAdaptiveProbing:
 
         adversary = AdaptiveProbingAdversary(params, feedback, probes=8)
         best = adversary.probe()
-        planned = plan_attack(params, k_prime=0.5).x
+        planned = plan_best_attack(params, k_prime=0.5).x
         # Both should land on the small-flood side (Case 1).
         assert best <= 3 * planned
 
 
 class TestPlanner:
-    def test_plan_attack_matches_core(self, paper_params):
-        from repro.core.cases import plan_best_attack
-
-        assert plan_attack(paper_params, k=1.2) == plan_best_attack(paper_params, k=1.2)
-
     def test_comparison_prevention_flip(self, paper_params):
         protected = paper_params.with_cache(2000)
         comparison = compare_with_baseline(protected, k=1.2)

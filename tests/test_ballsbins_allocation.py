@@ -10,7 +10,6 @@ from placement_oracles import d_choice_sequential
 from repro.ballsbins.allocation import (
     d_choice_allocate,
     one_choice_allocate,
-    replica_group_allocate,
     sample_replica_groups,
 )
 from repro.exceptions import ConfigurationError
@@ -154,28 +153,3 @@ class TestBatchedKernel:
         choices = np.array([[bad, 0], [bad, 1], [0, 1]])
         with pytest.raises(ConfigurationError, match="bin ids"):
             d_choice_allocate(3, 3, 2, choices=choices)
-
-
-class TestReplicaGroupAllocate:
-    @pytest.mark.parametrize("selection", ["least-loaded", "random", "first"])
-    def test_integer_selections_conserve(self, selection, rng):
-        occ = replica_group_allocate(300, 20, 3, rng=rng, selection=selection)
-        assert occ.sum() == 300
-
-    def test_split_conserves_fractionally(self, rng):
-        occ = replica_group_allocate(300, 20, 3, rng=rng, selection="split")
-        assert occ.sum() == pytest.approx(300.0)
-
-    def test_least_loaded_is_best_balanced(self):
-        # Least-loaded corrects for fluctuations in how many groups a
-        # bin joined; even splitting inherits them (std ~ sqrt(M d)/d per
-        # bin) and random picking is worst (std ~ sqrt(M/N)).
-        maxima = {}
-        for selection in ("least-loaded", "random", "split"):
-            occ = replica_group_allocate(30_000, 100, 3, rng=9, selection=selection)
-            maxima[selection] = float(np.max(occ))
-        assert maxima["least-loaded"] <= maxima["split"] <= maxima["random"]
-
-    def test_unknown_selection_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replica_group_allocate(10, 5, 2, selection="nope")

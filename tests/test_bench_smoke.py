@@ -1,12 +1,11 @@
-"""Smoke-run the perf benches with hard invariants inside the tier-1 budget.
+"""Smoke-run the bench scripts with hard invariants inside the tier-1 budget.
 
-``repro perf run --smoke`` shrinks each bench to a seconds-scale
+``REPRO_BENCH_SMOKE=1`` shrinks each script to a seconds-scale
 configuration and redirects its record to ``*_smoke.json``, so these
 tests never clobber committed full-scale artifacts.  The point here is
-not performance numbers — it is that every bench runs end to end
-through its one entry point, exits zero, and that its hard invariants
-(determinism, engine agreement, observability non-interference) hold on
-whatever machine executes the suite.
+not performance numbers — it is that every script runs end to end,
+exits zero, and that its hard invariants (observability
+non-interference) hold on whatever machine executes the suite.
 """
 
 import json
@@ -18,67 +17,44 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-RESULTS = REPO / "benchmarks" / "results"
+BENCHMARKS = REPO / "benchmarks"
 
-BENCHES = ["bench_parallel", "bench_eventsim", "bench_obs"]
+BENCHES = ["bench_obs"]
 
 
-def _run_smoke(name: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.run(
-        [
-            sys.executable, "-m", "repro", "perf", "run",
-            "--smoke", "--only", name,
-        ],
+@pytest.fixture(scope="module", params=BENCHES)
+def smoke_payload(request):
+    """Run one bench script in smoke mode (once per module); load its JSON."""
+    script = request.param
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REPRO_BENCH_SMOKE="1")
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / f"{script}.py")],
         cwd=str(REPO),
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
-
-
-@pytest.fixture(scope="module", params=BENCHES)
-def smoke_payload(request):
-    """Run one bench in smoke mode (once per module) and load its JSON."""
-    script = request.param
-    name = script[len("bench_"):]
-    proc = _run_smoke(name)
     assert proc.returncode == 0, f"{script} failed:\n{proc.stdout}\n{proc.stderr}"
+    name = script[len("bench_"):]
     payload = json.loads(
-        (RESULTS / f"{name}_smoke.json").read_text(encoding="utf-8")
+        (BENCHMARKS / "results" / f"{name}_smoke.json").read_text(encoding="utf-8")
     )
-    assert payload["smoke"] is True
-    return script, payload
+    return payload
 
 
 def test_bench_exits_zero_and_marks_smoke(smoke_payload):
-    script, payload = smoke_payload
+    payload = smoke_payload
     assert payload["smoke"] is True
+    assert {"git_sha", "host"} <= set(payload)
 
 
 def test_bench_invariants_hold(smoke_payload):
-    script, payload = smoke_payload
-    if script == "bench_parallel":
-        # Determinism must hold on any host, regardless of core count.
-        assert all(
-            row["identical_to_serial"] for row in payload["campaign"]["results"]
-        )
-        for row in payload["campaign"]["results"]:
-            assert row["wall_seconds"] > 0
-            assert row["trials_per_second"] > 0
-    elif script == "bench_eventsim":
-        assert payload["engines_agree"] is True
-        assert payload["wall_seconds"] > 0
-        assert len(payload["columns"]["x"]) == len(payload["columns"]["drop_rate"])
-    elif script == "bench_obs":
-        for section in ("monte_carlo", "eventsim", "monitor"):
-            modes = payload[section]["modes"]
-            expected = {"off", "null", "live" if section == "monitor" else "full"}
-            assert set(modes) == expected
-            # Instrumentation must never change a simulation result.
-            assert all(row["identical_to_off"] for row in modes.values())
-            assert all(row["wall_seconds"] > 0 for row in modes.values())
-    else:  # pragma: no cover - parametrization is exhaustive
-        raise AssertionError(script)
+    payload = smoke_payload
+    for section in ("monte_carlo", "eventsim", "monitor"):
+        modes = payload[section]["modes"]
+        expected = {"off", "null", "live" if section == "monitor" else "full"}
+        assert set(modes) == expected
+        # Instrumentation must never change a simulation result.
+        assert all(row["identical_to_off"] for row in modes.values())
+        assert all(row["wall_seconds"] > 0 for row in modes.values())

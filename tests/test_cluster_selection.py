@@ -90,6 +90,19 @@ class TestLeastLoaded:
         rnd = RandomKeyPinning().node_loads(groups, rates, 50, rng=1)
         assert ll.max() < rnd.max()
 
+    def test_max_load_ordered_least_loaded_split_random(self):
+        # Least-loaded corrects for fluctuations in how many groups a
+        # node joined; even splitting inherits them (std ~ sqrt(M d)/d per
+        # node) and random picking is worst (std ~ sqrt(M/N)).
+        from repro.ballsbins.allocation import sample_replica_groups
+
+        groups = sample_replica_groups(30_000, 100, 3, rng=9)
+        rates = np.ones(30_000)
+        ll = LeastLoadedKeyPinning().node_loads(groups, rates, 100)
+        split = RoundRobinSpreading().node_loads(groups, rates, 100)
+        rnd = RandomKeyPinning().node_loads(groups, rates, 100, rng=9)
+        assert ll.max() <= split.max() <= rnd.max()
+
 
 class TestRoundRobin:
     def test_exact_split(self):

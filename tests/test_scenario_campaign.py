@@ -22,11 +22,12 @@ import pytest
 pytest.importorskip("yaml", reason="golden scenario fixtures are YAML")
 
 from repro.exceptions import ScenarioValidationError
-from repro.perf.harness import smoke_mode
 from repro.scenario import load_spec, run_campaign, run_scenario
-from repro.scenario.campaign import _apply_smoke
+from repro.scenario.campaign import _apply_smoke, smoke_mode
 from repro.scenario.manifest import (
     deterministic_view,
+    git_sha,
+    host_info,
     validate_campaign_manifest,
 )
 from repro.scenario.spec import CampaignSpec, ScenarioSpec
@@ -183,6 +184,17 @@ class TestManifestContract:
         assert set(view) == {
             "schema", "campaign", "spec", "grid_shape", "scenarios",
         }
+
+    def test_git_sha_in_this_checkout(self):
+        sha = git_sha()
+        assert sha is None or (len(sha) == 40 and set(sha) <= set("0123456789abcdef"))
+
+    def test_git_sha_outside_checkout(self, tmp_path):
+        assert git_sha(cwd=tmp_path) is None
+
+    def test_host_info_keys(self):
+        info = host_info()
+        assert {"cpu_count", "python", "platform"} <= set(info)
 
     def test_smoke_mode_caps_trials_and_queries(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")

@@ -9,6 +9,8 @@ gain throughout — the provable-protection story degrades gracefully
 instead of breaking.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
 from repro.obs import LoadMonitor, MonitorConfig, RunContext
-from repro.perf.harness import timed
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -58,8 +59,9 @@ def _sweep():
                 params, distribution, seed=SEED, chaos=chaos,
                 context=RunContext(monitor=monitor),
             )
-            result, seconds = timed(sim.run, spec["n_queries"], trial=trial)
-            start_seconds += seconds
+            start = time.perf_counter()
+            result = sim.run(spec["n_queries"], trial=trial)
+            start_seconds += time.perf_counter() - start
             gains.append(result.normalized_max)
             events += result.failure_events
             retries += result.retries

@@ -1,27 +1,25 @@
 """Ablation: request-level engine vs the paper's placement model.
 
 The paper (and our Monte-Carlo engine) abstracts queueing away; this
-bench replays the same attack through the discrete-event engine — real
+test replays the same attack through the discrete-event engine — real
 Poisson arrivals, per-node FIFO queues, finite capacity — and checks the
 two engines agree on the normalized max load, and that the capacity
 corollary (capacity > E[L_max] bound => no drops) holds in the queueing
 world.
 
 The replay runs through the event kernel (``repro.sim.kernel``); the
-payload records its throughput as ``events_per_second``.  The kernel's
+table reports its throughput in events per second.  The kernel's
 bit-identity against the per-event reference scheduler is pinned by the
 differential suites (``tests/test_kernel_differential.py``), not here.
-
-``REPRO_BENCH_SMOKE=1`` shrinks the replay to a seconds-scale run and
-writes ``eventsim_smoke.json`` so the committed full-scale artifact
-survives test runs.
 """
 
+import time
+
 import numpy as np
+import pytest
 
 from repro.core.notation import SystemParameters
 from repro.experiments.report import ExperimentResult
-from repro.perf.harness import active_context, register, smoke_mode, timed
 from repro.sim.analytic import simulate_distribution
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
@@ -35,16 +33,9 @@ FULL = {
     "event_trials": 4,
     "analytic_trials": 20,
 }
-SMOKE = {
-    "params": dict(n=20, m=1000, c=10, d=3, rate=10_000.0),
-    "x_values": (11, 200),
-    "n_queries": 8_000,
-    "event_trials": 2,
-    "analytic_trials": 8,
-}
 
 
-def _replay(spec: dict, context) -> dict:
+def _replay(spec: dict) -> dict:
     """Run the full x-sweep through the event engine; the mean columns."""
     params = SystemParameters(**spec["params"])
     columns = {"x": [], "eventsim_mean": [], "drop_rate": []}
@@ -52,8 +43,7 @@ def _replay(spec: dict, context) -> dict:
         gains, drops = [], []
         for trial in range(spec["event_trials"]):
             sim = EventDrivenSimulator(
-                params, AdversarialDistribution(params.m, x), seed=SEED,
-                context=context,
+                params, AdversarialDistribution(params.m, x), seed=SEED
             )
             outcome = sim.run(spec["n_queries"], trial=trial)
             gains.append(outcome.normalized_max)
@@ -62,35 +52,6 @@ def _replay(spec: dict, context) -> dict:
         columns["eventsim_mean"].append(float(np.mean(gains)))
         columns["drop_rate"].append(float(np.mean(drops)))
     return columns
-
-
-def _sweep():
-    spec = SMOKE if smoke_mode() else FULL
-    params = SystemParameters(**spec["params"])
-    events = spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
-    analytic_mean = [
-        simulate_distribution(
-            params, AdversarialDistribution(params.m, x),
-            trials=spec["analytic_trials"], seed=SEED,
-        ).mean
-        for x in spec["x_values"]
-    ]
-    replay, seconds = timed(_replay, spec, active_context())
-    columns = {
-        "x": replay["x"],
-        "analytic_mean": analytic_mean,
-        "eventsim_mean": replay["eventsim_mean"],
-        "drop_rate": replay["drop_rate"],
-    }
-    return {
-        "smoke": smoke_mode(),
-        "config": {**spec["params"], "queries": spec["n_queries"],
-                   "event_trials": spec["event_trials"]},
-        "columns": columns,
-        "events": events,
-        "events_per_second": events / seconds,
-        "engines_agree": _agreement(columns),
-    }
 
 
 def _agreement(columns: dict) -> bool:
@@ -106,9 +67,32 @@ def _agreement(columns: dict) -> bool:
 
 
 def _run() -> dict:
-    payload, seconds = timed(_sweep)
-    payload["wall_seconds"] = seconds
-    return payload
+    spec = FULL
+    params = SystemParameters(**spec["params"])
+    events = spec["n_queries"] * spec["event_trials"] * len(spec["x_values"])
+    analytic_mean = [
+        simulate_distribution(
+            params, AdversarialDistribution(params.m, x),
+            trials=spec["analytic_trials"], seed=SEED,
+        ).mean
+        for x in spec["x_values"]
+    ]
+    start = time.perf_counter()
+    replay = _replay(spec)
+    seconds = time.perf_counter() - start
+    columns = {
+        "x": replay["x"],
+        "analytic_mean": analytic_mean,
+        "eventsim_mean": replay["eventsim_mean"],
+        "drop_rate": replay["drop_rate"],
+    }
+    return {
+        "config": {**spec["params"], "queries": spec["n_queries"],
+                   "event_trials": spec["event_trials"]},
+        "columns": columns,
+        "events_per_second": events / seconds,
+        "engines_agree": _agreement(columns),
+    }
 
 
 def _render(payload: dict) -> str:
@@ -130,11 +114,8 @@ def _check(payload: dict) -> None:
     assert payload["engines_agree"]
 
 
-def _workload(payload: dict):
-    return {"events": payload["events"]}
-
-
-SPEC = register(
-    "eventsim", run=_run, render=_render, check=_check, workload=_workload,
-    seed=SEED,
-)
+@pytest.mark.slow
+def test_eventsim():
+    payload = _run()
+    print(_render(payload))
+    _check(payload)

@@ -1,24 +1,24 @@
 """Serial-vs-parallel campaign speedup.
 
 The same Monte-Carlo x-key attack campaign run at several worker
-counts, written to ``benchmarks/results/parallel.json``.  Per worker
-count: wall-seconds, trials/s, speedup over the serial run and — the
-part that actually matters — whether the per-trial results are
-bit-identical to the serial run (they must be; the parallel substrate
-derives the exact same ``(seed, label, trial)`` RNG streams).
+counts.  Per worker count: wall-seconds, trials/s, speedup over the
+serial run and — the part that actually matters — whether the
+per-trial results are bit-identical to the serial run (they must be;
+the parallel substrate derives the exact same ``(seed, label, trial)``
+RNG streams).
 
-``REPRO_BENCH_SMOKE=1`` shrinks it to a seconds-scale run (written to
-``parallel_smoke.json`` so the full-scale artifact survives test runs).
 Speedup assertions are gated on the host actually having the cores to
-parallelise over — a single-core container can still verify
-determinism, just not multi-process scaling.
+parallelise over — a single-core host can still verify determinism,
+just not multi-process scaling.
 """
 
 import os
-from dataclasses import replace
+import time
+
+import pytest
 
 from repro.core.notation import SystemParameters
-from repro.perf.harness import active_context, register, smoke_mode, timed
+from repro.obs import RunContext
 from repro.sim.analytic import simulate_distribution
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -32,29 +32,22 @@ FULL_CAMPAIGN = {
     "trials": 64,
     "workers": (1, 2, 4),
 }
-SMOKE_CAMPAIGN = {
-    "params": dict(n=200, m=10_000, c=100, d=3, rate=1e5),
-    "x": 10_000,
-    "trials": 8,
-    "workers": (1, 2),
-}
 
 
 def run_campaign_bench() -> dict:
-    spec = SMOKE_CAMPAIGN if smoke_mode() else FULL_CAMPAIGN
+    spec = FULL_CAMPAIGN
     params = SystemParameters(**spec["params"])
     trials, x = spec["trials"], spec["x"]
-    context = active_context()
     rows = []
     serial_seconds = None
     serial_series = None
     for workers in spec["workers"]:
-        report, seconds = timed(
-            simulate_distribution,
+        start = time.perf_counter()
+        report = simulate_distribution(
             params, AdversarialDistribution(params.m, x), trials=trials,
-            seed=SEED,
-            context=replace(context, workers=workers),
+            seed=SEED, context=RunContext(workers=workers),
         )
+        seconds = time.perf_counter() - start
         if serial_seconds is None:
             serial_seconds, serial_series = seconds, report.normalized_max_per_trial
         rows.append(
@@ -75,8 +68,10 @@ def run_campaign_bench() -> dict:
 
 
 def _run() -> dict:
+    # ``smoke`` stays in the payload: the check below is the one the
+    # full-scale gate has always run.
     return {
-        "smoke": smoke_mode(),
+        "smoke": False,
         "cpu_count": os.cpu_count(),
         "campaign": run_campaign_bench(),
     }
@@ -86,7 +81,7 @@ def _render(payload: dict) -> str:
     campaign = payload["campaign"]
     lines = [
         "== parallel: campaign fan-out speedup",
-        f"host cpus: {payload['cpu_count']}, smoke: {payload['smoke']}",
+        f"host cpus: {payload['cpu_count']}",
         "",
         f"campaign ({campaign['config']['trials']} trials, "
         f"x={campaign['config']['x']}, n={campaign['config']['n']}):",
@@ -113,18 +108,8 @@ def _check(payload: dict) -> None:
                 assert row["speedup"] >= row["workers"] / 2.0
 
 
-def _workload(payload: dict):
-    campaign = payload["campaign"]["config"]
-    # One ball per uncached key per trial, at every worker count.
-    balls = (
-        max(campaign["x"] - campaign["c"], 0)
-        * campaign["trials"]
-        * len(payload["campaign"]["results"])
-    )
-    return {"balls": balls}
-
-
-SPEC = register(
-    "parallel", run=_run, render=_render, check=_check, workload=_workload,
-    seed=SEED,
-)
+@pytest.mark.slow
+def test_parallel():
+    payload = _run()
+    print(_render(payload))
+    _check(payload)
