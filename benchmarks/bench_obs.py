@@ -32,12 +32,13 @@ Run it as a script from the repository root::
     PYTHONPATH=src python benchmarks/bench_obs.py
 
 It prints the table and writes ``benchmarks/results/obs.json``: the
-payload plus the ``git_sha`` and ``host`` it ran on.  It exits 1 when a
-gate fails, and refuses to time under ``tracemalloc`` (memory tracing
-costs a large constant factor per allocation, so a timing taken under
-it is not the program's).  ``REPRO_BENCH_SMOKE=1`` shrinks the
-configuration and writes ``obs_smoke.json`` instead, so the full-scale
-artifact survives test runs.
+payload plus the ``git_sha`` and ``host`` it ran on.  It names every
+failed gate on stderr and exits 1 when any fails, and refuses to time
+under ``tracemalloc`` (memory tracing costs a large constant factor per
+allocation, so a timing taken under it is not the program's).
+``REPRO_BENCH_SMOKE=1`` shrinks the configuration and writes
+``obs_smoke.json`` instead, so the full-scale artifact survives test
+runs.
 """
 
 import json
@@ -45,6 +46,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import List
 
 from repro.cache.lru import LRUCache
 from repro.core.notation import SystemParameters
@@ -63,7 +65,6 @@ from repro.obs import (
 from repro.scenario.campaign import smoke_mode
 from repro.scenario.manifest import git_sha, host_info
 from repro.sim.analytic import MonteCarloSimulator
-from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
@@ -71,6 +72,9 @@ from repro.workload.distributions import UniformDistribution
 SEED = 20130708
 
 RESULTS = Path(__file__).resolve().parent / "results"
+
+#: Payload sections, in table and check order.
+SECTIONS = ("monte_carlo", "eventsim", "monitor", "trace")
 
 FULL = {
     "params": dict(n=1000, m=100_000, c=200, d=3, rate=1e5),
@@ -136,8 +140,8 @@ def run_monte_carlo_bench(spec) -> dict:
 
         def campaign():
             sim = MonteCarloSimulator(
-                SimulationConfig(params=params, trials=spec["trials"], seed=SEED),
-                RunContext(metrics=metrics_factory(), spans=tracer_factory()),
+                params, trials=spec["trials"], seed=SEED,
+                context=RunContext(metrics=metrics_factory(), spans=tracer_factory()),
             )
             return sim.distribution_attack(
                 AdversarialDistribution(params.m, spec["x"])
@@ -229,7 +233,7 @@ def _render(payload: dict) -> str:
         "== obs: instrumentation overhead (min over "
         f"{payload['repeats']} runs, smoke: {payload['smoke']})",
     ]
-    for section in ("monte_carlo", "eventsim", "monitor", "trace"):
+    for section in SECTIONS:
         lines += ["", f"{section}:", "mode     wall_s   overhead  identical"]
         for mode, row in payload[section]["modes"].items():
             lines.append(
@@ -239,32 +243,53 @@ def _render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _check(payload: dict) -> None:
-    for section in ("monte_carlo", "eventsim", "monitor", "trace"):
+def _check(payload: dict) -> List[str]:
+    """Every failed gate, as ``section/mode: value (gate)``; empty if none.
+
+    All gates are evaluated, so one run names every failure.
+    """
+    failures: List[str] = []
+
+    def expect(ok: bool, section: str, mode: str, value: str, gate: str) -> None:
+        if not ok:
+            failures.append(f"{section}/{mode}: {value} (gate {gate})")
+
+    for section in SECTIONS:
         modes = payload[section]["modes"]
         # Hard contract: instrumentation never changes a result.  For
         # the trace section this is the RNG-free sampler claim: traced
         # runs reproduce the untraced golden results bit for bit.
-        assert all(row["identical_to_off"] for row in modes.values()), section
+        for mode, row in modes.items():
+            expect(row["identical_to_off"], section, mode,
+                   "result differs from off", "identical")
         if payload["smoke"] or section == "trace":
             continue
         # Soft contract, full scale only (smoke runs are too short
         # to time reliably on a loaded host): the null sink must
         # stay near the uninstrumented floor, and even full
         # instrumentation must not dominate the run.
-        assert modes["null"]["overhead_pct"] < 25.0, section
         live = "live" if "live" in modes else "full"
-        assert modes[live]["overhead_pct"] < 100.0, section
+        for mode, bound in (("null", 25.0), (live, 100.0)):
+            pct = modes[mode]["overhead_pct"]
+            expect(pct < bound, section, mode, f"overhead {pct:+.1f}%",
+                   f"< {bound:g}%")
     trace = payload["trace"]["modes"]
-    assert trace["sampled"]["sampled"] > 0, "1% sampler admitted nothing"
-    assert trace["full"]["sampled"] == payload["trace"]["config"]["n_queries"]
+    sampled = trace["sampled"]["sampled"]
+    expect(sampled > 0, "trace", "sampled", f"sampled {sampled}", "> 0")
+    n_queries = payload["trace"]["config"]["n_queries"]
+    traced = trace["full"]["sampled"]
+    expect(traced == n_queries, "trace", "full", f"sampled {traced}",
+           f"== {n_queries}")
     if not payload["smoke"]:
         # The production recommendation: 1% sampling stays within 15%
         # of the untraced floor.  Tracing *everything* honestly costs
         # about one extra run (a record plus attribution per request);
         # bound it so a superlinear regression still fails.
-        assert trace["sampled"]["overhead_pct"] < 15.0, "trace"
-        assert trace["full"]["overhead_pct"] < 250.0, "trace"
+        for mode, bound in (("sampled", 15.0), ("full", 250.0)):
+            pct = trace[mode]["overhead_pct"]
+            expect(pct < bound, "trace", mode, f"overhead {pct:+.1f}%",
+                   f"< {bound:g}%")
+    return failures
 
 
 def main() -> int:
@@ -274,19 +299,16 @@ def main() -> int:
         return 1
     payload = _run()
     print(_render(payload))
-    try:
-        _check(payload)
-        ok = True
-    except AssertionError as exc:
-        print(f"bench_obs: check failed: {exc}", file=sys.stderr)
-        ok = False
+    failures = _check(payload)
+    for failure in failures:
+        print(f"bench_obs: check failed: {failure}", file=sys.stderr)
     RESULTS.mkdir(exist_ok=True)
     stem = "obs_smoke" if payload["smoke"] else "obs"
     record = {**payload, "git_sha": git_sha(cwd=RESULTS.parent), "host": host_info()}
     (RESULTS / f"{stem}.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return 0 if ok else 1
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ from .core import (
 from .sim import (
     EventDrivenSimulator,
     MonteCarloSimulator,
-    SimulationConfig,
     simulate_distribution,
 )
 from .obs import MetricsRegistry, RunContext, Tracer
@@ -69,7 +68,6 @@ __all__ = [
     "plan_best_attack",
     "expected_max_load_bound",
     "normalized_max_load_bound",
-    "SimulationConfig",
     "MonteCarloSimulator",
     "EventDrivenSimulator",
     "simulate_distribution",

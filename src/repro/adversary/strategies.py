@@ -267,11 +267,8 @@ def _build_adaptive(ctx, probes: int = 12, probe_trials: int = 3):
     the integration tests use.  ``probe_trials`` sizes each probe's
     campaign — probing cost is ``probes x probe_trials`` trials."""
     from ..sim.analytic import MonteCarloSimulator
-    from ..sim.config import SimulationConfig
 
-    sim = MonteCarloSimulator(
-        SimulationConfig(params=ctx.params, trials=probe_trials, seed=ctx.seed)
-    )
+    sim = MonteCarloSimulator(ctx.params, trials=probe_trials, seed=ctx.seed)
 
     def feedback(distribution: KeyDistribution) -> float:
         return sim.distribution_attack(distribution).worst_case

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from ..adversary.strategies import OptimalAdversary, UniformFlood, ZipfClient
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..sim.analytic import MonteCarloSimulator
-from ..sim.config import SimulationConfig
 from .params import PAPER, PaperParams
 from .report import ExperimentResult
 
@@ -68,11 +67,8 @@ def run_fig4(
                 n=n, m=key_space, c=c, d=paper.d, rate=paper.rate
             )
         sim = MonteCarloSimulator(
-            SimulationConfig(
-                params=params, trials=trials, seed=seed, selection=selection,
-                chaos=chaos,
-            ),
-            context,
+            params, trials=trials, seed=seed, selection=selection,
+            chaos=chaos, context=context,
         )
         patterns = {
             "uniform": UniformFlood(params).distribution(),

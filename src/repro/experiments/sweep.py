@@ -16,7 +16,6 @@ import numpy as np
 from ..core.notation import SystemParameters
 from ..obs.context import RunContext
 from ..sim.analytic import MonteCarloSimulator
-from ..sim.config import SimulationConfig
 from ..types import LoadReport
 from ..workload.adversarial import AdversarialDistribution
 
@@ -38,10 +37,8 @@ def attack_point(
     context: RunContext,
 ) -> LoadReport:
     """Run the uniform ``x``-key attack on ``params`` at its point's seed."""
-    config = SimulationConfig(
-        params=params, trials=trials, seed=point_seed(root, params.c, x),
-        selection=selection, chaos=chaos,
+    sim = MonteCarloSimulator(
+        params, trials=trials, seed=point_seed(root, params.c, x),
+        selection=selection, chaos=chaos, context=context,
     )
-    return MonteCarloSimulator(config, context).distribution_attack(
-        AdversarialDistribution(params.m, x)
-    )
+    return sim.distribution_attack(AdversarialDistribution(params.m, x))

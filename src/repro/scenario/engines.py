@@ -12,8 +12,8 @@ than the summary.  ``ctx`` is the component
 :func:`~repro.scenario.campaign.run_scenario` builds from the spec (its
 worker count, plus the flight recorder when the spec has a ``trace:``
 section).  Both engines execute their trials through
-:class:`repro.sim.parallel.ParallelExecutor` and are bit-identical
-across worker counts given the spec's explicit seed.
+:func:`repro.sim.parallel.map_trials` and are bit-identical across
+worker counts given the spec's explicit seed.
 
 - ``monte-carlo`` is the paper's methodology (Section IV): the perfect
   front-end cache and random replica groups are part of the *model*, so
@@ -105,21 +105,18 @@ def run_monte_carlo(
 ) -> Tuple[dict, object]:
     """The paper's placement simulator over the spec's distribution."""
     from ..sim.analytic import MonteCarloSimulator
-    from ..sim.config import SimulationConfig
 
     _check_monte_carlo(spec)
     distribution = build_distribution(spec.workload, spec.adversary, ctx)
     try:
-        config = SimulationConfig(
-            params=spec.system,
+        report = MonteCarloSimulator(
+            spec.system,
             trials=spec.trials,
             seed=spec.seed,
             selection=spec.selection.kind,
             chaos=_build_chaos(spec, ctx),
-        )
-        report = MonteCarloSimulator(config, context).distribution_attack(
-            distribution
-        )
+            context=context,
+        ).distribution_attack(distribution)
     except ScenarioValidationError:
         raise
     except ReproError as exc:

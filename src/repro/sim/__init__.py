@@ -12,9 +12,8 @@ Two complementary engines drive every experiment:
   with queueing dynamics.
 """
 
-from .config import SimulationConfig
 from .analytic import MonteCarloSimulator, simulate_distribution
-from .parallel import ParallelExecutor, resolve_workers
+from .parallel import map_trials, resolve_workers
 from .runner import run_trials
 from .eventsim import EventDrivenSimulator, EventSimResult
 from .batch import EventCampaign, run_event_campaign
@@ -22,10 +21,9 @@ from .batch import EventCampaign, run_event_campaign
 __all__ = [
     "EventCampaign",
     "run_event_campaign",
-    "SimulationConfig",
     "MonteCarloSimulator",
     "simulate_distribution",
-    "ParallelExecutor",
+    "map_trials",
     "resolve_workers",
     "run_trials",
     "EventDrivenSimulator",

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..ballsbins.allocation import sample_replica_groups
+from ..chaos.config import ChaosConfig
 from ..cluster.failures import degrade_groups, sample_failures
 from ..cluster.selection import make_selection_policy
 from ..core.notation import SystemParameters
@@ -30,7 +31,6 @@ from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
 from ..workload.adversarial import AdversarialDistribution
 from ..workload.distributions import KeyDistribution
-from .config import SimulationConfig
 from .runner import run_trials
 
 __all__ = ["MonteCarloSimulator", "simulate_distribution"]
@@ -39,37 +39,67 @@ __all__ = ["MonteCarloSimulator", "simulate_distribution"]
 class MonteCarloSimulator:
     """Reusable facade over the placement simulator.
 
-    Holds a :class:`~repro.sim.config.SimulationConfig` plus the
-    :class:`repro.obs.RunContext` its campaigns run under (instruments
-    and worker count) and exposes the per-experiment entry points; the
-    module-level functions are single-shot conveniences over the same
-    code.
+    Parameters
+    ----------
+    params:
+        The system under test.
+    trials:
+        Independent repetitions; the paper uses 200 and reports the max.
+    seed:
+        Root seed; every trial derives an independent stream from it.
+    selection:
+        Replica-selection policy name (see
+        :func:`repro.cluster.selection.make_selection_policy`).  The
+        theory model — and default — is ``"least-loaded"``.
+    chaos:
+        Optional :class:`repro.chaos.ChaosConfig`.  The Monte-Carlo
+        engine has no clock, so it applies the process's *steady-state*
+        down fraction per trial: a failure set is sampled from the
+        trial's own stream, replica groups are degraded, and the
+        placement re-runs over the survivors.  ``None`` keeps every
+        trial byte-identical to the pre-chaos engine.
+    context:
+        The :class:`repro.obs.RunContext` its campaigns run under: the
+        instruments and the worker count, neither of which changes a
+        result.
     """
 
     def __init__(
-        self, config: SimulationConfig, context: RunContext = NULL_CONTEXT
+        self,
+        params: SystemParameters,
+        *,
+        trials: int = 200,
+        seed: Optional[int] = None,
+        selection: str = "least-loaded",
+        chaos: Optional[ChaosConfig] = None,
+        context: RunContext = NULL_CONTEXT,
     ) -> None:
-        self._config = config
-        self._context = context
-        self._selection = make_selection_policy(config.selection)
-        if config.chaos is not None and config.selection != "least-loaded":
+        if trials < 1:
+            raise ConfigurationError(f"need at least one trial, got {trials}")
+        if chaos is not None and not isinstance(chaos, ChaosConfig):
+            raise ConfigurationError(
+                f"chaos must be a ChaosConfig or None, got {type(chaos).__name__}"
+            )
+        if chaos is not None and selection != "least-loaded":
             raise ConfigurationError(
                 "chaos-enabled Monte-Carlo trials re-pin keys over surviving "
                 "replicas with the least-loaded rule; "
-                f"selection={config.selection!r} is not supported with chaos"
+                f"selection={selection!r} is not supported with chaos"
             )
-        if config.chaos is not None and config.chaos.schedule is not None:
+        if chaos is not None and chaos.schedule is not None:
             raise ConfigurationError(
                 "Monte-Carlo trials have no clock to replay an explicit "
                 "failure schedule on; they sample the renewal process's "
                 "steady-state failed fraction — give failure_rate/mttr, or "
                 "replay the schedule with the event-driven engine"
             )
-
-    @property
-    def config(self) -> SimulationConfig:
-        """The campaign configuration."""
-        return self._config
+        self._params = params
+        self._trials = trials
+        self._seed = seed
+        self._selection_name = selection
+        self._chaos = chaos
+        self._context = context
+        self._selection = make_selection_policy(selection)
 
     # -- one trial -----------------------------------------------------------
 
@@ -82,7 +112,7 @@ class MonteCarloSimulator:
         a random replica group and is placed on one member by the
         selection policy (or by the chaos path's degraded greedy).
         """
-        params = self._config.params
+        params = self._params
         if rates.size == 0:
             # Every queried key is cached: the back end sees nothing.
             return LoadVector(loads=np.zeros(params.n), total_rate=params.rate)
@@ -109,8 +139,7 @@ class MonteCarloSimulator:
         least-loaded placement over the survivors — unavailable keys
         contribute no load, surviving keys concentrate on fewer nodes.
         """
-        params = self._config.params
-        chaos = self._config.chaos
+        params, chaos = self._params, self._chaos
         if chaos is None:
             return self._selection.node_loads(groups, rates, params.n, rng=gen)
         failed = sample_failures(
@@ -125,15 +154,15 @@ class MonteCarloSimulator:
         The trial callable is a ``partial`` over a module-level function
         (not a lambda) so ``workers > 1`` can ship it to worker processes.
         """
-        cfg = self._config
         return run_trials(
             partial(_trial_task, self, rates),
-            trials=cfg.trials,
-            seed=cfg.seed,
+            trials=self._trials,
+            seed=self._seed,
             label=label,
             metadata={
-                **metadata, "selection": cfg.selection,
-                **_param_meta(cfg.params), **_chaos_meta(cfg),
+                **metadata, "selection": self._selection_name,
+                **_param_meta(self._params),
+                **_chaos_meta(self._params, self._chaos),
             },
             context=self._context,
         )
@@ -150,7 +179,7 @@ class MonteCarloSimulator:
         also records its attack width ``x`` in the report metadata, so
         the monitor tracks the per-``x`` Theorem-2 bound.
         """
-        params = self._config.params
+        params = self._params
         if distribution.m != params.m:
             raise SimulationError(
                 f"distribution covers {distribution.m} keys, system serves {params.m}"
@@ -173,19 +202,19 @@ def _param_meta(params: SystemParameters) -> dict:
     return {"n": params.n, "m": params.m, "c": params.c, "d": params.d}
 
 
-def _chaos_meta(cfg: SimulationConfig) -> dict:
+def _chaos_meta(params: SystemParameters, chaos: Optional[ChaosConfig]) -> dict:
     """Chaos provenance for a campaign's report metadata.
 
     ``effective_d`` is the steady-state mean surviving choice
     ``d * (1 - f)``; :func:`repro.sim.runner.run_trials` forwards it to
     the monitor so chaos campaigns get degraded-bound tracking too.
     """
-    if cfg.chaos is None:
+    if chaos is None:
         return {}
-    fraction = cfg.chaos.steady_state_failed_fraction
+    fraction = chaos.steady_state_failed_fraction
     return {
         "failed_fraction": fraction,
-        "effective_d": cfg.params.d * (1.0 - fraction),
+        "effective_d": params.d * (1.0 - fraction),
     }
 
 
@@ -212,9 +241,6 @@ def simulate_distribution(
     (e.g. a bench's) never changes the report.
     """
     sim = MonteCarloSimulator(
-        SimulationConfig(
-            params=params, trials=trials, seed=seed, selection=selection,
-        ),
-        context,
+        params, trials=trials, seed=seed, selection=selection, context=context
     )
     return sim.distribution_attack(distribution)

@@ -22,7 +22,7 @@ from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport
 from ..workload.distributions import KeyDistribution
 from .eventsim import EventDrivenSimulator, EventSimResult
-from .parallel import ParallelExecutor
+from .parallel import map_trials, resolve_seed
 
 __all__ = ["EventCampaign", "run_event_campaign"]
 
@@ -118,21 +118,22 @@ def _event_campaign_trial(
 
     The event engine derives its randomness from ``(seed, trial)``
     internally — a fresh simulator and cache per trial, exactly like the
-    serial loop — so the executor-provided ``gen`` goes unused and the
-    campaign stays bit-identical across worker counts.
+    serial loop — so the ``gen`` that :func:`~repro.sim.parallel.map_trials`
+    provides goes unused and the campaign stays bit-identical across
+    worker counts.
 
     The distribution is deep-copied per trial for the same reason: a
     scan distribution's cursor would otherwise advance across trials in
-    whatever order the executor happens to run them (all of them
+    whatever order the fan-out happens to run them (all of them
     serially, a worker's share when parallel), making results depend on
     the worker count.  Every trial therefore starts from the caller's
     initial state.  The partitioner is shared, not copied: the event
     engine only reads its size, replication and replica groups.
 
-    ``context`` is the per-trial :class:`repro.obs.RunContext` the
-    executor provides when the campaign is instrumented; the simulator
-    publishes into it and the executor merges its snapshot in trial
-    order.
+    ``context`` is the per-trial :class:`repro.obs.RunContext` that
+    :func:`~repro.sim.parallel.map_trials` provides when the campaign is
+    instrumented; the simulator publishes into it and ``map_trials``
+    merges its snapshot in trial order.
     """
     del gen
     distribution = copy.deepcopy(distribution)
@@ -163,6 +164,10 @@ def run_event_campaign(
         :class:`~repro.sim.eventsim.EventDrivenSimulator`).
     trials, n_queries:
         Campaign size; each trial draws an independent arrival stream.
+    seed:
+        Root seed of every trial's simulator (``None`` draws fresh
+        entropy once; the resolved value is recorded in the report
+        metadata for exact reruns).
     cache_factory:
         Builds a *fresh* cache per trial (stateful policies must not
         leak warmth between trials).  ``None`` uses the per-simulator
@@ -171,8 +176,8 @@ def run_event_campaign(
     context:
         The campaign's :class:`repro.obs.RunContext`.
         ``context.workers`` fans trials out (``0`` = one per CPU,
-        default ``1`` = serial); with an explicit ``seed`` the results
-        are identical for every value — see :mod:`repro.sim.parallel`.
+        default ``1`` = serial); the results are identical for every
+        value — see :mod:`repro.sim.parallel`.
         Its ``spans`` record the campaign-level wall-clock spans
         (``trials`` -> ``aggregate``) in this process.  Its ``metrics``,
         ``monitor`` and ``trace`` collect per trial: each trial runs
@@ -188,6 +193,9 @@ def run_event_campaign(
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
+    # Resolved once, so every trial shares one partitioner and the report
+    # records the seed that reruns the campaign.
+    seed = resolve_seed(seed)
     spans, metrics = context.spans, context.metrics
     if context.monitor.enabled:
         context.monitor.emit_manifest(
@@ -201,19 +209,19 @@ def run_event_campaign(
         )
     with spans.span("event-campaign"):
         with spans.span("trials"):
-            with ParallelExecutor(workers=context.workers) as executor:
-                results = executor.map_trials(
-                    _event_campaign_trial,
-                    trials,
-                    seed=seed,
-                    label="event-campaign",
-                    args=(
-                        params, distribution, n_queries, seed, cache_factory,
-                        simulator_kwargs,
-                    ),
-                    pass_trial=True,
-                    context=context,
-                )
+            results = map_trials(
+                _event_campaign_trial,
+                trials,
+                seed=seed,
+                label="event-campaign",
+                workers=context.workers,
+                args=(
+                    params, distribution, n_queries, seed, cache_factory,
+                    simulator_kwargs,
+                ),
+                pass_trial=True,
+                context=context,
+            )
         with spans.span("aggregate"):
             gains = np.array(
                 [outcome.normalized_max for outcome in results], dtype=float
@@ -226,6 +234,7 @@ def run_event_campaign(
                     "engine": "event-driven",
                     "n_queries": n_queries,
                     "distribution": distribution.name,
+                    "seed": seed,
                 },
             )
             if metrics.enabled:

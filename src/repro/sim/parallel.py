@@ -2,28 +2,29 @@
 
 Every Monte-Carlo campaign in this repository is embarrassingly
 parallel: trials are independent by construction, because each one draws
-from its own ``RngFactory(seed).generator(label, trial=t)`` stream.  The
-:class:`ParallelExecutor` exploits exactly that structure — workers
-derive the *same* per-trial generators the serial loop would have built,
-so a parallel run with a given seed produces bit-identical results to a
+from its own ``RngFactory(seed).generator(label, trial=t)`` stream.
+:func:`map_trials` exploits exactly that structure — workers derive the
+*same* per-trial generators the serial loop would have built, so a
+parallel run with a given seed produces bit-identical results to a
 serial run, regardless of worker count, chunking or scheduling order.
 
 Requirements on tasks
 ---------------------
-A task handed to :meth:`ParallelExecutor.map_trials` must be a
-*spawn-safe picklable callable*: a top-level function, a bound method of
-a picklable object, or a :func:`functools.partial` over either.  Plain
-``lambda``\\ s work for serial execution (``workers=1``) but cannot cross
-a process boundary; the executor raises a :class:`SimulationError` with
-that diagnosis up front rather than letting the pool fail obscurely.
+A task handed to :func:`map_trials` must be a *spawn-safe picklable
+callable*: a top-level function, a bound method of a picklable object,
+or a :func:`functools.partial` over either.  Plain ``lambda``\\ s work
+for serial execution (``workers=1``) but cannot cross a process
+boundary; :func:`map_trials` raises a :class:`SimulationError` with that
+diagnosis up front rather than letting the pool fail obscurely.
 
 Start method
 ------------
-The default multiprocessing context is ``fork`` where the platform
-offers it (workers inherit the parent's imports — near-zero startup) and
-``spawn`` otherwise.  Tasks must stay spawn-safe either way: nothing may
-depend on inherited process state, since the same code must run on
-platforms where ``spawn`` is the only option.
+The process pool starts with ``fork`` where the platform offers it
+(workers inherit the parent's imports — near-zero startup) and ``spawn``
+otherwise, and lives for one :func:`map_trials` call.  Tasks must stay
+spawn-safe either way: nothing may depend on inherited process state,
+since the same code must run on platforms where ``spawn`` is the only
+option.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from ..exceptions import SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..rng import RngFactory
 
-__all__ = ["ParallelExecutor", "resolve_workers", "resolve_seed"]
+__all__ = ["map_trials", "resolve_workers", "resolve_seed"]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -79,7 +80,6 @@ def _run_chunk(
     trial_indices: Sequence[int],
     pass_trial: bool,
     args: Tuple[Any, ...],
-    kwargs: Mapping[str, Any],
     context: Optional[RunContext] = None,
 ) -> List[Any]:
     """Run a contiguous block of trials (top-level: spawn-picklable).
@@ -91,176 +91,106 @@ def _run_chunk(
     ``context`` is the campaign context's :meth:`RunContext.for_trial`
     template (fresh instruments, so it pickles without the caller's
     callbacks).  With it, the task receives a fresh ``for_trial``
-    context per trial as a ``context=`` keyword, and each entry of the returned list becomes
-    ``(result, snapshot)``; the caller merges the snapshots in trial
-    order, which is what makes metrics, monitor output *and* trace
-    output identical across worker counts.
+    context per trial as a ``context=`` keyword, and each entry of the
+    returned list becomes ``(result, snapshot)``; the caller merges the
+    snapshots in trial order, which is what makes metrics, monitor
+    output *and* trace output identical across worker counts.
     """
     factory = RngFactory(seed)
     results = []
     for t in trial_indices:
         gen = factory.generator(label, trial=t)
-        call_kwargs = kwargs
-        trial_context = None
-        if context is not None:
+        lead = (gen, t) if pass_trial else (gen,)
+        if context is None:
+            results.append(task(*lead, *args))
+        else:
             trial_context = context.for_trial(seed)
-            call_kwargs = {**kwargs, "context": trial_context}
-        if pass_trial:
-            outcome = task(gen, t, *args, **call_kwargs)
-        else:
-            outcome = task(gen, *args, **call_kwargs)
-        if trial_context is not None:
+            outcome = task(*lead, *args, context=trial_context)
             results.append((outcome, trial_context.snapshot()))
-        else:
-            results.append(outcome)
     return results
 
 
-class ParallelExecutor:
-    """Fans independent trials out over worker processes.
+#: Target number of pool tasks per worker: enough to keep the load
+#: balanced, few enough to amortise dispatch.
+CHUNKS_PER_WORKER = 4
 
-    Parameters
-    ----------
-    workers:
-        Worker processes: ``1`` (default) runs serially in-process,
-        ``0`` uses every available CPU, ``n > 1`` uses exactly ``n``.
-    chunk_size:
-        Trials dispatched per pool task.  ``None`` picks a size that
-        gives each worker a handful of chunks (amortising dispatch
-        overhead while keeping the load balanced).
-    mp_context:
-        Multiprocessing start-method name (``"fork"``, ``"spawn"``,
-        ``"forkserver"``).  ``None`` picks ``fork`` where available,
-        ``spawn`` otherwise.
 
-    The executor is reusable across :meth:`map_trials` calls (the pool
-    is created lazily and kept warm) and doubles as a context manager.
+def map_trials(
+    task: Callable[..., Any],
+    trials: int,
+    *,
+    seed: Optional[int],
+    label: str,
+    workers: Optional[int] = 1,
+    args: Tuple[Any, ...] = (),
+    pass_trial: bool = False,
+    context: RunContext = NULL_CONTEXT,
+) -> List[Any]:
+    """Run ``task`` once per trial; results come back in trial order.
+
+    ``task`` is called as ``task(gen, *args)`` — or
+    ``task(gen, trial, *args)`` with ``pass_trial=True`` — where ``gen``
+    is the ``(seed, label, trial)`` stream the serial loop would have
+    used.  The task must consume only ``gen`` for randomness; that is
+    what makes the fan-out order-invariant.
+
+    ``workers`` follows :func:`resolve_workers` (``1`` serial in-process,
+    ``0`` one process per CPU).  A parallel call opens a process pool,
+    hands each worker about :data:`CHUNKS_PER_WORKER` contiguous blocks
+    of trials, and shuts the pool down before it returns.
+
+    With a ``context`` that collects (any of its metrics, monitor or
+    flight recorder enabled), the task must additionally accept a
+    ``context=`` keyword: every trial records into a fresh
+    :meth:`RunContext.for_trial` context built inside the worker, and
+    the trials' snapshots merge back via :meth:`RunContext.merge_trial`
+    once all trials are in — in trial order, never completion order, so
+    aggregate metrics, event logs, alert streams, trace JSONL and
+    suspects blocks are identical for every worker count.  The recorder
+    is keyed on the resolved campaign seed, so its hash samplers admit
+    exactly the requests the serial loop would.  ``workers`` governs the
+    fan-out, not ``context.workers``.
     """
-
-    #: Target number of chunks per worker when ``chunk_size`` is unset.
-    CHUNKS_PER_WORKER = 4
-
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        self._workers = resolve_workers(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise SimulationError(f"chunk_size must be positive, got {chunk_size}")
-        self._chunk_size = chunk_size
-        if mp_context is not None:
-            available = multiprocessing.get_all_start_methods()
-            if mp_context not in available:
-                raise SimulationError(
-                    f"unknown start method {mp_context!r}; available: {available}"
-                )
-        self._mp_context = mp_context
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def workers(self) -> int:
-        """Resolved worker count (``0`` requests are already expanded)."""
-        return self._workers
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the worker pool down (no-op when serial or never used)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            method = self._mp_context
-            if method is None:
-                available = multiprocessing.get_all_start_methods()
-                method = "fork" if "fork" in available else "spawn"
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=multiprocessing.get_context(method),
-            )
-        return self._pool
-
-    def _chunks(self, trials: int) -> List[range]:
-        size = self._chunk_size
-        if size is None:
-            size = max(1, math.ceil(trials / (self._workers * self.CHUNKS_PER_WORKER)))
-        return [range(lo, min(trials, lo + size)) for lo in range(0, trials, size)]
-
-    def map_trials(
-        self,
-        task: Callable[..., Any],
-        trials: int,
-        seed: Optional[int] = None,
-        label: str = "trial",
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Mapping[str, Any]] = None,
-        pass_trial: bool = False,
-        context: RunContext = NULL_CONTEXT,
-    ) -> List[Any]:
-        """Run ``task`` once per trial; results come back in trial order.
-
-        ``task`` is called as ``task(gen, *args, **kwargs)`` — or
-        ``task(gen, trial, *args, **kwargs)`` with ``pass_trial=True`` —
-        where ``gen`` is the ``(seed, label, trial)`` stream the serial
-        loop would have used.  The task must consume only ``gen`` for
-        randomness; that is what makes the fan-out order-invariant.
-
-        With a ``context`` that collects (any of its metrics, monitor or
-        flight recorder enabled), the task must additionally accept a
-        ``context=`` keyword: every trial records into a fresh
-        :meth:`RunContext.for_trial` context built inside the worker,
-        and the trials' snapshots merge back via
-        :meth:`RunContext.merge_trial` once all trials are in — in trial
-        order, never completion order, so aggregate metrics, event logs,
-        alert streams, trace JSONL and suspects blocks are identical for
-        every worker count.  The recorder is keyed on the resolved
-        campaign seed, so its hash samplers admit exactly the requests
-        the serial loop would.  The executor's own worker count governs
-        the fan-out; ``context.workers`` is for callers that build one.
-        """
-        if trials < 1:
-            raise SimulationError(f"need at least one trial, got {trials}")
-        kwargs = dict(kwargs or {})
-        seed = resolve_seed(seed)
-        # A context that records nothing skips per-trial collection.
-        template = context.for_trial(seed) if context.collecting else None
-        if self._workers == 1 or trials == 1:
-            results = _run_chunk(
-                task, seed, label, range(trials), pass_trial, args, kwargs,
-                template,
-            )
-        else:
-            try:
-                pickle.dumps((task, args, kwargs, template))
-            except Exception as exc:
-                raise SimulationError(
-                    "parallel execution requires the task and its arguments to be "
-                    "picklable (a top-level function, a bound method of a picklable "
-                    f"object, or a functools.partial over either); got {task!r}: {exc}"
-                ) from exc
-            pool = self._ensure_pool()
+    if trials < 1:
+        raise SimulationError(f"need at least one trial, got {trials}")
+    workers = resolve_workers(workers)
+    seed = resolve_seed(seed)
+    # A context that records nothing skips per-trial collection.
+    template = context.for_trial(seed) if context.collecting else None
+    if workers == 1 or trials == 1:
+        results = _run_chunk(
+            task, seed, label, range(trials), pass_trial, args, template
+        )
+    else:
+        try:
+            pickle.dumps((task, args, template))
+        except Exception as exc:
+            raise SimulationError(
+                "parallel execution requires the task and its arguments to be "
+                "picklable (a top-level function, a bound method of a picklable "
+                f"object, or a functools.partial over either); got {task!r}: {exc}"
+            ) from exc
+        size = max(1, math.ceil(trials / (workers * CHUNKS_PER_WORKER)))
+        available = multiprocessing.get_all_start_methods()
+        method = "fork" if "fork" in available else "spawn"
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context(method)
+        ) as pool:
             futures = [
                 pool.submit(
-                    _run_chunk, task, seed, label, list(chunk), pass_trial,
-                    args, kwargs, template,
+                    _run_chunk, task, seed, label,
+                    list(range(lo, min(trials, lo + size))), pass_trial, args,
+                    template,
                 )
-                for chunk in self._chunks(trials)
+                for lo in range(0, trials, size)
             ]
             results = []
             for future in futures:
                 results.extend(future.result())
-        if template is None:
-            return results
-        unwrapped: List[Any] = []
-        for outcome, snapshot in results:
-            context.merge_trial(snapshot)
-            unwrapped.append(outcome)
-        return unwrapped
+    if template is None:
+        return results
+    unwrapped: List[Any] = []
+    for outcome, snapshot in results:
+        context.merge_trial(snapshot)
+        unwrapped.append(outcome)
+    return unwrapped

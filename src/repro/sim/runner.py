@@ -9,7 +9,7 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
-from .parallel import ParallelExecutor, resolve_seed
+from .parallel import map_trials, resolve_seed
 
 __all__ = ["run_trials"]
 
@@ -63,8 +63,9 @@ def run_trials(
     seed = resolve_seed(seed)
     spans, monitor = context.spans, context.monitor
     with spans.span("trials"):
-        with ParallelExecutor(workers=context.workers) as executor:
-            vectors = executor.map_trials(trial_fn, trials, seed=seed, label=label)
+        vectors = map_trials(
+            trial_fn, trials, seed=seed, label=label, workers=context.workers
+        )
     with spans.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.

@@ -30,7 +30,6 @@ from detection_oracle import profile_keys
 from repro.experiments.params import PAPER, PaperParams
 from repro.experiments.report import ExperimentResult
 from repro.sim.analytic import MonteCarloSimulator
-from repro.sim.config import SimulationConfig
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.mixture import MixtureDistribution
 from repro.workload.zipf import ZipfDistribution
@@ -66,9 +65,7 @@ def run_stealth_sweep(
     # traced replays of the blended mixture can score suspect rankings
     # against the true attacker keys.  Sampling is unaffected.
     flood = AdversarialDistribution(m, min(c + 1, m), client_id=1)
-    sim = MonteCarloSimulator(
-        SimulationConfig(params=params, trials=trials, seed=seed)
-    )
+    sim = MonteCarloSimulator(params, trials=trials, seed=seed)
     columns = {"attack_fraction": [], "gain": [], "entropy": [], "verdict": []}
     for fraction in fractions:
         if fraction <= 0.0:

@@ -58,3 +58,48 @@ def test_bench_invariants_hold(smoke_payload):
         # Instrumentation must never change a simulation result.
         assert all(row["identical_to_off"] for row in modes.values())
         assert all(row["wall_seconds"] > 0 for row in modes.values())
+
+
+def _load_bench_obs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_obs", BENCHMARKS / "bench_obs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_obs_check_names_every_failing_gate():
+    """A full-scale payload failing three gates gets all three named."""
+    bench_obs = _load_bench_obs()
+
+    def modes(**overheads):
+        return {
+            mode: {"wall_seconds": 1.0, "overhead_pct": pct,
+                   "identical_to_off": True}
+            for mode, pct in overheads.items()
+        }
+
+    trace = modes(off=0.0, sampled=97.0, full=851.0)
+    trace["off"]["sampled"] = 0
+    trace["sampled"]["sampled"] = 600
+    trace["full"]["sampled"] = 60_000
+    payload = {
+        "smoke": False,
+        "monte_carlo": {"modes": modes(off=0.0, null=1.0, full=20.0)},
+        "eventsim": {"modes": modes(off=0.0, null=2.0, full=29.0)},
+        "monitor": {"modes": modes(off=0.0, null=3.0, live=299.0)},
+        "trace": {"config": {"n_queries": 60_000}, "modes": trace},
+    }
+    failures = bench_obs._check(payload)
+    assert failures == [
+        "monitor/live: overhead +299.0% (gate < 100%)",
+        "trace/sampled: overhead +97.0% (gate < 15%)",
+        "trace/full: overhead +851.0% (gate < 250%)",
+    ]
+    payload["monitor"]["modes"]["live"]["overhead_pct"] = 50.0
+    payload["trace"]["modes"]["sampled"]["overhead_pct"] = 5.0
+    payload["trace"]["modes"]["full"]["overhead_pct"] = 100.0
+    assert bench_obs._check(payload) == []

@@ -18,7 +18,6 @@ from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError
 from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.analytic import MonteCarloSimulator
-from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -381,43 +380,38 @@ class TestEventEngineChaos:
 
 class TestMonteCarloChaos:
     def test_selection_guard(self):
-        cfg = SimulationConfig(
-            params=_params(), trials=2, seed=1, selection="random",
-            chaos=ChaosConfig(),
-        )
         with pytest.raises(ConfigurationError):
-            MonteCarloSimulator(cfg)
+            MonteCarloSimulator(
+                _params(), trials=2, seed=1, selection="random",
+                chaos=ChaosConfig(),
+            )
 
     def test_explicit_schedule_rejected(self):
         # Trials sample the steady-state failed fraction; replaying an
         # explicit schedule would need a clock they do not have.
         schedule = FailureSchedule([FailureEvent(0.1, 3, "crash")])
-        cfg = SimulationConfig(
-            params=_params(), trials=2, seed=1,
-            chaos=ChaosConfig(schedule=schedule),
-        )
         with pytest.raises(ConfigurationError, match="explicit failure schedule"):
-            MonteCarloSimulator(cfg)
+            MonteCarloSimulator(
+                _params(), trials=2, seed=1, chaos=ChaosConfig(schedule=schedule)
+            )
 
     def test_metadata_carries_effective_d(self):
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)  # f = 0.2
-        cfg = SimulationConfig(params=_params(), trials=3, seed=5, chaos=chaos)
-        report = MonteCarloSimulator(cfg).distribution_attack(
-            AdversarialDistribution(cfg.params.m, 11)
-        )
+        params = _params()
+        report = MonteCarloSimulator(
+            params, trials=3, seed=5, chaos=chaos
+        ).distribution_attack(AdversarialDistribution(params.m, 11))
         assert report.metadata["failed_fraction"] == pytest.approx(0.2)
         assert report.metadata["effective_d"] == pytest.approx(2.4)
 
     def test_degradation_worsens_gain(self):
         params = _params(n=50, m=2000, c=25, rate=10_000.0)
         healthy = MonteCarloSimulator(
-            SimulationConfig(params=params, trials=20, seed=9)
+            params, trials=20, seed=9
         ).distribution_attack(AdversarialDistribution(params.m, 2000))
         degraded = MonteCarloSimulator(
-            SimulationConfig(
-                params=params, trials=20, seed=9,
-                chaos=ChaosConfig(failure_rate=1.0, mttr=1.0),  # f = 0.5
-            )
+            params, trials=20, seed=9,
+            chaos=ChaosConfig(failure_rate=1.0, mttr=1.0),  # f = 0.5
         ).distribution_attack(AdversarialDistribution(params.m, 2000))
         assert degraded.mean > healthy.mean
 
@@ -425,10 +419,10 @@ class TestMonteCarloChaos:
         params = _params()
         monitor = LoadMonitor(MonitorConfig.from_params(params, x=11))
         chaos = ChaosConfig(failure_rate=0.5, mttr=0.5)
-        cfg = SimulationConfig(params=params, trials=3, seed=5, chaos=chaos)
-        MonteCarloSimulator(cfg, RunContext(monitor=monitor)).distribution_attack(
-            AdversarialDistribution(cfg.params.m, 11)
-        )
+        MonteCarloSimulator(
+            params, trials=3, seed=5, chaos=chaos,
+            context=RunContext(monitor=monitor),
+        ).distribution_attack(AdversarialDistribution(params.m, 11))
         windows = [w for w in monitor.windows if "effective_d" in w]
         assert windows
         for w in windows:
@@ -438,12 +432,16 @@ class TestMonteCarloChaos:
         assert "degraded-bound" in rules
 
     def test_chaos_part_of_config_identity(self):
-        a = SimulationConfig(params=_params(), trials=2, seed=1)
-        b = SimulationConfig(params=_params(), trials=2, seed=1,
-                             chaos=ChaosConfig())
-        assert a != b
+        # Chaos changes results, so a campaign's report records it.
+        attack = AdversarialDistribution(_params().m, 11)
+        plain = MonteCarloSimulator(_params(), trials=2, seed=1)
+        chaotic = MonteCarloSimulator(
+            _params(), trials=2, seed=1, chaos=ChaosConfig(failure_rate=0.5)
+        )
+        assert "failed_fraction" not in plain.distribution_attack(attack).metadata
+        assert "failed_fraction" in chaotic.distribution_attack(attack).metadata
         with pytest.raises(ConfigurationError):
-            SimulationConfig(params=_params(), trials=2, chaos="not-a-config")
+            MonteCarloSimulator(_params(), trials=2, chaos="not-a-config")
 
 
 class TestDegradedBoundMath:

@@ -14,7 +14,6 @@ from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MonitorConfig, RunContext
 from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.batch import run_event_campaign
-from repro.sim.config import SimulationConfig
 from repro.workload.adversarial import AdversarialDistribution
 
 
@@ -97,10 +96,11 @@ class TestEventCampaignDeterminism:
 
 class TestMonteCarloDeterminism:
     def _report(self, workers: int):
-        cfg = SimulationConfig(params=_params(), trials=8, seed=21, chaos=_chaos())
-        return MonteCarloSimulator(cfg, RunContext(workers=workers)).distribution_attack(
-            AdversarialDistribution(cfg.params.m, 11)
+        sim = MonteCarloSimulator(
+            _params(), trials=8, seed=21, chaos=_chaos(),
+            context=RunContext(workers=workers),
         )
+        return sim.distribution_attack(AdversarialDistribution(_params().m, 11))
 
     def test_serial_matches_workers_4(self):
         serial = self._report(workers=1)
@@ -114,12 +114,10 @@ class TestMonteCarloDeterminism:
         # degradation visibly re-concentrates it (x = c + 1 puts a
         # single ball on one node either way).
         healthy = MonteCarloSimulator(
-            SimulationConfig(params=_params(), trials=8, seed=21)
+            _params(), trials=8, seed=21
         ).distribution_attack(AdversarialDistribution(_params().m, 500))
         chaotic = MonteCarloSimulator(
-            SimulationConfig(
-                params=_params(), trials=8, seed=21, chaos=_chaos(),
-            )
+            _params(), trials=8, seed=21, chaos=_chaos()
         ).distribution_attack(AdversarialDistribution(_params().m, 500))
         assert not np.array_equal(
             healthy.normalized_max_per_trial, chaotic.normalized_max_per_trial

@@ -6,40 +6,29 @@ import pytest
 
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError
-from repro.sim.config import SimulationConfig
+from repro.sim.analytic import MonteCarloSimulator
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
 
 class TestSimulationConfig:
-    def _config(self, **overrides):
-        base = dict(
-            params=SystemParameters(n=10, m=100, c=5, d=2, rate=100.0),
-            trials=5,
-            seed=1,
-        )
-        base.update(overrides)
-        return SimulationConfig(**base)
+    """The simulation configuration: ``MonteCarloSimulator``'s keywords."""
+
+    PARAMS = SystemParameters(n=10, m=100, c=5, d=2, rate=100.0)
 
     def test_defaults(self):
-        config = self._config()
-        assert config.selection == "least-loaded"
-
-    def test_with_params_copies(self):
-        config = self._config()
-        other = config.with_params(config.params.with_cache(9))
-        assert other.params.c == 9
-        assert config.params.c == 5
-        assert other.trials == config.trials
-
-    def test_with_trials_copies(self):
-        config = self._config()
-        assert config.with_trials(99).trials == 99
-        assert config.trials == 5
+        report = MonteCarloSimulator(self.PARAMS).distribution_attack(
+            AdversarialDistribution(self.PARAMS.m, 20)
+        )
+        assert report.trials == 200
+        assert report.metadata["selection"] == "least-loaded"
+        assert "failed_fraction" not in report.metadata
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            self._config(trials=0)
+            MonteCarloSimulator(self.PARAMS, trials=0)
+        with pytest.raises(ConfigurationError):
+            MonteCarloSimulator(self.PARAMS, trials=5, chaos="not-a-config")
 
 
 class TestEventsimRouting:

@@ -103,7 +103,7 @@ class TestExecutorSlot:
         results = parallel._run_chunk(
             _event_campaign_trial, 3, "event-campaign", [0], True,
             (PARAMS, AdversarialDistribution(PARAMS.m, 6), 500, 3, None, {}),
-            {}, template,
+            template,
         )
         (outcome, snapshot), = results
         assert outcome.backend_queries > 0
@@ -114,6 +114,5 @@ class TestExecutorSlot:
         results = parallel._run_chunk(
             _event_campaign_trial, 3, "event-campaign", [0, 1], True,
             (PARAMS, AdversarialDistribution(PARAMS.m, 6), 500, 3, None, {}),
-            {},
         )
         assert [type(r).__name__ for r in results] == ["EventSimResult"] * 2

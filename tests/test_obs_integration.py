@@ -33,7 +33,6 @@ from repro.obs import (
 )
 from repro.sim.analytic import MonteCarloSimulator, simulate_distribution
 from repro.sim.batch import run_event_campaign
-from repro.sim.config import SimulationConfig
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import UniformDistribution
@@ -52,8 +51,8 @@ def _lru_factory():
 
 def _mc_report(x=50, seed=11, workers=1, metrics=None, tracer=None):
     sim = MonteCarloSimulator(
-        SimulationConfig(params=_params(), trials=6, seed=seed),
-        RunContext(metrics=metrics, spans=tracer, workers=workers),
+        _params(), trials=6, seed=seed,
+        context=RunContext(metrics=metrics, spans=tracer, workers=workers),
     )
     return sim.distribution_attack(AdversarialDistribution(400, x))
 

@@ -9,11 +9,11 @@ registry they are handed and pass it nowhere.
 """
 
 import ast
-import dataclasses
+import inspect
 from pathlib import Path
 
 import repro
-from repro.sim.config import SimulationConfig
+from repro.sim.analytic import MonteCarloSimulator
 
 SRC = Path(repro.__file__).parent
 
@@ -75,6 +75,21 @@ def test_one_run_campaign_definition():
 
 
 def test_simulation_config_carries_no_sinks_or_workers():
-    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
-    assert not fields & (INSTRUMENT_PARAMS | {"workers"})
-    assert "chaos" in fields
+    """The simulator's keywords are its configuration; instruments and the
+    worker count ride in its ``context``."""
+    params = set(inspect.signature(MonteCarloSimulator.__init__).parameters)
+    assert not params & (INSTRUMENT_PARAMS | {"workers"})
+    assert {"chaos", "context"} <= params
+
+
+def test_one_trial_fan_out():
+    definitions = [
+        module for module, name, _ in _functions() if name == "map_trials"
+    ]
+    assert definitions == ["sim/parallel.py"]
+    pools = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "ProcessPoolExecutor" in path.read_text(encoding="utf-8")
+    ]
+    assert pools == ["sim/parallel.py"]

@@ -45,6 +45,34 @@ class TestRunEventCampaign:
             == b.load_report.normalized_max_per_trial
         ).all()
 
+    def test_unseeded_campaign_shares_one_recorded_seed(self, monkeypatch):
+        import repro.sim.eventsim as eventsim
+
+        seeds = []
+
+        class SpyPartitioner(eventsim.RandomTablePartitioner):
+            def __init__(self, *args, seed=None, **kwargs):
+                seeds.append(seed)
+                super().__init__(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(eventsim, "RandomTablePartitioner", SpyPartitioner)
+        campaign = run_event_campaign(
+            _params(), UniformDistribution(200), trials=3, n_queries=1000,
+            seed=None,
+        )
+        # One secret partitioner for the whole campaign, not one per trial.
+        seed = campaign.load_report.metadata["seed"]
+        assert isinstance(seed, int)
+        assert len(seeds) == 3 and len(set(seeds)) == 1 and None not in seeds
+        rerun = run_event_campaign(
+            _params(), UniformDistribution(200), trials=3, n_queries=1000,
+            seed=seed,
+        )
+        assert (
+            rerun.load_report.normalized_max_per_trial
+            == campaign.load_report.normalized_max_per_trial
+        ).all()
+
     def test_cache_factory_gives_fresh_cache_per_trial(self):
         caches = []
 

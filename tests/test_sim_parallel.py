@@ -13,7 +13,7 @@ from repro.exceptions import SimulationError
 from repro.obs import RunContext
 from repro.sim.analytic import simulate_distribution
 from repro.sim.batch import run_event_campaign
-from repro.sim.parallel import ParallelExecutor, resolve_seed, resolve_workers
+from repro.sim.parallel import map_trials, resolve_seed, resolve_workers
 from repro.sim.runner import run_trials
 from repro.types import LoadVector
 from repro.workload.adversarial import AdversarialDistribution
@@ -70,46 +70,39 @@ class TestResolvers:
 
 
 class TestParallelExecutor:
+    """``map_trials``, the one parallel trial executor."""
+
     def test_results_come_back_in_trial_order(self):
-        with ParallelExecutor(workers=2, chunk_size=1) as executor:
-            vectors = executor.map_trials(
-                _trial_index_vector, trials=6, seed=7, pass_trial=True
-            )
+        vectors = map_trials(
+            _trial_index_vector, 6, seed=7, label="trial", workers=2,
+            pass_trial=True,
+        )
         assert [v.loads[0] for v in vectors] == [10.0 + t for t in range(6)]
 
     def test_parallel_matches_serial_streams(self):
-        serial = ParallelExecutor(workers=1).map_trials(
-            _uniform_vector, trials=8, seed=11
+        serial = map_trials(_uniform_vector, 8, seed=11, label="trial")
+        parallel = map_trials(
+            _uniform_vector, 8, seed=11, label="trial", workers=3
         )
-        with ParallelExecutor(workers=3) as executor:
-            parallel = executor.map_trials(_uniform_vector, trials=8, seed=11)
         for a, b in zip(serial, parallel):
             assert (a.loads == b.loads).all()
 
     def test_lambda_rejected_with_diagnosis(self):
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(SimulationError, match="picklable"):
-                executor.map_trials(lambda gen: None, trials=4, seed=1)
+        with pytest.raises(SimulationError, match="picklable"):
+            map_trials(lambda gen: None, 4, seed=1, label="trial", workers=2)
 
     def test_lambda_fine_when_serial(self):
-        vectors = ParallelExecutor(workers=1).map_trials(
+        vectors = map_trials(
             lambda gen: LoadVector(loads=gen.random(3) + 0.1, total_rate=10.0),
-            trials=2,
+            2,
             seed=1,
+            label="trial",
         )
         assert len(vectors) == 2
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(SimulationError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(SimulationError):
-            ParallelExecutor(workers=2, mp_context="teleport")
-
     def test_zero_trials_rejected(self):
         with pytest.raises(SimulationError):
-            ParallelExecutor().map_trials(_uniform_vector, trials=0, seed=1)
+            map_trials(_uniform_vector, 0, seed=1, label="trial")
 
 
 class TestRunTrialsWorkers:
