@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -75,6 +77,170 @@ def _mac_key(seed: Optional[int], trial: int) -> bytes:
     ).digest()
 
 
+# BLAKE2b (RFC 7693) as NumPy columns.  A sampled request hashes one
+# 16-byte block under a 32-byte MAC key: the key block is compressed
+# once per trial in Python ints (:func:`_request_state`), then the final
+# block of every request is compressed at once over ``uint64`` columns
+# (:func:`_digest_body`).  The digests equal ``hashlib``'s bit for bit.
+
+_M64 = 2**64 - 1
+
+_IV = (
+    0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B,
+    0xA54FF53A5F1D36F1, 0x510E527FADE682D1, 0x9B05688C2B3E6C1F,
+    0x1F83D9ABFB41BD6B, 0x5BE0CD19137E2179,
+)
+
+_SIGMA = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    (14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3),
+    (11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4),
+    (7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8),
+    (9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13),
+    (2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9),
+    (12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11),
+    (13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10),
+    (6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5),
+    (10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0),
+)
+
+#: The four column G's, then the four diagonal G's, of every round.
+_QUARTERS = (
+    (0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15),
+    (0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14),
+)
+
+
+@lru_cache(maxsize=None)
+def _steps() -> tuple:
+    """BLAKE2b's 12 rounds as ``(op, target, operand)`` steps.
+
+    ``op`` is ``"add"`` or ``"xor"`` (``w[target] op= w[operand]``) or
+    ``"rot"`` (rotate ``w[target]`` right by ``operand`` bits), over the
+    working words ``w[0..15]`` followed by the message words
+    ``w[16..31]``.
+    """
+    steps = []
+    for r in range(12):
+        sigma = _SIGMA[r % 10]
+        for g, (a, b, c, d) in enumerate(_QUARTERS):
+            x, y = 16 + sigma[2 * g], 16 + sigma[2 * g + 1]
+            steps += [
+                ("add", a, b), ("add", a, x), ("xor", d, a), ("rot", d, 32),
+                ("add", c, d), ("xor", b, c), ("rot", b, 24),
+                ("add", a, b), ("add", a, y), ("xor", d, a), ("rot", d, 16),
+                ("add", c, d), ("xor", b, c), ("rot", b, 63),
+            ]
+    return tuple(steps)
+
+
+def _request_state(mac: bytes) -> List[int]:
+    """The 16 working words every request's final block starts from.
+
+    The parameter block sets a ``len(mac)``-byte key and an 8-byte
+    digest; the zero-padded key block is compressed here, in Python
+    ints, with byte counter 128 and no final flag.  The request block
+    then runs with counter 144 and the final flag set.
+    """
+    h = list(_IV)
+    h[0] ^= 0x01010000 ^ (len(mac) << 8) ^ 8
+    w = h + list(_IV) + list(struct.unpack("<16Q", mac.ljust(128, b"\0")))
+    w[12] ^= 128
+    for op, i, j in _steps():
+        if op == "add":
+            w[i] = (w[i] + w[j]) & _M64
+        elif op == "xor":
+            w[i] ^= w[j]
+        else:
+            w[i] = (w[i] >> j | w[i] << (64 - j)) & _M64
+    v = [h[i] ^ w[i] ^ w[i + 8] for i in range(8)] + list(_IV)
+    v[12] ^= 144
+    v[14] ^= _M64
+    return v
+
+
+@lru_cache(maxsize=None)
+def _digest_body():
+    """Generate, compile and cache the per-request BLAKE2b compression.
+
+    The generated ``digests(v, m0, m1)`` takes the 16 starting words of
+    :func:`_request_state` and the ``uint64`` columns of message words 0
+    (stream index) and 1 (key), and returns the ``uint64`` column of
+    64-bit digests ``h0 ^ v0 ^ v8``.  It is straight-line code:
+
+    - the adds of the 14 zero message words are skipped;
+    - a word stays a Python int until it first meets a column (three of
+      round 0's column G's never do), then becomes a fresh column;
+    - the last round's steps that cannot reach ``v0`` or ``v8`` are
+      dropped;
+    - every column step is one in-place ufunc, with one scratch column
+      ``t`` for the rotations.
+
+    Generated on first use, like :func:`repro.ballsbins.allocation._scan`,
+    so importing the package compiles nothing.
+    """
+    steps = [s for s in _steps() if not (s[0] == "add" and s[2] >= 18)]
+    live = {0, 8}
+    kept = []
+    for op, i, j in reversed(steps):
+        if i in live:
+            kept.append((op, i, j))
+            if op != "rot":
+                live.add(j)
+    names = [f"v{i}" for i in range(16)] + ["m0", "m1"]
+    columns = {16, 17}
+    lines = [
+        "def digests(v, m0, m1):",
+        f"    {', '.join(names[:16])} = v",
+        "    h0 = v0",
+        "    t = empty_like(m0)",
+    ]
+    for op, i, j in reversed(kept):
+        a = names[i]
+        if op == "rot":
+            if i in columns:
+                lines += [
+                    f"    right_shift({a}, R{j}, out=t)",
+                    f"    left_shift({a}, L{j}, out={a})",
+                    f"    bitwise_or({a}, t, out={a})",
+                ]
+            else:
+                lines.append(f"    {a} = ({a} >> {j} | {a} << {64 - j}) & M")
+            continue
+        b = names[j]
+        ufunc = "add" if op == "add" else "bitwise_xor"
+        if i in columns:
+            operand = b if j in columns else f"uint64({b})"
+            lines.append(f"    {ufunc}({a}, {operand}, out={a})")
+        elif j in columns:
+            lines.append(f"    {a} = {ufunc}({b}, uint64({a}))")
+            columns.add(i)
+        elif op == "add":
+            lines.append(f"    {a} = ({a} + {b}) & M")
+        else:
+            lines.append(f"    {a} ^= {b}")
+    lines += [
+        "    bitwise_xor(v0, v8, out=v0)",
+        "    bitwise_xor(v0, uint64(h0), out=v0)",
+        "    return v0",
+    ]
+    namespace: dict = {
+        "M": _M64,
+        "uint64": np.uint64,
+        "empty_like": np.empty_like,
+        "add": np.add,
+        "bitwise_xor": np.bitwise_xor,
+        "bitwise_or": np.bitwise_or,
+        "right_shift": np.right_shift,
+        "left_shift": np.left_shift,
+    }
+    for n in (32, 24, 16, 63):
+        namespace[f"R{n}"] = np.uint64(n)
+        namespace[f"L{n}"] = np.uint64(64 - n)
+    exec(compile("\n".join(lines), "<blake2b request digests>", "exec"), namespace)
+    return namespace["digests"]
+
+
 class HashSampler:
     """Keyed-BLAKE2b threshold sampler over ``(seed, key, index)``.
 
@@ -83,7 +249,8 @@ class HashSampler:
     a pure function of the identifiers, consuming no RNG stream.  The
     admitted fraction converges to ``sample`` (hypothesis-tested) and
     the decision for a given request never depends on how many other
-    requests were traced.
+    requests were traced.  :meth:`admit` asks ``hashlib``;
+    :meth:`mask` computes the same digests as NumPy columns.
     """
 
     name = "hash"
@@ -105,23 +272,27 @@ class HashSampler:
         ).digest()
         return int.from_bytes(digest, "little") < self._cut
 
+    def digests(self, keys: np.ndarray, start: int = 0) -> np.ndarray:
+        """The ``uint64`` digests :meth:`admit` compares, for a key stream.
+
+        Request ``j`` hashes the block ``pack("<qq", start + j,
+        keys[j])``, whose two words are the int64 index and key read as
+        ``uint64``; one columnar compression (:func:`_digest_body`)
+        computes every digest.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        index = np.arange(start, start + len(keys), dtype=np.int64)
+        return _digest_body()(
+            _request_state(self._key), index.view(np.uint64), keys.view(np.uint64)
+        )
+
     def mask(self, keys: np.ndarray, start: int = 0) -> np.ndarray:
         """Vectorised admit decisions for a key stream."""
         if self._sample >= 1.0:
             return np.ones(len(keys), dtype=bool)
         if self._cut <= 0:
             return np.zeros(len(keys), dtype=bool)
-        # Key the hash once and copy its state per request; compare all
-        # the little-endian digests against the cut in one pass.
-        keyed = blake2b(digest_size=8, key=self._key)
-        pack = _PACK
-        digests = []
-        append = digests.append
-        for i, k in enumerate(np.asarray(keys).tolist(), start):
-            h = keyed.copy()
-            h.update(pack(i, k))
-            append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype="<u8") < np.uint64(self._cut)
+        return self.digests(keys, start) < np.uint64(self._cut)
 
 
 class StrideSampler:
@@ -308,7 +479,7 @@ class FlightRecorder:
         self._config = config if config is not None else TraceConfig()
         self._seed = seed
         # Campaign-level state (fed by finalize() or merge_trial()).
-        self._records: List[dict] = []
+        self._records: Deque[dict] = deque(maxlen=self._config.capacity)
         self._appended = 0
         self._sampled = 0
         self._seen = 0
@@ -335,8 +506,8 @@ class FlightRecorder:
 
     @property
     def records(self) -> List[dict]:
-        """Retained trace records, oldest first (live reference)."""
-        return self._records
+        """Retained trace records, oldest first, as a new list."""
+        return list(self._records)
 
     @property
     def sampled(self) -> int:
@@ -409,10 +580,7 @@ class FlightRecorder:
         self._sampled += 1
         self._run_sampled += 1
         self._appended += 1
-        records = self._records
-        records.append(record)
-        if len(records) > self._config.capacity:
-            del records[0]
+        self._records.append(record)  # drops the oldest at capacity
         if self._run_attr is not None:
             self._run_attr.add(
                 record["t"],
@@ -542,12 +710,8 @@ class FlightRecorder:
         the merged stream, so the retained set — and the exported JSONL
         — is identical to a serial run's.
         """
-        records = self._records
-        records.extend(snapshot.get("records", ()))
+        self._records.extend(snapshot.get("records", ()))
         self._appended += snapshot.get("appended", 0)
-        overflow = len(records) - self._config.capacity
-        if overflow > 0:
-            del records[:overflow]
         self._sampled += snapshot.get("sampled", 0)
         self._seen += snapshot.get("seen", 0)
         self._alerts.extend(snapshot.get("alerts", ()))
@@ -597,7 +761,7 @@ class FlightRecorder:
         }
         lines = [
             json.dumps(record, sort_keys=True, allow_nan=False, default=_coerce)
-            for record in [head] + self._records
+            for record in [head, *self._records]
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
@@ -640,7 +804,7 @@ class FlightRecorder:
         config = TraceConfig(**manifest.get("config", {}))
         recorder = cls(config)
         records = data["records"]
-        recorder._records = list(records)
+        recorder._records.extend(records)
         recorder._appended = len(records) + int(manifest.get("evicted", 0))
         recorder._sampled = int(manifest.get("sampled", len(records)))
         recorder._seen = int(manifest.get("seen", len(records)))

@@ -171,6 +171,7 @@ class EventDrivenSimulator:
         wall-clock phases of the kernel, as this tree of span paths::
 
             workload-gen                key stream and arrival times
+            trace-sample                only with a flight recorder
             event-loop
               kernel-resolve            node state replay, miss masks
                 kernel-cache            front-end cache pass

@@ -561,7 +561,8 @@ def run_fast(sim, n_queries: int, trial: int):
             client_map=sim._distribution.client_map(),
             group_of=sim._partitioner.replica_group,
         )
-        trace_mask = recorder.sample_mask(keys)
+        with tracer.span("trace-sample"):
+            trace_mask = recorder.sample_mask(keys)
 
     with tracer.span("event-loop"):
         with tracer.span("kernel-resolve"):

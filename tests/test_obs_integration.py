@@ -31,6 +31,7 @@ from repro.obs import (
     export_json,
     to_prometheus,
 )
+from repro.obs.trace import FlightRecorder, TraceConfig
 from repro.sim.analytic import MonteCarloSimulator, simulate_distribution
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
@@ -113,6 +114,18 @@ class TestEventSpans:
             "event-loop/kernel-queues/kernel-drain",
             "report",
         } == set(tracer.aggregates())
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_trace_sample_span_only_with_a_flight_recorder(self, traced):
+        tracer = Tracer()
+        recorder = FlightRecorder(TraceConfig(sample=0.1), seed=3) if traced else None
+        EventDrivenSimulator(
+            _params(), UniformDistribution(400), cache=LRUCache(20),
+            seed=3, context=RunContext(spans=tracer, trace=recorder),
+        ).run(2000)
+        paths = set(tracer.aggregates())
+        assert ("trace-sample" in paths) == traced
+        assert ("event-loop/kernel-trace" in paths) == traced
 
     @staticmethod
     def _drain_spans(**kwargs):

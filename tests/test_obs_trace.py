@@ -23,6 +23,8 @@ the attacker, and ``attribution-concentration`` fires.
 """
 
 import json
+import struct
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -53,6 +55,33 @@ from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.zipf import ZipfDistribution
 
 PARAMS = SystemParameters(n=16, m=400, c=8, d=3, rate=2000.0)
+
+
+INT64 = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([-(2**63), -1, 0, 2**63 - 1]),
+)
+
+
+def _long_stream(seed):
+    """300 keys across the int64 range, its extremes first."""
+    rng = np.random.default_rng(seed)
+    tail = rng.integers(-(2**63), 2**63 - 1, 296, dtype=np.int64).tolist()
+    return [-(2**63), -1, 0, 2**63 - 1] + tail
+
+
+def _hashlib_digests(seed, trial, keys, start):
+    """Reference digests: one keyed ``hashlib`` BLAKE2b per request."""
+    mac = blake2b(
+        struct.pack("<qq", seed, trial), digest_size=32, person=b"repro-trace"
+    ).digest()
+    return [
+        int.from_bytes(
+            blake2b(struct.pack("<qq", i, k), digest_size=8, key=mac).digest(),
+            "little",
+        )
+        for i, k in enumerate(keys, start)
+    ]
 
 
 def _result_fingerprint(result):
@@ -107,6 +136,50 @@ class TestHashSampler:
         assert mask.tolist() == [
             sampler.admit(k, i) for i, k in enumerate(keys, start)
         ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        trial=st.integers(min_value=0, max_value=2**31),
+        start=st.sampled_from([0, 1, 2**40]),
+        keys=st.one_of(
+            st.lists(INT64, max_size=1),
+            st.integers(min_value=0, max_value=2**32).map(_long_stream),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_digests_equal_hashlib(self, seed, trial, start, keys):
+        """The columnar BLAKE2b gives ``hashlib``'s keyed digests."""
+        sampler = HashSampler(seed, 0.01, trial=trial)
+        digests = sampler.digests(np.array(keys, dtype=np.int64), start=start)
+        assert digests.dtype == np.uint64
+        assert digests.tolist() == _hashlib_digests(seed, trial, keys, start)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    def test_mask_matches_admit_per_key_dtype(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(5)
+        keys = rng.integers(info.min, info.max, 500, dtype=dtype, endpoint=True)
+        keys[:2] = info.min, info.max
+        sampler = HashSampler(9, 0.3, trial=2)
+        assert sampler.mask(keys, start=7).tolist() == [
+            sampler.admit(k, i) for i, k in enumerate(keys.tolist(), 7)
+        ]
+
+    def test_empty_stream(self):
+        mask = HashSampler(9, 0.3).mask(np.empty(0, dtype=np.int64))
+        assert mask.dtype == bool and mask.size == 0
+
+    @pytest.mark.slow
+    def test_digests_equal_hashlib_sweep(self):
+        """240k (index, key) pairs over four trials, against ``hashlib``."""
+        rng = np.random.default_rng(2013)
+        for trial in range(4):
+            keys = rng.integers(-(2**63), 2**63 - 1, 60_000, dtype=np.int64)
+            start = int(rng.integers(0, 2**62))
+            sampler = HashSampler(2013, 0.01, trial=trial)
+            assert sampler.digests(keys, start=start).tolist() == (
+                _hashlib_digests(2013, trial, keys.tolist(), start)
+            )
 
     def test_edge_rates(self):
         keys = np.arange(100, dtype=np.int64)
@@ -253,6 +326,35 @@ class TestRingBound:
         assert recorder.sampled == 1000
         # The ring keeps the most recent records.
         assert recorder.records[-1]["i"] == 999
+
+    @staticmethod
+    def _emit(recorder, trial, indices):
+        recorder.begin_run(trial=trial, m=PARAMS.m)
+        for i in indices:
+            recorder.record_hit(t=i * 1e-3, key=i, index=i)
+        recorder.finalize(duration=1.0)
+
+    def test_ring_of_three_serial_and_merged(self, tmp_path):
+        """Ten records through a 3-slot ring: the newest three, oldest
+        first, whether emitted serially or merged from per-trial
+        snapshots."""
+        config = TraceConfig(capacity=3)
+        serial = FlightRecorder(config, seed=1)
+        merged = FlightRecorder(config, seed=1)
+        for trial, indices in enumerate([range(0, 6), range(6, 10)]):
+            self._emit(serial, trial, indices)
+            worker = FlightRecorder(config, seed=1)
+            self._emit(worker, trial, indices)
+            merged.merge_trial(worker.snapshot())
+        for recorder in (serial, merged):
+            assert [r["i"] for r in recorder.records] == [7, 8, 9]
+            assert recorder.evicted == 7
+            assert recorder.sampled == 10
+        assert serial.snapshot()["records"] == merged.snapshot()["records"]
+        assert (
+            serial.write(tmp_path / "serial.jsonl").read_bytes()
+            == merged.write(tmp_path / "merged.jsonl").read_bytes()
+        )
 
 
 class TestOfflineRecompute:
