@@ -33,7 +33,8 @@ discipline the metrics registry follows.
 Two ingestion paths share one monitor type:
 
 - **event path** (:class:`repro.sim.eventsim.EventDrivenSimulator`):
-  :meth:`begin_run` / :meth:`record_request` / :meth:`finalize`; the
+  :meth:`begin_run` / :meth:`observe` once per run with the run's
+  :class:`~repro.obs.columns.TrialColumns` / :meth:`finalize`; the
   window clock is simulated seconds.
 - **trial path** (:func:`repro.sim.runner.run_trials`):
   :meth:`record_trial` turns each trial's
@@ -51,6 +52,7 @@ import numpy as np
 from ..core.bounds import distcache_max_load_bound, fold_constant_k
 from ..exceptions import ConfigurationError
 from .alerts import AlertEngine, BUILTIN_RULES
+from .columns import RETRIED, UNAVAILABLE, TrialColumns
 from .events import SCHEMA_VERSION, EventLog
 from .metrics import as_registry
 from .sketch import QuantileBank
@@ -462,73 +464,68 @@ class LoadMonitor:
             acc = self._acc = WindowAccumulator(index, self._config.window, self._n)
         return acc
 
-    def record_request(
-        self,
-        t: float,
-        key: int,
-        node: Optional[int] = None,
-        layer: Optional[int] = None,
-        shard: Optional[int] = None,
-    ) -> None:
-        """Ingest one request at simulated time ``t``.
+    def observe(self, columns: TrialColumns) -> None:
+        """Ingest one event-driven run, in event order
+        (:meth:`TrialColumns.event_order`).
 
-        ``node is None`` means the front-end cache absorbed it; an
-        integer means it was forwarded to that back-end node.  Calls
-        must arrive in non-decreasing ``t`` (the event scheduler's
-        order).
-
-        On hierarchy runs (``begin_run(layers=...)``), cache hits carry
-        the ``(layer, shard)`` that served them so the per-layer
-        max-load estimators can track the DistCache bound.  Flat runs
-        never pass them and stay byte-identical.
+        Windows close exactly where a request-by-request feed would
+        close them.  On hierarchy runs (``begin_run(layers=...)``) a
+        cache hit counts against the ``(layer, shard)`` that served it,
+        for the DistCache bound.  An unavailable request is counted,
+        not profiled: entropy tracks served traffic.  A node transition
+        (chaos runs) updates the down-set behind per-window
+        ``effective_d`` and lands as a ``node-event`` record.
         """
-        acc = self._window_at(t)
-        acc.record(key, node)
-        self._cum_requests += 1
-        if node is None:
+        layered = self._layers is not None and columns.layer is not None
+        if layered:
+            layers, shards = columns.layer.tolist(), columns.shard.tolist()
+        times, keys = columns.time.tolist(), columns.key.tolist()
+        outcome = columns.outcome.tolist()
+        retry_time, retry_node = columns.retry_time.tolist(), columns.retry_node.tolist()
+        retry_key = columns.key[columns.retry_request].tolist()
+        event_time, event_node = columns.event_time.tolist(), columns.event_node.tolist()
+        event_up = columns.event_up.tolist()
+        cls, index = columns.event_order()
+        for c, i in zip(cls.tolist(), index.tolist()):
+            if c == 0:
+                node, up = event_node[i], event_up[i]
+                if up:
+                    self._down_nodes.discard(node)
+                else:
+                    self._down_nodes.add(node)
+                    self._win_max_down = max(self._win_max_down, len(self._down_nodes))
+                self._events.emit({
+                    "type": "node-event", "trial": self._trial, "t": event_time[i],
+                    "node": node, "up": up, "nodes_down": len(self._down_nodes),
+                })
+                self._metrics.counter("monitor_node_events_total").inc()
+                continue
+            if c == 1:
+                t, key, node = times[i], keys[i], outcome[i]
+            else:
+                t, key, node = retry_time[i], retry_key[i], retry_node[i]
+                node = UNAVAILABLE if node < 0 else node
+            if node == RETRIED:
+                continue
+            acc = self._window_at(t)
+            if node == UNAVAILABLE:
+                acc.unavailable += 1
+                self._cum_unavailable += 1
+                continue
+            self._cum_requests += 1
+            if node >= 0:
+                acc.record(key, node)
+                self._cum_backend += 1
+                self._cum_nodes[node] += 1
+                continue
+            acc.record(key, None)
             self._cum_hits += 1
-            if layer is not None and self._layers is not None:
+            if layered:
+                layer = layers[i]
                 acc.record_layer(layer)
                 self._cum_layer_hits[layer] += 1
                 self._layer_keys[layer].add(key)
-                if shard is not None:
-                    self._cum_shard_hits[layer][shard] += 1
-        else:
-            self._cum_backend += 1
-            self._cum_nodes[node] += 1
-
-    def record_node_event(self, t: float, node: int, up: bool) -> None:
-        """Ingest one fault-injector transition (chaos runs only).
-
-        Keeps the live down-set (and the window's worst case) that
-        per-window ``effective_d`` derives from, and emits a
-        ``node-event`` record so incident timelines survive into the
-        event log.
-        """
-        node = int(node)
-        if up:
-            self._down_nodes.discard(node)
-        else:
-            self._down_nodes.add(node)
-            self._win_max_down = max(self._win_max_down, len(self._down_nodes))
-        self._events.emit(
-            {
-                "type": "node-event",
-                "trial": self._trial,
-                "t": t,
-                "node": node,
-                "up": bool(up),
-                "nodes_down": len(self._down_nodes),
-            }
-        )
-        self._metrics.counter("monitor_node_events_total").inc()
-
-    def record_unavailable(self, t: float, key: int) -> None:
-        """Ingest one request whose every replica was down at ``t``."""
-        del key  # counted, not profiled — entropy tracks served traffic
-        acc = self._window_at(t)
-        acc.unavailable += 1
-        self._cum_unavailable += 1
+                self._cum_shard_hits[layer][shards[i]] += 1
 
     def finalize(
         self,
@@ -844,13 +841,7 @@ class NullMonitor(LoadMonitor):
     ) -> None:
         pass
 
-    def record_request(self, t, key, node=None, layer=None, shard=None) -> None:
-        pass
-
-    def record_node_event(self, t, node, up) -> None:
-        pass
-
-    def record_unavailable(self, t, key) -> None:
+    def observe(self, columns) -> None:
         pass
 
     def finalize(self, duration, suspects=None, attribution_alerts=None) -> Optional[dict]:

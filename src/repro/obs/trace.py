@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Union
 
@@ -47,6 +48,7 @@ from ..exceptions import ConfigurationError
 from ..rng import DEFAULT_SEED
 from ..scenario.registry import register_component
 from .attribution import AttributionEngine
+from .columns import DROPPED, HIT, LOST, RETRIED, SERVED, UNAVAILABLE, TrialColumns
 from .events import _coerce
 
 __all__ = [
@@ -67,6 +69,9 @@ __all__ = [
 TRACE_SCHEMA_VERSION = 1
 
 _PACK = struct.Struct("<qq").pack
+
+#: Trace ``status`` of a dispatch.
+_STATUS = {SERVED: "served", DROPPED: "dropped", LOST: "lost"}
 
 
 def _mac_key(seed: Optional[int], trial: int) -> bytes:
@@ -462,9 +467,9 @@ class FlightRecorder:
     """Bounded causal-trace recorder + per-run attribution aggregation.
 
     Engine protocol (mirrors :class:`~repro.obs.monitor.LoadMonitor`):
-    :meth:`begin_run` -> :meth:`sample_mask` -> :meth:`record_hit` /
-    :meth:`record_backend` / :meth:`record_unavailable` per admitted
-    request -> :meth:`finalize`, which returns the trial's suspects
+    :meth:`begin_run` -> :meth:`sample_mask` -> :meth:`observe` once
+    per run with the run's :class:`~repro.obs.columns.TrialColumns`
+    and the mask -> :meth:`finalize`, which returns the trial's suspects
     block and concentration alerts for the engine to hand to the
     monitor.  Serial campaigns reuse one recorder across trials;
     parallel campaigns build one per trial inside the worker and merge
@@ -576,88 +581,72 @@ class FlightRecorder:
         self._seen += len(mask)
         return mask
 
-    def _emit(self, record: dict) -> dict:
-        self._sampled += 1
-        self._run_sampled += 1
-        self._appended += 1
-        self._records.append(record)  # drops the oldest at capacity
-        if self._run_attr is not None:
-            self._run_attr.add(
-                record["t"],
-                record["prefix"],
-                record["client"],
-                record["key"],
-                backend=not record["hit"],
-            )
-        return record
+    def observe(self, columns: TrialColumns, mask: np.ndarray) -> None:
+        """Record the run's requests admitted by ``mask`` (from
+        :meth:`sample_mask`), one record each, in event order.
 
-    def _base(self, t: float, key: int, index: int, hit: bool) -> dict:
-        key = int(key)
-        record = {
-            "type": "trace",
-            "trial": self._trial,
-            "i": int(index),
-            "t": float(t),
-            "key": key,
-            "prefix": key * self._config.prefix_buckets // self._m,
-            "client": (
-                int(self._client_map[key]) if self._client_map is not None else 0
-            ),
-            "group": (
-                [int(node) for node in self._group_of(key)]
-                if self._group_of is not None
-                else None
-            ),
-            "hit": bool(hit),
-            "node": None,
-            "layer": None,
-            "shard": None,
-            "wait": None,
-            "service": None,
-            "status": "hit" if hit else "served",
-        }
-        if self._chaos_run:
-            record["attempts"] = 1
-        return record
-
-    def record_hit(
-        self,
-        t: float,
-        key: int,
-        index: int,
-        layer: Optional[int] = None,
-        shard: Optional[int] = None,
-    ) -> dict:
-        """Trace one front-end cache hit (with its tree path, if any)."""
-        record = self._base(t, key, index, hit=True)
-        if layer is not None:
-            record["layer"] = int(layer)
-            record["shard"] = int(shard) if shard is not None else None
-        return self._emit(record)
-
-    def record_backend(
-        self, t: float, key: int, index: int, node: int, attempts: int = 1
-    ) -> dict:
-        """Trace one back-end dispatch; the queue layer fills the rest.
-
-        Returns the live record: the event kernel completes it with
-        ``wait`` / ``service`` or flips ``status`` to ``dropped`` /
-        ``lost``.
+        A request that failed over is recorded at its retry, with
+        ``attempts = 2``.  A served dispatch carries its queue ``wait``
+        (from the original arrival) and ``service`` time; an unserved
+        one the status ``dropped`` (queue full) or ``lost`` (crash).
         """
-        record = self._base(t, key, index, hit=False)
-        record["node"] = int(node)
-        if self._chaos_run:
-            record["attempts"] = int(attempts)
-        return self._emit(record)
-
-    def record_unavailable(
-        self, t: float, key: int, index: int, attempts: int
-    ) -> dict:
-        """Trace one request whose every replica was down (chaos runs)."""
-        record = self._base(t, key, index, hit=False)
-        record["status"] = "unavailable"
-        record["attempts"] = int(attempts)
-        return self._emit(record)
+        cls, index = columns.event_order(mask)
+        keep = cls > 0
+        retry, index = cls[keep] == 2, index[keep]
+        request = index.copy()
+        request[retry] = columns.retry_request[index[retry]]
+        node = columns.outcome[request]
+        node[retry] = columns.retry_node[index[retry]]
+        node[retry & (node < 0)] = UNAVAILABLE
+        keep = node != RETRIED
+        retry, index, request, node = retry[keep], index[keep], request[keep], node[keep]
+        t = columns.time[request]
+        t[retry] = columns.retry_time[index[retry]]
+        # Each request's one successful dispatch, or a NaN sentinel.
+        sentinel = columns.dispatch_request.size
+        dispatch_of = np.full(columns.time.size, sentinel)
+        dispatch_of[columns.dispatch_request] = np.arange(sentinel)
+        q = dispatch_of[request]
+        start = np.append(columns.dispatch_start, np.nan)[q]
+        wait = start - columns.time[request]
+        service = np.append(columns.dispatch_departure, np.nan)[q] - start
+        status = np.append(columns.dispatch_status, -1)[q]
+        layer = shard = repeat(-1)
+        if columns.layer is not None:
+            layer, shard = columns.layer[request].tolist(), columns.shard[request].tolist()
+        events = list(zip(
+            request.tolist(), t.tolist(), columns.key[request].tolist(), node.tolist(),
+            (retry + 1).tolist(), wait.tolist(), service.tolist(), status.tolist(), layer, shard,
+        ))
+        buckets, m, chaos = self._config.prefix_buckets, self._m, self._chaos_run
+        client_map, group_of, attribution = self._client_map, self._group_of, self._run_attr
+        for i, t, key, node, attempts, wait, service, status, layer, shard in events:
+            hit, served, path = node == HIT, status == SERVED, node == HIT and layer >= 0
+            record = {
+                "type": "trace",
+                "trial": self._trial,
+                "i": i,
+                "t": t,
+                "key": key,
+                "prefix": key * buckets // m,
+                "client": int(client_map[key]) if client_map is not None else 0,
+                "group": [int(g) for g in group_of(key)] if group_of is not None else None,
+                "hit": hit,
+                "node": node if node >= 0 else None,
+                "layer": layer if path else None,
+                "shard": shard if path else None,
+                "wait": wait if served else None,
+                "service": service if served else None,
+                "status": "hit" if hit else _STATUS.get(status, "unavailable"),
+            }
+            if chaos:
+                record["attempts"] = attempts
+            self._records.append(record)  # drops the oldest at capacity
+            if attribution is not None:
+                attribution.add(t, record["prefix"], record["client"], key, backend=not hit)
+        self._sampled += len(events)
+        self._run_sampled += len(events)
+        self._appended += len(events)
 
     def finalize(self, duration: float) -> Optional[dict]:
         """Close the run; returns ``{trial, sampled, suspects, alerts}``.
@@ -859,14 +848,8 @@ class NullRecorder(FlightRecorder):
     def sample_mask(self, keys) -> np.ndarray:
         return np.zeros(len(keys), dtype=bool)
 
-    def record_hit(self, t, key, index, layer=None, shard=None) -> dict:
-        return {}
-
-    def record_backend(self, t, key, index, node, attempts=1) -> dict:
-        return {}
-
-    def record_unavailable(self, t, key, index, attempts) -> dict:
-        return {}
+    def observe(self, columns, mask) -> None:
+        pass
 
     def finalize(self, duration) -> Optional[dict]:
         return None

@@ -184,8 +184,9 @@ class EventDrivenSimulator:
             report                      metrics, monitor and trace finalize
 
         ``monitor`` every request on the simulated clock
-        (``begin_run`` -> ``record_request`` per arrival ->
-        ``finalize``: sliding-window telemetry, the streaming gain
+        (``begin_run`` -> ``observe`` once per run with its
+        :class:`~repro.obs.columns.TrialColumns` -> ``finalize``:
+        sliding-window telemetry, the streaming gain
         estimate, alerts); ``trace`` a causal record per hash-sampled
         request (key, prefix bucket, client, replica group, node,
         cache-tree path, queue wait, service time, chaos annotations)

@@ -75,12 +75,14 @@ consumption.  The replay rules that make it exact:
   state is assigned.  Latency is ``dep - t0`` and trace
   ``wait`` is ``start - t0``, where ``t0`` is the original arrival
   time.
-- **Event order.**  Monitor, trace and stale-hit decisions follow
+- **Event order.**  Instruments and stale-hit decisions follow
   ``(time, class, index)``: class 0 is node events, class 1 events at
-  arrival time, class 2 retry outcomes.  ``serve_stale`` counts a stale
-  hit iff a successful dispatch of the same key precedes the
-  unavailable event in this order.  ``events_fired_total`` is the
-  arrivals plus services started plus schedule events plus retries.
+  arrival time, class 2 retry outcomes.  Instruments get the run once,
+  as :class:`~repro.obs.columns.TrialColumns`, whose ``event_order``
+  yields this order.  ``serve_stale`` counts a stale hit iff a
+  successful dispatch of the same key precedes the unavailable event in
+  this order.  ``events_fired_total`` is the arrivals plus services
+  started plus schedule events plus retries.
 - **Ties.**  An arrival at exactly a departure time still finds the
   departing request in the system (arrivals precede completions).  A
   retry at exactly a departure time on its node would be ordered by
@@ -92,13 +94,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ballsbins.allocation import greedy_scan
 from ..chaos.schedule import NodeStateTracker
 from ..exceptions import SimulationError
+from ..obs.columns import DROPPED, HIT, LOST, RETRIED, SERVED, UNAVAILABLE, TrialColumns
 from ..types import LoadVector
 
 __all__ = ["DEFAULT_LATENCY_SAMPLE_LIMIT", "run_fast"]
@@ -107,12 +110,6 @@ __all__ = ["DEFAULT_LATENCY_SAMPLE_LIMIT", "run_fast"]
 #: long runs stay memory-bounded.
 DEFAULT_LATENCY_SAMPLE_LIMIT = 100_000
 
-#: Class-1 outcomes of an arrival besides a node id: retried after its
-#: node was found down, unavailable, or a front-end hit.
-_RETRIED = -1
-_UNAVAILABLE = -2
-_HIT = -3
-
 #: Dispatches per node-aligned block of :func:`_busy_period_pass`; it
 #: bounds the pass's temporaries and the magnitude of its segment offsets.
 _DRAIN_BLOCK = 1 << 15
@@ -120,10 +117,9 @@ _DRAIN_BLOCK = 1 << 15
 
 class _Retry(NamedTuple):
     """A retry outcome: a failover dispatch, or ``node == -1`` when no
-    replica was up.  Sorts in event order, ``(time, class, index)``."""
+    replica was up."""
 
     time: float
-    cls: int  # always 2
     index: int
     node: int
     origin: float  # the original arrival time
@@ -134,18 +130,18 @@ def _cache_pass(cache, keys: np.ndarray, layered: bool):
     """``(hit_mask, paths)``: front-end outcome per arrival, in order.
 
     ``paths[i]`` is the (layer, shard) that served hit ``i`` of a
-    non-degenerate tree (``None`` on a miss); ``paths`` is ``None`` for
-    flat caches.
+    non-degenerate tree (``(-1, -1)`` on a miss); ``paths`` is ``None``
+    for flat caches.
     """
     if not layered:
         return cache.access_many(keys), None
     access = cache.access
-    paths: List[Optional[Tuple[int, int]]] = []
+    paths: List[Tuple[int, int]] = []
     hits = []
     for key in keys.tolist():
         hits.append(access(key))
-        paths.append(cache.last_hit)
-    return np.array(hits, dtype=bool), paths
+        paths.append(cache.last_hit or (-1, -1))
+    return np.array(hits, dtype=bool), np.array(paths, dtype=np.int64).reshape(-1, 2)
 
 
 def _dense_ids(keys: np.ndarray, size: int):
@@ -250,7 +246,7 @@ def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
     """Resolve attempt 1 against node state, and the single retry.
 
     Returns ``(first, second)``: ``first[j]`` is miss ``j``'s attempt-1
-    node, or ``_RETRIED`` / ``_UNAVAILABLE``; ``second`` lists the
+    node, or ``RETRIED`` / ``UNAVAILABLE``; ``second`` lists the
     :class:`_Retry` outcomes in arrival order.
     """
     partitioner = sim._partitioner
@@ -265,9 +261,9 @@ def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
         if states.is_up(node, t):
             continue
         if not retry:
-            first[j] = _UNAVAILABLE
+            first[j] = UNAVAILABLE
             continue
-        first[j] = _RETRIED
+        first[j] = RETRIED
         key = int(miss_keys[j])
         t2 = t + delay
         target = next(
@@ -278,7 +274,7 @@ def _failover(sim, states: _NodeStates, miss_keys, miss_times, miss_idx, nodes):
             ),
             -1,
         )
-        second.append(_Retry(t2, 2, int(miss_idx[j]), target, t, key))
+        second.append(_Retry(t2, int(miss_idx[j]), target, t, key))
     return first, second
 
 
@@ -309,7 +305,7 @@ def _fifo_drain(
     requests' departure times in order, the positions in
     ``arrival_times`` of queue-full drops and of crash losses, and the
     number of services started.  A served request's start is
-    ``max(t, previous departure)`` (see :func:`_service_detail`).
+    ``max(t, previous departure)`` (see :func:`_trial_columns`).
     """
     constant = isinstance(service, float)
     departures: List[float] = []
@@ -461,41 +457,6 @@ def _slow_scale(capacity: float, slow) -> Callable[[float], float]:
     return lambda start: scales[bisect_right(change_times, start)]
 
 
-def _service_detail(arrival_times, departures, dropped, lost, p):
-    """``(start, dep)`` of the request at position ``p`` of a drain, or
-    its status: ``"dropped"`` (queue full) or ``"lost"`` (crash)."""
-    d = bisect_left(dropped, p)
-    if d < len(dropped) and dropped[d] == p:
-        return "dropped"
-    k = bisect_left(lost, p)
-    if k < len(lost) and lost[k] == p:
-        return "lost"
-    j = p - d - k
-    t = float(arrival_times[p])
-    start = t if j == 0 else max(t, float(departures[j - 1]))
-    return start, float(departures[j])
-
-
-def _interleave(stream_times: List[float], extras: List[tuple]) -> Iterator[tuple]:
-    """Merge class-1 stream events with class-0/2 extras in event order.
-
-    ``extras`` are ``(time, class, index, ...)`` tuples sorted by their
-    first three fields.  Yields ``(position, None)`` for the stream event
-    at ``position`` and ``(None, extra)`` for each extra: a node event
-    (class 0) fires before a same-time arrival, a retry (class 2) after.
-    """
-    k = 0
-    for pos, t in enumerate(stream_times):
-        while k < len(extras) and (
-            extras[k][0] < t or (extras[k][0] == t and extras[k][1] == 0)
-        ):
-            yield None, extras[k]
-            k += 1
-        yield pos, None
-    for extra in extras[k:]:
-        yield None, extra
-
-
 def _stale_hits(unavailable, dispatched) -> int:
     """Unavailable events preceded by a dispatch of the same key.
 
@@ -510,6 +471,52 @@ def _stale_hits(unavailable, dispatched) -> int:
     return sum(
         1 for event in unavailable
         if event[3] in first and first[event[3]] < event[:3]
+    )
+
+
+def _trial_columns(
+    times, keys, miss_idx, first, paths, retries, node_events,
+    d_node, order, sorted_times, departures, dropped_at, lost_at,
+) -> TrialColumns:
+    """The run as :class:`~repro.obs.columns.TrialColumns`.
+
+    The dispatch columns come from the node-grouped drain arrays, which
+    ``order`` maps back to dispatch order.  A served dispatch starts at
+    ``max(t, previous served departure on its node)``, or at ``t`` as
+    its node's first: the scalar recurrence's own start.
+    """
+    outcome = np.full(times.size, HIT, dtype=np.int64)
+    outcome[miss_idx] = first
+    status = np.full(order.size, SERVED, dtype=np.int64)
+    status[dropped_at] = DROPPED
+    status[lost_at] = LOST
+    served = np.flatnonzero(status == SERVED)
+    t, dep, node = sorted_times[served], departures[served], d_node[order][served]
+    start = t.copy()
+    queued = node[1:] == node[:-1]
+    start[1:][queued] = np.maximum(t[1:][queued], dep[:-1][queued])
+    timing = np.full((2, order.size), np.nan)
+    timing[:, order[served]] = start, dep
+    dispatch_status = np.empty_like(status)
+    dispatch_status[order] = status
+    failed_over = [e.index for e in retries if e.node >= 0]
+    n_first = order.size - len(failed_over)
+    node_events = [e for e in node_events if e.kind in ("crash", "recover")]
+    return TrialColumns(
+        time=times, key=keys, outcome=outcome,
+        layer=None if paths is None else paths[:, 0],
+        shard=None if paths is None else paths[:, 1],
+        dispatch_request=np.append(miss_idx[first >= 0], failed_over).astype(np.int64),
+        dispatch_node=d_node,
+        dispatch_attempt=np.repeat(np.array([1, 2]), [n_first, len(failed_over)]),
+        dispatch_start=timing[0], dispatch_departure=timing[1],
+        dispatch_status=dispatch_status,
+        retry_time=np.array([e.time for e in retries], dtype=float),
+        retry_request=np.array([e.index for e in retries], dtype=np.int64),
+        retry_node=np.array([e.node for e in retries], dtype=np.int64),
+        event_time=np.array([e.time for e in node_events], dtype=float),
+        event_node=np.array([e.node for e in node_events], dtype=np.int64),
+        event_up=np.array([e.kind == "recover" for e in node_events], dtype=bool),
     )
 
 
@@ -639,9 +646,9 @@ def run_fast(sim, n_queries: int, trial: int):
             dropped = np.zeros(n, dtype=np.int64)
             crash_lost = 0
             started = order.size
-            # Per scalar-drained node, its dropped and lost positions.
-            drained: Dict[int, tuple] = {}
-            unserved: List[int] = []
+            # Node-order positions dropped by a full queue, lost in a crash.
+            dropped_at: List[int] = []
+            lost_at: List[int] = []
             fallback = np.flatnonzero(scalar & (node_arrivals > 0)).tolist()
             if fallback:
                 with tracer.span("kernel-drain-scalar"):
@@ -668,15 +675,16 @@ def run_fast(sim, n_queries: int, trial: int):
                         departures[np.delete(np.arange(lo, hi), gone)] = (
                             node_departures
                         )
-                        drained[node] = (node_dropped, node_lost)
-                        unserved.extend(lo + p for p in gone)
+                        dropped_at.extend(lo + p for p in node_dropped)
+                        lost_at.extend(lo + p for p in node_lost)
                         served[node] = len(node_departures)
                         dropped[node] = len(gone)
                         crash_lost += len(node_lost)
                         started += node_started - (hi - lo)
             del service, raw_draws
             served_mask = np.ones(order.size, dtype=bool)
-            served_mask[unserved] = False
+            served_mask[dropped_at] = False
+            served_mask[lost_at] = False
             failover_times: Dict[int, List[float]] = {}
             for e in failovers:
                 failover_times.setdefault(e.node, []).append(e.time)
@@ -690,14 +698,14 @@ def run_fast(sim, n_queries: int, trial: int):
                     )
             # Latency is departure minus original arrival, per node in
             # service order, the first DEFAULT_LATENCY_SAMPLE_LIMIT each.
-            total_served = order.size - len(unserved)
+            total_served = order.size - len(dropped_at) - len(lost_at)
             sorted_origins = sorted_times
             if failovers:
                 sorted_origins = np.concatenate(
                     [miss_times[ok], [e.origin for e in failovers]]
                 )[order]
             latencies_arr = departures - sorted_origins
-            if unserved:
+            if dropped_at or lost_at:
                 latencies_arr = latencies_arr[served_mask]
             if total_served and served.max() > DEFAULT_LATENCY_SAMPLE_LIMIT:
                 rank = np.arange(total_served) - np.repeat(
@@ -706,93 +714,16 @@ def run_fast(sim, n_queries: int, trial: int):
                 latencies_arr = latencies_arr[rank < DEFAULT_LATENCY_SAMPLE_LIMIT]
 
         if monitor is not None or recorder is not None:
-            times_list = times.tolist()
-            keys_list = keys.tolist()
-            outcome = np.full(n_queries, _HIT, dtype=np.int64)
-            outcome[miss_idx] = first
-            outcome = outcome.tolist()
+            columns = _trial_columns(
+                times, keys, miss_idx, first, paths, second, states.events,
+                d_node, order, sorted_times, departures, dropped_at, lost_at,
+            )
         if monitor is not None:
             with tracer.span("kernel-monitor"):
-                node_events = [
-                    (e.time, 0, k, e.node, e.kind == "recover")
-                    for k, e in enumerate(states.events)
-                    if e.kind in ("crash", "recover")
-                ]
-                record = monitor.record_request
-                for i, extra in _interleave(times_list, sorted(node_events + second)):
-                    if extra is None:
-                        t, key, o = times_list[i], keys_list[i], outcome[i]
-                        if o >= 0:
-                            record(t, key, o)
-                        elif o == _HIT:
-                            layer, shard = paths[i] if paths else (None, None)
-                            record(t, key, layer=layer, shard=shard)
-                        elif o == _UNAVAILABLE:
-                            monitor.record_unavailable(t, key)
-                    elif extra[1] == 0:  # (time, 0, k, node, up)
-                        monitor.record_node_event(extra[0], extra[3], up=extra[4])
-                    elif extra.node >= 0:
-                        record(extra.time, extra.key, extra.node)
-                    else:
-                        monitor.record_unavailable(extra.time, extra.key)
+                monitor.observe(columns)
         if recorder is not None:
             with tracer.span("kernel-trace"):
-                # Dispatch q sits at sorted position rank[q], in the drain
-                # of node d_node[q].
-                rank = np.empty(order.size, dtype=np.int64)
-                rank[order] = np.arange(order.size, dtype=np.int64)
-                rank = rank.tolist()
-                d_nodes = d_node.tolist()
-                n_first = int(ok.sum())
-                dispatch_of = np.full(n_queries, -1, dtype=np.int64)
-                dispatch_of[miss_idx[ok]] = np.arange(n_first)
-                dispatch_of = dispatch_of.tolist()
-                for k, e in enumerate(failovers):
-                    dispatch_of[e.index] = n_first + k
-                # Served departures in node-then-service order, and each
-                # node's offset there.
-                served_departures = departures[served_mask]
-                offsets = (bounds[:-1] - (np.cumsum(dropped) - dropped)).tolist()
-
-                def backend_record(t, key, i, node, attempts, t0):
-                    rec = recorder.record_backend(t, key, i, node, attempts=attempts)
-                    q = dispatch_of[i]
-                    node = d_nodes[q]
-                    lo, hi = edges[node], edges[node + 1]
-                    node_dropped, node_lost = drained.get(node, ((), ()))
-                    detail = _service_detail(
-                        sorted_times[lo:hi], served_departures[offsets[node]:],
-                        node_dropped, node_lost, rank[q] - lo,
-                    )
-                    if isinstance(detail, str):
-                        rec["status"] = detail
-                    else:
-                        start, dep = detail
-                        rec["wait"] = start - t0
-                        rec["service"] = dep - start
-
-                sampled = np.flatnonzero(trace_mask).tolist()
-                extras = [e for e in second if trace_mask[e.index]]
-                for s, extra in _interleave([times_list[i] for i in sampled], extras):
-                    if extra is None:
-                        i = sampled[s]
-                        t, key, o = times_list[i], keys_list[i], outcome[i]
-                        if o >= 0:
-                            backend_record(t, key, i, o, 1, t)
-                        elif o == _HIT:
-                            layer, shard = paths[i] if paths else (None, None)
-                            recorder.record_hit(t, key, i, layer=layer, shard=shard)
-                        elif o == _UNAVAILABLE:
-                            recorder.record_unavailable(t, key, i, attempts=1)
-                    elif extra.node >= 0:
-                        backend_record(
-                            extra.time, extra.key, extra.index, extra.node, 2,
-                            extra.origin,
-                        )
-                    else:
-                        recorder.record_unavailable(
-                            extra.time, extra.key, extra.index, attempts=2
-                        )
+                recorder.observe(columns, trace_mask)
 
     with tracer.span("report"):
         arrival_loads = LoadVector(
@@ -800,7 +731,7 @@ def run_fast(sim, n_queries: int, trial: int):
         )
         unavailable = [
             (float(times[i]), 1, i, int(keys[i]))
-            for i in miss_idx[first == _UNAVAILABLE].tolist()
+            for i in miss_idx[first == UNAVAILABLE].tolist()
         ] + [(e.time, 2, e.index, e.key) for e in second if e.node < 0]
         stale_hits = 0
         if unavailable and chaos.serve_stale:

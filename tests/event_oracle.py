@@ -19,24 +19,39 @@ Semantics the kernel has to match (and that this code defines):
 - the front-end cache is accessed synchronously when an arrival fires;
 - a crash loses everything queued or in service on the node; the stale
   completion event still fires (into a newer epoch) and is ignored.
+
+The instruments see the run the way the kernel hands it to them: as one
+:class:`~repro.obs.columns.TrialColumns`, here filled from what fired,
+in heap order, and from each :class:`NodeServer`'s own service starts
+and departures.  The oracle's record, :class:`OracleColumns`, also keeps
+that firing order, for checking :meth:`TrialColumns.event_order`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from dataclasses import dataclass, fields
 from typing import Callable, Deque, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.chaos.schedule import NodeStateTracker
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.obs import LoadMonitor
+from repro.obs.columns import (
+    DROPPED, HIT, LOST, RETRIED, SERVED, UNAVAILABLE, TrialColumns,
+)
 from repro.rng import as_generator
 from repro.sim.eventsim import EventSimResult, _latency_stats
 from repro.sim.kernel import DEFAULT_LATENCY_SAMPLE_LIMIT
 from repro.types import LoadVector
 
-__all__ = ["EventScheduler", "NodeServer", "Request", "run_oracle"]
+__all__ = [
+    "ColumnCapture", "Dispatch", "EventScheduler", "NodeServer",
+    "OracleColumns", "Request", "assert_columns_identical", "hand_columns",
+    "run_oracle",
+]
 
 RngLike = Union[None, int, np.random.Generator]
 
@@ -116,22 +131,45 @@ class EventScheduler:
         return fired
 
 
+class Dispatch:
+    """One dispatch of a request to a node, completed by the node.
+
+    ``start`` and ``departure`` are set when service starts and ends;
+    ``status`` is SERVED, DROPPED (queue full) or LOST (crash), or
+    ``None`` while the request is still on the node.
+    """
+
+    __slots__ = ("request", "node", "attempt", "start", "departure", "status")
+
+    def __init__(self, request: int, node: int, attempt: int) -> None:
+        self.request = request
+        self.node = node
+        self.attempt = attempt
+        self.start = float("nan")
+        self.departure = float("nan")
+        self.status: Optional[int] = None
+
+
 class Request:
     """One client query as seen by the back end.
 
-    ``arrival_time`` is when the query reached the system; ``trace`` is
-    the live flight-recorder record of a sampled request (completed in
-    place by the queue), or ``None``.
+    ``arrival_time`` is when the query reached the system; ``dispatch``
+    is its :class:`Dispatch` record, or ``None``.
     """
 
-    __slots__ = ("key", "arrival_time", "trace")
+    __slots__ = ("key", "arrival_time", "dispatch")
 
     def __init__(
-        self, key: int, arrival_time: float, trace: Optional[dict] = None
+        self, key: int, arrival_time: float, dispatch: Optional[Dispatch] = None
     ) -> None:
         self.key = key
         self.arrival_time = arrival_time
-        self.trace = trace
+        self.dispatch = dispatch
+
+
+def _mark(request: Request, status: int) -> None:
+    if request.dispatch is not None:
+        request.dispatch.status = status
 
 
 class NodeServer:
@@ -215,16 +253,14 @@ class NodeServer:
         self.arrivals += 1
         if self.down:
             self.dropped += 1
-            if request.trace is not None:
-                request.trace["status"] = "dropped"
+            _mark(request, DROPPED)
             return False
         if self._in_service is None:
             self._begin_service(scheduler, request, scheduler.now)
             return True
         if len(self._queue) >= self.queue_limit:
             self.dropped += 1
-            if request.trace is not None:
-                request.trace["status"] = "dropped"
+            _mark(request, DROPPED)
             return False
         self._queue.append(request)
         return True
@@ -234,13 +270,11 @@ class NodeServer:
         self._epoch += 1
         lost = len(self._queue)
         for request in self._queue:
-            if request.trace is not None:
-                request.trace["status"] = "lost"
+            _mark(request, LOST)
         self._queue.clear()
         if self._in_service is not None:
             lost += 1
-            if self._in_service.trace is not None:
-                self._in_service.trace["status"] = "lost"
+            _mark(self._in_service, LOST)
             self.busy_time += now - self._service_started
             self._in_service = None
         self.dropped += lost
@@ -270,6 +304,8 @@ class NodeServer:
     ) -> None:
         self._in_service = request
         self._service_started = start
+        if request.dispatch is not None:
+            request.dispatch.start = start
         scheduler.schedule(
             start + self._service_time(), self._on_complete, (self._epoch,)
         )
@@ -285,9 +321,9 @@ class NodeServer:
         self._in_service = None
         self.served += 1
         self.busy_time += time - self._service_started
-        if request.trace is not None:
-            request.trace["wait"] = self._service_started - request.arrival_time
-            request.trace["service"] = time - self._service_started
+        if request.dispatch is not None:
+            request.dispatch.departure = time
+            request.dispatch.status = SERVED
         if len(self.latencies) < self._latency_sample_limit:
             self.latencies.append(time - request.arrival_time)
         if self._queue:
@@ -312,6 +348,63 @@ def _route(sim, key: int, gen: np.random.Generator) -> int:
         sim._pins[key] = pinned
         sim._pin_counts[pinned] += 1
     return pinned
+
+
+@dataclass(frozen=True, eq=False)
+class OracleColumns(TrialColumns):
+    """The oracle's :class:`TrialColumns`, plus its firing order:
+    ``(class, index)`` per node event, arrival and retry, as the heap
+    fired them."""
+
+    fired: Tuple[Tuple[int, int], ...] = ()
+
+
+class ColumnCapture(LoadMonitor):
+    """A load monitor that keeps every :class:`TrialColumns` it observes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.columns: List[TrialColumns] = []
+
+    def observe(self, columns: TrialColumns) -> None:
+        self.columns.append(columns)
+        super().observe(columns)
+
+
+def assert_columns_identical(kernel: TrialColumns, oracle: OracleColumns) -> None:
+    """Field-by-field equality of two runs' columns, bitwise for floats,
+    and the kernel's :meth:`~TrialColumns.event_order` against the
+    oracle's firing order."""
+    for field in fields(TrialColumns):
+        left, right = getattr(kernel, field.name), getattr(oracle, field.name)
+        if left is None or right is None:
+            assert left is None and right is None, field.name
+            continue
+        assert left.dtype == right.dtype, field.name
+        assert left.shape == right.shape, field.name
+        assert left.tobytes() == right.tobytes(), field.name
+    cls, index = kernel.event_order()
+    assert list(zip(cls.tolist(), index.tolist())) == list(oracle.fired)
+
+
+def hand_columns(time, key, **columns) -> TrialColumns:
+    """Columns of front-end hits at ``time`` on ``key``; ``columns``
+    overrides any field, given as a list or an array."""
+    time = np.asarray(time, dtype=float)
+    empty = np.empty(0, dtype=np.int64)
+    data = dict(
+        time=time, key=np.asarray(key, dtype=np.int64),
+        outcome=np.full(time.size, HIT, dtype=np.int64), layer=None, shard=None,
+        dispatch_request=empty, dispatch_node=empty, dispatch_attempt=empty,
+        dispatch_start=np.empty(0), dispatch_departure=np.empty(0),
+        dispatch_status=empty, retry_time=np.empty(0), retry_request=empty,
+        retry_node=empty, event_time=np.empty(0), event_node=empty,
+        event_up=np.empty(0, dtype=bool),
+    )
+    for name, value in columns.items():
+        dtype = np.int64 if data[name] is None else data[name].dtype
+        data[name] = np.asarray(value, dtype=dtype)
+    return TrialColumns(**data)
 
 
 def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
@@ -385,20 +478,28 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         )
         trace_mask = recorder.sample_mask(keys)
 
+    # What the instruments observe, recorded as it fires.
+    outcome = np.full(n_queries, HIT, dtype=np.int64)
+    paths = np.full((n_queries, 2), -1, dtype=np.int64)
+    dispatches: List[Dispatch] = []
+    failovers: List[Dispatch] = []
+    retries: List[Tuple[float, int, int]] = []
+    node_events: List[Tuple[float, int, bool]] = []
+    fired: List[Tuple[int, int]] = []
+
     def make_failure_event(event):
         def fire(sched: EventScheduler, now: float) -> None:
             if not tracker.apply(event):
                 return
             chaos_stats["events"] += 1
             server = servers[event.node]
+            if event.kind in ("crash", "recover"):
+                fired.append((0, len(node_events)))
+                node_events.append((now, event.node, event.kind == "recover"))
             if event.kind == "crash":
                 server.crash(now)
-                if monitor is not None:
-                    monitor.record_node_event(now, event.node, up=False)
             elif event.kind == "recover":
                 server.recover(now)
-                if monitor is not None:
-                    monitor.record_node_event(now, event.node, up=True)
             elif event.kind == "slow":
                 server.set_rate_factor(event.factor)
             else:
@@ -406,15 +507,21 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
 
         return fire
 
+    def dispatch(sched, key, t0, index, node, attempt) -> None:
+        node_arrivals[node] += 1
+        record = Dispatch(index, node, attempt)
+        (dispatches if attempt == 1 else failovers).append(record)
+        servers[node].arrive(sched, Request(key=key, arrival_time=t0, dispatch=record))
+
     def chaos_dispatch(
         sched: EventScheduler, now: float, key: int, t0: float,
-        attempt: int, tried: Tuple[int, ...],
-        traced: bool = False, index: int = 0,
+        attempt: int, tried: Tuple[int, ...], index: int,
     ) -> None:
         policy = chaos.retry
         if attempt == 1:
             node: Optional[int] = _route(sim, key, routing_gen)
         else:
+            fired.append((2, len(retries)))
             # Failover: the first untried, currently-up group member.
             node = None
             for cand in sim._partitioner.replica_group(key):
@@ -422,17 +529,11 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
                 if cand not in tried and tracker.is_up(cand):
                     node = cand
                     break
+            retries.append((now, index, -1 if node is None else node))
         if node is not None and tracker.is_up(node):
-            node_arrivals[node] += 1
-            if monitor is not None:
-                monitor.record_request(now, key, node)
-            trace_rec = (
-                recorder.record_backend(now, key, index, node, attempts=attempt)
-                if traced else None
-            )
-            servers[node].arrive(
-                sched, Request(key=key, arrival_time=t0, trace=trace_rec)
-            )
+            if attempt == 1:
+                outcome[index] = node
+            dispatch(sched, key, t0, index, node, attempt)
             fetched_keys.add(key)
             if attempt > 1:
                 chaos_stats["failovers"] += 1
@@ -445,46 +546,32 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
             chaos_stats["unavailable"] += 1
             if chaos.serve_stale and key in fetched_keys:
                 chaos_stats["stale_hits"] += 1
-            if monitor is not None:
-                monitor.record_unavailable(now, key)
-            if traced:
-                recorder.record_unavailable(now, key, index, attempts=attempt)
+            if attempt == 1:
+                outcome[index] = UNAVAILABLE
             return
         chaos_stats["retries"] += 1
+        outcome[index] = RETRIED
         sched.schedule(
             now + policy.delay(attempt),
-            lambda s, t: chaos_dispatch(
-                s, t, key, t0, attempt + 1, tried, traced, index
-            ),
+            lambda s, t: chaos_dispatch(s, t, key, t0, attempt + 1, tried, index),
         )
 
-    def make_arrival(key: int, traced: bool = False, index: int = 0):
+    def make_arrival(key: int, index: int):
         def fire(sched: EventScheduler, now: float) -> None:
             nonlocal frontend_hits, backend
+            fired.append((1, index))
             if cache.access(key):
                 frontend_hits += 1
-                layer = shard = None
                 if layered:
-                    layer, shard = cache.last_hit
-                if monitor is not None:
-                    monitor.record_request(now, key, layer=layer, shard=shard)
-                if traced:
-                    recorder.record_hit(now, key, index, layer=layer, shard=shard)
+                    paths[index] = cache.last_hit
                 return
             backend += 1
             if tracker is not None:
-                chaos_dispatch(sched, now, key, now, 1, (), traced, index)
+                chaos_dispatch(sched, now, key, now, 1, (), index)
                 return
             node = _route(sim, key, routing_gen)
-            node_arrivals[node] += 1
-            if monitor is not None:
-                monitor.record_request(now, key, node)
-            trace_rec = (
-                recorder.record_backend(now, key, index, node) if traced else None
-            )
-            servers[node].arrive(
-                sched, Request(key=key, arrival_time=now, trace=trace_rec)
-            )
+            outcome[index] = node
+            dispatch(sched, key, now, index, node, 1)
 
         return fire
 
@@ -494,14 +581,37 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
             # lands before the colliding arrival.
             for event in schedule:
                 scheduler.schedule(float(event.time), make_failure_event(event))
-        traced_flags = (
-            [False] * n_queries if trace_mask is None else trace_mask.tolist()
-        )
-        for index, (key, t, traced) in enumerate(
-            zip(keys.tolist(), times.tolist(), traced_flags)
-        ):
-            scheduler.schedule(float(t), make_arrival(key, traced, index))
+        for index, (key, t) in enumerate(zip(keys.tolist(), times.tolist())):
+            scheduler.schedule(float(t), make_arrival(key, index))
         scheduler.run()
+
+    if monitor is not None or recorder is not None:
+        done = dispatches + failovers
+        served = [d.status == SERVED for d in done]
+        columns = OracleColumns(
+            time=times,
+            key=keys,
+            outcome=outcome,
+            layer=paths[:, 0] if layered else None,
+            shard=paths[:, 1] if layered else None,
+            dispatch_request=np.array([d.request for d in done], dtype=np.int64),
+            dispatch_node=np.array([d.node for d in done], dtype=np.int64),
+            dispatch_attempt=np.array([d.attempt for d in done], dtype=np.int64),
+            dispatch_start=np.where(served, [d.start for d in done], np.nan),
+            dispatch_departure=np.where(served, [d.departure for d in done], np.nan),
+            dispatch_status=np.array([d.status for d in done], dtype=np.int64),
+            retry_time=np.array([r[0] for r in retries], dtype=float),
+            retry_request=np.array([r[1] for r in retries], dtype=np.int64),
+            retry_node=np.array([r[2] for r in retries], dtype=np.int64),
+            event_time=np.array([e[0] for e in node_events], dtype=float),
+            event_node=np.array([e[1] for e in node_events], dtype=np.int64),
+            event_up=np.array([e[2] for e in node_events], dtype=bool),
+            fired=tuple(fired),
+        )
+        if monitor is not None:
+            monitor.observe(columns)
+        if recorder is not None:
+            recorder.observe(columns, trace_mask)
 
     with tracer.span("report"):
         served = np.array([s.served for s in servers], dtype=np.int64)

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_oracle import _route, run_oracle
+from event_oracle import ColumnCapture, _route, assert_columns_identical, run_oracle
 from repro.cache.lru import LRUCache
 from repro.chaos.config import ChaosConfig
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.schedule import FailureEvent, FailureSchedule
 from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
-from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext
+from repro.obs import MetricsRegistry, MonitorConfig, RunContext
 from repro.obs.export import export_json
 from repro.obs.trace import FlightRecorder, TraceConfig
 from repro.rng import RngFactory
@@ -85,9 +85,10 @@ def _pair(dist_factory, trials=(0, 1), n_queries=3000, params=None, **kwargs):
 
 
 def _instrumented(params, x, **kwargs):
-    """A simulator with metrics, monitor and trace all attached."""
+    """A simulator with metrics, monitor and trace all attached; the
+    monitor keeps each run's columns."""
     registry = MetricsRegistry()
-    monitor = LoadMonitor(MonitorConfig.from_params(params, x=x, window=0.05))
+    monitor = ColumnCapture(MonitorConfig.from_params(params, x=x, window=0.05))
     recorder = FlightRecorder(TraceConfig(sample=0.5), seed=3)
     sim = EventDrivenSimulator(
         params, AdversarialDistribution(params.m, x),
@@ -98,8 +99,12 @@ def _instrumented(params, x, **kwargs):
 
 
 def _assert_instruments_identical(a, b):
+    """Kernel (``a``) and oracle (``b``) instruments, columns first."""
     _, reg_a, mon_a, rec_a = a
     _, reg_b, mon_b, rec_b = b
+    assert len(mon_a.columns) == len(mon_b.columns)
+    for kernel_columns, oracle_columns in zip(mon_a.columns, mon_b.columns):
+        assert_columns_identical(kernel_columns, oracle_columns)
     assert export_json(metrics=reg_a) == export_json(metrics=reg_b)
     assert mon_a.windows == mon_b.windows
     assert mon_a.alerts == mon_b.alerts
@@ -157,7 +162,7 @@ class TestFastPathIdentity:
         params = _params()
 
         def build():
-            monitor = LoadMonitor(
+            monitor = ColumnCapture(
                 MonitorConfig.from_params(params, x=11, window=0.05)
             )
             sim = EventDrivenSimulator(
@@ -169,6 +174,7 @@ class TestFastPathIdentity:
         sim_a, mon_a = build()
         sim_b, mon_b = build()
         assert_results_identical(sim_a.run(4000), run_oracle(sim_b, 4000))
+        assert_columns_identical(*mon_a.columns, *mon_b.columns)
         assert mon_a.windows == mon_b.windows
         assert mon_a.alerts == mon_b.alerts
         assert mon_a.summaries == mon_b.summaries
@@ -463,28 +469,30 @@ class TestChaosTies:
 
     def _sim(self, params, schedule=(), retry=None):
         recorder = FlightRecorder(TraceConfig(sample=1.0), seed=1)
+        capture = ColumnCapture()
         sim = EventDrivenSimulator(
             params, UniformDistribution(params.m), seed=21,
-            context=RunContext(trace=recorder),
+            context=RunContext(trace=recorder, monitor=capture),
             chaos=ChaosConfig(
                 schedule=FailureSchedule(tuple(schedule)),
                 retry=retry or RetryPolicy(),
             ),
         )
-        return sim, recorder
+        return sim, recorder, capture
 
     def _compare(self, params, schedule):
-        kernel, rec_k = self._sim(params, schedule)
-        oracle, rec_o = self._sim(params, schedule)
+        kernel, rec_k, cols_k = self._sim(params, schedule)
+        oracle, rec_o, cols_o = self._sim(params, schedule)
         a = kernel.run(self.N_QUERIES)
         b = run_oracle(oracle, self.N_QUERIES)
         assert_results_identical(a, b)
+        assert_columns_identical(*cols_k.columns, *cols_o.columns)
         assert rec_k.records == rec_o.records
         return a, {rec["i"]: rec for rec in rec_k.records}
 
     def _quiet_run(self, params):
         """Arrival times and per-request trace records of a failure-free run."""
-        sim, recorder = self._sim(params)
+        sim, recorder, _ = self._sim(params)
         _, times = _arrivals(sim, self.N_QUERIES)
         sim.run(self.N_QUERIES)
         return times, {rec["i"]: rec for rec in recorder.records}
@@ -558,7 +566,7 @@ class TestChaosTies:
             # A slow period after the last arrival moves no departure, but
             # sends the node to the scalar drain.
             schedule.append(FailureEvent(times[-1] + 1.0, 1 - node, "slow", factor=0.5))
-        sim, _ = self._sim(
+        sim, _, _ = self._sim(
             params, schedule,
             retry=RetryPolicy(max_attempts=2, timeout=timeout, backoff=0.0),
         )

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import detection_oracle as detection
+from event_oracle import hand_columns
 from repro.core.bounds import fold_constant_k
 from repro.core.notation import SystemParameters
 from repro.exceptions import ConfigurationError
@@ -345,7 +346,7 @@ class TestNullMonitor:
     def test_is_inert(self):
         assert NULL_MONITOR.enabled is False
         NULL_MONITOR.begin_run(0, n=10, rate=1.0)
-        NULL_MONITOR.record_request(0.0, 1, 2)
+        NULL_MONITOR.observe(hand_columns([0.0], [1], outcome=[2]))
         assert NULL_MONITOR.finalize(1.0) is None
         assert NULL_MONITOR.record_trial(0, None) == {}
         assert NULL_MONITOR.snapshot()["records"] == []

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_oracle import run_oracle
+from event_oracle import hand_columns, run_oracle
 from repro.core.notation import SystemParameters
 from repro.exceptions import ScenarioValidationError
 from repro.obs import RunContext
@@ -329,9 +329,13 @@ class TestRingBound:
 
     @staticmethod
     def _emit(recorder, trial, indices):
+        """Trace requests ``indices`` of a trial of front-end hits, where
+        request ``i`` is key ``i`` at ``i`` milliseconds."""
+        n = indices.stop
+        mask = np.zeros(n, dtype=bool)
+        mask[indices] = True
         recorder.begin_run(trial=trial, m=PARAMS.m)
-        for i in indices:
-            recorder.record_hit(t=i * 1e-3, key=i, index=i)
+        recorder.observe(hand_columns(np.arange(n) * 1e-3, np.arange(n)), mask)
         recorder.finalize(duration=1.0)
 
     def test_ring_of_three_serial_and_merged(self, tmp_path):

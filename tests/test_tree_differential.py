@@ -24,7 +24,7 @@ import functools
 import numpy as np
 import pytest
 
-from event_oracle import run_oracle
+from event_oracle import ColumnCapture, assert_columns_identical, run_oracle
 from repro.cache import CacheTree, PerfectCache, make_cache
 from repro.cluster.hierarchy import (
     LayeredPartitioner,
@@ -32,6 +32,7 @@ from repro.cluster.hierarchy import (
 )
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, MetricsRegistry, MonitorConfig, RunContext
+from repro.obs.columns import HIT
 from repro.obs.export import export_json
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
@@ -134,7 +135,7 @@ class TestDegenerateIdentity:
         params = _params()
 
         def run(cache, runner):
-            monitor = LoadMonitor(
+            monitor = ColumnCapture(
                 MonitorConfig.from_params(params, x=11, window=0.05)
             )
             sim = EventDrivenSimulator(
@@ -146,6 +147,8 @@ class TestDegenerateIdentity:
         a, mon_a = run(_flat_cache("lru"), run_oracle)
         b, mon_b = run(_degenerate_tree("lru"), _kernel)
         assert_results_identical(a, b)
+        # The degenerate tree hands over flat columns: no tree paths.
+        assert_columns_identical(*mon_b.columns, *mon_a.columns)
         assert mon_a.windows == mon_b.windows
         assert mon_a.alerts == mon_b.alerts
         assert mon_a.summaries == mon_b.summaries
@@ -250,7 +253,7 @@ class TestLayeredIdentity:
         params = _params()
 
         def run(runner):
-            monitor = LoadMonitor(
+            monitor = ColumnCapture(
                 MonitorConfig.from_params(params, x=11, window=0.05)
             )
             registry = MetricsRegistry()
@@ -266,6 +269,10 @@ class TestLayeredIdentity:
         oracle, mon_o, export_o = run(run_oracle)
         for a, b in zip(kernel, oracle):
             assert_results_identical(a, b)
+        assert len(mon_k.columns) == len(mon_o.columns) == 2
+        for a, b in zip(mon_k.columns, mon_o.columns):
+            assert_columns_identical(a, b)
+            assert (a.layer[a.outcome == HIT] >= 0).all()
         assert mon_k.windows == mon_o.windows
         assert mon_k.summaries == mon_o.summaries
         assert export_k == export_o
