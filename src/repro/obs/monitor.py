@@ -36,7 +36,7 @@ Two ingestion paths share one monitor type:
   :meth:`begin_run` / :meth:`observe` once per run with the run's
   :class:`~repro.obs.columns.TrialColumns` / :meth:`finalize`; the
   window clock is simulated seconds.
-- **trial path** (:func:`repro.sim.runner.run_trials`):
+- **trial path** (:class:`repro.sim.analytic.MonteCarloSimulator`):
   :meth:`record_trial` turns each trial's
   :class:`~repro.types.LoadVector` into one trial-clock window.
 """

@@ -7,7 +7,7 @@ schema-versioned manifest (:mod:`repro.scenario.manifest`) and
 optionally the comparative HTML report (:mod:`repro.scenario.report`).
 
 Scenarios run sequentially — each engine already parallelises its own
-trials through :func:`repro.sim.parallel.map_trials`, and nesting
+trials through :func:`repro.sim.runner.run_trials`, and nesting
 process pools would oversubscribe — and results are
 bit-identical for every worker count, which the golden determinism
 suite pins per fixture.

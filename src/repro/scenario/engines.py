@@ -11,8 +11,8 @@ than the summary.  ``ctx`` is the component
 :class:`repro.obs.RunContext` that
 :func:`~repro.scenario.campaign.run_scenario` builds from the spec (its
 worker count, plus the flight recorder when the spec has a ``trace:``
-section).  Both engines execute their trials through
-:func:`repro.sim.parallel.map_trials` and are bit-identical across
+section).  Both engines execute their trials through the one campaign
+runner, :func:`repro.sim.runner.run_trials`, and are bit-identical across
 worker counts given the spec's explicit seed.
 
 - ``monte-carlo`` is the paper's methodology (Section IV): the perfect

@@ -31,7 +31,7 @@ from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport, LoadVector
 from ..workload.adversarial import AdversarialDistribution
 from ..workload.distributions import KeyDistribution
-from .runner import run_trials
+from .runner import campaign_series, run_trials
 
 __all__ = ["MonteCarloSimulator", "simulate_distribution"]
 
@@ -151,21 +151,35 @@ class MonteCarloSimulator:
     def _campaign(self, rates: np.ndarray, label: str, metadata: dict) -> LoadReport:
         """Run :meth:`distribution_trial` over ``rates`` for every trial.
 
-        The trial callable is a ``partial`` over a module-level function
-        (not a lambda) so ``workers > 1`` can ship it to worker processes.
+        Each trial's vector then becomes one trial-clock window of the
+        ``monitor`` (:meth:`~repro.obs.LoadMonitor.record_trial`), with
+        the Theorem-2 bound per ``x`` and the degraded bound per chaos
+        ``effective_d``.  They are recorded here, in the parent in trial
+        order, so the ``monitor_gain`` gauge keeps its last write.
         """
-        return run_trials(
+        params = self._params
+        report, vectors = run_trials(
             partial(_trial_task, self, rates),
-            trials=self._trials,
+            self._trials,
             seed=self._seed,
             label=label,
             metadata={
                 **metadata, "selection": self._selection_name,
-                **_param_meta(self._params),
-                **_chaos_meta(self._params, self._chaos),
+                **_param_meta(params),
+                **_chaos_meta(params, self._chaos),
             },
             context=self._context,
         )
+        monitor = self._context.monitor
+        if monitor.enabled:
+            meta = report.metadata
+            series = campaign_series(label, meta)
+            for t, vector in enumerate(vectors):
+                monitor.record_trial(
+                    t, vector, campaign=series, x=meta.get("x"), c=params.c,
+                    d=params.d, effective_d=meta.get("effective_d"),
+                )
+        return report
 
     # -- the campaign -------------------------------------------------------
 
@@ -206,8 +220,8 @@ def _chaos_meta(params: SystemParameters, chaos: Optional[ChaosConfig]) -> dict:
     """Chaos provenance for a campaign's report metadata.
 
     ``effective_d`` is the steady-state mean surviving choice
-    ``d * (1 - f)``; :func:`repro.sim.runner.run_trials` forwards it to
-    the monitor so chaos campaigns get degraded-bound tracking too.
+    ``d * (1 - f)``; :meth:`MonteCarloSimulator._campaign` forwards it
+    to the monitor so chaos campaigns get degraded-bound tracking too.
     """
     if chaos is None:
         return {}
@@ -219,9 +233,13 @@ def _chaos_meta(params: SystemParameters, chaos: Optional[ChaosConfig]) -> dict:
 
 
 def _trial_task(
-    sim: "MonteCarloSimulator", rates: np.ndarray, gen: np.random.Generator
+    sim: "MonteCarloSimulator",
+    rates: np.ndarray,
+    gen: np.random.Generator,
+    trial: int,
+    context: RunContext,
 ) -> LoadVector:
-    """Spawn-safe top-level wrapper for one trial."""
+    """Spawn-safe top-level wrapper for one trial (records nothing)."""
     return sim.distribution_trial(rates, gen)
 
 

@@ -1,28 +1,30 @@
 """Multi-trial campaigns for the event-driven engine.
 
-The Monte-Carlo engine has :func:`repro.sim.runner.run_trials`; this is
-the queueing-engine counterpart.  Each trial replays an independent
-arrival stream through a *fresh* cache and the same (secretly seeded)
-partitioner, then the campaign aggregates the operational metrics
-the paper's analytic model cannot produce: drop rates, latency tails and
-hit-rate distributions, alongside the usual normalized-max-load report.
+An event campaign is one trial task over the campaign runner both
+engines share, :func:`repro.sim.runner.run_trials`.  Each trial replays
+an independent arrival stream through a *fresh* cache and the same
+(secretly seeded) partitioner.  :class:`EventCampaign` is the thin view
+over the results that adds the operational metrics the paper's analytic
+model cannot produce: drop rates, latency tails and hit rates, alongside
+the usual normalized-max-load report.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..core.notation import SystemParameters
-from ..exceptions import SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
 from ..types import LoadReport
 from ..workload.distributions import KeyDistribution
 from .eventsim import EventDrivenSimulator, EventSimResult
-from .parallel import map_trials, resolve_seed
+from .parallel import resolve_seed
+from .runner import run_trials
 
 __all__ = ["EventCampaign", "run_event_campaign"]
 
@@ -80,28 +82,6 @@ class EventCampaign:
         """Requests across all trials whose every replica was down."""
         return int(sum(r.unavailable for r in self.results))
 
-    def describe(self) -> str:
-        """Multi-line campaign summary."""
-        lines = [
-            f"{self.trials} event-driven trials",
-            f"normalized max load: worst {self.load_report.worst_case:.3f}, "
-            f"mean {self.load_report.mean:.3f}",
-            f"cache hit rate (mean): {self.mean_hit_rate:.3f}",
-            f"drop rate: mean {self.mean_drop_rate:.4f}, "
-            f"worst {self.worst_drop_rate:.4f}",
-            f"worst p99 latency: {self.worst_p99_latency * 1e3:.2f} ms",
-        ]
-        if self.total_failure_events:
-            retries = sum(r.retries for r in self.results)
-            failovers = sum(r.failovers for r in self.results)
-            stale = sum(r.stale_hits for r in self.results)
-            lines.append(
-                f"chaos: {self.total_failure_events} failure events, "
-                f"{retries} retries ({failovers} failovers), "
-                f"{self.total_unavailable} unavailable ({stale} served stale)"
-            )
-        return "\n".join(lines)
-
 
 def _event_campaign_trial(
     gen,
@@ -112,7 +92,7 @@ def _event_campaign_trial(
     seed: Optional[int],
     cache_factory: Optional[Callable[[], object]],
     simulator_kwargs: dict,
-    context: RunContext = NULL_CONTEXT,
+    context: RunContext,
 ) -> EventSimResult:
     """One campaign trial (top-level, so process pools can pickle it).
 
@@ -131,9 +111,9 @@ def _event_campaign_trial(
     engine only reads its size, replication and replica groups.
 
     ``context`` is the per-trial :class:`repro.obs.RunContext` that
-    :func:`~repro.sim.parallel.map_trials` provides when the campaign is
-    instrumented; the simulator publishes into it and ``map_trials``
-    merges its snapshot in trial order.
+    :func:`~repro.sim.parallel.map_trials` provides; the simulator
+    publishes into it and ``map_trials`` merges its snapshot in trial
+    order.
     """
     del gen
     distribution = copy.deepcopy(distribution)
@@ -178,25 +158,18 @@ def run_event_campaign(
         ``context.workers`` fans trials out (``0`` = one per CPU,
         default ``1`` = serial); the results are identical for every
         value — see :mod:`repro.sim.parallel`.
-        Its ``spans`` record the campaign-level wall-clock spans
-        (``trials`` -> ``aggregate``) in this process.  Its ``metrics``,
-        ``monitor`` and ``trace`` collect per trial: each trial runs
-        under a fresh :meth:`~repro.obs.RunContext.for_trial` context
-        (inside the worker when parallel) whose snapshot merges back
-        here strictly in trial order, so aggregate metrics, the event
-        log and the exported trace JSONL are identical for every worker
-        count.  The monitor gets the campaign's single manifest record
-        up front.
+        Handed to :func:`~repro.sim.runner.run_trials`: its spans and
+        campaign metrics (series ``event-campaign``) are the runner's,
+        and each trial records into a per-trial context merged back in
+        trial order.  The monitor gets the campaign's single manifest
+        record up front.
     simulator_kwargs:
         Forwarded to every :class:`EventDrivenSimulator` (routing,
         node_capacity, queue_limit, service, partitioner...).
     """
-    if trials < 1:
-        raise SimulationError(f"need at least one trial, got {trials}")
     # Resolved once, so every trial shares one partitioner and the report
     # records the seed that reruns the campaign.
     seed = resolve_seed(seed)
-    spans, metrics = context.spans, context.metrics
     if context.monitor.enabled:
         context.monitor.emit_manifest(
             engine="event-driven",
@@ -207,37 +180,21 @@ def run_event_campaign(
             n=params.n,
             rate=params.rate,
         )
-    with spans.span("event-campaign"):
-        with spans.span("trials"):
-            results = map_trials(
-                _event_campaign_trial,
-                trials,
-                seed=seed,
-                label="event-campaign",
-                workers=context.workers,
-                args=(
-                    params, distribution, n_queries, seed, cache_factory,
-                    simulator_kwargs,
-                ),
-                pass_trial=True,
-                context=context,
-            )
-        with spans.span("aggregate"):
-            gains = np.array(
-                [outcome.normalized_max for outcome in results], dtype=float
-            )
-            report = LoadReport(
-                normalized_max_per_trial=gains,
-                total_rate=params.rate,
-                n_nodes=params.n,
-                metadata={
-                    "engine": "event-driven",
-                    "n_queries": n_queries,
-                    "distribution": distribution.name,
-                    "seed": seed,
-                },
-            )
-            if metrics.enabled:
-                metrics.counter("event_campaign_trials_total").inc(trials)
-                metrics.histogram("trial_normalized_max").observe_many(gains)
+    task = partial(
+        _event_campaign_trial, params=params, distribution=distribution,
+        n_queries=n_queries, seed=seed, cache_factory=cache_factory,
+        simulator_kwargs=simulator_kwargs,
+    )
+    report, results = run_trials(
+        task,
+        trials,
+        seed=seed,
+        label="event-campaign",
+        metadata={
+            "engine": "event-driven",
+            "n_queries": n_queries,
+            "distribution": distribution.name,
+        },
+        context=context,
+    )
     return EventCampaign(load_report=report, results=tuple(results))

@@ -98,6 +98,16 @@ class EventSimResult:
     crash_lost: int = 0
     failure_events: int = 0
 
+    @property
+    def total_rate(self) -> float:
+        """The offered rate ``R`` that ``normalized_max`` is relative to."""
+        return self.arrival_loads.total_rate
+
+    @property
+    def n_nodes(self) -> int:
+        """Number of back-end nodes."""
+        return self.arrival_loads.n_nodes
+
     def describe(self) -> str:
         """Human-readable summary block."""
         lines = [

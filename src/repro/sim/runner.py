@@ -1,37 +1,45 @@
-"""Multi-trial orchestration: independent seeds, aggregated results."""
+"""The one campaign runner of both engines: seeded trials, one report.
+
+What only one engine needs (the Monte-Carlo monitor windows, the event
+campaign's manifest) stays with that engine's caller.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from ..obs.context import NULL_CONTEXT, RunContext
-from ..types import LoadReport, LoadVector
+from ..types import LoadReport
 from .parallel import map_trials, resolve_seed
 
-__all__ = ["run_trials"]
+__all__ = ["run_trials", "campaign_series"]
 
 
 def run_trials(
-    trial_fn: Callable[[np.random.Generator], LoadVector],
+    task: Callable[..., Any],
     trials: int,
+    *,
     seed: Optional[int] = None,
     label: str = "trial",
     metadata: Optional[Mapping[str, object]] = None,
     context: RunContext = NULL_CONTEXT,
-) -> LoadReport:
-    """Run ``trial_fn`` under ``trials`` independent RNG streams.
+) -> Tuple[LoadReport, List[Any]]:
+    """Run ``task`` under ``trials`` independent RNG streams.
+
+    Returns the campaign's :class:`~repro.types.LoadReport` and the
+    per-trial outcomes in trial order.
 
     Parameters
     ----------
-    trial_fn:
-        Callable producing one :class:`~repro.types.LoadVector` from a
-        dedicated generator.  It must consume *only* that generator for
-        randomness, so trials stay independent and reproducible.  With
-        ``workers > 1`` it must also be picklable (a top-level function,
-        bound method or ``functools.partial`` — not a lambda).
+    task:
+        Called as ``task(gen, trial, context=trial_context)`` (see
+        :func:`~repro.sim.parallel.map_trials`); returns one outcome with
+        ``normalized_max``, ``total_rate`` and ``n_nodes`` (a
+        :class:`~repro.types.LoadVector` or an
+        :class:`~repro.sim.eventsim.EventSimResult`).
     trials:
         Number of repetitions.
     seed:
@@ -46,90 +54,72 @@ def run_trials(
         The run's :class:`repro.obs.RunContext`.  ``context.workers``
         fans trials out (``1`` serial, ``0`` one per CPU); results are
         bit-identical for every value.  Its ``spans`` time the fan-out
-        and the aggregation (this process only).  Its ``metrics`` get
-        the campaign's trial and ball counters and its per-trial
-        normalized-max histogram, and each trial's load vector becomes
-        one trial-clock window record of its ``monitor``
-        (:meth:`~repro.obs.LoadMonitor.record_trial`) evaluated against
-        the alert rules, with the Theorem-2 bound refreshed per call
-        when the metadata carries an ``x`` (the attack sweeps do).  Both
-        name their series ``<label>-n<n>-c<c>-x<x>``, each part present
-        only when the metadata carries that key (``label`` alone when it
-        carries none), and record in the parent over the trial-ordered
-        results, so they are identical for every worker count.
+        (``trials``) and the aggregation (``report``), in this process
+        only.  Its ``metrics`` get the campaign's trial and ball
+        counters and its per-trial normalized-max histogram under the
+        :func:`campaign_series` name, recorded in the parent over the
+        trial-ordered results.
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
     seed = resolve_seed(seed)
-    spans, monitor = context.spans, context.monitor
+    spans = context.spans
     with spans.span("trials"):
-        vectors = map_trials(
-            trial_fn, trials, seed=seed, label=label, workers=context.workers
+        outcomes = map_trials(
+            task, trials, seed=seed, label=label, workers=context.workers,
+            context=context,
         )
     with spans.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.
-        reference = vectors[0]
+        reference = outcomes[0]
         normalized = np.empty(trials, dtype=float)
-        for t, vector in enumerate(vectors):
-            if vector.total_rate != reference.total_rate or vector.n_nodes != reference.n_nodes:
+        for t, outcome in enumerate(outcomes):
+            if outcome.total_rate != reference.total_rate or outcome.n_nodes != reference.n_nodes:
                 raise SimulationError(
                     f"trial {t} changed total_rate or n_nodes relative to trial 0; "
                     "each campaign must hold the configuration fixed"
                 )
-            normalized[t] = vector.normalized_max
+            normalized[t] = outcome.normalized_max
         meta = dict(metadata or {})
         meta.setdefault("seed", seed)
-        n, c, x, d = (_as_int(meta.get(key)) for key in ("n", "c", "x", "d"))
-        # Sweeps share one RNG label across their points, so the system
-        # size, cache size and attack width name each campaign's metric
-        # and monitor series.
-        parts = [f"{key}{value}" for key, value in zip("ncx", (n, c, x)) if value is not None]
-        series = "-".join([label, *parts])
-        balls = None if x is None or c is None else max(x - c, 0)
-        if context.metrics.enabled:
-            _record_campaign_metrics(context.metrics, series, normalized, balls)
-        if monitor.enabled:
-            eff = meta.get("effective_d")
-            effective_d = float(eff) if isinstance(eff, (int, float, np.floating, np.integer)) else None
-            for t, vector in enumerate(vectors):
-                monitor.record_trial(
-                    t, vector, campaign=series, x=x, c=c, d=d,
-                    effective_d=effective_d,
+        registry = context.metrics
+        if registry.enabled:
+            # Recorded over the trial-ordered results, so the worker count
+            # cannot move a value.  An attack campaign (``x`` keys, ``c``
+            # of them cached) places ``max(x - c, 0)`` balls per trial.
+            series = campaign_series(label, meta)
+            registry.counter("campaign_trials_total", campaign=series).inc(trials)
+            x, c = _as_int(meta.get("x")), _as_int(meta.get("c"))
+            if x is not None and c is not None:
+                registry.counter("campaign_balls_total", campaign=series).inc(
+                    trials * max(x - c, 0)
                 )
-    return LoadReport(
+            registry.histogram("trial_normalized_max", campaign=series).observe_many(
+                normalized
+            )
+    report = LoadReport(
         normalized_max_per_trial=normalized,
         total_rate=float(reference.total_rate),
         n_nodes=int(reference.n_nodes),
         metadata=meta,
     )
+    return report, outcomes
+
+
+def campaign_series(label: str, metadata: Mapping[str, object]) -> str:
+    """A campaign's metric and monitor series: ``<label>-n<n>-c<c>-x<x>``.
+
+    Sweeps share one RNG label across their points, so the system size,
+    cache size and attack width name each campaign; each part is present
+    only when the metadata carries that key (``label`` alone when it
+    carries none).
+    """
+    values = (_as_int(metadata.get(key)) for key in "ncx")
+    parts = [f"{key}{value}" for key, value in zip("ncx", values) if value is not None]
+    return "-".join([label, *parts])
 
 
 def _as_int(value) -> Optional[int]:
     return int(value) if isinstance(value, (int, np.integer)) else None
 
-
-def _record_campaign_metrics(
-    registry,
-    series: str,
-    normalized: np.ndarray,
-    balls_per_trial: Optional[int] = None,
-) -> None:
-    """Record one campaign's deterministic aggregates under ``series``.
-
-    Runs in the parent over the trial-ordered results, so worker count
-    cannot influence any value.  When the campaign knows its attack
-    shape (``x`` attacked keys, ``c`` of them cached), each trial places
-    ``balls_per_trial = max(x - c, 0)`` balls, and the campaign's total
-    lands in a counter so a bench can report balls/sec without
-    re-deriving the workload.
-    """
-    trials = len(normalized)
-    registry.counter("campaign_trials_total", campaign=series).inc(trials)
-    if balls_per_trial is not None:
-        registry.counter("campaign_balls_total", campaign=series).inc(
-            trials * balls_per_trial
-        )
-    registry.histogram("trial_normalized_max", campaign=series).observe_many(
-        normalized
-    )

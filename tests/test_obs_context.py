@@ -1,6 +1,7 @@
 """RunContext contract: null defaults, per-trial contexts, trial-order merge."""
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,12 @@ from repro.sim.batch import _event_campaign_trial
 from repro.workload.adversarial import AdversarialDistribution
 
 PARAMS = SystemParameters(n=10, m=200, c=5, d=3, rate=2000.0)
+#: One event-campaign trial task, called the one way map_trials calls it.
+_TASK = partial(
+    _event_campaign_trial, params=PARAMS,
+    distribution=AdversarialDistribution(PARAMS.m, 6), n_queries=500, seed=3,
+    cache_factory=None, simulator_kwargs={},
+)
 
 
 def _live(**overrides):
@@ -101,9 +108,7 @@ class TestExecutorSlot:
     def test_chunk_results_carry_one_snapshot_slot(self):
         template = _live().for_trial(seed=3)
         results = parallel._run_chunk(
-            _event_campaign_trial, 3, "event-campaign", [0], True,
-            (PARAMS, AdversarialDistribution(PARAMS.m, 6), 500, 3, None, {}),
-            template,
+            _TASK, 3, "event-campaign", [0], template
         )
         (outcome, snapshot), = results
         assert outcome.backend_queries > 0
@@ -111,8 +116,5 @@ class TestExecutorSlot:
         assert metrics is not None and monitor is not None and trace is not None
 
     def test_null_context_returns_bare_outcomes(self):
-        results = parallel._run_chunk(
-            _event_campaign_trial, 3, "event-campaign", [0, 1], True,
-            (PARAMS, AdversarialDistribution(PARAMS.m, 6), 500, 3, None, {}),
-        )
+        results = parallel._run_chunk(_TASK, 3, "event-campaign", [0, 1])
         assert [type(r).__name__ for r in results] == ["EventSimResult"] * 2

@@ -24,43 +24,44 @@ def _attack(params, x, trials, seed=None):
 
 class TestRunTrials:
     def test_aggregates_per_trial_gains(self):
-        def trial(gen):
+        def task(gen, trial, context):
             return LoadVector(loads=np.array([1.0, float(gen.integers(1, 5))]), total_rate=4.0)
 
-        report = run_trials(trial, trials=50, seed=1, label="t")
+        report, vectors = run_trials(task, 50, seed=1, label="t")
+        assert len(vectors) == 50
         assert report.trials == 50
         assert report.worst_case >= report.mean
 
     def test_reproducible(self):
-        def trial(gen):
+        def task(gen, trial, context):
             return LoadVector(loads=gen.random(4) + 0.1, total_rate=2.0)
 
-        a = run_trials(trial, trials=10, seed=9, label="t")
-        b = run_trials(trial, trials=10, seed=9, label="t")
+        a, _ = run_trials(task, 10, seed=9, label="t")
+        b, _ = run_trials(task, 10, seed=9, label="t")
         assert (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
     def test_label_separates_campaigns(self):
-        def trial(gen):
+        def task(gen, trial, context):
             return LoadVector(loads=gen.random(4) + 0.1, total_rate=2.0)
 
-        a = run_trials(trial, trials=10, seed=9, label="one")
-        b = run_trials(trial, trials=10, seed=9, label="two")
+        a, _ = run_trials(task, 10, seed=9, label="one")
+        b, _ = run_trials(task, 10, seed=9, label="two")
         assert not (a.normalized_max_per_trial == b.normalized_max_per_trial).all()
 
     def test_rejects_configuration_drift(self):
         calls = []
 
-        def trial(gen):
+        def task(gen, trial, context):
             calls.append(1)
             rate = 2.0 if len(calls) == 1 else 3.0
             return LoadVector(loads=np.array([1.0]), total_rate=rate)
 
         with pytest.raises(SimulationError):
-            run_trials(trial, trials=2, seed=1)
+            run_trials(task, 2, seed=1)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(SimulationError):
-            run_trials(lambda g: None, trials=0)
+            run_trials(lambda gen, trial, context: None, 0)
 
 
 class TestUniformAttack:

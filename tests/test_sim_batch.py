@@ -106,14 +106,6 @@ class TestRunEventCampaign:
         )
         assert campaign.worst_drop_rate > 0.1
 
-    def test_describe(self):
-        campaign = run_event_campaign(
-            _params(), UniformDistribution(200), trials=2, n_queries=2000, seed=1
-        )
-        text = campaign.describe()
-        assert "2 event-driven trials" in text
-        assert "drop rate" in text
-
     def test_comparable_with_analytic_engine(self):
         from repro.sim.analytic import simulate_distribution
 
