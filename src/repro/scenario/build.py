@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..core.notation import SystemParameters
@@ -50,10 +51,16 @@ class BuildContext:
     seed: int = 0
 
 
+@lru_cache(maxsize=None)
+def _signature(factory) -> inspect.Signature:
+    """``inspect.signature(factory)``, computed once per registered factory."""
+    return inspect.signature(factory)
+
+
 def _accepted(factory, injected: dict, given: dict) -> dict:
     """The subset of ``injected`` the factory accepts and ``given`` omits."""
     try:
-        signature = inspect.signature(factory)
+        signature = _signature(factory)
     except (TypeError, ValueError):  # pragma: no cover - C callables
         return {}
     accepts_kwargs = any(
@@ -147,7 +154,7 @@ def engine_entry(spec) -> RegistryEntry:
     discover()
     engine = spec.engine
     entry = REGISTRY.get("engine", engine.kind, path="engine.kind")
-    accepted = tuple(inspect.signature(entry.factory).parameters)[3:]
+    accepted = tuple(_signature(entry.factory).parameters)[3:]
     for name in engine.params:
         if name not in accepted:
             raise ScenarioValidationError(

@@ -88,6 +88,16 @@ class AdversarialDistribution(KeyDistribution):
         probs[: self._x] = 1.0 / self._x
         return probs
 
+    def top_keys(self, c: int) -> np.ndarray:
+        """The first ``min(c, m)`` keys, without sorting the ``m`` probabilities.
+
+        Equal to the base class's stable argsort: the flooded prefix ties
+        at ``1/x``, the other keys tie at 0, and ties go to the lower id.
+        """
+        if c < 0:
+            raise DistributionError(f"c must be non-negative, got {c}")
+        return np.arange(min(c, self._m), dtype=np.int64)
+
     def sample(self, size, rng=None):
         # Uniform prefix: sample directly instead of via the CDF table.
         from ..rng import as_generator

@@ -1,8 +1,9 @@
 """Reference placement code, kept as test oracles.
 
 The greedy loops are the plain per-row loops that placement used before
-every caller moved onto :func:`repro.ballsbins.allocation.greedy_loads`;
-the sampler is the sort-based duplicate check that
+every caller moved onto :func:`repro.ballsbins.allocation.greedy_loads`,
+plus :func:`greedy_rows`, the same loop over a caller's loads list with
+its picks, as the scan ran over ``tolist()`` columns; the sampler is the sort-based duplicate check that
 :func:`repro.ballsbins.allocation.sample_replica_groups` used.  The
 differential tests require the library to reproduce them byte for byte.
 """
@@ -83,3 +84,22 @@ def ragged_least_loaded(groups: np.ndarray, failed, rates: np.ndarray, n: int) -
                 best_load = loads[cand]
         loads[best] = best_load + rate
     return np.asarray(loads, dtype=float)
+
+
+def greedy_rows(loads: list, groups: np.ndarray, weights) -> list:
+    """Per-row greedy on ``loads`` in place; returns every row's pick.
+
+    Entries index ``loads`` as Python ints, so ``-1`` names its last
+    slot (the dead-replica sentinel) and an out-of-range id raises.
+    """
+    picks = []
+    for row, weight in zip(groups.tolist(), weights):
+        best = row[0]
+        best_load = loads[best]
+        for cand in row[1:]:
+            if loads[cand] < best_load:
+                best = cand
+                best_load = loads[cand]
+        loads[best] = best_load + weight
+        picks.append(best)
+    return picks

@@ -9,12 +9,16 @@ used to run separately (kept in :mod:`placement_oracles`): unit-weight
 failure-degraded ``DegradedGroups.least_loaded_loads``.  The scan under
 it is generated per row width, so the properties draw ``d`` up to 10;
 the event kernel's pin rule, which reads the scan's picks, is checked
-against a per-key ``argmin``.  The tests draw random configurations
+against a per-key ``argmin``.  The scan streams its candidate columns as
+narrowed ``memoryview`` objects; :class:`TestStreamedScanMatchesRows` holds it
+to the per-row loop over ``tolist()`` rows, picks included, across id
+widths, sentinels, weight kinds and memory layouts.  The tests draw random configurations
 (plus tie-dense and all-dead ones) and compare ``tobytes()``; a single
 off-by-one placement fails loudly.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -22,12 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from placement_oracles import (
     d_choice_sequential,
+    greedy_rows,
     ragged_least_loaded,
     sample_replica_groups_sorted,
     weighted_node_loads,
 )
 
 from repro.ballsbins.allocation import (
+    _columns,
     d_choice_allocate,
     greedy_loads,
     greedy_scan,
@@ -229,6 +235,117 @@ class TestGreedyLoadsMatchesOracles:
         degraded = degrade_groups(groups, [0, 1])
         loads = degraded.least_loaded_loads(np.ones(2), 3)
         assert loads.tobytes() == np.zeros(3).tobytes()
+
+
+def _layout(groups: np.ndarray, kind: str) -> np.ndarray:
+    """The same rows in C order, Fortran order or as a strided view."""
+    if kind == "fortran":
+        return np.asfortranarray(groups)
+    if kind == "strided":
+        return np.repeat(groups, 2, axis=0)[::2]
+    return groups
+
+
+class TestStreamedScanMatchesRows:
+    """``greedy_scan`` on memoryview columns against :func:`greedy_rows`."""
+
+    @given(
+        n=st.sampled_from([1, 2, 7, 127, 128, 2**15 - 1, 2**15, 40_000]),
+        d=st.sampled_from([1, 2, 3, 5]),
+        keys=st.integers(min_value=0, max_value=400),
+        kind=st.sampled_from(["unit", "equal", "mixed", "random"]),
+        sentinel=st.booleans(),
+        layout=st.sampled_from(["c", "fortran", "strided"]),
+        dtype=st.sampled_from([np.int64, np.int32]),
+        picks=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scan(self, n, d, keys, kind, sentinel, layout, dtype, picks, seed):
+        # With ``sentinel`` the ids run over [-1, n] and slot n holds
+        # +inf, as the chaos path lays them out; both -1 and n name it.
+        gen = np.random.default_rng(seed)
+        low, high = (-1, n + 1) if sentinel else (0, n)
+        groups = _layout(gen.integers(low, high, size=(keys, d)).astype(dtype), kind=layout)
+        if kind == "unit":
+            start = gen.integers(0, 3, size=n).tolist()
+            weights, streamed = [1] * keys, repeat(1, keys)
+        else:
+            start = gen.integers(0, 3, size=n).astype(float).tolist()
+            weights = _weights(kind, keys, gen)
+            streamed = memoryview(weights)
+            weights = weights.tolist()
+        if sentinel:
+            start.append(math.inf)
+        loads, expected = list(start), list(start)
+        expected_picks = greedy_rows(expected, groups, weights)
+        got = greedy_scan(loads, groups, streamed, picks=picks)
+        assert got == (expected_picks if picks else None)
+        assert loads == expected
+        assert np.asarray(loads).tobytes() == np.asarray(expected).tobytes()
+
+    @given(
+        n=st.sampled_from([3, 200, 2**15 + 5]),
+        d=st.sampled_from([1, 2, 3, 5]),
+        keys=st.integers(min_value=1, max_value=300),
+        wtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        layout=st.sampled_from(["c", "fortran", "strided"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_loads_weight_dtypes(self, n, d, keys, wtype, layout, seed):
+        # Non-uniform weights stream as float64; the loop over their own
+        # ``tolist()`` values (ints or float32s widened) gives the same bytes.
+        gen = np.random.default_rng(seed)
+        groups = _layout(gen.integers(-1, n + 1, size=(keys, d)), layout)
+        rates = gen.integers(0, 4, size=keys).astype(wtype)
+        if wtype is np.float32:
+            rates = rates / np.float32(3)
+        expected = [0.0] * n + [math.inf]
+        greedy_rows(expected, groups, rates.tolist())
+        got = greedy_loads(groups, rates, n)
+        assert got.tobytes() == np.asarray(expected[:n], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    def test_empty_groups(self, d, layout):
+        groups = _layout(np.zeros((0, d), dtype=np.int64), layout)
+        loads = [1.0, 2.0]
+        assert greedy_scan(loads, groups, [], picks=True) == []
+        assert loads == [1.0, 2.0]
+        assert greedy_loads(groups, np.zeros(0), 2).tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize(
+        "high, itemsize",
+        [(0, 1), (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31, 8)],
+    )
+    def test_narrowest_id_type(self, high, itemsize):
+        groups = np.array([[-1, high], [0, 1]], dtype=np.int64)
+        columns = _columns(groups)
+        assert [c.itemsize for c in columns] == [itemsize, itemsize]
+        assert [c.tolist() for c in columns] == groups.T.tolist()
+
+    @pytest.mark.parametrize(
+        "bad", [2**16 + 3, -(2**16 + 2), 2**40, -(2**40)]
+    )
+    def test_out_of_range_id_raises(self, bad):
+        # 2**16 + 3 would wrap to 3 in 16 bits, a valid slot: the
+        # narrowed copy must keep it out of range instead.
+        loads = [0.0] * (2**16 + 1)
+        groups = np.array([[0, 1], [2, bad]], dtype=np.int64)
+        with pytest.raises(IndexError):
+            greedy_scan(loads, groups, [1.0, 1.0])
+        with pytest.raises(IndexError):
+            greedy_loads(groups, np.array([1.0, 2.0]), 2**16)
+
+    def test_out_of_range_unsigned_id_raises(self):
+        groups = np.array([[0, 2**63 + 5]], dtype=np.uint64)
+        with pytest.raises(IndexError):
+            greedy_scan([0.0, 0.0], groups, [1.0])
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(TypeError):
+            greedy_scan([0.0, 0.0], np.array([[0.0, 1.0]]), [1.0])
 
 
 class TestSampleReplicaGroupsMatchesOracle:

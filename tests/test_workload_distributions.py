@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DistributionError
+from repro.workload.adversarial import AdversarialDistribution
 from repro.workload.distributions import (
     CustomDistribution,
     GeometricDistribution,
     PointMassDistribution,
     UniformDistribution,
 )
+from repro.workload.scan import CyclicScanDistribution
 from repro.workload.zipf import ZipfDistribution
 
 ALL_DISTRIBUTIONS = [
@@ -152,3 +154,22 @@ class TestZipf:
         probs = ZipfDistribution(m, s=s).probabilities()
         assert probs.sum() == pytest.approx(1.0)
         assert (np.diff(probs) <= 1e-15).all()
+
+
+class TestAdversarialTopKeys:
+    """The closed-form ``top_keys`` of the prefix flood equals the sort."""
+
+    @pytest.mark.parametrize("cls", [AdversarialDistribution, CyclicScanDistribution])
+    @pytest.mark.parametrize("m, x", [(1, 1), (10, 3), (10, 10), (1000, 201)])
+    def test_matches_stable_argsort(self, cls, m, x):
+        dist = cls(m, x)
+        order = np.argsort(-dist.probabilities(), kind="stable")
+        for c in sorted({0, 1, x - 1, x, x + 1, m, m + 7}):
+            top = dist.top_keys(c)
+            assert top.dtype == np.int64
+            assert top.tobytes() == order[:c].astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("cls", [AdversarialDistribution, CyclicScanDistribution])
+    def test_negative_c_rejected(self, cls):
+        with pytest.raises(DistributionError):
+            cls(10, 3).top_keys(-1)
