@@ -1,10 +1,12 @@
 """One event-driven run as columns: the one hand-off to the instruments.
 
 With a monitor or a flight recorder attached, the event kernel hands
-each run over once, as a :class:`TrialColumns` record, to
-``LoadMonitor.observe(columns)`` and ``FlightRecorder.observe(columns,
-mask)``; an uninstrumented run builds none.  This module imports nothing
-from :mod:`repro.sim`.
+each run over once, as a :class:`TrialColumns` record: first to
+``FlightRecorder.observe(columns, mask, ...)``, then to
+``LoadMonitor.observe(columns, ..., trace=...)`` with the recorder's
+summary.  Each call ingests the whole run and returns its summary; an
+uninstrumented run builds no columns.  This module imports nothing from
+:mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ LOST = 2
 
 @dataclass(frozen=True, eq=False)
 class TrialColumns:
-    """One run's parallel arrays, in four groups.
+    """One run's facts and parallel arrays, in four groups.
+
+    ``trial`` is the run's trial index and ``duration`` its simulated
+    length (the last arrival's time), where the run's final window
+    closes.
 
     - Requests, in arrival order: ``outcome`` is the attempt-1 node, or
       :data:`RETRIED`, :data:`UNAVAILABLE` or :data:`HIT`; ``layer`` /
@@ -45,6 +51,8 @@ class TrialColumns:
     - Node crash / recover events, in event order.
     """
 
+    trial: int
+    duration: float
     time: np.ndarray
     key: np.ndarray
     outcome: np.ndarray

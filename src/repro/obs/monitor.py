@@ -33,9 +33,9 @@ discipline the metrics registry follows.
 Two ingestion paths share one monitor type:
 
 - **event path** (:class:`repro.sim.eventsim.EventDrivenSimulator`):
-  :meth:`begin_run` / :meth:`observe` once per run with the run's
-  :class:`~repro.obs.columns.TrialColumns` / :meth:`finalize`; the
-  window clock is simulated seconds.
+  one :meth:`observe` call per run with the run's
+  :class:`~repro.obs.columns.TrialColumns`, which returns the run
+  summary; the window clock is simulated seconds.
 - **trial path** (:class:`repro.sim.analytic.MonteCarloSimulator`):
   :meth:`record_trial` turns each trial's
   :class:`~repro.types.LoadVector` into one trial-clock window.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class MonitorConfig:
         Window width in simulated seconds (event path).  The trial path
         uses one window per trial and ignores this.
     n, rate, c, d:
-        System shape.  The event engine supplies ``n`` and ``rate`` at
-        :meth:`LoadMonitor.begin_run`, and the trial path derives them
+        System shape.  The event engine passes ``n`` and ``rate`` to
+        :meth:`LoadMonitor.observe`, and the trial path derives them
         from each :class:`~repro.types.LoadVector`, so both may stay
         ``None``; ``c`` and ``d`` (plus ``x``) are only needed for the
         Theorem-2 bound.
@@ -253,6 +253,53 @@ class _RuleContext:
         return self._even
 
 
+class _Run:
+    """One event-driven run's state; lives for one :meth:`LoadMonitor.observe`.
+
+    ``chaos`` adds the down-set behind per-window ``effective_d``;
+    ``layers`` (a cache tree's shard count per layer) adds per-layer and
+    per-shard hit counts for the DistCache bound.
+    """
+
+    __slots__ = (
+        "trial", "n", "rate", "bound", "acc", "nodes", "requests", "hits",
+        "backend", "windows", "alerts", "chaos", "down", "win_max_down",
+        "unavailable", "min_effective_d", "layers", "layer_hits",
+        "shard_hits", "layer_keys",
+    )
+
+    def __init__(
+        self,
+        trial: int,
+        n: int,
+        rate: float,
+        bound: Optional[float],
+        chaos: bool,
+        layers: Optional[Tuple[int, ...]],
+    ) -> None:
+        self.trial, self.n, self.rate, self.bound = trial, n, rate, bound
+        self.acc: Optional[WindowAccumulator] = None
+        self.nodes = np.zeros(n, dtype=np.int64)
+        self.requests = self.hits = self.backend = 0
+        self.windows = self.alerts = 0
+        self.chaos = chaos
+        self.down: Set[int] = set()
+        self.win_max_down = 0
+        self.unavailable = 0
+        self.min_effective_d: Optional[float] = None
+        self.layers = layers
+        widths = layers or ()
+        self.layer_hits = [0] * len(widths)
+        self.shard_hits = [[0] * w for w in widths]
+        self.layer_keys: List[set] = [set() for _ in widths]
+
+    def gain(self, t: float) -> Optional[float]:
+        """Running ``L_max / (R/n)`` at simulated time ``t``."""
+        if t <= 0:
+            return None
+        return float(self.nodes.max()) / t / (self.rate / self.n)
+
+
 class LoadMonitor:
     """Maintains windows, the gain estimate, the event log and alerts.
 
@@ -298,34 +345,13 @@ class LoadMonitor:
         self._summaries = []
         self._gain_bank = QuantileBank()
         self._node_bank = QuantileBank()
+        # Normalised per-window node loads, in feed order (snapshot ships
+        # them so a campaign monitor's node bank sees every trial's).
+        self._node_loads: List[float] = []
         self._max_gain: Optional[float] = None
         self._final_gain: Optional[float] = None
-        self._trials_merged = 0
-        # Per-run (event-path) state.
-        self._run_open = False
-        self._trial = 0
-        self._n: Optional[int] = self._config.n
-        self._rate: Optional[float] = self._config.rate
         self._bound: Optional[float] = self._config.bound_for(self._config.x)
-        self._acc: Optional[WindowAccumulator] = None
-        self._cum_nodes: Optional[np.ndarray] = None
-        self._cum_requests = 0
-        self._cum_hits = 0
-        self._cum_backend = 0
-        self._run_windows = 0
-        self._run_alerts = 0
-        # Chaos (fault-injection) state; inert unless begin_run(chaos=True).
-        self._chaos_run = False
-        self._down_nodes: Set[int] = set()
-        self._win_max_down = 0
-        self._cum_unavailable = 0
-        self._min_effective_d: Optional[float] = None
-        # Hierarchy state; inert unless begin_run(layers=...) declares a
-        # cache tree's layer widths.
-        self._layers: Optional[Tuple[int, ...]] = None
-        self._cum_layer_hits: list = []
-        self._cum_shard_hits: list = []
-        self._layer_keys: list = []
+        self._trials_merged = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -356,12 +382,13 @@ class LoadMonitor:
 
     @property
     def bound(self) -> Optional[float]:
-        """The Theorem-2 bound in force (``None`` when unconfigured)."""
+        """The Theorem-2 bound in force, at the last observed run's ``n``
+        (``None`` when unconfigured)."""
         return self._bound
 
     @property
     def final_gain(self) -> Optional[float]:
-        """Final streaming gain of the last finalized/merged run."""
+        """Final streaming gain of the last observed/merged run."""
         return self._final_gain
 
     @property
@@ -387,116 +414,70 @@ class LoadMonitor:
 
     # -- event path --------------------------------------------------------
 
-    def begin_run(
+    def observe(
         self,
-        trial: int = 0,
-        n: Optional[int] = None,
-        rate: Optional[float] = None,
+        columns: TrialColumns,
+        *,
+        n: int,
+        rate: float,
         chaos: bool = False,
         layers: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        """Start (or restart) ingesting one event-driven run.
+        trace: Optional[dict] = None,
+    ) -> dict:
+        """Ingest one event-driven run and return its run summary.
 
-        ``n`` and ``rate`` fall back to the config; the event engine
-        always passes its own, so a bare ``MonitorConfig()`` works.
-        ``chaos=True`` (set by the engine when fault injection is
-        active) enables degraded-bound tracking: window snapshots and
-        the run summary gain ``unavailable`` / ``nodes_down`` /
-        ``effective_d`` / ``degraded_bound`` fields.  The default keeps
-        every record byte-identical to a chaos-free monitor.
+        Events are fed in :meth:`TrialColumns.event_order`, so windows
+        close exactly where a request-by-request feed would close them.
+        An unavailable request is counted, not profiled: entropy tracks
+        served traffic.  The summary's ``final_gain`` uses the run's
+        ``duration``, so it equals the end-of-run
+        ``EventSimResult.normalized_max``.
 
-        ``layers`` (set by the engine when the front end is a
-        :class:`~repro.cache.tree.CacheTree`) declares the hierarchy's
-        shard count per layer and enables per-layer tracking: window
-        snapshots gain a ``layer_hits`` map and the run summary a
-        ``layers`` block reporting each layer's shard max-load against
-        the DistCache two-choice bound, side by side with the Theorem-2
-        gain estimate.  ``None`` (the default, and what degenerate
-        single-shard trees produce) keeps every record byte-identical
-        to a flat-cache monitor.
+        ``chaos=True`` (fault injection active) enables degraded-bound
+        tracking: a node transition updates the down-set behind
+        per-window ``effective_d`` and lands as a ``node-event`` record,
+        and window snapshots and the summary gain ``unavailable`` /
+        ``nodes_down`` / ``effective_d`` / ``degraded_bound`` fields.
+
+        ``layers`` (a :class:`~repro.cache.tree.CacheTree`'s shard count
+        per layer) counts each cache hit against the ``(layer, shard)``
+        that served it: window snapshots gain a ``layer_hits`` map and
+        the summary a ``layers`` block reporting each layer's shard
+        max-load against the DistCache two-choice bound.
+
+        ``trace`` is the :meth:`~repro.obs.trace.FlightRecorder.observe`
+        summary of the same run: its ``suspects`` block lands in the run
+        summary and its ``attribution-concentration`` alerts in the
+        event log.  The defaults keep every record byte-identical to a
+        chaos-free, flat-cache, untraced monitor.
         """
-        if self._run_open:
-            raise ConfigurationError(
-                "begin_run called while a run is open; finalize() it first"
-            )
-        n = self._config.n if n is None else n
-        rate = self._config.rate if rate is None else rate
-        if n is None or rate is None or rate <= 0:
-            raise ConfigurationError(
-                "event-path monitoring needs n and a positive rate "
-                "(set them on MonitorConfig or pass them to begin_run)"
-            )
-        self._run_open = True
-        self._trial = int(trial)
-        self._n = int(n)
-        self._rate = float(rate)
-        self._bound = self._config.bound_for(self._config.x, n=self._n)
-        self._acc = None
-        self._cum_nodes = np.zeros(self._n, dtype=np.int64)
-        self._cum_requests = 0
-        self._cum_hits = 0
-        self._cum_backend = 0
-        self._run_windows = 0
-        self._run_alerts = 0
-        self._chaos_run = bool(chaos)
-        self._down_nodes = set()
-        self._win_max_down = 0
-        self._cum_unavailable = 0
-        self._min_effective_d = None
-        self._layers = tuple(int(w) for w in layers) if layers else None
-        if self._layers is not None:
-            self._cum_layer_hits = [0] * len(self._layers)
-            self._cum_shard_hits = [[0] * w for w in self._layers]
-            self._layer_keys = [set() for _ in self._layers]
-        else:
-            self._cum_layer_hits = []
-            self._cum_shard_hits = []
-            self._layer_keys = []
-
-    def _window_at(self, t: float) -> WindowAccumulator:
-        """The accumulator covering ``t``, closing the previous window."""
-        acc = self._acc
-        index = int(t // self._config.window)
-        if acc is None:
-            acc = self._acc = WindowAccumulator(index, self._config.window, self._n)
-        elif index != acc.index:
-            self._close_window()
-            acc = self._acc = WindowAccumulator(index, self._config.window, self._n)
-        return acc
-
-    def observe(self, columns: TrialColumns) -> None:
-        """Ingest one event-driven run, in event order
-        (:meth:`TrialColumns.event_order`).
-
-        Windows close exactly where a request-by-request feed would
-        close them.  On hierarchy runs (``begin_run(layers=...)``) a
-        cache hit counts against the ``(layer, shard)`` that served it,
-        for the DistCache bound.  An unavailable request is counted,
-        not profiled: entropy tracks served traffic.  A node transition
-        (chaos runs) updates the down-set behind per-window
-        ``effective_d`` and lands as a ``node-event`` record.
-        """
-        layered = self._layers is not None and columns.layer is not None
+        bound = self._bound = self._config.bound_for(self._config.x, n=n)
+        run = _Run(
+            int(columns.trial), int(n), float(rate), bound, bool(chaos),
+            tuple(int(w) for w in layers) if layers else None,
+        )
+        layered = run.layers is not None and columns.layer is not None
         if layered:
-            layers, shards = columns.layer.tolist(), columns.shard.tolist()
+            layer_of, shard_of = columns.layer.tolist(), columns.shard.tolist()
         times, keys = columns.time.tolist(), columns.key.tolist()
         outcome = columns.outcome.tolist()
         retry_time, retry_node = columns.retry_time.tolist(), columns.retry_node.tolist()
         retry_key = columns.key[columns.retry_request].tolist()
         event_time, event_node = columns.event_time.tolist(), columns.event_node.tolist()
         event_up = columns.event_up.tolist()
+        width = self._config.window
         cls, index = columns.event_order()
         for c, i in zip(cls.tolist(), index.tolist()):
             if c == 0:
                 node, up = event_node[i], event_up[i]
                 if up:
-                    self._down_nodes.discard(node)
+                    run.down.discard(node)
                 else:
-                    self._down_nodes.add(node)
-                    self._win_max_down = max(self._win_max_down, len(self._down_nodes))
+                    run.down.add(node)
+                    run.win_max_down = max(run.win_max_down, len(run.down))
                 self._events.emit({
-                    "type": "node-event", "trial": self._trial, "t": event_time[i],
-                    "node": node, "up": up, "nodes_down": len(self._down_nodes),
+                    "type": "node-event", "trial": run.trial, "t": event_time[i],
+                    "node": node, "up": up, "nodes_down": len(run.down),
                 })
                 self._metrics.counter("monitor_node_events_total").inc()
                 continue
@@ -507,77 +488,64 @@ class LoadMonitor:
                 node = UNAVAILABLE if node < 0 else node
             if node == RETRIED:
                 continue
-            acc = self._window_at(t)
+            # The window covering t, closing the previous one.
+            acc = run.acc
+            window = int(t // width)
+            if acc is None or window != acc.index:
+                if acc is not None:
+                    self._close_window(run)
+                acc = run.acc = WindowAccumulator(window, width, run.n)
             if node == UNAVAILABLE:
                 acc.unavailable += 1
-                self._cum_unavailable += 1
+                run.unavailable += 1
                 continue
-            self._cum_requests += 1
+            run.requests += 1
             if node >= 0:
                 acc.record(key, node)
-                self._cum_backend += 1
-                self._cum_nodes[node] += 1
+                run.backend += 1
+                run.nodes[node] += 1
                 continue
             acc.record(key, None)
-            self._cum_hits += 1
+            run.hits += 1
             if layered:
-                layer = layers[i]
+                layer = layer_of[i]
                 acc.record_layer(layer)
-                self._cum_layer_hits[layer] += 1
-                self._layer_keys[layer].add(key)
-                self._cum_shard_hits[layer][shards[i]] += 1
+                run.layer_hits[layer] += 1
+                run.layer_keys[layer].add(key)
+                run.shard_hits[layer][shard_of[i]] += 1
 
-    def finalize(
-        self,
-        duration: float,
-        suspects: Optional[dict] = None,
-        attribution_alerts: Optional[list] = None,
-    ) -> Optional[dict]:
-        """Close the open window and emit the run summary.
-
-        Returns the summary record (``None`` when no run was open).
-        The summary's ``final_gain`` uses the full run duration, so it
-        equals the end-of-run ``EventSimResult.normalized_max``.
-
-        ``suspects`` / ``attribution_alerts`` (supplied by the engines
-        when a :class:`~repro.obs.trace.FlightRecorder` was attached)
-        land the trace layer's ranked attribution block in the summary
-        and its ``attribution-concentration`` firings in the event log;
-        untraced runs pass neither and stay byte-identical to the
-        pre-trace schema.
-        """
-        if not self._run_open:
-            return None
-        self._close_window(final_t=duration)
-        if attribution_alerts:
-            for alert in attribution_alerts:
+        duration = columns.duration
+        if run.acc is not None:
+            self._close_window(run, final_t=duration)
+        if trace is not None:
+            for alert in trace["alerts"]:
                 self._emit_alert(alert)
-                self._run_alerts += 1
-        gain = self._running_gain(duration)
+                run.alerts += 1
+        gain = run.gain(duration)
         summary = {
             "type": "run-summary",
-            "trial": self._trial,
+            "trial": run.trial,
             "duration": duration,
-            "requests": self._cum_requests,
-            "hits": self._cum_hits,
-            "backend": self._cum_backend,
+            "requests": run.requests,
+            "hits": run.hits,
+            "backend": run.backend,
             "final_gain": gain,
-            "bound": self._bound,
-            "windows": self._run_windows,
-            "alerts": self._run_alerts,
+            "bound": bound,
+            "windows": run.windows,
+            "alerts": run.alerts,
         }
-        if self._chaos_run:
-            summary["unavailable"] = self._cum_unavailable
-            summary["effective_d_min"] = self._min_effective_d
+        if run.chaos:
+            summary["unavailable"] = run.unavailable
+            summary["effective_d_min"] = run.min_effective_d
             summary["degraded_bound"] = self._config.degraded_bound_for(
-                self._config.x, self._min_effective_d, n=self._n
+                self._config.x, run.min_effective_d, n=run.n
             )
-        if self._layers is not None:
+        if run.layers is not None:
             summary["layers"] = [
-                self._layer_summary(layer) for layer in range(len(self._layers))
+                self._layer_summary(run, layer) for layer in range(len(run.layers))
             ]
-        if suspects is not None:
-            summary["suspects"] = suspects
+        if trace is not None and trace["suspects"] is not None:
+            summary["suspects"] = trace["suspects"]
         self._events.emit(summary)
         self._summaries.append(summary)
         if gain is not None:
@@ -585,10 +553,9 @@ class LoadMonitor:
             self._max_gain = gain if self._max_gain is None else max(self._max_gain, gain)
             self._gain_bank.observe(gain)
             self._metrics.gauge("monitor_gain").set(gain)
-        self._run_open = False
         return summary
 
-    def _layer_summary(self, layer: int) -> dict:
+    def _layer_summary(self, run: _Run, layer: int) -> dict:
         """One layer's max-load report against the DistCache bound.
 
         ``balance_gain`` is the realised analogue of the Theorem-2 gain
@@ -599,10 +566,10 @@ class LoadMonitor:
         distcache_max_load_bound` with the config's ``k_prime`` — so
         the two report side by side in every run summary.
         """
-        width = self._layers[layer]
-        hits = self._cum_layer_hits[layer]
-        keys = len(self._layer_keys[layer])
-        shard_hits = self._cum_shard_hits[layer]
+        width = run.layers[layer]
+        hits = run.layer_hits[layer]
+        keys = len(run.layer_keys[layer])
+        shard_hits = run.shard_hits[layer]
         shard_max = max(shard_hits) if shard_hits else 0
         bound = distcache_max_load_bound(
             hits, width, keys, self._config.k_prime
@@ -618,64 +585,57 @@ class LoadMonitor:
             "within_bound": shard_max <= bound,
         }
 
-    def _running_gain(self, t: float) -> Optional[float]:
-        """Running ``L_max / (R/n)`` at simulated time ``t``."""
-        if t <= 0 or self._cum_nodes is None:
-            return None
-        max_rate = float(self._cum_nodes.max()) / t
-        return max_rate / (self._rate / self._n)
-
-    def _effective_d(self, nodes_down: int) -> float:
-        """Mean surviving replicas per key: ``d * (1 - down fraction)``.
-
-        With a fraction ``f`` of nodes down, each key's ``d`` replicas
-        survive independently with probability ``1 - f`` (random
-        partitioning places them uniformly), so the expected surviving
-        choice is ``d (1 - f)`` — the quantity Theorem 2's constant
-        ``k = log log n / log d`` degrades through.
-        """
-        return self._config.d * (1.0 - nodes_down / self._n)
-
-    def _close_window(self, final_t: Optional[float] = None) -> None:
-        acc = self._acc
-        self._acc = None
-        if acc is None or acc.requests == 0:
+    def _close_window(self, run: _Run, final_t: Optional[float] = None) -> None:
+        acc = run.acc
+        run.acc = None
+        if acc.requests == 0:
             return
-        snapshot = acc.to_snapshot(self._trial, t_end=final_t)
-        snapshot["running_gain"] = self._running_gain(snapshot["t_end"])
-        snapshot["bound"] = self._bound
-        if self._chaos_run:
+        snapshot = acc.to_snapshot(run.trial, t_end=final_t)
+        snapshot["running_gain"] = run.gain(snapshot["t_end"])
+        snapshot["bound"] = run.bound
+        if run.chaos:
             # Worst case over the window: transitions since the last
-            # close, or the standing down-set if nothing changed.
-            nodes_down = max(self._win_max_down, len(self._down_nodes))
-            self._win_max_down = len(self._down_nodes)
-            effective_d = self._effective_d(nodes_down)
+            # close, or the standing down-set if nothing changed.  With
+            # a fraction f of nodes down, each key's d replicas survive
+            # independently with probability 1 - f (random partitioning
+            # places them uniformly), so the mean surviving choice is
+            # d (1 - f): what Theorem 2's k = log log n / log d degrades
+            # through.
+            nodes_down = max(run.win_max_down, len(run.down))
+            run.win_max_down = len(run.down)
+            effective_d = self._config.d * (1.0 - nodes_down / run.n)
             snapshot["unavailable"] = acc.unavailable
             snapshot["nodes_down"] = nodes_down
             snapshot["effective_d"] = effective_d
             snapshot["degraded_bound"] = self._config.degraded_bound_for(
-                self._config.x, effective_d, n=self._n
+                self._config.x, effective_d, n=run.n
             )
-            if self._min_effective_d is None or effective_d < self._min_effective_d:
-                self._min_effective_d = effective_d
-        if self._layers is not None:
+            if run.min_effective_d is None or effective_d < run.min_effective_d:
+                run.min_effective_d = effective_d
+        if run.layers is not None:
             snapshot["layer_hits"] = {
                 str(layer): acc.layer_hits.get(layer, 0)
-                for layer in range(len(self._layers))
+                for layer in range(len(run.layers))
             }
         seconds = snapshot["seconds"]
+        even = run.rate / run.n
         if seconds > 0:
-            even = self._rate / self._n
-            for count in acc.node_counts[acc.node_counts > 0].tolist():
-                self._node_bank.observe(count / seconds / even)
-        context = _RuleContext(self._config, self._rate / self._n)
-        fired = self._engine.evaluate(snapshot, context)
+            self._feed_node_loads([
+                count / seconds / even
+                for count in acc.node_counts[acc.node_counts > 0].tolist()
+            ])
+        fired = self._engine.evaluate(snapshot, _RuleContext(self._config, even))
         snapshot["alerts"] = [alert["rule"] for alert in fired]
         self._emit_window(snapshot)
         for alert in fired:
             self._emit_alert(alert)
-        self._run_windows += 1
-        self._run_alerts += len(fired)
+        run.windows += 1
+        run.alerts += len(fired)
+
+    def _feed_node_loads(self, loads: List[float]) -> None:
+        self._node_loads.extend(loads)
+        for load in loads:
+            self._node_bank.observe(load)
 
     # -- trial path --------------------------------------------------------
 
@@ -759,6 +719,7 @@ class LoadMonitor:
             "records": list(self._events.records),
             "final_gain": self._final_gain,
             "max_gain": self._max_gain,
+            "node_loads": list(self._node_loads),
         }
 
     def merge_trial(self, snapshot: dict) -> None:
@@ -769,7 +730,8 @@ class LoadMonitor:
         across worker counts.  Worker manifests are dropped — the
         campaign monitor owns the single manifest.  Metrics are *not*
         re-recorded here: worker-side registries already carried the
-        monitor counters and merge through the metrics path.
+        monitor counters and merge through the metrics path.  The
+        trial's normalised node loads feed the node-load quantiles.
         """
         for record in snapshot.get("records", ()):
             if record["type"] == "manifest":
@@ -785,6 +747,7 @@ class LoadMonitor:
                     self._on_alert(record)
             elif record["type"] == "run-summary":
                 self._summaries.append(record)
+        self._feed_node_loads(snapshot.get("node_loads", []))
         final = snapshot.get("final_gain")
         if final is not None:
             self._final_gain = final
@@ -800,7 +763,7 @@ class LoadMonitor:
             "bound": self._bound,
             "windows": len(self._windows),
             "alerts": len(self._alerts),
-            "runs": len(self._summaries) + (1 if self._run_open else 0),
+            "runs": len(self._summaries),
             "trials_merged": self._trials_merged,
             "final_gain": self._final_gain,
             "max_gain": self._max_gain,
@@ -836,15 +799,7 @@ class NullMonitor(LoadMonitor):
     def emit_manifest(self, **extra) -> Optional[dict]:
         return None
 
-    def begin_run(
-        self, trial: int = 0, n=None, rate=None, chaos=False, layers=None
-    ) -> None:
-        pass
-
-    def observe(self, columns) -> None:
-        pass
-
-    def finalize(self, duration, suspects=None, attribution_alerts=None) -> Optional[dict]:
+    def observe(self, columns, **run) -> None:
         return None
 
     def record_trial(
@@ -857,7 +812,7 @@ class NullMonitor(LoadMonitor):
 
     def snapshot(self) -> dict:
         return {"schema": SCHEMA_VERSION, "records": [], "final_gain": None,
-                "max_gain": None}
+                "max_gain": None, "node_loads": []}
 
 
 #: Process-wide shared no-op monitor.

@@ -467,13 +467,13 @@ class FlightRecorder:
     """Bounded causal-trace recorder + per-run attribution aggregation.
 
     Engine protocol (mirrors :class:`~repro.obs.monitor.LoadMonitor`):
-    :meth:`begin_run` -> :meth:`sample_mask` -> :meth:`observe` once
-    per run with the run's :class:`~repro.obs.columns.TrialColumns`
-    and the mask -> :meth:`finalize`, which returns the trial's suspects
-    block and concentration alerts for the engine to hand to the
-    monitor.  Serial campaigns reuse one recorder across trials;
-    parallel campaigns build one per trial inside the worker and merge
-    snapshots in trial order.
+    :meth:`sample_mask`, a pure function of the config, seed, trial and
+    keys, then one :meth:`observe` call per run with the run's
+    :class:`~repro.obs.columns.TrialColumns` and the mask.  It returns
+    the trial's suspects block and concentration alerts, which the
+    engine hands to the monitor.  No per-run state outlives the call, so
+    one recorder may observe many runs; campaigns build one per trial
+    and merge snapshots in trial order.
     """
 
     enabled = True
@@ -483,7 +483,7 @@ class FlightRecorder:
     ) -> None:
         self._config = config if config is not None else TraceConfig()
         self._seed = seed
-        # Campaign-level state (fed by finalize() or merge_trial()).
+        # Campaign-level state (fed by observe() or merge_trial()).
         self._records: Deque[dict] = deque(maxlen=self._config.capacity)
         self._appended = 0
         self._sampled = 0
@@ -492,15 +492,6 @@ class FlightRecorder:
         self._summaries: List[dict] = []
         self._cum = AttributionEngine(self._config, trial=-1)
         self._trials_merged = 0
-        # Per-run state.
-        self._run_open = False
-        self._trial = 0
-        self._m: Optional[int] = None
-        self._chaos_run = False
-        self._client_map: Optional[np.ndarray] = None
-        self._group_of: Optional[Callable] = None
-        self._run_attr: Optional[AttributionEngine] = None
-        self._run_sampled = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -541,55 +532,43 @@ class FlightRecorder:
 
     # -- engine protocol ---------------------------------------------------
 
-    def begin_run(
+    def sample_mask(self, keys: np.ndarray, trial: int) -> np.ndarray:
+        """Admit decisions for one trial's key stream (consumes no RNG)."""
+        return self._config.make_sampler(self._seed, trial).mask(np.asarray(keys))
+
+    def observe(
         self,
-        trial: int = 0,
-        m: int = 1,
+        columns: TrialColumns,
+        mask: np.ndarray,
+        *,
+        m: int,
         chaos: bool = False,
         client_map: Optional[np.ndarray] = None,
         group_of: Optional[Callable] = None,
-    ) -> None:
-        """Start ingesting one event-driven run.
+    ) -> dict:
+        """Record one run's requests admitted by ``mask`` (from
+        :meth:`sample_mask`), one record each, in event order, and
+        return ``{trial, sampled, suspects, alerts}``.
 
         ``m`` sizes the prefix buckets, ``client_map`` (key -> ground
         truth client id, from the workload) tags records, ``group_of``
-        (the cluster's ``replica_group``) resolves replica groups for
-        traced records.  ``chaos=True`` adds an ``attempts`` field to
-        every record of the run; chaos-free records carry none.
-        """
-        if self._run_open:
-            raise ConfigurationError(
-                "begin_run called while a run is open; finalize() it first"
-            )
-        self._run_open = True
-        self._trial = int(trial)
-        self._m = int(m)
-        self._chaos_run = bool(chaos)
-        self._client_map = client_map
-        self._group_of = group_of
-        self._run_attr = (
-            AttributionEngine(self._config, trial=self._trial)
-            if self._config.attribution
-            else None
-        )
-        self._run_sampled = 0
-
-    def sample_mask(self, keys: np.ndarray) -> np.ndarray:
-        """Admit decisions for the run's key stream (consumes no RNG)."""
-        sampler = self._config.make_sampler(self._seed, self._trial)
-        mask = sampler.mask(np.asarray(keys))
-        self._seen += len(mask)
-        return mask
-
-    def observe(self, columns: TrialColumns, mask: np.ndarray) -> None:
-        """Record the run's requests admitted by ``mask`` (from
-        :meth:`sample_mask`), one record each, in event order.
-
-        A request that failed over is recorded at its retry, with
+        (the cluster's ``replica_group``) resolves replica groups.
+        ``chaos=True`` adds an ``attempts`` field to every record; a
+        request that failed over is recorded at its retry, with
         ``attempts = 2``.  A served dispatch carries its queue ``wait``
         (from the original arrival) and ``service`` time; an unserved
         one the status ``dropped`` (queue full) or ``lost`` (crash).
+
+        The engine forwards ``suspects`` and ``alerts`` to the monitor
+        (when one is attached) so they land in the run summary and the
+        event log; either way they fold into this recorder's campaign
+        aggregate.
         """
+        trial = int(columns.trial)
+        attribution = (
+            AttributionEngine(self._config, trial=trial)
+            if self._config.attribution else None
+        )
         cls, index = columns.event_order(mask)
         keep = cls > 0
         retry, index = cls[keep] == 2, index[keep]
@@ -618,13 +597,12 @@ class FlightRecorder:
             request.tolist(), t.tolist(), columns.key[request].tolist(), node.tolist(),
             (retry + 1).tolist(), wait.tolist(), service.tolist(), status.tolist(), layer, shard,
         ))
-        buckets, m, chaos = self._config.prefix_buckets, self._m, self._chaos_run
-        client_map, group_of, attribution = self._client_map, self._group_of, self._run_attr
+        buckets = self._config.prefix_buckets
         for i, t, key, node, attempts, wait, service, status, layer, shard in events:
             hit, served, path = node == HIT, status == SERVED, node == HIT and layer >= 0
             record = {
                 "type": "trace",
-                "trial": self._trial,
+                "trial": trial,
                 "i": i,
                 "t": t,
                 "key": key,
@@ -644,36 +622,23 @@ class FlightRecorder:
             self._records.append(record)  # drops the oldest at capacity
             if attribution is not None:
                 attribution.add(t, record["prefix"], record["client"], key, backend=not hit)
+        self._seen += mask.size
         self._sampled += len(events)
-        self._run_sampled += len(events)
         self._appended += len(events)
-
-    def finalize(self, duration: float) -> Optional[dict]:
-        """Close the run; returns ``{trial, sampled, suspects, alerts}``.
-
-        The engine forwards ``suspects`` and ``alerts`` to the monitor
-        (when one is attached) so they land in the run summary and the
-        event log; either way they fold into this recorder's campaign
-        aggregate.
-        """
-        if not self._run_open:
-            return None
-        self._run_open = False
         suspects = None
         alerts: List[dict] = []
-        if self._run_attr is not None:
-            suspects = self._run_attr.finalize(duration)
-            alerts = list(self._run_attr.alerts)
-            self._cum.absorb(self._run_attr)
+        if attribution is not None:
+            suspects = attribution.finalize(columns.duration)
+            alerts = list(attribution.alerts)
+            self._cum.absorb(attribution)
         summary = {
-            "trial": self._trial,
-            "sampled": self._run_sampled,
+            "trial": trial,
+            "sampled": len(events),
             "suspects": suspects,
             "alerts": alerts,
         }
         self._alerts.extend(alerts)
         self._summaries.append(summary)
-        self._run_attr = None
         return summary
 
     # -- snapshot / merge --------------------------------------------------
@@ -842,16 +807,10 @@ class NullRecorder(FlightRecorder):
     def __init__(self) -> None:
         super().__init__(TraceConfig())
 
-    def begin_run(self, trial=0, m=1, chaos=False, client_map=None, group_of=None):
-        pass
-
-    def sample_mask(self, keys) -> np.ndarray:
+    def sample_mask(self, keys, trial) -> np.ndarray:
         return np.zeros(len(keys), dtype=bool)
 
-    def observe(self, columns, mask) -> None:
-        pass
-
-    def finalize(self, duration) -> Optional[dict]:
+    def observe(self, columns, mask, **run) -> None:
         return None
 
     def merge_trial(self, snapshot) -> None:

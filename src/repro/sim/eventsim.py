@@ -189,14 +189,15 @@ class EventDrivenSimulator:
               kernel-queues             service draws, latencies
                 kernel-drain            busy-period pass over all nodes
                 kernel-drain-scalar     only when a node falls back
-              kernel-monitor            only with a monitor attached
               kernel-trace              only with a flight recorder
-            report                      metrics, monitor and trace finalize
+              kernel-monitor            only with a monitor attached
+            report                      arrival loads, chaos counts, metrics
 
-        ``monitor`` every request on the simulated clock
-        (``begin_run`` -> ``observe`` once per run with its
-        :class:`~repro.obs.columns.TrialColumns` -> ``finalize``:
-        sliding-window telemetry, the streaming gain
+        Each instrument gets the run once, as a
+        :class:`~repro.obs.columns.TrialColumns` record, in one
+        ``observe`` call: the recorder first, then the monitor with the
+        recorder's summary.  ``monitor`` records every request on the
+        simulated clock (sliding-window telemetry, the streaming gain
         estimate, alerts); ``trace`` a causal record per hash-sampled
         request (key, prefix bucket, client, replica group, node,
         cache-tree path, queue wait, service time, chaos annotations)

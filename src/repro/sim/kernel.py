@@ -475,7 +475,7 @@ def _stale_hits(unavailable, dispatched) -> int:
 
 
 def _trial_columns(
-    times, keys, miss_idx, first, paths, retries, node_events,
+    trial, duration, times, keys, miss_idx, first, paths, retries, node_events,
     d_node, order, sorted_times, departures, dropped_at, lost_at,
 ) -> TrialColumns:
     """The run as :class:`~repro.obs.columns.TrialColumns`.
@@ -503,7 +503,7 @@ def _trial_columns(
     n_first = order.size - len(failed_over)
     node_events = [e for e in node_events if e.kind in ("crash", "recover")]
     return TrialColumns(
-        time=times, key=keys, outcome=outcome,
+        trial=trial, duration=duration, time=times, key=keys, outcome=outcome,
         layer=None if paths is None else paths[:, 0],
         shard=None if paths is None else paths[:, 1],
         dispatch_request=np.append(miss_idx[first >= 0], failed_over).astype(np.int64),
@@ -553,23 +553,12 @@ def run_fast(sim, n_queries: int, trial: int):
     # telemetry stays byte-identical to the flat cache it wraps.
     layered = getattr(cache, "HIERARCHICAL", False) and not cache.degenerate
     monitor = context.monitor if context.monitor.enabled else None
-    if monitor is not None:
-        monitor.begin_run(
-            trial=trial, n=n, rate=params.rate, chaos=chaos is not None,
-            layers=cache.widths if layered else None,
-        )
     # Trace sampling is keyed-hash based: no RNG draws, so the arrival /
     # routing / service streams above stay byte-identical with it on.
     recorder = context.trace if context.trace.enabled else None
-    trace_mask = None
     if recorder is not None:
-        recorder.begin_run(
-            trial=trial, m=params.m, chaos=chaos is not None,
-            client_map=sim._distribution.client_map(),
-            group_of=sim._partitioner.replica_group,
-        )
         with tracer.span("trace-sample"):
-            trace_mask = recorder.sample_mask(keys)
+            trace_mask = recorder.sample_mask(keys, trial)
 
     with tracer.span("event-loop"):
         with tracer.span("kernel-resolve"):
@@ -715,15 +704,24 @@ def run_fast(sim, n_queries: int, trial: int):
 
         if monitor is not None or recorder is not None:
             columns = _trial_columns(
-                times, keys, miss_idx, first, paths, second, states.events,
-                d_node, order, sorted_times, departures, dropped_at, lost_at,
+                trial, duration, times, keys, miss_idx, first, paths, second,
+                states.events, d_node, order, sorted_times, departures,
+                dropped_at, lost_at,
             )
-        if monitor is not None:
-            with tracer.span("kernel-monitor"):
-                monitor.observe(columns)
+        trace_summary = None
         if recorder is not None:
             with tracer.span("kernel-trace"):
-                recorder.observe(columns, trace_mask)
+                trace_summary = recorder.observe(
+                    columns, trace_mask, m=params.m, chaos=chaos is not None,
+                    client_map=sim._distribution.client_map(),
+                    group_of=sim._partitioner.replica_group,
+                )
+        if monitor is not None:
+            with tracer.span("kernel-monitor"):
+                monitor.observe(
+                    columns, n=n, rate=params.rate, chaos=chaos is not None,
+                    layers=cache.widths if layered else None, trace=trace_summary,
+                )
 
     with tracer.span("report"):
         arrival_loads = LoadVector(
@@ -768,19 +766,6 @@ def run_fast(sim, n_queries: int, trial: int):
                     "unavailable", "stale_hits", "crash_lost",
                 ):
                     metrics.counter(f"chaos_{name}_total").inc(chaos_counts[name])
-        suspects = None
-        attribution_alerts = None
-        if recorder is not None:
-            trace_summary = recorder.finalize(duration)
-            if trace_summary is not None:
-                suspects = trace_summary["suspects"]
-                attribution_alerts = trace_summary["alerts"]
-        if monitor is not None:
-            monitor.finalize(
-                duration,
-                suspects=suspects,
-                attribution_alerts=attribution_alerts,
-            )
 
     latency_mean, latency_p50, latency_p95, latency_p99 = _latency_stats(
         latencies_arr

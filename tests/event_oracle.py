@@ -366,9 +366,9 @@ class ColumnCapture(LoadMonitor):
         super().__init__(*args, **kwargs)
         self.columns: List[TrialColumns] = []
 
-    def observe(self, columns: TrialColumns) -> None:
+    def observe(self, columns: TrialColumns, **run) -> dict:
         self.columns.append(columns)
-        super().observe(columns)
+        return super().observe(columns, **run)
 
 
 def assert_columns_identical(kernel: TrialColumns, oracle: OracleColumns) -> None:
@@ -377,8 +377,9 @@ def assert_columns_identical(kernel: TrialColumns, oracle: OracleColumns) -> Non
     oracle's firing order."""
     for field in fields(TrialColumns):
         left, right = getattr(kernel, field.name), getattr(oracle, field.name)
-        if left is None or right is None:
-            assert left is None and right is None, field.name
+        if not isinstance(left, np.ndarray) or not isinstance(right, np.ndarray):
+            # The run facts, or a flat cache's absent layer / shard.
+            assert type(left) is type(right) and left == right, field.name
             continue
         assert left.dtype == right.dtype, field.name
         assert left.shape == right.shape, field.name
@@ -388,11 +389,13 @@ def assert_columns_identical(kernel: TrialColumns, oracle: OracleColumns) -> Non
 
 
 def hand_columns(time, key, **columns) -> TrialColumns:
-    """Columns of front-end hits at ``time`` on ``key``; ``columns``
-    overrides any field, given as a list or an array."""
+    """Columns of trial 0's front-end hits at ``time`` on ``key``, lasting
+    until the last one; ``columns`` overrides any field, given as a
+    list or an array (``trial`` and ``duration`` as scalars)."""
     time = np.asarray(time, dtype=float)
     empty = np.empty(0, dtype=np.int64)
     data = dict(
+        trial=0, duration=float(time[-1]) if time.size else 0.0,
         time=time, key=np.asarray(key, dtype=np.int64),
         outcome=np.full(time.size, HIT, dtype=np.int64), layer=None, shard=None,
         dispatch_request=empty, dispatch_node=empty, dispatch_attempt=empty,
@@ -402,6 +405,9 @@ def hand_columns(time, key, **columns) -> TrialColumns:
         event_up=np.empty(0, dtype=bool),
     )
     for name, value in columns.items():
+        if name in ("trial", "duration"):
+            data[name] = value
+            continue
         dtype = np.int64 if data[name] is None else data[name].dtype
         data[name] = np.asarray(value, dtype=dtype)
     return TrialColumns(**data)
@@ -462,21 +468,9 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
     cache = sim._cache
     tree = cache if getattr(cache, "HIERARCHICAL", False) else None
     layered = tree is not None and not tree.degenerate
-    if monitor is not None:
-        monitor.begin_run(
-            trial=trial, n=params.n, rate=params.rate,
-            chaos=chaos is not None,
-            layers=tree.widths if layered else None,
-        )
     recorder = context.trace if context.trace.enabled else None
-    trace_mask = None
     if recorder is not None:
-        recorder.begin_run(
-            trial=trial, m=params.m, chaos=chaos is not None,
-            client_map=sim._distribution.client_map(),
-            group_of=sim._partitioner.replica_group,
-        )
-        trace_mask = recorder.sample_mask(keys)
+        trace_mask = recorder.sample_mask(keys, trial)
 
     # What the instruments observe, recorded as it fires.
     outcome = np.full(n_queries, HIT, dtype=np.int64)
@@ -589,6 +583,8 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
         done = dispatches + failovers
         served = [d.status == SERVED for d in done]
         columns = OracleColumns(
+            trial=trial,
+            duration=duration,
             time=times,
             key=keys,
             outcome=outcome,
@@ -608,10 +604,18 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
             event_up=np.array([e[2] for e in node_events], dtype=bool),
             fired=tuple(fired),
         )
-        if monitor is not None:
-            monitor.observe(columns)
+        trace_summary = None
         if recorder is not None:
-            recorder.observe(columns, trace_mask)
+            trace_summary = recorder.observe(
+                columns, trace_mask, m=params.m, chaos=chaos is not None,
+                client_map=sim._distribution.client_map(),
+                group_of=sim._partitioner.replica_group,
+            )
+        if monitor is not None:
+            monitor.observe(
+                columns, n=params.n, rate=params.rate, chaos=chaos is not None,
+                layers=tree.widths if layered else None, trace=trace_summary,
+            )
 
     with tracer.span("report"):
         served = np.array([s.served for s in servers], dtype=np.int64)
@@ -636,17 +640,6 @@ def run_oracle(sim, n_queries: int, trial: int = 0) -> EventSimResult:
                 metrics.counter("chaos_unavailable_total").inc(chaos_stats["unavailable"])
                 metrics.counter("chaos_stale_hits_total").inc(chaos_stats["stale_hits"])
                 metrics.counter("chaos_crash_lost_total").inc(crash_lost)
-        suspects = None
-        attribution_alerts = None
-        if recorder is not None:
-            trace_summary = recorder.finalize(duration)
-            if trace_summary is not None:
-                suspects = trace_summary["suspects"]
-                attribution_alerts = trace_summary["alerts"]
-        if monitor is not None:
-            monitor.finalize(
-                duration, suspects=suspects, attribution_alerts=attribution_alerts,
-            )
     latency_mean, latency_p50, latency_p95, latency_p99 = _latency_stats(latencies)
     return EventSimResult(
         duration=duration,

@@ -13,17 +13,27 @@ lands on ascending rank ``i`` when ``i`` is the smallest rank among its
 candidates, with probability :func:`min_rank_law`.  Which of several
 equally loaded bins it joins does not change the sorted profile, so the
 tie rule drops out, and the profile after each ball is a Markov chain.
+
+Run as a script, it prints the exact gap ``E[max] - balls/n`` against
+``log log n / log d`` (the EXPERIMENTS.md table), with states below
+:data:`PRUNE` dropped::
+
+    PYTHONPATH=src python tests/exact_law.py
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, log
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
-__all__ = ["min_rank_law", "max_load_law", "chi_square_max_load"]
+__all__ = ["PRUNE", "min_rank_law", "max_load_law", "chi_square_max_load"]
+
+#: State-pruning threshold for large systems: a profile whose
+#: probability falls below it is dropped after each ball.
+PRUNE = 1e-14
 
 
 def min_rank_law(n: int, d: int, distinct: bool = True) -> List[float]:
@@ -39,13 +49,15 @@ def min_rank_law(n: int, d: int, distinct: bool = True) -> List[float]:
 
 
 def max_load_law(
-    n: int, d: int, balls: int, distinct: bool = True
+    n: int, d: int, balls: int, distinct: bool = True, prune: float = 0.0
 ) -> Dict[int, float]:
     """The exact law of the max load after ``balls`` greedy placements.
 
     Returns ``{max load: probability}``.  The state count is the number
     of sorted profiles reachable, about a thousand at ``n = 16`` and 32
-    balls.
+    balls.  ``prune`` (for example :data:`PRUNE`) drops every profile
+    less likely than it after each ball; the dropped mass is lost, not
+    renormalised.
     """
     rank = min_rank_law(n, d, distinct)
     states: Dict[Tuple[int, ...], float] = {(0,) * n: 1.0}
@@ -65,7 +77,7 @@ def max_load_law(
                     grown = profile[: end - 1] + (profile[end - 1] + 1,) + profile[end:]
                     nxt[grown] = nxt.get(grown, 0.0) + p * q
                 start = end
-        states = nxt
+        states = {k: v for k, v in nxt.items() if v >= prune} if prune else nxt
     law: Dict[int, float] = {}
     for profile, p in states.items():
         law[profile[-1]] = law.get(profile[-1], 0.0) + p
@@ -107,3 +119,23 @@ def chi_square_max_load(
     cells_e *= trials / cells_e.sum()
     statistic, p_value = stats.chisquare(np.asarray(cells_o), cells_e)
     return float(statistic), float(p_value), len(cells_e) - 1
+
+
+def _gap_table() -> None:
+    """Print the exact ``E[max] - balls/n`` against ``log log n / log d``."""
+    per_bin = (1, 2, 4, 8)
+    print("| n | d | log log n / log d | "
+          + " | ".join(f"{b} ball{'s' if b > 1 else ''}/bin" for b in per_bin) + " |")
+    print("|---|---|---|" + "---|" * len(per_bin))
+    for n in (8, 16):
+        for d in (2, 3):
+            gaps = []
+            for b in per_bin:
+                law = max_load_law(n, d, b * n, prune=PRUNE)
+                gaps.append(sum(k * p for k, p in law.items()) - b)
+            print(f"| {n} | {d} | {log(log(n)) / log(d):.3f} | "
+                  + " | ".join(f"{g:.3f}" for g in gaps) + " |")
+
+
+if __name__ == "__main__":
+    _gap_table()

@@ -19,6 +19,11 @@ them silently (tests/test_golden_regression.py compares at 1e-9):
 - ``eventsim_baseline.json`` — one seeded event-driven run with the
   online monitor attached and chaos *off*: the byte-level contract that
   fault injection must not perturb when disabled;
+- ``instruments.json`` — the monitor event logs (windows, alerts, node
+  events, run summaries) of the chaos and cache-tree scenario fixtures
+  and of the traced replay spec, plus the replay's flight-recorder
+  suspects, per-trial summaries and a SHA-256 of its trace JSONL: the
+  byte pin on the monitor's chaos and layer paths and on the recorder;
 - ``scenarios/expected.json`` — pinned engine stats for every scenario
   spec in ``scenarios/*.yaml`` and the deterministic manifest view for
   every campaign spec there (tests/test_scenario_campaign.py compares
@@ -179,6 +184,62 @@ def eventsim_baseline() -> dict:
     }
 
 
+#: Scenario specs whose instruments :func:`instruments` pins.
+INSTRUMENT_SPECS = (
+    GOLDEN_DIR / "scenarios" / "chaos-on.yaml",
+    GOLDEN_DIR / "scenarios" / "tree-paper-default.yaml",
+    GOLDEN_DIR.parents[1] / "examples" / "specs" / "replay.yaml",
+)
+
+
+def instruments() -> dict:
+    """Monitor event logs and flight-recorder output of ``INSTRUMENT_SPECS``.
+
+    Each spec runs as ``repro scenario run SPEC --events-out`` does: a
+    monitor judged at the spec distribution's ``x``, window 0.1 s.  The
+    trace records themselves are pinned by the SHA-256 of the JSONL
+    :meth:`~repro.obs.trace.FlightRecorder.write` exports (thousands of
+    records), the suspects and per-trial summaries verbatim.
+    """
+    import hashlib
+    import os
+    import tempfile
+
+    from repro.obs import LoadMonitor, MonitorConfig, RunContext
+    from repro.scenario import load_spec, run_scenario
+    from repro.scenario.build import BuildContext, build_distribution
+
+    os.environ.pop("REPRO_BENCH_SMOKE", None)
+    payload: dict = {}
+    for path in INSTRUMENT_SPECS:
+        spec = load_spec(path)
+        distribution = build_distribution(
+            spec.workload, spec.adversary,
+            BuildContext(params=spec.system, seed=spec.seed),
+        )
+        monitor = LoadMonitor(MonitorConfig.from_params(
+            spec.system, x=getattr(distribution, "x", None), window=0.1
+        ))
+        outcome = run_scenario(spec, context=RunContext(monitor=monitor))
+        entry: dict = {
+            "events": [r for r in monitor.events.records if r["type"] != "manifest"],
+        }
+        recorder = outcome.trace
+        if recorder is not None:
+            with tempfile.TemporaryDirectory() as tmp:
+                trace = recorder.write(Path(tmp) / "trace.jsonl").read_bytes()
+            entry["trace"] = {
+                "sha256": hashlib.sha256(trace).hexdigest(),
+                "records": len(recorder.records),
+                "seen": recorder.seen,
+                "sampled": recorder.sampled,
+                "suspects": recorder.suspects(),
+                "summaries": recorder.summaries,
+            }
+        payload[path.name] = entry
+    return payload
+
+
 def scenario_campaigns() -> dict:
     import os
 
@@ -205,6 +266,7 @@ def main() -> None:
     _dump("failures_expected.json", failures_expected())
     _dump("fig3_small_sim.json", fig3_small_sim())
     _dump("eventsim_baseline.json", eventsim_baseline())
+    _dump("instruments.json", instruments())
     _dump("scenarios/expected.json", scenario_campaigns())
 
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from exact_law import chi_square_max_load, max_load_law, min_rank_law
+from exact_law import PRUNE, chi_square_max_load, max_load_law, min_rank_law
 
 from repro.ballsbins.allocation import greedy_scan, sample_replica_groups
 from repro.core.notation import SystemParameters
@@ -81,6 +81,14 @@ class TestExactLaw:
         assert set(law) >= set(expected)
         for value, p in law.items():
             assert p == pytest.approx(expected.get(value, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n, d, balls", [(8, 3, 16), (12, 3, 24)])
+    def test_pruned_law_matches_unpruned(self, n, d, balls):
+        exact = max_load_law(n, d, balls)
+        pruned = max_load_law(n, d, balls, prune=PRUNE)
+        assert set(pruned) <= set(exact)
+        for value, p in exact.items():
+            assert pruned.get(value, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 class TestGreedyScanFitsExactLaw:

@@ -103,3 +103,27 @@ class TestEventSimBaseline:
         for summary in pinned["summaries"]:
             assert "unavailable" not in summary
             assert "effective_d_min" not in summary
+
+
+class TestInstruments:
+    """The monitor's chaos and layer paths and the flight recorder,
+    pinned byte for byte on the scenario fixtures and the replay spec."""
+
+    def test_exact_equality(self, make_golden):
+        fresh = _roundtrip(make_golden.instruments())
+        pinned = _load("instruments.json")
+        assert fresh == pinned
+
+    def test_pins_every_record_kind(self):
+        pinned = _load("instruments.json")
+        chaos = pinned["chaos-on.yaml"]["events"]
+        assert any(r["type"] == "node-event" for r in chaos)
+        assert any("effective_d" in r for r in chaos)
+        assert any(
+            "layer_hits" in r for r in pinned["tree-paper-default.yaml"]["events"]
+        )
+        replay = pinned["replay.yaml"]
+        assert replay["trace"]["records"] > 0
+        assert all(
+            "suspects" in r for r in replay["events"] if r["type"] == "run-summary"
+        )

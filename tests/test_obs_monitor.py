@@ -181,6 +181,46 @@ class TestWorkerDeterminism:
         assert len(trials) == 4
 
 
+class TestCampaignNodeLoads:
+    """A campaign monitor's node-load quantiles cover every trial's
+    windows: each per-trial snapshot ships its normalised node loads,
+    and the merge feeds them in trial order."""
+
+    TRIALS = 3
+
+    def _config(self):
+        return MonitorConfig.from_params(PARAMS, x=500, window=0.05)
+
+    def _campaign(self, workers):
+        monitor = LoadMonitor(self._config())
+        run_event_campaign(
+            PARAMS,
+            AdversarialDistribution(PARAMS.m, 500),
+            trials=self.TRIALS,
+            n_queries=6_000,
+            seed=SEED,
+            context=RunContext(monitor=monitor, workers=workers),
+        )
+        return monitor
+
+    def test_count_is_every_window_node_pair(self):
+        monitor = self._campaign(workers=1)
+        pairs = sum(w["nodes_active"] for w in monitor.windows if w["seconds"] > 0)
+        assert pairs > 0
+        assert monitor.summary()["node_load_quantiles"]["count"] == pairs
+
+    def test_identical_across_workers_and_to_one_monitor(self):
+        serial = self._campaign(workers=1).summary()["node_load_quantiles"]
+        parallel = self._campaign(workers=4).summary()["node_load_quantiles"]
+        direct = LoadMonitor(self._config())
+        for trial in range(self.TRIALS):
+            EventDrivenSimulator(
+                PARAMS, AdversarialDistribution(PARAMS.m, 500), seed=SEED,
+                context=RunContext(monitor=direct),
+            ).run(6_000, trial=trial)
+        assert serial == parallel == direct.summary()["node_load_quantiles"]
+
+
 class TestEntropyAlertSeparatesRegimes:
     """Acceptance: Theorem-1 traffic trips ``entropy-flat``; Zipf does not."""
 
@@ -345,9 +385,10 @@ class TestP2Sketch:
 class TestNullMonitor:
     def test_is_inert(self):
         assert NULL_MONITOR.enabled is False
-        NULL_MONITOR.begin_run(0, n=10, rate=1.0)
-        NULL_MONITOR.observe(hand_columns([0.0], [1], outcome=[2]))
-        assert NULL_MONITOR.finalize(1.0) is None
+        summary = NULL_MONITOR.observe(
+            hand_columns([0.0], [1], outcome=[2]), n=10, rate=1.0
+        )
+        assert summary is None
         assert NULL_MONITOR.record_trial(0, None) == {}
         assert NULL_MONITOR.snapshot()["records"] == []
         assert NULL_MONITOR.events.records == []

@@ -334,9 +334,10 @@ class TestRingBound:
         n = indices.stop
         mask = np.zeros(n, dtype=bool)
         mask[indices] = True
-        recorder.begin_run(trial=trial, m=PARAMS.m)
-        recorder.observe(hand_columns(np.arange(n) * 1e-3, np.arange(n)), mask)
-        recorder.finalize(duration=1.0)
+        columns = hand_columns(
+            np.arange(n) * 1e-3, np.arange(n), trial=trial, duration=1.0
+        )
+        recorder.observe(columns, mask, m=PARAMS.m)
 
     def test_ring_of_three_serial_and_merged(self, tmp_path):
         """Ten records through a 3-slot ring: the newest three, oldest
