@@ -10,10 +10,9 @@ the two engines:
   live ``MetricsRegistry`` plus ``Tracer``.
 - **eventsim**: one request-level replay under the same three modes.
 - **monitor**: the same replay with the *online monitor* off / null /
-  live — the per-request path is the hottest hook in the repository, so
-  the null monitor must sit at the uninstrumented floor and even the
-  live monitor (windows + streaming entropy + alerts) must not dominate
-  the run.
+  live — the monitor reads every request of the run, so the null
+  monitor must sit at the uninstrumented floor and even the live
+  monitor (windows + entropy + alerts) must not dominate the run.
 - **trace**: the same replay with the *flight recorder* off / sampled
   (1% — the recommended production rate) / full (every request traced
   and attributed).  The sampler is a keyed hash, not an RNG draw, so

@@ -16,10 +16,10 @@ through (see ``docs/OBSERVABILITY.md``):
 - :func:`export_json` / :func:`write_json` / :func:`to_prometheus` —
   one source of truth, two export formats;
 - :class:`LoadMonitor` — **online** attack monitoring: simulated-clock
-  sliding windows (:mod:`repro.obs.windows`), a streaming attack-gain
-  estimator with P² quantile sketches (:mod:`repro.obs.sketch`), a
-  structured JSONL event log (:mod:`repro.obs.events`), rule-based
-  alerting (:mod:`repro.obs.alerts`) and terminal/HTML dashboards
+  windows read from each run's columns, the attack-gain estimate with
+  exact gain and node-load quantiles, a structured JSONL event log
+  (:mod:`repro.obs.events`), rule-based alerting
+  (:mod:`repro.obs.alerts`) and terminal/HTML dashboards
   (:mod:`repro.obs.dashboard`);
 - :class:`FlightRecorder` — **causal request tracing**: a hash-sampled
   (RNG-free) bounded ring of per-request records
@@ -47,8 +47,7 @@ from .metrics import (
 )
 from .spans import NULL_TRACER, NullTracer, Span, Tracer, as_tracer
 from .export import export_json, to_prometheus, write_json
-from .windows import StreamingEntropy, WindowAccumulator
-from .sketch import P2Quantile, QuantileBank, SpaceSaving
+from .sketch import SpaceSaving
 from .events import SCHEMA_VERSION, EventLog
 from .alerts import BUILTIN_RULES, AlertEngine, AlertRule
 from .monitor import (
@@ -98,10 +97,6 @@ __all__ = [
     "export_json",
     "write_json",
     "to_prometheus",
-    "StreamingEntropy",
-    "WindowAccumulator",
-    "P2Quantile",
-    "QuantileBank",
     "SpaceSaving",
     "SCHEMA_VERSION",
     "EventLog",

@@ -160,9 +160,9 @@ class AlertEngine:
     Parameters
     ----------
     rules:
-        The rules to run, in evaluation order.  Defaults to the three
-        built-ins; pass a subset (or custom :class:`AlertRule` objects)
-        to specialise.
+        The rules to run, in evaluation order.  Defaults to every rule
+        in :data:`BUILTIN_RULES`; pass a subset (or custom
+        :class:`AlertRule` objects) to specialise.
     """
 
     def __init__(self, rules: Optional[Sequence[AlertRule]] = None) -> None:

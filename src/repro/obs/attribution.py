@@ -5,7 +5,7 @@ into an :class:`AttributionEngine`, which aggregates load, backend
 (gain) and entropy contribution by **key-prefix bucket** and by
 **ground-truth client id**, plus a space-saving top-k key sketch
 (:class:`repro.obs.sketch.SpaceSaving`) — the per-prefix analogue of the
-monitor's P²/entropy sketches.  Two outputs:
+monitor's window statistics.  Two outputs:
 
 - a ranked ``suspects`` block per run (and per campaign): the top-k
   prefixes, clients and keys by traced request share, each with its

@@ -5,8 +5,8 @@ records (hence deterministic for a seeded run):
 
 - :func:`render_text` — a fixed-width terminal panel: config header,
   the last windows as a table (time, requests, hit ratio, entropy,
-  running gain vs bound, alert flags), the alert roll, the P²
-  quantile summaries and, for cache-tree runs, each run's per-layer
+  running gain vs bound, alert flags), the alert roll, the gain and
+  node-load quantiles and, for cache-tree runs, each run's per-layer
   shard load against the DistCache bound.
 - :func:`render_html` — a standalone single-file HTML page with an
   inline SVG chart of running gain against the Theorem-2 bound per
@@ -314,7 +314,7 @@ def render_html(monitor, title: str = "Online attack monitor") -> str:
         ),
         "<h2>Alerts</h2>",
         _html_table(alert_rows, ["rule", "trial", "window", "t", "value", "threshold"]),
-        "<h2>Quantile sketches (P²)</h2>",
+        "<h2>Quantiles</h2>",
         _html_table(
             quant_rows,
             ["series", "p50", "p95", "p99", "count", "mean", "min", "max"],

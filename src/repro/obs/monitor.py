@@ -3,13 +3,14 @@
 End-of-run observability (PR 2) answers "what happened"; the
 :class:`LoadMonitor` answers "what is happening" while a run executes:
 
-- **simulated-clock sliding windows** (:mod:`repro.obs.windows`) of
-  per-node load, cache hit ratio and key-frequency entropy — a
-  streaming port of the batch flatness score (``tests/detection_oracle.py``);
+- **simulated-clock tumbling windows** of per-node load, cache hit
+  ratio and key-frequency entropy, computed from each run's columns —
+  the per-window form of the batch flatness score
+  (``tests/detection_oracle.py``);
 - a **live attack-gain estimator**: the running
   ``L_max / (R/n)`` against the Theorem-2 bound
   ``1 + (1 - c + n k)/(x - 1)`` for the configured ``(n, d, c, x)``,
-  with P² quantile sketches (:mod:`repro.obs.sketch`) over the
+  with exact nearest-rank quantiles of the run gains and of the
   normalised per-window node loads;
 - a **structured JSONL event log** (:mod:`repro.obs.events`): one
   manifest, one record per non-empty window, one record per alert, one
@@ -43,7 +44,9 @@ Two ingestion paths share one monitor type:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -52,11 +55,9 @@ import numpy as np
 from ..core.bounds import distcache_max_load_bound, fold_constant_k
 from ..exceptions import ConfigurationError
 from .alerts import AlertEngine, BUILTIN_RULES
-from .columns import RETRIED, UNAVAILABLE, TrialColumns
+from .columns import HIT, RETRIED, UNAVAILABLE, TrialColumns
 from .events import SCHEMA_VERSION, EventLog
 from .metrics import as_registry
-from .sketch import QuantileBank
-from .windows import WindowAccumulator
 
 __all__ = [
     "MonitorConfig",
@@ -70,6 +71,9 @@ __all__ = [
 #: oracle's ``FLATNESS_THRESHOLD`` in ``tests/detection_oracle.py``
 #: (contract-tested).
 FLATNESS_THRESHOLD = 0.95
+
+#: The quantiles :meth:`LoadMonitor.summary` reports, by nearest rank.
+QUANTILES = (0.5, 0.95, 0.99)
 
 
 @dataclass(frozen=True)
@@ -253,53 +257,6 @@ class _RuleContext:
         return self._even
 
 
-class _Run:
-    """One event-driven run's state; lives for one :meth:`LoadMonitor.observe`.
-
-    ``chaos`` adds the down-set behind per-window ``effective_d``;
-    ``layers`` (a cache tree's shard count per layer) adds per-layer and
-    per-shard hit counts for the DistCache bound.
-    """
-
-    __slots__ = (
-        "trial", "n", "rate", "bound", "acc", "nodes", "requests", "hits",
-        "backend", "windows", "alerts", "chaos", "down", "win_max_down",
-        "unavailable", "min_effective_d", "layers", "layer_hits",
-        "shard_hits", "layer_keys",
-    )
-
-    def __init__(
-        self,
-        trial: int,
-        n: int,
-        rate: float,
-        bound: Optional[float],
-        chaos: bool,
-        layers: Optional[Tuple[int, ...]],
-    ) -> None:
-        self.trial, self.n, self.rate, self.bound = trial, n, rate, bound
-        self.acc: Optional[WindowAccumulator] = None
-        self.nodes = np.zeros(n, dtype=np.int64)
-        self.requests = self.hits = self.backend = 0
-        self.windows = self.alerts = 0
-        self.chaos = chaos
-        self.down: Set[int] = set()
-        self.win_max_down = 0
-        self.unavailable = 0
-        self.min_effective_d: Optional[float] = None
-        self.layers = layers
-        widths = layers or ()
-        self.layer_hits = [0] * len(widths)
-        self.shard_hits = [[0] * w for w in widths]
-        self.layer_keys: List[set] = [set() for _ in widths]
-
-    def gain(self, t: float) -> Optional[float]:
-        """Running ``L_max / (R/n)`` at simulated time ``t``."""
-        if t <= 0:
-            return None
-        return float(self.nodes.max()) / t / (self.rate / self.n)
-
-
 class LoadMonitor:
     """Maintains windows, the gain estimate, the event log and alerts.
 
@@ -343,10 +300,10 @@ class LoadMonitor:
         self._windows = []
         self._alerts = []
         self._summaries = []
-        self._gain_bank = QuantileBank()
-        self._node_bank = QuantileBank()
-        # Normalised per-window node loads, in feed order (snapshot ships
-        # them so a campaign monitor's node bank sees every trial's).
+        # Final gains and normalised per-window node loads, in feed order
+        # (snapshot ships the loads, so a campaign monitor's quantiles
+        # see every trial's).
+        self._gains: List[float] = []
         self._node_loads: List[float] = []
         self._max_gain: Optional[float] = None
         self._final_gain: Optional[float] = None
@@ -426,11 +383,14 @@ class LoadMonitor:
     ) -> dict:
         """Ingest one event-driven run and return its run summary.
 
-        Events are fed in :meth:`TrialColumns.event_order`, so windows
-        close exactly where a request-by-request feed would close them.
-        An unavailable request is counted, not profiled: entropy tracks
-        served traffic.  The summary's ``final_gain`` uses the run's
-        ``duration``, so it equals the end-of-run
+        The run's requests are read in :meth:`TrialColumns.event_order`:
+        a window is the run of consecutive requests with one
+        ``floor(t / width)``, and it closes at the next window's first
+        request, so node events up to that request come before its
+        record.  An unavailable request is counted, not profiled:
+        entropy tracks served traffic, and a window of only unavailable
+        requests emits nothing.  The summary's ``final_gain`` uses the
+        run's ``duration``, so it equals the end-of-run
         ``EventSimResult.normalized_max``.
 
         ``chaos=True`` (fault injection active) enables degraded-bound
@@ -451,111 +411,215 @@ class LoadMonitor:
         event log.  The defaults keep every record byte-identical to a
         chaos-free, flat-cache, untraced monitor.
         """
-        bound = self._bound = self._config.bound_for(self._config.x, n=n)
-        run = _Run(
-            int(columns.trial), int(n), float(rate), bound, bool(chaos),
-            tuple(int(w) for w in layers) if layers else None,
-        )
-        layered = run.layers is not None and columns.layer is not None
-        if layered:
-            layer_of, shard_of = columns.layer.tolist(), columns.shard.tolist()
-        times, keys = columns.time.tolist(), columns.key.tolist()
-        outcome = columns.outcome.tolist()
-        retry_time, retry_node = columns.retry_time.tolist(), columns.retry_node.tolist()
-        retry_key = columns.key[columns.retry_request].tolist()
-        event_time, event_node = columns.event_time.tolist(), columns.event_node.tolist()
-        event_up = columns.event_up.tolist()
-        width = self._config.window
-        cls, index = columns.event_order()
-        for c, i in zip(cls.tolist(), index.tolist()):
-            if c == 0:
-                node, up = event_node[i], event_up[i]
+        config = self._config
+        bound = self._bound = config.bound_for(config.x, n=n)
+        trial, n, rate = int(columns.trial), int(n), float(rate)
+        layers = tuple(int(w) for w in layers) if layers else None
+        even = rate / n
+        width = config.window
+        time, key, node, request, events, before = _request_stream(columns)
+
+        # Windows: one segment of consecutive requests per floor(t / width).
+        window = np.floor_divide(time, width).astype(np.int64)
+        starts = np.flatnonzero(np.diff(window, prepend=window[:1] - 1))
+        n_windows = starts.size
+        seg = np.repeat(np.arange(n_windows), np.diff(np.append(starts, time.size)))
+        served, backend, hit = node != UNAVAILABLE, node >= 0, node == HIT
+
+        def per_window(mask):
+            return np.bincount(seg[mask], minlength=n_windows)
+
+        requests, hits = per_window(served), per_window(hit)
+        backends, unavailable = per_window(backend), per_window(~served)
+
+        # Entropy: a key's c-th request in its window adds
+        # c ln c - (c-1) ln(c-1) to sum_i c_i ln c_i, summed in arrival
+        # order; math.log, since np.log can differ in the last bit.
+        served_seg = seg[served]
+        rank = _ranks(np.unique(key[served], return_inverse=True)[1], served_seg)
+        distinct = np.bincount(served_seg[rank == 1], minlength=n_windows)
+        top = np.zeros(n_windows, dtype=np.int64)
+        np.maximum.at(top, served_seg, rank)
+        clogc = [0.0] + [k * math.log(k) for k in range(1, int(rank.max(initial=0)) + 1)]
+        delta = np.diff(clogc)[rank - 1]
+        served_cut = np.searchsorted(served_seg, np.arange(n_windows + 1))
+
+        # Node loads per (window, node) pair, in node order.
+        pair, pair_count = np.unique(seg[backend] * n + node[backend], return_counts=True)
+        pair_seg, pair_node = np.divmod(pair, n)
+        pair_cut = np.searchsorted(pair_seg, np.arange(n_windows + 1))
+        node_max = np.zeros(n_windows, dtype=np.int64)
+        np.maximum.at(node_max, pair_seg, pair_count)
+        at_max = pair_count == node_max[pair_seg]
+        node_max_id = np.full(n_windows, n, dtype=np.int64)
+        np.minimum.at(node_max_id, pair_seg[at_max], pair_node[at_max])
+        node_max_id[node_max == 0] = -1
+
+        # The busiest node's running count: a backend request's rank
+        # among its node's requests, maximised over the run so far.
+        peak_after = np.maximum.accumulate(np.append(0, _ranks(node[backend])))
+        peak = peak_after[np.searchsorted(seg[backend], np.arange(n_windows), side="right")]
+
+        layer_rows = None
+        if layers is not None:
+            # A flat cache's hits have no (layer, shard) path: they count nowhere.
+            flat = np.full(columns.time.size, -1, dtype=np.int64)
+            layer_of = flat if columns.layer is None else columns.layer
+            shard_of = flat if columns.shard is None else columns.shard
+            on_path = hit & (layer_of[request] >= 0)
+            hit_layer, hit_shard = layer_of[request[on_path]], shard_of[request[on_path]]
+            hit_key = key[on_path]
+            layer_rows = np.bincount(
+                seg[on_path] * len(layers) + hit_layer, minlength=n_windows * len(layers)
+            ).reshape(n_windows, len(layers)).tolist()
+
+        down: Set[int] = set()
+        win_max_down = 0
+        min_effective_d: Optional[float] = None
+        n_emitted = n_alerts = 0
+        event_time = columns.event_time[events].tolist()
+        event_node = columns.event_node[events].tolist()
+        event_up = columns.event_up[events].tolist()
+        before = before.tolist()
+        context = _RuleContext(config, even)
+        next_event = 0
+
+        def node_events_until(limit):
+            nonlocal next_event, win_max_down
+            while next_event < len(before) and before[next_event] <= limit:
+                j = next_event
+                node_id, up = event_node[j], event_up[j]
                 if up:
-                    run.down.discard(node)
+                    down.discard(node_id)
                 else:
-                    run.down.add(node)
-                    run.win_max_down = max(run.win_max_down, len(run.down))
+                    down.add(node_id)
+                    win_max_down = max(win_max_down, len(down))
                 self._events.emit({
-                    "type": "node-event", "trial": run.trial, "t": event_time[i],
-                    "node": node, "up": up, "nodes_down": len(run.down),
+                    "type": "node-event", "trial": trial, "t": event_time[j],
+                    "node": node_id, "up": up, "nodes_down": len(down),
                 })
                 self._metrics.counter("monitor_node_events_total").inc()
+                next_event += 1
+
+        closes = starts[1:].tolist() + [math.inf]
+        requests, hits, backends = requests.tolist(), hits.tolist(), backends.tolist()
+        unavailable, distinct, top = unavailable.tolist(), distinct.tolist(), top.tolist()
+        node_max, node_max_id = node_max.tolist(), node_max_id.tolist()
+        active, peak = np.diff(pair_cut).tolist(), peak.tolist()
+        for s, index in enumerate(window[starts].tolist()):
+            node_events_until(closes[s])
+            total = requests[s]
+            if not total:
                 continue
-            if c == 1:
-                t, key, node = times[i], keys[i], outcome[i]
-            else:
-                t, key, node = retry_time[i], retry_key[i], retry_node[i]
-                node = UNAVAILABLE if node < 0 else node
-            if node == RETRIED:
-                continue
-            # The window covering t, closing the previous one.
-            acc = run.acc
-            window = int(t // width)
-            if acc is None or window != acc.index:
-                if acc is not None:
-                    self._close_window(run)
-                acc = run.acc = WindowAccumulator(window, width, run.n)
-            if node == UNAVAILABLE:
-                acc.unavailable += 1
-                run.unavailable += 1
-                continue
-            run.requests += 1
-            if node >= 0:
-                acc.record(key, node)
-                run.backend += 1
-                run.nodes[node] += 1
-                continue
-            acc.record(key, None)
-            run.hits += 1
-            if layered:
-                layer = layer_of[i]
-                acc.record_layer(layer)
-                run.layer_hits[layer] += 1
-                run.layer_keys[layer].add(key)
-                run.shard_hits[layer][shard_of[i]] += 1
+            t_start = index * width
+            t_end = (index + 1) * width
+            if s + 1 == n_windows:
+                t_end = min(columns.duration, t_end)
+            seconds = max(t_end - t_start, 0.0)
+            entropy = 0.0
+            if distinct[s] > 1:
+                sum_clogc = float(np.cumsum(delta[served_cut[s]:served_cut[s + 1]])[-1])
+                entropy = (math.log(total) - sum_clogc / total) / math.log(distinct[s])
+            snapshot = {
+                "type": "window",
+                "clock": "simulated",
+                "trial": trial,
+                "index": index,
+                "t_start": t_start,
+                "t_end": t_end,
+                "seconds": seconds,
+                "requests": total,
+                "hits": hits[s],
+                "backend": backends[s],
+                "hit_ratio": hits[s] / total,
+                "distinct_keys": distinct[s],
+                "normalized_entropy": entropy,
+                "top_key_share": top[s] / total,
+                "node_max": node_max[s],
+                "node_max_id": node_max_id[s],
+                "nodes_active": active[s],
+                "running_gain": _gain(peak[s], t_end, even),
+                "bound": bound,
+            }
+            if chaos:
+                # Worst case over the window: transitions since the last
+                # close, or the standing down-set if nothing changed.  With
+                # a fraction f of nodes down, each key's d replicas survive
+                # independently with probability 1 - f (random partitioning
+                # places them uniformly), so the mean surviving choice is
+                # d (1 - f): what Theorem 2's k = log log n / log d degrades
+                # through.
+                nodes_down = max(win_max_down, len(down))
+                win_max_down = len(down)
+                effective_d = config.d * (1.0 - nodes_down / n)
+                snapshot["unavailable"] = unavailable[s]
+                snapshot["nodes_down"] = nodes_down
+                snapshot["effective_d"] = effective_d
+                snapshot["degraded_bound"] = config.degraded_bound_for(
+                    config.x, effective_d, n=n
+                )
+                if min_effective_d is None or effective_d < min_effective_d:
+                    min_effective_d = effective_d
+            if layer_rows is not None:
+                snapshot["layer_hits"] = {
+                    str(layer): count for layer, count in enumerate(layer_rows[s])
+                }
+            if seconds > 0:
+                self._node_loads.extend(
+                    (pair_count[pair_cut[s]:pair_cut[s + 1]] / seconds / even).tolist()
+                )
+            fired = self._engine.evaluate(snapshot, context)
+            snapshot["alerts"] = [alert["rule"] for alert in fired]
+            self._emit_window(snapshot)
+            for alert in fired:
+                self._emit_alert(alert)
+            n_emitted += 1
+            n_alerts += len(fired)
+        node_events_until(math.inf)
 
         duration = columns.duration
-        if run.acc is not None:
-            self._close_window(run, final_t=duration)
         if trace is not None:
             for alert in trace["alerts"]:
                 self._emit_alert(alert)
-                run.alerts += 1
-        gain = run.gain(duration)
+                n_alerts += 1
+        gain = _gain(int(peak_after[-1]), duration, even)
         summary = {
             "type": "run-summary",
-            "trial": run.trial,
+            "trial": trial,
             "duration": duration,
-            "requests": run.requests,
-            "hits": run.hits,
-            "backend": run.backend,
+            "requests": sum(requests),
+            "hits": sum(hits),
+            "backend": sum(backends),
             "final_gain": gain,
             "bound": bound,
-            "windows": run.windows,
-            "alerts": run.alerts,
+            "windows": n_emitted,
+            "alerts": n_alerts,
         }
-        if run.chaos:
-            summary["unavailable"] = run.unavailable
-            summary["effective_d_min"] = run.min_effective_d
-            summary["degraded_bound"] = self._config.degraded_bound_for(
-                self._config.x, run.min_effective_d, n=run.n
+        if chaos:
+            summary["unavailable"] = sum(unavailable)
+            summary["effective_d_min"] = min_effective_d
+            summary["degraded_bound"] = config.degraded_bound_for(
+                config.x, min_effective_d, n=n
             )
-        if run.layers is not None:
+        if layers is not None:
             summary["layers"] = [
-                self._layer_summary(run, layer) for layer in range(len(run.layers))
+                self._layer_summary(
+                    layer, shards,
+                    np.bincount(hit_shard[hit_layer == layer], minlength=shards).tolist(),
+                    np.unique(hit_key[hit_layer == layer]).size,
+                )
+                for layer, shards in enumerate(layers)
             ]
         if trace is not None and trace["suspects"] is not None:
             summary["suspects"] = trace["suspects"]
         self._events.emit(summary)
         self._summaries.append(summary)
         if gain is not None:
-            self._final_gain = gain
-            self._max_gain = gain if self._max_gain is None else max(self._max_gain, gain)
-            self._gain_bank.observe(gain)
+            self._record_gain(gain)
             self._metrics.gauge("monitor_gain").set(gain)
         return summary
 
-    def _layer_summary(self, run: _Run, layer: int) -> dict:
+    def _layer_summary(self, layer: int, shards: int, shard_hits: List[int], keys: int) -> dict:
         """One layer's max-load report against the DistCache bound.
 
         ``balance_gain`` is the realised analogue of the Theorem-2 gain
@@ -566,76 +630,25 @@ class LoadMonitor:
         distcache_max_load_bound` with the config's ``k_prime`` — so
         the two report side by side in every run summary.
         """
-        width = run.layers[layer]
-        hits = run.layer_hits[layer]
-        keys = len(run.layer_keys[layer])
-        shard_hits = run.shard_hits[layer]
+        hits = sum(shard_hits)
         shard_max = max(shard_hits) if shard_hits else 0
-        bound = distcache_max_load_bound(
-            hits, width, keys, self._config.k_prime
-        )
+        bound = distcache_max_load_bound(hits, shards, keys, self._config.k_prime)
         return {
             "layer": layer,
-            "shards": width,
+            "shards": shards,
             "hits": hits,
             "keys": keys,
             "shard_max": shard_max,
-            "balance_gain": (shard_max / (hits / width)) if hits else None,
+            "balance_gain": (shard_max / (hits / shards)) if hits else None,
             "distcache_bound": bound,
             "within_bound": shard_max <= bound,
         }
 
-    def _close_window(self, run: _Run, final_t: Optional[float] = None) -> None:
-        acc = run.acc
-        run.acc = None
-        if acc.requests == 0:
-            return
-        snapshot = acc.to_snapshot(run.trial, t_end=final_t)
-        snapshot["running_gain"] = run.gain(snapshot["t_end"])
-        snapshot["bound"] = run.bound
-        if run.chaos:
-            # Worst case over the window: transitions since the last
-            # close, or the standing down-set if nothing changed.  With
-            # a fraction f of nodes down, each key's d replicas survive
-            # independently with probability 1 - f (random partitioning
-            # places them uniformly), so the mean surviving choice is
-            # d (1 - f): what Theorem 2's k = log log n / log d degrades
-            # through.
-            nodes_down = max(run.win_max_down, len(run.down))
-            run.win_max_down = len(run.down)
-            effective_d = self._config.d * (1.0 - nodes_down / run.n)
-            snapshot["unavailable"] = acc.unavailable
-            snapshot["nodes_down"] = nodes_down
-            snapshot["effective_d"] = effective_d
-            snapshot["degraded_bound"] = self._config.degraded_bound_for(
-                self._config.x, effective_d, n=run.n
-            )
-            if run.min_effective_d is None or effective_d < run.min_effective_d:
-                run.min_effective_d = effective_d
-        if run.layers is not None:
-            snapshot["layer_hits"] = {
-                str(layer): acc.layer_hits.get(layer, 0)
-                for layer in range(len(run.layers))
-            }
-        seconds = snapshot["seconds"]
-        even = run.rate / run.n
-        if seconds > 0:
-            self._feed_node_loads([
-                count / seconds / even
-                for count in acc.node_counts[acc.node_counts > 0].tolist()
-            ])
-        fired = self._engine.evaluate(snapshot, _RuleContext(self._config, even))
-        snapshot["alerts"] = [alert["rule"] for alert in fired]
-        self._emit_window(snapshot)
-        for alert in fired:
-            self._emit_alert(alert)
-        run.windows += 1
-        run.alerts += len(fired)
-
-    def _feed_node_loads(self, loads: List[float]) -> None:
-        self._node_loads.extend(loads)
-        for load in loads:
-            self._node_bank.observe(load)
+    def _record_gain(self, gain: float) -> None:
+        """Fold one run's or trial's final gain into the campaign view."""
+        self._final_gain = gain
+        self._max_gain = gain if self._max_gain is None else max(self._max_gain, gain)
+        self._gains.append(float(gain))
 
     # -- trial path --------------------------------------------------------
 
@@ -685,9 +698,7 @@ class LoadMonitor:
         self._emit_window(snapshot)
         for alert in fired:
             self._emit_alert(alert)
-        self._final_gain = gain
-        self._max_gain = gain if self._max_gain is None else max(self._max_gain, gain)
-        self._gain_bank.observe(gain)
+        self._record_gain(gain)
         self._metrics.counter("monitor_trials_total").inc()
         self._metrics.gauge("monitor_gain").set(gain)
         return snapshot
@@ -747,12 +758,10 @@ class LoadMonitor:
                     self._on_alert(record)
             elif record["type"] == "run-summary":
                 self._summaries.append(record)
-        self._feed_node_loads(snapshot.get("node_loads", []))
+        self._node_loads.extend(snapshot.get("node_loads", []))
         final = snapshot.get("final_gain")
         if final is not None:
-            self._final_gain = final
-            self._max_gain = final if self._max_gain is None else max(self._max_gain, final)
-            self._gain_bank.observe(final)
+            self._record_gain(final)
         self._trials_merged += 1
 
     def summary(self) -> dict:
@@ -767,8 +776,8 @@ class LoadMonitor:
             "trials_merged": self._trials_merged,
             "final_gain": self._final_gain,
             "max_gain": self._max_gain,
-            "gain_quantiles": _finite_dict(self._gain_bank.estimates()),
-            "node_load_quantiles": _finite_dict(self._node_bank.estimates()),
+            "gain_quantiles": _series_summary(self._gains),
+            "node_load_quantiles": _series_summary(self._node_loads),
         }
 
 
@@ -781,6 +790,89 @@ def _finite_dict(values: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+def _request_stream(columns: TrialColumns):
+    """The run's requests in :meth:`TrialColumns.event_order`, and where
+    its node events fall among them.
+
+    Returns ``(time, key, node, request, events, before)``: per request,
+    its time, key, node (or :data:`HIT` / :data:`UNAVAILABLE`) and
+    arrival index, where a retry counts at its own time on its node, or
+    as unavailable when no replica was up, and an arrival whose node was
+    found down (:data:`RETRIED`) is left out; then the node events'
+    indices in event order and, for each, the number of requests ahead
+    of it.
+    """
+    cls, index = columns.event_order()
+    is_event = cls == 0
+    events = index[is_event]
+    place = np.flatnonzero(is_event) - np.arange(events.size)
+    request = index[~is_event]
+    retry = np.flatnonzero(cls[~is_event] == 2)
+    rows = request[retry]
+    request[retry] = columns.retry_request[rows]
+    time = columns.time[request]
+    time[retry] = columns.retry_time[rows]
+    node = columns.outcome[request]
+    node[retry] = np.where(columns.retry_node[rows] < 0, UNAVAILABLE, columns.retry_node[rows])
+    kept = node != RETRIED
+    before = np.cumsum(np.append(0, kept))[place]
+    return time[kept], columns.key[request[kept]], node[kept], request[kept], events, before
+
+
+def _ranks(ids: np.ndarray, *segments: np.ndarray) -> np.ndarray:
+    """Each row's 1-based occurrence number among the rows with its id
+    and, given a nondecreasing ``segments`` label, in its segment.
+
+    ``ids`` are non-negative with ``ids * len(ids)`` inside int64 (node
+    ids, or dense key ids from ``np.unique``): sorting
+    ``ids * len(ids) + row``, whose values are distinct, lists each id's
+    rows in row order, so its segments stay contiguous there.
+    """
+    size = ids.size
+    order = np.argsort(ids * size + np.arange(size))
+    head = np.zeros(size, dtype=bool)
+    head[:1] = True
+    for column in (ids, *segments):
+        column = column[order]
+        head[1:] |= column[1:] != column[:-1]
+    first = np.flatnonzero(head)
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size) - first[np.cumsum(head) - 1] + 1
+    return rank
+
+
+def _gain(peak: int, t: float, even: float) -> Optional[float]:
+    """``L_max / (R/n)`` at simulated time ``t`` for a busiest node's
+    ``peak`` requests (``None`` before ``t > 0``)."""
+    if t <= 0:
+        return None
+    return float(peak) / t / even
+
+
+def _series_summary(values: List[float]) -> dict:
+    """p50/p95/p99 by nearest rank, then count, mean, min and max.
+
+    The mean divides a sequential sum in feed order (``sum`` of floats
+    is compensated from Python 3.12 on, so it could differ in the last
+    bit across interpreters); every field but ``count`` is ``None`` for
+    an empty series.
+    """
+    count = len(values)
+    if not count:
+        return {**dict.fromkeys(("p50", "p95", "p99"), None), "count": 0,
+                "mean": None, "min": None, "max": None}
+    ordered = sorted(values)
+    out = {
+        f"p{round(q * 100):02d}": ordered[max(1, math.ceil(q * count - 1e-9)) - 1]
+        for q in QUANTILES
+    }
+    out["count"] = count
+    out["mean"] = functools.reduce(operator.add, values, 0.0) / count
+    out["min"] = min(values)
+    out["max"] = max(values)
+    return _finite_dict(out)
 
 
 class NullMonitor(LoadMonitor):

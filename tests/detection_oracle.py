@@ -1,8 +1,8 @@
 """Batch traffic fingerprint: is this a DDoS or a crowd?
 
-This test oracle is the batch reference that the streaming port
-(``repro.obs.windows.StreamingEntropy``) and the monitor's flatness
-threshold (``repro.obs.monitor.FLATNESS_THRESHOLD``) are
+This test oracle is the batch reference that the monitor's per-window
+flatness score (the ``normalized_entropy`` of each window record) and
+its threshold (``repro.obs.monitor.FLATNESS_THRESHOLD``) are
 contract-tested against.
 
 The paper's defense needs no detection — the provisioned cache defuses

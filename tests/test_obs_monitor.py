@@ -9,9 +9,9 @@ Three acceptance properties anchor the suite:
 3. the ``entropy-flat`` rule separates the Theorem-1 uniform-prefix
    fingerprint from a benign Zipf baseline.
 
-Plus the streaming/batch entropy parity the windows module promises,
-and the smaller pieces (P² sketches, event-log roundtrip, bound
-computation, the null monitor).
+Plus the window/batch entropy parity against the detection oracle,
+and the smaller pieces (exact summary quantiles, event-log roundtrip,
+bound computation, the null monitor).
 """
 
 import json
@@ -31,14 +31,11 @@ from repro.obs import (
     LoadMonitor,
     MetricsRegistry,
     MonitorConfig,
-    P2Quantile,
-    QuantileBank,
     RunContext,
     render_html,
     render_text,
 )
 from repro.obs.monitor import FLATNESS_THRESHOLD
-from repro.obs.windows import StreamingEntropy
 from repro.sim.batch import run_event_campaign
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.types import LoadVector
@@ -59,7 +56,8 @@ def _run_monitored(distribution, x=500, window=0.05, n_queries=15_000, seed=SEED
 
 
 class TestStreamingEntropyParity:
-    """The O(1) streaming score must equal the batch profile exactly."""
+    """The flatness score of a window the monitor emits must equal the
+    batch profile of its keys."""
 
     def _counts_for(self, regime):
         rng = np.random.default_rng(7)
@@ -73,20 +71,25 @@ class TestStreamingEntropyParity:
             return AdversarialDistribution(2_000, 400).sample_counts(30_000, rng=rng)
         raise AssertionError(regime)
 
+    def _window_of(self, counts):
+        """The one window a monitor reports for these key counts, shuffled."""
+        keys = np.random.default_rng(3).permutation(np.repeat(np.arange(counts.size), counts))
+        monitor = LoadMonitor(MonitorConfig(window=1.0))
+        monitor.observe(hand_columns(np.linspace(0.0, 0.5, keys.size), keys), n=1, rate=1.0)
+        (window,) = monitor.windows
+        return window
+
     @pytest.mark.parametrize("regime", ["flash-crowd", "zipf", "uniform-prefix"])
     def test_streamed_equals_batch(self, regime):
         counts = self._counts_for(regime)
-        stream = StreamingEntropy()
-        for key, count in enumerate(counts):
-            for _ in range(int(count)):
-                stream.update(key)
+        window = self._window_of(counts)
         batch = detection.profile_counts(counts)
-        assert stream.total == batch.total_queries
-        assert stream.distinct == batch.distinct_keys
-        assert stream.normalized_entropy == pytest.approx(
+        assert window["requests"] == batch.total_queries
+        assert window["distinct_keys"] == batch.distinct_keys
+        assert window["normalized_entropy"] == pytest.approx(
             batch.normalized_entropy, abs=1e-9
         )
-        assert stream.top_key_share == pytest.approx(batch.top_key_share, abs=1e-12)
+        assert window["top_key_share"] == pytest.approx(batch.top_key_share, abs=1e-12)
 
     def test_regimes_order_as_documented(self):
         """flash crowd << zipf << uniform prefix, on either implementation."""
@@ -105,14 +108,12 @@ class TestStreamingEntropyParity:
         assert FLATNESS_THRESHOLD == detection.FLATNESS_THRESHOLD
 
     def test_streaming_edge_cases(self):
-        stream = StreamingEntropy()
-        assert stream.entropy == 0.0
-        assert stream.normalized_entropy == 0.0
-        assert stream.top_key_share == 0.0
-        stream.update(3)
         # One distinct key: defined as 0, matching profile_counts.
-        assert stream.normalized_entropy == 0.0
-        assert stream.top_key_share == 1.0
+        counts = np.array([0, 0, 4, 0], dtype=np.int64)
+        window = self._window_of(counts)
+        assert window["distinct_keys"] == detection.profile_counts(counts).distinct_keys == 1
+        assert window["normalized_entropy"] == 0.0
+        assert window["top_key_share"] == 1.0
 
 
 class TestFinalGainMatchesEngine:
@@ -355,31 +356,55 @@ class TestEventLogRoundtrip:
         assert len(manifests) == 1
 
 
-class TestP2Sketch:
-    def test_tracks_known_quantiles(self):
-        rng = np.random.default_rng(5)
-        values = rng.permutation(np.arange(1.0, 10_001.0))
-        sketch = P2Quantile(0.5)
-        for v in values:
-            sketch.observe(v)
-        assert sketch.result() == pytest.approx(5_000.5, rel=0.05)
+class TestSummaryQuantiles:
+    """``summary()`` reports exact nearest-rank quantiles of each series."""
 
-    def test_bank_reports_exact_extremes(self):
-        bank = QuantileBank()
-        rng = np.random.default_rng(5)
-        for v in rng.normal(10.0, 2.0, size=5_000):
-            bank.observe(float(v))
-        est = bank.estimates()
-        assert est["count"] == 5_000
-        assert est["min"] <= est["p50"] <= est["p95"] <= est["p99"] <= est["max"]
-        assert est["p50"] == pytest.approx(10.0, abs=0.3)
+    @staticmethod
+    def _node_loads(values):
+        monitor = LoadMonitor(MonitorConfig())
+        monitor.merge_trial({"records": [], "node_loads": list(values), "final_gain": None})
+        return monitor.summary()["node_load_quantiles"]
+
+    def test_tracks_known_quantiles(self):
+        values = np.random.default_rng(5).normal(10.0, 2.0, size=5_000).tolist()
+        got = self._node_loads(values)
+        ordered = sorted(values)
+        for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert got[name] == ordered[math.ceil(q * len(values)) - 1]
+
+    def test_reports_exact_extremes(self):
+        """count, min and max are exact, and the mean divides a
+        sequential sum in feed order."""
+        values = np.random.default_rng(5).normal(10.0, 2.0, size=5_000).tolist()
+        got = self._node_loads(values)
+        total = 0.0
+        for value in values:
+            total += value
+        assert got["count"] == 5_000
+        assert got["mean"] == total / 5_000
+        assert (got["min"], got["max"]) == (min(values), max(values))
 
     def test_small_streams_are_exact(self):
-        sketch = P2Quantile(0.5)
-        assert math.isnan(sketch.result())
-        for v in (3.0, 1.0, 2.0):
-            sketch.observe(v)
-        assert sketch.result() == 2.0
+        """Below five values the P² sketch returned the nearest rank of
+        its buffered values; those outputs stay."""
+        cases = [
+            ((), (None, None, None)),
+            ((2.5,), (2.5, 2.5, 2.5)),
+            ((3.0, 1.0), (1.0, 3.0, 3.0)),
+            ((3.0, 1.0, 2.0), (2.0, 3.0, 3.0)),
+            ((4.0, 1.0, 3.0, 2.0), (2.0, 4.0, 4.0)),
+        ]
+        for values, expected in cases:
+            got = self._node_loads(values)
+            assert (got["p50"], got["p95"], got["p99"]) == expected
+            assert got["count"] == len(values)
+
+    def test_gain_series_come_from_every_trial(self):
+        monitor = LoadMonitor(MonitorConfig())
+        for gain in (1.5, 0.5, 3.0, 2.0, 2.5, 1.0):
+            monitor.merge_trial({"records": [], "node_loads": [], "final_gain": gain})
+        got = monitor.summary()["gain_quantiles"]
+        assert (got["p50"], got["p95"], got["count"], got["mean"]) == (1.5, 3.0, 6, 1.75)
 
 
 class TestNullMonitor:
