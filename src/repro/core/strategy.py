@@ -182,8 +182,11 @@ def theorem1_step(pattern: AdversarialPattern) -> Optional[AdversarialPattern]:
     Finds the most popular uncached key ``i`` with ``p_i < h`` and the
     least popular key ``j > i`` with ``p_j > 0``, then moves
     ``delta = min(h - p_i, p_j)`` of probability from ``j`` to ``i``.
-    The theorem guarantees the expected maximum back-end load does not
-    decrease (validated empirically in the test suite).
+    The theorem covers only the full move (``h - p_i >= p_j``); the
+    partial move ``delta = h - p_i < p_j`` is outside it and can lower
+    the expected maximum back-end load (exactly at n=3, d=2, c=2:
+    0.73907 -> 0.73780).  Either way the step reaches the fixed point of
+    Eq. (4), the uniform prefix the theorem identifies.
     """
     probs = pattern.probs.copy()
     c = pattern.cache_size

@@ -23,7 +23,7 @@ through (see ``docs/OBSERVABILITY.md``):
   (:mod:`repro.obs.dashboard`);
 - :class:`FlightRecorder` — **causal request tracing**: a hash-sampled
   (RNG-free) bounded ring of per-request records
-  (:mod:`repro.obs.trace`) feeding a streaming per-prefix/per-client
+  (:mod:`repro.obs.trace`) whose trials feed a per-prefix/per-client
   attack-attribution engine (:mod:`repro.obs.attribution`) with ranked
   suspects, the ``attribution-concentration`` alert and the forensic
   timeline dashboards (:mod:`repro.obs.forensics`).
@@ -57,7 +57,7 @@ from .monitor import (
     NullMonitor,
     as_monitor,
 )
-from .attribution import AttributionEngine
+from .attribution import Attribution, attribute
 from .trace import (
     NULL_RECORDER,
     TRACE_SCHEMA_VERSION,
@@ -116,7 +116,8 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "as_trace",
-    "AttributionEngine",
+    "Attribution",
+    "attribute",
     "render_text",
     "render_html",
     "write_html",

@@ -1,11 +1,15 @@
-"""Streaming attack attribution over the sampled trace stream.
+"""Attack attribution over one trial's traced requests, as column code.
 
-The flight recorder (:mod:`repro.obs.trace`) feeds every traced request
-into an :class:`AttributionEngine`, which aggregates load, backend
+The flight recorder (:mod:`repro.obs.trace`) hands :func:`attribute`
+each trial's traced requests as columns — time, key-prefix bucket,
+ground-truth client id, key and whether the back end served it — and
+folds the result into its campaign aggregate.  The live recorder and
+the offline replay of an exported trace
+(:meth:`repro.obs.trace.FlightRecorder.from_export`, the ``repro
+forensics`` path) call the same function.  It counts load, backend
 (gain) and entropy contribution by **key-prefix bucket** and by
-**ground-truth client id**, plus a space-saving top-k key sketch
-(:class:`repro.obs.sketch.SpaceSaving`) — the per-prefix analogue of the
-monitor's window statistics.  Two outputs:
+**client**, plus a space-saving top-k key sketch
+(:class:`repro.obs.sketch.SpaceSaving`).  Two outputs:
 
 - a ranked ``suspects`` block per run (and per campaign): the top-k
   prefixes, clients and keys by traced request share, each with its
@@ -16,177 +20,196 @@ monitor's window statistics.  Two outputs:
   (:data:`repro.obs.alerts.BUILTIN_RULES`): one prefix bucket taking
   more than the configured share of a window's traced requests.
 
-Everything is a pure function of the traced record sequence: entropy
-sums use :func:`math.fsum` (order-independent rounding) and rankings
-break ties on the smaller identifier, so suspects blocks are
-bit-identical across engines and worker counts — and an offline replay
-of an exported trace file
-(:meth:`repro.obs.trace.FlightRecorder.from_export`, the ``repro
-forensics`` path) reproduces the live run's.
+Everything is a pure function of the traced columns: prefix and client
+rows are integer counts per ``(ident, key)`` pair, which sum in any
+order; entropy sums use :func:`math.fsum`; rankings break ties on the
+smaller identifier; and the key sketch, whose state depends on offer
+order, sees keys in event order and trials in trial order.  So suspects
+blocks are bit-identical across engines and worker counts, and an
+offline replay reproduces the live run's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .alerts import AlertEngine, BUILTIN_RULES
 from .sketch import SpaceSaving
 
-__all__ = ["AttributionEngine"]
+__all__ = ["Attribution", "attribute"]
 
 #: Space-saving counters kept per ``top_k`` reported rows.
 SKETCH_FACTOR = 8
 
+#: One dimension's counts: ``(ident, key, requests, backend)`` columns,
+#: one row per distinct ``(ident, key)`` pair, in ``(ident, key)`` order.
+Table = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-def _entropy(counts: Dict[int, int]) -> Optional[float]:
-    """Normalised Shannon entropy of a key-count map (``None`` if <2 keys).
+#: Snapshot name -> suspects row label of each dimension.
+_DIMENSIONS = {"prefixes": "prefix", "clients": "client"}
 
-    ``math.fsum`` makes the result independent of dict insertion order,
-    so serial and merged aggregates agree bit-for-bit.
+_EMPTY: Table = (np.zeros(0, dtype=np.int64),) * 4
+
+
+def _entropy(counts: List[int]) -> Optional[float]:
+    """Normalised Shannon entropy of a row's key counts (``None`` if <2 keys).
+
+    ``math.fsum`` makes the result independent of the counts' order.
     """
     distinct = len(counts)
     if distinct <= 1:
         return None
-    total = sum(counts.values())
-    sum_clogc = math.fsum(c * math.log(c) for c in counts.values() if c > 1)
+    total = sum(counts)
+    sum_clogc = math.fsum(c * math.log(c) for c in counts if c > 1)
     return (math.log(total) - sum_clogc / total) / math.log(distinct)
 
 
-class _Dimension:
-    """Counts for one attribution dimension (prefix or client)."""
+def _runs(*columns: np.ndarray) -> np.ndarray:
+    """Start of each run of equal rows across ``columns``."""
+    size = columns[0].size
+    head = np.zeros(size, dtype=bool)
+    head[:1] = True
+    for column in columns:
+        head[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(head)
 
-    __slots__ = ("requests", "backend", "keys")
 
-    def __init__(self) -> None:
-        self.requests = 0
-        self.backend = 0
-        self.keys: Dict[int, int] = {}
+def _table(ident, key, requests, backend) -> Table:
+    """Sum ``requests`` and ``backend`` over each ``(ident, key)`` pair."""
+    order = np.lexsort((key, ident))
+    ident, key = ident[order], key[order]
+    at = _runs(ident, key)
+    return (
+        ident[at], key[at],
+        np.add.reduceat(requests[order], at), np.add.reduceat(backend[order], at),
+    )
 
 
-class AttributionEngine:
-    """Per-run (or campaign-merged) attribution aggregate.
+def _windows(config, trial: int, t, prefix, duration: float) -> List[dict]:
+    """``attribution-concentration`` alerts of the trial's windows.
 
-    Parameters
-    ----------
-    config:
-        A :class:`repro.obs.trace.TraceConfig`; ``window``,
-        ``top_k``, ``concentration_threshold`` and ``min_samples`` are
-        read here.
-    trial:
-        Trial index stamped into alert records (``-1`` for the
-        campaign-level aggregate, which never windows).
+    A window is a run of requests with one ``floor(t / window)``; its top
+    prefix has the most requests, ties to the smaller prefix.  The last
+    window ends at ``min((index + 1) * window, duration)``.
     """
-
-    def __init__(self, config, trial: int = 0) -> None:
-        self._config = config
-        self._trial = int(trial)
-        self._rule_engine = AlertEngine([BUILTIN_RULES["attribution-concentration"]])
-        self._prefixes: Dict[int, _Dimension] = {}
-        self._clients: Dict[int, _Dimension] = {}
-        self._key_sketch = SpaceSaving(SKETCH_FACTOR * config.top_k)
-        self._samples = 0
-        self._backend_total = 0
-        self._alerts: List[dict] = []
-        # Open-window state (simulated-clock tumbling windows).
-        self._win_index: Optional[int] = None
-        self._win_prefix: Dict[int, int] = {}
-        self._win_samples = 0
-
-    @property
-    def samples(self) -> int:
-        """Traced requests aggregated so far."""
-        return self._samples
-
-    @property
-    def alerts(self) -> List[dict]:
-        """``attribution-concentration`` alert records, in order."""
-        return self._alerts
-
-    # -- streaming ingestion ----------------------------------------------
-
-    def add(
-        self, t: float, prefix: int, client: int, key: int, backend: bool
-    ) -> None:
-        """Aggregate one traced request at simulated time ``t``."""
-        index = int(t // self._config.window)
-        if self._win_index is None:
-            self._win_index = index
-        elif index != self._win_index:
-            self._close_window()
-            self._win_index = index
-        self._win_prefix[prefix] = self._win_prefix.get(prefix, 0) + 1
-        self._win_samples += 1
-        for dimension, ident in ((self._prefixes, prefix), (self._clients, client)):
-            slot = dimension.get(ident)
-            if slot is None:
-                slot = dimension[ident] = _Dimension()
-            slot.requests += 1
-            slot.keys[key] = slot.keys.get(key, 0) + 1
-            if backend:
-                slot.backend += 1
-        self._key_sketch.offer(key)
-        self._samples += 1
-        if backend:
-            self._backend_total += 1
-
-    def _close_window(self, final_t: Optional[float] = None) -> None:
-        index = self._win_index
-        samples = self._win_samples
-        self._win_index = None
-        prefix_counts = self._win_prefix
-        self._win_prefix = {}
-        self._win_samples = 0
-        if index is None or samples == 0:
-            return
-        top_prefix, top_count = min(
-            prefix_counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        t_end = (index + 1) * self._config.window
-        if final_t is not None:
-            t_end = min(t_end, final_t)
+    window = np.floor_divide(t, config.window).astype(np.int64)
+    starts = _runs(window)
+    samples = np.diff(np.append(starts, window.size))
+    seg = np.repeat(np.arange(starts.size), samples)
+    # Each window's (prefix, count) pairs; its top pair sorts first on
+    # (-count, prefix).
+    order = np.lexsort((prefix, seg))
+    seg, prefix = seg[order], prefix[order]
+    at = _runs(seg, prefix)
+    pair_seg, pair_prefix = seg[at], prefix[at]
+    pair_count = np.diff(np.append(at, seg.size))
+    top = np.lexsort((pair_prefix, -pair_count, pair_seg))
+    top = top[_runs(pair_seg[top])]
+    rule = AlertEngine([BUILTIN_RULES["attribution-concentration"]])
+    last = starts.size - 1
+    alerts: List[dict] = []
+    for w, (index, count, top_prefix, top_count) in enumerate(zip(
+        window[starts].tolist(), samples.tolist(),
+        pair_prefix[top].tolist(), pair_count[top].tolist(),
+    )):
+        t_end = (index + 1) * config.window
+        if w == last:
+            t_end = min(t_end, duration)
         snapshot = {
-            "trial": self._trial,
+            "trial": trial,
             "index": index,
             "t_end": t_end,
-            "attribution_samples": samples,
-            "attribution_top_share": top_count / samples,
+            "attribution_samples": count,
+            "attribution_top_share": top_count / count,
             "attribution_top_prefix": top_prefix,
         }
-        alerts = self._rule_engine.evaluate(snapshot, self._config)
-        for alert in alerts:
+        for alert in rule.evaluate(snapshot, config):
             # The rule engine emits generic records; a concentration
             # firing must also name the suspected attack prefix.
             alert["prefix"] = top_prefix
-        self._alerts.extend(alerts)
+            alerts.append(alert)
+    return alerts
 
-    def finalize(self, duration: float) -> dict:
-        """Close the open window; returns the run's suspects block."""
-        self._close_window(final_t=duration)
-        return self.suspects()
 
-    # -- reporting ---------------------------------------------------------
+class Attribution:
+    """Attribution counts of one trial, or of a campaign's trials summed.
 
-    def _rank(self, dimension: Dict[int, _Dimension], label: str) -> List[dict]:
-        total = self._samples
-        backend_total = self._backend_total
-        rows = sorted(
-            dimension.items(), key=lambda item: (-item[1].requests, item[0])
-        )[: self._config.top_k]
-        return [
+    Prefix and client counts are :data:`Table` columns; the campaign
+    aggregate keeps each trial's and sums them when read.  The key
+    sketch takes each trial's counters in trial order.
+    """
+
+    def __init__(self, top_k: int) -> None:
+        self._top_k = top_k
+        self._tables = {name: [_EMPTY] for name in _DIMENSIONS}
+        self._sketch = SpaceSaving(SKETCH_FACTOR * top_k)
+        self._samples = 0
+        self._backend = 0
+
+    def _counts(self, name: str) -> Table:
+        tables = self._tables[name]
+        if len(tables) > 1:
+            tables[:] = [_table(*map(np.concatenate, zip(*tables)))]
+        return tables[0]
+
+    def _add(self, tables: dict, keys: Sequence, samples: int, backend: int) -> None:
+        for name in _DIMENSIONS:
+            self._tables[name].append(tables[name])
+        for key, count, _error in keys:
+            self._sketch.offer(key, count)
+        self._samples += samples
+        self._backend += backend
+
+    def fold(self, other: "Attribution") -> None:
+        """Add a later trial's counts."""
+        self._add(
+            {name: other._counts(name) for name in _DIMENSIONS},
+            other._sketch.items(), other._samples, other._backend,
+        )
+
+    def snapshot(self) -> dict:
+        """Plain-data dump for worker -> campaign merging."""
+        return {
+            **{name: [column.tolist() for column in self._counts(name)] for name in _DIMENSIONS},
+            "keys": self._sketch.items(),
+            "samples": self._samples,
+            "backend": self._backend,
+        }
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold one :meth:`snapshot` in (trial order, like the monitor merge)."""
+        self._add(
             {
-                label: ident,
-                "requests": slot.requests,
-                "share": slot.requests / total,
-                "backend": slot.backend,
-                "backend_share": (
-                    slot.backend / backend_total if backend_total else None
-                ),
-                "distinct_keys": len(slot.keys),
-                "entropy": _entropy(slot.keys),
-            }
-            for ident, slot in rows
-        ]
+                name: tuple(np.asarray(column, dtype=np.int64) for column in snapshot[name])
+                for name in _DIMENSIONS
+            },
+            snapshot["keys"], snapshot["samples"], snapshot["backend"],
+        )
+
+    def _rank(self, name: str) -> List[dict]:
+        label = _DIMENSIONS[name]
+        ident, _key, requests, backend = self._counts(name)
+        at = _runs(ident)
+        totals, backends = np.add.reduceat(requests, at), np.add.reduceat(backend, at)
+        ends = np.append(at[1:], ident.size)
+        counts = requests.tolist()
+        rows = []
+        for row in np.lexsort((ident[at], -totals))[: self._top_k].tolist():
+            row_requests, row_backend = int(totals[row]), int(backends[row])
+            keys = counts[at[row]:ends[row]]
+            rows.append({
+                label: int(ident[at[row]]),
+                "requests": row_requests,
+                "share": row_requests / self._samples,
+                "backend": row_backend,
+                "backend_share": row_backend / self._backend if self._backend else None,
+                "distinct_keys": len(keys),
+                "entropy": _entropy(keys),
+            })
+        return rows
 
     def suspects(self) -> dict:
         """The ranked suspects block (plain data, deterministic order)."""
@@ -195,74 +218,39 @@ class AttributionEngine:
             return {"samples": 0, "prefixes": [], "clients": [], "keys": []}
         return {
             "samples": total,
-            "prefixes": self._rank(self._prefixes, "prefix"),
-            "clients": self._rank(self._clients, "client"),
+            "prefixes": self._rank("prefixes"),
+            "clients": self._rank("clients"),
             "keys": [
-                {
-                    "key": key,
-                    "count": count,
-                    "error": error,
-                    "share": count / total,
-                }
-                for key, count, error in self._key_sketch.top(self._config.top_k)
+                {"key": key, "count": count, "error": error, "share": count / total}
+                for key, count, error in self._sketch.top(self._top_k)
             ],
         }
 
-    # -- snapshot / merge --------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Plain-data dump for worker -> campaign merging."""
-        def dump(dimension: Dict[int, _Dimension]) -> list:
-            return [
-                [ident, slot.requests, slot.backend, list(slot.keys.items())]
-                for ident, slot in dimension.items()
-            ]
+def attribute(
+    config, trial: int, t, prefix, client, key, backend, duration: float
+) -> Tuple[Attribution, List[dict]]:
+    """One trial's attribution and its concentration alerts.
 
-        return {
-            "prefixes": dump(self._prefixes),
-            "clients": dump(self._clients),
-            "keys": self._key_sketch.items(),
-            "samples": self._samples,
-            "backend": self._backend_total,
-            "alerts": list(self._alerts),
-        }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold one snapshot in (trial order, like the monitor merge)."""
-        def load(dimension: Dict[int, _Dimension], rows: list) -> None:
-            for ident, requests, backend, keys in rows:
-                slot = dimension.get(ident)
-                if slot is None:
-                    slot = dimension[ident] = _Dimension()
-                slot.requests += requests
-                slot.backend += backend
-                for key, count in keys:
-                    slot.keys[key] = slot.keys.get(key, 0) + count
-
-        load(self._prefixes, snapshot.get("prefixes", ()))
-        load(self._clients, snapshot.get("clients", ()))
-        for key, count, _error in snapshot.get("keys", ()):
-            self._key_sketch.offer(key, count)
-        self._samples += snapshot.get("samples", 0)
-        self._backend_total += snapshot.get("backend", 0)
-        self._alerts.extend(snapshot.get("alerts", ()))
-
-    def absorb(self, other: "AttributionEngine") -> None:
-        """Fold a finalized per-run engine into this aggregate (serial path)."""
-        self.merge(
-            {
-                "prefixes": [
-                    [ident, slot.requests, slot.backend, list(slot.keys.items())]
-                    for ident, slot in other._prefixes.items()
-                ],
-                "clients": [
-                    [ident, slot.requests, slot.backend, list(slot.keys.items())]
-                    for ident, slot in other._clients.items()
-                ],
-                "keys": other._key_sketch.items(),
-                "samples": other._samples,
-                "backend": other._backend_total,
-                "alerts": [],
-            }
-        )
-
+    ``t``, ``prefix``, ``client``, ``key`` and ``backend`` (a boolean)
+    are the trial's traced requests in event order; ``config`` is a
+    :class:`repro.obs.trace.TraceConfig`, whose ``window``, ``top_k``,
+    ``concentration_threshold`` and ``min_samples`` are read here.
+    """
+    key = np.asarray(key, dtype=np.int64)
+    requests = np.ones(key.size, dtype=np.int64)
+    backend = np.asarray(backend, dtype=np.int64)
+    out = Attribution(config.top_k)
+    offer = out._sketch.offer
+    for k in key.tolist():
+        offer(k)
+    out._tables = {
+        name: [_table(np.asarray(ident, dtype=np.int64), key, requests, backend)]
+        for name, ident in zip(_DIMENSIONS, (prefix, client))
+    }
+    out._samples, out._backend = key.size, int(backend.sum())
+    alerts = _windows(
+        config, int(trial), np.asarray(t, dtype=float), np.asarray(prefix, dtype=np.int64),
+        duration,
+    )
+    return out, alerts

@@ -12,11 +12,13 @@ uninstrumented run builds no columns.  This module imports nothing from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["HIT", "RETRIED", "UNAVAILABLE", "SERVED", "DROPPED", "LOST", "TrialColumns"]
+__all__ = [
+    "HIT", "RETRIED", "UNAVAILABLE", "SERVED", "DROPPED", "LOST", "RequestStream", "TrialColumns",
+]
 
 #: Request outcomes besides an attempt-1 node id: retried after its node
 #: was found down, unavailable, or a front-end hit.
@@ -28,6 +30,24 @@ HIT = -3
 SERVED = 0
 DROPPED = 1
 LOST = 2
+
+
+class RequestStream(NamedTuple):
+    """A run's requests in event order (:meth:`TrialColumns.request_stream`).
+
+    Per request: its ``time``, ``key``, ``node`` (or :data:`HIT` /
+    :data:`UNAVAILABLE`), arrival index ``request`` and whether it is a
+    ``retry``.  Then the node events' indices in event order, ``events``,
+    and for each the number of requests ahead of it, ``before``.
+    """
+
+    time: np.ndarray
+    key: np.ndarray
+    node: np.ndarray
+    request: np.ndarray
+    retry: np.ndarray
+    events: np.ndarray
+    before: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,3 +119,30 @@ class TrialColumns:
         )
         ones = np.ones(arrivals.size, dtype=np.int64)
         return np.insert(ones, at, cls), np.insert(arrivals, at, index)
+
+    def request_stream(self, mask: Optional[np.ndarray] = None) -> RequestStream:
+        """The requests of :meth:`event_order`, each at its final attempt.
+
+        A retry counts at its own time on its node, or as unavailable
+        when no replica was up; an arrival whose node was found down
+        (:data:`RETRIED`) is left out.  ``mask`` keeps only those
+        requests, as in :meth:`event_order`.
+        """
+        cls, index = self.event_order(mask)
+        is_event = cls == 0
+        events = index[is_event]
+        place = np.flatnonzero(is_event) - np.arange(events.size)
+        request = index[~is_event]
+        retry = cls[~is_event] == 2
+        rows = request[retry]
+        request[retry] = self.retry_request[rows]
+        time = self.time[request]
+        time[retry] = self.retry_time[rows]
+        node = self.outcome[request]
+        node[retry] = np.where(self.retry_node[rows] < 0, UNAVAILABLE, self.retry_node[rows])
+        kept = node != RETRIED
+        before = np.cumsum(np.append(0, kept))[place]
+        request = request[kept]
+        return RequestStream(
+            time[kept], self.key[request], node[kept], request, retry[kept], events, before
+        )

@@ -55,7 +55,7 @@ import numpy as np
 from ..core.bounds import distcache_max_load_bound, fold_constant_k
 from ..exceptions import ConfigurationError
 from .alerts import AlertEngine, BUILTIN_RULES
-from .columns import HIT, RETRIED, UNAVAILABLE, TrialColumns
+from .columns import HIT, UNAVAILABLE, TrialColumns
 from .events import SCHEMA_VERSION, EventLog
 from .metrics import as_registry
 
@@ -383,7 +383,7 @@ class LoadMonitor:
     ) -> dict:
         """Ingest one event-driven run and return its run summary.
 
-        The run's requests are read in :meth:`TrialColumns.event_order`:
+        The run's requests are read from :meth:`TrialColumns.request_stream`:
         a window is the run of consecutive requests with one
         ``floor(t / width)``, and it closes at the next window's first
         request, so node events up to that request come before its
@@ -417,7 +417,7 @@ class LoadMonitor:
         layers = tuple(int(w) for w in layers) if layers else None
         even = rate / n
         width = config.window
-        time, key, node, request, events, before = _request_stream(columns)
+        time, key, node, request, _retry, events, before = columns.request_stream()
 
         # Windows: one segment of consecutive requests per floor(t / width).
         window = np.floor_divide(time, width).astype(np.int64)
@@ -790,35 +790,6 @@ def _finite_dict(values: dict) -> dict:
         else:
             out[key] = value
     return out
-
-
-def _request_stream(columns: TrialColumns):
-    """The run's requests in :meth:`TrialColumns.event_order`, and where
-    its node events fall among them.
-
-    Returns ``(time, key, node, request, events, before)``: per request,
-    its time, key, node (or :data:`HIT` / :data:`UNAVAILABLE`) and
-    arrival index, where a retry counts at its own time on its node, or
-    as unavailable when no replica was up, and an arrival whose node was
-    found down (:data:`RETRIED`) is left out; then the node events'
-    indices in event order and, for each, the number of requests ahead
-    of it.
-    """
-    cls, index = columns.event_order()
-    is_event = cls == 0
-    events = index[is_event]
-    place = np.flatnonzero(is_event) - np.arange(events.size)
-    request = index[~is_event]
-    retry = np.flatnonzero(cls[~is_event] == 2)
-    rows = request[retry]
-    request[retry] = columns.retry_request[rows]
-    time = columns.time[request]
-    time[retry] = columns.retry_time[rows]
-    node = columns.outcome[request]
-    node[retry] = np.where(columns.retry_node[rows] < 0, UNAVAILABLE, columns.retry_node[rows])
-    kept = node != RETRIED
-    before = np.cumsum(np.append(0, kept))[place]
-    return time[kept], columns.key[request[kept]], node[kept], request[kept], events, before
 
 
 def _ranks(ids: np.ndarray, *segments: np.ndarray) -> np.ndarray:

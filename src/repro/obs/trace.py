@@ -16,10 +16,11 @@ this module records *which requests* did it.  Three pieces:
   replica group, chosen node, cache-tree ``(layer, shard)`` attribution,
   queue wait, service time, and chaos/failover annotations, exported as
   schema-versioned JSONL.
-- the streaming **attribution engine**
-  (:mod:`repro.obs.attribution`) each run feeds, producing the ranked
-  ``suspects`` block and ``attribution-concentration`` alerts that land
-  in monitor run summaries.
+- **attribution** (:mod:`repro.obs.attribution`) of each run's traced
+  requests as columns, producing the ranked ``suspects`` block and
+  ``attribution-concentration`` alerts that land in monitor run
+  summaries; the offline replay of an exported trace
+  (:meth:`FlightRecorder.from_export`) calls the same function.
 
 Determinism contract (mirrors the monitor's): ``trace=None`` is
 byte-identical to an untraced run; with tracing on, per-trial recorders
@@ -47,8 +48,8 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..rng import DEFAULT_SEED
 from ..scenario.registry import register_component
-from .attribution import AttributionEngine
-from .columns import DROPPED, HIT, LOST, RETRIED, SERVED, UNAVAILABLE, TrialColumns
+from .attribution import Attribution, attribute
+from .columns import DROPPED, HIT, LOST, SERVED, TrialColumns
 from .events import _coerce
 
 __all__ = [
@@ -374,8 +375,8 @@ class TraceConfig:
         Attribution window width in simulated seconds (aligns with the
         monitor's default so alerts line up on the same timeline).
     attribution:
-        Disable to record causal traces without the streaming
-        aggregation (the suspects block and alerts disappear).
+        Disable to record causal traces without attributing them (the
+        suspects block and alerts disappear).
     concentration_threshold:
         The ``attribution-concentration`` rule fires when one prefix
         bucket takes at least this share of a window's traced requests.
@@ -490,8 +491,7 @@ class FlightRecorder:
         self._seen = 0
         self._alerts: List[dict] = []
         self._summaries: List[dict] = []
-        self._cum = AttributionEngine(self._config, trial=-1)
-        self._trials_merged = 0
+        self._cum = Attribution(self._config.top_k)
 
     # -- introspection -----------------------------------------------------
 
@@ -551,8 +551,10 @@ class FlightRecorder:
         return ``{trial, sampled, suspects, alerts}``.
 
         ``m`` sizes the prefix buckets, ``client_map`` (key -> ground
-        truth client id, from the workload) tags records, ``group_of``
-        (the cluster's ``replica_group``) resolves replica groups.
+        truth client id, from the workload) tags records, and
+        ``group_of`` (the partitioner's vectorized ``replica_groups``,
+        called once per run with the traced keys) resolves replica
+        groups.
         ``chaos=True`` adds an ``attempts`` field to every record; a
         request that failed over is recorded at its retry, with
         ``attempts = 2``.  A served dispatch carries its queue ``wait``
@@ -565,22 +567,8 @@ class FlightRecorder:
         aggregate.
         """
         trial = int(columns.trial)
-        attribution = (
-            AttributionEngine(self._config, trial=trial)
-            if self._config.attribution else None
-        )
-        cls, index = columns.event_order(mask)
-        keep = cls > 0
-        retry, index = cls[keep] == 2, index[keep]
-        request = index.copy()
-        request[retry] = columns.retry_request[index[retry]]
-        node = columns.outcome[request]
-        node[retry] = columns.retry_node[index[retry]]
-        node[retry & (node < 0)] = UNAVAILABLE
-        keep = node != RETRIED
-        retry, index, request, node = retry[keep], index[keep], request[keep], node[keep]
-        t = columns.time[request]
-        t[retry] = columns.retry_time[index[retry]]
+        stream = columns.request_stream(mask)
+        request, t, key, node = stream.request, stream.time, stream.key, stream.node
         # Each request's one successful dispatch, or a NaN sentinel.
         sentinel = columns.dispatch_request.size
         dispatch_of = np.full(columns.time.size, sentinel)
@@ -590,50 +578,62 @@ class FlightRecorder:
         wait = start - columns.time[request]
         service = np.append(columns.dispatch_departure, np.nan)[q] - start
         status = np.append(columns.dispatch_status, -1)[q]
-        layer = shard = repeat(-1)
+        hit = node == HIT
+        layer = shard = np.full(request.size, -1)
         if columns.layer is not None:
-            layer, shard = columns.layer[request].tolist(), columns.shard[request].tolist()
-        events = list(zip(
-            request.tolist(), t.tolist(), columns.key[request].tolist(), node.tolist(),
-            (retry + 1).tolist(), wait.tolist(), service.tolist(), status.tolist(), layer, shard,
-        ))
-        buckets = self._config.prefix_buckets
-        for i, t, key, node, attempts, wait, service, status, layer, shard in events:
-            hit, served, path = node == HIT, status == SERVED, node == HIT and layer >= 0
-            record = {
+            path = hit & (columns.layer[request] >= 0)
+            layer = np.where(path, columns.layer[request], -1)
+            shard = np.where(path, columns.shard[request], -1)
+        prefix = key * self._config.prefix_buckets // m
+        client = np.zeros_like(key) if client_map is None else client_map[key].astype(np.int64)
+        group = repeat(None) if group_of is None else group_of(key).tolist()
+        records = [
+            {
                 "type": "trace",
                 "trial": trial,
                 "i": i,
-                "t": t,
-                "key": key,
-                "prefix": key * buckets // m,
-                "client": int(client_map[key]) if client_map is not None else 0,
-                "group": [int(g) for g in group_of(key)] if group_of is not None else None,
-                "hit": hit,
-                "node": node if node >= 0 else None,
-                "layer": layer if path else None,
-                "shard": shard if path else None,
-                "wait": wait if served else None,
-                "service": service if served else None,
-                "status": "hit" if hit else _STATUS.get(status, "unavailable"),
+                "t": time,
+                "key": k,
+                "prefix": p,
+                "client": c,
+                "group": g,
+                "hit": h,
+                "node": n if n >= 0 else None,
+                "layer": lay if lay >= 0 else None,
+                "shard": sh if lay >= 0 else None,
+                "wait": w if st == SERVED else None,
+                "service": sv if st == SERVED else None,
+                "status": "hit" if h else _STATUS.get(st, "unavailable"),
             }
-            if chaos:
-                record["attempts"] = attempts
-            self._records.append(record)  # drops the oldest at capacity
-            if attribution is not None:
-                attribution.add(t, record["prefix"], record["client"], key, backend=not hit)
+            for i, time, k, p, c, g, h, n, lay, sh, w, sv, st in zip(
+                request.tolist(), t.tolist(), key.tolist(), prefix.tolist(), client.tolist(),
+                group, hit.tolist(), node.tolist(), layer.tolist(), shard.tolist(),
+                wait.tolist(), service.tolist(), status.tolist(),
+            )
+        ]
+        if chaos:
+            for record, retry in zip(records, stream.retry.tolist()):
+                record["attempts"] = 1 + retry
+        self._records.extend(records)  # drops the oldest at capacity
         self._seen += mask.size
-        self._sampled += len(events)
-        self._appended += len(events)
-        suspects = None
-        alerts: List[dict] = []
-        if attribution is not None:
-            suspects = attribution.finalize(columns.duration)
-            alerts = list(attribution.alerts)
-            self._cum.absorb(attribution)
+        self._sampled += len(records)
+        self._appended += len(records)
+        return self._attribute(trial, t, prefix, client, key, ~hit, columns.duration)
+
+    def _attribute(self, trial, t, prefix, client, key, backend, duration) -> dict:
+        """Attribute one trial's traced columns (:func:`~repro.obs.attribution.attribute`),
+        fold them into the campaign aggregate and return the trial's
+        ``{trial, sampled, suspects, alerts}``."""
+        suspects, alerts = None, []
+        if self._config.attribution:
+            attribution, alerts = attribute(
+                self._config, trial, t, prefix, client, key, backend, duration
+            )
+            suspects = attribution.suspects()
+            self._cum.fold(attribution)
         summary = {
             "trial": trial,
-            "sampled": len(events),
+            "sampled": key.size,
             "suspects": suspects,
             "alerts": alerts,
         }
@@ -673,7 +673,6 @@ class FlightRecorder:
         attribution = snapshot.get("attribution")
         if attribution is not None:
             self._cum.merge(attribution)
-        self._trials_merged += 1
 
     # -- reporting ---------------------------------------------------------
 
@@ -744,10 +743,11 @@ class FlightRecorder:
         """Rebuild an offline recorder from an exported trace file.
 
         Attribution is recomputed per trial over the retained records
-        (:mod:`repro.obs.attribution` is a pure function of the record
-        stream), so the offline recorder's suspects, alerts and
-        summaries match the live run's exactly when the ring never
-        evicted — the ``repro forensics`` path.  ``durations`` maps trial -> run duration
+        columns by :func:`~repro.obs.attribution.attribute`, the pure
+        function :meth:`observe` calls, so the offline recorder's
+        suspects, alerts and summaries match the live run's exactly when
+        the ring never evicted — the ``repro forensics`` path.
+        ``durations`` maps trial -> run duration
         (from the event log's ``run-summary`` records) so each trial's
         final attribution window closes where the live run's did;
         without it the trial's last record time is used, which can only
@@ -764,32 +764,19 @@ class FlightRecorder:
         recorder._seen = int(manifest.get("seen", len(records)))
         if not config.attribution:
             return recorder
-        by_trial: Dict[int, List[dict]] = {}
-        for record in records:
-            by_trial.setdefault(record["trial"], []).append(record)
-        for trial in sorted(by_trial):
-            rows = by_trial[trial]
-            engine = AttributionEngine(config, trial=trial)
-            for record in rows:
-                engine.add(
-                    record["t"],
-                    record["prefix"],
-                    record["client"],
-                    record["key"],
-                    backend=not record["hit"],
-                )
-            duration = (durations or {}).get(trial, rows[-1]["t"])
-            suspects = engine.finalize(duration)
-            alerts = list(engine.alerts)
-            recorder._cum.absorb(engine)
-            recorder._alerts.extend(alerts)
-            recorder._summaries.append(
-                {
-                    "trial": trial,
-                    "sampled": len(rows),
-                    "suspects": suspects,
-                    "alerts": alerts,
-                }
+        column = {
+            name: np.array([record[name] for record in records], dtype=dtype)
+            for name, dtype in (("trial", np.int64), ("t", float), ("prefix", np.int64),
+                                ("client", np.int64), ("key", np.int64), ("hit", bool))
+        }
+        order = np.argsort(column["trial"], kind="stable")
+        trials, starts = np.unique(column["trial"][order], return_index=True)
+        for trial, rows in zip(trials.tolist(), np.split(order, starts[1:])):
+            t = column["t"][rows]
+            duration = (durations or {}).get(trial, float(t[-1]))
+            recorder._attribute(
+                trial, t, column["prefix"][rows], column["client"][rows], column["key"][rows],
+                ~column["hit"][rows], duration,
             )
         return recorder
 

@@ -714,7 +714,7 @@ def run_fast(sim, n_queries: int, trial: int):
                 trace_summary = recorder.observe(
                     columns, trace_mask, m=params.m, chaos=chaos is not None,
                     client_map=sim._distribution.client_map(),
-                    group_of=sim._partitioner.replica_group,
+                    group_of=sim._partitioner.replica_groups,
                 )
         if monitor is not None:
             with tracer.span("kernel-monitor"):

@@ -5,6 +5,8 @@ among the already-sorted arrivals with ``searchsorted``; it must equal a
 full lexsort of every event on ``(time, class, index)``.  The oracle's
 firing order is checked against it in the differential suites; here it
 is checked against the lexsort directly, on the ties that decide it.
+:meth:`TrialColumns.request_stream`, the request columns the monitor and
+the flight recorder both read, is checked on the cases that shape it.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.chaos.config import ChaosConfig
 from repro.cache.lru import LRUCache
 from repro.core.notation import SystemParameters
 from repro.obs import LoadMonitor, RunContext
-from repro.obs.columns import TrialColumns
+from repro.obs.columns import HIT, RETRIED, UNAVAILABLE, TrialColumns
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.workload.adversarial import AdversarialDistribution
 
@@ -131,6 +133,49 @@ class TestEventOrder:
         cls, index = columns.event_order(np.array([False, True, True]))
         assert cls.tolist() == [1, 0, 1, 2]
         assert index.tolist() == [1, 0, 2, 1]
+
+
+class TestRequestStream:
+    """Requests at their final attempt, in event order."""
+
+    # Request 0 is retried on node 2 at 0.9, request 2 finds no live
+    # replica at 1.2; a node event falls at 0.4, tied with request 3.
+    COLUMNS = hand_columns(
+        [0.1, 0.2, 0.3, 0.4, 0.6], [5, 6, 7, 8, 9],
+        outcome=[RETRIED, 0, RETRIED, 1, HIT],
+        retry_time=[0.9, 1.2], retry_request=[0, 2], retry_node=[2, -1],
+        event_time=[0.4, 1.0], event_node=[1, 1], event_up=[False, True],
+    )
+
+    def test_retries_count_at_their_own_time_and_node(self):
+        stream = self.COLUMNS.request_stream()
+        assert stream.request.tolist() == [1, 3, 4, 0, 2]
+        assert stream.time.tolist() == [0.2, 0.4, 0.6, 0.9, 1.2]
+        assert stream.key.tolist() == [6, 8, 9, 5, 7]
+        assert stream.retry.tolist() == [False, False, False, True, True]
+
+    def test_retried_first_attempts_are_left_out(self):
+        stream = self.COLUMNS.request_stream()
+        assert RETRIED not in stream.node.tolist()
+        assert stream.node.tolist()[:3] == [0, 1, HIT]
+
+    def test_a_retry_with_no_live_replica_is_unavailable(self):
+        assert self.COLUMNS.request_stream().node.tolist()[3:] == [2, UNAVAILABLE]
+
+    def test_node_events_tied_with_arrivals_come_first(self):
+        # The event at 0.4 fires before request 3 arrives at 0.4: one
+        # request (1) is ahead of it; the event at 1.0 has four, the
+        # retry at 0.9 among them.
+        stream = self.COLUMNS.request_stream()
+        assert stream.events.tolist() == [0, 1]
+        assert stream.before.tolist() == [1, 4]
+
+    def test_a_masked_out_request_drops_its_retry(self):
+        stream = self.COLUMNS.request_stream(np.array([False, True, True, False, True]))
+        assert stream.request.tolist() == [1, 4, 2]
+        assert stream.node.tolist() == [0, HIT, UNAVAILABLE]
+        assert stream.retry.tolist() == [False, False, True]
+        assert stream.before.tolist() == [1, 2]
 
 
 class TestZeroCostDefault:
