@@ -32,7 +32,7 @@ offline replay reproduces the live run's.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ SKETCH_FACTOR = 8
 #: one row per distinct ``(ident, key)`` pair, in ``(ident, key)`` order.
 Table = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: Snapshot name -> suspects row label of each dimension.
+#: Suspects block name -> row label of each dimension.
 _DIMENSIONS = {"prefixes": "prefix", "clients": "client"}
 
 _EMPTY: Table = (np.zeros(0, dtype=np.int64),) * 4
@@ -155,39 +155,14 @@ class Attribution:
             tables[:] = [_table(*map(np.concatenate, zip(*tables)))]
         return tables[0]
 
-    def _add(self, tables: dict, keys: Sequence, samples: int, backend: int) -> None:
-        for name in _DIMENSIONS:
-            self._tables[name].append(tables[name])
-        for key, count, _error in keys:
-            self._sketch.offer(key, count)
-        self._samples += samples
-        self._backend += backend
-
     def fold(self, other: "Attribution") -> None:
         """Add a later trial's counts."""
-        self._add(
-            {name: other._counts(name) for name in _DIMENSIONS},
-            other._sketch.items(), other._samples, other._backend,
-        )
-
-    def snapshot(self) -> dict:
-        """Plain-data dump for worker -> campaign merging."""
-        return {
-            **{name: [column.tolist() for column in self._counts(name)] for name in _DIMENSIONS},
-            "keys": self._sketch.items(),
-            "samples": self._samples,
-            "backend": self._backend,
-        }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold one :meth:`snapshot` in (trial order, like the monitor merge)."""
-        self._add(
-            {
-                name: tuple(np.asarray(column, dtype=np.int64) for column in snapshot[name])
-                for name in _DIMENSIONS
-            },
-            snapshot["keys"], snapshot["samples"], snapshot["backend"],
-        )
+        for name in _DIMENSIONS:
+            self._tables[name].append(other._counts(name))
+        for key, count, _error in other._sketch.items():
+            self._sketch.offer(key, count)
+        self._samples += other._samples
+        self._backend += other._backend
 
     def _rank(self, name: str) -> List[dict]:
         label = _DIMENSIONS[name]

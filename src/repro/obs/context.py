@@ -17,16 +17,16 @@ per use.  ``None`` is accepted for any instrument and means the same.
 Per-trial collection is written once, here.  A campaign runs each trial
 under :meth:`RunContext.for_trial` (a fresh registry, monitor and
 recorder built from the campaign's configs, inside the worker when
-parallel), ships :meth:`RunContext.snapshot` back, and folds it into
-the campaign context with :meth:`RunContext.merge_trial` strictly in
-trial order — which is what keeps metrics, monitor output and traces
-identical for every worker count.
+parallel), hands that trial context back (pickled whole from a worker),
+and folds it into the campaign context with
+:meth:`RunContext.merge_trial` strictly in trial order — which is what
+keeps metrics, monitor output and traces identical for every worker
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..exceptions import ConfigurationError
 from .metrics import NULL_REGISTRY, MetricsRegistry, as_registry
@@ -35,9 +35,6 @@ from .spans import NULL_TRACER, Tracer, as_tracer
 from .trace import NULL_RECORDER, FlightRecorder, as_trace
 
 __all__ = ["RunContext", "NULL_CONTEXT"]
-
-#: Per-trial snapshot: (metrics, monitor, trace); ``None`` where off.
-TrialSnapshot = Tuple[Optional[dict], Optional[dict], Optional[dict]]
 
 
 @dataclass(frozen=True)
@@ -90,23 +87,14 @@ class RunContext:
             ),
         )
 
-    def snapshot(self) -> TrialSnapshot:
-        """Plain-data state of every enabled instrument (picklable)."""
-        return (
-            self.metrics.snapshot() if self.metrics.enabled else None,
-            self.monitor.snapshot() if self.monitor.enabled else None,
-            self.trace.snapshot() if self.trace.enabled else None,
-        )
-
-    def merge_trial(self, snapshot: TrialSnapshot) -> None:
-        """Fold one trial's :meth:`snapshot` into this context."""
-        metrics, monitor, trace = snapshot
-        if metrics is not None:
-            self.metrics.merge_snapshot(metrics)
-        if monitor is not None:
-            self.monitor.merge_trial(monitor)
-        if trace is not None:
-            self.trace.merge_trial(trace)
+    def merge_trial(self, trial: "RunContext") -> None:
+        """Fold one trial's :meth:`for_trial` context into this context."""
+        if self.metrics.enabled:
+            self.metrics.merge(trial.metrics)
+        if self.monitor.enabled:
+            self.monitor.merge_trial(trial.monitor)
+        if self.trace.enabled:
+            self.trace.merge_trial(trial.trace)
 
 
 #: Process-wide shared context with every instrument off.

@@ -6,18 +6,18 @@ Design constraints (the contract tests pin all of these down):
   scheduling or worker count.  Anything time-based belongs in
   :mod:`repro.obs.spans`, which is explicitly excluded from the
   cross-worker determinism guarantee.
-- **Mergeable**: per-trial registries produced inside worker processes
-  merge into a campaign registry.  Counter and histogram merges are
+- **Mergeable**: a trial's registry folds into the campaign registry
+  with :meth:`MetricsRegistry.merge`.  Counter and histogram merges are
   exact sums, so merging is associative and commutative (up to floating
   point, and exactly so for integer-valued increments); gauges merge by
   elementwise maximum, which is also associative and commutative.
 - **Inert when disabled**: :data:`NULL_REGISTRY` hands out shared no-op
-  singletons, allocates nothing per call, and snapshots empty — so an
+  singletons, allocates nothing per call, and lists no metrics — so an
   instrumented code path with the null registry behaves (and allocates)
   exactly like an uninstrumented one.
-- **Picklable**: registries are plain-data objects (no locks, no file
-  handles) so they can ride along in a run context across process
-  boundaries.
+- **Picklable**: registries are plain objects (no locks, no file
+  handles), so a trial's registry pickles back from a worker process
+  as it is.
 
 Histogram buckets are fixed log-scale (powers of two), so two
 histograms of the same metric always share bounds and merge exactly.
@@ -367,75 +367,38 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
-    # -- snapshot / merge --------------------------------------------------
+    # -- merge -------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Plain-data (JSON- and pickle-friendly) dump of every metric."""
-        return {
-            "counters": [
-                {"name": c.name, "labels": dict(c.labels), "value": c.value}
-                for c in self.counters()
-            ],
-            "gauges": [
-                {"name": g.name, "labels": dict(g.labels), "value": g.value}
-                for g in self.gauges()
-            ],
-            "histograms": [
-                {
-                    "name": h.name,
-                    "labels": dict(h.labels),
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "sum": h.sum,
-                    "count": h.count,
-                    "min": h.min,
-                    "max": h.max,
-                }
-                for h in self.histograms()
-            ],
-        }
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold another registry into this one (exact sums).
 
-    def merge_snapshot(self, snapshot: Mapping[str, list]) -> None:
-        """Fold a :meth:`snapshot` dict into this registry (exact sums)."""
-        for record in snapshot.get("counters", ()):
-            self.counter(record["name"], **record["labels"]).inc(record["value"])
-        for record in snapshot.get("gauges", ()):
-            existed = (record["name"], _labels_key(record["labels"])) in self._gauges
-            gauge = self.gauge(record["name"], **record["labels"])
-            # Elementwise max over gauges actually present on both sides;
-            # a gauge only one side has copies over verbatim (the implicit
-            # 0.0 of a fresh gauge is absence, not a measurement).
-            gauge.set(max(gauge.value, record["value"]) if existed else record["value"])
-        for record in snapshot.get("histograms", ()):
-            histogram = self.histogram(
-                record["name"], bounds=record["bounds"], **record["labels"]
-            )
-            if tuple(record["bounds"]) != histogram.bounds:
+        Counters add; a gauge both sides have keeps the larger value,
+        and one only ``other`` has is copied (the implicit 0.0 of a fresh
+        gauge is absence, not a measurement); histograms of equal bounds
+        add their buckets, sums and counts and widen min/max.
+        """
+        if not self.enabled:
+            return
+        for counter in other.counters():
+            self.counter(counter.name, **dict(counter.labels)).inc(counter.value)
+        for gauge in other.gauges():
+            existed = (gauge.name, gauge.labels) in self._gauges
+            mine = self.gauge(gauge.name, **dict(gauge.labels))
+            mine.set(max(mine.value, gauge.value) if existed else gauge.value)
+        for source in other.histograms():
+            target = self.histogram(source.name, bounds=source.bounds, **dict(source.labels))
+            if source.bounds != target.bounds:
                 raise ValueError(
-                    f"histogram {record['name']!r} bucket bounds differ; "
-                    "cannot merge exactly"
+                    f"histogram {source.name!r} bucket bounds differ; cannot merge exactly"
                 )
-            for idx, count in enumerate(record["counts"]):
-                histogram.counts[idx] += count
-            histogram._sum += record["sum"]
-            histogram._count += record["count"]
-            for extreme in ("min", "max"):
-                value = record[extreme]
-                if value is None:
-                    continue
-                current = getattr(histogram, "_" + extreme)
-                if current is None:
-                    setattr(histogram, "_" + extreme, value)
-                elif extreme == "min":
-                    histogram._min = min(current, value)
-                else:
-                    histogram._max = max(current, value)
-
-    def merge(self, other: Union["MetricsRegistry", Mapping[str, list]]) -> None:
-        """Fold another registry (or a snapshot of one) into this one."""
-        if isinstance(other, MetricsRegistry):
-            other = other.snapshot()
-        self.merge_snapshot(other)
+            for idx, count in enumerate(source.counts):
+                target.counts[idx] += count
+            target._sum += source.sum
+            target._count += source.count
+            if source.min is not None and (target.min is None or source.min < target.min):
+                target._min = source.min
+            if source.max is not None and (target.max is None or source.max > target.max):
+                target._max = source.max
 
 
 class _NullMetric:
@@ -505,12 +468,6 @@ class NullRegistry(MetricsRegistry):
         **labels: object,
     ) -> Histogram:
         return _NULL_METRIC  # type: ignore[return-value]
-
-    def merge_snapshot(self, snapshot: Mapping[str, list]) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"counters": [], "gauges": [], "histograms": []}
 
 
 #: Process-wide shared no-op registry; use :func:`as_registry` to

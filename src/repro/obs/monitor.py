@@ -27,9 +27,9 @@ End-of-run observability (PR 2) answers "what happened"; the
 
 Everything the monitor derives is keyed by simulated time (or trial
 index), never wall clock, so monitor output is bit-identical across
-worker counts — per-trial monitors run inside workers, snapshot, and
-merge in trial order (:meth:`LoadMonitor.merge_trial`), the same
-discipline the metrics registry follows.
+worker counts — each trial's monitor runs inside its worker, comes back
+whole, and merges in trial order (:meth:`LoadMonitor.merge_trial`), the
+same discipline the metrics registry follows.
 
 Two ingestion paths share one monitor type:
 
@@ -268,9 +268,6 @@ class LoadMonitor:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; window and
         alert counters (all simulated-state, hence deterministic) land
         here alongside the rest of the run's metrics.
-    events:
-        Optional shared :class:`~repro.obs.events.EventLog`; the monitor
-        creates a private one when omitted.
     on_window, on_alert:
         Live callbacks fired with each window snapshot / alert record as
         it lands in this monitor (the attack-lab example and the CLI's
@@ -285,23 +282,18 @@ class LoadMonitor:
         self,
         config: Optional[MonitorConfig] = None,
         metrics=None,
-        events: Optional[EventLog] = None,
         on_window: Optional[Callable[[dict], None]] = None,
         on_alert: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self._config = config if config is not None else MonitorConfig()
         self._metrics = as_registry(metrics)
-        self._events = events if events is not None else EventLog()
+        self._events = EventLog()
         self._engine = AlertEngine.from_names(self._config.rules)
         self._on_window = on_window
         self._on_alert = on_alert
         self._manifest_emitted = False
-        # Campaign-level aggregates (fed directly or via merge_trial).
-        self._windows = []
-        self._alerts = []
-        self._summaries = []
         # Final gains and normalised per-window node loads, in feed order
-        # (snapshot ships the loads, so a campaign monitor's quantiles
+        # (merge_trial extends them, so a campaign monitor's quantiles
         # see every trial's).
         self._gains: List[float] = []
         self._node_loads: List[float] = []
@@ -322,20 +314,23 @@ class LoadMonitor:
         """The structured event log."""
         return self._events
 
+    def _records_of(self, kind: str) -> list:
+        return [record for record in self._events.records if record["type"] == kind]
+
     @property
     def windows(self) -> list:
-        """Window snapshot records, in emission/merge order."""
-        return self._windows
+        """Window snapshot records of the event log, in emission/merge order."""
+        return self._records_of("window")
 
     @property
     def alerts(self) -> list:
-        """Alert records, in emission/merge order."""
-        return self._alerts
+        """Alert records of the event log, in emission/merge order."""
+        return self._records_of("alert")
 
     @property
     def summaries(self) -> list:
-        """Run-summary records, in emission/merge order."""
-        return self._summaries
+        """Run-summary records of the event log, in emission/merge order."""
+        return self._records_of("run-summary")
 
     @property
     def bound(self) -> Optional[float]:
@@ -613,7 +608,6 @@ class LoadMonitor:
         if trace is not None and trace["suspects"] is not None:
             summary["suspects"] = trace["suspects"]
         self._events.emit(summary)
-        self._summaries.append(summary)
         if gain is not None:
             self._record_gain(gain)
             self._metrics.gauge("monitor_gain").set(gain)
@@ -707,7 +701,6 @@ class LoadMonitor:
 
     def _emit_window(self, snapshot: dict) -> None:
         self._events.emit(snapshot)
-        self._windows.append(snapshot)
         self._metrics.counter("monitor_windows_total").inc()
         if snapshot.get("running_gain") is not None:
             self._metrics.gauge("monitor_gain").set(snapshot["running_gain"])
@@ -716,52 +709,36 @@ class LoadMonitor:
 
     def _emit_alert(self, alert: dict) -> None:
         self._events.emit(alert)
-        self._alerts.append(alert)
         self._metrics.counter("monitor_alerts_total", rule=alert["rule"]).inc()
         if self._on_alert is not None:
             self._on_alert(alert)
 
-    # -- snapshot / merge --------------------------------------------------
+    # -- merge -------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Plain-data dump a worker ships back for trial-order merging."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "records": list(self._events.records),
-            "final_gain": self._final_gain,
-            "max_gain": self._max_gain,
-            "node_loads": list(self._node_loads),
-        }
-
-    def merge_trial(self, snapshot: dict) -> None:
-        """Fold one per-trial monitor snapshot into this campaign monitor.
+    def merge_trial(self, other: "LoadMonitor") -> None:
+        """Fold one trial's monitor into this campaign monitor.
 
         MUST be called in trial order (the parallel executor guarantees
         it); that ordering is what keeps merged monitor output identical
-        across worker counts.  Worker manifests are dropped — the
-        campaign monitor owns the single manifest.  Metrics are *not*
-        re-recorded here: worker-side registries already carried the
-        monitor counters and merge through the metrics path.  The
+        across worker counts.  ``other``'s records are re-emitted in
+        order, firing this monitor's callbacks; its manifest is dropped
+        — the campaign monitor owns the single manifest.  Metrics are
+        *not* re-recorded here: the trial's registry already carried the
+        monitor counters and merges through the metrics path.  The
         trial's normalised node loads feed the node-load quantiles.
         """
-        for record in snapshot.get("records", ()):
-            if record["type"] == "manifest":
+        for record in other.events.records:
+            kind = record["type"]
+            if kind == "manifest":
                 continue
             self._events.emit(record)
-            if record["type"] == "window":
-                self._windows.append(record)
-                if self._on_window is not None:
-                    self._on_window(record)
-            elif record["type"] == "alert":
-                self._alerts.append(record)
-                if self._on_alert is not None:
-                    self._on_alert(record)
-            elif record["type"] == "run-summary":
-                self._summaries.append(record)
-        self._node_loads.extend(snapshot.get("node_loads", []))
-        final = snapshot.get("final_gain")
-        if final is not None:
-            self._record_gain(final)
+            if kind == "window" and self._on_window is not None:
+                self._on_window(record)
+            elif kind == "alert" and self._on_alert is not None:
+                self._on_alert(record)
+        self._node_loads.extend(other._node_loads)
+        if other.final_gain is not None:
+            self._record_gain(other.final_gain)
         self._trials_merged += 1
 
     def summary(self) -> dict:
@@ -770,9 +747,9 @@ class LoadMonitor:
             "schema": SCHEMA_VERSION,
             "config": self._config.to_dict(),
             "bound": self._bound,
-            "windows": len(self._windows),
-            "alerts": len(self._alerts),
-            "runs": len(self._summaries),
+            "windows": len(self.windows),
+            "alerts": len(self.alerts),
+            "runs": len(self.summaries),
             "trials_merged": self._trials_merged,
             "final_gain": self._final_gain,
             "max_gain": self._max_gain,
@@ -869,13 +846,6 @@ class NullMonitor(LoadMonitor):
         self, trial, vector, campaign=None, x=None, c=None, d=None, effective_d=None
     ) -> dict:
         return {}
-
-    def merge_trial(self, snapshot) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "records": [], "final_gain": None,
-                "max_gain": None, "node_loads": []}
 
 
 #: Process-wide shared no-op monitor.

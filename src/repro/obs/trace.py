@@ -23,9 +23,9 @@ this module records *which requests* did it.  Three pieces:
   (:meth:`FlightRecorder.from_export`) calls the same function.
 
 Determinism contract (mirrors the monitor's): ``trace=None`` is
-byte-identical to an untraced run; with tracing on, per-trial recorders
-run inside workers, snapshot, and merge in trial order
-(:meth:`FlightRecorder.merge_trial`), so the trace JSONL and every
+byte-identical to an untraced run; with tracing on, each trial's
+recorder runs inside its worker, comes back whole, and merges in trial
+order (:meth:`FlightRecorder.merge_trial`), so the trace JSONL and every
 suspects block are bit-identical across worker counts *and* equal to
 the per-event reference scheduler's (``tests/test_obs_trace.py`` pins
 both).
@@ -474,7 +474,7 @@ class FlightRecorder:
     the trial's suspects block and concentration alerts, which the
     engine hands to the monitor.  No per-run state outlives the call, so
     one recorder may observe many runs; campaigns build one per trial
-    and merge snapshots in trial order.
+    and merge them in trial order.
     """
 
     enabled = True
@@ -489,7 +489,6 @@ class FlightRecorder:
         self._appended = 0
         self._sampled = 0
         self._seen = 0
-        self._alerts: List[dict] = []
         self._summaries: List[dict] = []
         self._cum = Attribution(self._config.top_k)
 
@@ -522,8 +521,9 @@ class FlightRecorder:
 
     @property
     def alerts(self) -> List[dict]:
-        """``attribution-concentration`` alert records, in order."""
-        return self._alerts
+        """``attribution-concentration`` alert records of every trial
+        summary, in order."""
+        return [alert for summary in self._summaries for alert in summary["alerts"]]
 
     @property
     def summaries(self) -> List[dict]:
@@ -637,42 +637,25 @@ class FlightRecorder:
             "suspects": suspects,
             "alerts": alerts,
         }
-        self._alerts.extend(alerts)
         self._summaries.append(summary)
         return summary
 
-    # -- snapshot / merge --------------------------------------------------
+    # -- merge -------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Plain-data dump a worker ships back for trial-order merging."""
-        return {
-            "schema": TRACE_SCHEMA_VERSION,
-            "records": list(self._records),
-            "appended": self._appended,
-            "sampled": self._sampled,
-            "seen": self._seen,
-            "alerts": list(self._alerts),
-            "summaries": list(self._summaries),
-            "attribution": self._cum.snapshot(),
-        }
-
-    def merge_trial(self, snapshot: dict) -> None:
-        """Fold one per-trial recorder snapshot into this recorder.
+    def merge_trial(self, other: "FlightRecorder") -> None:
+        """Fold one trial's recorder into this recorder.
 
         MUST be called in trial order (the parallel executor guarantees
         it); the ring keeps the most recent ``capacity`` records across
         the merged stream, so the retained set — and the exported JSONL
         — is identical to a serial run's.
         """
-        self._records.extend(snapshot.get("records", ()))
-        self._appended += snapshot.get("appended", 0)
-        self._sampled += snapshot.get("sampled", 0)
-        self._seen += snapshot.get("seen", 0)
-        self._alerts.extend(snapshot.get("alerts", ()))
-        self._summaries.extend(snapshot.get("summaries", ()))
-        attribution = snapshot.get("attribution")
-        if attribution is not None:
-            self._cum.merge(attribution)
+        self._records.extend(other._records)
+        self._appended += other._appended
+        self._sampled += other._sampled
+        self._seen += other._seen
+        self._summaries.extend(other._summaries)
+        self._cum.fold(other._cum)
 
     # -- reporting ---------------------------------------------------------
 
@@ -692,7 +675,7 @@ class FlightRecorder:
             "retained": len(self._records),
             "evicted": self.evicted,
             "trials": len(self._summaries),
-            "alerts": len(self._alerts),
+            "alerts": len(self.alerts),
             "suspects": self.suspects(),
         }
 
@@ -799,21 +782,6 @@ class NullRecorder(FlightRecorder):
 
     def observe(self, columns, mask, **run) -> None:
         return None
-
-    def merge_trial(self, snapshot) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {
-            "schema": TRACE_SCHEMA_VERSION,
-            "records": [],
-            "appended": 0,
-            "sampled": 0,
-            "seen": 0,
-            "alerts": [],
-            "summaries": [],
-            "attribution": None,
-        }
 
 
 #: Process-wide shared no-op recorder.

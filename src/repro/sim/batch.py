@@ -112,8 +112,7 @@ def _event_campaign_trial(
 
     ``context`` is the per-trial :class:`repro.obs.RunContext` that
     :func:`~repro.sim.parallel.map_trials` provides; the simulator
-    publishes into it and ``map_trials`` merges its snapshot in trial
-    order.
+    publishes into it and ``map_trials`` merges it in trial order.
     """
     del gen
     distribution = copy.deepcopy(distribution)

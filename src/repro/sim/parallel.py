@@ -15,8 +15,8 @@ A task handed to :func:`map_trials` is called one way,
 ``task(gen, trial, context=...)``, and must be a *spawn-safe picklable
 callable*: a top-level function, a bound method of a picklable object,
 or a :func:`functools.partial` over either.  Plain ``lambda``\\ s work
-for serial execution (``workers=1``) but cannot cross a process
-boundary; :func:`map_trials` raises a :class:`SimulationError` with that
+for serial execution (``context.workers == 1``) but cannot cross a
+process boundary; :func:`map_trials` raises a :class:`SimulationError` with that
 diagnosis up front rather than letting the pool fail obscurely.
 
 Start method
@@ -26,7 +26,9 @@ The process pool starts with ``fork`` where the platform offers it
 otherwise, and lives for one :func:`map_trials` call.  Tasks must stay
 spawn-safe either way: nothing may depend on inherited process state,
 since the same code must run on platforms where ``spawn`` is the only
-option.
+option.  A collecting campaign's trial contexts cross that boundary
+whole, both ways: the :meth:`RunContext.for_trial` template goes out
+with each chunk, and each trial's context comes back with its result.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def _run_chunk(
     template (fresh instruments, so it pickles without the caller's
     callbacks).  With it, each trial runs under a fresh ``for_trial``
     context, and each entry of the returned list becomes
-    ``(result, snapshot)``; the caller merges the snapshots in trial
-    order, which is what makes metrics, monitor output *and* trace
+    ``(result, trial_context)``; the caller merges the trial contexts in
+    trial order, which is what makes metrics, monitor output *and* trace
     output identical across worker counts.  Without it, every trial
     gets :data:`NULL_CONTEXT`.
     """
@@ -109,7 +111,7 @@ def _run_chunk(
         else:
             trial_context = context.for_trial(seed)
             outcome = task(gen, t, context=trial_context)
-            results.append((outcome, trial_context.snapshot()))
+            results.append((outcome, trial_context))
     return results
 
 
@@ -124,7 +126,6 @@ def map_trials(
     *,
     seed: Optional[int],
     label: str,
-    workers: Optional[int] = 1,
     context: RunContext = NULL_CONTEXT,
 ) -> List[Any]:
     """Run ``task`` once per trial; results come back in trial order.
@@ -134,26 +135,25 @@ def map_trials(
     would have used.  The task must consume only ``gen`` for randomness;
     that is what makes the fan-out order-invariant.
 
-    ``workers`` follows :func:`resolve_workers` (``1`` serial in-process,
-    ``0`` one process per CPU).  A parallel call opens a process pool,
+    ``context.workers`` follows :func:`resolve_workers` (``1`` serial
+    in-process, ``0`` one process per CPU).  A parallel call opens a process pool,
     hands each worker about :data:`CHUNKS_PER_WORKER` contiguous blocks
     of trials, and shuts the pool down before it returns.
 
     With a ``context`` that collects (any of its metrics, monitor or
     flight recorder enabled), every trial's ``trial_context`` is a fresh
     :meth:`RunContext.for_trial` context built inside the worker, and
-    the trials' snapshots merge back via :meth:`RunContext.merge_trial`
+    the trial contexts merge back via :meth:`RunContext.merge_trial`
     once all trials are in — in trial order, never completion order, so
     aggregate metrics, event logs, alert streams, trace JSONL and
     suspects blocks are identical for every worker count.  The recorder
     is keyed on the resolved campaign seed, so its hash samplers admit
     exactly the requests the serial loop would.  A ``context`` that
-    records nothing hands every trial :data:`NULL_CONTEXT`.  ``workers``
-    governs the fan-out, not ``context.workers``.
+    records nothing hands every trial :data:`NULL_CONTEXT`.
     """
     if trials < 1:
         raise SimulationError(f"need at least one trial, got {trials}")
-    workers = resolve_workers(workers)
+    workers = resolve_workers(context.workers)
     seed = resolve_seed(seed)
     # A context that records nothing skips per-trial collection.
     template = context.for_trial(seed) if context.collecting else None
@@ -187,7 +187,7 @@ def map_trials(
     if template is None:
         return results
     unwrapped: List[Any] = []
-    for outcome, snapshot in results:
-        context.merge_trial(snapshot)
+    for outcome, trial_context in results:
+        context.merge_trial(trial_context)
         unwrapped.append(outcome)
     return unwrapped

@@ -65,10 +65,7 @@ def run_trials(
     seed = resolve_seed(seed)
     spans = context.spans
     with spans.span("trials"):
-        outcomes = map_trials(
-            task, trials, seed=seed, label=label, workers=context.workers,
-            context=context,
-        )
+        outcomes = map_trials(task, trials, seed=seed, label=label, context=context)
     with spans.span("report"):
         # Results are ordered by trial index, so the configuration check is
         # anchored to trial 0 — never to whichever trial finished first.

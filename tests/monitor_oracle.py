@@ -356,7 +356,6 @@ class ReferenceMonitor(LoadMonitor):
         if trace is not None and trace["suspects"] is not None:
             summary["suspects"] = trace["suspects"]
         self._events.emit(summary)
-        self._summaries.append(summary)
         if gain is not None:
             self._record_gain(gain)
             self._metrics.gauge("monitor_gain").set(gain)

@@ -3,7 +3,7 @@
 :meth:`repro.obs.monitor.LoadMonitor.observe` reads a whole run's
 :class:`~repro.obs.columns.TrialColumns` at once.  It promises the same
 event log (window, node-event, alert and run-summary records, in order),
-the same returned run summaries, metrics, ``snapshot()`` and
+the same returned run summaries, metrics, node-load and gain series and
 ``summary()`` — compared as JSON text, so bitwise for floats and exact
 for key order and int/float types — as :class:`ReferenceMonitor`, the
 per-event loop kept in ``tests/monitor_oracle.py``.  Cases come from hand
@@ -51,7 +51,7 @@ def assert_monitors_agree(config, runs):
     (new, new_metrics, new_returned), (ref, ref_metrics, ref_returned) = monitors
     assert json.dumps(new_returned) == json.dumps(ref_returned)
     assert json.dumps(new.events.records) == json.dumps(ref.events.records)
-    assert json.dumps(new.snapshot()) == json.dumps(ref.snapshot())
+    assert json.dumps([new._node_loads, new._gains]) == json.dumps([ref._node_loads, ref._gains])
     assert json.dumps(new.summary()) == json.dumps(ref.summary())
     assert json.dumps(export_json(new_metrics)) == json.dumps(export_json(ref_metrics))
     assert (new.bound, new.final_gain, new.max_gain) == (ref.bound, ref.final_gain, ref.max_gain)

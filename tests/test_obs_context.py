@@ -61,9 +61,13 @@ class TestDefaults:
         with pytest.raises(ConfigurationError):
             RunContext(workers=-1)
 
-    def test_null_snapshot_is_empty(self):
-        assert NULL_CONTEXT.snapshot() == (None, None, None)
-        NULL_CONTEXT.merge_trial((None, None, None))
+    def test_null_merge_is_a_noop(self):
+        trial = NULL_CONTEXT.for_trial(seed=0)
+        assert not trial.collecting
+        NULL_CONTEXT.merge_trial(trial)
+        assert len(NULL_REGISTRY) == 0
+        assert NULL_MONITOR.events.records == []
+        assert NULL_RECORDER.summaries == []
 
 
 class TestPerTrial:
@@ -90,7 +94,7 @@ class TestPerTrial:
         clone = pickle.loads(pickle.dumps(campaign.for_trial(seed=1)))
         assert clone.collecting
 
-    def test_snapshot_merges_in_trial_order(self):
+    def test_trial_contexts_merge_in_trial_order(self):
         serial = _live()
         for trial in range(2):
             context = serial.for_trial(seed=3)
@@ -98,22 +102,24 @@ class TestPerTrial:
                 None, trial, PARAMS, AdversarialDistribution(PARAMS.m, 6),
                 500, 3, None, {}, context=context,
             )
-            serial.merge_trial(context.snapshot())
-        assert serial.metrics.snapshot()["counters"]
+            serial.merge_trial(context)
+        assert serial.metrics.counters()
         assert [s["trial"] for s in serial.monitor.summaries] == [0, 1]
         assert [s["trial"] for s in serial.trace.summaries] == [0, 1]
 
 
 class TestExecutorSlot:
-    def test_chunk_results_carry_one_snapshot_slot(self):
+    def test_chunk_results_carry_the_trial_context(self):
         template = _live().for_trial(seed=3)
         results = parallel._run_chunk(
             _TASK, 3, "event-campaign", [0], template
         )
-        (outcome, snapshot), = results
+        (outcome, trial_context), = results
         assert outcome.backend_queries > 0
-        metrics, monitor, trace = snapshot
-        assert metrics is not None and monitor is not None and trace is not None
+        assert isinstance(trial_context, RunContext)
+        assert trial_context.metrics is not template.metrics
+        assert [s["trial"] for s in trial_context.monitor.summaries] == [0]
+        assert [s["trial"] for s in trial_context.trace.summaries] == [0]
 
     def test_null_context_returns_bare_outcomes(self):
         results = parallel._run_chunk(_TASK, 3, "event-campaign", [0, 1])

@@ -302,18 +302,14 @@ class TestRegistry:
             ("z", ()),
         ]
 
-    def test_snapshot_is_json_serializable(self):
-        registry = MetricsRegistry()
-        registry.counter("c", k="v").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(3.0)
-        text = json.dumps(registry.snapshot(), sort_keys=True)
-        parsed = json.loads(text)
-        assert parsed["counters"][0] == {"name": "c", "labels": {"k": "v"}, "value": 2}
-
     def test_default_histogram_uses_shared_bounds(self):
         registry = MetricsRegistry()
         assert registry.histogram("h").bounds == DEFAULT_BUCKETS
+
+
+def _state(registry):
+    """The registry's ``export_json`` metrics block as JSON text (NaN-safe)."""
+    return json.dumps(export_json(registry)["metrics"], sort_keys=True)
 
 
 def _fill(registry, spec):
@@ -385,7 +381,17 @@ class TestMerge:
         )
         target = MetricsRegistry()
         target.merge(source)
-        assert target.snapshot() == source.snapshot()
+        assert _state(target) == _state(source)
+
+    def test_empty_histogram_merge_keeps_extremes(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("h").observe(2.0)
+        b.histogram("h")
+        a.merge(b)
+        b.merge(a)
+        for registry in (a, b):
+            merged = registry.histogram("h")
+            assert (merged.count, merged.min, merged.max) == (1, 2.0, 2.0)
 
     def test_bounds_mismatch_rejected(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -394,14 +400,6 @@ class TestMerge:
         with pytest.raises(ValueError):
             a.merge(b)
 
-    def test_merge_accepts_registry_or_snapshot(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(2)
-        via_registry, via_snapshot = MetricsRegistry(), MetricsRegistry()
-        via_registry.merge(source)
-        via_snapshot.merge(source.snapshot())
-        assert via_registry.snapshot() == via_snapshot.snapshot()
-
     @given(a=_spec_strategy, b=_spec_strategy)
     @settings(max_examples=40, deadline=None)
     def test_merge_commutative(self, a, b):
@@ -409,7 +407,7 @@ class TestMerge:
         left.merge(_fill(MetricsRegistry(), b))
         right = _fill(MetricsRegistry(), b)
         right.merge(_fill(MetricsRegistry(), a))
-        assert left.snapshot() == right.snapshot()
+        assert _state(left) == _state(right)
 
     @given(a=_spec_strategy, b=_spec_strategy, c=_spec_strategy)
     @settings(max_examples=40, deadline=None)
@@ -423,7 +421,7 @@ class TestMerge:
         bc.merge(_fill(MetricsRegistry(), c))
         a_bc = _fill(MetricsRegistry(), a)
         a_bc.merge(bc)
-        assert ab.snapshot() == a_bc.snapshot()
+        assert _state(ab) == _state(a_bc)
 
 
 class TestNullRegistry:
@@ -437,7 +435,7 @@ class TestNullRegistry:
         registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
         assert len(registry) == 0
-        assert registry.snapshot() == {"counters": [], "gauges": [], "histograms": []}
+        assert _state(registry) == _state(MetricsRegistry())
 
     def test_hands_out_shared_singleton(self):
         registry = NullRegistry()
@@ -459,7 +457,7 @@ class TestNullRegistry:
         source.counter("c").inc(3)
         registry = NullRegistry()
         registry.merge(source)
-        assert registry.snapshot() == {"counters": [], "gauges": [], "histograms": []}
+        assert _state(registry) == _state(MetricsRegistry())
 
     def test_as_registry_normalises_none(self):
         assert as_registry(None) is NULL_REGISTRY
@@ -474,7 +472,7 @@ class TestPickling:
             {"counters": [("c1", 7)], "gauges": [("g1", 3)], "histograms": [("h1", 42)]},
         )
         clone = pickle.loads(pickle.dumps(registry))
-        assert clone.snapshot() == registry.snapshot()
+        assert _state(clone) == _state(registry)
         clone.counter("c1").inc(1)  # still usable after the round trip
         assert clone.counter("c1").value == 8
 
@@ -482,7 +480,7 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(NULL_REGISTRY))
         assert clone.enabled is False
         clone.counter("c").inc(5)
-        assert clone.snapshot() == {"counters": [], "gauges": [], "histograms": []}
+        assert _state(clone) == _state(MetricsRegistry())
 
 
 class TestExportFormats:
@@ -501,6 +499,10 @@ class TestExportFormats:
         assert names == {"requests_total"}
         histogram = document["metrics"]["histograms"][0]
         assert {"p50", "p95", "p99", "bounds", "counts"} <= set(histogram)
+        parsed = json.loads(json.dumps(document, sort_keys=True))
+        assert parsed["metrics"]["counters"][0] == {
+            "name": "requests_total", "labels": {"node": "0"}, "value": 10
+        }
 
     def test_prometheus_text_format(self):
         text = to_prometheus(self._registry())

@@ -361,8 +361,10 @@ class TestSummaryQuantiles:
 
     @staticmethod
     def _node_loads(values):
+        trial = LoadMonitor(MonitorConfig())
+        trial._node_loads.extend(values)
         monitor = LoadMonitor(MonitorConfig())
-        monitor.merge_trial({"records": [], "node_loads": list(values), "final_gain": None})
+        monitor.merge_trial(trial)
         return monitor.summary()["node_load_quantiles"]
 
     def test_tracks_known_quantiles(self):
@@ -402,7 +404,9 @@ class TestSummaryQuantiles:
     def test_gain_series_come_from_every_trial(self):
         monitor = LoadMonitor(MonitorConfig())
         for gain in (1.5, 0.5, 3.0, 2.0, 2.5, 1.0):
-            monitor.merge_trial({"records": [], "node_loads": [], "final_gain": gain})
+            trial = LoadMonitor(MonitorConfig())
+            trial._record_gain(gain)
+            monitor.merge_trial(trial)
         got = monitor.summary()["gain_quantiles"]
         assert (got["p50"], got["p95"], got["count"], got["mean"]) == (1.5, 3.0, 6, 1.75)
 
@@ -415,7 +419,6 @@ class TestNullMonitor:
         )
         assert summary is None
         assert NULL_MONITOR.record_trial(0, None) == {}
-        assert NULL_MONITOR.snapshot()["records"] == []
         assert NULL_MONITOR.events.records == []
         assert NULL_MONITOR.windows == []
 

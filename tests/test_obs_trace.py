@@ -342,7 +342,7 @@ class TestRingBound:
     def test_ring_of_three_serial_and_merged(self, tmp_path):
         """Ten records through a 3-slot ring: the newest three, oldest
         first, whether emitted serially or merged from per-trial
-        snapshots."""
+        recorders."""
         config = TraceConfig(capacity=3)
         serial = FlightRecorder(config, seed=1)
         merged = FlightRecorder(config, seed=1)
@@ -350,12 +350,13 @@ class TestRingBound:
             self._emit(serial, trial, indices)
             worker = FlightRecorder(config, seed=1)
             self._emit(worker, trial, indices)
-            merged.merge_trial(worker.snapshot())
+            merged.merge_trial(worker)
         for recorder in (serial, merged):
             assert [r["i"] for r in recorder.records] == [7, 8, 9]
             assert recorder.evicted == 7
             assert recorder.sampled == 10
-        assert serial.snapshot()["records"] == merged.snapshot()["records"]
+        assert serial.records == merged.records
+        assert serial.summaries == merged.summaries
         assert (
             serial.write(tmp_path / "serial.jsonl").read_bytes()
             == merged.write(tmp_path / "merged.jsonl").read_bytes()

@@ -5,6 +5,8 @@ seed produces *bit-identical* per-trial results — parallelism is an
 execution detail, never a semantics change.
 """
 
+import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -14,7 +16,8 @@ from repro.chaos import ChaosConfig
 from repro.core.notation import SystemParameters
 from repro.exceptions import SimulationError
 from repro.obs import (
-    LoadMonitor, MetricsRegistry, MonitorConfig, RunContext, Tracer,
+    FlightRecorder, LoadMonitor, MetricsRegistry, MonitorConfig, RunContext,
+    TraceConfig, Tracer, export_json,
 )
 from repro.sim.analytic import MonteCarloSimulator, simulate_distribution
 from repro.sim.batch import run_event_campaign
@@ -95,14 +98,16 @@ class TestParallelExecutor:
 
     def test_results_come_back_in_trial_order(self):
         vectors = map_trials(
-            _trial_index_vector, 6, seed=7, label="trial", workers=2
+            _trial_index_vector, 6, seed=7, label="trial",
+            context=RunContext(workers=2),
         )
         assert [v.loads[0] for v in vectors] == [10.0 + t for t in range(6)]
 
     def test_parallel_matches_serial_streams(self):
         serial = map_trials(_uniform_vector, 8, seed=11, label="trial")
         parallel = map_trials(
-            _uniform_vector, 8, seed=11, label="trial", workers=3
+            _uniform_vector, 8, seed=11, label="trial",
+            context=RunContext(workers=3),
         )
         for a, b in zip(serial, parallel):
             assert (a.loads == b.loads).all()
@@ -111,7 +116,7 @@ class TestParallelExecutor:
         with pytest.raises(SimulationError, match="picklable"):
             map_trials(
                 lambda gen, trial, context: None, 4, seed=1, label="trial",
-                workers=2,
+                context=RunContext(workers=2),
             )
 
     def test_lambda_fine_when_serial(self):
@@ -128,6 +133,52 @@ class TestParallelExecutor:
     def test_zero_trials_rejected(self):
         with pytest.raises(SimulationError):
             map_trials(_uniform_vector, 0, seed=1, label="trial")
+
+
+class TestSpawnStart:
+    """Linux always forks; force ``spawn`` so trial contexts cross a
+    process boundary with nothing inherited."""
+
+    @staticmethod
+    def _campaign(workers):
+        registry = MetricsRegistry()
+        context = RunContext(
+            metrics=registry,
+            monitor=LoadMonitor(MonitorConfig(window=0.05), metrics=registry),
+            trace=FlightRecorder(TraceConfig(sample=0.2), seed=7),
+            workers=workers,
+        )
+        run_event_campaign(
+            _params(), AdversarialDistribution(_params().m, 500), trials=4,
+            n_queries=1500, seed=7, context=context,
+        )
+        return (
+            context.monitor.events.records, context.trace.records,
+            context.trace.suspects(),
+            json.dumps(export_json(registry)["metrics"], sort_keys=True),
+        )
+
+    def test_spawned_campaign_matches_serial(self, monkeypatch):
+        serial = self._campaign(workers=1)
+        monkeypatch.setattr(
+            "repro.sim.parallel.multiprocessing.get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        spawned = []
+        real_get_context = multiprocessing.get_context
+
+        def get_context(method=None):
+            spawned.append(method)
+            return real_get_context(method)
+
+        monkeypatch.setattr(
+            "repro.sim.parallel.multiprocessing.get_context", get_context
+        )
+        assert self._campaign(workers=2) == serial
+        assert spawned == ["spawn"]
+        records, trace_records, suspects, _ = serial
+        assert [r["trial"] for r in records if r["type"] == "run-summary"] == [0, 1, 2, 3]
+        assert trace_records and suspects["samples"] == len(trace_records)
 
 
 class TestRunTrialsWorkers:
@@ -203,7 +254,7 @@ class TestEngineDeterminism:
             log = monitor.events.write(tmp_path / f"events-{workers}.jsonl")
             outputs.append((
                 log.read_bytes(), monitor.windows, monitor.alerts,
-                registry.snapshot(),
+                json.dumps(export_json(registry)["metrics"], sort_keys=True),
             ))
             # Each trial ran under a per-trial context; none recorded.
             assert monitor.summary()["trials_merged"] == 8

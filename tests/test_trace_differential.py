@@ -78,7 +78,7 @@ def assert_recorders_agree(config, runs):
         for columns, mask, run in runs:
             trial = cls(config)
             trial.observe(columns, mask, **run)
-            merged.merge_trial(trial.snapshot())
+            merged.merge_trial(trial)
         views[cls] = (json.dumps(returned), _view(live), _view(merged))
     assert views[FlightRecorder] == views[ReferenceRecorder]
     # The campaign path reports what one recorder does.

@@ -230,6 +230,12 @@ class ReferenceRecorder(FlightRecorder):
     def __init__(self, config: Optional[TraceConfig] = None, seed: Optional[int] = None) -> None:
         super().__init__(config, seed)
         self._ref = ReferenceAttribution(self._config, trial=-1)
+        self._alerts: List[dict] = []
+
+    @property
+    def alerts(self) -> List[dict]:
+        """Alerts kept in their own list, as the recorder once kept them."""
+        return self._alerts
 
     def observe(
         self,
@@ -324,7 +330,9 @@ class ReferenceRecorder(FlightRecorder):
             "attribution": self._ref.snapshot(),
         }
 
-    def merge_trial(self, snapshot: dict) -> None:
+    def merge_trial(self, other: "ReferenceRecorder") -> None:
+        """Fold ``other`` in through its plain-data :meth:`snapshot`."""
+        snapshot = other.snapshot()
         self._records.extend(snapshot.get("records", ()))
         self._appended += snapshot.get("appended", 0)
         self._sampled += snapshot.get("sampled", 0)
